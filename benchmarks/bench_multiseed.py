@@ -9,14 +9,14 @@ to its sequential counterpart (elapsed time and per-rank
 finish/compute/comm times).
 
 ``test_batched_daemon_noise_bit_identical`` asserts the same per-sample
-identity under daemon noise (whose data-dependent draw counts force the
-per-sample stream kernel, so the win is smaller and recorded for the
-trajectory only) and checks one sample against the reference engine at
-the matched seed.
+identity under daemon noise and checks one sample against the reference
+engine at the matched seed; its speedup is recorded for the trajectory
+only.
 
 Baseline on the reference container (256 ranks, 1 iteration, ~100k
 events): 32 sequential jitter replays ~3.3 s vs one batched pass
-~0.56 s (~5.9x); daemon-noise batch ~1.1x.
+~0.56 s (~5.9x); 8 daemon-noise samples: sequential ~0.4-0.5 s vs
+batched ~0.12-0.15 s (~3.1-3.4x, 2-vCPU Xeon VM).
 """
 
 from __future__ import annotations
@@ -125,9 +125,9 @@ def test_batched_daemon_noise_bit_identical():
     print(f"\n{PX}x{PY} ranks, 8 daemon-noise samples: sequential "
           f"{sequential_elapsed:.2f} s, batched {batched_elapsed:.2f} s, "
           f"speedup {speedup:.1f}x")
-    # The per-sample daemon stream kernel caps the win; the identity is
-    # the gate here, the speedup is recorded for the trajectory only and
-    # must merely stay close to parity (no regression vs sequential).
+    # The identity is the gate here; the speedup is recorded for the
+    # trajectory only and must merely stay close to parity (no
+    # regression vs sequential).
     record_gate("multiseed_batch_daemon_256rank", speedup, 0.8)
     assert speedup >= 0.8
 

@@ -139,11 +139,7 @@ def test_steady_scaling_smoke_uses_steady_tier():
     assert sum(auto.execution.values()) == len(auto.rows)
     assert auto.execution == {"steady": len(auto.rows)}
     assert engine.execution == {"engine": len(engine.rows)}
-
-    def strip(rows):
-        return [{k: v for k, v in row.items() if k != "tier"} for row in rows]
-
-    assert strip(auto.rows) == strip(engine.rows)
+    assert auto.rows == engine.rows
     record_gate("steady_scaling_smoke_identical", 1.0, 1.0, unit="identical")
 
 

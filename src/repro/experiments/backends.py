@@ -56,7 +56,7 @@ from repro.core.evaluation.compiler import (
 from repro.core.hmcl.model import HardwareModel
 from repro.core.ir import ModelSet
 from repro.errors import ExperimentError
-from repro.simnet.noise import derive_seed
+from repro.simnet.noise import NOISE_SCHEME, derive_seed
 from repro.sweep3d.input import Sweep3DInput, standard_deck
 from repro.sweep3d.parallel import SweepCostTable
 
@@ -472,6 +472,10 @@ class SimulationBackend:
             self.numeric, self.charge_compute, self.convergence_collectives,
             self.with_noise,
         )
+        if self.with_noise:
+            # Only noisy runs extend the key: noise-free entries stay
+            # addressable across changes to how noise is drawn.
+            key = key + (("noise", NOISE_SCHEME),)
         if self.samples:
             # Only sampled runs extend the key: samples=0 keeps every
             # pre-existing disk-cache entry addressable.

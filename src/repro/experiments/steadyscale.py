@@ -24,8 +24,9 @@ pushes two axes well past the paper:
 Runs are noise-free by construction (``with_noise`` is hardcoded off):
 the steady tier refuses noisy traces, and the point of this study is the
 deterministic modelled prediction.  The tier that actually served each
-scenario is recorded per row and aggregated into
-:attr:`repro.experiments.study.StudyResult.execution`; under the default
+scenario is metadata, not data: it is counted in
+:attr:`repro.experiments.study.StudyResult.execution` (the table rows are
+identical whichever tier ran); under the default
 ``hypothetical-opteron-myrinet-1ns`` machine (a dyadic-quantised
 timebase) every scenario should report ``steady``.
 """
@@ -188,7 +189,7 @@ def _run_steady_scaling_impl(machine, params, workers,
 
 def _tabulate_steady(payload) -> tuple[list[str], list[dict[str, Any]]]:
     columns = ["pes", "px", "py", "it", "jt", "kt", "cells", "iterations",
-               "elapsed_s", "per_iteration_s", "tier", "messages", "bytes",
+               "elapsed_s", "per_iteration_s", "messages", "bytes",
                "compute_fraction"]
     rows = [{
         "pes": row.pes,
@@ -201,7 +202,6 @@ def _tabulate_steady(payload) -> tuple[list[str], list[dict[str, Any]]]:
         "iterations": row.iterations,
         "elapsed_s": row.elapsed_s,
         "per_iteration_s": row.per_iteration_s,
-        "tier": row.execution_tier,
         "messages": row.total_messages,
         "bytes": row.total_bytes,
         "compute_fraction": row.compute_fraction,

@@ -249,7 +249,7 @@ class ClusterEngine:
         nranks = len(states)
         self._states = states
         self._nranks = nranks
-        self._run_noise = self.noise
+        self._draws = None
         #: Unmatched sends per destination rank, indexed by (source, tag).
         #: Each deque is in send (seq) order, so the FIFO head is always the
         #: MPI non-overtaking match for a specific-source receive.
@@ -273,10 +273,11 @@ class ClusterEngine:
         (i.e. contain at least one ``yield``).
 
         ``noise`` overrides the engine's default noise model for this run
-        only, so callers sharing one engine (a
-        :class:`~repro.sweep3d.driver.SimulationPlan` re-executed across
-        seeds) carry no cross-run mutable state; ``None`` uses the model
-        the engine was constructed with.
+        only; ``None`` uses the model the engine was constructed with.
+        Every run draws from a fresh cursor over that model's streams
+        (:meth:`~repro.simnet.noise.NoiseModel.draws`), so equal inputs
+        give equal results however often the engine or the model is
+        reused.
 
         The engine may be reused: every invocation starts from a clean
         slate (no ``_PendingSend``/``_PostedRecv``/collective state leaks
@@ -303,8 +304,7 @@ class ClusterEngine:
 
         self._running = True
         self._reset(states)
-        if noise is not None:
-            self._run_noise = noise
+        self._draws = (noise if noise is not None else self.noise).draws()
         try:
             return self._execute(nranks)
         finally:
@@ -377,7 +377,7 @@ class ClusterEngine:
                 state.resume_value = state.clock
                 continue
             if isinstance(op, Compute):
-                duration = self._run_noise.perturb_compute(op.seconds)
+                duration = self._draws.compute(op.seconds)
                 state.clock += duration
                 state.compute_time += duration
                 continue
@@ -386,7 +386,7 @@ class ClusterEngine:
                     raise SimulationError(
                         "SimComm.execute(mix) requires the engine to be built "
                         "with a processor model")
-                duration = self._run_noise.perturb_compute(
+                duration = self._draws.compute(
                     self.processor.execute_time(op.mix))
                 state.clock += duration
                 state.compute_time += duration
@@ -462,7 +462,7 @@ class ClusterEngine:
 
         eager = link.is_eager(op.nbytes)
         if eager:
-            wire = self._run_noise.perturb_network(link.wire_time(op.nbytes))
+            wire = self._draws.network(link.wire_time(op.nbytes))
             message.arrival_time = post_time + sender_cpu + wire
             request.mark_complete(post_time + sender_cpu)
         pending = _PendingSend(message=message, eager=eager,
@@ -548,7 +548,7 @@ class ClusterEngine:
             recv_done = max(posted.post_time, message.arrival_time) + receiver_cpu
         else:
             start = max(pending.sender_ready_time, posted.post_time)
-            wire = self._run_noise.perturb_network(link.wire_time(message.nbytes))
+            wire = self._draws.network(link.wire_time(message.nbytes))
             arrival = start + wire
             message.arrival_time = arrival
             pending.request.mark_complete(arrival)
@@ -663,7 +663,7 @@ class ClusterEngine:
             return base
         cost = collective_cost(slot.kind, slot.nbytes, self._nranks,
                                self.topology.inter_node)
-        return base + self._run_noise.perturb_network(cost)
+        return base + self._draws.network(cost)
 
     def _collective_result(self, slot: _CollectiveSlot) -> Any:
         if slot.kind == "AllReduce":

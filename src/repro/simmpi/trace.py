@@ -26,10 +26,10 @@ This module splits that work in two:
   per-event object allocation.  Noise is applied up front by a single
   vectorised :meth:`~repro.simnet.noise.NoiseModel.perturb_batch` call
   over the recorded draw sites (which are laid out in exactly the order
-  the engine would have consumed the generator stream), so a replay at a
-  given seed is **bit-identical** to a ``ClusterEngine`` run at the same
-  seed: same elapsed time, same per-rank finish/compute/comm times, same
-  message statistics.
+  the engine reaches them), so a replay at a given seed is
+  **bit-identical** to a ``ClusterEngine`` run at the same seed: same
+  elapsed time, same per-rank finish/compute/comm times, same message
+  statistics.
 
 * :meth:`CompiledTrace.replay_batch` broadcasts that recurrence over an
   ``(n_events, S)`` duration matrix so ``S`` independently seeded noisy
@@ -629,7 +629,7 @@ class CompiledTrace:
         <repro.simmpi.engine.ClusterEngine.run>` of the recorded program
         with the same noise model: the per-rank clock/statistics updates
         are replayed in the engine's exact floating-point order, and the
-        noise stream is consumed at the same sites in the same sequence.
+        noise streams are drawn at the same sites in the same sequence.
 
         The returned per-rank ``return_value`` objects are the ones
         captured during recording and are shared across replays — treat
@@ -807,8 +807,8 @@ class TraceRecorder:
 
     Drives the rank generators once with the same scheduling discipline as
     :class:`~repro.simmpi.engine.ClusterEngine` — the recorded event order
-    is therefore exactly the order in which the engine would consume noise
-    draws — but performs no virtual-time arithmetic.  Supported
+    is therefore exactly the order in which the engine reaches its noise
+    draw sites — but performs no virtual-time arithmetic.  Supported
     operations: ``compute``, ``execute``, blocking ``send``/``recv`` with
     explicit source and tag, and the three collectives.  Anything whose
     pattern or result could depend on virtual time (``now``, wildcard

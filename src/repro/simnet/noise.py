@@ -7,7 +7,28 @@ cluster reproduces that effect so that the validation experiment is not a
 tautology: compute blocks and message transfers are perturbed by a small
 multiplicative jitter plus occasional longer daemon interruptions.
 
-All randomness is seeded; the same seed reproduces the same "measured" run.
+A run's noise is a pure function of its seed and its ordered list of draw
+sites (the compute blocks and message transfers, in the order the engine
+reaches them).  A site is *live* when its base duration is positive.  Each
+seed owns three independent streams, spawned from
+``np.random.SeedSequence(seed)``:
+
+* **jitter** — one log-normal factor per live site, with the compute or
+  network sigma chosen by the site's kind (drawn even when that sigma is
+  0, so how much of the stream a run consumes never depends on a
+  parameter being zero);
+* **daemon hits** — with daemon noise on, one Poisson count per live
+  compute site, mean ``duration / daemon_interval``;
+* **daemon time** — one ``Gamma(hits, daemon_duration)`` draw (the sum of
+  ``hits`` exponential interruptions) per site with at least one hit.
+
+The noisy duration is ``base * factor + daemon_time``.  No stream's
+consumption interleaves with another's, so the batch entry points draw
+each stream with one sized numpy call per seed, and the engine's scalar
+cursor (:meth:`NoiseModel.draws`) walks the same streams site by site.
+numpy fills an array with per-element parameters exactly as the same
+sequence of scalar calls would, so the engine, trace replay and batched
+replay agree bit for bit at equal seeds.
 """
 
 from __future__ import annotations
@@ -16,6 +37,11 @@ import zlib
 from dataclasses import dataclass, replace
 
 import numpy as np
+
+
+#: Names how noise is drawn from a seed.  Cache keys of noisy results
+#: carry it, so results drawn under an earlier scheme miss.
+NOISE_SCHEME = "per-site-streams"
 
 
 def derive_seed(*components: object) -> int:
@@ -33,14 +59,23 @@ def derive_seed(*components: object) -> int:
     return zlib.crc32(text.encode("utf-8")) & 0x7FFFFFFF
 
 
-@dataclass
+def _streams(seed: int) -> list[np.random.Generator]:
+    """The jitter, daemon-hit and daemon-time generators of ``seed``."""
+    return [np.random.default_rng(child)
+            for child in np.random.SeedSequence(seed).spawn(3)]
+
+
+@dataclass(frozen=True)
 class NoiseModel:
     """Stochastic perturbation of compute and communication durations.
+
+    A frozen value: the same model and seed always produce the same noise,
+    however often and in whatever order it is used.
 
     Parameters
     ----------
     seed:
-        Seed for the private random generator.
+        Seed of the model's three noise streams.
     compute_jitter:
         Standard deviation of the log-normal multiplicative jitter applied
         to compute durations (e.g. 0.01 = ~1 % noise).
@@ -59,22 +94,18 @@ class NoiseModel:
     daemon_interval: float = 0.25
     daemon_duration: float = 200e-6
 
+    #: Draw-site kinds accepted by :meth:`perturb_batch`.
+    COMPUTE = 1
+    NETWORK = 2
+
     def __post_init__(self) -> None:
         for attr in ("compute_jitter", "network_jitter", "daemon_interval",
                      "daemon_duration"):
             if getattr(self, attr) < 0:
                 raise ValueError(f"{attr} must be >= 0")
-        self._rng = np.random.default_rng(self.seed)
-
-    # ------------------------------------------------------------------
-
-    def reseed(self, seed: int) -> None:
-        """Reset the generator; used to make per-experiment runs independent."""
-        self.seed = seed
-        self._rng = np.random.default_rng(seed)
 
     def reseeded(self, seed: int) -> "NoiseModel":
-        """A copy of this model with a fresh generator seeded at ``seed``.
+        """A copy of this model at ``seed``, every other parameter kept.
 
         Simulation plans thread one of these per scenario so that every grid
         point sees an independent, reproducible noise stream regardless of
@@ -82,131 +113,40 @@ class NoiseModel:
         """
         return replace(self, seed=seed)
 
-    def perturb_compute(self, duration: float) -> float:
-        """Return the noisy duration of a compute block of ``duration`` seconds."""
-        if duration <= 0:
-            return duration
-        noisy = duration
-        if self.compute_jitter > 0:
-            noisy *= float(self._rng.lognormal(mean=0.0, sigma=self.compute_jitter))
-        if self.daemon_interval > 0 and self.daemon_duration > 0:
-            # Expected number of interruptions while this block runs.
-            expected = duration / self.daemon_interval
-            hits = self._rng.poisson(expected)
-            if hits:
-                noisy += float(self._rng.exponential(self.daemon_duration, size=hits).sum())
-        return noisy
+    def _has_daemons(self) -> bool:
+        return self.daemon_interval > 0 and self.daemon_duration > 0
 
-    def perturb_network(self, duration: float) -> float:
-        """Return the noisy wire time of a message transfer."""
-        if duration <= 0 or self.network_jitter <= 0:
-            return duration
-        return duration * float(self._rng.lognormal(mean=0.0, sigma=self.network_jitter))
-
-    #: Draw-site kinds accepted by :meth:`perturb_batch`.
-    COMPUTE = 1
-    NETWORK = 2
+    def draws(self) -> "NoiseDraws":
+        """A fresh scalar cursor over this model's streams, for one run."""
+        return NoiseDraws(self)
 
     def perturb_batch(self, durations: np.ndarray,
                       kinds: np.ndarray) -> np.ndarray:
         """Perturb a mixed sequence of compute/network durations at once.
 
-        ``kinds[i]`` says which scalar method governs ``durations[i]``
-        (:attr:`COMPUTE` -> :meth:`perturb_compute`, :attr:`NETWORK` ->
-        :meth:`perturb_network`).  The result is **bit-identical** to
-        calling those scalar methods element by element in order — the
-        same values drawn from the same generator stream — which is what
-        trace replay (:mod:`repro.simmpi.trace`) relies on to reproduce a
+        ``kinds[i]`` (:attr:`COMPUTE` or :attr:`NETWORK`) is the kind of
+        draw site ``i``.  The result is **bit-identical** to feeding the
+        sites, in order, to the compute/network methods of a fresh
+        :meth:`draws` cursor — which is what trace replay
+        (:mod:`repro.simmpi.trace`) relies on to reproduce a
         :class:`~repro.simmpi.engine.ClusterEngine` run exactly.
-
-        When daemon noise is off, every stream-consuming draw is exactly
-        one log-normal factor, and numpy's ``Generator`` draws arrays with
-        per-element parameters sequentially from the same stream as the
-        scalar calls, so the whole batch is a single vectorised draw.
-        Daemon noise makes the number of draws per element data-dependent
-        (a Poisson count gates the exponential tail), so that case runs
-        the stream kernel (:meth:`_perturb_stream`), which batches the
-        network draws between compute sites.
         """
         out = np.array(durations, dtype=float)
         kinds = np.asarray(kinds)
         if out.shape != kinds.shape:
             raise ValueError("durations and kinds must have the same length")
-        if self.is_disabled() or out.size == 0:
-            return out
-        if self.daemon_interval > 0 and self.daemon_duration > 0:
-            self._perturb_stream(out.reshape(-1), kinds.reshape(-1),
-                                 self._rng)
-            return out
-        sigma = np.where(kinds == self.COMPUTE,
-                         self.compute_jitter, self.network_jitter)
-        consuming = (out > 0) & (sigma > 0)
-        if consuming.any():
-            factors = self._rng.lognormal(mean=0.0, sigma=sigma[consuming])
-            out[consuming] = out[consuming] * factors
+        if not self.is_disabled():
+            self._perturb(out.reshape(-1), kinds.reshape(-1), self.seed)
         return out
-
-    def _perturb_stream(self, flat: np.ndarray, kinds: np.ndarray,
-                        rng: np.random.Generator) -> None:
-        """Perturb ``flat`` in place, daemon noise on, using ``rng``.
-
-        Bit-identical to calling :meth:`perturb_compute` /
-        :meth:`perturb_network` element by element against the same
-        generator.  Compute sites are inherently serial (a Poisson count
-        gates a variable-length exponential tail), but the network draws
-        *between* two compute sites all share one scalar sigma, and a
-        sized array draw consumes the generator stream exactly like the
-        equivalent sequence of scalar calls — so each run is one
-        vectorised log-normal draw instead of per-element calls.
-        """
-        compute_jitter = self.compute_jitter
-        network_jitter = self.network_jitter
-        interval = self.daemon_interval
-        daemon_scale = self.daemon_duration
-        lognormal = rng.lognormal
-        poisson = rng.poisson
-        exponential = rng.exponential
-
-        def network_run(start: int, stop: int) -> None:
-            if network_jitter <= 0 or stop <= start:
-                return
-            segment = flat[start:stop]
-            consuming = segment > 0
-            count = int(consuming.sum())
-            if count == 0:
-                return
-            factors = lognormal(mean=0.0, sigma=network_jitter, size=count)
-            segment[consuming] = segment[consuming] * factors
-
-        cursor = 0
-        for position in np.flatnonzero(kinds == self.COMPUTE):
-            position = int(position)
-            network_run(cursor, position)
-            duration = float(flat[position])
-            if duration > 0:
-                noisy = duration
-                if compute_jitter > 0:
-                    noisy *= float(lognormal(mean=0.0, sigma=compute_jitter))
-                hits = poisson(duration / interval)
-                if hits:
-                    noisy += float(exponential(daemon_scale, size=hits).sum())
-                flat[position] = noisy
-            cursor = position + 1
-        network_run(cursor, flat.size)
 
     def perturb_batch_multi(self, durations: np.ndarray, kinds: np.ndarray,
                             seeds) -> np.ndarray:
         """Perturb one duration vector under many independent seeds at once.
 
         Returns an ``(S, n)`` matrix whose row ``s`` is **bit-identical**
-        to ``self.reseeded(seeds[s]).perturb_batch(durations, kinds)`` —
-        each seed gets its own freshly seeded generator drawing the exact
-        stream the single-seed path would, so a batched multi-sample
-        replay reproduces ``S`` sequential single-seed replays sample for
-        sample.  With daemon noise off, the (shared) consuming mask and
-        sigma vector are computed once and each sample costs one
-        vectorised log-normal draw; with daemon noise on, each sample
-        runs the vectorised daemon stream kernel.
+        to ``self.reseeded(seeds[s]).perturb_batch(durations, kinds)``, so
+        a batched multi-sample replay reproduces ``S`` sequential
+        single-seed replays sample for sample.
         """
         base = np.asarray(durations, dtype=float).reshape(-1)
         kinds = np.asarray(kinds).reshape(-1)
@@ -215,28 +155,29 @@ class NoiseModel:
         seeds = [int(seed) for seed in seeds]
         out = np.empty((len(seeds), base.size))
         out[:] = base
-        if self.is_disabled() or base.size == 0 or not seeds:
-            return out
-        if self.daemon_interval > 0 and self.daemon_duration > 0:
+        if not self.is_disabled():
             for row, seed in zip(out, seeds):
-                self._perturb_stream(row, kinds, np.random.default_rng(seed))
-            return out
-        sigma = np.where(kinds == self.COMPUTE,
-                         self.compute_jitter, self.network_jitter)
-        consuming = (base > 0) & (sigma > 0)
-        if consuming.all():
-            # Common case (every site draws): skip the mask gather/scatter.
-            for row, seed in zip(out, seeds):
-                rng = np.random.default_rng(seed)
-                factors = rng.lognormal(mean=0.0, sigma=sigma)
-                np.multiply(row, factors, out=row)
-        elif consuming.any():
-            sig = sigma[consuming]
-            for row, seed in zip(out, seeds):
-                rng = np.random.default_rng(seed)
-                factors = rng.lognormal(mean=0.0, sigma=sig)
-                row[consuming] = row[consuming] * factors
+                self._perturb(row, kinds, seed)
         return out
+
+    def _perturb(self, flat: np.ndarray, kinds: np.ndarray,
+                 seed: int) -> None:
+        """Perturb the 1-D ``flat`` in place with the streams of ``seed``."""
+        live = np.flatnonzero(flat > 0)
+        if live.size == 0:
+            return
+        jitter, hit_stream, time_stream = _streams(seed)
+        base = flat[live]
+        compute = kinds[live] == self.COMPUTE
+        sigma = np.where(compute, self.compute_jitter, self.network_jitter)
+        noisy = base * jitter.lognormal(0.0, sigma)
+        if self._has_daemons():
+            sites = np.flatnonzero(compute)
+            hits = hit_stream.poisson(base[sites] / self.daemon_interval)
+            hit = np.flatnonzero(hits)
+            noisy[sites[hit]] += time_stream.gamma(hits[hit],
+                                                   self.daemon_duration)
+        flat[live] = noisy
 
     @classmethod
     def disabled(cls) -> "NoiseModel":
@@ -246,4 +187,43 @@ class NoiseModel:
 
     def is_disabled(self) -> bool:
         return (self.compute_jitter == 0.0 and self.network_jitter == 0.0
-                and (self.daemon_interval == 0.0 or self.daemon_duration == 0.0))
+                and not self._has_daemons())
+
+
+class NoiseDraws:
+    """One run's scalar cursor over a :class:`NoiseModel`'s streams.
+
+    The engine calls :meth:`compute` or :meth:`network` at each draw site
+    as it reaches it; the values equal :meth:`NoiseModel.perturb_batch`
+    over the same sites, element by element.
+    """
+
+    __slots__ = ("_model", "_daemons", "_lognormal", "_poisson", "_gamma")
+
+    def __init__(self, model: NoiseModel):
+        self._model = None if model.is_disabled() else model
+        if self._model is not None:
+            self._daemons = model._has_daemons()
+            jitter, hit_stream, time_stream = _streams(model.seed)
+            self._lognormal = jitter.lognormal
+            self._poisson = hit_stream.poisson
+            self._gamma = time_stream.gamma
+
+    def compute(self, duration: float) -> float:
+        """The noisy duration of the next compute block."""
+        model = self._model
+        if duration <= 0 or model is None:
+            return duration
+        noisy = duration * self._lognormal(0.0, model.compute_jitter)
+        if self._daemons:
+            hits = self._poisson(duration / model.daemon_interval)
+            if hits:
+                noisy += self._gamma(hits, model.daemon_duration)
+        return noisy
+
+    def network(self, duration: float) -> float:
+        """The noisy wire time of the next message transfer."""
+        model = self._model
+        if duration <= 0 or model is None:
+            return duration
+        return duration * self._lognormal(0.0, model.network_jitter)

@@ -111,6 +111,30 @@ class TestSweepIntegration:
         assert runner.disk_stats.misses == 1
         assert runner.stats.predictions == 1        # really re-simulated
 
+    def test_noisy_entries_of_an_earlier_noise_scheme_miss(self, tmp_path,
+                                                           p3_machine):
+        """Stale noisy results miss; noise-free keys are unchanged."""
+        from repro.simnet.noise import NOISE_SCHEME
+
+        grid = simulation_grid([(2, 2)])
+        tag = ("noise", NOISE_SCHEME)
+        cache = SweepDiskCache(tmp_path)
+        for with_noise in (True, False):
+            backend = sim_backend(p3_machine, with_noise=with_noise)
+            key = backend.fingerprint(grid.scenarios[0])
+            assert (tag in key) == with_noise
+            # The entry as written before noisy keys named the scheme.
+            cache.put(tuple(part for part in key if part != tag),
+                      f"cached with_noise={with_noise}")
+
+        noisy = SweepRunner(backend=sim_backend(p3_machine), cache=tmp_path)
+        assert noisy.run(grid)[0].result != "cached with_noise=True"
+        assert (noisy.disk_stats.hits, noisy.disk_stats.misses) == (0, 1)
+        quiet = SweepRunner(backend=sim_backend(p3_machine, with_noise=False),
+                            cache=tmp_path)
+        assert quiet.run(grid)[0].result == "cached with_noise=False"
+        assert (quiet.disk_stats.hits, quiet.disk_stats.misses) == (1, 0)
+
     def test_prediction_backend_invalidation_on_hardware_change(
             self, tmp_path, sweep3d_model, synthetic_hardware):
         from repro.core.workload import SweepWorkload

@@ -211,14 +211,14 @@ class TestChaos:
         spec = build_spec("table2", max_pes=4, max_iterations=1)
         assert plan_unit_shards(spec).shard_count == 1  # single-unit grid
 
+        # One one-shot hook shared by both workers: whichever claims the
+        # unit first dies, so the run always needs a reassignment.
+        doom = threading.Lock()
+
+        def hook(unit):
+            return doom.acquire(blocking=False)
+
         def factory(number, fleet_dir, store):
-            hook = None
-            if number == 0:
-                def hook(unit, _fired=[]):
-                    if not _fired:
-                        _fired.append(unit)
-                        return True
-                    return False
             return FleetWorker(fleet_dir, store=store,
                                worker_id=f"last-{number}", poll_s=0.01,
                                failure_hook=hook)

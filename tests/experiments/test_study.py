@@ -380,7 +380,7 @@ class TestExecutionTierAccounting:
 
     def test_steady_scaling_smoke_runs_on_the_steady_tier(self, steady_smoke):
         assert steady_smoke.execution == {"steady": 2}
-        assert [row["tier"] for row in steady_smoke.rows] == ["steady"] * 2
+        assert len(steady_smoke.rows) == 2
 
     def test_execution_counts_survive_to_dict(self, steady_smoke):
         assert steady_smoke.to_dict()["execution"] == {"steady": 2}
@@ -408,12 +408,7 @@ class TestExecutionTierAccounting:
         engine = run_study(build_spec("steady-scaling",
                                       sim_execution="engine").smoke())
         assert engine.execution == {"engine": 2}
-
-        def strip(rows):
-            return [{k: v for k, v in row.items() if k != "tier"}
-                    for row in rows]
-
-        assert strip(engine.rows) == strip(steady_smoke.rows)
+        assert engine.rows == steady_smoke.rows
 
     def test_table_studies_report_replay_tier(self):
         result = run_study(build_spec("table2", max_pes=6, max_iterations=1))

@@ -95,11 +95,9 @@ class TestEngineReuse:
         assert "re-entrant" in str(excinfo.value)
 
     def test_noise_swap_between_runs(self):
-        """A plan reseeds noise per run; same seed => same result."""
-        engine = make_engine()
-        engine.noise = NoiseModel(seed=42)
+        """One noise model gives the same result on every run."""
+        engine = make_engine(noise=NoiseModel(seed=42))
         noisy_a = engine.run(ring_program, nranks=4)
-        engine.noise = NoiseModel(seed=42)
         noisy_b = engine.run(ring_program, nranks=4)
         engine.noise = NoiseModel(seed=43)
         other = engine.run(ring_program, nranks=4)

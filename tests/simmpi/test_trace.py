@@ -44,10 +44,8 @@ def assert_replay_matches_engine(topology, program, nranks, noises=(None,),
     engine = ClusterEngine(topology)
     for noise in noises:
         reference = engine.run(program, nranks, program_args=program_args,
-                               noise=None if noise is None
-                               else noise.reseeded(noise.seed))
-        replayed = trace.replay(None if noise is None
-                                else noise.reseeded(noise.seed))
+                               noise=noise)
+        replayed = trace.replay(noise)
         assert result_key(replayed) == result_key(reference)
     return trace
 

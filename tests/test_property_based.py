@@ -275,8 +275,7 @@ class TestTraceReplayProperties:
     """For random small decks/grids, max-plus trace replay reproduces the
     discrete-event engine exactly — elapsed time, per-rank timing
     breakdowns and message statistics — including noisy runs at equal
-    seeds (both the vectorised jitter-only noise path and the scalar
-    daemon fallback)."""
+    seeds, with and without daemon noise."""
 
     @staticmethod
     def _simulation_key(sim):
@@ -311,18 +310,18 @@ class TestTraceReplayProperties:
                                         max_iterations=iterations)
         plan = machine.simulation_plan(deck, px, py)
 
-        def noise():
-            if daemon:
-                return machine.noise_model(seed)       # scalar draw fallback
-            return NoiseModel(seed=seed, daemon_interval=0.0)   # vectorised
+        if daemon:
+            noise = machine.noise_model(seed)
+        else:
+            noise = NoiseModel(seed=seed, daemon_interval=0.0)
 
         deterministic_engine = plan.run(mode="engine")
         deterministic_replay = plan.run(mode="replay")
         assert self._simulation_key(deterministic_replay.simulation) == \
             self._simulation_key(deterministic_engine.simulation)
 
-        noisy_engine = plan.run(noise=noise(), mode="engine")
-        noisy_replay = plan.run(noise=noise(), mode="replay")
+        noisy_engine = plan.run(noise=noise, mode="engine")
+        noisy_replay = plan.run(noise=noise, mode="replay")
         assert self._simulation_key(noisy_replay.simulation) == \
             self._simulation_key(noisy_engine.simulation)
         assert noisy_replay.error_history == noisy_engine.error_history
