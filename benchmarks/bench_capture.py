@@ -19,7 +19,7 @@ of magnitude faster than even the periodic pass.
 Baseline on the reference container (64 ranks, 100 iterations, ~480k
 events): full recorder ~3.5 s vs periodic capture ~0.29 s (~12x), of
 which ~0.25 s is the 6-iteration probe recording; a warm cache hit is
-~15 ms (npz load).
+~15 ms (a checksummed read of the raw columns).
 """
 
 from __future__ import annotations

@@ -4,9 +4,9 @@ Two persistent caches share one concurrency and accounting discipline:
 the scenario-result sweep cache
 (:class:`repro.experiments.diskcache.SweepDiskCache`, pickle payloads)
 and the compiled-trace cache
-(:class:`repro.simmpi.tracecache.TraceDiskCache`, npz payloads).  This
-module holds the codec-independent machinery both build on, so the
-contract is defined — and tested — exactly once:
+(:class:`repro.simmpi.tracecache.TraceDiskCache`, raw-column
+payloads).  This module holds the codec-independent machinery both build
+on, so the contract is defined — and tested — exactly once:
 
 * **one file per entry**, named by the SHA-256 digest of the entry's
   fingerprint key (:func:`fingerprint_digest`), so any change to the
@@ -14,9 +14,12 @@ contract is defined — and tested — exactly once:
 * **atomic writes** (temp file + ``os.replace`` in the store directory):
   concurrent writers — including two processes storing the *same* key —
   never interleave partial files, readers see whole entries or none;
-* **verified reads**: the decoded entry must carry the exact key that
-  was asked for (guarding against format drift and digest collisions);
-  corrupt, foreign or unreadable entries are misses, never errors;
+* **verified reads**: every entry is framed by a CRC-32 checksum of its
+  payload, checked before the payload is decoded, so a torn, truncated
+  or bit-flipped file never reaches the codec; the decoded entry must
+  then carry the exact key that was asked for (guarding against format
+  drift and digest collisions).  Corrupt, foreign or unreadable entries
+  are misses, never errors;
 * **lock-guarded accounting** (:class:`DiskCacheStats`) safe for many
   threads sharing one store object, with :meth:`DirectoryStore.prune`
   bounding long-lived stores (oldest-stored first).
@@ -35,6 +38,7 @@ import os
 import tempfile
 import threading
 import time
+import zlib
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Any
@@ -76,6 +80,15 @@ class PruneResult:
     def describe(self) -> str:
         return (f"pruned {self.removed} entr{'y' if self.removed == 1 else 'ies'}, "
                 f"kept {self.kept}, reclaimed {self.reclaimed_bytes} bytes")
+
+
+#: Length of the checksum (big-endian CRC-32 of the payload) framing
+#: every entry.
+_CHECKSUM_BYTES = 4
+
+
+def _checksum(payload: bytes | bytearray) -> bytes:
+    return zlib.crc32(payload).to_bytes(_CHECKSUM_BYTES, "big")
 
 
 def fingerprint_digest(key: tuple) -> str:
@@ -131,9 +144,10 @@ class DirectoryStore:
         """Serialise ``(key, value)`` into one entry payload."""
         raise NotImplementedError
 
-    def _decode(self, data: bytes, key: tuple) -> Any:
-        """Recover the value from ``data``, verifying it was stored under
-        ``key`` (raise ``ValueError`` for a stale or foreign entry)."""
+    def _decode(self, data: bytearray, key: tuple) -> Any:
+        """Recover the value from ``data`` (a payload whose checksum has
+        been verified), checking it was stored under ``key`` (raise
+        ``ValueError`` for a stale or foreign entry)."""
         raise NotImplementedError
 
     # ------------------------------------------------------------------
@@ -146,8 +160,15 @@ class DirectoryStore:
         entry = self._entry_path(key)
         try:
             with open(entry, "rb") as handle:
-                data = handle.read()
-            value = self._decode(data, key)
+                # One sized read into a writable buffer, which codecs may
+                # view without copying.
+                size = os.fstat(handle.fileno()).st_size
+                checksum = handle.read(_CHECKSUM_BYTES)
+                payload = bytearray(max(size - _CHECKSUM_BYTES, 0))
+                handle.readinto(payload)
+            if _checksum(payload) != checksum:
+                raise ValueError("entry checksum mismatch")
+            value = self._decode(payload, key)
         except (OSError, ValueError, KeyError, *self._decode_errors):
             with self._stats_lock:
                 self.stats.misses += 1
@@ -159,9 +180,10 @@ class DirectoryStore:
     def put(self, key: tuple, value: Any) -> None:
         """Store ``value`` under ``key`` atomically.
 
-        The entry is written to a temporary file in the store directory and
-        moved into place with ``os.replace``, which is atomic on POSIX and
-        Windows — concurrent writers of the same key simply race to an
+        The entry is the payload's CRC-32 checksum followed by the
+        payload.  It is written to a temporary file in the store directory
+        and moved into place with ``os.replace``, which is atomic on POSIX
+        and Windows — concurrent writers of the same key simply race to an
         identical complete file, and readers never observe a partial one.
         """
         entry = self._entry_path(key)
@@ -169,6 +191,7 @@ class DirectoryStore:
         fd, tmp_name = tempfile.mkstemp(dir=self.path, suffix=".tmp")
         try:
             with os.fdopen(fd, "wb") as handle:
+                handle.write(_checksum(payload))
                 handle.write(payload)
             os.replace(tmp_name, entry)
         except OSError:

@@ -20,7 +20,7 @@ The concurrency and accounting discipline (atomic temp-file +
 ``os.replace`` writes, verified reads, lock-guarded hit/miss/store stats,
 ``prune`` bounding) lives in the shared :class:`repro.diskio.DirectoryStore`
 base — the compiled-trace cache (:mod:`repro.simmpi.tracecache`) builds on
-the same machinery with an npz codec.  This module only binds the pickle
+the same machinery with a raw-column codec.  This module only binds the pickle
 codec and the sweep-result entry format.
 
 Long-lived stores are bounded with :meth:`SweepDiskCache.prune`
@@ -46,7 +46,7 @@ __all__ = ["SweepDiskCache", "DiskCacheStats", "PruneResult",
            "fingerprint_digest"]
 
 #: Format marker stored with every entry; bump to invalidate old caches.
-_CACHE_VERSION = 1
+_CACHE_VERSION = 2
 
 
 class SweepDiskCache(DirectoryStore):
@@ -68,7 +68,7 @@ class SweepDiskCache(DirectoryStore):
         return pickle.dumps((_CACHE_VERSION, key, value),
                             protocol=pickle.HIGHEST_PROTOCOL)
 
-    def _decode(self, data: bytes, key: tuple) -> Any:
+    def _decode(self, data: bytearray, key: tuple) -> Any:
         version, stored_key, result = pickle.loads(data)
         if version != _CACHE_VERSION or stored_key != key:
             # Format change or (astronomically unlikely) digest collision.

@@ -391,7 +391,7 @@ def pull_cache_entries(store: ArtifactStore, cache,
 
 def push_trace_entries(cache, store: ArtifactStore,
                        prefix: str = TRACE_PREFIX) -> int:
-    """Upload compiled-trace cache entries (``<prefix>/<digest>.npz``).
+    """Upload compiled-trace cache entries (``<prefix>/<digest>.trace``).
 
     The trace-cache twin of :func:`push_cache_entries`: a fleet's workers
     push the traces they captured so every other machine starts capture-

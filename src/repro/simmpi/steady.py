@@ -48,7 +48,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from itertools import islice
 from typing import TYPE_CHECKING
 
 import numpy as np
@@ -346,6 +345,19 @@ def _transition(prev: tuple, cur: tuple, sends_per_period: int,
     return (lam, dcomm, dcomp)
 
 
+def _segment(trace: "CompiledTrace", lo: int, hi: int):
+    """``((kind, rank, slot, aux), duration)`` pairs of events ``lo:hi``.
+
+    Converted from the numpy columns for just this range: the tier never
+    builds the full-trace Python mirror the scalar replay uses.
+    """
+    program = zip(trace.event_kind[lo:hi].tolist(),
+                  trace.event_rank[lo:hi].tolist(),
+                  trace.event_slot[lo:hi].tolist(),
+                  trace.event_aux[lo:hi].tolist())
+    return zip(program, trace._base[lo:hi].tolist())
+
+
 def steady_replay(trace: "CompiledTrace",
                   noise: NoiseModel | None = None) -> SimulationResult:
     """Resolve a periodic trace in O(period) — bit-identical or refuse.
@@ -379,12 +391,11 @@ def steady_replay(trace: "CompiledTrace",
     comp = [0.0] * nranks
     ready_t = [0.0] * trace.n_messages
     arrive = [0.0] * trace.n_messages
-    events = iter(zip(trace._program, trace._base_list))
     position = 0
 
     def replay_until(target: int) -> None:
         nonlocal position
-        _replay_events(islice(events, target - position), nranks,
+        _replay_events(_segment(trace, position, target), nranks,
                        clock, comm, comp, ready_t, arrive, eager, srank)
         position = target
 
@@ -415,7 +426,6 @@ def steady_replay(trace: "CompiledTrace",
     lam, dcomm, dcomp = keys[-1]
     skipped = repeats - locked_at
     if skipped > 0:
-        target = warmup + repeats * period
         live = snap[3]
         live_target = analysis.live_at(repeats)
         if not np.array_equal(live_target, live + skipped * sends):
@@ -434,12 +444,8 @@ def steady_replay(trace: "CompiledTrace",
             ready_t[s + offset] = ready_t[s] + shift
             if eager[s + offset]:
                 arrive[s + offset] = arrive[s] + shift
-        position = target
-        drain = zip(trace._program[target:], trace._base_list[target:])
-        _replay_events(drain, nranks, clock, comm, comp,
-                       ready_t, arrive, eager, srank)
-    else:
-        replay_until(n)
+        position = warmup + repeats * period
+    replay_until(n)                     # the drain (or the rest, unskipped)
 
     ranks = [RankResult(
         rank=rank,

@@ -38,8 +38,15 @@ This module splits that work in two:
   levelised wave schedule in which every wave is a set of same-kind
   events whose ranks are disjoint and whose dependencies all lie in
   earlier waves, so each wave is a handful of vectorised gather/compute/
-  scatter operations over an ``(k, S)`` block.  Per sample, the result
-  is bit-identical to :meth:`CompiledTrace.replay` at the same seed.
+  scatter operations over an ``(k, S)`` block.  The schedule is built
+  from the numpy columns by array operations around one sequential
+  integer pass (the ASAP levels).  Per sample, the result is
+  bit-identical to :meth:`CompiledTrace.replay` at the same seed.
+
+Only the scalar replay iterates a Python mirror of every event; the
+batch schedule and the steady-state tier (:mod:`repro.simmpi.steady`)
+read the numpy columns, so a long trace never pays for the mirror on
+those paths.
 
 Only timing-independent patterns can be captured: numeric-payload runs,
 wildcard receives, non-blocking requests and clock reads raise
@@ -89,29 +96,83 @@ _BLOCKED = "blocked"
 _DONE = "done"
 
 #: Wave kinds of the batched schedule (one vectorised kernel each).
+_N_WAVE_KINDS = 6
 (_K_COMPUTE, _K_SEND_EAGER, _K_SEND_RDV, _K_MATCH_EAGER, _K_MATCH_RDV,
- _K_COLLECTIVE) = range(6)
+ _K_COLLECTIVE) = range(_N_WAVE_KINDS)
+
+
+#: Wave kind of an event, indexed by ``2 * event_kind + eager``.
+_WAVE_KEY = np.array([_K_COMPUTE, _K_COMPUTE, _K_SEND_RDV, _K_SEND_EAGER,
+                      _K_MATCH_RDV, _K_MATCH_EAGER, _K_COLLECTIVE,
+                      _K_COLLECTIVE], dtype=np.intp)
+
+
+def _asap_levels(keys: list[int], ranks: list[int], slots: list[int],
+                 senders: list[int], nranks: int,
+                 n_messages: int) -> list[int]:
+    """ASAP level of every event: one more than the highest level it
+    depends on.
+
+    The dependencies are the rank's previous event, the matching send of
+    a receive, the sender's previous event for a rendez-vous match (the
+    match also becomes the sender's latest event) and every rank for a
+    collective.  This is the only sequential pass of the schedule build.
+    """
+    last = [0] * nranks                 # level of each rank's latest event
+    slot_level = [0] * n_messages       # level of each send
+    levels: list[int] = []
+    append = levels.append
+    for key, a, b, sender in zip(keys, ranks, slots, senders):
+        if key <= _K_SEND_RDV:          # compute or send
+            level = last[a] + 1
+            if key != _K_COMPUTE:
+                slot_level[b] = level
+        elif key == _K_MATCH_EAGER:
+            level = last[a]
+            if slot_level[b] > level:
+                level = slot_level[b]
+            level += 1
+        elif key == _K_MATCH_RDV:
+            level = last[a]
+            if slot_level[b] > level:
+                level = slot_level[b]
+            if last[sender] > level:
+                level = last[sender]
+            level += 1
+            last[sender] = level
+        else:                           # _K_COLLECTIVE
+            level = max(last) + 1
+            last = [level] * nranks
+            append(level)
+            continue
+        last[a] = level
+        append(level)
+    return levels
 
 
 class _BatchSchedule:
     """Wave-compiled form of a trace, built once per :class:`CompiledTrace`.
 
-    Events are assigned ASAP levels (level = 1 + max level of their
-    dependencies: the previous event on the same rank, the matching send
-    for a receive, the sender's previous event for a rendez-vous match,
-    every rank for a collective) and grouped into *waves* keyed by
-    (level, kind).  Within a wave all ranks are distinct, so a wave's
-    clock updates are one gather / elementwise op / scatter over a
-    ``(k, S)`` block with no intra-wave ordering.
+    Events are assigned ASAP levels (:func:`_asap_levels`) and grouped
+    into *waves* keyed by (level, kind).  Within a wave all ranks are
+    distinct, so a wave's clock updates are one gather / elementwise op /
+    scatter over a ``(k, S)`` block with no intra-wave ordering.
 
-    Three layout tricks keep the per-wave numpy call count low:
+    Apart from the level pass the build is array operations over the
+    trace's numpy columns: the wave order is a stable sort of the events
+    by (level, kind), and every wave holds slices and views of a few
+    arrays laid out in that order.  Three layout tricks keep the
+    per-wave numpy call count low:
 
-    * ``pack_of_ev`` permutes the event table so each wave's durations
-      are one contiguous slice of the packed duration matrix (views, no
-      fancy-index gathers).
+    * ``pack_of_ev`` permutes the event table into (kind, level, event)
+      order, so each wave's durations are one contiguous slice of the
+      packed duration matrix (views, no fancy-index gathers).
     * eager-message arrival times live in a buffer permuted by (match
       wave, position), so every eager-match wave *reads* a contiguous
-      slice; the send wave scatters into it.
+      slice; the send wave scatters into it.  Eager sends that are never
+      matched (legal: the receiver simply never posts) take trailing
+      positions of their own, so their scatter cannot clobber a live
+      arrival row.
     * per-event comm-time increments are accumulated into a rank-major
       matrix ``C`` in per-rank program order.  Send increments are
       compile-time constants (the CPU overhead ``aux``) pre-filled from
@@ -122,187 +183,128 @@ class _BatchSchedule:
     """
 
     def __init__(self, trace: "CompiledTrace"):
-        program = trace._program
+        n = trace.n_events
         nranks = trace.nranks
-        eager = trace._send_eager
-        srank = trace._send_rank
+        kind = trace.event_kind
+        rank = trace.event_rank.astype(np.intp)
+        slot = trace.event_slot.astype(np.intp)
+        aux = trace.event_aux
+        eager = trace._send_eager_arr
 
-        # Rank-major layout of the comm-increment matrix.
-        n_comm = [0] * nranks
-        for kind, a, b, _aux in program:
-            if kind == EV_SEND or kind == EV_MATCH:
-                n_comm[a] += 1
-                if kind == EV_MATCH and not eager[b]:
-                    n_comm[srank[b]] += 1
-            elif kind == EV_COLLECTIVE:
-                for rank in range(nranks):
-                    n_comm[rank] += 1
-        base_row = np.concatenate(
-            ([0], np.cumsum(n_comm)))[:nranks].astype(np.intp)
-        cursor = list(base_row)
+        linked = (kind == EV_SEND) | (kind == EV_MATCH)
+        ev_eager = np.zeros(n, dtype=np.intp)
+        ev_eager[linked] = eager[slot[linked]]
+        key = _WAVE_KEY[2 * kind.astype(np.intp) + ev_eager]
+        rdv = np.flatnonzero(key == _K_MATCH_RDV)
+        sender = np.full(n, -1, dtype=np.intp)
+        sender[rdv] = trace._send_rank_arr[slot[rdv]]
+        level = np.array(_asap_levels(
+            key.tolist(), rank.tolist(), slot.tolist(), sender.tolist(),
+            nranks, trace.n_messages), dtype=np.intp)
 
-        last = [0] * nranks                     # level of rank's last event
-        slot_level = [0] * trace.n_messages     # level of each send
-        buckets: dict[tuple[int, int], dict[str, list]] = {}
-        comp_idx: list[list[int]] = [[] for _ in range(nranks)]
+        # Wave order (level, kind, event) and packed order (kind, level,
+        # event); both sorts are stable, so ties keep program order.
+        wave_id = level * _N_WAVE_KINDS + key
+        order = np.argsort(wave_id, kind="stable")
+        top = int(level.max()) + 1 if n else 1
+        pack_of_ev = np.empty(n, dtype=np.intp)
+        pack_of_ev[np.argsort(key * top + level, kind="stable")] = \
+            np.arange(n)
+        wave_id = wave_id[order]
+        starts = np.flatnonzero(np.diff(wave_id, prepend=-1))
+        sizes = np.diff(np.append(starts, n))
 
-        def bucket(level: int, key: int) -> dict[str, list]:
-            wave = buckets.get((level, key))
-            if wave is None:
-                wave = {"ev": [], "ra": [], "slots": [], "snd": [],
-                        "aux": [], "crow": [], "csrow": []}
-                buckets[(level, key)] = wave
-            return wave
+        # Comm-increment rows: every send/match charges its own rank, a
+        # rendez-vous match also its sender, a collective every rank.
+        # An entry's row is its rank-major position in (rank, event,
+        # sub-order) order.
+        own = np.flatnonzero(linked)
+        coll = np.flatnonzero(kind == EV_COLLECTIVE)
+        ent_rank = np.concatenate((rank[own], sender[rdv],
+                                   np.tile(np.arange(nranks), len(coll))))
+        ent_order = np.concatenate((2 * own, 2 * rdv + 1,
+                                    np.repeat(2 * coll, nranks)))
+        total_comm = len(ent_rank)
+        row = np.empty(total_comm, dtype=np.intp)
+        row[np.lexsort((ent_order, ent_rank))] = np.arange(total_comm)
+        crow_ev = np.full(n, -1, dtype=np.intp)
+        crow_ev[own] = row[:len(own)]
+        csrow_ev = np.full(n, -1, dtype=np.intp)
+        csrow_ev[rdv] = row[len(own):len(own) + len(rdv)]
+        coll_rows = row[len(own) + len(rdv):].reshape(len(coll), nranks)
+        n_comm = np.bincount(ent_rank, minlength=nranks)
 
-        for ev, (kind, a, b, aux) in enumerate(program):
-            if kind == EV_COMPUTE:
-                level = last[a] + 1
-                last[a] = level
-                wave = bucket(level, _K_COMPUTE)
-                wave["ev"].append(ev)
-                wave["ra"].append(a)
-                comp_idx[a].append(ev)
-            elif kind == EV_SEND:
-                level = last[a] + 1
-                last[a] = level
-                slot_level[b] = level
-                wave = bucket(level,
-                              _K_SEND_EAGER if eager[b] else _K_SEND_RDV)
-                wave["ev"].append(ev)
-                wave["ra"].append(a)
-                wave["slots"].append(b)
-                wave["aux"].append(aux)
-                wave["crow"].append(cursor[a])
-                cursor[a] += 1
-            elif kind == EV_MATCH:
-                if eager[b]:
-                    level = max(last[a], slot_level[b]) + 1
-                    last[a] = level
-                    wave = bucket(level, _K_MATCH_EAGER)
-                    wave["ev"].append(ev)
-                    wave["ra"].append(a)
-                    wave["slots"].append(b)
-                    wave["aux"].append(aux)
-                    wave["crow"].append(cursor[a])
-                    cursor[a] += 1
-                else:
-                    sender = srank[b]
-                    level = max(last[a], slot_level[b], last[sender]) + 1
-                    last[a] = level
-                    last[sender] = level
-                    wave = bucket(level, _K_MATCH_RDV)
-                    wave["ev"].append(ev)
-                    wave["ra"].append(a)
-                    wave["slots"].append(b)
-                    wave["snd"].append(sender)
-                    wave["aux"].append(aux)
-                    wave["crow"].append(cursor[a])
-                    cursor[a] += 1
-                    wave["csrow"].append(cursor[sender])
-                    cursor[sender] += 1
-            else:                               # EV_COLLECTIVE
-                level = max(last) + 1
-                last = [level] * nranks
-                wave = bucket(level, _K_COLLECTIVE)
-                wave["ev"].append(ev)
-                wave["crow"].extend(cursor)
-                for rank in range(nranks):
-                    cursor[rank] += 1
-
-        ordered = sorted(buckets.keys())
-
-        # Arrival buffer permutation: matched eager messages ordered by
-        # (match wave, position in wave) so match waves read contiguous
-        # slices.  Unmatched eager sends (legal: the receiver simply
-        # never posts) get trailing slots of their own so their scatter
-        # cannot clobber a live arrival row.
+        # Arrival buffer permutation: matched eager messages in wave
+        # order, then the unmatched eager sends in slot order.
+        key_w = key[order]
+        spos_w = slot[order]
         arrive_pos = np.full(trace.n_messages, -1, dtype=np.intp)
-        position = 0
-        for level, key in ordered:
-            if key != _K_MATCH_EAGER:
-                continue
-            for slot in buckets[(level, key)]["slots"]:
-                arrive_pos[slot] = position
-                position += 1
-        for slot in range(trace.n_messages):
-            if eager[slot] and arrive_pos[slot] < 0:
-                arrive_pos[slot] = position
-                position += 1
-        self.n_arrive = position
+        matched = spos_w[key_w == _K_MATCH_EAGER]
+        arrive_pos[matched] = np.arange(len(matched))
+        unmatched = np.flatnonzero(eager & (arrive_pos < 0))
+        arrive_pos[unmatched] = len(matched) + np.arange(len(unmatched))
+        self.n_arrive = len(matched) + len(unmatched)
 
-        # Packed event permutation: kind-major streams in wave order, so
-        # every wave's duration rows form one contiguous slice.
-        pack_of_ev = np.empty(max(len(program), 1), dtype=np.intp)
-        offsets = {}
-        pos = 0
-        for key in range(6):
-            offsets[key] = pos
-            for level, k2 in ordered:
-                if k2 != key:
-                    continue
-                for ev in buckets[(level, k2)]["ev"]:
-                    pack_of_ev[ev] = pos
-                    pos += 1
+        # Per-wave index arrays are views of these, laid out in wave
+        # order; eager waves address the arrival buffer, the others slots.
+        on_arrive = (key_w == _K_SEND_EAGER) | (key_w == _K_MATCH_EAGER)
+        spos_w[on_arrive] = arrive_pos[spos_w[on_arrive]]
+        ra_w = rank[order]
+        snd_w = sender[order]
+        aux_w = aux[order][:, None]
+        crow_w = crow_ev[order]
+        csrow_w = csrow_ev[order]
 
+        # Collectives raise every rank's level, so their waves come in
+        # program order, one event each.
+        coll_crow = iter(coll_rows)
         waves = []
-        cursors = dict(offsets)
-        for level, key in ordered:
-            wave = buckets[(level, key)]
-            k = len(wave["ev"])
-            off = cursors[key]
-            cursors[key] = off + k
-            dsl = slice(off, off + k)
-            ra = np.asarray(wave["ra"], dtype=np.intp)
-            aux = (np.asarray(wave["aux"], dtype=float)[:, None]
-                   if wave["aux"] else None)
-            crow = np.asarray(wave["crow"], dtype=np.intp)
-            if key == _K_COMPUTE:
-                waves.append((key, dsl, None, ra, None, None, None, None))
-            elif key == _K_SEND_EAGER:
-                spos = arrive_pos[np.asarray(wave["slots"], dtype=np.intp)]
-                waves.append((key, dsl, spos, ra, None, aux, crow, None))
-            elif key == _K_SEND_RDV:
-                spos = np.asarray(wave["slots"], dtype=np.intp)
-                waves.append((key, dsl, spos, ra, None, aux, crow, None))
-            elif key == _K_MATCH_EAGER:
-                first = arrive_pos[wave["slots"][0]]
-                waves.append((key, dsl, slice(first, first + k),
-                              ra, None, aux, crow, None))
-            elif key == _K_MATCH_RDV:
-                spos = np.asarray(wave["slots"], dtype=np.intp)
-                snd = np.asarray(wave["snd"], dtype=np.intp)
-                csrow = np.asarray(wave["csrow"], dtype=np.intp)
-                waves.append((key, dsl, spos, ra, snd, aux, crow, csrow))
-            else:
-                waves.append((key, dsl, None, None, None, None, crow, None))
+        for wkey, lo, k, first in zip(key_w[starts].tolist(),
+                                      starts.tolist(), sizes.tolist(),
+                                      pack_of_ev[order[starts]].tolist()):
+            hi = lo + k
+            dsl = slice(first, first + k)
+            if wkey == _K_COMPUTE:
+                waves.append((wkey, dsl, None, ra_w[lo:hi],
+                              None, None, None, None))
+            elif wkey == _K_COLLECTIVE:
+                waves.append((wkey, dsl, None, None, None, None,
+                              next(coll_crow), None))
+            elif wkey == _K_MATCH_EAGER:
+                pos = int(spos_w[lo])
+                waves.append((wkey, dsl, slice(pos, pos + k), ra_w[lo:hi],
+                              None, aux_w[lo:hi], crow_w[lo:hi], None))
+            elif wkey == _K_MATCH_RDV:
+                waves.append((wkey, dsl, spos_w[lo:hi], ra_w[lo:hi],
+                              snd_w[lo:hi], aux_w[lo:hi], crow_w[lo:hi],
+                              csrow_w[lo:hi]))
+            else:                               # eager or rendez-vous send
+                waves.append((wkey, dsl, spos_w[lo:hi], ra_w[lo:hi],
+                              None, aux_w[lo:hi], crow_w[lo:hi], None))
         self.waves = waves
 
-        total_comm = int(sum(n_comm))
+        sends = np.flatnonzero(kind == EV_SEND)
         c_template = np.zeros((total_comm, 1))
-        for level, key in ordered:
-            if key not in (_K_SEND_EAGER, _K_SEND_RDV):
-                continue
-            wave = buckets[(level, key)]
-            for row, overhead in zip(wave["crow"], wave["aux"]):
-                c_template[row, 0] = overhead
+        c_template[crow_ev[sends], 0] = aux[sends]
         self.c_template = c_template
         self.total_comm = total_comm
-        self.base_row = base_row
-        self.n_comm = n_comm
-        self.max_comm_run = max(n_comm) if n_comm else 0
+        self.n_comm = n_comm.tolist()
+        self.base_row = np.concatenate(
+            ([0], np.cumsum(n_comm)))[:nranks].astype(np.intp)
+        self.max_comm_run = max(self.n_comm)
 
-        self.pack_of_ev = pack_of_ev[:len(program)]
-        base_pack = np.zeros(len(program))
-        base_pack[self.pack_of_ev] = trace._base
+        self.pack_of_ev = pack_of_ev
+        base_pack = np.zeros(n)
+        base_pack[pack_of_ev] = trace._base
         self.base_pack = base_pack
-        self.draw_pack = self.pack_of_ev[trace._draw_index]
-        self.comp_pack = [
-            self.pack_of_ev[np.asarray(ix, dtype=np.intp)] if ix
-            else np.empty(0, dtype=np.intp) for ix in comp_idx]
-        self.max_comp_run = max(
-            (len(ix) for ix in self.comp_pack), default=0)
-        self.max_wave_k = max(
-            (len(buckets[bk]["ev"]) for bk in buckets), default=0)
+        self.draw_pack = pack_of_ev[trace._draw_index]
+        comp = np.flatnonzero(kind == EV_COMPUTE)
+        comp_counts = np.bincount(rank[comp], minlength=nranks)
+        by_rank = comp[np.argsort(rank[comp], kind="stable")]
+        self.comp_pack = np.split(pack_of_ev[by_rank],
+                                  np.cumsum(comp_counts)[:-1])
+        self.max_comp_run = int(comp_counts.max())
+        self.max_wave_k = int(sizes.max()) if len(sizes) else 0
 
 
 class BatchReplayResult:
@@ -534,7 +536,7 @@ class CompiledTrace:
         # Native-object mirrors of the hot columns, built lazily: the
         # scalar replay loop is ~2x faster iterating Python tuples/lists
         # than numpy scalars, but the persistent/tiled representation
-        # stays compact until a replay actually needs them.
+        # stays compact until a scalar replay actually needs them.
         self._program_cache: list[tuple[int, int, int, float]] | None = None
         self._base_list_cache: list[float] | None = None
         self._send_eager_cache: list[bool] | None = None
@@ -680,7 +682,7 @@ class CompiledTrace:
         :meth:`_durations` would produce for ``noise.reseeded(seeds[s])``.
         """
         schedule = self.batch_schedule()
-        durs = np.empty((len(self._program), len(seeds)))
+        durs = np.empty((self.n_events, len(seeds)))
         durs[:] = schedule.base_pack[:, None]
         if (noise is not None and not noise.is_disabled()
                 and len(self._draw_index)):

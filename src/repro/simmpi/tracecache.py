@@ -15,13 +15,14 @@ on :class:`repro.diskio.DirectoryStore`), so
   push_trace_entries` / ``pull_trace_entries``), and
 * the prediction service's warm tiers extend down into capture.
 
-Entries are ``.npz`` payloads: the trace's compact event/send columns are
-stored as raw numpy arrays (byte-exact, so a cache hit replays
-bit-identically to the capture that stored it), with the fingerprint
-key, per-rank statistics, traffic and captured return values in a small
-pickled side-channel inside the archive.  A corrupt, truncated or
-foreign entry — including one written by a different format version —
-is a miss, never an error.
+Each entry is a small pickled header — the fingerprint key, per-rank
+statistics, traffic, captured return values and the column layout —
+followed by the trace's compact event/send columns as raw bytes, each
+8-byte aligned.  The columns are byte-exact, so a cache hit replays
+bit-identically to the capture that stored it, and decoding them is a
+zero-copy view of the buffer the entry was read into.  A corrupt,
+truncated or foreign entry — including one written by a different
+format version — is a miss, never an error.
 
 Keys are built by :meth:`~repro.sweep3d.driver.SimulationPlan.
 trace_fingerprint`: deck shape + decomposition + processor/topology
@@ -32,9 +33,7 @@ seed and by presets that alias the same models.
 
 from __future__ import annotations
 
-import io
 import pickle
-import zipfile
 from typing import Any
 
 import numpy as np
@@ -43,16 +42,26 @@ from repro.diskio import DirectoryStore
 from repro.simmpi.trace import CompiledTrace
 
 #: Format marker stored with every entry; bump to invalidate old caches.
-_TRACE_CACHE_VERSION = 1
+_TRACE_CACHE_VERSION = 2
 
-#: Event/send columns persisted as raw npz arrays, in constructor order.
+#: Event/send columns persisted as raw arrays, in constructor order.
 _COLUMNS = ("event_kind", "event_rank", "event_slot", "event_aux",
             "base", "noise_kind", "send_eager", "send_rank",
             "event_peer", "event_tag", "event_nbytes")
 
+#: Every column starts at a multiple of this many bytes of the payload.
+_ALIGN = 8
+
+#: Bytes of the little-endian header length that opens each payload.
+_HEADER_LENGTH_BYTES = 8
+
+
+def _aligned(size: int) -> int:
+    return -(-size // _ALIGN) * _ALIGN
+
 
 class TraceDiskCache(DirectoryStore):
-    """A directory of npz-serialised compiled traces keyed by fingerprint.
+    """A directory of serialised compiled traces keyed by fingerprint.
 
     Shares :class:`~repro.diskio.DirectoryStore`'s contract: atomic
     writes, verified reads, lock-guarded hit/miss/store stats,
@@ -60,45 +69,46 @@ class TraceDiskCache(DirectoryStore):
     processes, and pickling across multiprocessing workers.
     """
 
-    suffix = ".npz"
-    _decode_errors = (zipfile.BadZipFile, pickle.PickleError, EOFError,
-                      AttributeError, ImportError, TypeError)
+    suffix = ".trace"
+    _decode_errors = (pickle.PickleError, EOFError, AttributeError,
+                      ImportError, TypeError)
 
     def _encode(self, key: tuple, trace: CompiledTrace) -> bytes:
-        arrays = {
-            "event_kind": trace.event_kind,
-            "event_rank": trace.event_rank,
-            "event_slot": trace.event_slot,
-            "event_aux": trace.event_aux,
-            "base": trace._base,
-            "noise_kind": trace._noise_kind,
-            "send_eager": trace._send_eager_arr,
-            "send_rank": trace._send_rank_arr,
-            "event_peer": trace.event_peer,
-            "event_tag": trace.event_tag,
-            "event_nbytes": trace.event_nbytes,
-        }
-        extra = pickle.dumps(
+        columns = (trace.event_kind, trace.event_rank, trace.event_slot,
+                   trace.event_aux, trace._base, trace._noise_kind,
+                   trace._send_eager_arr, trace._send_rank_arr,
+                   trace.event_peer, trace.event_tag, trace.event_nbytes)
+        layout = tuple((name, column.dtype.str, len(column))
+                       for name, column in zip(_COLUMNS, columns))
+        header = pickle.dumps(
             (_TRACE_CACHE_VERSION, key, trace.nranks,
              trace._messages_sent, trace._bytes_sent,
              trace._messages_received, trace._bytes_received,
-             trace._traffic, trace._return_values),
+             trace._traffic, trace._return_values, layout),
             protocol=pickle.HIGHEST_PROTOCOL)
-        buffer = io.BytesIO()
-        np.savez(buffer, extra=np.frombuffer(extra, dtype=np.uint8),
-                 **arrays)
-        return buffer.getvalue()
+        parts = [len(header).to_bytes(_HEADER_LENGTH_BYTES, "little"), header]
+        size = _HEADER_LENGTH_BYTES + len(header)
+        for column in columns:
+            parts.append(bytes(_aligned(size) - size))
+            parts.append(column.tobytes())
+            size = _aligned(size) + column.nbytes
+        return b"".join(parts)
 
-    def _decode(self, data: bytes, key: tuple) -> CompiledTrace:
-        with np.load(io.BytesIO(data), allow_pickle=False) as archive:
-            columns = {name: archive[name] for name in _COLUMNS}
-            extra = archive["extra"].tobytes()
+    def _decode(self, data: bytearray, key: tuple) -> CompiledTrace:
+        end = _HEADER_LENGTH_BYTES + int.from_bytes(
+            data[:_HEADER_LENGTH_BYTES], "little")
         (version, stored_key, nranks, messages_sent, bytes_sent,
          messages_received, bytes_received, traffic,
-         return_values) = pickle.loads(extra)
+         return_values, layout) = pickle.loads(data[_HEADER_LENGTH_BYTES:end])
         if version != _TRACE_CACHE_VERSION or stored_key != key:
             # Format change or (astronomically unlikely) digest collision.
             raise ValueError("stale or foreign trace-cache entry")
+        columns = {}
+        for name, dtype, length in layout:
+            # Views of ``data``: no copy, writable like a fresh capture.
+            columns[name] = np.frombuffer(data, dtype=dtype, count=length,
+                                          offset=_aligned(end))
+            end = _aligned(end) + columns[name].nbytes
         return CompiledTrace(
             nranks=nranks,
             messages_sent=messages_sent,

@@ -189,11 +189,12 @@ class TestConcurrentWriters:
                                [(str(tmp_path), w, rounds) for w in range(workers)])
         assert all(results)
         cache = SweepDiskCache(tmp_path)
-        # Every entry on disk is complete and unpicklable garbage-free.
-        for entry in sorted(cache.path.glob("*.pkl")):
-            with open(entry, "rb") as handle:
-                version, key, value = pickle.load(handle)
-            assert value["blob"] == list(range(200))
+        # Every entry on disk is complete: its checksum and key verify.
+        keys = [("shared", round_no) for round_no in range(rounds)] + [
+            ("private", worker, round_no)
+            for worker in range(workers) for round_no in range(rounds)]
+        for key in keys:
+            assert cache.get(key)["blob"] == list(range(200))
         # No leftover temp files from interrupted writes.
         assert list(cache.path.glob("*.tmp")) == []
         assert len(cache) == rounds * (workers + 1)

@@ -5,6 +5,7 @@ import pytest
 from repro.errors import DeadlockError, TraceError
 from repro.machines.presets import get_machine
 from repro.simmpi.engine import ClusterEngine
+from repro.simmpi.steady import steady_replay
 from repro.simmpi.trace import (
     EV_COLLECTIVE,
     EV_COMPUTE,
@@ -15,6 +16,7 @@ from repro.simmpi.trace import (
 from repro.simnet.link import LinkModel
 from repro.simnet.noise import NoiseModel
 from repro.simnet.topology import ClusterTopology
+from repro.sweep3d.input import Sweep3DInput
 
 
 @pytest.fixture(scope="module")
@@ -299,6 +301,35 @@ class TestBatchReplay:
     def test_empty_seed_list_rejected(self, topology):
         with pytest.raises(ValueError, match="at least one seed"):
             self.record(topology).replay_batch([])
+
+
+class TestFastPathsBuildNoMirror:
+    """The batch and steady paths read the numpy columns: neither builds
+    the full-trace Python mirror that only the scalar replay needs."""
+
+    @pytest.fixture
+    def trace(self):
+        machine = get_machine("steady")
+        deck = Sweep3DInput(it=10, jt=10, kt=8, mk=4, mmi=3, sn=6,
+                            max_iterations=20)
+        return machine.simulation_plan(deck, 2, 2).compile_trace()
+
+    @staticmethod
+    def assert_no_mirror(trace):
+        assert trace._program_cache is None
+        assert trace._base_list_cache is None
+
+    def test_batch_schedule_and_replay_batch(self, trace):
+        self.assert_no_mirror(trace)
+        trace.batch_schedule()
+        self.assert_no_mirror(trace)
+        trace.replay_batch([1, 2], NoiseModel(seed=1))
+        self.assert_no_mirror(trace)
+
+    def test_steady_replay(self, trace):
+        steady_replay(trace)
+        assert trace.steady_replays == 1
+        self.assert_no_mirror(trace)
 
 
 class TestPlanIntegration:

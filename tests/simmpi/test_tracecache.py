@@ -44,6 +44,7 @@ def test_roundtrip_is_byte_exact(tmp_path, plan_parts):
         got, want = getattr(loaded, column), getattr(trace, column)
         assert got.dtype == want.dtype
         assert np.array_equal(got, want)
+        assert got.flags.writeable
     assert loaded._traffic == trace._traffic
     assert loaded._return_values == trace._return_values
     noise = NoiseModel(seed=3)

@@ -383,6 +383,170 @@ class TestBatchReplayProperties:
 
 
 # ---------------------------------------------------------------------------
+# Batch schedule invariants
+# ---------------------------------------------------------------------------
+
+
+def _schedule_dependencies(trace):
+    """``(event, dependency)`` pairs, derived from the trace columns alone:
+    each event depends on the latest event touching its rank, a match
+    also on its send, a rendez-vous match also on the sender's latest
+    event, and a collective on every rank's latest event."""
+    from repro.simmpi.trace import EV_COLLECTIVE, EV_MATCH, EV_SEND
+
+    latest = [-1] * trace.nranks
+    send_of = {}
+    eager = trace._send_eager_arr.tolist()
+    srank = trace._send_rank_arr.tolist()
+    pairs = []
+    for ev, (kind, a, b) in enumerate(zip(trace.event_kind.tolist(),
+                                          trace.event_rank.tolist(),
+                                          trace.event_slot.tolist())):
+        if kind == EV_COLLECTIVE:
+            touched = list(range(trace.nranks))
+        elif kind == EV_MATCH and not eager[b]:
+            touched = [a, srank[b]]
+        else:
+            touched = [a]
+        deps = [latest[rank] for rank in touched]
+        if kind == EV_MATCH:
+            deps.append(send_of[b])
+        elif kind == EV_SEND:
+            send_of[b] = ev
+        pairs.extend((ev, dep) for dep in deps if dep >= 0)
+        for rank in touched:
+            latest[rank] = ev
+    return pairs
+
+
+def _assert_schedule_invariants(trace):
+    """Check the wave schedule of ``trace`` against its own contract."""
+    from repro.simmpi.trace import (_K_COLLECTIVE, _K_MATCH_EAGER,
+                                    _K_MATCH_RDV, _K_SEND_EAGER)
+
+    schedule = trace.batch_schedule()
+    n_events = trace.n_events
+    wave_of_pack = np.full(n_events, -1)
+    sends, matches, rows = [], [], []
+    for index, (key, dsl, spos, ra, snd, _aux, crow, csrow) in \
+            enumerate(schedule.waves):
+        assert (wave_of_pack[dsl] == -1).all()
+        wave_of_pack[dsl] = index
+        if key == _K_COLLECTIVE:
+            assert dsl.stop - dsl.start == 1
+            ranks = []
+        else:
+            ranks = list(ra) + ([] if snd is None else list(snd))
+        assert len(set(ranks)) == len(ranks)
+        if key == _K_SEND_EAGER:
+            sends.extend(spos)
+        elif key == _K_MATCH_EAGER:
+            matches.extend(range(spos.start, spos.stop))
+        if crow is not None:
+            rows.extend(crow)
+        if key == _K_MATCH_RDV:
+            rows.extend(csrow)
+
+    # The dsl slices tile range(n_events) in key-major order.
+    stop = 0
+    for key in range(6):
+        for wave in schedule.waves:
+            if wave[0] == key:
+                assert wave[1].start == stop
+                stop = wave[1].stop
+    assert stop == n_events
+
+    wave_of_ev = wave_of_pack[schedule.pack_of_ev]
+    for ev, dep in _schedule_dependencies(trace):
+        assert wave_of_ev[dep] < wave_of_ev[ev]
+
+    # Each eager message owns one arrival position; matches read
+    # distinct positions, each written by a send.
+    assert sorted(sends) == list(range(schedule.n_arrive))
+    assert len(set(matches)) == len(matches)
+    assert set(matches) <= set(sends)
+    assert sorted(rows) == list(range(schedule.total_comm))
+
+
+class TestBatchScheduleProperties:
+    """The wave schedule's own invariants, over random decks, grids and
+    machines — including single-rank runs, the convergence collectives
+    and links that mix the eager and rendez-vous protocols."""
+
+    @given(px=st.integers(min_value=1, max_value=3),
+           py=st.integers(min_value=1, max_value=3),
+           nx=st.integers(min_value=1, max_value=4),
+           ny=st.integers(min_value=1, max_value=4),
+           kt=st.integers(min_value=1, max_value=8),
+           mk=st.integers(min_value=1, max_value=4),
+           mmi=st.integers(min_value=1, max_value=3),
+           iterations=st.integers(min_value=1, max_value=2),
+           machine_name=st.sampled_from(["pentium3-myrinet", "opteron-gige",
+                                         "steady"]),
+           per_node=st.integers(min_value=1, max_value=4),
+           intra_eager=st.sampled_from([None, 0.0, 1e9]),
+           inter_eager=st.sampled_from([None, 0.0, 1e9]))
+    @settings(max_examples=25, deadline=None)
+    def test_wave_schedule_invariants(self, px, py, nx, ny, kt, mk, mmi,
+                                      iterations, machine_name, per_node,
+                                      intra_eager, inter_eager):
+        from dataclasses import replace
+
+        from repro.machines.presets import get_machine
+        from repro.simnet.topology import ClusterTopology
+        from repro.sweep3d.driver import SimulationPlan
+
+        machine = get_machine(machine_name)
+        inter = machine.topology.inter_node
+        intra = machine.topology.intra_node or inter
+        if inter_eager is not None:
+            inter = replace(inter, eager_threshold=inter_eager)
+        if intra_eager is not None:
+            intra = replace(intra, eager_threshold=intra_eager)
+        topology = ClusterTopology(name="mixed", processors_per_node=per_node,
+                                   inter_node=inter, intra_node=intra)
+        deck = Sweep3DInput.weak_scaled((nx, ny, kt), px, py, mk=mk, mmi=mmi,
+                                        max_iterations=iterations)
+        trace = SimulationPlan(deck, px, py, topology,
+                               processor=machine.processor).compile_trace()
+        _assert_schedule_invariants(trace)
+
+    def test_unmatched_eager_sends_keep_their_own_arrival_rows(self):
+        """Eager sends nobody receives (and a self-send) take arrival
+        positions of their own, so the batch equals per-seed replays."""
+        from repro.simmpi.trace import TraceRecorder
+        from repro.simnet.link import LinkModel
+        from repro.simnet.noise import NoiseModel
+        from repro.simnet.topology import ClusterTopology
+
+        def program(comm):
+            right = (comm.rank + 1) % comm.size
+            left = (comm.rank - 1) % comm.size
+            yield comm.send(None, dest=right, tag=5, nbytes=64)   # unmatched
+            yield comm.send(None, dest=right, tag=7, nbytes=64)
+            yield comm.send(None, dest=comm.rank, tag=6, nbytes=32)
+            yield comm.compute(1e-4 * (comm.rank + 1))
+            yield comm.recv(source=left, tag=7)
+            yield comm.recv(source=comm.rank, tag=6)
+            yield comm.barrier()
+
+        link = LinkModel(name="test", latency=10e-6, bandwidth=100e6,
+                         eager_threshold=1024, send_overhead=2e-6,
+                         recv_overhead=3e-6, per_byte_cpu=1e-9)
+        topology = ClusterTopology(name="t", processors_per_node=2,
+                                   inter_node=link)
+        trace = TraceRecorder(topology).record(program, 4)
+        _assert_schedule_invariants(trace)
+        noise = NoiseModel(seed=0, daemon_interval=0.0)
+        batch = trace.replay_batch([3, 4], noise)
+        for index, seed in enumerate([3, 4]):
+            single = trace.replay(noise.reseeded(seed))
+            assert batch.elapsed[index] == single.elapsed_time
+            assert batch.finish[:, index].tolist() == \
+                [rank.finish_time for rank in single.ranks]
+
+
+# ---------------------------------------------------------------------------
 # Relative error helper
 # ---------------------------------------------------------------------------
 
