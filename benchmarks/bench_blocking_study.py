@@ -12,11 +12,12 @@ from __future__ import annotations
 
 from conftest import run_once, save_report
 
-from repro.experiments.blocking import run_blocking_study
+from repro.experiments.study import build_spec, run_study
 
 
 def test_blocking_factor_design_space(benchmark, report_dir):
-    result = run_once(benchmark, run_blocking_study, px=20, py=20)
+    result = run_once(benchmark, run_study,
+                      build_spec("blocking", px=20, py=20)).payload
     report = result.describe()
     print("\n" + report)
     save_report(report_dir, "blocking_study", report)

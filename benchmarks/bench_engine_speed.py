@@ -24,6 +24,7 @@ from gate_report import record_gate
 
 from repro.core.evaluation import EvaluationEngine
 from repro.core.workload import SweepWorkload, load_sweep3d_model
+from repro.experiments.backends import PredictionBackend
 from repro.experiments.sweep import Scenario, SweepRunner
 from repro.machines.presets import get_machine
 from repro.profiling.mpibench import MpiBenchmark
@@ -103,7 +104,7 @@ def test_sweep_100_points_compiled_vs_naive():
 
     def run_compiled() -> tuple[float, list[float]]:
         start = time.perf_counter()
-        runner = SweepRunner(model=load_sweep3d_model(), hardware=hardware)
+        runner = SweepRunner(backend=PredictionBackend(hardware=hardware))
         times = [outcome.total_time for outcome in runner.run(points)]
         return time.perf_counter() - start, times
 
@@ -128,7 +129,7 @@ def test_sweep_runner_100_points(benchmark):
     deck = standard_deck("validation", px=1, py=1)
     hardware = machine.hardware_model(deck, 1, 1)
     points = _sweep_points()
-    runner = SweepRunner(model=load_sweep3d_model(), hardware=hardware)
+    runner = SweepRunner(backend=PredictionBackend(hardware=hardware))
 
     outcomes = benchmark.pedantic(lambda: runner.run(points),
                                   rounds=3, iterations=1)

@@ -10,12 +10,12 @@ from __future__ import annotations
 
 from conftest import run_once, save_report
 
-from repro.experiments.figures import figure9
 from repro.experiments.report import format_figure
+from repro.experiments.study import build_spec, run_study
 
 
 def test_figure9_full_reproduction(benchmark, report_dir):
-    result = run_once(benchmark, figure9)
+    result = run_once(benchmark, run_study, build_spec("figure9")).payload
     report = format_figure(result)
     print("\n" + report)
     save_report(report_dir, "figure9", report)

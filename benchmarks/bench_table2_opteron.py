@@ -9,12 +9,13 @@ from __future__ import annotations
 from conftest import run_once, save_report
 
 from repro.experiments.report import format_validation_table
-from repro.experiments.tables import run_table
+from repro.experiments.study import build_spec, run_study
 
 
 def test_table2_full_reproduction(benchmark, report_dir):
-    result = run_once(benchmark, run_table, "table2", simulate_measurement=True,
-                      max_iterations=12)
+    result = run_once(benchmark, run_study,
+                      build_spec("table2", simulate_measurement=True,
+                                 max_iterations=12)).payload
     report = format_validation_table(result)
     print("\n" + report)
     save_report(report_dir, "table2", report)

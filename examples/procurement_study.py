@@ -23,8 +23,9 @@ from __future__ import annotations
 
 import argparse
 
-from repro.experiments.figures import FIGURE8_STUDY, FIGURE9_STUDY, run_speculative_figure
+from repro.experiments.paper_data import FIGURE8_STUDY, FIGURE9_STUDY
 from repro.experiments.report import format_figure
+from repro.experiments.study import build_spec, run_study
 
 #: Realistic multigroup workload factors quoted in Section 6 of the paper.
 ENERGY_GROUPS = 30
@@ -41,7 +42,7 @@ def main() -> None:
 
     study = FIGURE8_STUDY if args.figure == "figure8" else FIGURE9_STUDY
     counts = [count for count in study.processor_counts if count <= args.max_processors]
-    result = run_speculative_figure(study, processor_counts=counts)
+    result = run_study(build_spec(args.figure, processor_counts=counts)).payload
     print(format_figure(result))
 
     actual = result.actual

@@ -33,15 +33,13 @@ bit-for-bit (rows and CSVs; ``--expect`` asserts it):
     repro-sweep3d merge shard-0/ shard-1/ shard-2/ shard-3/ \\
         --out merged/ --expect reference/
 
-The per-experiment sub-commands survive as deprecation-era shims over the
-same pipeline, alongside the ad-hoc grid/inspection tools:
+Alongside the Study API sit the ad-hoc grid and inspection tools:
 
 .. code-block:: console
 
-    repro-sweep3d table1 --max-pes 16 --iterations 2
-    repro-sweep3d figure8
-    repro-sweep3d sweep --machine opteron --arrays 1x1,2x2,4x4 --workers 4
     repro-sweep3d predict --machine opteron --px 4 --py 4
+    repro-sweep3d simulate --backend predict --machine opteron \\
+        --arrays 1x1,2x2,4x4 --workers 4
     repro-sweep3d simulate --machine pentium3 --px 2 --py 2 --iterations 2
     repro-sweep3d simulate --machine pentium3 --arrays 1x1,2x2,4x4 \\
         --iterations 2 --workers 4 --cache-dir ~/.cache/repro-sweep3d
@@ -52,8 +50,6 @@ same pipeline, alongside the ad-hoc grid/inspection tools:
     repro-sweep3d run table2 --smoke --set sim_execution=engine
     repro-sweep3d run table2 --smoke --samples 16
     repro-sweep3d run noise-sensitivity --smoke
-    repro-sweep3d ablation
-    repro-sweep3d agreement
     repro-sweep3d machines
     repro-sweep3d hmcl --machine altix
 """
@@ -71,22 +67,16 @@ from repro.core.evaluation import EvaluationEngine
 from repro.core.hmcl.parser import format_hmcl
 from repro.core.workload import SweepWorkload, load_sweep3d_model
 from repro.errors import ExperimentError
-from repro.experiments.report import (
-    format_ablation,
-    format_agreement,
-    format_figure,
-    format_validation_table,
-)
 from repro.experiments.study import (
     StudyRunner,
     StudySpec,
     build_spec,
     get_study,
     load_spec,
-    run_study,
     study_names,
 )
 from repro.machines.presets import MACHINE_PRESETS, get_machine
+from repro.sweep3d.driver import EXECUTION_MODES
 from repro.sweep3d.input import standard_deck
 
 
@@ -257,20 +247,6 @@ def _build_parser() -> argparse.ArgumentParser:
                               help="evict entries stored more than this many "
                                    "seconds ago")
 
-    for name in ("table1", "table2", "table3"):
-        cmd = sub.add_parser(name, help=f"reproduce {name} of the paper")
-        cmd.add_argument("--max-pes", type=int, default=None,
-                         help="only run rows with at most this many processors")
-        cmd.add_argument("--iterations", type=int, default=12,
-                         help="source iterations per run (paper: 12)")
-        cmd.add_argument("--no-measurement", action="store_true",
-                         help="skip the discrete-event measurement (predictions only)")
-
-    for name in ("figure8", "figure9"):
-        cmd = sub.add_parser(name, help=f"reproduce {name} (speculative scaling study)")
-        cmd.add_argument("--max-processors", type=int, default=None,
-                         help="truncate the processor-count axis")
-
     cmd = sub.add_parser("predict", help="predict one configuration with the PACE model")
     cmd.add_argument("--machine", default="pentium3", help="machine name or alias")
     cmd.add_argument("--px", type=int, default=2)
@@ -296,7 +272,7 @@ def _build_parser() -> argparse.ArgumentParser:
                      help="registered scenario backend to evaluate the grid "
                           "with (simulate or predict)")
     cmd.add_argument("--execution", default="auto",
-                     choices=("auto", "engine", "replay", "steady"),
+                     choices=EXECUTION_MODES,
                      help="simulation tier: 'auto' picks the fastest "
                           "bit-identical tier (steady-state cycle-mean "
                           "extrapolation for noise-free periodic traces, "
@@ -322,21 +298,6 @@ def _build_parser() -> argparse.ArgumentParser:
                      help="compile each grid point's event trace and print "
                           "its period/steady-eligibility diagnostics instead "
                           "of running the sweep (simulate backend only)")
-
-    cmd = sub.add_parser("sweep", help="batch-evaluate a scenario grid with the PACE model")
-    cmd.add_argument("--machine", default="pentium3", help="machine name or alias")
-    cmd.add_argument("--deck", default="validation",
-                     help="standard deck name (validation, asci-20m, asci-1b, mini)")
-    cmd.add_argument("--arrays", default="1x1,2x2,4x4,8x8",
-                     help="comma-separated PXxPY processor arrays to sweep")
-    cmd.add_argument("--iterations", type=int, default=12)
-    cmd.add_argument("--workers", type=int, default=1,
-                     help="multiprocessing fan-out for the sweep")
-
-    cmd = sub.add_parser("ablation", help="legacy vs coarse hardware benchmarking ablation")
-    cmd.add_argument("--iterations", type=int, default=12)
-
-    cmd = sub.add_parser("agreement", help="PACE vs LogGP vs Hoisie model agreement")
 
     sub.add_parser("machines", help="list the available machine presets")
 
@@ -365,9 +326,6 @@ def _build_parser() -> argparse.ArgumentParser:
     cmd.add_argument("--artifact-dir", default=None,
                      help="where finished study jobs write their artifacts "
                           "(one sub-directory per job)")
-    cmd.add_argument("--job-fleet-workers", type=int, default=0,
-                     help="front study jobs with an in-process elastic "
-                          "fleet of this many workers (0: run jobs inline)")
 
     cmd = sub.add_parser("client",
                          help="talk to a running prediction service")
@@ -392,7 +350,7 @@ def _build_parser() -> argparse.ArgumentParser:
                       help="noise-seed offset (api.simulate's seed_offset)")
     ccmd.add_argument("--no-noise", action="store_true")
     ccmd.add_argument("--execution", default="auto",
-                      choices=("auto", "engine", "replay", "steady"))
+                      choices=EXECUTION_MODES)
     ccmd.add_argument("--samples", type=int, default=0)
     ccmd = client_sub.add_parser(
         "submit", help="submit a study as a background job")
@@ -763,29 +721,6 @@ def _cmd_cache(args: argparse.Namespace) -> int:
     return 0
 
 
-def _cmd_table(name: str, args: argparse.Namespace) -> int:
-    result = run_study(build_spec(
-        name,
-        simulate_measurement=not args.no_measurement,
-        max_iterations=args.iterations,
-        max_pes=args.max_pes,
-    ))
-    print(format_validation_table(result.payload))
-    return 0
-
-
-def _cmd_figure(name: str, args: argparse.Namespace) -> int:
-    from repro.experiments.study import SPECULATIVE_STUDIES
-    params = {}
-    if args.max_processors is not None:
-        study = SPECULATIVE_STUDIES[name]
-        params["processor_counts"] = [count for count in study.processor_counts
-                                      if count <= args.max_processors]
-    result = run_study(build_spec(name, **params))
-    print(format_figure(result.payload))
-    return 0
-
-
 def _cmd_predict(args: argparse.Namespace) -> int:
     machine = get_machine(args.machine)
     deck = standard_deck(args.deck, px=args.px, py=args.py,
@@ -947,46 +882,6 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
     return 0
 
 
-def _cmd_sweep(args: argparse.Namespace) -> int:
-    from repro.experiments.sweep import Scenario, ScenarioSweep, SweepRunner
-
-    if args.workers < 1:
-        print("--workers must be >= 1")
-        return 2
-    machine = get_machine(args.machine)
-    arrays = _parse_arrays(args.arrays)
-    if arrays is None:
-        return 2
-
-    # Weak scaling: the per-processor problem size is constant across the
-    # grid, so one hardware model serves every point.
-    first_deck = standard_deck(args.deck, px=arrays[0][0], py=arrays[0][1],
-                               max_iterations=args.iterations)
-    hardware = machine.hardware_model(first_deck, arrays[0][0], arrays[0][1])
-
-    sweep = ScenarioSweep()
-    for px, py in arrays:
-        deck = standard_deck(args.deck, px=px, py=py,
-                             max_iterations=args.iterations)
-        workload = SweepWorkload(deck, px, py)
-        sweep.add(Scenario(label=f"{px}x{py}",
-                           variables=workload.model_variables(),
-                           tags={"px": px, "py": py, "pes": px * py}))
-
-    runner = SweepRunner(model=load_sweep3d_model(), hardware=hardware,
-                         workers=args.workers)
-    outcomes = runner.run(sweep)
-
-    print(f"scenario sweep on {machine.name} ({args.deck} deck, "
-          f"{args.iterations} iteration(s), {len(outcomes)} point(s))")
-    print(f"{'Array':>8} {'PEs':>6} {'Predicted':>14}")
-    for outcome in outcomes:
-        print(f"{outcome.scenario.label:>8} {outcome.tags['pes']:>6} "
-              f"{units.format_seconds(outcome.total_time):>14}")
-    print(f"cache: {runner.stats.describe()}")
-    return 0
-
-
 def _cmd_hmcl(args: argparse.Namespace) -> int:
     machine = get_machine(args.machine)
     deck = standard_deck(args.deck, px=args.px, py=args.py)
@@ -1008,8 +903,7 @@ def _cmd_serve(args: argparse.Namespace) -> int:
                       cache_dir=args.cache_dir, workers=args.workers,
                       lru_size=args.lru_size,
                       window_s=args.window_ms / 1000.0,
-                      artifact_dir=args.artifact_dir,
-                      job_fleet_workers=args.job_fleet_workers)
+                      artifact_dir=args.artifact_dir)
 
 
 def _cmd_client(args: argparse.Namespace) -> int:
@@ -1104,23 +998,10 @@ def main(argv: Sequence[str] | None = None) -> int:
             return 2
     if command == "cache":
         return _cmd_cache(args)
-    if command in ("table1", "table2", "table3"):
-        return _cmd_table(command, args)
-    if command in ("figure8", "figure9"):
-        return _cmd_figure(command, args)
     if command == "predict":
         return _cmd_predict(args)
     if command == "simulate":
         return _cmd_simulate(args)
-    if command == "sweep":
-        return _cmd_sweep(args)
-    if command == "ablation":
-        print(format_ablation(run_study(build_spec(
-            "ablation", max_iterations=args.iterations)).payload))
-        return 0
-    if command == "agreement":
-        print(format_agreement(run_study(build_spec("agreement")).payload))
-        return 0
     if command == "machines":
         return _cmd_machines()
     if command == "hmcl":

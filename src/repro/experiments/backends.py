@@ -57,6 +57,7 @@ from repro.core.hmcl.model import HardwareModel
 from repro.core.ir import ModelSet
 from repro.errors import ExperimentError
 from repro.simnet.noise import NOISE_SCHEME, derive_seed
+from repro.sweep3d.driver import EXECUTION_MODES
 from repro.sweep3d.input import Sweep3DInput, standard_deck
 from repro.sweep3d.parallel import SweepCostTable
 
@@ -146,7 +147,6 @@ class PredictionBackend:
 
     def __init__(self, model: ModelSet | None = None,
                  hardware: HardwareModel | None = None,
-                 entry_proc: str = "init",
                  compiled: CompiledModel | None = None):
         if compiled is not None:
             model = compiled.model
@@ -155,14 +155,13 @@ class PredictionBackend:
             model = load_sweep3d_model()
         self.model = model
         self.hardware = hardware
-        self.entry_proc = entry_proc
         self._compiled: CompiledModel | None = compiled
         self._model_token: str | None = None
 
     def compile(self, scenario_space=None) -> "PredictionExecutor":
         if self._compiled is None:
             self._compiled = CompiledModel(self.model)
-        return PredictionExecutor(self._compiled, self.hardware, self.entry_proc)
+        return PredictionExecutor(self._compiled, self.hardware)
 
     def fingerprint(self, scenario) -> tuple:
         hardware = scenario.hardware or self.hardware
@@ -175,7 +174,7 @@ class PredictionBackend:
         return (
             self.name,
             self._model_token,
-            self.entry_proc,
+            "init",  # the evaluated entry procedure, kept so keys stay stable
             hardware_fingerprint(hardware),
             tuple(sorted(scenario.variables.items())),
         )
@@ -192,11 +191,9 @@ class PredictionExecutor:
     """One compiled model bound to per-hardware-fingerprint executors."""
 
     def __init__(self, compiled: CompiledModel,
-                 default_hardware: HardwareModel | None,
-                 entry_proc: str):
+                 default_hardware: HardwareModel | None):
         self.compiled = compiled
         self.default_hardware = default_hardware
-        self.entry_proc = entry_proc
         self._executors: dict[tuple, Any] = {}
 
     def evaluate(self, scenario) -> PredictionResult:
@@ -209,7 +206,7 @@ class PredictionExecutor:
         executor = self._executors.get(token)
         if executor is None:
             executor = self._executors[token] = self.compiled.executor(hardware)
-        return executor.predict(scenario.variables, self.entry_proc)
+        return executor.predict(scenario.variables)
 
     def collect_stats(self) -> CacheStats:
         stats = CacheStats()
@@ -376,8 +373,6 @@ class SimulationBackend:
 
     name = "simulate"
 
-    _EXECUTION_MODES = ("auto", "engine", "replay", "steady")
-
     def __init__(self, machine, deck: str = "validation",
                  max_iterations: int = 12,
                  numeric: bool = False,
@@ -387,10 +382,10 @@ class SimulationBackend:
                  execution: str = "auto",
                  samples: int = 0,
                  trace_cache=None):
-        if execution not in self._EXECUTION_MODES:
+        if execution not in EXECUTION_MODES:
             raise ExperimentError(
                 f"unknown simulation execution mode {execution!r}; expected "
-                f"one of {list(self._EXECUTION_MODES)}")
+                f"one of {list(EXECUTION_MODES)}")
         samples = int(samples)
         if samples < 0:
             raise ExperimentError("samples must be >= 0")

@@ -7,7 +7,7 @@ from dataclasses import dataclass, field
 from repro import units
 from repro.core.workload import SweepWorkload
 from repro.errors import ExperimentError
-from repro.experiments.paper_data import FIGURE8_STUDY, FIGURE9_STUDY, SpeculativeStudy
+from repro.experiments.paper_data import SpeculativeStudy
 from repro.experiments.sweep import Scenario, ScenarioSweep
 from repro.machines.machine import Machine
 from repro.machines.presets import get_machine
@@ -104,7 +104,14 @@ def _run_speculative_figure_impl(study: SpeculativeStudy,
                                  rate_factors: list[float] | None = None,
                                  workers: int = 1,
                                  context=None) -> FigureResult:
-    """The direct implementation behind the ``figure8``/``figure9`` studies."""
+    """The implementation behind the ``figure8``/``figure9`` studies.
+
+    The hypothetical machine's HMCL object uses the fixed achieved rate of
+    the study (340 MFLOPS in the paper) scaled by each rate factor, with the
+    Myrinet 2000 communication model — the model re-use the paper
+    demonstrates in Section 6.  The whole figure is one declared scenario
+    grid evaluated by the batch sweep runner.
+    """
     machine = machine or get_machine("hypothetical-opteron-myrinet")
     counts = list(processor_counts if processor_counts is not None
                   else study.processor_counts)
@@ -131,64 +138,3 @@ def _run_speculative_figure_impl(study: SpeculativeStudy,
         series.processor_counts.append(outcome.tags["nranks"])
         series.times.append(outcome.total_time)
     return result
-
-
-def run_speculative_figure(study: SpeculativeStudy,
-                           machine: Machine | str | None = None,
-                           processor_counts: list[int] | None = None,
-                           rate_factors: list[float] | None = None,
-                           workers: int = 1) -> FigureResult:
-    """Reproduce one speculative figure.
-
-    The hypothetical machine's HMCL object uses the fixed achieved rate of
-    the study (340 MFLOPS in the paper) scaled by each rate factor, with the
-    Myrinet 2000 communication model — the model re-use the paper
-    demonstrates in Section 6.  The whole figure is one declared scenario
-    grid evaluated by the batch sweep runner.
-
-    Named studies with a machine given by preset name (or defaulted) route
-    through the Study API registry; an explicit :class:`Machine` instance
-    or an unregistered :class:`SpeculativeStudy` runs directly — both paths
-    produce bit-identical figures.
-    """
-    from repro.experiments.study import SPECULATIVE_STUDIES, build_spec, run_study
-    if SPECULATIVE_STUDIES.get(study.name) == study and \
-            (machine is None or isinstance(machine, str)):
-        spec = build_spec(study.name, machine=machine, workers=workers,
-                          processor_counts=processor_counts,
-                          rate_factors=rate_factors)
-        return run_study(spec).payload
-    if isinstance(machine, str):
-        machine = get_machine(machine)
-    return _run_speculative_figure_impl(study, machine=machine,
-                                        processor_counts=processor_counts,
-                                        rate_factors=rate_factors,
-                                        workers=workers)
-
-
-def figure8(machine: Machine | str | None = None,
-            processor_counts: list[int] | None = None,
-            rate_factors: list[float] | None = None,
-            workers: int = 1) -> FigureResult:
-    """Reproduce Figure 8 (the twenty-million-cell problem).
-
-    Deprecated shim over the Study API: prefer
-    ``repro.api.run_study("figure8")``.
-    """
-    return run_speculative_figure(FIGURE8_STUDY, machine=machine,
-                                  processor_counts=processor_counts,
-                                  rate_factors=rate_factors, workers=workers)
-
-
-def figure9(machine: Machine | str | None = None,
-            processor_counts: list[int] | None = None,
-            rate_factors: list[float] | None = None,
-            workers: int = 1) -> FigureResult:
-    """Reproduce Figure 9 (the one-billion-cell problem).
-
-    Deprecated shim over the Study API: prefer
-    ``repro.api.run_study("figure9")``.
-    """
-    return run_speculative_figure(FIGURE9_STUDY, machine=machine,
-                                  processor_counts=processor_counts,
-                                  rate_factors=rate_factors, workers=workers)

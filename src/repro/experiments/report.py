@@ -10,7 +10,6 @@ from __future__ import annotations
 from typing import Sequence
 
 from repro.experiments.ablation import AblationResult
-from repro.experiments.agreement import AgreementResult
 from repro.experiments.figures import FigureResult
 from repro.experiments.paper_data import PAPER_ERROR_STATS
 from repro.experiments.runner import ValidationTableResult
@@ -103,20 +102,4 @@ def format_ablation(result: AblationResult) -> str:
         f"coarse-approach |error| is {result.improvement_factor:.1f}x smaller "
         "than the legacy opcode approach",
     ]
-    return "\n".join(lines)
-
-
-def format_agreement(result: AgreementResult) -> str:
-    """Render the cross-model agreement report."""
-    return result.describe()
-
-
-def error_summary(results: Sequence[ValidationTableResult]) -> str:
-    """One-line-per-table error summary used by EXPERIMENTS.md."""
-    lines = []
-    for result in results:
-        lines.append(
-            f"{result.name}: {len(result.rows)} rows, "
-            f"max |error| {result.max_abs_error:.2f}%, "
-            f"avg |error| {result.average_abs_error:.2f}%")
     return "\n".join(lines)

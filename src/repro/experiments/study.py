@@ -21,15 +21,15 @@ first-class, serializable form:
   and compiled **once**, one disk-backed sweep cache and one
   multiprocessing pool serve every study of a run.
 * :class:`StudyRunner` — executes one or many specs in a single
-  invocation and emits typed :class:`StudyResult` artifacts: the legacy
-  payload object, uniform tabular rows for JSON/CSV export, the spec
-  hash, the machine fingerprint and cache statistics
+  invocation and emits typed :class:`StudyResult` artifacts: the
+  per-experiment payload object, uniform tabular rows for JSON/CSV
+  export, the spec hash, the machine fingerprint and cache statistics
   (:mod:`repro.experiments.artifacts` writes them to disk plus a run
   manifest).
 
-The legacy per-experiment entrypoints (``table1``, ``figure8``,
-``run_blocking_study``, ...) survive as thin shims that build specs
-internally and run them through this pipeline, bit-identically.
+A spec is the only way to run a study: ``run_study(build_spec("table2",
+max_pes=6))`` in Python, ``repro-sweep3d run table2 --set max_pes=6`` on
+the command line.
 """
 
 from __future__ import annotations
@@ -309,7 +309,7 @@ class StudyDefinition:
     defaults: Mapping[str, Any]
     #: Parameter overrides for reduced-grid smoke runs.
     smoke_params: Mapping[str, Any]
-    #: ``execute(spec, context) -> payload`` (the legacy result object).
+    #: ``execute(spec, context) -> payload`` (the per-experiment result object).
     execute: Callable[["StudySpec", "StudyContext"], Any]
     #: ``tabulate(payload) -> (columns, rows)`` for uniform JSON/CSV export.
     tabulate: Callable[[Any], tuple[list[str], list[dict[str, Any]]]]
@@ -524,9 +524,9 @@ class StudyContext:
     # -- runner factories ----------------------------------------------------
 
     def prediction_runner(self, hardware: HardwareModel | None = None,
-                          workers: int = 1, entry_proc: str = "init"):
+                          workers: int = 1):
         """A :class:`SweepRunner` on the shared compiled prediction backend."""
-        backend = PredictionBackend(hardware=hardware, entry_proc=entry_proc,
+        backend = PredictionBackend(hardware=hardware,
                                     compiled=self.compiled_model())
         return self.backend_runner(backend, workers=workers)
 
@@ -594,7 +594,7 @@ class StudyResult:
     """The typed artifact of one executed study."""
 
     spec: StudySpec
-    #: The legacy per-experiment result object (ValidationTableResult, ...).
+    #: The per-experiment result object (ValidationTableResult, ...).
     payload: Any
     #: Uniform tabular form of the payload (one dict per row).
     columns: list[str] = field(default_factory=list)

@@ -12,14 +12,15 @@ every experiment module; this module centralises it.
 * :class:`ScenarioSweep` — a declarative collection of scenarios, with a
   :meth:`ScenarioSweep.grid` constructor for cartesian parameter grids.
 * :class:`SweepRunner` — executes an iterable of scenarios through a
-  scenario **backend** (:mod:`repro.experiments.backends`).  The backend is
-  compiled **once** per runner — for the default ``"predict"`` backend that
-  means one :class:`~repro.core.evaluation.compiler.CompiledModel` shared
-  by every point, with one executor per distinct hardware fingerprint; for
-  the ``"simulate"`` backend one reusable simulation plan per (deck, px,
-  py) plus a sweep-wide compute cost table.  With ``workers > 1`` the
-  scenario list fans out over ``multiprocessing`` (results are returned in
-  input order and are identical to a serial run, for both backends).
+  scenario **backend** instance (:mod:`repro.experiments.backends`).  The
+  backend is compiled **once** per runner — for the prediction backend
+  that means one :class:`~repro.core.evaluation.compiler.CompiledModel`
+  shared by every point, with one executor per distinct hardware
+  fingerprint; for the simulation backend one reusable simulation plan
+  per (deck, px, py) plus a sweep-wide compute cost table.  With
+  ``workers > 1`` the scenario list fans out over ``multiprocessing``
+  (results are returned in input order and are identical to a serial
+  run, for both backends).
 * Optional **disk cache** (:mod:`repro.experiments.diskcache`): pass
   ``cache=`` a directory (or :class:`SweepDiskCache`) and every evaluated
   scenario is persisted keyed on the backend fingerprint; warm runs and
@@ -39,13 +40,8 @@ from typing import Any, Iterable, Mapping, Sequence
 
 from repro.core.evaluation.compiler import CacheStats
 from repro.core.hmcl.model import HardwareModel
-from repro.core.ir import ModelSet
 from repro.errors import ExperimentError
-from repro.experiments.backends import (
-    Backend,
-    PredictionBackend,
-    create_backend,
-)
+from repro.experiments.backends import Backend
 from repro.experiments.diskcache import DiskCacheStats, SweepDiskCache
 from repro.profiling.phases import merge_phases
 
@@ -83,11 +79,6 @@ class SweepOutcome:
 
     scenario: Scenario
     result: Any
-
-    @property
-    def prediction(self):
-        """Backward-compatible alias for :attr:`result`."""
-        return self.result
 
     @property
     def total_time(self) -> float:
@@ -174,24 +165,14 @@ class SweepRunner:
 
     Parameters
     ----------
-    model:
-        The PSL model set for the default prediction backend (compiled once
-        and shared by every point; defaults to the shipped SWEEP3D model).
-        Ignored when an explicit ``backend`` instance is supplied.
-    hardware:
-        Default hardware for scenarios that do not carry their own
-        (prediction backend).
+    backend:
+        The scenario backend instance
+        (:class:`~repro.experiments.backends.PredictionBackend`,
+        :class:`~repro.experiments.backends.SimulationBackend`, or one
+        built by name with :func:`~repro.experiments.backends.create_backend`).
     workers:
         Number of ``multiprocessing`` workers.  ``1`` (default) runs
         in-process; results are independent of the worker count.
-    entry_proc:
-        Application procedure evaluated per scenario (prediction backend).
-    backend:
-        Scenario backend: a registered name (``"predict"``, ``"simulate"``)
-        or a :class:`~repro.experiments.backends.Backend` instance.  Named
-        backends needing configuration (the simulation backend's machine)
-        are built with :func:`~repro.experiments.backends.create_backend`
-        and passed as instances.
     cache:
         Optional disk-backed sweep cache: a directory path or a
         :class:`~repro.experiments.diskcache.SweepDiskCache`.  Scenario
@@ -204,26 +185,14 @@ class SweepRunner:
         a supplied pool down; without one it creates a pool per run.
     """
 
-    def __init__(self, model: ModelSet | None = None,
-                 hardware: HardwareModel | None = None,
+    def __init__(self, backend: Backend,
                  workers: int = 1,
-                 entry_proc: str = "init",
-                 backend: str | Backend = "predict",
                  cache: SweepDiskCache | str | None = None,
                  pool: ProcessPoolExecutor | None = None):
         if workers < 1:
             raise ExperimentError("SweepRunner needs at least one worker")
-        if isinstance(backend, str):
-            if backend == PredictionBackend.name:
-                backend = PredictionBackend(model=model, hardware=hardware,
-                                            entry_proc=entry_proc)
-            else:
-                backend = create_backend(backend)
         self.backend: Backend = backend
-        self.model = getattr(backend, "model", model)
-        self.hardware = getattr(backend, "hardware", hardware)
         self.workers = workers
-        self.entry_proc = entry_proc
         if cache is not None and not isinstance(cache, SweepDiskCache):
             cache = SweepDiskCache(cache)
         self.cache: SweepDiskCache | None = cache
@@ -238,11 +207,11 @@ class SweepRunner:
             backend.trace_cache = TraceDiskCache(cache.path / "traces")
         self.pool = pool
         self._executor = None
-        #: Cache accounting of the most recent :meth:`run` (or
-        #: :meth:`predict_one`) call.  Results are identical whatever the
-        #: worker count; the hit/miss split is not (parallel workers keep
-        #: private in-memory caches, so fewer cross-point hits are
-        #: observed — the disk cache closes exactly that gap).
+        #: Cache accounting of the most recent :meth:`run` call.  Results
+        #: are identical whatever the worker count; the hit/miss split is
+        #: not (parallel workers keep private in-memory caches, so fewer
+        #: cross-point hits are observed — the disk cache closes exactly
+        #: that gap).
         self.stats = CacheStats()
         #: Disk-cache accounting of the most recent run (zeros without a cache).
         self.disk_stats = DiskCacheStats()
@@ -276,12 +245,6 @@ class SweepRunner:
         self._tally_execution(results)
         return [SweepOutcome(scenario=scenario, result=result)
                 for scenario, result in zip(points, results)]
-
-    def predict_one(self, scenario: Scenario) -> SweepOutcome:
-        """Evaluate a single scenario in-process (shares the runner caches)."""
-        results, self.stats, self.disk_stats = self._run_serial([scenario])
-        self._tally_execution(results)
-        return SweepOutcome(scenario=scenario, result=results[0])
 
     def _tally_execution(self, results: Iterable[Any]) -> None:
         for result in results:

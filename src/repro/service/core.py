@@ -71,8 +71,7 @@ from repro.service.protocol import (
     StatsResponse,
     StudySubmitRequest,
 )
-
-_EXECUTION_MODES = ("auto", "engine", "replay", "steady")
+from repro.sweep3d.driver import EXECUTION_MODES
 
 
 class ResultLRU:
@@ -149,19 +148,12 @@ class PredictionService:
         Where finished study jobs write the standard artifact layout
         (one sub-directory per job); ``None`` keeps results in memory
         only.
-    job_fleet_workers:
-        When > 0, study jobs front an in-process elastic fleet with
-        this many workers (:func:`~repro.experiments.fleet.
-        run_local_fleet`) instead of running inline — bit-identical
-        results, grid units executed in parallel.
     """
 
     def __init__(self, context=None, cache_dir: str | Path | None = None,
                  workers: int = 2, lru_size: int = 256,
-                 window_s: float = 0.002, max_batch: int = 32,
-                 artifact_dir: str | Path | None = None,
-                 job_concurrency: int = 1,
-                 job_fleet_workers: int = 0):
+                 window_s: float = 0.002,
+                 artifact_dir: str | Path | None = None):
         if context is None:
             from repro.api import default_context
             context = default_context()
@@ -174,11 +166,8 @@ class PredictionService:
         self.pool = ThreadPoolExecutor(max_workers=max(1, workers),
                                        thread_name_prefix="repro-svc")
         self.coalescer = RequestCoalescer(self._execute_batch,
-                                          window_s=window_s,
-                                          max_batch=max_batch)
-        self.jobs = JobManager(context=context, artifact_root=artifact_dir,
-                               max_concurrent=job_concurrency,
-                               fleet_workers=job_fleet_workers)
+                                          window_s=window_s)
+        self.jobs = JobManager(context=context, artifact_root=artifact_dir)
         #: One sweep runner and one asyncio lock per backend group; the
         #: lock serialises batches of a group, so each runner is only
         #: ever driven by one thread at a time.
@@ -212,13 +201,12 @@ class PredictionService:
         self._check_geometry(request.px, request.py, request.iterations)
         self._check_deck(request.deck, request.px, request.py,
                          request.iterations)
+        self._check_noise(request.with_noise, request.seed, request.samples)
         execution = request.execution
-        if execution not in _EXECUTION_MODES:
+        if execution not in EXECUTION_MODES:
             raise ServiceError(
                 f"unknown execution mode {execution!r}; expected one of "
-                f"{list(_EXECUTION_MODES)}")
-        if request.samples < 0:
-            raise ServiceError("samples must be >= 0")
+                f"{list(EXECUTION_MODES)}")
         if request.samples and execution == "engine":
             # Mirrors api.simulate: sampled runs are replay-resolved.
             execution = "auto"
@@ -296,6 +284,16 @@ class PredictionService:
             if not isinstance(value, int) or isinstance(value, bool) \
                     or value < 1:
                 raise ServiceError(f"'{label}' must be a positive integer")
+
+    @staticmethod
+    def _check_noise(with_noise: Any, seed: Any, samples: Any) -> None:
+        if not isinstance(with_noise, bool):
+            raise ServiceError("'with_noise' must be a boolean")
+        for label, value in (("seed", seed), ("samples", samples)):
+            if not isinstance(value, int) or isinstance(value, bool):
+                raise ServiceError(f"'{label}' must be an integer")
+        if samples < 0:
+            raise ServiceError("'samples' must be >= 0")
 
     @staticmethod
     def _check_deck(deck: Any, px: int, py: int, iterations: int) -> None:
@@ -562,15 +560,13 @@ class PredictionService:
 def run_server(host: str = "127.0.0.1", port: int = 8642,
                cache_dir: str | None = None, workers: int = 2,
                lru_size: int = 256, window_s: float = 0.002,
-               artifact_dir: str | None = None,
-               job_fleet_workers: int = 0) -> int:
+               artifact_dir: str | None = None) -> int:
     """Run the service in the foreground until interrupted (CLI `serve`)."""
 
     async def _serve() -> None:
         service = PredictionService(cache_dir=cache_dir, workers=workers,
                                     lru_size=lru_size, window_s=window_s,
-                                    artifact_dir=artifact_dir,
-                                    job_fleet_workers=job_fleet_workers)
+                                    artifact_dir=artifact_dir)
         server = await service.start(host, port)
         address = server.sockets[0].getsockname()
         print(f"repro-sweep3d service listening on "

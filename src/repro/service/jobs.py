@@ -1,8 +1,8 @@
 """Background study jobs: submit, poll, cancel, fetch artifacts.
 
 A study submission becomes a :class:`JobRecord` driven by an asyncio
-task: the task waits its turn on a semaphore (studies swap the shared
-context's cache binding, so they run one at a time by default), executes
+task: the task waits its turn on a lock (studies swap the shared
+context's cache binding, so they run one at a time), executes
 ``StudyRunner.run`` on a dedicated worker thread — results bit-identical
 to a direct call, it *is* a direct call — and writes the standard
 artifact layout (:mod:`repro.experiments.artifacts`) under the job's
@@ -67,33 +67,20 @@ class JobManager:
         Directory receiving one artifact sub-directory per finished job.
         ``None`` disables artifact writing (the result stays retrievable
         in memory).
-    max_concurrent:
-        Jobs running at once.  The default 1 matches the study runner's
-        contract: ``_run_one`` rebinds the shared context's cache for
-        the duration of a study, which two concurrent studies would race.
-    fleet_workers:
-        When > 0, each study job fronts an in-process elastic fleet
-        (:func:`~repro.experiments.fleet.run_local_fleet`) with this
-        many workers instead of one inline ``StudyRunner.run`` — the
-        study's grid units execute in parallel under the leased-unit
-        protocol, and the merged result is bit-identical to the inline
-        path.  Shard specs (a single already-planned slice) always run
-        inline: the fleet would re-decompose their parent.
+
+    Jobs run one at a time: ``StudyRunner._run_one`` rebinds the shared
+    context's cache for the duration of a study, which two concurrent
+    studies would race.
     """
 
     def __init__(self, context: StudyContext,
-                 artifact_root: str | Path | None = None,
-                 max_concurrent: int = 1,
-                 fleet_workers: int = 0):
-        if fleet_workers < 0:
-            raise ServiceError("fleet_workers must be >= 0")
+                 artifact_root: str | Path | None = None):
         self._context = context
         self._artifact_root = (Path(artifact_root)
                                if artifact_root is not None else None)
-        self._fleet_workers = fleet_workers
-        self._semaphore = asyncio.Semaphore(max_concurrent)
+        self._lock = asyncio.Lock()
         #: One thread: job compute must never starve the predict/simulate
-        #: pool, and a single lane matches the semaphore default.
+        #: pool, and jobs run one at a time anyway.
         self._executor = ThreadPoolExecutor(max_workers=1,
                                             thread_name_prefix="repro-job")
         self._jobs: dict[str, JobRecord] = {}
@@ -157,7 +144,7 @@ class JobManager:
 
     async def _run(self, record: JobRecord) -> None:
         try:
-            async with self._semaphore:
+            async with self._lock:
                 if record.cancel_requested:
                     record.state = "cancelled"
                     return
@@ -181,24 +168,12 @@ class JobManager:
             raise
 
     def _execute(self, record: JobRecord) -> tuple[StudyResult, Path | None]:
-        result = self._run_spec(record.spec)
+        result = StudyRunner(context=self._context).run(record.spec)
         artifact_dir = None
         if self._artifact_root is not None:
             artifact_dir = self._artifact_root / record.job_id
             write_study_artifacts([result], artifact_dir)
         return result, artifact_dir
-
-    def _run_spec(self, spec: StudySpec) -> StudyResult:
-        if self._fleet_workers > 0:
-            from repro.experiments.fleet import run_local_fleet
-            from repro.experiments.sharding import is_shard_spec
-            if not is_shard_spec(spec):
-                outcome = run_local_fleet(
-                    [spec], n_workers=self._fleet_workers,
-                    context=self._context if self._fleet_workers == 1
-                    else None)
-                return outcome.results[0]
-        return StudyRunner(context=self._context).run(spec)
 
     # ------------------------------------------------------------------
 

@@ -251,6 +251,10 @@ def _summaries_match(expected: list[dict[str, Any]],
     return True
 
 
+#: The execution tiers :meth:`SimulationPlan.run` accepts as ``mode``.
+EXECUTION_MODES = ("auto", "engine", "replay", "steady")
+
+
 class SimulationPlan:
     """A reusable lowering of one simulated SWEEP3D configuration.
 
@@ -541,7 +545,7 @@ class SimulationPlan:
         ``"replay"`` or ``"auto"``, and numeric plans raise
         :class:`~repro.errors.TraceError`.
         """
-        if mode not in ("engine", "replay", "auto", "steady"):
+        if mode not in EXECUTION_MODES:
             raise ValueError(
                 f"unknown simulation mode {mode!r}; expected 'engine', "
                 "'replay', 'steady' or 'auto'")

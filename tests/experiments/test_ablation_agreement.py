@@ -2,15 +2,18 @@
 
 import pytest
 
-from repro.experiments.ablation import run_opcode_ablation
-from repro.experiments.agreement import run_model_agreement
-from repro.experiments.paper_data import FIGURE8_STUDY
+from repro.experiments.study import build_spec, run_study
+
+
+def payload(study, **params):
+    """Run one registered study and return its payload."""
+    return run_study(build_spec(study, **params)).payload
 
 
 class TestOpcodeAblation:
     @pytest.fixture(scope="class")
     def ablation(self):
-        return run_opcode_ablation(max_iterations=6)
+        return payload("ablation", max_iterations=6)
 
     def test_coarse_approach_is_accurate(self, ablation):
         assert abs(ablation.coarse_error_pct) < 10.0
@@ -30,7 +33,8 @@ class TestOpcodeAblation:
         assert "coarse" in text and "legacy" in text
 
     def test_paper_measurement_mode(self):
-        ablation = run_opcode_ablation(simulate_measurement=False, max_iterations=12)
+        ablation = payload("ablation", simulate_measurement=False,
+                           max_iterations=12)
         assert ablation.measured == pytest.approx(8.98, rel=1e-6)
         assert abs(ablation.coarse_error_pct) < 15.0
 
@@ -38,7 +42,8 @@ class TestOpcodeAblation:
 class TestModelAgreement:
     @pytest.fixture(scope="class")
     def agreement(self):
-        return run_model_agreement(FIGURE8_STUDY, processor_counts=[16, 256])
+        return payload("agreement", figure="figure8",
+                       processor_counts=[16, 256])
 
     def test_all_models_evaluated(self, agreement):
         assert len(agreement.comparisons) == 2

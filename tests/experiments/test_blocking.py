@@ -7,19 +7,23 @@ from repro.experiments.blocking import (
     BlockingStudyResult,
     DEFAULT_MK_VALUES,
     DEFAULT_MMI_VALUES,
-    run_blocking_study,
 )
-from repro.machines.presets import get_machine
+from repro.experiments.study import build_spec, run_study
+
+
+def blocking(**params):
+    """Run the blocking study and return its payload."""
+    return run_study(build_spec("blocking", **params)).payload
 
 
 @pytest.fixture(scope="module")
 def study():
     """The speculative-problem blocking sweep on a 16x16 slice of the
     hypothetical machine (prediction-only, so cheap to run)."""
-    return run_blocking_study(machine=get_machine("hypothetical"), px=16, py=16,
-                              cells_per_processor=(5, 5, 100),
-                              mk_values=(1, 5, 10, 50, 100), mmi_values=(1, 3, 6),
-                              max_iterations=12)
+    return blocking(machine="hypothetical", px=16, py=16,
+                    cells_per_processor=(5, 5, 100),
+                    mk_values=(1, 5, 10, 50, 100), mmi_values=(1, 3, 6),
+                    max_iterations=12)
 
 
 class TestBlockingStudy:
@@ -51,28 +55,29 @@ class TestBlockingStudy:
         coarse = study.point(100, 6)
         assert fine.messages_per_processor > coarse.messages_per_processor
 
-    def test_validation_problem_prefers_fine_blocking(self, p3_machine):
+    def test_validation_problem_prefers_fine_blocking(self):
         """For 50^3 cells/processor the compute per block dwarfs the message
         cost, so finer blocking monotonically reduces the pipeline fill."""
-        result = run_blocking_study(machine=p3_machine, px=4, py=4,
-                                    cells_per_processor=(50, 50, 50),
-                                    mk_values=(1, 10, 50), mmi_values=(3,),
-                                    max_iterations=12)
+        result = blocking(machine="pentium3-myrinet", px=4, py=4,
+                          cells_per_processor=(50, 50, 50),
+                          mk_values=(1, 10, 50), mmi_values=(3,),
+                          max_iterations=12)
+        assert result.machine_name == "pentium3-myrinet"
         times = {p.mk: p.predicted_time for p in result.points}
         assert times[1] < times[10] < times[50]
 
-    def test_mk_out_of_range_skipped(self, p3_machine):
-        result = run_blocking_study(machine=p3_machine, px=2, py=2,
-                                    cells_per_processor=(10, 10, 10),
-                                    mk_values=(5, 10, 100), mmi_values=(3,),
-                                    max_iterations=2)
+    def test_mk_out_of_range_skipped(self):
+        result = blocking(machine="pentium3-myrinet", px=2, py=2,
+                          cells_per_processor=(10, 10, 10),
+                          mk_values=(5, 10, 100), mmi_values=(3,),
+                          max_iterations=2)
         assert {p.mk for p in result.points} == {5, 10}
 
-    def test_no_valid_combinations_rejected(self, p3_machine):
+    def test_no_valid_combinations_rejected(self):
         with pytest.raises(ExperimentError):
-            run_blocking_study(machine=p3_machine, px=2, py=2,
-                               cells_per_processor=(10, 10, 10),
-                               mk_values=(100,), mmi_values=(3,))
+            blocking(machine="pentium3-myrinet", px=2, py=2,
+                     cells_per_processor=(10, 10, 10),
+                     mk_values=(100,), mmi_values=(3,))
 
     def test_point_lookup_error(self, study):
         with pytest.raises(ExperimentError):

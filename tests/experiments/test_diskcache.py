@@ -5,7 +5,11 @@ import pickle
 
 import pytest
 
-from repro.experiments.backends import SimulationBackend, simulation_grid
+from repro.experiments.backends import (
+    PredictionBackend,
+    SimulationBackend,
+    simulation_grid,
+)
 from repro.experiments.diskcache import (
     DiskCacheStats,
     SweepDiskCache,
@@ -144,19 +148,20 @@ class TestSweepIntegration:
         deck = standard_deck("validation", px=2, py=2, max_iterations=2)
         scenario = Scenario(label="2x2",
                             variables=SweepWorkload(deck, 2, 2).model_variables())
-        first = SweepRunner(model=sweep3d_model, hardware=synthetic_hardware,
-                            cache=tmp_path)
+        def runner(hardware):
+            return SweepRunner(backend=PredictionBackend(model=sweep3d_model,
+                                                         hardware=hardware),
+                               cache=tmp_path)
+
+        first = runner(synthetic_hardware)
         first.run([scenario])
         assert first.disk_stats.stores == 1
 
-        warm = SweepRunner(model=sweep3d_model, hardware=synthetic_hardware,
-                           cache=tmp_path)
+        warm = runner(synthetic_hardware)
         warm.run([scenario])
         assert warm.disk_stats.hits == 1
 
-        changed = SweepRunner(model=sweep3d_model,
-                              hardware=synthetic_hardware.scaled_flop_rate(2.0),
-                              cache=tmp_path)
+        changed = runner(synthetic_hardware.scaled_flop_rate(2.0))
         outcomes = changed.run([scenario])
         assert changed.disk_stats.hits == 0
         assert outcomes[0].total_time != warm.run([scenario])[0].total_time

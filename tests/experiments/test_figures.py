@@ -3,22 +3,22 @@
 import pytest
 
 from repro.errors import ExperimentError
-from repro.experiments.figures import (
-    FIGURE8_STUDY,
-    FIGURE9_STUDY,
-    figure8,
-    figure9,
-    run_speculative_figure,
-)
+from repro.experiments.paper_data import FIGURE9_STUDY
+from repro.experiments.study import build_spec, run_study
 
 #: Short processor axis used to keep the test cheap; the benchmarks run the
 #: full axis up to 8000 processors.
 SHORT_AXIS = [1, 4, 16, 64, 256]
 
 
+def figure(name, **params):
+    """Run one speculative-figure study and return its figure payload."""
+    return run_study(build_spec(name, **params)).payload
+
+
 @pytest.fixture(scope="module")
 def short_figure8():
-    return figure8(processor_counts=SHORT_AXIS)
+    return figure("figure8", processor_counts=SHORT_AXIS)
 
 
 class TestFigure8:
@@ -59,25 +59,24 @@ class TestFigure8:
 
 class TestFigure9:
     def test_figure9_larger_than_figure8(self):
-        fig8 = figure8(processor_counts=[16], rate_factors=[1.0])
-        fig9 = figure9(processor_counts=[16], rate_factors=[1.0])
+        fig8 = figure("figure8", processor_counts=[16], rate_factors=[1.0])
+        fig9 = figure("figure9", processor_counts=[16], rate_factors=[1.0])
         # The 1-billion-cell problem has 50x more cells per processor.
         ratio = fig9.actual.times[0] / fig8.actual.times[0]
         assert 30 < ratio < 70
 
     def test_study_parameters_propagate(self):
-        result = figure9(processor_counts=[4], rate_factors=[1.0])
+        result = figure("figure9", processor_counts=[4], rate_factors=[1.0])
         assert result.study is FIGURE9_STUDY
         assert result.machine_name == "hypothetical-opteron-myrinet"
 
 
-class TestRunSpeculativeFigure:
+class TestSpeculativeFigureSpec:
     def test_custom_axis_and_factors(self):
-        result = run_speculative_figure(FIGURE8_STUDY, processor_counts=[1, 8],
-                                        rate_factors=[1.0])
+        result = figure("figure8", processor_counts=[1, 8], rate_factors=[1.0])
         assert len(result.series) == 1
         assert result.series[0].as_rows() == list(zip([1, 8], result.series[0].times))
 
     def test_empty_axis_rejected(self):
         with pytest.raises(ExperimentError):
-            run_speculative_figure(FIGURE8_STUDY, processor_counts=[])
+            figure("figure8", processor_counts=[])

@@ -3,13 +3,13 @@
 import pytest
 
 from repro.errors import ExperimentError
-from repro.experiments.figures import figure8
 from repro.experiments.scaling import (
     ScalingAnalysis,
     analyze_figure,
     analyze_figure_series,
     analyze_series,
 )
+from repro.experiments.study import build_spec, run_study
 
 
 class TestAnalyzeSeries:
@@ -57,7 +57,9 @@ class TestAnalyzeSeries:
 class TestFigureScaling:
     @pytest.fixture(scope="class")
     def fig8_result(self):
-        return figure8(processor_counts=[1, 16, 256, 1024], rate_factors=[1.0, 1.5])
+        return run_study(build_spec("figure8",
+                                    processor_counts=[1, 16, 256, 1024],
+                                    rate_factors=[1.0, 1.5])).payload
 
     def test_series_analysis(self, fig8_result):
         analysis = analyze_figure_series(fig8_result.actual)

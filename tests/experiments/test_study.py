@@ -8,9 +8,11 @@ import pytest
 
 from repro.errors import ExperimentError
 from repro.experiments.ablation import _run_opcode_ablation_impl
+from repro.experiments.agreement import _run_model_agreement_impl
 from repro.experiments.blocking import _run_blocking_impl
 from repro.experiments.figures import _run_speculative_figure_impl
-from repro.experiments.paper_data import FIGURE8_STUDY
+from repro.experiments.paper_data import FIGURE9_STUDY
+from repro.experiments.scaling import _run_scaling_impl
 from repro.experiments.study import (
     StudyContext,
     StudyRunner,
@@ -21,7 +23,7 @@ from repro.experiments.study import (
     run_study,
     study_names,
 )
-from repro.experiments.tables import _run_table_impl, run_table, table2
+from repro.experiments.tables import _run_table_impl
 from repro.machines.presets import get_machine
 
 ALL_STUDIES = ("table1", "table2", "table3", "figure8", "figure9",
@@ -158,87 +160,75 @@ class TestRoundTrippedRunsAreBitIdentical:
             == [series.times for series in rebuilt.payload.series]
 
 
-class TestShimsMatchDirectImplementations:
-    """The deprecation shims route through specs yet stay bit-identical."""
+class TestSpecsMatchDirectExecutors:
+    """A spec run is bit-identical to its executor called with the same
+    arguments: the registry forwards every parameter, machine and study
+    choice unchanged."""
 
-    def test_table_shim_matches_impl(self):
-        shimmed = table2(max_pes=6, max_iterations=2)
+    def test_table_spec_matches_impl(self):
+        via_spec = run_study(build_spec("table2", max_pes=6,
+                                        max_iterations=2)).payload
         direct = _run_table_impl("table2", max_pes=6, max_iterations=2)
-        assert [row.predicted for row in shimmed.rows] \
+        assert [row.predicted for row in via_spec.rows] \
             == [row.predicted for row in direct.rows]
-        assert [row.measured for row in shimmed.rows] \
+        assert [row.measured for row in via_spec.rows] \
             == [row.measured for row in direct.rows]
 
-    def test_run_table_with_explicit_rows_bypasses_spec(self):
-        from repro.experiments.tables import validation_row_for
-        row = validation_row_for("table2", 4)
-        result = run_table("table2", rows=[row], simulate_measurement=False,
-                           max_iterations=2)
-        assert len(result.rows) == 1
-        assert result.rows[0].pes == 4
-
-    def test_figure_shim_matches_impl(self):
-        from repro.experiments.figures import figure8
-        shimmed = figure8(processor_counts=[1, 4], rate_factors=[1.0, 1.25])
+    def test_figure_spec_matches_impl(self):
+        via_spec = run_study(build_spec("figure9", processor_counts=[1, 4],
+                                        rate_factors=[1.0, 1.25])).payload
         direct = _run_speculative_figure_impl(
-            FIGURE8_STUDY, processor_counts=[1, 4], rate_factors=[1.0, 1.25])
-        assert [series.times for series in shimmed.series] \
+            FIGURE9_STUDY, processor_counts=[1, 4], rate_factors=[1.0, 1.25])
+        assert [series.times for series in via_spec.series] \
             == [series.times for series in direct.series]
 
-    def test_blocking_shim_matches_impl(self):
-        from repro.experiments.blocking import run_blocking_study
-        kwargs = dict(px=4, py=4, mk_values=(1, 10), mmi_values=(1, 3),
+    def test_blocking_spec_matches_impl(self):
+        params = dict(px=4, py=4, mk_values=(1, 10), mmi_values=(1, 3),
                       max_iterations=2)
-        shimmed = run_blocking_study(**kwargs)
-        direct = _run_blocking_impl(**kwargs)
-        assert [p.predicted_time for p in shimmed.points] \
+        via_spec = run_study(build_spec("blocking", **params)).payload
+        direct = _run_blocking_impl(**params)
+        assert [p.predicted_time for p in via_spec.points] \
             == [p.predicted_time for p in direct.points]
 
-    def test_blocking_shim_accepts_machine_instance(self):
-        machine = get_machine("pentium3-myrinet")
-        result = run_blocking_study_with_machine(machine)
-        assert result.machine_name == machine.name
+    def test_blocking_spec_on_another_machine_matches_impl(self):
+        params = dict(px=2, py=2, cells_per_processor=(5, 5, 20),
+                      mk_values=(1, 10), mmi_values=(1, 3), max_iterations=1)
+        via_spec = run_study(build_spec("blocking", machine="pentium3-myrinet",
+                                        **params)).payload
+        direct = _run_blocking_impl(machine=get_machine("pentium3-myrinet"),
+                                    **params)
+        assert via_spec.machine_name == direct.machine_name == "pentium3-myrinet"
+        assert [p.predicted_time for p in via_spec.points] \
+            == [p.predicted_time for p in direct.points]
 
-    def test_scaling_shim_matches_impl(self):
-        from repro.experiments.scaling import _run_scaling_impl, run_scaling_study
-        shimmed = run_scaling_study(processor_counts=(1, 16))
-        direct = _run_scaling_impl(processor_counts=(1, 16))
-        assert [p.time for p in shimmed.points] == [p.time for p in direct.points]
+    def test_scaling_spec_matches_impl(self):
+        via_spec = run_study(build_spec("scaling", figure="figure9",
+                                        processor_counts=(1, 16),
+                                        rate_factor=1.5)).payload
+        direct = _run_scaling_impl(study=FIGURE9_STUDY,
+                                   processor_counts=(1, 16), rate_factor=1.5)
+        assert [p.time for p in via_spec.points] == [p.time for p in direct.points]
 
-    def test_ablation_shim_matches_impl(self):
-        from repro.experiments.ablation import run_opcode_ablation
-        shimmed = run_opcode_ablation(max_iterations=2)
+    def test_ablation_spec_matches_impl(self):
+        via_spec = run_study(build_spec("ablation", max_iterations=2)).payload
         direct = _run_opcode_ablation_impl(max_iterations=2)
-        assert shimmed.coarse_prediction == direct.coarse_prediction
-        assert shimmed.legacy_prediction == direct.legacy_prediction
-        assert shimmed.measured == direct.measured
+        assert via_spec.coarse_prediction == direct.coarse_prediction
+        assert via_spec.legacy_prediction == direct.legacy_prediction
+        assert via_spec.measured == direct.measured
 
-    def test_agreement_shim_matches_impl(self):
-        from repro.experiments.agreement import (
-            _run_model_agreement_impl,
-            run_model_agreement,
-        )
-        shimmed = run_model_agreement(processor_counts=[16, 64])
+    def test_agreement_spec_matches_impl(self):
+        via_spec = run_study(build_spec("agreement",
+                                        processor_counts=[16, 64])).payload
         direct = _run_model_agreement_impl(processor_counts=[16, 64])
-        assert [c.pace for c in shimmed.comparisons] \
+        assert [c.pace for c in via_spec.comparisons] \
             == [c.pace for c in direct.comparisons]
-        assert [c.loggp for c in shimmed.comparisons] \
+        assert [c.loggp for c in via_spec.comparisons] \
             == [c.loggp for c in direct.comparisons]
 
-    def test_bad_shim_kwargs_fail_loudly(self):
-        with pytest.raises(TypeError):
-            table2(max_pies=6)
-        from repro.experiments.figures import figure8
-        with pytest.raises(TypeError):
-            figure8(rate_factor=1.5)
-
-
-def run_blocking_study_with_machine(machine):
-    from repro.experiments.blocking import run_blocking_study
-    return run_blocking_study(machine=machine, px=2, py=2,
-                              cells_per_processor=(5, 5, 20),
-                              mk_values=(1, 10), mmi_values=(1, 3),
-                              max_iterations=1)
+    def test_parameter_of_another_study_fails_loudly(self):
+        # ``rate_factor`` belongs to ``scaling``; ``figure8`` takes a list.
+        with pytest.raises(ExperimentError, match="does not accept"):
+            build_spec("figure8", rate_factor=1.5)
 
 
 class TestStudyRunner:

@@ -4,6 +4,8 @@ import asyncio
 import json
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import repro.api as api
 from repro.errors import ServiceError
@@ -11,12 +13,26 @@ from repro.service import protocol
 from repro.service.core import PredictionService, ResultLRU
 from repro.service.http import HttpRequest
 from repro.service.protocol import (
+    ErrorResponse,
     HealthRequest,
     PredictRequest,
     SimulateRequest,
 )
 
 MACHINE = "pentium3-myrinet"
+
+#: The JSON type each predict/simulate request field accepts.
+FIELD_TYPES = {
+    "predict": {"machine": str, "px": int, "py": int, "deck": str,
+                "iterations": int},
+    "simulate": {"machine": str, "px": int, "py": int, "deck": str,
+                 "iterations": int, "with_noise": bool, "seed": int,
+                 "execution": str, "samples": int},
+}
+#: A valid value per field: a tiny pentium3 1x2 run of one iteration.
+VALID_FIELDS = {"machine": MACHINE, "px": 1, "py": 2, "deck": "validation",
+                "iterations": 1, "with_noise": False, "seed": 0,
+                "execution": "auto", "samples": 0}
 
 
 def run_with_service(main, **kwargs):
@@ -33,8 +49,44 @@ def run_with_service(main, **kwargs):
 
 
 def post(path, message):
-    body = json.dumps(protocol.encode(message)).encode()
-    return HttpRequest(method="POST", target=path, body=body)
+    return post_json(path, protocol.encode(message))
+
+
+def post_json(path, payload):
+    return HttpRequest(method="POST", target=path,
+                       body=json.dumps(payload).encode())
+
+
+def wire_request(kind, **fields):
+    """A raw ``kind`` request payload: valid fields, ``fields`` applied."""
+    payload = {"v": protocol.PROTOCOL_VERSION, "type": kind}
+    payload.update((name, VALID_FIELDS[name]) for name in FIELD_TYPES[kind])
+    payload.update(fields)
+    return payload
+
+
+def wrong_values(accepted):
+    """JSON values of a type a field accepting ``accepted`` must reject."""
+    choices = [st.floats(allow_nan=False, allow_infinity=False), st.none(),
+               st.lists(st.integers(), max_size=2),
+               st.dictionaries(st.text(max_size=3), st.integers(),
+                               max_size=2)]
+    if accepted is not str:
+        choices.append(st.text(max_size=4))
+    if accepted is not int:
+        choices.append(st.integers())
+    if accepted is not bool:
+        choices.append(st.booleans())
+    return st.one_of(choices)
+
+
+@st.composite
+def mistyped_requests(draw):
+    """A predict/simulate payload with one field of the wrong type."""
+    kind = draw(st.sampled_from(sorted(FIELD_TYPES)))
+    name = draw(st.sampled_from(sorted(FIELD_TYPES[kind])))
+    value = draw(wrong_values(FIELD_TYPES[kind][name]))
+    return kind, wire_request(kind, **{name: value})
 
 
 class TestResultLRU:
@@ -164,6 +216,39 @@ class TestValidation:
                     machine=MACHINE, px=2, py=True))
 
         run_with_service(main)
+
+
+class TestRequestFieldTypes:
+    @pytest.mark.parametrize("field, value", [
+        ("with_noise", "false"),
+        ("samples", "4"),
+        ("seed", "x"),
+        ("seed", 1.5),
+        ("samples", 2.5),
+        ("samples", -1),
+    ])
+    def test_bad_field_is_400_naming_it(self, field, value):
+        async def main(service):
+            return await service.dispatch(post_json(
+                "/v1/simulate", wire_request("simulate", **{field: value})))
+
+        status, payload = run_with_service(main)
+        assert status == 400
+        assert f"'{field}'" in payload["error"]
+
+    @given(mistyped_requests())
+    @settings(max_examples=200, deadline=None)
+    def test_any_mistyped_field_is_4xx_never_500(self, case):
+        kind, payload = case
+
+        async def main(service):
+            return await service.dispatch(post_json(f"/v1/{kind}", payload))
+
+        status, body = run_with_service(main)
+        assert 400 <= status < 500, body
+        response = protocol.decode_response(body)
+        assert isinstance(response, ErrorResponse)
+        assert response.status == status
 
 
 class TestDispatch:

@@ -166,41 +166,3 @@ class TestLookup:
         manager, first, second = asyncio.run(main())
         assert [record.job_id for record in manager.records()] \
             == [first.job_id, second.job_id]
-
-
-class TestFleetExecution:
-    def test_fleet_backed_job_is_bit_identical(self, tmp_path):
-        spec = tiny_spec()
-        direct = api.run_study(spec, context=api.default_context()).to_dict()
-
-        async def main():
-            manager = JobManager(api.default_context(),
-                                 artifact_root=tmp_path, fleet_workers=2)
-            record = await manager.submit(spec)
-            await record.task
-            return record
-
-        record = asyncio.run(main())
-        assert record.state == "done", record.error
-        remote = record.result.to_dict()
-        assert remote["rows"] == direct["rows"]
-        assert remote["spec_hash"] == direct["spec_hash"]
-
-    def test_single_fleet_worker_shares_the_service_cache(self):
-        spec = tiny_spec()
-        context = api.default_context()
-        inline = api.run_study(spec, context=context).to_dict()
-
-        async def main():
-            manager = JobManager(context, fleet_workers=1)
-            record = await manager.submit(spec)
-            await record.task
-            return record
-
-        record = asyncio.run(main())
-        assert record.state == "done", record.error
-        assert record.result.to_dict()["rows"] == inline["rows"]
-
-    def test_negative_fleet_workers_rejected(self):
-        with pytest.raises(ServiceError, match="fleet_workers"):
-            JobManager(api.default_context(), fleet_workers=-1)

@@ -32,24 +32,27 @@ class TestCli:
         assert "flux error" in out
 
     def test_table_command_prediction_only(self, capsys):
-        assert main(["table2", "--max-pes", "6", "--iterations", "2",
-                     "--no-measurement"]) == 0
+        assert main(["run", "table2", "--set", "max_pes=6",
+                     "--set", "max_iterations=2",
+                     "--set", "simulate_measurement=false"]) == 0
         out = capsys.readouterr().out
         assert "table2" in out and "100x100x50" in out
 
     def test_table_command_with_measurement(self, capsys):
-        assert main(["table2", "--max-pes", "4", "--iterations", "2"]) == 0
+        assert main(["run", "table2", "--set", "max_pes=4",
+                     "--set", "max_iterations=2"]) == 0
         out = capsys.readouterr().out
         assert "Error(%)" in out
 
     def test_figure_command(self, capsys):
-        assert main(["figure8", "--max-processors", "16"]) == 0
+        assert main(["run", "figure8",
+                     "--set", "processor_counts=[1,2,4,8,16]"]) == 0
         out = capsys.readouterr().out
         assert "twenty million cell" in out
         assert "340 MFLOPS" in out
 
     def test_ablation_command(self, capsys):
-        assert main(["ablation", "--iterations", "2"]) == 0
+        assert main(["run", "ablation", "--set", "max_iterations=2"]) == 0
         out = capsys.readouterr().out
         assert "legacy" in out
 
