@@ -128,10 +128,10 @@ def test_trace_capture_amortises_within_one_run():
 
     The backend trace-replays every modelled scenario by default, so a
     grid whose every point is evaluated once must not regress: the
-    capture pass (generators driven once, no timing arithmetic) plus one
-    replay has to stay in the same ballpark as a single engine run
-    (~0.75x on the reference container; the bound leaves headroom for
-    loaded CI runners, and a best-of-2 retry absorbs one-off hiccups).
+    capture pass (generators driven once through the engine's own loop)
+    plus one replay has to stay in the same ballpark as a single engine
+    run (1.3-1.7x on a 2-vCPU VM; the bound leaves headroom for loaded
+    CI runners, and a best-of-2 retry absorbs one-off hiccups).
     """
     machine = get_machine("pentium3-myrinet")
 

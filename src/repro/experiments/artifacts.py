@@ -173,36 +173,90 @@ def read_manifest(out_dir: str | Path) -> dict:
 # ---------------------------------------------------------------------------
 
 
+_REQUIRED = object()
+_NUMBER = (int, float)
+
+
+def _typed(where: str, name: str, value, kinds, what: str):
+    """``value`` if it is one of ``kinds`` (a bool is no number)."""
+    if not isinstance(value, kinds) or (isinstance(value, bool)
+                                        and bool not in kinds):
+        raise ExperimentError(
+            f"{where} field {name!r} holds {type(value).__name__}, not "
+            f"{what}; the manifest was edited")
+    return value
+
+
+def _field(where: str, entry: dict, name: str, kinds, what: str,
+           default=_REQUIRED):
+    """Entry field ``name``, type-checked; ``default`` when absent."""
+    if name not in entry:
+        if default is _REQUIRED:
+            raise ExperimentError(
+                f"{where} is missing required field {name!r}; the manifest "
+                "was edited or truncated")
+        return default
+    return _typed(where, name, entry[name], kinds, what)
+
+
+def _table(where: str, entry: dict, name: str, kinds, what: str) -> dict:
+    """An optional object field whose every value is one of ``kinds``."""
+    table = _field(where, entry, name, dict, "an object", {})
+    for key, value in table.items():
+        _typed(where, f"{name}.{key}", value, kinds, what)
+    return table
+
+
+def _artifact_name(where: str, entry: dict) -> str:
+    """The entry's JSON artifact: a plain file name inside the directory."""
+    artifacts = _field(where, entry, "artifacts", dict, "an object")
+    name = _typed(where, "artifacts.json", artifacts.get("json"), str,
+                  "a file name")
+    if name in ("", ".", "..") or Path(name).name != name or "\\" in name:
+        raise ExperimentError(
+            f"{where} field 'artifacts.json' is {name!r}, not a file name "
+            "inside the artifact directory")
+    return name
+
+
 def load_study_results(out_dir: str | Path) -> list[StudyResult]:
     """Rebuild row-level :class:`StudyResult` objects from an artifact dir.
 
     The legacy payload objects are not persisted, so the results carry
     ``payload=None`` — everything the merge layer needs (spec, rows,
     machine fingerprint, accounting, shard bookkeeping) is recovered.
-    Each entry's spec is re-canonicalised and its hash verified against
-    the manifest, so a hand-edited manifest fails loudly.
+    Each entry's fields are type-checked and its spec re-canonicalised
+    and its hash verified against the manifest, so a hand-edited or
+    corrupt manifest fails with an :class:`ExperimentError` naming the
+    entry and the field.
     """
     out = Path(out_dir)
     manifest = read_manifest(out)
+    studies = _field(f"manifest {out}", manifest, "studies", list, "a list",
+                     [])
     results = []
-    for position, entry in enumerate(manifest.get("studies", [])):
+    for position, entry in enumerate(studies):
+        where = f"manifest {out} study entry {position}"
         if not isinstance(entry, dict):
-            raise ExperimentError(
-                f"manifest {out} study entry {position} is not an object")
+            raise ExperimentError(f"{where} is not an object")
+        spec_data = _field(where, entry, "spec", dict, "an object")
+        recorded_hash = _field(where, entry, "spec_hash", str, "a string")
+        json_name = _artifact_name(where, entry)
         try:
-            spec_data = entry["spec"]
-            recorded_hash = entry["spec_hash"]
-            json_name = entry["artifacts"]["json"]
-        except (KeyError, TypeError) as exc:
+            spec = StudySpec.from_dict(spec_data)
+        except ExperimentError as exc:
+            raise ExperimentError(f"{where} field 'spec': {exc}") from exc
+        except (TypeError, ValueError, AttributeError) as exc:
             raise ExperimentError(
-                f"manifest {out} study entry {position} is missing required "
-                f"field {exc}; the manifest was edited or truncated") from exc
-        spec = StudySpec.from_dict(spec_data)
+                f"{where} field 'spec' is not a study spec: {exc}") from exc
         if spec.spec_hash() != recorded_hash:
             raise ExperimentError(
                 f"manifest entry for {entry.get('study')!r} in {out} records "
                 f"hash {recorded_hash[:12]} but its spec hashes to "
                 f"{spec.spec_hash()[:12]}; the artifacts were edited")
+        cache = _table(where, entry, "cache", int, "a count")
+        execution = _table(where, entry, "execution", int, "a count")
+        phases = _table(where, entry, "phases", _NUMBER, "a number")
         json_path = out / json_name
         try:
             data = json.loads(json_path.read_text())
@@ -212,25 +266,40 @@ def load_study_results(out_dir: str | Path) -> list[StudyResult]:
         except ValueError as exc:
             raise ExperimentError(
                 f"study artifact {json_path} is not valid JSON: {exc}") from exc
-        cache = entry.get("cache", {})
+        artifact = f"study artifact {json_path}"
+        _typed(artifact, "(top level)", data, dict, "an object")
+        columns = _field(artifact, data, "columns", list, "a list", [])
+        for index, column in enumerate(columns):
+            _typed(artifact, f"columns.{index}", column, str, "a string")
+        rows = _field(artifact, data, "rows", list, "a list", [])
+        for index, row in enumerate(rows):
+            _typed(artifact, f"rows.{index}", row, dict, "an object")
+            if not set(row) <= set(columns):
+                raise ExperimentError(
+                    f"{artifact} row {index} has fields outside its columns")
         results.append(StudyResult(
             spec=spec,
             payload=None,
-            columns=list(data.get("columns", [])),
-            rows=list(data.get("rows", [])),
-            machine_name=entry.get("machine"),
-            machine_fingerprint=entry.get("machine_fingerprint"),
-            elapsed_s=entry.get("elapsed_s", 0.0),
+            columns=list(columns),
+            rows=list(rows),
+            machine_name=_field(where, entry, "machine", (str, type(None)),
+                                "a string", None),
+            machine_fingerprint=_field(where, entry, "machine_fingerprint",
+                                       (str, type(None)), "a string", None),
+            elapsed_s=_field(where, entry, "elapsed_s", _NUMBER, "a number",
+                             0.0),
             cache_stats=CacheStats(predictions=cache.get("predictions", 0),
                                    subtask_hits=cache.get("subtask_hits", 0),
                                    subtask_misses=cache.get("subtask_misses", 0)),
             disk_stats=DiskCacheStats(hits=cache.get("disk_hits", 0),
                                       misses=cache.get("disk_misses", 0),
                                       stores=cache.get("disk_stores", 0)),
-            execution=dict(entry.get("execution", {})),
-            phases=dict(entry.get("phases", {})),
-            analysis=dict(data.get("analysis", {})),
-            sharding=entry.get("sharding"),
+            execution=dict(execution),
+            phases=dict(phases),
+            analysis=dict(_field(artifact, data, "analysis", dict,
+                                 "an object", {})),
+            sharding=_field(where, entry, "sharding", (dict, type(None)),
+                            "an object", None),
         ))
     return results
 

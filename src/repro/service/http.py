@@ -71,6 +71,9 @@ class HttpRequest:
         except (ValueError, UnicodeDecodeError) as exc:
             raise HttpError(f"request body is not valid JSON: {exc}",
                             status=400) from exc
+        except RecursionError as exc:
+            raise HttpError("request body is nested too deeply",
+                            status=400) from exc
 
 
 async def _read_line(reader) -> bytes:
@@ -114,15 +117,14 @@ async def read_request(reader) -> HttpRequest | None:
     body = b""
     length_text = headers.get("content-length")
     if length_text is not None:
-        try:
-            length = int(length_text)
-        except ValueError as exc:
-            raise HttpError("malformed Content-Length", status=400) from exc
-        if length < 0:
+        # RFC 9110: 1*DIGIT.  int() alone would also take "+2" and "1_0".
+        if not (length_text.isascii() and length_text.isdigit()):
             raise HttpError("malformed Content-Length", status=400)
-        if length > MAX_BODY:
+        digits = length_text.lstrip("0")
+        if len(digits) > len(str(MAX_BODY)) or int(digits or 0) > MAX_BODY:
             raise HttpError(f"request body exceeds {MAX_BODY} bytes",
                             status=413)
+        length = int(digits or 0)
         if length:
             try:
                 body = await reader.readexactly(length)

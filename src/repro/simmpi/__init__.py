@@ -4,7 +4,9 @@ The paper validates its performance model against SWEEP3D runs on real MPI
 clusters.  Those machines are not available here, so this package provides a
 *virtual cluster*: rank programs are ordinary Python generator functions
 that ``yield`` MPI-like operations (send, recv, allreduce, compute, ...) to
-a scheduling engine.  The engine
+one scheduling loop (:func:`~repro.simmpi.engine.run_ranks`), which hands
+every event to a sink.  With a timing sink the loop is the engine
+(:class:`ClusterEngine`), which
 
 * moves real payloads between ranks (numeric application runs produce
   bit-correct results),
@@ -13,6 +15,10 @@ a scheduling engine.  The engine
   :mod:`repro.simproc` processor model,
 * injects seeded OS/network noise, and
 * reports per-rank timing breakdowns.
+
+With a column sink the same loop is the trace recorder
+(:class:`TraceRecorder`), which captures a modelled run's event table
+once for fast max-plus replay (:class:`CompiledTrace`).
 
 A minimal rank program::
 

@@ -20,8 +20,9 @@ from typing import Any, Sequence
 import numpy as np
 
 from repro.errors import CommunicatorError
-from repro.simnet.message import ANY_SOURCE, ANY_TAG
 from repro.simmpi.operations import (
+    ANY_SOURCE,
+    ANY_TAG,
     AllReduce,
     Barrier,
     Bcast,
@@ -62,7 +63,8 @@ def payload_nbytes(payload: Any) -> float:
 class SimComm:
     """Communicator handle for one simulated rank.
 
-    Instances are created by the :class:`~repro.simmpi.engine.ClusterEngine`;
+    Instances are created by the scheduling loop
+    (:func:`~repro.simmpi.engine.run_ranks`);
     user code receives one as the first argument of its rank program.
     """
 

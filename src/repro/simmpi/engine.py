@@ -1,20 +1,32 @@
-"""The discrete-event scheduling engine of the simulated cluster.
+"""The scheduling loop of the simulated cluster.
 
-The engine advances every rank program (a generator) until it blocks on a
-communication operation, computes virtual completion times from the
-:mod:`repro.simnet` cost models and wakes blocked ranks when their
-operations complete.  Because every completion time is a pure function of
-the *posting* times of the participating ranks (``max`` of post times plus
-link costs), the wall-clock order in which the engine happens to advance
-ranks does not affect the virtual-time result — the simulation is
-deterministic for deterministic programs.
+:func:`run_ranks` advances every rank program (a generator) until it
+blocks on a communication operation and wakes blocked ranks when their
+operations complete.  It is the only place the simulator's MPI semantics
+live: the FIFO ready queue, (source, tag) and wildcard matching, eager vs
+rendez-vous blocking, request waits, collectives and their results,
+message and traffic counts, and the deadlock and operation-budget checks.
+The loop keeps every rank's virtual clock and hands each event to a
+*sink*, the object that does the per-event work:
+
+* :class:`ClusterEngine` runs the loop with a timing sink, which draws
+  the run's noise at every draw site;
+* :class:`~repro.simmpi.trace.TraceRecorder` runs it with a column sink,
+  which appends one trace row per event and refuses operations whose
+  pattern could depend on virtual time.
+
+Because every completion time is a pure function of the *posting* times
+of the participating ranks (``max`` of post times plus link costs), the
+wall-clock order in which the loop happens to advance ranks does not
+affect the virtual-time result — the simulation is deterministic for
+deterministic programs.
 """
 
 from __future__ import annotations
 
 import math
 from collections import deque
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Any, Callable, Iterable
 
 from repro.errors import (
@@ -23,31 +35,31 @@ from repro.errors import (
     RankFailureError,
     SimulationError,
 )
-from repro.simnet.message import ANY_SOURCE, ANY_TAG, Message
 from repro.simnet.noise import NoiseModel
 from repro.simnet.topology import ClusterTopology, LinkUsageStats
 from repro.simmpi.communicator import SimComm
 from repro.simmpi.operations import (
-    AllReduce,
-    Barrier,
-    Bcast,
-    Compute,
-    ExecuteMix,
-    Irecv,
-    Isend,
-    Now,
-    Recv,
-    Send,
-    Wait,
-    WaitAll,
+    ANY_SOURCE,
+    ANY_TAG,
+    OP_ALLREDUCE,
+    OP_BARRIER,
+    OP_BCAST,
+    OP_COMPUTE,
+    OP_EXECUTE,
+    OP_IRECV,
+    OP_ISEND,
+    OP_NOW,
+    OP_RECV,
+    OP_SEND,
+    OP_WAIT,
+    OP_WAITALL,
 )
 from repro.simmpi.request import Request
 from repro.units import snap_to_grid
 
-_READY = "ready"
-_BLOCKED = "blocked"
-_DONE = "done"
-_FAILED = "failed"
+_READY = 0
+_BLOCKED = 1
+_DONE = 2
 
 
 def collective_cost(kind: str, nbytes: float, nranks: int, link) -> float:
@@ -55,9 +67,7 @@ def collective_cost(kind: str, nbytes: float, nranks: int, link) -> float:
 
     ``kind`` is the operation class name (``"AllReduce"``, ``"Bcast"``,
     ``"Barrier"``); ``link`` is the inter-node
-    :class:`~repro.simnet.link.LinkModel`.  Shared by the engine's
-    completion-time computation and the trace recorder
-    (:mod:`repro.simmpi.trace`), so both price collectives identically.
+    :class:`~repro.simnet.link.LinkModel`.
 
     Collective costs are computed from the link's fitted parameters, not
     through its per-message methods, so a tick-quantized link
@@ -135,67 +145,441 @@ class SimulationResult:
         return self.ranks[rank]
 
 
-# ---------------------------------------------------------------------------
-# Internal bookkeeping records
-# ---------------------------------------------------------------------------
+def _route(topology: ClusterTopology, key: tuple, index: int) -> tuple:
+    """Price one message shape ``key = (source, dest, tag, nbytes)``.
+
+    A route is ``(sender cpu, receiver cpu, wire time, eager, intra-node,
+    index, key)``; the loop builds each one once per run and numbers them
+    in order of first use.
+    """
+    source, dest, _, nbytes = key
+    link = topology.link_for(source, dest)
+    intra = int(topology.intra_node is not None
+                and topology.same_node(source, dest))
+    return (link.sender_cpu_time(nbytes), link.receiver_cpu_time(nbytes),
+            link.wire_time(nbytes), link.is_eager(nbytes), intra, index, key)
 
 
-@dataclass
-class _PendingSend:
-    """A send whose message has not yet been matched by a receive."""
+def _take_wildcard(queues: dict, source: int, tag: int) -> tuple | None:
+    """Remove and return the unexpected send a wildcard receive matches.
 
-    message: Message
-    eager: bool
-    sender_ready_time: float   # sender post + sender cpu overhead
-    request: Request
+    ``ANY_SOURCE`` takes the message available first (eager sends by
+    arrival, rendez-vous sends by sender readiness, then send order);
+    ``ANY_TAG`` alone takes the named source's first send.
+    """
+    best = None
+    for key, queue in queues.items():
+        if (source != ANY_SOURCE and key[0] != source
+                or tag != ANY_TAG and key[1] != tag):
+            continue
+        for index, send in enumerate(queue):
+            slot, _, _, _, route, ready_time, arrival, _ = send
+            if source == ANY_SOURCE:
+                order = (arrival if route[3] else ready_time, slot)
+            else:
+                order = (slot,)
+            if best is None or order < best[0]:
+                best = (order, key, index)
+    if best is None:
+        return None
+    _, key, index = best
+    queue = queues[key]
+    send = queue[index]
+    del queue[index]
+    if not queue:
+        del queues[key]
+    return send
 
 
-@dataclass
-class _PostedRecv:
-    """A receive posted before its matching message was available."""
+def run_ranks(sink: Any, topology: ClusterTopology, processor: Any,
+              max_operations: int, program: Callable[..., Any],
+              nranks: int, program_args: Iterable[Any] = (),
+              program_kwargs: dict[str, Any] | None = None
+              ) -> SimulationResult:
+    """Run ``program`` on ``nranks`` ranks, handing every event to ``sink``.
 
-    rank: int
-    source: int
-    tag: int
-    post_time: float
-    request: Request
+    ``program`` is called as ``program(comm, *program_args,
+    **program_kwargs)`` for each rank and must return a generator.  The
+    sink provides:
+
+    * ``error`` — the exception class raised for misuse (bad rank count,
+      non-generator program, missing processor model, exhausted
+      operation budget);
+    * ``compute(rank, base)``, ``send(rank, slot, base, route)``,
+      ``match(rank, slot, base)`` and ``collective(base, nbytes)`` — one
+      call per event, each returning the event's duration.  ``base`` is
+      the noise-free duration of the event's draw site (0.0 where the
+      event draws nothing: a rendez-vous send, an eager match); ``slot``
+      numbers the run's sends in send order;
+    * ``timing_dependent(what)`` — called before ``now``, ``isend``,
+      ``irecv``, ``wait``, ``waitall`` and wildcard receives.
+
+    All per-run state lives in this call's frame, so nothing of a run —
+    generators, payloads, queues — outlives it, failed runs included.
+    """
+    error = sink.error
+    if nranks < 1:
+        raise error("nranks must be >= 1")
+    topology.validate_rank_count(nranks)
+    program_kwargs = dict(program_kwargs or {})
+    advance = []
+    for rank in range(nranks):
+        gen = program(SimComm(rank, nranks), *program_args, **program_kwargs)
+        if not hasattr(gen, "send"):
+            raise error("rank program must be a generator function (use 'yield')")
+        advance.append(gen.send)
+
+    clock = [0.0] * nranks
+    compute_time = [0.0] * nranks
+    comm_time = [0.0] * nranks
+    sent = [0] * nranks
+    sent_bytes = [0.0] * nranks
+    received = [0] * nranks
+    received_bytes = [0.0] * nranks
+    status = [_READY] * nranks
+    resume: list[Any] = [None] * nranks
+    returns: list[Any] = [None] * nranks
+    collective_index = [0] * nranks
+    # Per destination, the unmatched sends keyed by (source, tag), each
+    # deque in send order (the MPI non-overtaking rule).  A send is
+    # (slot, source, nbytes, payload, route, ready time, eager arrival,
+    # request); request is None for a blocking send.
+    unexpected: list[dict[tuple[int, int], deque]] = [
+        {} for _ in range(nranks)]
+    # Per rank, its posted receives (source, tag, post time, request) in
+    # post order; request is None for a blocking receive.
+    posted: list[list[tuple]] = [[] for _ in range(nranks)]
+    # Open collectives: call index -> {rank: (post time, op)}.
+    collectives: dict[int, dict[int, tuple[float, Any]]] = {}
+    # Ranks blocked in wait/waitall: request id -> rank, and per rank
+    # (requests, whether the call was a waitall).
+    waiters: dict[int, int] = {}
+    waiting: list[Any] = [None] * nranks
+    routes: dict[tuple, tuple] = {}
+    by_tag: dict[int, int] = {}
+    messages = 0
+    traffic_bytes = 0.0
+    intra_messages = 0
+    operations = 0
+    ready = deque(range(nranks))
+    popleft = ready.popleft
+    push = ready.append
+    on_compute = sink.compute
+    on_send = sink.send
+    on_match = sink.match
+    timing_dependent = sink.timing_dependent
+
+    def settle(rank: int, time: float) -> None:
+        """Advance ``rank``'s clock to ``time``, charging the wait as comm."""
+        if time > clock[rank]:
+            comm_time[rank] += time - clock[rank]
+            clock[rank] = time
+
+    def complete(request: Request, time: float, payload: Any = None) -> None:
+        """Complete ``request``; wake its waiter once all it awaits is done."""
+        request.mark_complete(time, payload)
+        rank = waiters.pop(request.request_id, None)
+        if rank is None:
+            return
+        requests, as_list = waiting[rank]
+        if not all(r.complete for r in requests):
+            return
+        waiting[rank] = None
+        for r in requests:
+            settle(rank, r.completion_time)
+        resume[rank] = ([r.payload for r in requests] if as_list
+                        else requests[0].payload)
+        status[rank] = _READY
+        push(rank)
+
+    def deliver(send: tuple, receiver: int, post: float) -> float:
+        """Match ``send`` with ``receiver``'s receive posted at ``post``.
+
+        Completes the send side — a blocked sender wakes — counts the
+        message received and returns the receive's completion time.
+        """
+        slot, sender, nbytes, _, route, ready_time, arrival, request = send
+        if route[3]:
+            on_match(receiver, slot, 0.0)
+            done = (post if post > arrival else arrival) + route[1]
+        else:
+            arrival = ((ready_time if ready_time > post else post)
+                       + on_match(receiver, slot, route[2]))
+            if request is not None:
+                complete(request, arrival)
+            else:
+                settle(sender, arrival)
+                if status[sender] == _BLOCKED:
+                    status[sender] = _READY
+                    push(sender)
+            done = arrival + route[1]
+        received[receiver] += 1
+        received_bytes[receiver] += nbytes
+        return done
+
+    while ready:
+        rank = popleft()
+        send_to = advance[rank]
+        value = resume[rank]
+        resume[rank] = None
+        while True:
+            operations += 1
+            if operations > max_operations:
+                raise error(
+                    f"operation budget exceeded ({max_operations}); "
+                    "possible unbounded loop in a rank program")
+            try:
+                op = send_to(value)
+            except StopIteration as stop:
+                status[rank] = _DONE
+                returns[rank] = stop.value
+                break
+            except Exception as exc:  # noqa: BLE001 - converted to RankFailureError
+                raise RankFailureError(rank, exc) from exc
+            value = None
+            try:
+                code = op.code
+            except AttributeError:
+                code = None
+
+            if code == OP_RECV or code == OP_IRECV:
+                request = None
+                if code == OP_IRECV:
+                    timing_dependent("irecv")
+                    request = Request(kind="recv", rank=rank)
+                source = op.source
+                tag = op.tag
+                queues = unexpected[rank]
+                if source == ANY_SOURCE or tag == ANY_TAG:
+                    timing_dependent("a wildcard receive")
+                    send = _take_wildcard(queues, source, tag)
+                else:
+                    queue = queues.get((source, tag))
+                    if queue:
+                        send = queue.popleft()
+                        if not queue:
+                            del queues[(source, tag)]
+                    else:
+                        send = None
+                if send is None:
+                    posted[rank].append((source, tag, clock[rank], request))
+                    if request is None:
+                        status[rank] = _BLOCKED
+                        break
+                    value = request
+                    continue
+                done = deliver(send, rank, clock[rank])
+                if request is None:
+                    settle(rank, done)
+                    value = send[3]
+                else:
+                    request.mark_complete(done, send[3])
+                    value = request
+                continue
+
+            if code == OP_COMPUTE:
+                duration = on_compute(rank, op.seconds)
+                clock[rank] += duration
+                compute_time[rank] += duration
+                continue
+
+            if code == OP_SEND or code == OP_ISEND:
+                request = None
+                if code == OP_ISEND:
+                    timing_dependent("isend")
+                    request = Request(kind="send", rank=rank)
+                dest = op.dest
+                tag = op.tag
+                nbytes = op.nbytes
+                key = (rank, dest, tag, nbytes)
+                route = routes.get(key)
+                if route is None:
+                    route = routes[key] = _route(topology, key, len(routes))
+                cpu, _, wire, eager, intra, _, _ = route
+                ready_time = clock[rank] + cpu
+                clock[rank] = ready_time
+                comm_time[rank] += cpu
+                sent[rank] += 1
+                sent_bytes[rank] += nbytes
+                slot = messages
+                messages += 1
+                traffic_bytes += nbytes
+                intra_messages += intra
+                by_tag[tag] = by_tag.get(tag, 0) + 1
+                if eager:
+                    arrival = ready_time + on_send(rank, slot, wire, route)
+                    if request is not None:
+                        request.mark_complete(ready_time)
+                else:
+                    on_send(rank, slot, 0.0, route)
+                    arrival = 0.0
+                send = (slot, rank, nbytes, op.payload, route, ready_time,
+                        arrival, request)
+                recvs = posted[dest]
+                for index, (source, recv_tag, post, recv_request) in \
+                        enumerate(recvs):
+                    if ((source == rank or source == ANY_SOURCE)
+                            and (recv_tag == tag or recv_tag == ANY_TAG)):
+                        del recvs[index]
+                        break
+                else:
+                    unexpected[dest].setdefault((rank, tag), deque()).append(
+                        send)
+                    if request is not None:
+                        value = request
+                    elif not eager:
+                        status[rank] = _BLOCKED
+                        break
+                    continue
+                done = deliver(send, dest, post)
+                if recv_request is None:
+                    settle(dest, done)
+                    resume[dest] = op.payload
+                    status[dest] = _READY
+                    push(dest)
+                else:
+                    complete(recv_request, done, op.payload)
+                value = request
+                continue
+
+            if code == OP_ALLREDUCE or code == OP_BARRIER or code == OP_BCAST:
+                index = collective_index[rank]
+                collective_index[rank] = index + 1
+                posts = collectives.setdefault(index, {})
+                if posts:
+                    first = next(iter(posts.values()))[1]
+                    if first.code != code:
+                        raise CommunicatorError(
+                            f"collective mismatch at index {index}: rank "
+                            f"{rank} called {type(op).__name__} but other "
+                            f"ranks called {type(first).__name__}")
+                posts[rank] = (clock[rank], op)
+                if len(posts) < nranks:
+                    status[rank] = _BLOCKED
+                    break
+                # Last arrival: the completion time and result for all.
+                del collectives[index]
+                nbytes = 0.0
+                if code != OP_BARRIER:
+                    for _, arrived in posts.values():
+                        nbytes = max(nbytes, arrived.nbytes)
+                cost = collective_cost(type(op).__name__, nbytes, nranks,
+                                       topology.inter_node)
+                completion = (max(post for post, _ in posts.values())
+                              + sink.collective(cost, nbytes))
+                if code == OP_ALLREDUCE:
+                    result = op.op.combine(
+                        [posts[r][1].value for r in sorted(posts)])
+                elif code == OP_BCAST:
+                    result = posts[op.root][1].value
+                else:
+                    result = None
+                for other in range(nranks):
+                    settle(other, completion)
+                    if other != rank:
+                        resume[other] = result
+                        status[other] = _READY
+                        push(other)
+                value = result
+                continue
+
+            if code == OP_EXECUTE:
+                if processor is None:
+                    raise error(
+                        "SimComm.execute(mix) requires a processor model")
+                duration = on_compute(rank, processor.execute_time(op.mix))
+                clock[rank] += duration
+                compute_time[rank] += duration
+                continue
+
+            if code == OP_WAIT or code == OP_WAITALL:
+                if code == OP_WAIT:
+                    timing_dependent("wait")
+                    requests = [op.request]
+                else:
+                    timing_dependent("waitall")
+                    requests = list(op.requests)
+                if any(not isinstance(r, Request) for r in requests):
+                    raise CommunicatorError(
+                        "wait() expects a Request object" if code == OP_WAIT
+                        else "waitall() expects Request objects")
+                if all(r.complete for r in requests):
+                    for r in requests:
+                        settle(rank, r.completion_time)
+                    value = ([r.payload for r in requests]
+                             if code == OP_WAITALL else requests[0].payload)
+                    continue
+                for r in requests:
+                    if not r.complete:
+                        waiters[r.request_id] = rank
+                waiting[rank] = (requests, code == OP_WAITALL)
+                status[rank] = _BLOCKED
+                break
+
+            if code == OP_NOW:
+                timing_dependent("now")
+                value = clock[rank]
+                continue
+
+            raise CommunicatorError(
+                f"rank {rank} yielded an unknown operation: {op!r}")
+
+    blocked = [rank for rank in range(nranks) if status[rank] != _DONE]
+    if blocked:
+        raise DeadlockError(
+            f"deadlock: ranks {blocked} are blocked with no pending events",
+            blocked_ranks=blocked)
+    ranks = [RankResult(
+        rank=rank, finish_time=clock[rank], return_value=returns[rank],
+        compute_time=compute_time[rank], comm_time=comm_time[rank],
+        messages_sent=sent[rank], bytes_sent=sent_bytes[rank],
+        messages_received=received[rank],
+        bytes_received=received_bytes[rank]) for rank in range(nranks)]
+    traffic = LinkUsageStats(
+        messages=messages, bytes=traffic_bytes,
+        intra_node_messages=intra_messages,
+        inter_node_messages=messages - intra_messages, by_tag=by_tag)
+    return SimulationResult(nranks=nranks, ranks=ranks,
+                            elapsed_time=max(clock), traffic=traffic)
 
 
-@dataclass
-class _CollectiveSlot:
-    """Per-index collective rendez-vous point across the communicator."""
+class _TimingSink:
+    """The engine's per-event work: the run's noise at every draw site.
 
-    kind: str = ""
-    posts: dict[int, tuple[float, Any]] = field(default_factory=dict)
-    nbytes: float = 0.0
-    op: Any = None
-    root: int = 0
+    Draws happen in the order the loop reaches the sites, the order trace
+    replay perturbs them in (:meth:`NoiseModel.perturb_batch`); a site
+    with a zero base draws nothing.
+    """
 
+    error = SimulationError
 
-@dataclass
-class _RankState:
-    rank: int
-    gen: Any
-    clock: float = 0.0
-    status: str = _READY
-    resume_value: Any = None
-    blocked_since: float = 0.0
-    waiting_requests: list[Request] = field(default_factory=list)
-    waiting_collective: int | None = None
-    collective_counter: int = 0
-    result: RankResult | None = None
-    # statistics
-    compute_time: float = 0.0
-    comm_time: float = 0.0
-    messages_sent: int = 0
-    bytes_sent: float = 0.0
-    messages_received: int = 0
-    bytes_received: float = 0.0
-    return_value: Any = None
+    def __init__(self, noise: NoiseModel):
+        draws = noise.draws()
+        self._compute = draws.compute
+        self._network = draws.network
+
+    def compute(self, rank: int, base: float) -> float:
+        return self._compute(base)
+
+    def send(self, rank: int, slot: int, base: float, route: tuple) -> float:
+        return self._network(base)
+
+    def match(self, rank: int, slot: int, base: float) -> float:
+        return self._network(base)
+
+    def collective(self, base: float, nbytes: float) -> float:
+        return self._network(base)
+
+    def timing_dependent(self, what: str) -> None:
+        pass
 
 
 class ClusterEngine:
     """Runs rank programs on a simulated cluster.
+
+    The scheduling loop (:func:`run_ranks`) with a timing sink: every
+    compute block and message transfer draws its noise as the loop
+    reaches it, so the loop's clocks are the simulated times.
 
     Parameters
     ----------
@@ -212,16 +596,6 @@ class ClusterEngine:
         Safety valve: abort with :class:`SimulationError` if a single run
         executes more than this many operations (guards against unbounded
         loops in rank programs).
-
-    .. note::
-       Trace replay (:mod:`repro.simmpi.trace`) reproduces this engine's
-       scheduling discipline, matching rules, noise-draw sites and
-       floating-point accounting **by construction, in a separate lean
-       pass** — any change to those semantics here must be mirrored in
-       :class:`~repro.simmpi.trace.TraceRecorder`/
-       :class:`~repro.simmpi.trace.CompiledTrace`.  The property-based
-       replay==engine test (``tests/test_property_based.py``) and the
-       ``bench_trace_speed`` gates exist to catch a desynchronisation.
     """
 
     def __init__(self, topology: ClusterTopology,
@@ -233,34 +607,6 @@ class ClusterEngine:
         self.noise = noise if noise is not None else NoiseModel.disabled()
         self.max_operations = max_operations
         self._running = False
-        self._reset([])
-
-    # ------------------------------------------------------------------
-
-    def _reset(self, states: list[_RankState]) -> None:
-        """Install fresh per-run state.
-
-        The engine is reusable across :meth:`run` invocations (a simulation
-        plan keeps one engine alive for a whole scenario grid), so every
-        piece of per-run bookkeeping — pending sends, posted receives,
-        collective slots, traffic counters — is rebuilt here rather than
-        carried over from the previous grid point.
-        """
-        nranks = len(states)
-        self._states = states
-        self._nranks = nranks
-        self._draws = None
-        #: Unmatched sends per destination rank, indexed by (source, tag).
-        #: Each deque is in send (seq) order, so the FIFO head is always the
-        #: MPI non-overtaking match for a specific-source receive.
-        self._unexpected: list[dict[tuple[int, int], deque[_PendingSend]]] = [
-            {} for _ in range(nranks)]
-        self._posted_recvs: list[list[_PostedRecv]] = [[] for _ in range(nranks)]
-        self._collectives: dict[int, _CollectiveSlot] = {}
-        self._request_waiters: dict[int, int] = {}
-        self._ready: deque[int] = deque(range(nranks))
-        self._traffic = LinkUsageStats()
-        self._operations = 0
 
     def run(self, program: Callable[..., Any], nranks: int,
             program_args: Iterable[Any] = (),
@@ -279,397 +625,19 @@ class ClusterEngine:
         give equal results however often the engine or the model is
         reused.
 
-        The engine may be reused: every invocation starts from a clean
-        slate (no ``_PendingSend``/``_PostedRecv``/collective state leaks
-        between runs, even when a previous run failed), and a re-entrant
-        call from inside a rank program is rejected.
+        The engine may be reused: it keeps no per-run state, so no run —
+        even a failed one — leaks into the next, and a re-entrant call
+        from inside a rank program is rejected.
         """
         if self._running:
             raise SimulationError(
                 "ClusterEngine.run() is not re-entrant; use a separate engine "
                 "for nested simulations")
-        if nranks < 1:
-            raise SimulationError("nranks must be >= 1")
-        self.topology.validate_rank_count(nranks)
-        program_kwargs = dict(program_kwargs or {})
-
-        states: list[_RankState] = []
-        for rank in range(nranks):
-            comm = SimComm(rank, nranks)
-            gen = program(comm, *program_args, **program_kwargs)
-            if not hasattr(gen, "send"):
-                raise SimulationError(
-                    "rank program must be a generator function (use 'yield')")
-            states.append(_RankState(rank=rank, gen=gen))
-
         self._running = True
-        self._reset(states)
-        self._draws = (noise if noise is not None else self.noise).draws()
         try:
-            return self._execute(nranks)
+            return run_ranks(
+                _TimingSink(noise if noise is not None else self.noise),
+                self.topology, self.processor, self.max_operations,
+                program, nranks, program_args, program_kwargs)
         finally:
             self._running = False
-            # Drop every reference to the finished (or failed) run so a
-            # long-lived engine held by a simulation plan cannot pin rank
-            # generators, pending messages or posted receives.
-            self._reset([])
-
-    def _execute(self, nranks: int) -> SimulationResult:
-        while self._ready:
-            rank = self._ready.popleft()
-            state = self._states[rank]
-            if state.status != _READY:
-                continue
-            self._advance(state)
-            if not self._ready and not all(s.status == _DONE for s in self._states):
-                blocked = [s.rank for s in self._states if s.status == _BLOCKED]
-                if blocked:
-                    raise DeadlockError(
-                        f"deadlock: ranks {blocked} are blocked with no pending events",
-                        blocked_ranks=blocked)
-
-        unfinished = [s.rank for s in self._states if s.status != _DONE]
-        if unfinished:
-            raise DeadlockError(
-                f"deadlock: ranks {unfinished} never completed", blocked_ranks=unfinished)
-
-        results = []
-        for state in self._states:
-            results.append(RankResult(
-                rank=state.rank,
-                finish_time=state.clock,
-                return_value=state.return_value,
-                compute_time=state.compute_time,
-                comm_time=state.comm_time,
-                messages_sent=state.messages_sent,
-                bytes_sent=state.bytes_sent,
-                messages_received=state.messages_received,
-                bytes_received=state.bytes_received,
-            ))
-        elapsed = max((r.finish_time for r in results), default=0.0)
-        return SimulationResult(nranks=nranks, ranks=results, elapsed_time=elapsed,
-                                traffic=self._traffic)
-
-    # ------------------------------------------------------------------
-    # Rank advancement
-    # ------------------------------------------------------------------
-
-    def _advance(self, state: _RankState) -> None:
-        """Advance one rank until it blocks, finishes or fails."""
-        while True:
-            self._operations += 1
-            if self._operations > self.max_operations:
-                raise SimulationError(
-                    f"operation budget exceeded ({self.max_operations}); "
-                    "possible unbounded loop in a rank program")
-            value, state.resume_value = state.resume_value, None
-            try:
-                op = state.gen.send(value)
-            except StopIteration as stop:
-                state.status = _DONE
-                state.return_value = stop.value
-                return
-            except Exception as exc:  # noqa: BLE001 - converted to RankFailureError
-                state.status = _FAILED
-                raise RankFailureError(state.rank, exc) from exc
-
-            if isinstance(op, Now):
-                state.resume_value = state.clock
-                continue
-            if isinstance(op, Compute):
-                duration = self._draws.compute(op.seconds)
-                state.clock += duration
-                state.compute_time += duration
-                continue
-            if isinstance(op, ExecuteMix):
-                if self.processor is None:
-                    raise SimulationError(
-                        "SimComm.execute(mix) requires the engine to be built "
-                        "with a processor model")
-                duration = self._draws.compute(
-                    self.processor.execute_time(op.mix))
-                state.clock += duration
-                state.compute_time += duration
-                continue
-            if isinstance(op, (Send, Isend)):
-                request = self._do_send(state, op)
-                if isinstance(op, Isend):
-                    state.resume_value = request
-                    continue
-                if request.complete:
-                    self._settle_wait(state, request, charge_comm=True)
-                    state.resume_value = None
-                    continue
-                self._block_on_requests(state, [request])
-                return
-            if isinstance(op, (Recv, Irecv)):
-                request = self._do_recv(state, op.source, op.tag)
-                if isinstance(op, Irecv):
-                    state.resume_value = request
-                    continue
-                if request.complete:
-                    self._settle_wait(state, request, charge_comm=True)
-                    state.resume_value = request.payload
-                    continue
-                self._block_on_requests(state, [request])
-                return
-            if isinstance(op, Wait):
-                request = op.request
-                if not isinstance(request, Request):
-                    raise CommunicatorError("wait() expects a Request object")
-                if request.complete:
-                    self._settle_wait(state, request, charge_comm=True)
-                    state.resume_value = request.payload
-                    continue
-                self._block_on_requests(state, [request])
-                return
-            if isinstance(op, WaitAll):
-                requests = list(op.requests)
-                if any(not isinstance(r, Request) for r in requests):
-                    raise CommunicatorError("waitall() expects Request objects")
-                if all(r.complete for r in requests):
-                    for request in requests:
-                        self._settle_wait(state, request, charge_comm=True)
-                    state.resume_value = [r.payload for r in requests]
-                    continue
-                self._block_on_requests(state, requests)
-                return
-            if isinstance(op, (AllReduce, Barrier, Bcast)):
-                completed = self._do_collective(state, op)
-                if completed:
-                    continue
-                return
-            raise CommunicatorError(
-                f"rank {state.rank} yielded an unknown operation: {op!r}")
-
-    # ------------------------------------------------------------------
-    # Point-to-point
-    # ------------------------------------------------------------------
-
-    def _do_send(self, state: _RankState, op: Send | Isend) -> Request:
-        link = self.topology.link_for(state.rank, op.dest)
-        sender_cpu = link.sender_cpu_time(op.nbytes)
-        post_time = state.clock
-        message = Message(source=state.rank, dest=op.dest, tag=op.tag,
-                          nbytes=op.nbytes, payload=op.payload,
-                          send_post_time=post_time)
-        request = Request(kind="send", rank=state.rank)
-        state.clock += sender_cpu
-        state.comm_time += sender_cpu
-        state.messages_sent += 1
-        state.bytes_sent += op.nbytes
-        self._traffic.record(self.topology, state.rank, op.dest, op.nbytes, op.tag)
-
-        eager = link.is_eager(op.nbytes)
-        if eager:
-            wire = self._draws.network(link.wire_time(op.nbytes))
-            message.arrival_time = post_time + sender_cpu + wire
-            request.mark_complete(post_time + sender_cpu)
-        pending = _PendingSend(message=message, eager=eager,
-                               sender_ready_time=post_time + sender_cpu,
-                               request=request)
-
-        matched = self._match_posted_recv(pending)
-        if not matched:
-            queue = self._unexpected[op.dest].setdefault(
-                (state.rank, op.tag), deque())
-            queue.append(pending)
-        return request
-
-    def _do_recv(self, state: _RankState, source: int, tag: int) -> Request:
-        request = Request(kind="recv", rank=state.rank)
-        posted = _PostedRecv(rank=state.rank, source=source, tag=tag,
-                             post_time=state.clock, request=request)
-        pending = self._match_unexpected(posted)
-        if pending is None:
-            self._posted_recvs[state.rank].append(posted)
-        else:
-            self._complete_pair(pending, posted)
-        return request
-
-    def _match_posted_recv(self, pending: _PendingSend) -> bool:
-        """Try to match a new send against already-posted receives at its target."""
-        queue = self._posted_recvs[pending.message.dest]
-        for index, posted in enumerate(queue):
-            if pending.message.matches(posted.source, posted.tag):
-                del queue[index]
-                self._complete_pair(pending, posted)
-                return True
-        return False
-
-    def _match_unexpected(self, posted: _PostedRecv) -> _PendingSend | None:
-        """Try to match a new receive against the unexpected-message queues.
-
-        The common case — a receive naming both source and tag — is a O(1)
-        FIFO pop from the matching (source, tag) deque, which is in send
-        order per the MPI non-overtaking rule.  Wildcard receives fall back
-        to scanning every matching queue entry with exactly the selection
-        key the flat-list implementation used, so results are unchanged.
-        """
-        queues = self._unexpected[posted.rank]
-        if posted.source != ANY_SOURCE and posted.tag != ANY_TAG:
-            queue = queues.get((posted.source, posted.tag))
-            if not queue:
-                return None
-            pending = queue.popleft()
-            if not queue:
-                del queues[(posted.source, posted.tag)]
-            return pending
-
-        best: tuple[tuple[float, int], tuple[int, int], int] | None = None
-        for source_tag, queue in queues.items():
-            for index, pending in enumerate(queue):
-                if not pending.message.matches(posted.source, posted.tag):
-                    continue
-                if posted.source == ANY_SOURCE:
-                    key = (pending.message.arrival_time if pending.eager
-                           else pending.sender_ready_time, pending.message.seq)
-                else:
-                    # MPI non-overtaking rule: match in send order per source.
-                    key = (float(pending.message.seq), pending.message.seq)
-                if best is None or key < best[0]:
-                    best = (key, source_tag, index)
-        if best is None:
-            return None
-        _, source_tag, index = best
-        queue = queues[source_tag]
-        pending = queue[index]
-        del queue[index]
-        if not queue:
-            del queues[source_tag]
-        return pending
-
-    def _complete_pair(self, pending: _PendingSend, posted: _PostedRecv) -> None:
-        """Compute completion times for a matched send/receive pair."""
-        message = pending.message
-        link = self.topology.link_for(message.source, message.dest)
-        receiver_cpu = link.receiver_cpu_time(message.nbytes)
-        if pending.eager:
-            recv_done = max(posted.post_time, message.arrival_time) + receiver_cpu
-        else:
-            start = max(pending.sender_ready_time, posted.post_time)
-            wire = self._draws.network(link.wire_time(message.nbytes))
-            arrival = start + wire
-            message.arrival_time = arrival
-            pending.request.mark_complete(arrival)
-            self._notify_request(pending.request)
-            recv_done = arrival + receiver_cpu
-
-        receiver = self._states[posted.rank]
-        receiver.messages_received += 1
-        receiver.bytes_received += message.nbytes
-        posted.request.mark_complete(recv_done, payload=message.payload)
-        self._notify_request(posted.request)
-
-    # ------------------------------------------------------------------
-    # Blocking / wake-up machinery
-    # ------------------------------------------------------------------
-
-    def _block_on_requests(self, state: _RankState, requests: list[Request]) -> None:
-        state.status = _BLOCKED
-        state.blocked_since = state.clock
-        state.waiting_requests = requests
-        for request in requests:
-            if not request.complete:
-                self._request_waiters[request.request_id] = state.rank
-
-    def _notify_request(self, request: Request) -> None:
-        """Wake the rank (if any) blocked on ``request`` once all its waits are done."""
-        rank = self._request_waiters.pop(request.request_id, None)
-        if rank is None:
-            return
-        state = self._states[rank]
-        if state.status != _BLOCKED or not state.waiting_requests:
-            return
-        if not all(r.complete for r in state.waiting_requests):
-            return
-        requests = state.waiting_requests
-        state.waiting_requests = []
-        for req in requests:
-            self._settle_wait(state, req, charge_comm=True)
-        if len(requests) == 1:
-            state.resume_value = requests[0].payload
-        else:
-            state.resume_value = [r.payload for r in requests]
-        state.status = _READY
-        self._ready.append(rank)
-
-    def _settle_wait(self, state: _RankState, request: Request,
-                     charge_comm: bool) -> None:
-        """Advance a rank's clock to a completed request's completion time."""
-        if request.completion_time > state.clock:
-            if charge_comm:
-                state.comm_time += request.completion_time - state.clock
-            state.clock = request.completion_time
-
-    # ------------------------------------------------------------------
-    # Collectives
-    # ------------------------------------------------------------------
-
-    def _do_collective(self, state: _RankState, op: AllReduce | Barrier | Bcast) -> bool:
-        """Register a collective call; returns True if the caller may continue."""
-        index = state.collective_counter
-        state.collective_counter += 1
-        slot = self._collectives.setdefault(index, _CollectiveSlot())
-        kind = type(op).__name__
-        if slot.posts and slot.kind != kind:
-            raise CommunicatorError(
-                f"collective mismatch at index {index}: rank {state.rank} called "
-                f"{kind} but other ranks called {slot.kind}")
-        slot.kind = kind
-        if isinstance(op, AllReduce):
-            slot.nbytes = max(slot.nbytes, op.nbytes)
-            slot.op = op.op
-            slot.posts[state.rank] = (state.clock, op.value)
-        elif isinstance(op, Bcast):
-            slot.nbytes = max(slot.nbytes, op.nbytes)
-            slot.root = op.root
-            slot.posts[state.rank] = (state.clock, op.value)
-        else:
-            slot.posts[state.rank] = (state.clock, None)
-
-        if len(slot.posts) < self._nranks:
-            state.status = _BLOCKED
-            state.blocked_since = state.clock
-            state.waiting_collective = index
-            return False
-
-        # Everyone has arrived: compute the completion time and the result.
-        completion = self._collective_completion_time(slot)
-        result = self._collective_result(slot)
-        del self._collectives[index]
-
-        for other in self._states:
-            if other.rank == state.rank:
-                continue
-            if other.waiting_collective == index:
-                other.waiting_collective = None
-                post_time, _ = slot.posts[other.rank]
-                other.comm_time += max(0.0, completion - post_time)
-                other.clock = max(other.clock, completion)
-                other.resume_value = result
-                other.status = _READY
-                self._ready.append(other.rank)
-
-        post_time, _ = slot.posts[state.rank]
-        state.comm_time += max(0.0, completion - post_time)
-        state.clock = max(state.clock, completion)
-        state.resume_value = result
-        return True
-
-    def _collective_completion_time(self, slot: _CollectiveSlot) -> float:
-        base = max(post for post, _ in slot.posts.values())
-        if self._nranks == 1:
-            return base
-        cost = collective_cost(slot.kind, slot.nbytes, self._nranks,
-                               self.topology.inter_node)
-        return base + self._draws.network(cost)
-
-    def _collective_result(self, slot: _CollectiveSlot) -> Any:
-        if slot.kind == "AllReduce":
-            values = [value for _, value in
-                      (slot.posts[rank] for rank in sorted(slot.posts))]
-            return slot.op.combine(values)
-        if slot.kind == "Bcast":
-            return slot.posts[slot.root][1]
-        return None

@@ -15,7 +15,15 @@ from typing import Any, Sequence
 import numpy as np
 
 from repro.errors import CommunicatorError
-from repro.simnet.message import ANY_SOURCE, ANY_TAG  # noqa: F401 (re-exported)
+
+#: Wildcard values mirroring ``MPI_ANY_SOURCE`` / ``MPI_ANY_TAG``.
+ANY_SOURCE = -1
+ANY_TAG = -1
+
+#: Operation codes: the scheduling loop (:mod:`repro.simmpi.engine`)
+#: dispatches on ``op.code`` rather than on the operation's class.
+(OP_COMPUTE, OP_EXECUTE, OP_SEND, OP_RECV, OP_ISEND, OP_IRECV, OP_WAIT,
+ OP_WAITALL, OP_ALLREDUCE, OP_BARRIER, OP_BCAST, OP_NOW) = range(12)
 
 
 class ReduceOp(str, Enum):
@@ -65,6 +73,8 @@ class Operation:
 class Compute(Operation):
     """Charge ``seconds`` of CPU time to the issuing rank's clock."""
 
+    code = OP_COMPUTE
+
     seconds: float
 
     def __post_init__(self) -> None:
@@ -76,12 +86,16 @@ class Compute(Operation):
 class ExecuteMix(Operation):
     """Charge the execution time of an operation mix (needs a processor model)."""
 
+    code = OP_EXECUTE
+
     mix: Any  # OperationMix; typed loosely to avoid an import cycle
 
 
 @dataclass
 class Send(Operation):
     """Blocking standard-mode send (``MPI_Send``)."""
+
+    code = OP_SEND
 
     dest: int
     payload: Any
@@ -93,6 +107,8 @@ class Send(Operation):
 class Recv(Operation):
     """Blocking receive (``MPI_Recv``); evaluates to the received payload."""
 
+    code = OP_RECV
+
     source: int = ANY_SOURCE
     tag: int = ANY_TAG
 
@@ -100,6 +116,8 @@ class Recv(Operation):
 @dataclass
 class Isend(Operation):
     """Non-blocking send; evaluates to a :class:`~repro.simmpi.request.Request`."""
+
+    code = OP_ISEND
 
     dest: int
     payload: Any
@@ -111,6 +129,8 @@ class Isend(Operation):
 class Irecv(Operation):
     """Non-blocking receive; evaluates to a :class:`~repro.simmpi.request.Request`."""
 
+    code = OP_IRECV
+
     source: int = ANY_SOURCE
     tag: int = ANY_TAG
 
@@ -119,6 +139,8 @@ class Irecv(Operation):
 class Wait(Operation):
     """Block until ``request`` completes; evaluates to its payload (recv) or ``None``."""
 
+    code = OP_WAIT
+
     request: Any
 
 
@@ -126,12 +148,16 @@ class Wait(Operation):
 class WaitAll(Operation):
     """Block until every request in ``requests`` completes; evaluates to a list."""
 
+    code = OP_WAITALL
+
     requests: list = field(default_factory=list)
 
 
 @dataclass
 class AllReduce(Operation):
     """Combine ``value`` across all ranks; evaluates to the reduced value on every rank."""
+
+    code = OP_ALLREDUCE
 
     value: Any
     op: ReduceOp = ReduceOp.SUM
@@ -142,10 +168,14 @@ class AllReduce(Operation):
 class Barrier(Operation):
     """Synchronise all ranks."""
 
+    code = OP_BARRIER
+
 
 @dataclass
 class Bcast(Operation):
     """Broadcast ``value`` from ``root``; evaluates to the root's value on every rank."""
+
+    code = OP_BCAST
 
     value: Any
     root: int = 0
@@ -159,3 +189,5 @@ class Now(Operation):
     The equivalent of ``MPI_Wtime()`` — used by the MPI micro-benchmark
     substitute to time individual operations in virtual time.
     """
+
+    code = OP_NOW

@@ -12,13 +12,15 @@ on every run.
 This module splits that work in two:
 
 * :class:`TraceRecorder` executes each rank program **once** in a
-  pattern-capture pass.  It drives the generators with exactly the
-  engine's scheduling discipline (FIFO ready queue, (source, tag)-indexed
-  message matching, rendez-vous collectives) but computes no virtual
-  times — it records a flat event table (kind, rank, peer, tag, nbytes)
-  plus the pre-resolved base durations (compute charges from the cost
-  table, wire times and CPU overheads from the link models, collective
-  costs) and the send/recv pair matching, all as flat arrays.
+  pattern-capture pass.  It runs the engine's scheduling loop
+  (:func:`~repro.simmpi.engine.run_ranks`) with a column sink in place of
+  the engine's timing sink: the sink draws no noise and appends one row
+  per event, so the recorded order is the engine's order by
+  construction.  The rows make a flat event table (kind, rank, peer,
+  tag, nbytes) plus the pre-resolved base durations (compute charges
+  from the cost table, wire times and CPU overheads from the link
+  models, collective costs) and the send/recv pair matching, all as
+  flat arrays.
 
 * :class:`CompiledTrace.replay` resolves every completion time with the
   max-plus recurrence ``t[e] = max(t[deps(e)]) + dur[e]`` over the
@@ -55,33 +57,12 @@ wildcard receives, non-blocking requests and clock reads raise
 
 from __future__ import annotations
 
-from collections import deque
 from typing import Any, Callable, Iterable
 
 import numpy as np
 
-from repro.errors import (
-    CommunicatorError,
-    DeadlockError,
-    RankFailureError,
-    TraceError,
-)
-from repro.simmpi.communicator import SimComm
-from repro.simmpi.engine import (
-    RankResult,
-    SimulationResult,
-    collective_cost,
-)
-from repro.simmpi.operations import (
-    AllReduce,
-    Barrier,
-    Bcast,
-    Compute,
-    ExecuteMix,
-    Recv,
-    Send,
-)
-from repro.simnet.message import ANY_SOURCE, ANY_TAG
+from repro.errors import TraceError
+from repro.simmpi.engine import RankResult, SimulationResult, run_ranks
 from repro.simnet.noise import NoiseModel
 from repro.simnet.topology import ClusterTopology, LinkUsageStats
 
@@ -90,10 +71,6 @@ EV_COMPUTE = 0
 EV_SEND = 1
 EV_MATCH = 2
 EV_COLLECTIVE = 3
-
-_READY = "ready"
-_BLOCKED = "blocked"
-_DONE = "done"
 
 #: Wave kinds of the batched schedule (one vectorised kernel each).
 _N_WAVE_KINDS = 6
@@ -385,34 +362,6 @@ class BatchReplayResult:
             "elapsed_min": float(self.elapsed.min()),
             "elapsed_max": float(self.elapsed.max()),
         }
-
-
-class _RecRank:
-    """Per-rank capture state (no virtual clock — pattern only)."""
-
-    __slots__ = ("rank", "gen", "status", "resume", "collective_counter",
-                 "return_value")
-
-    def __init__(self, rank: int, gen: Any):
-        self.rank = rank
-        self.gen = gen
-        self.status = _READY
-        self.resume: Any = None
-        self.collective_counter = 0
-        self.return_value: Any = None
-
-
-class _Collective:
-    """Rendez-vous bookkeeping for one collective index during capture."""
-
-    __slots__ = ("kind", "posts", "nbytes", "op", "root")
-
-    def __init__(self):
-        self.kind = ""
-        self.posts: dict[int, Any] = {}
-        self.nbytes = 0.0
-        self.op: Any = None
-        self.root = 0
 
 
 def _replay_events(events: Iterable, nranks: int,
@@ -804,17 +753,150 @@ class CompiledTrace:
         return BatchReplayResult(self, seeds, elapsed, clock, compute, comm)
 
 
+class _ColumnSink:
+    """The recorder's per-event work: one trace row per event, no noise.
+
+    A row is (kind, rank, slot, base) and every hook returns the base
+    duration unperturbed.  The other columns of a trace — CPU overheads,
+    peers, tags, sizes, noise kinds — follow from each send's route and
+    are gathered per send slot when the trace is built.  Operations whose
+    pattern or result could depend on virtual time raise
+    :class:`~repro.errors.TraceError`.
+    """
+
+    error = TraceError
+
+    def __init__(self):
+        self._kinds: list[int] = []
+        self._ranks: list[int] = []
+        self._slots: list[int] = []
+        self._bases: list[float] = []
+        self._routes: list[tuple] = []           # by route index
+        self._send_routes: list[int] = []        # route index per send slot
+        self._collective_nbytes: list[float] = []
+        self._kind = self._kinds.append
+        self._rank = self._ranks.append
+        self._slot = self._slots.append
+        self._base = self._bases.append
+        self._send_route = self._send_routes.append
+
+    def compute(self, rank: int, base: float) -> float:
+        self._kind(EV_COMPUTE)
+        self._rank(rank)
+        self._slot(-1)
+        self._base(base)
+        return base
+
+    def send(self, rank: int, slot: int, base: float, route: tuple) -> float:
+        self._kind(EV_SEND)
+        self._rank(rank)
+        self._slot(slot)
+        self._base(base)
+        index = route[5]
+        if index == len(self._routes):
+            self._routes.append(route)
+        self._send_route(index)
+        return base
+
+    def match(self, rank: int, slot: int, base: float) -> float:
+        self._kind(EV_MATCH)
+        self._rank(rank)
+        self._slot(slot)
+        self._base(base)
+        return base
+
+    def collective(self, base: float, nbytes: float) -> float:
+        self._kind(EV_COLLECTIVE)
+        self._rank(-1)
+        self._slot(-1)
+        self._base(base)
+        self._collective_nbytes.append(nbytes)
+        return base
+
+    def timing_dependent(self, what: str) -> None:
+        raise TraceError(
+            f"{what} is timing-dependent and cannot be trace-compiled "
+            "(supported: compute, execute, blocking send/recv with explicit "
+            "source and tag, allreduce, barrier, bcast)")
+
+    def trace(self, result: SimulationResult) -> CompiledTrace:
+        """The recorded run as a :class:`CompiledTrace`."""
+        kind = np.array(self._kinds, dtype=np.int8)
+        rank = np.array(self._ranks, dtype=np.int32)
+        slot = np.array(self._slots, dtype=np.int32)
+        n = len(kind)
+        # Route columns (see repro.simmpi.engine._route), then each send
+        # slot's route.
+        routes = self._routes
+        cpu = np.array([route[0] for route in routes], dtype=float)
+        rcpu = np.array([route[1] for route in routes], dtype=float)
+        eager = np.array([route[3] for route in routes], dtype=bool)
+        source, dest, tag = (
+            np.array([route[6][field] for route in routes], dtype=np.int32)
+            for field in range(3))
+        size = np.array([route[6][3] for route in routes], dtype=float)
+        route_of = np.array(self._send_routes, dtype=np.intp)
+
+        sends = np.flatnonzero(kind == EV_SEND)
+        matches = np.flatnonzero(kind == EV_MATCH)
+        linked = np.flatnonzero((kind == EV_SEND) | (kind == EV_MATCH))
+        send_route = route_of[slot[sends]]
+        match_route = route_of[slot[matches]]
+        linked_route = route_of[slot[linked]]
+        aux = np.zeros(n)
+        aux[sends] = cpu[send_route]
+        aux[matches] = rcpu[match_route]
+        peer = np.full(n, -1, dtype=np.int32)
+        peer[sends] = dest[send_route]
+        peer[matches] = source[match_route]
+        event_tag = np.full(n, -1, dtype=np.int32)
+        event_tag[linked] = tag[linked_route]
+        nbytes = np.zeros(n)
+        nbytes[linked] = size[linked_route]
+        collectives = kind == EV_COLLECTIVE
+        nbytes[collectives] = self._collective_nbytes
+        noise_kind = np.zeros(n, dtype=np.int8)
+        noise_kind[kind == EV_COMPUTE] = NoiseModel.COMPUTE
+        noise_kind[sends[eager[send_route]]] = NoiseModel.NETWORK
+        noise_kind[matches[~eager[match_route]]] = NoiseModel.NETWORK
+        if result.nranks > 1:
+            noise_kind[collectives] = NoiseModel.NETWORK
+
+        ranks = result.ranks
+        return CompiledTrace(
+            nranks=result.nranks,
+            event_kind=kind,
+            event_rank=rank,
+            event_slot=slot,
+            event_aux=aux,
+            base=np.array(self._bases, dtype=float),
+            noise_kind=noise_kind,
+            send_eager=eager[route_of],
+            send_rank=source[route_of],
+            event_peer=peer,
+            event_tag=event_tag,
+            event_nbytes=nbytes,
+            messages_sent=[r.messages_sent for r in ranks],
+            bytes_sent=[r.bytes_sent for r in ranks],
+            messages_received=[r.messages_received for r in ranks],
+            bytes_received=[r.bytes_received for r in ranks],
+            traffic=result.traffic,
+            return_values=result.return_values,
+        )
+
+
 class TraceRecorder:
     """Captures the event pattern of a modelled rank program.
 
-    Drives the rank generators once with the same scheduling discipline as
-    :class:`~repro.simmpi.engine.ClusterEngine` — the recorded event order
-    is therefore exactly the order in which the engine reaches its noise
-    draw sites — but performs no virtual-time arithmetic.  Supported
-    operations: ``compute``, ``execute``, blocking ``send``/``recv`` with
-    explicit source and tag, and the three collectives.  Anything whose
-    pattern or result could depend on virtual time (``now``, wildcard
-    receives, ``isend``/``irecv``/``wait``/``waitall``) raises
+    Runs the engine's scheduling loop
+    (:func:`~repro.simmpi.engine.run_ranks`) once with a column sink, so
+    the recorded event order is exactly the order in which
+    :class:`~repro.simmpi.engine.ClusterEngine` reaches its noise draw
+    sites.  Supported operations: ``compute``,
+    ``execute``, blocking ``send``/``recv`` with explicit source and tag,
+    and the three collectives.  Anything whose pattern or result could
+    depend on virtual time (``now``, wildcard receives,
+    ``isend``/``irecv``/``wait``/``waitall``) raises
     :class:`~repro.errors.TraceError`.
     """
 
@@ -824,273 +906,12 @@ class TraceRecorder:
         self.processor = processor
         self.max_operations = max_operations
 
-    # ------------------------------------------------------------------
-
     def record(self, program: Callable[..., Any], nranks: int,
                program_args: Iterable[Any] = (),
                program_kwargs: dict[str, Any] | None = None) -> CompiledTrace:
         """Run ``program`` once on ``nranks`` ranks, recording the pattern."""
-        if nranks < 1:
-            raise TraceError("nranks must be >= 1")
-        self.topology.validate_rank_count(nranks)
-        program_kwargs = dict(program_kwargs or {})
-
-        states: list[_RecRank] = []
-        for rank in range(nranks):
-            comm = SimComm(rank, nranks)
-            gen = program(comm, *program_args, **program_kwargs)
-            if not hasattr(gen, "send"):
-                raise TraceError(
-                    "rank program must be a generator function (use 'yield')")
-            states.append(_RecRank(rank, gen))
-
-        # Instruction stream (parallel lists; engine processing order).
-        ops: list[int] = []
-        arg_a: list[int] = []           # rank (compute/send) / receiver (match)
-        arg_b: list[int] = []           # send slot (send/match), -1 otherwise
-        aux: list[float] = []           # sender/receiver CPU overhead
-        base: list[float] = []          # duration subject to noise (or 0)
-        noise_kind: list[int] = []      # 0 none / COMPUTE / NETWORK
-        # Introspection table, aligned with the instruction stream.
-        ev_peer: list[int] = []
-        ev_tag: list[int] = []
-        ev_nbytes: list[float] = []
-        # Send slots.
-        send_eager: list[bool] = []
-        send_rank: list[int] = []
-        send_waiting: list[bool] = []   # sender blocked on this rendez-vous send
-        # Matching state (blocking ops only: <= 1 posted recv per rank).
-        unexpected: list[dict[tuple[int, int], deque]] = [
-            {} for _ in range(nranks)]
-        posted: list[tuple[int, int] | None] = [None] * nranks
-        collectives: dict[int, _Collective] = {}
-        waiting_collective: list[int | None] = [None] * nranks
-        waiting_send: list[int | None] = [None] * nranks   # blocked sender's slot
-        # Per-rank message statistics (noise-independent).
-        messages_sent = [0] * nranks
-        bytes_sent = [0.0] * nranks
-        messages_received = [0] * nranks
-        bytes_received = [0.0] * nranks
-        traffic = LinkUsageStats()
-
-        ready: deque[int] = deque(range(nranks))
-        operations = 0
-
-        def emit(kind: int, a: int, b: int, x: float, dur: float, nk: int,
-                 peer: int = -1, tag: int = -1, nbytes: float = 0.0) -> None:
-            ops.append(kind)
-            arg_a.append(a)
-            arg_b.append(b)
-            aux.append(x)
-            base.append(dur)
-            noise_kind.append(nk)
-            ev_peer.append(peer)
-            ev_tag.append(tag)
-            ev_nbytes.append(nbytes)
-
-        def emit_match(pending: tuple, receiver: int) -> None:
-            """Record a matched pair; wake a blocked rendez-vous sender."""
-            slot, payload, nbytes, rcpu, wire, is_eager, sender, tag = pending
-            emit(EV_MATCH, receiver, slot, rcpu,
-                 0.0 if is_eager else wire,
-                 0 if is_eager else NoiseModel.NETWORK,
-                 peer=sender, tag=tag, nbytes=nbytes)
-            messages_received[receiver] += 1
-            bytes_received[receiver] += nbytes
-            if not is_eager and send_waiting[slot]:
-                send_waiting[slot] = False
-                sender_state = states[sender]
-                waiting_send[sender] = None
-                sender_state.resume = None
-                sender_state.status = _READY
-                ready.append(sender)
-
-        def advance(state: _RecRank) -> None:
-            nonlocal operations
-            while True:
-                operations += 1
-                if operations > self.max_operations:
-                    raise TraceError(
-                        f"operation budget exceeded ({self.max_operations}) "
-                        "during trace capture")
-                value, state.resume = state.resume, None
-                try:
-                    op = state.gen.send(value)
-                except StopIteration as stop:
-                    state.status = _DONE
-                    state.return_value = stop.value
-                    return
-                except Exception as exc:  # noqa: BLE001 - mirrors the engine
-                    raise RankFailureError(state.rank, exc) from exc
-
-                if isinstance(op, Compute):
-                    emit(EV_COMPUTE, state.rank, -1, 0.0, op.seconds,
-                         NoiseModel.COMPUTE)
-                    continue
-                if isinstance(op, ExecuteMix):
-                    if self.processor is None:
-                        raise TraceError(
-                            "SimComm.execute(mix) requires the recorder to be "
-                            "built with a processor model")
-                    emit(EV_COMPUTE, state.rank, -1, 0.0,
-                         self.processor.execute_time(op.mix),
-                         NoiseModel.COMPUTE)
-                    continue
-                if isinstance(op, Send):
-                    rank = state.rank
-                    link = self.topology.link_for(rank, op.dest)
-                    cpu = link.sender_cpu_time(op.nbytes)
-                    rcpu = link.receiver_cpu_time(op.nbytes)
-                    wire = link.wire_time(op.nbytes)
-                    is_eager = link.is_eager(op.nbytes)
-                    slot = len(send_rank)
-                    send_rank.append(rank)
-                    send_eager.append(is_eager)
-                    send_waiting.append(False)
-                    emit(EV_SEND, rank, slot, cpu,
-                         wire if is_eager else 0.0,
-                         NoiseModel.NETWORK if is_eager else 0,
-                         peer=op.dest, tag=op.tag, nbytes=op.nbytes)
-                    messages_sent[rank] += 1
-                    bytes_sent[rank] += op.nbytes
-                    traffic.record(self.topology, rank, op.dest, op.nbytes,
-                                   op.tag)
-                    pending = (slot, op.payload, op.nbytes, rcpu, wire,
-                               is_eager, rank, op.tag)
-                    if posted[op.dest] == (rank, op.tag):
-                        posted[op.dest] = None
-                        emit_match(pending, op.dest)
-                        receiver = states[op.dest]
-                        receiver.resume = op.payload
-                        receiver.status = _READY
-                        ready.append(op.dest)
-                        continue
-                    queue = unexpected[op.dest].setdefault(
-                        (rank, op.tag), deque())
-                    queue.append(pending)
-                    if is_eager:
-                        continue
-                    # Blocking rendez-vous send with no posted receive:
-                    # the sender waits for the match, exactly as in the
-                    # engine (the request completes at arrival time).
-                    send_waiting[slot] = True
-                    waiting_send[rank] = slot
-                    state.status = _BLOCKED
-                    return
-                if isinstance(op, Recv):
-                    if op.source == ANY_SOURCE or op.tag == ANY_TAG:
-                        raise TraceError(
-                            "wildcard receives are timing-dependent and "
-                            "cannot be trace-compiled")
-                    rank = state.rank
-                    queues = unexpected[rank]
-                    queue = queues.get((op.source, op.tag))
-                    if queue:
-                        pending = queue.popleft()
-                        if not queue:
-                            del queues[(op.source, op.tag)]
-                        emit_match(pending, rank)
-                        state.resume = pending[1]
-                        continue
-                    if posted[rank] is not None:
-                        raise TraceError(
-                            "rank posted a second receive while one was "
-                            "outstanding")
-                    posted[rank] = (op.source, op.tag)
-                    state.status = _BLOCKED
-                    return
-                if isinstance(op, (AllReduce, Barrier, Bcast)):
-                    index = state.collective_counter
-                    state.collective_counter += 1
-                    slot = collectives.setdefault(index, _Collective())
-                    kind = type(op).__name__
-                    if slot.posts and slot.kind != kind:
-                        raise CommunicatorError(
-                            f"collective mismatch at index {index}: rank "
-                            f"{state.rank} called {kind} but other ranks "
-                            f"called {slot.kind}")
-                    slot.kind = kind
-                    if isinstance(op, AllReduce):
-                        slot.nbytes = max(slot.nbytes, op.nbytes)
-                        slot.op = op.op
-                        slot.posts[state.rank] = op.value
-                    elif isinstance(op, Bcast):
-                        slot.nbytes = max(slot.nbytes, op.nbytes)
-                        slot.root = op.root
-                        slot.posts[state.rank] = op.value
-                    else:
-                        slot.posts[state.rank] = None
-                    if len(slot.posts) < nranks:
-                        waiting_collective[state.rank] = index
-                        state.status = _BLOCKED
-                        return
-                    # Last arrival: one instruction resolves every rank.
-                    cost = collective_cost(kind, slot.nbytes, nranks,
-                                           self.topology.inter_node)
-                    emit(EV_COLLECTIVE, -1, -1, 0.0, cost,
-                         NoiseModel.NETWORK if nranks > 1 else 0,
-                         nbytes=slot.nbytes)
-                    if kind == "AllReduce":
-                        result = slot.op.combine(
-                            [slot.posts[rank] for rank in sorted(slot.posts)])
-                    elif kind == "Bcast":
-                        result = slot.posts[slot.root]
-                    else:
-                        result = None
-                    del collectives[index]
-                    for other in states:
-                        if other.rank == state.rank:
-                            continue
-                        if waiting_collective[other.rank] == index:
-                            waiting_collective[other.rank] = None
-                            other.resume = result
-                            other.status = _READY
-                            ready.append(other.rank)
-                    state.resume = result
-                    continue
-                raise TraceError(
-                    f"operation {type(op).__name__} is timing-dependent or "
-                    "unsupported by trace capture (supported: compute, "
-                    "execute, blocking send/recv with explicit source and "
-                    "tag, allreduce, barrier, bcast)")
-
-        while ready:
-            rank = ready.popleft()
-            state = states[rank]
-            if state.status != _READY:
-                continue
-            advance(state)
-            if not ready and not all(s.status == _DONE for s in states):
-                blocked = [s.rank for s in states if s.status == _BLOCKED]
-                if blocked:
-                    raise DeadlockError(
-                        f"deadlock during trace capture: ranks {blocked} are "
-                        "blocked with no pending events",
-                        blocked_ranks=blocked)
-
-        unfinished = [s.rank for s in states if s.status != _DONE]
-        if unfinished:
-            raise DeadlockError(
-                f"deadlock during trace capture: ranks {unfinished} never "
-                "completed", blocked_ranks=unfinished)
-
-        return CompiledTrace(
-            nranks=nranks,
-            event_kind=np.asarray(ops, dtype=np.int8),
-            event_rank=np.asarray(arg_a, dtype=np.int32),
-            event_slot=np.asarray(arg_b, dtype=np.int32),
-            event_aux=np.asarray(aux, dtype=float),
-            base=np.asarray(base, dtype=float),
-            noise_kind=np.asarray(noise_kind, dtype=np.int8),
-            send_eager=np.asarray(send_eager, dtype=bool),
-            send_rank=np.asarray(send_rank, dtype=np.int32),
-            event_peer=np.asarray(ev_peer, dtype=np.int32),
-            event_tag=np.asarray(ev_tag, dtype=np.int32),
-            event_nbytes=np.asarray(ev_nbytes, dtype=float),
-            messages_sent=messages_sent,
-            bytes_sent=bytes_sent,
-            messages_received=messages_received,
-            bytes_received=bytes_received,
-            traffic=traffic,
-            return_values=[s.return_value for s in states],
-        )
+        sink = _ColumnSink()
+        result = run_ranks(sink, self.topology, self.processor,
+                           self.max_operations, program, nranks,
+                           program_args, program_kwargs)
+        return sink.trace(result)

@@ -11,7 +11,6 @@ injects the operating-system/background-load jitter the paper blames for
 the variance in its measurements.
 """
 
-from repro.simnet.message import Message
 from repro.simnet.link import LinkModel
 from repro.simnet.topology import ClusterTopology
 from repro.simnet.noise import NoiseModel, derive_seed
@@ -25,7 +24,6 @@ from repro.simnet.presets import (
 )
 
 __all__ = [
-    "Message",
     "LinkModel",
     "ClusterTopology",
     "NoiseModel",

@@ -2,11 +2,15 @@
 
 import csv
 import json
+import random
 
 import pytest
 
+from repro.cli import main
 from repro.errors import ExperimentError
 from repro.experiments.artifacts import (
+    load_study_results,
+    merge_manifests,
     read_manifest,
     write_study_artifacts,
 )
@@ -121,3 +125,109 @@ class TestShardedRuns:
         assert len(set(names)) == 2
         for name in names:
             assert (tmp_path / name).exists()
+
+
+#: Values a mutated field may take: one of every JSON type.
+WRONG_VALUES = ([], ["x"], "text", 7, -1, 2.5, True, None, {}, {"k": 1})
+
+#: Key paths into one manifest entry, and into its study artifact.
+ENTRY_FIELDS = (
+    ("spec",), ("spec", "study"), ("spec", "params"),
+    ("spec", "params", "max_pes"), ("spec_hash",), ("artifacts",),
+    ("artifacts", "json"), ("cache",), ("cache", "predictions"),
+    ("cache", "disk_hits"), ("execution",), ("execution", "replay"),
+    ("phases",), ("phases", "replay"), ("elapsed_s",), ("machine",),
+    ("machine_fingerprint",), ("rows",), ("study",), ("sharding",))
+ARTIFACT_FIELDS = (("rows",), ("rows", 0), ("columns",), ("analysis",))
+
+
+def mutate_field(document, path, rng: random.Random) -> None:
+    """Delete the field at ``path`` or give it a value of another type."""
+    parent = document
+    for key in path[:-1]:
+        parent = parent[key]
+    if rng.random() < 0.2 and isinstance(parent, dict):
+        parent.pop(path[-1], None)
+    else:
+        parent[path[-1]] = rng.choice(WRONG_VALUES)
+
+
+class TestManifestMutations:
+    """What ``repro merge`` reads from a directory fails cleanly: an
+    :class:`ExperimentError` naming the entry and field, never another
+    exception."""
+
+    #: Mutated directories tried.
+    MUTATIONS = 250
+
+    @pytest.fixture
+    def run_dir(self, tmp_path, table_result):
+        run = tmp_path / "run"
+        write_study_artifacts(table_result, run)
+        return run
+
+    def test_mutated_manifests_load_or_fail_cleanly(self, tmp_path, run_dir):
+        manifest_text = (run_dir / "manifest.json").read_text()
+        artifact_text = (run_dir / "table2.json").read_text()
+        rng = random.Random(20061017)
+        refused = 0
+        for _ in range(self.MUTATIONS):
+            manifest = json.loads(manifest_text)
+            artifact = json.loads(artifact_text)
+            choice = rng.randrange(5)
+            if choice == 0:
+                manifest = manifest_text[:rng.randrange(len(manifest_text))]
+            elif choice == 1:
+                manifest["studies"] = rng.choice(WRONG_VALUES + ([7],))
+            elif choice == 2:
+                artifact = artifact_text[:rng.randrange(len(artifact_text))]
+            elif choice == 3:
+                mutate_field(artifact, rng.choice(ARTIFACT_FIELDS), rng)
+            else:
+                mutate_field(manifest["studies"][0],
+                             rng.choice(ENTRY_FIELDS), rng)
+            for name, document in (("manifest.json", manifest),
+                                   ("table2.json", artifact)):
+                (run_dir / name).write_text(
+                    document if isinstance(document, str)
+                    else json.dumps(document))
+            try:
+                merge_manifests([run_dir], tmp_path / "merged")
+            except ExperimentError:
+                refused += 1
+        assert 0 < refused < self.MUTATIONS
+
+    @pytest.mark.parametrize("field, value", [
+        ("cache", []), ("execution", []), ("spec", []), ("phases", "text"),
+        ("artifacts.json", 7), ("spec_hash", 7)])
+    def test_wrong_type_names_entry_and_field(self, capsys, tmp_path,
+                                              run_dir, field, value):
+        manifest = read_manifest(run_dir)
+        entry = manifest["studies"][0]
+        *parents, last = field.split(".")
+        for key in parents:
+            entry = entry[key]
+        entry[last] = value
+        (run_dir / "manifest.json").write_text(json.dumps(manifest))
+        with pytest.raises(ExperimentError,
+                           match=f"study entry 0 field '{field}'"):
+            load_study_results(run_dir)
+        assert main(["merge", str(run_dir),
+                     "--out", str(tmp_path / "merged")]) == 2
+        captured = capsys.readouterr()
+        assert "merge failed" in captured.out
+        assert "Traceback" not in captured.out + captured.err
+
+    @pytest.mark.parametrize("name", ["absolute", "../table2.json",
+                                      "sub/table2.json", ".."])
+    def test_artifact_must_be_a_file_in_the_directory(self, tmp_path,
+                                                      run_dir, name):
+        # A valid artifact outside the directory must not be read.
+        outside = tmp_path / "table2.json"
+        outside.write_text((run_dir / "table2.json").read_text())
+        manifest = read_manifest(run_dir)
+        manifest["studies"][0]["artifacts"]["json"] = (
+            str(outside) if name == "absolute" else name)
+        (run_dir / "manifest.json").write_text(json.dumps(manifest))
+        with pytest.raises(ExperimentError, match="artifacts.json"):
+            load_study_results(run_dir)

@@ -205,6 +205,26 @@ class TestNonBlocking:
         result = engine.run(program, nranks=2)
         assert result.return_values[1] == [0, 1, 2]
 
+    @pytest.mark.parametrize("order", ["blocked", "complete"])
+    def test_waitall_of_one_request_returns_a_list(self, engine, order):
+        """Whether waitall has to block or finds its request complete."""
+        def program(comm):
+            if comm.rank == 0:
+                if order == "blocked":
+                    # Hold the message back until rank 1 sits in waitall.
+                    yield comm.recv(source=1, tag=5)
+                yield comm.send("hello", dest=1, tag=4)
+                if order == "complete":
+                    yield comm.recv(source=1, tag=5)
+                return None
+            request = yield comm.irecv(source=0, tag=4)
+            yield comm.send(None, dest=0, tag=5)
+            payloads = yield comm.waitall([request])
+            return payloads
+
+        result = engine.run(program, nranks=2)
+        assert result.return_values[1] == ["hello"]
+
 
 class TestErrorsAndAccounting:
     def test_unmatched_recv_deadlocks(self, engine):

@@ -1,5 +1,7 @@
 """Engine reuse across runs: the contract simulation plans depend on."""
 
+import weakref
+
 import pytest
 
 from repro.errors import DeadlockError, SimulationError
@@ -74,13 +76,52 @@ class TestEngineReuse:
         assert result.traffic.messages == reference.traffic.messages
 
     def test_run_state_released_after_run(self):
+        """Nothing of a run outlives it: not its rank generators, not the
+        payloads in flight — whether the run finished or deadlocked."""
+
+        class Payload:
+            pass
+
+        def tracked(program, refs):
+            def wrapper(comm):
+                gen = program(comm)
+                refs.append(weakref.ref(gen))
+                return gen
+            return wrapper
+
+        def sending(comm):
+            if comm.rank == 0:
+                payload = Payload()
+                refs.append(weakref.ref(payload))
+                yield comm.send(payload, dest=1, tag=1, nbytes=1e6)
+                yield comm.recv(source=1, tag=2)
+            else:
+                yield comm.recv(source=0, tag=1)
+                yield comm.send(None, dest=0, tag=2, nbytes=8)
+
+        def stuck(comm):
+            # Rank 0's payload stays unmatched when the run deadlocks.
+            if comm.rank == 0:
+                payload = Payload()
+                refs.append(weakref.ref(payload))
+                yield comm.send(payload, dest=1, tag=99, nbytes=8)
+            yield comm.recv(source=1 - comm.rank, tag=1)
+
         engine = make_engine()
-        engine.run(ring_program, nranks=4)
-        assert engine._states == []
-        assert engine._unexpected == []
-        assert engine._posted_recvs == []
-        assert engine._collectives == {}
-        assert engine._request_waiters == {}
+        refs = []
+        engine.run(tracked(sending, refs), nranks=2)
+        assert len(refs) == 3
+        assert all(ref() is None for ref in refs)
+
+        refs = []
+        try:
+            engine.run(tracked(stuck, refs), nranks=2)
+        except DeadlockError:
+            pass
+        else:
+            pytest.fail("the run should have deadlocked")
+        assert len(refs) == 3
+        assert all(ref() is None for ref in refs)
 
     def test_reentrant_run_rejected(self):
         engine = make_engine()

@@ -4,7 +4,9 @@ import pytest
 
 from repro.errors import DeadlockError, TraceError
 from repro.machines.presets import get_machine
+from repro.simmpi.communicator import SimComm
 from repro.simmpi.engine import ClusterEngine
+from repro.simmpi.request import Request
 from repro.simmpi.steady import steady_replay
 from repro.simmpi.trace import (
     EV_COLLECTIVE,
@@ -140,33 +142,70 @@ class TestCollectives:
         assert trace.replay().ranks[0].return_value == 2.5
 
 
+def _completed_request(comm):
+    request = Request(kind="send", rank=comm.rank)
+    request.mark_complete(0.0)
+    return request
+
+
+def _now(comm):
+    start = yield comm.now()
+    yield comm.compute(start + 1e-3)
+
+
+def _isend(comm):
+    if comm.rank == 0:
+        request = yield comm.isend(None, dest=1, tag=0, nbytes=8)
+        yield comm.wait(request)
+    else:
+        yield comm.recv(source=0, tag=0)
+
+
+def _irecv(comm):
+    if comm.rank == 0:
+        yield comm.send(None, dest=1, tag=0, nbytes=8)
+    else:
+        request = yield comm.irecv(source=0, tag=0)
+        yield comm.wait(request)
+
+
+def _wait(comm):
+    yield comm.wait(_completed_request(comm))
+
+
+def _waitall(comm):
+    yield comm.waitall([_completed_request(comm)])
+
+
+def _wildcard_recv(source, tag):
+    def program(comm):
+        if comm.rank == 0:
+            yield comm.send(None, dest=1, tag=0, nbytes=8)
+        else:
+            yield comm.recv(source=source, tag=tag)
+    return program
+
+
+TIMING_DEPENDENT = {
+    "now": _now,
+    "isend": _isend,
+    "irecv": _irecv,
+    "wait": _wait,
+    "waitall": _waitall,
+    "any-source": _wildcard_recv(SimComm.ANY_SOURCE, 0),
+    "any-tag": _wildcard_recv(0, SimComm.ANY_TAG),
+    "any-source-any-tag": _wildcard_recv(SimComm.ANY_SOURCE, SimComm.ANY_TAG),
+}
+
+
 class TestUnsupportedPatterns:
-    def test_wildcard_recv_rejected(self, topology):
-        def program(comm):
-            if comm.rank == 0:
-                yield comm.send(None, dest=1, tag=0, nbytes=8)
-            else:
-                yield comm.recv()              # ANY_SOURCE / ANY_TAG
-
-        with pytest.raises(TraceError, match="wildcard"):
+    @pytest.mark.parametrize("name", sorted(TIMING_DEPENDENT))
+    def test_timing_dependent_op_rejected(self, topology, name):
+        """Refused by the recorder, run by the engine."""
+        program = TIMING_DEPENDENT[name]
+        with pytest.raises(TraceError, match="timing-dependent"):
             TraceRecorder(topology).record(program, 2)
-
-    def test_nonblocking_requests_rejected(self, topology):
-        def program(comm):
-            request = yield comm.isend(None, dest=(comm.rank + 1) % 2,
-                                       nbytes=8)
-            yield comm.wait(request)
-
-        with pytest.raises(TraceError, match="unsupported|timing-dependent"):
-            TraceRecorder(topology).record(program, 2)
-
-    def test_clock_read_rejected(self, topology):
-        def program(comm):
-            start = yield comm.now()
-            yield comm.compute(start + 1.0)
-
-        with pytest.raises(TraceError):
-            TraceRecorder(topology).record(program, 1)
+        ClusterEngine(topology).run(program, 2)
 
     def test_execute_without_processor_rejected(self, topology):
         def program(comm):
