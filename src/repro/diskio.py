@@ -91,6 +91,37 @@ def _checksum(payload: bytes | bytearray) -> bytes:
     return zlib.crc32(payload).to_bytes(_CHECKSUM_BYTES, "big")
 
 
+def write_atomic(path: Path, *chunks: bytes) -> None:
+    """Write ``chunks`` to ``path`` atomically.
+
+    The bytes go to a temporary file in the same directory (created when
+    missing) and move into place with ``os.replace``, which is atomic on
+    POSIX and Windows: concurrent writers race to one complete file and
+    readers never see a partial one.  Raw ``os`` calls keep the write to
+    four syscalls; each one lets a busy thread take the GIL.
+    """
+    try:
+        fd, tmp_name = tempfile.mkstemp(dir=path.parent, suffix=".tmp")
+    except FileNotFoundError:
+        path.parent.mkdir(parents=True, exist_ok=True)
+        fd, tmp_name = tempfile.mkstemp(dir=path.parent, suffix=".tmp")
+    try:
+        try:
+            for chunk in chunks:
+                view = memoryview(chunk)
+                while view:
+                    view = view[os.write(fd, view):]
+        finally:
+            os.close(fd)
+        os.replace(tmp_name, path)
+    except OSError:
+        try:
+            os.unlink(tmp_name)
+        except OSError:
+            pass
+        raise
+
+
 def fingerprint_digest(key: tuple) -> str:
     """Stable hex digest of a fingerprint tuple.
 
@@ -181,25 +212,12 @@ class DirectoryStore:
         """Store ``value`` under ``key`` atomically.
 
         The entry is the payload's CRC-32 checksum followed by the
-        payload.  It is written to a temporary file in the store directory
-        and moved into place with ``os.replace``, which is atomic on POSIX
-        and Windows — concurrent writers of the same key simply race to an
-        identical complete file, and readers never observe a partial one.
+        payload, written with :func:`write_atomic` — concurrent writers of
+        the same key simply race to an identical complete file, and
+        readers never observe a partial one.
         """
-        entry = self._entry_path(key)
         payload = self._encode(key, value)
-        fd, tmp_name = tempfile.mkstemp(dir=self.path, suffix=".tmp")
-        try:
-            with os.fdopen(fd, "wb") as handle:
-                handle.write(_checksum(payload))
-                handle.write(payload)
-            os.replace(tmp_name, entry)
-        except OSError:
-            try:
-                os.unlink(tmp_name)
-            except OSError:
-                pass
-            raise
+        write_atomic(self._entry_path(key), _checksum(payload), payload)
         with self._stats_lock:
             self.stats.stores += 1
 

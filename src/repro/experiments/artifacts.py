@@ -183,7 +183,7 @@ def _typed(where: str, name: str, value, kinds, what: str):
                                         and bool not in kinds):
         raise ExperimentError(
             f"{where} field {name!r} holds {type(value).__name__}, not "
-            f"{what}; the manifest was edited")
+            f"{what}; it was edited or corrupted")
     return value
 
 
@@ -193,8 +193,8 @@ def _field(where: str, entry: dict, name: str, kinds, what: str,
     if name not in entry:
         if default is _REQUIRED:
             raise ExperimentError(
-                f"{where} is missing required field {name!r}; the manifest "
-                "was edited or truncated")
+                f"{where} is missing required field {name!r}; it was "
+                "edited or truncated")
         return default
     return _typed(where, name, entry[name], kinds, what)
 
@@ -239,25 +239,7 @@ def load_study_results(out_dir: str | Path) -> list[StudyResult]:
         where = f"manifest {out} study entry {position}"
         if not isinstance(entry, dict):
             raise ExperimentError(f"{where} is not an object")
-        spec_data = _field(where, entry, "spec", dict, "an object")
-        recorded_hash = _field(where, entry, "spec_hash", str, "a string")
-        json_name = _artifact_name(where, entry)
-        try:
-            spec = StudySpec.from_dict(spec_data)
-        except ExperimentError as exc:
-            raise ExperimentError(f"{where} field 'spec': {exc}") from exc
-        except (TypeError, ValueError, AttributeError) as exc:
-            raise ExperimentError(
-                f"{where} field 'spec' is not a study spec: {exc}") from exc
-        if spec.spec_hash() != recorded_hash:
-            raise ExperimentError(
-                f"manifest entry for {entry.get('study')!r} in {out} records "
-                f"hash {recorded_hash[:12]} but its spec hashes to "
-                f"{spec.spec_hash()[:12]}; the artifacts were edited")
-        cache = _table(where, entry, "cache", int, "a count")
-        execution = _table(where, entry, "execution", int, "a count")
-        phases = _table(where, entry, "phases", _NUMBER, "a number")
-        json_path = out / json_name
+        json_path = out / _artifact_name(where, entry)
         try:
             data = json.loads(json_path.read_text())
         except OSError as exc:
@@ -266,42 +248,80 @@ def load_study_results(out_dir: str | Path) -> list[StudyResult]:
         except ValueError as exc:
             raise ExperimentError(
                 f"study artifact {json_path} is not valid JSON: {exc}") from exc
-        artifact = f"study artifact {json_path}"
-        _typed(artifact, "(top level)", data, dict, "an object")
-        columns = _field(artifact, data, "columns", list, "a list", [])
-        for index, column in enumerate(columns):
-            _typed(artifact, f"columns.{index}", column, str, "a string")
-        rows = _field(artifact, data, "rows", list, "a list", [])
-        for index, row in enumerate(rows):
-            _typed(artifact, f"rows.{index}", row, dict, "an object")
-            if not set(row) <= set(columns):
-                raise ExperimentError(
-                    f"{artifact} row {index} has fields outside its columns")
-        results.append(StudyResult(
-            spec=spec,
-            payload=None,
-            columns=list(columns),
-            rows=list(rows),
-            machine_name=_field(where, entry, "machine", (str, type(None)),
-                                "a string", None),
-            machine_fingerprint=_field(where, entry, "machine_fingerprint",
-                                       (str, type(None)), "a string", None),
-            elapsed_s=_field(where, entry, "elapsed_s", _NUMBER, "a number",
-                             0.0),
-            cache_stats=CacheStats(predictions=cache.get("predictions", 0),
-                                   subtask_hits=cache.get("subtask_hits", 0),
-                                   subtask_misses=cache.get("subtask_misses", 0)),
-            disk_stats=DiskCacheStats(hits=cache.get("disk_hits", 0),
-                                      misses=cache.get("disk_misses", 0),
-                                      stores=cache.get("disk_stores", 0)),
-            execution=dict(execution),
-            phases=dict(phases),
-            analysis=dict(_field(artifact, data, "analysis", dict,
-                                 "an object", {})),
-            sharding=_field(where, entry, "sharding", (dict, type(None)),
-                            "an object", None),
-        ))
+        results.append(_build_result(where, entry,
+                                     f"study artifact {json_path}", data))
     return results
+
+
+def result_from_dict(data, where: str) -> StudyResult:
+    """Rebuild a result from its :meth:`StudyResult.to_dict` document.
+
+    The fleet's unit objects travel in this form.  The fields get the same
+    checks :func:`load_study_results` gives a manifest entry and its
+    artifact; a bad one raises an :class:`ExperimentError` that starts
+    with ``where`` and names the field.
+    """
+    return _build_result(where, data, where, data)
+
+
+def _build_result(where: str, entry: dict, artifact: str,
+                  data) -> StudyResult:
+    """A result from its metadata ``entry`` and its row document ``data``.
+
+    ``where`` and ``artifact`` name the two documents in error messages;
+    a unit object is both at once.  The spec is re-canonicalised and its
+    hash checked against the recorded one.
+    """
+    _typed(artifact, "(top level)", data, dict, "an object")
+    spec_data = _field(where, entry, "spec", dict, "an object")
+    recorded_hash = _field(where, entry, "spec_hash", str, "a string")
+    try:
+        spec = StudySpec.from_dict(spec_data)
+    except ExperimentError as exc:
+        raise ExperimentError(f"{where} field 'spec': {exc}") from exc
+    except (TypeError, ValueError, AttributeError) as exc:
+        raise ExperimentError(
+            f"{where} field 'spec' is not a study spec: {exc}") from exc
+    if spec.spec_hash() != recorded_hash:
+        raise ExperimentError(
+            f"{where} field 'spec_hash' is {recorded_hash[:12]} but field "
+            f"'spec' hashes to {spec.spec_hash()[:12]}; it was edited")
+    cache = _table(where, entry, "cache", int, "a count")
+    execution = _table(where, entry, "execution", int, "a count")
+    phases = _table(where, entry, "phases", _NUMBER, "a number")
+    columns = _field(artifact, data, "columns", list, "a list", [])
+    for index, column in enumerate(columns):
+        _typed(artifact, f"columns.{index}", column, str, "a string")
+    rows = _field(artifact, data, "rows", list, "a list", [])
+    for index, row in enumerate(rows):
+        _typed(artifact, f"rows.{index}", row, dict, "an object")
+        if not set(row) <= set(columns):
+            raise ExperimentError(
+                f"{artifact} field 'rows.{index}' has keys outside "
+                "field 'columns'")
+    return StudyResult(
+        spec=spec,
+        payload=None,
+        columns=list(columns),
+        rows=list(rows),
+        machine_name=_field(where, entry, "machine", (str, type(None)),
+                            "a string", None),
+        machine_fingerprint=_field(where, entry, "machine_fingerprint",
+                                   (str, type(None)), "a string", None),
+        elapsed_s=_field(where, entry, "elapsed_s", _NUMBER, "a number", 0.0),
+        cache_stats=CacheStats(predictions=cache.get("predictions", 0),
+                               subtask_hits=cache.get("subtask_hits", 0),
+                               subtask_misses=cache.get("subtask_misses", 0)),
+        disk_stats=DiskCacheStats(hits=cache.get("disk_hits", 0),
+                                  misses=cache.get("disk_misses", 0),
+                                  stores=cache.get("disk_stores", 0)),
+        execution=dict(execution),
+        phases=dict(phases),
+        analysis=dict(_field(artifact, data, "analysis", dict, "an object",
+                             {})),
+        sharding=_field(where, entry, "sharding", (dict, type(None)),
+                        "an object", None),
+    )
 
 
 def merge_manifests(shard_dirs: Sequence[str | Path],

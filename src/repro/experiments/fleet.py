@@ -50,10 +50,23 @@ Shared-directory layout (the work queue)::
         events.jsonl                # append-only event log (post-mortems)
         done.json                   # terminal marker (workers exit on it)
 
-In-process fleets (tests, benchmarks, the service's job manager) run the
-same protocol with worker threads and a
-:class:`~repro.experiments.remotestore.MemoryStore` via
-:func:`run_local_fleet`.
+A unit's result travels as **one store object**,
+``runs/<parent16>/unit-0003.g0.json``: the unit's
+:meth:`~repro.experiments.study.StudyResult.to_dict` document, written
+with one ``put_bytes`` before the result marker.  The coordinator reads
+it back with one ``get_bytes`` and rebuilds the result through the typed
+checks :func:`~repro.experiments.artifacts.load_study_results` applies to
+an artifact directory; ``serve(out_dir=...)`` writes the standard
+artifact layout once, from the merged results.
+
+In-process fleets (tests, benchmarks) run the same protocol with worker
+threads and a :class:`~repro.experiments.remotestore.MemoryStore` via
+:func:`run_local_fleet`.  There each worker calls the coordinator's
+:meth:`FleetCoordinator.wake` after writing a result marker and whenever
+it finds nothing to claim, so a finished unit is collected at once; the
+controller's timed wait shrinks to a fallback at the heartbeat cadence
+that keeps lease expiry and stealing running.  Cross-process fleets
+(``fleet serve`` / ``fleet work``) share only the directory and poll.
 """
 
 from __future__ import annotations
@@ -68,12 +81,13 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Any, Callable, Iterable, Sequence
 
+from repro.diskio import write_atomic
 from repro.errors import FleetError, StoreError
-from repro.experiments.artifacts import load_study_results, write_study_artifacts
+from repro.experiments.artifacts import result_from_dict, write_study_artifacts
+from repro.experiments.diskcache import SweepDiskCache
 from repro.experiments.remotestore import (
     ArtifactStore,
-    pull_cache_entries,
-    push_cache_entries,
+    CacheSync,
     store_from_url,
 )
 from repro.experiments.sharding import (
@@ -90,8 +104,9 @@ from repro.experiments.study import (
     build_spec,
 )
 
-#: Protocol version stamped into ``fleet.json``.
-FLEET_VERSION = 1
+#: Protocol version stamped into ``fleet.json``; workers refuse any other.
+#: Version 2 publishes each unit result as one store object.
+FLEET_VERSION = 2
 
 _LEASE_NAME = re.compile(r"^unit-(\d+)\.g(\d+)\.json$")
 
@@ -103,25 +118,26 @@ _LEASE_NAME = re.compile(r"^unit-(\d+)\.g(\d+)\.json$")
 
 def _write_json_atomic(path: Path, obj: Any) -> None:
     """Write ``obj`` as JSON via temp file + ``os.replace`` (atomic)."""
-    path.parent.mkdir(parents=True, exist_ok=True)
-    fd, tmp_name = tempfile.mkstemp(dir=path.parent, suffix=".tmp")
-    try:
-        with os.fdopen(fd, "w") as handle:
-            json.dump(obj, handle, indent=2, sort_keys=True)
-            handle.write("\n")
-        os.replace(tmp_name, path)
-    except OSError:
-        try:
-            os.unlink(tmp_name)
-        except OSError:
-            pass
-        raise
+    write_atomic(path, (json.dumps(obj, indent=2, sort_keys=True)
+                        + "\n").encode("utf-8"))
 
 
 def _read_json(path: Path) -> dict | None:
-    """Read a protocol file; ``None`` when absent or mid-replace."""
+    """Read a protocol file; ``None`` when absent or mid-replace.
+
+    Raw ``os`` calls, like :func:`~repro.diskio.write_atomic`: a Python
+    file object adds ``fstat``, ``isatty`` and ``lseek`` calls, and in an
+    in-process fleet each syscall lets a busy thread take the GIL.
+    """
     try:
-        return json.loads(path.read_text())
+        fd = os.open(path, os.O_RDONLY)
+        try:
+            chunks = []
+            while chunk := os.read(fd, 1 << 16):
+                chunks.append(chunk)
+        finally:
+            os.close(fd)
+        return json.loads(b"".join(chunks))
     except (OSError, ValueError):
         return None
 
@@ -140,9 +156,13 @@ class FleetEventLog:
     def append(self, event: str, **fields: Any) -> None:
         record = {"ts": round(self._clock(), 3), "event": event, **fields}
         line = json.dumps(record, sort_keys=True) + "\n"
+        flags = os.O_CREAT | os.O_WRONLY | os.O_APPEND
         try:
-            self.path.parent.mkdir(parents=True, exist_ok=True)
-            fd = os.open(self.path, os.O_CREAT | os.O_WRONLY | os.O_APPEND, 0o644)
+            try:
+                fd = os.open(self.path, flags, 0o644)
+            except FileNotFoundError:
+                self.path.parent.mkdir(parents=True, exist_ok=True)
+                fd = os.open(self.path, flags, 0o644)
             try:
                 os.write(fd, line.encode("utf-8"))
             finally:
@@ -194,8 +214,16 @@ class _FleetPaths:
         return self.workers / f"{worker_id}.json"
 
 
-def _unit_prefix(parent_hash: str, index: int, generation: int) -> str:
-    return f"runs/{parent_hash[:16]}/unit-{index:04d}.g{generation}"
+def _unit_key(parent_hash: str, index: int, generation: int) -> str:
+    return f"runs/{parent_hash[:16]}/unit-{index:04d}.g{generation}.json"
+
+
+def _check_version(descriptor: dict, root: Path) -> None:
+    version = descriptor.get("version")
+    if version != FLEET_VERSION:
+        raise FleetError(
+            f"the fleet at {root} speaks protocol version {version!r}; this "
+            f"code speaks version {FLEET_VERSION}")
 
 
 # ---------------------------------------------------------------------------
@@ -244,7 +272,8 @@ class FleetCoordinator:
         How long a lease survives without a heartbeat before the unit is
         reassigned.
     poll_s:
-        Controller-loop cadence.
+        Controller-loop cadence: the longest :meth:`serve` waits between
+        passes when no :meth:`wake` cuts the wait short.
     steal:
         Whether to revoke prefetched units from stragglers once the open
         pool is dry and idle workers wait.
@@ -275,6 +304,20 @@ class FleetCoordinator:
         self._reassignments = 0
         self._steals = 0
         self._zombies = 0
+        self._wake = threading.Event()
+        #: A failure reported through :meth:`wake`; fails the run.
+        self._error: str | None = None
+
+    def wake(self, error: str | None = None) -> None:
+        """End the controller's current wait, so it runs a pass at once.
+
+        In-process workers call it after writing a result marker and when
+        they find nothing to claim.  ``error`` reports a failed worker
+        thread: the run then fails at the next pass with that reason.
+        """
+        if error is not None and self._error is None:
+            self._error = error
+        self._wake.set()
 
     # -- enqueue -------------------------------------------------------------
 
@@ -346,45 +389,37 @@ class FleetCoordinator:
               out_dir: str | Path | None = None) -> FleetOutcome:
         """Supervise the run to completion (or timeout) and merge.
 
-        Loops :meth:`poll_once` until every unit is done, then pulls the
-        unit results from the store, merges each study family
-        bit-identically (:func:`merge_study_results`) and — when
-        ``out_dir`` is given — writes the standard artifact layout
-        there.  Writes the ``done.json`` terminal marker either way, so
-        background workers exit.
+        Loops :meth:`poll_once` until every unit is done, waiting up to
+        ``poll_s`` between passes (less when :meth:`wake` is called, and
+        never past ``timeout_s``).  Then reads each unit's result object
+        from the store, merges each study family bit-identically
+        (:func:`merge_study_results`) and — when ``out_dir`` is given —
+        writes the standard artifact layout there.  Writes the
+        ``done.json`` terminal marker either way, so background workers
+        exit.
         """
         if not self._units:
             self._load_state()
         started = self._clock()
         while True:
+            self._wake.clear()
             self.poll_once()
+            if self._error is not None:
+                return self._fail(self._error)
             if all(unit["state"] == "done" for unit in self._units.values()):
                 break
-            if timeout_s is not None and self._clock() - started > timeout_s:
-                outcome = FleetOutcome(
-                    status="failed",
-                    reason=f"timed out after {timeout_s:g} s with "
-                           f"{self._open_count()} unit(s) unfinished",
-                    unit_count=len(self._units),
-                    reassignments=self._reassignments, steals=self._steals,
-                    zombies=self._zombies)
-                self._finish(outcome)
-                return outcome
-            time.sleep(self.poll_s)
+            elapsed = self._clock() - started
+            if timeout_s is not None and elapsed > timeout_s:
+                return self._fail(f"timed out after {timeout_s:g} s with "
+                                  f"{self._open_count()} unit(s) unfinished")
+            self._wake.wait(self.poll_s if timeout_s is None
+                            else min(self.poll_s, timeout_s - elapsed))
         try:
             results = self._merge()
         except Exception as exc:
-            outcome = FleetOutcome(status="failed",
-                                   reason=f"merge failed: {exc}",
-                                   unit_count=len(self._units),
-                                   reassignments=self._reassignments,
-                                   steals=self._steals, zombies=self._zombies)
-            self._finish(outcome)
+            self._fail(f"merge failed: {exc}")
             raise
-        outcome = FleetOutcome(status="done", results=results,
-                               unit_count=len(self._units),
-                               reassignments=self._reassignments,
-                               steals=self._steals, zombies=self._zombies)
+        outcome = self._outcome("done", results=results)
         if out_dir is not None:
             outcome.out_dir = Path(out_dir)
             write_study_artifacts(results, outcome.out_dir)
@@ -478,7 +513,7 @@ class FleetCoordinator:
             unit["state"] = "done"
             unit["result"] = {"worker": marker.get("worker"),
                               "generation": generation,
-                              "prefix": marker.get("prefix"),
+                              "key": marker.get("key"),
                               "elapsed_s": marker.get("elapsed_s")}
             _write_json_atomic(self.paths.unit(index), unit)
             _unlink_quiet(path)
@@ -543,24 +578,9 @@ class FleetCoordinator:
     # -- completion ----------------------------------------------------------
 
     def _merge(self) -> list[StudyResult]:
-        """Pull every unit's artifacts and merge each family bit-identically."""
-        collected: list[StudyResult] = []
-        with tempfile.TemporaryDirectory(prefix="fleet-merge-") as scratch:
-            for index in sorted(self._units):
-                unit = self._units[index]
-                prefix = (unit.get("result") or {}).get("prefix")
-                if not prefix:
-                    raise FleetError(
-                        f"unit {index} is marked done but has no result "
-                        "prefix; the queue state was tampered with")
-                target = Path(scratch) / f"unit-{index:04d}"
-                self.store.pull_dir(prefix, target)
-                results = load_study_results(target)
-                if len(results) != 1:
-                    raise FleetError(
-                        f"unit {index} artifact dir holds {len(results)} "
-                        "result(s); expected exactly one")
-                collected.append(results[0])
+        """Read every unit's result object and merge each family
+        bit-identically."""
+        collected = [self._unit_result(index) for index in sorted(self._units)]
         families, plain = group_by_parent(collected)
         merged = [merge_study_results(family) for family in families.values()]
         merged.extend(plain)
@@ -569,6 +589,39 @@ class FleetCoordinator:
             self.log.append("merged", study=result.spec.study,
                             rows=len(result.rows))
         return merged
+
+    def _unit_result(self, index: int) -> StudyResult:
+        """One unit's result, rebuilt from its store object."""
+        key = (self._units[index].get("result") or {}).get("key")
+        if not isinstance(key, str) or not key:
+            raise FleetError(
+                f"unit {index} is marked done but names no result object; "
+                "the queue state was tampered with")
+        where = f"fleet unit {index} object {key!r}"
+        try:
+            data = json.loads(self.store.get_bytes(key))
+        except StoreError as exc:
+            raise FleetError(f"{where} cannot be read: {exc}") from exc
+        except (ValueError, RecursionError) as exc:
+            raise FleetError(f"{where} is not valid JSON: {exc}") from exc
+        result = result_from_dict(data, where)
+        if not result.rows:
+            raise FleetError(f"{where} field 'rows' is empty; every unit "
+                             "produces the rows of its grid unit")
+        return result
+
+    def _outcome(self, status: str, reason: str = "",
+                 results: list[StudyResult] | None = None) -> FleetOutcome:
+        return FleetOutcome(status=status, reason=reason,
+                            results=results or [],
+                            unit_count=len(self._units),
+                            reassignments=self._reassignments,
+                            steals=self._steals, zombies=self._zombies)
+
+    def _fail(self, reason: str) -> FleetOutcome:
+        outcome = self._outcome("failed", reason)
+        self._finish(outcome)
+        return outcome
 
     def _finish(self, outcome: FleetOutcome) -> None:
         _write_json_atomic(self.paths.done, {
@@ -592,6 +645,7 @@ class FleetCoordinator:
         if descriptor is None:
             raise FleetError(
                 f"no fleet at {self.paths.root}; enqueue() first")
+        _check_version(descriptor, self.paths.root)
         for index in range(descriptor.get("unit_count", 0)):
             record = _read_json(self.paths.unit(index))
             if record is None:
@@ -682,8 +736,12 @@ class FleetWorker:
         Stable identity in leases/registrations (default: host + pid).
     cache_dir:
         Local :class:`SweepDiskCache` directory.  With a store attached
-        the worker pulls warm entries before its first unit and pushes
-        fresh ones after each, so machines warm-start from each other.
+        the worker pulls warm entries before its first unit and, after
+        each, pushes the entries it has not pulled or pushed yet, so
+        machines warm-start from each other.
+    poll_s:
+        How long an idle worker waits before scanning the queue again
+        (also the cadence while it waits for the descriptor).
     prefetch:
         Units claimed per scan (>1 amortises claim latency; the
         coordinator steals unstarted prefetched units back from
@@ -691,6 +749,8 @@ class FleetWorker:
     throttle_s:
         Pause before executing each unit while heartbeats continue —
         a chaos/benchmark aid to simulate a slow machine.
+    sync_cache:
+        Whether to sync ``cache_dir`` with the store at all.
     failure_hook:
         Optional chaos hook called before each unit's execution; return
         ``True`` to simulate sudden worker death (heartbeats stop, held
@@ -698,6 +758,12 @@ class FleetWorker:
     context:
         A shared :class:`StudyContext`; by default the worker owns one
         (and closes it when the loop ends).
+    clock:
+        Injectable wall-clock for lease deadlines (tests).
+    wake:
+        Called after each result marker is written and whenever the
+        worker finds nothing to claim — an in-process coordinator's
+        :meth:`FleetCoordinator.wake` (:func:`run_local_fleet` wires it).
     """
 
     def __init__(self, fleet_dir: str | Path,
@@ -710,7 +776,8 @@ class FleetWorker:
                  sync_cache: bool = True,
                  failure_hook: Callable[[int], bool] | None = None,
                  context: StudyContext | None = None,
-                 clock: Callable[[], float] = time.time):
+                 clock: Callable[[], float] = time.time,
+                 wake: Callable[[], None] | None = None):
         if prefetch < 1:
             raise FleetError("prefetch must be >= 1")
         self.paths = _FleetPaths(fleet_dir)
@@ -722,6 +789,7 @@ class FleetWorker:
         self.sync_cache = sync_cache
         self._failure_hook = failure_hook
         self._clock = clock
+        self.wake = wake
         self._store = store
         self._context = context
         self._owns_context = context is None
@@ -740,6 +808,7 @@ class FleetWorker:
         #: Units known finished (never re-read) and cached unit specs.
         self._done_units: set[int] = set()
         self._unit_cache: dict[int, dict] = {}
+        self._cache_sync: CacheSync | None = None
         self.completed = 0
         self.died = False
 
@@ -761,6 +830,7 @@ class FleetWorker:
         descriptor = self._await_descriptor(wait_timeout_s)
         if descriptor is None:
             return 0
+        _check_version(descriptor, self.paths.root)
         self.lease_ttl_s = float(descriptor.get("lease_ttl_s", 30.0))
         if self._store is None:
             url = descriptor.get("store_url")
@@ -779,7 +849,9 @@ class FleetWorker:
         self._register()
         self.log.append("worker-registered", worker=self.worker_id)
         if self.sync_cache and self.cache_dir is not None:
-            pulled = pull_cache_entries(self._store, self._local_cache())
+            self._cache_sync = CacheSync(SweepDiskCache(self.cache_dir),
+                                         self._store)
+            pulled = self._cache_sync.pull()
             if pulled:
                 self.log.append("cache-pulled", worker=self.worker_id,
                                 entries=pulled)
@@ -815,14 +887,17 @@ class FleetWorker:
             batch = self._claim_units(unit_count)
             if not batch:
                 self._register()
-                time.sleep(self.poll_s)
+                if self.wake is not None:
+                    self.wake()
+                self._stop.wait(self.poll_s)
                 continue
             for claimed in batch:
                 if self._stop.is_set():
                     return
                 if max_units is not None and self.completed >= max_units:
                     return
-                if not self._still_current(claimed):
+                # The first unit's claim checked it a moment ago.
+                if claimed is not batch[0] and not self._still_current(claimed):
                     self._release(claimed)
                     continue
                 self._execute(claimed)
@@ -839,7 +914,7 @@ class FleetWorker:
                 raise FleetError(
                     f"no fleet appeared at {self.paths.root} within "
                     f"{wait_timeout_s:g} s")
-            time.sleep(min(self.poll_s, 0.2))
+            self._stop.wait(min(self.poll_s, 0.2))
 
     # -- claiming ------------------------------------------------------------
 
@@ -860,8 +935,6 @@ class FleetWorker:
                 self._done_units.add(index)
                 continue
             generation = record["generation"]
-            if self.paths.lease(index, generation).exists():
-                continue
             unit = self._try_claim(index, generation, record)
             if unit is not None:
                 claimed.append(unit)
@@ -917,7 +990,7 @@ class FleetWorker:
             if self.throttle_s:
                 # Heartbeats keep the lease alive: a slow machine is not
                 # a dead one.  (Chaos jobs use this to widen kill windows.)
-                self._interruptible_sleep(self.throttle_s)
+                self._stop.wait(self.throttle_s)
             if self._failure_hook is not None \
                     and self._failure_hook(claimed.index):
                 raise _SimulatedDeath(claimed.index)
@@ -936,17 +1009,19 @@ class FleetWorker:
 
     def _publish(self, claimed: _ClaimedUnit, result: StudyResult,
                  elapsed: float) -> None:
-        prefix = _unit_prefix(claimed.record["parent"], claimed.index,
-                              claimed.generation)
-        with tempfile.TemporaryDirectory(prefix="fleet-unit-") as scratch:
-            write_study_artifacts([result], scratch)
-            self._store.push_dir(prefix, scratch)
+        key = _unit_key(claimed.record["parent"], claimed.index,
+                        claimed.generation)
+        self._store.put_bytes(key, json.dumps(
+            result.to_dict(), sort_keys=True, allow_nan=False,
+            separators=(",", ":")).encode("utf-8"))
         _write_json_atomic(self.paths.result(claimed.index, claimed.generation),
                            {"unit": claimed.index,
                             "generation": claimed.generation,
                             "worker": self.worker_id,
-                            "prefix": prefix,
+                            "key": key,
                             "elapsed_s": elapsed})
+        if self.wake is not None:
+            self.wake()
         # The lease outlives publication: the coordinator deletes it on
         # acceptance.  Releasing here would let a peer re-claim this very
         # generation in the collect gap and re-execute the unit for nothing.
@@ -958,8 +1033,8 @@ class FleetWorker:
                         generation=claimed.generation,
                         worker=self.worker_id,
                         elapsed_s=round(elapsed, 4))
-        if self.sync_cache and self.cache_dir is not None:
-            pushed = push_cache_entries(self._local_cache(), self._store)
+        if self._cache_sync is not None:
+            pushed = self._cache_sync.push()
             if pushed:
                 self.log.append("cache-pushed", worker=self.worker_id,
                                 entries=pushed)
@@ -1013,12 +1088,6 @@ class FleetWorker:
             "active_unit": self._active_unit,
         })
 
-    def _local_cache(self):
-        from repro.experiments.diskcache import SweepDiskCache
-        return SweepDiskCache(self.cache_dir)
-
-    def _interruptible_sleep(self, seconds: float) -> None:
-        self._stop.wait(seconds)
 
 
 # ---------------------------------------------------------------------------
@@ -1069,7 +1138,7 @@ def fleet_status(fleet_dir: str | Path) -> dict:
 
 
 # ---------------------------------------------------------------------------
-# In-process fleets (tests, benchmarks, the service's job manager)
+# In-process fleets (tests, benchmarks): worker threads wake the coordinator
 # ---------------------------------------------------------------------------
 
 
@@ -1092,12 +1161,17 @@ def run_local_fleet(specs: Iterable[StudySpec | str],
 
     The protocol is byte-identical to the cross-process CLI fleet — the
     same queue files, leases and store flow — only the workers are
-    threads and the default store is in-memory.  ``context`` is shared
-    with the (single) worker when ``n_workers == 1``; with more workers
-    each owns a private context, because a :class:`StudyContext` is not
-    safe under concurrent studies.  ``worker_factory`` lets tests inject
-    chaos-instrumented workers.  Raises :class:`FleetError` unless the
-    run completes.
+    threads and the default store is in-memory.  Every worker, factory
+    built or not, is wired to :meth:`FleetCoordinator.wake`, so the
+    coordinator collects each result as soon as it is published; its
+    timed wait falls back to the heartbeat cadence (``lease_ttl_s / 4``),
+    which keeps lease expiry and stealing running.  ``poll_s`` is the
+    workers' idle cadence.  ``context`` is shared with the (single)
+    worker when ``n_workers == 1``; with more workers each owns a private
+    context, because a :class:`StudyContext` is not safe under concurrent
+    studies.  ``worker_factory`` lets tests inject chaos-instrumented
+    workers.  Raises :class:`FleetError` unless the run completes — at
+    once, naming the worker, when a worker thread raises.
     """
     if n_workers < 1:
         raise FleetError("a local fleet needs at least one worker")
@@ -1109,19 +1183,34 @@ def run_local_fleet(specs: Iterable[StudySpec | str],
         fleet_dir = scratch.name
     try:
         coordinator = FleetCoordinator(fleet_dir, store=store,
-                                       lease_ttl_s=lease_ttl_s, poll_s=poll_s)
+                                       lease_ttl_s=lease_ttl_s,
+                                       poll_s=lease_ttl_s / 4.0)
         coordinator.enqueue(list(specs), smoke=smoke)
         workers: list[FleetWorker] = []
         for number in range(n_workers):
             if worker_factory is not None:
                 worker = worker_factory(number, Path(fleet_dir), store)
+                worker.wake = coordinator.wake
             else:
                 worker = FleetWorker(
                     fleet_dir, store=store, worker_id=f"local-{number}",
                     cache_dir=cache_dir, poll_s=poll_s, prefetch=prefetch,
-                    context=context if n_workers == 1 else None)
+                    context=context if n_workers == 1 else None,
+                    wake=coordinator.wake)
             workers.append(worker)
-        threads = [threading.Thread(target=worker.run, daemon=True,
+        failures: list[Exception] = []
+
+        def work(worker: FleetWorker) -> None:
+            # A chaos death returns quietly (lease expiry recovers it);
+            # anything raised is a crash that fails the run at once.
+            try:
+                worker.run()
+            except Exception as exc:
+                failures.append(exc)
+                coordinator.wake(f"worker {worker.worker_id} raised "
+                                 f"{type(exc).__name__}: {exc}")
+
+        threads = [threading.Thread(target=work, args=(worker,), daemon=True,
                                     name=f"fleet-worker-{worker.worker_id}")
                    for worker in workers]
         for thread in threads:
@@ -1134,7 +1223,8 @@ def run_local_fleet(specs: Iterable[StudySpec | str],
             for thread in threads:
                 thread.join(timeout=30.0)
         if outcome.status != "done":
-            raise FleetError(f"local fleet failed: {outcome.reason}")
+            raise FleetError(f"local fleet failed: {outcome.reason}") \
+                from next(iter(failures), None)
         return outcome
     finally:
         if scratch is not None:

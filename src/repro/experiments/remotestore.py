@@ -8,11 +8,12 @@ provides the transport: a minimal object-store abstraction
 (:class:`ArtifactStore`) with a flat, ``/``-separated key namespace laid
 out like a bucket::
 
-    cache/<fingerprint-digest>.pkl      # warm sweep-cache entries
-    runs/<parent-hash>/unit-0003.g0/    # one fleet unit's artifact dir
-        manifest.json
-        <study>.json
-        <study>.csv
+    cache/<fingerprint-digest>.pkl          # warm sweep-cache entries
+    runs/<parent16>/unit-0003.g0.json       # one fleet unit's result object
+
+A unit's result object is its ``StudyResult.to_dict()`` document; the
+coordinator parses it with the same typed checks an artifact directory's
+manifest gets.
 
 Keys reuse the fingerprint scheme the rest of the system already trusts:
 cache objects are named by the same
@@ -34,20 +35,20 @@ Two implementations ship behind the one interface:
 
 :func:`store_from_url` turns a CLI-friendly URL (``mem://name``,
 ``file:///path`` or a bare path) into a store instance;
-:func:`push_cache_entries` / :func:`pull_cache_entries` sync a
-:class:`SweepDiskCache` with a store so fleet workers warm-start from
-each other's scenario evaluations.
+:func:`push_cache_entries` / :func:`pull_cache_entries` sync a cache
+directory with a store, and :class:`CacheSync` does so repeatedly over
+one run, so fleet workers warm-start from each other's scenario
+evaluations.
 """
 
 from __future__ import annotations
 
 import os
 import re
-import tempfile
 import threading
 from pathlib import Path
-from typing import Iterable
 
+from repro.diskio import write_atomic
 from repro.errors import StoreError
 from repro.experiments.diskcache import SweepDiskCache
 
@@ -56,9 +57,6 @@ _SEGMENT = re.compile(r"^[A-Za-z0-9][A-Za-z0-9._-]*$")
 
 #: Default key prefix for synced sweep-cache entries.
 CACHE_PREFIX = "cache"
-
-#: Default key prefix for synced compiled-trace cache entries.
-TRACE_PREFIX = "traces"
 
 
 def validate_key(key: str) -> str:
@@ -82,8 +80,8 @@ def validate_key(key: str) -> str:
 class ArtifactStore:
     """Abstract object store: flat keys, whole-object reads and writes.
 
-    Subclasses implement the five primitives; the JSON/text/directory
-    conveniences are shared.  All methods are safe under concurrent use
+    Subclasses implement the five primitives; the JSON/text conveniences
+    are shared.  All methods are safe under concurrent use
     from multiple threads (and, for :class:`LocalDirStore`, processes).
     """
 
@@ -129,45 +127,6 @@ class ArtifactStore:
             return json.loads(self.get_text(key))
         except ValueError as exc:
             raise StoreError(f"object {key!r} is not valid JSON: {exc}") from exc
-
-    def push_dir(self, prefix: str, directory: str | Path) -> int:
-        """Upload every file under ``directory`` as ``prefix/<relpath>``.
-
-        Returns the number of objects written.  Sub-directories are
-        walked; empty directories (having no object representation) are
-        skipped, exactly like a real bucket.
-        """
-        directory = Path(directory)
-        if not directory.is_dir():
-            raise StoreError(f"cannot push {directory}: not a directory")
-        count = 0
-        for path in sorted(directory.rglob("*")):
-            if not path.is_file():
-                continue
-            key = "/".join(filter(None, [prefix.strip("/"),
-                                         path.relative_to(directory).as_posix()]))
-            self.put_bytes(key, path.read_bytes())
-            count += 1
-        return count
-
-    def pull_dir(self, prefix: str, directory: str | Path) -> int:
-        """Download every object under ``prefix`` into ``directory``.
-
-        Returns the number of files written; raises when the prefix is
-        empty (a fleet pulling a unit's artifacts must fail loudly, not
-        merge an empty directory).
-        """
-        prefix = prefix.strip("/")
-        keys = self.list_keys(prefix)
-        if not keys:
-            raise StoreError(f"no objects under store prefix {prefix!r}")
-        directory = Path(directory)
-        for key in keys:
-            relative = key[len(prefix):].lstrip("/") if prefix else key
-            target = directory / Path(*relative.split("/"))
-            target.parent.mkdir(parents=True, exist_ok=True)
-            target.write_bytes(self.get_bytes(key))
-        return len(keys)
 
 
 class MemoryStore(ArtifactStore):
@@ -234,18 +193,7 @@ class LocalDirStore(ArtifactStore):
     def put_bytes(self, key: str, data: bytes) -> None:
         target = self._path(key)
         try:
-            target.parent.mkdir(parents=True, exist_ok=True)
-            fd, tmp_name = tempfile.mkstemp(dir=target.parent, suffix=".tmp")
-            try:
-                with os.fdopen(fd, "wb") as handle:
-                    handle.write(data)
-                os.replace(tmp_name, target)
-            except OSError:
-                try:
-                    os.unlink(tmp_name)
-                except OSError:
-                    pass
-                raise
+            write_atomic(target, data)
         except OSError as exc:
             raise StoreError(f"cannot store {key!r} in {self.root}: {exc}") from exc
 
@@ -327,13 +275,12 @@ def store_from_url(url: str | os.PathLike) -> ArtifactStore:
 # ---------------------------------------------------------------------------
 
 
-def _cache_entry_names(cache) -> Iterable[str]:
-    return (entry.name for entry in cache.entries())
+def _cache_entry_names(cache) -> set[str]:
+    return {entry.name for entry in cache.entries()}
 
 
-def push_cache_entries(cache, store: ArtifactStore,
-                       prefix: str = CACHE_PREFIX) -> int:
-    """Upload local cache entries the store does not hold yet.
+class CacheSync:
+    """Keeps one local cache directory and a store in step over a run.
 
     ``cache`` is any :class:`~repro.diskio.DirectoryStore` — the sweep
     result cache or the compiled-trace cache.  Entries are keyed
@@ -341,67 +288,74 @@ def push_cache_entries(cache, store: ArtifactStore,
     uses — so two machines pushing the same evaluation write the same
     object, and an object can only ever be claimed by the fingerprint
     that produced it (the cache re-verifies the stored key on read).
-    Returns the number uploaded.
+
+    The sync remembers every entry name it saw in the store or uploaded,
+    so a repeated :meth:`push` lists the local directory once and calls
+    the store only for entries that appeared since.
     """
-    pushed = 0
-    for name in _cache_entry_names(cache):
-        key = f"{prefix}/{name}"
-        if store.exists(key):
-            continue
-        try:
-            data = (cache.path / name).read_bytes()
-        except OSError:
-            continue  # concurrently pruned — nothing to push
-        store.put_bytes(key, data)
-        pushed += 1
-    return pushed
+
+    def __init__(self, cache, store: ArtifactStore,
+                 prefix: str = CACHE_PREFIX):
+        self.cache = cache
+        self.store = store
+        self.prefix = prefix
+        #: Entry names the store is known to hold.
+        self.synced: set[str] = set()
+
+    def pull(self) -> int:
+        """Download store-held entries missing locally; returns the count.
+
+        Only objects carrying the cache's suffix are fetched.  The
+        transfer is byte-for-byte; a corrupt or foreign object is
+        harmless because the cache's ``get`` re-verifies the stored
+        fingerprint key before serving a hit.
+        """
+        have = _cache_entry_names(self.cache)
+        pulled = 0
+        for key in self.store.list_keys(self.prefix):
+            name = key.rsplit("/", 1)[-1]
+            if not name.endswith(self.cache.suffix):
+                continue
+            self.synced.add(name)
+            if name in have:
+                continue
+            try:
+                write_atomic(self.cache.path / name, self.store.get_bytes(key))
+            except (OSError, StoreError):
+                continue
+            pulled += 1
+        return pulled
+
+    def push(self) -> int:
+        """Upload local entries this sync has not pulled or pushed yet
+        (and the store does not hold); returns the number uploaded."""
+        pushed = 0
+        for name in sorted(_cache_entry_names(self.cache) - self.synced):
+            key = f"{self.prefix}/{name}"
+            if not self.store.exists(key):
+                try:
+                    data = (self.cache.path / name).read_bytes()
+                except OSError:
+                    continue  # concurrently pruned — nothing to push
+                self.store.put_bytes(key, data)
+                pushed += 1
+            self.synced.add(name)
+        return pushed
+
+
+def push_cache_entries(cache, store: ArtifactStore,
+                       prefix: str = CACHE_PREFIX) -> int:
+    """Upload local cache entries the store does not hold yet.
+
+    A one-shot :meth:`CacheSync.push`; returns the number uploaded.
+    """
+    return CacheSync(cache, store, prefix).push()
 
 
 def pull_cache_entries(store: ArtifactStore, cache,
                        prefix: str = CACHE_PREFIX) -> int:
     """Download store-held cache entries missing locally (warm start).
 
-    ``cache`` is any :class:`~repro.diskio.DirectoryStore`; only objects
-    carrying its suffix are fetched.  The transfer is byte-for-byte; a
-    corrupt or foreign object is harmless because the cache's ``get``
-    re-verifies the stored fingerprint key before serving a hit.
-    Returns the number fetched.
+    A one-shot :meth:`CacheSync.pull`; returns the number fetched.
     """
-    pulled = 0
-    have = set(_cache_entry_names(cache))
-    for key in store.list_keys(prefix):
-        name = key.rsplit("/", 1)[-1]
-        if not name.endswith(cache.suffix) or name in have:
-            continue
-        target = cache.path / name
-        fd, tmp_name = tempfile.mkstemp(dir=cache.path, suffix=".tmp")
-        try:
-            with os.fdopen(fd, "wb") as handle:
-                handle.write(store.get_bytes(key))
-            os.replace(tmp_name, target)
-        except (OSError, StoreError):
-            try:
-                os.unlink(tmp_name)
-            except OSError:
-                pass
-            continue
-        pulled += 1
-    return pulled
-
-
-def push_trace_entries(cache, store: ArtifactStore,
-                       prefix: str = TRACE_PREFIX) -> int:
-    """Upload compiled-trace cache entries (``<prefix>/<digest>.trace``).
-
-    The trace-cache twin of :func:`push_cache_entries`: a fleet's workers
-    push the traces they captured so every other machine starts capture-
-    warm (:class:`~repro.simmpi.tracecache.TraceDiskCache` verifies the
-    fingerprint key on read, so foreign objects are harmless misses).
-    """
-    return push_cache_entries(cache, store, prefix=prefix)
-
-
-def pull_trace_entries(store: ArtifactStore, cache,
-                       prefix: str = TRACE_PREFIX) -> int:
-    """Download compiled-trace cache entries missing locally."""
-    return pull_cache_entries(store, cache, prefix=prefix)
+    return CacheSync(cache, store, prefix).pull()

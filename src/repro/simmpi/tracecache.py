@@ -10,9 +10,11 @@ on :class:`repro.diskio.DirectoryStore`), so
 
 * decks sharing a decomposition never re-capture across processes (a
   sweep's multiprocessing workers and later CLI runs all hit one store),
-* the fleet can ship warm traces between machines through the
-  ``ArtifactStore`` flow (:func:`repro.experiments.remotestore.
-  push_trace_entries` / ``pull_trace_entries``), and
+* warm traces can travel between machines through an ``ArtifactStore``
+  with the generic cache helpers
+  (:func:`repro.experiments.remotestore.push_cache_entries` /
+  ``pull_cache_entries`` with ``prefix="traces"``; fleet workers sync
+  only their sweep-cache entries), and
 * the prediction service's warm tiers extend down into capture.
 
 Each entry is a small pickled header — the fingerprint key, per-rank

@@ -13,8 +13,8 @@ import json
 from repro.cli import main
 from repro.experiments.backends import SimMeasurement, SimulationBackend
 from repro.experiments.remotestore import (
-    pull_trace_entries,
-    push_trace_entries,
+    pull_cache_entries,
+    push_cache_entries,
     store_from_url,
 )
 from repro.experiments.sweep import SweepRunner
@@ -90,12 +90,13 @@ class TestRemoteTraceSync:
                              cache=str(tmp_path / "a"))
         simulation_points(source)
         store = store_from_url(f"file://{tmp_path}/bucket")
-        pushed = push_trace_entries(source.backend.trace_cache, store)
-        assert pushed == len(source.backend.trace_cache)
+        trace_cache = source.backend.trace_cache
+        pushed = push_cache_entries(trace_cache, store, prefix="traces")
+        assert pushed == len(trace_cache)
         # Second push is a no-op; pull warms an empty cache byte-for-byte.
-        assert push_trace_entries(source.backend.trace_cache, store) == 0
+        assert push_cache_entries(trace_cache, store, prefix="traces") == 0
         target = TraceDiskCache(tmp_path / "b")
-        assert pull_trace_entries(store, target) == pushed
+        assert pull_cache_entries(store, target, prefix="traces") == pushed
         names = {entry.name for entry in target.entries()}
         assert names == {entry.name for entry
                          in source.backend.trace_cache.entries()}

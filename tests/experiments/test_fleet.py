@@ -7,8 +7,10 @@ import time
 from pathlib import Path
 
 import pytest
+from test_artifacts import mutate_field
 
-from repro.errors import FleetError
+from repro.cli import main
+from repro.errors import ExperimentError, FleetError
 from repro.experiments.fleet import (
     FleetCoordinator,
     FleetEventLog,
@@ -21,6 +23,7 @@ from repro.experiments.sharding import plan_shards, plan_unit_shards
 from repro.experiments.study import (
     StudyContext,
     StudyRunner,
+    StudySpec,
     build_spec,
 )
 
@@ -168,6 +171,31 @@ class TestLocalFleet:
         pulled = [e for e in events if e["event"] == "cache-pulled"]
         assert pulled and pulled[0]["entries"] > 0
 
+    def test_published_result_wakes_the_coordinator(self, runner,
+                                                     shared_context):
+        """The hand-off does not wait out a poll: with a 5 s idle cadence
+        the run still returns as soon as its one unit is published."""
+        spec = build_spec("table2", max_pes=4, max_iterations=1)
+        reference = runner.run(spec)
+        started = time.perf_counter()
+        outcome = run_local_fleet([spec], n_workers=1, poll_s=5.0,
+                                  context=shared_context)
+        assert time.perf_counter() - started < 2.5
+        assert outcome.results[0].rows == reference.rows
+
+    def test_worker_error_fails_at_once(self, tmp_path):
+        """A worker thread that raises fails the run now, not at timeout."""
+        blocker = tmp_path / "a-file"
+        blocker.write_text("")
+        started = time.perf_counter()
+        with pytest.raises(FleetError,
+                           match="cannot create cache directory") as info:
+            run_local_fleet(["table2"], n_workers=2, smoke=True,
+                            cache_dir=str(blocker / "cache"), timeout_s=60)
+        assert time.perf_counter() - started < 10
+        assert "worker local-" in str(info.value)
+        assert isinstance(info.value.__cause__, ExperimentError)
+
 
 class TestChaos:
     """The issue's hard invariant: placement and death never change rows."""
@@ -231,6 +259,131 @@ class TestChaos:
         result = outcome.results[0]
         reference = StudyRunner().run(spec)
         assert result.rows == reference.rows
+
+
+class TestProtocolVersion:
+    def _fleet_at_version(self, tmp_path, version):
+        coordinator = FleetCoordinator(tmp_path / "q", store=MemoryStore())
+        coordinator.enqueue([build_spec("table2", max_pes=4,
+                                        max_iterations=1)])
+        descriptor_path = tmp_path / "q" / "fleet.json"
+        descriptor = json.loads(descriptor_path.read_text())
+        descriptor["version"] = version
+        descriptor_path.write_text(json.dumps(descriptor))
+        return coordinator
+
+    def test_worker_refuses_another_version(self, tmp_path):
+        coordinator = self._fleet_at_version(tmp_path, 1)
+        worker = FleetWorker(tmp_path / "q", store=coordinator.store,
+                             worker_id="v2")
+        with pytest.raises(FleetError, match=r"version 1\b.*version 2"):
+            worker.run(max_units=1, wait_timeout_s=1.0)
+        assert worker.completed == 0
+
+    def test_fleet_work_reports_the_mismatch(self, capsys, tmp_path):
+        self._fleet_at_version(tmp_path, 1)
+        assert main(["fleet", "work", "--fleet-dir", str(tmp_path / "q"),
+                     "--max-units", "1", "--wait-timeout", "1"]) == 2
+        out = capsys.readouterr().out
+        assert "fleet failed:" in out
+        assert "protocol version 1" in out
+
+
+class TestUnitObjectMutations:
+    """A corrupt unit result object fails ``serve`` cleanly: an
+    :class:`ExperimentError` (or :class:`FleetError`) naming the unit and
+    the field, never another exception."""
+
+    #: Mutated objects tried.
+    MUTATIONS = 80
+    SPEC = build_spec("table2", max_pes=4, max_iterations=1)  # one unit
+
+    @pytest.fixture(scope="class")
+    def unit_result(self, tmp_path_factory, runner):
+        """The single unit's honest result (what a worker would publish)."""
+        queue = tmp_path_factory.mktemp("plan") / "q"
+        FleetCoordinator(queue, store=MemoryStore()).enqueue([self.SPEC])
+        record = json.loads((queue / "units" / "unit-0000.json").read_text())
+        return runner.run(StudySpec.from_dict(record["spec"]))
+
+    def _serve_published(self, queue, unit_result, store):
+        """Enqueue, let a worker publish the unit into ``store``, serve."""
+        coordinator = FleetCoordinator(queue, store=store)
+        coordinator.enqueue([self.SPEC])
+        worker = FleetWorker(queue, store=store, worker_id="w")
+        record = json.loads((queue / "units" / "unit-0000.json").read_text())
+        claimed = worker._try_claim(0, 0, record)
+        worker._publish(claimed, unit_result, elapsed=0.0)
+        return coordinator.serve(timeout_s=5.0)
+
+    @pytest.fixture(scope="class")
+    def published(self, tmp_path_factory, unit_result):
+        """The honest unit object's bytes."""
+        store = MemoryStore()
+        self._serve_published(tmp_path_factory.mktemp("honest") / "q",
+                              unit_result, store)
+        (key,) = store.list_keys("runs")
+        return store.get_bytes(key)
+
+    def test_honest_object_merges(self, tmp_path, unit_result, runner):
+        outcome = self._serve_published(tmp_path / "q", unit_result,
+                                        MemoryStore())
+        assert outcome.results[0].rows == runner.run(self.SPEC).rows
+
+    def test_mutated_objects_merge_or_fail_cleanly(self, tmp_path,
+                                                   unit_result, published):
+        rng = random.Random(20061017)
+        refused = 0
+        for trial in range(self.MUTATIONS):
+            document = json.loads(published)
+            choice = rng.randrange(5)
+            field = None
+            if choice == 0:
+                mutated = published[:rng.randrange(len(published))]
+            elif choice == 1:
+                mutated = rng.choice(NOT_JSON_OBJECTS)
+            else:
+                if choice == 2:
+                    field = rng.choice(UNIT_FIELDS)
+                    mutate_field(document, (field,), rng)
+                elif choice == 3:
+                    field = "spec_hash"
+                    document[field] = "0" * 64
+                else:
+                    field = "rows"
+                    rng.choice(document[field])["not_a_column"] = 1
+                mutated = json.dumps(document).encode()
+            try:
+                self._serve_published(tmp_path / f"q{trial}", unit_result,
+                                      ReplacingStore(mutated))
+            except ExperimentError as exc:
+                refused += 1
+                message = str(exc)
+                assert message.startswith("fleet unit 0 object"), message
+                if field is not None:
+                    assert f"'{field}" in message, message
+        assert 0 < refused < self.MUTATIONS
+
+
+#: Top-level fields of a unit object (``StudyResult.to_dict()``).
+UNIT_FIELDS = ("study", "spec", "spec_hash", "machine", "machine_fingerprint",
+               "elapsed_s", "cache", "execution", "phases", "columns",
+               "rows", "analysis", "sharding")
+
+#: Unit objects that are not JSON, or not a JSON object.
+NOT_JSON_OBJECTS = (b"", b"{not json", b"\xff\xfe\x80", b"[" * 100_000,
+                    b"[1, 2]", b"null")
+
+
+class ReplacingStore(MemoryStore):
+    """A MemoryStore that stores ``payload`` in place of every object."""
+
+    def __init__(self, payload: bytes):
+        super().__init__()
+        self._payload = payload
+
+    def put_bytes(self, key: str, data: bytes) -> None:
+        super().put_bytes(key, self._payload)
 
 
 class TestLeaseProtocol:

@@ -7,6 +7,7 @@ import pytest
 from repro.errors import StoreError
 from repro.experiments.diskcache import SweepDiskCache
 from repro.experiments.remotestore import (
+    CacheSync,
     LocalDirStore,
     MemoryStore,
     memory_store,
@@ -72,21 +73,6 @@ class TestStoreRoundTrips:
         assert not store.delete("gone")
         assert not store.exists("gone")
 
-    def test_dir_round_trip(self, store, tmp_path):
-        src = tmp_path / "src"
-        (src / "sub").mkdir(parents=True)
-        (src / "top.txt").write_text("top")
-        (src / "sub" / "leaf.bin").write_bytes(b"\x01\x02")
-        assert store.push_dir("tree", src) == 2
-        dst = tmp_path / "dst"
-        assert store.pull_dir("tree", dst) == 2
-        assert (dst / "top.txt").read_text() == "top"
-        assert (dst / "sub" / "leaf.bin").read_bytes() == b"\x01\x02"
-
-    def test_pull_empty_prefix_raises(self, store, tmp_path):
-        with pytest.raises(StoreError, match="no objects"):
-            store.pull_dir("nothing/here", tmp_path / "out")
-
     def test_concurrent_writers(self, store):
         errors = []
 
@@ -151,3 +137,36 @@ class TestCacheSync:
         warm = self._warm_cache(tmp_path)
         push_cache_entries(warm, store)
         assert pull_cache_entries(store, warm) == 0
+
+    def test_sync_calls_the_store_only_for_new_entries(self, tmp_path):
+        store = CountingStore()
+        push_cache_entries(self._warm_cache(tmp_path, "peer"), store)
+        local = SweepDiskCache(tmp_path / "local")
+        local.put(("scenario", 3), {"elapsed": 3.75})  # never in the store
+        sync = CacheSync(local, store)
+        assert sync.pull() == 2
+        store.calls = 0
+        assert sync.push() == 1          # the local-only entry, once
+        assert store.calls == 2          # one exists() + one put_bytes()
+        assert sync.push() == 0
+        assert store.calls == 2          # nothing new: no store call
+        local.put(("scenario", 4), {"elapsed": 5.0})
+        assert sync.push() == 1
+        assert store.calls == 4
+        assert len(store.list_keys("cache")) == 4
+
+
+class CountingStore(MemoryStore):
+    """A MemoryStore that counts existence checks and writes."""
+
+    def __init__(self):
+        super().__init__()
+        self.calls = 0
+
+    def exists(self, key: str) -> bool:
+        self.calls += 1
+        return super().exists(key)
+
+    def put_bytes(self, key: str, data: bytes) -> None:
+        self.calls += 1
+        super().put_bytes(key, data)
