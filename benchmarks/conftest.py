@@ -11,11 +11,16 @@ round of one iteration and attach the reproduced-vs-published numbers to
 from __future__ import annotations
 
 import pathlib
+import sys
 
 import pytest
 
 #: Directory the rendered table/figure reports are written into.
 OUTPUT_DIR = pathlib.Path(__file__).parent / "output"
+
+# The reference evaluators in ``tests/oracles.py`` are the baselines of the
+# compiled-vs-naive gate; benchmarks import them as ``oracles`` like the tests.
+sys.path.append(str(pathlib.Path(__file__).resolve().parent.parent / "tests"))
 
 
 @pytest.fixture(scope="session")

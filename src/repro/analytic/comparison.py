@@ -1,10 +1,10 @@
 """Cross-model agreement: PACE vs LogGP vs the Los Alamos model.
 
 Section 6 of the paper notes that its speculative predictions "concur with
-those gained through other related analytical models".  This module runs
-the same workload through the three predictors and reports their relative
-spread, which the model-agreement benchmark asserts stays within a modest
-band.
+those gained through other related analytical models".  This module sets a
+PACE prediction beside the two analytic models for the same workload and
+reports their relative spread, which the model-agreement benchmark asserts
+stays within a modest band.
 """
 
 from __future__ import annotations
@@ -13,9 +13,8 @@ from dataclasses import dataclass
 
 from repro.analytic.hoisie import HoisieWavefrontModel
 from repro.analytic.loggp import LogGPParameters, LogGPWavefrontModel
-from repro.core.evaluation import EvaluationEngine
 from repro.core.hmcl.model import HardwareModel
-from repro.core.workload import SweepWorkload, load_sweep3d_model
+from repro.core.workload import SweepWorkload
 
 
 @dataclass
@@ -57,18 +56,13 @@ class ModelComparison:
 
 
 def compare_models(workload: SweepWorkload, hardware: HardwareModel,
-                   engine: EvaluationEngine | None = None,
-                   pace: float | None = None) -> ModelComparison:
-    """Run one workload through PACE, LogGP and the Los Alamos model.
+                   pace: float) -> ModelComparison:
+    """Set a PACE prediction beside the LogGP and Los Alamos models.
 
-    A precomputed ``pace`` prediction (e.g. from a batched scenario sweep)
-    skips the per-call engine evaluation.
+    ``pace`` is the PACE model's predicted time for ``workload`` on
+    ``hardware`` (the agreement study takes it from a batched scenario
+    sweep); the two closed-form models are evaluated here.
     """
-    if pace is None:
-        if engine is None:
-            engine = EvaluationEngine(load_sweep3d_model(), hardware)
-        pace = engine.predict(workload.model_variables()).total_time
-
     seconds_per_flop = hardware.cpu.seconds_per_flop
     loggp_model = LogGPWavefrontModel(LogGPParameters.from_hardware(hardware))
     loggp = loggp_model.predict(workload, seconds_per_flop)

@@ -250,16 +250,13 @@ def predict(machine: Machine | str, px: int, py: int,
     and shared across calls; the result is bit-identical to a cold
     evaluation.
     """
-    from repro.core.evaluation import EvaluationEngine
     from repro.core.workload import SweepWorkload
 
-    context = default_context()
     machine = _resolve(machine)
     deck = _resolve_deck(deck, px, py, iterations)
     hardware = machine.hardware_model(deck, px, py)
-    engine = EvaluationEngine(context.model(), hardware,
-                              compiled=context.compiled_model())
-    return engine.predict(SweepWorkload(deck, px, py).model_variables())
+    executor = default_context().compiled_model().executor(hardware)
+    return executor.predict(SweepWorkload(deck, px, py).model_variables())
 
 
 def simulate(machine: Machine | str, px: int, py: int,

@@ -63,7 +63,6 @@ from typing import Sequence
 
 from repro import units
 from repro._version import __version__
-from repro.core.evaluation import EvaluationEngine
 from repro.core.hmcl.parser import format_hmcl
 from repro.core.workload import SweepWorkload, load_sweep3d_model
 from repro.errors import ExperimentError
@@ -722,13 +721,13 @@ def _cmd_cache(args: argparse.Namespace) -> int:
 
 
 def _cmd_predict(args: argparse.Namespace) -> int:
+    from repro import api
+
     machine = get_machine(args.machine)
     deck = standard_deck(args.deck, px=args.px, py=args.py,
                          max_iterations=args.iterations)
     workload = SweepWorkload(deck, args.px, args.py)
-    hardware = machine.hardware_model(deck, args.px, args.py)
-    engine = EvaluationEngine(load_sweep3d_model(), hardware)
-    prediction = engine.predict(workload.model_variables())
+    prediction = api.predict(machine, args.px, args.py, deck=deck)
     print(machine.describe())
     print(f"workload: {workload.describe()}")
     print(prediction.describe())

@@ -11,7 +11,7 @@ compile (:mod:`repro.core.evaluation.compiler`)
     expressions become pre-bound closures, cflows are constant-folded and
     memoised on exactly the variables they reference, and ``proc`` bodies
     become flat executable plans.  Compilation is hardware-independent and
-    shareable across engines and sweep workers.
+    shareable across executors and sweep workers.
 
 execute (:class:`~repro.core.evaluation.compiler.CompiledExecutor`)
     Binds a compiled model to one HMCL
@@ -19,15 +19,14 @@ execute (:class:`~repro.core.evaluation.compiler.CompiledExecutor`)
     evaluation-time caches, keyed on the hardware fingerprint so hardware
     swaps and mutations can never produce stale predictions.
 
-:class:`EvaluationEngine` is the stable public facade over both phases
-(``predict()`` semantics are unchanged from the original interpreter, which
-survives as :class:`~repro.core.evaluation.engine.InterpretedEngine`, the
-bit-for-bit reference implementation).  Batch evaluation over scenario
-grids lives one layer up, in :mod:`repro.experiments.sweep`, where this
-pipeline is registered as the ``"predict"`` scenario backend
-(:mod:`repro.experiments.backends`) alongside the discrete-event
-``"simulate"`` backend; :func:`hardware_fingerprint` doubles as the
-hardware component of the disk-backed sweep-cache keys.
+A prediction is ``CompiledModel(model).executor(hardware).predict(...)``;
+:func:`repro.api.predict` does the same over a process-wide compiled model.
+Batch evaluation over scenario grids lives one layer up, in
+:mod:`repro.experiments.sweep`, where this pipeline is registered as the
+``"predict"`` scenario backend (:mod:`repro.experiments.backends`)
+alongside the discrete-event ``"simulate"`` backend;
+:func:`hardware_fingerprint` doubles as the hardware component of the
+disk-backed sweep-cache keys.
 """
 
 from repro.core.evaluation.compiler import (
@@ -36,15 +35,12 @@ from repro.core.evaluation.compiler import (
     CompiledModel,
     hardware_fingerprint,
 )
-from repro.core.evaluation.engine import EvaluationEngine, InterpretedEngine
 from repro.core.evaluation.result import PredictionResult, SubtaskBreakdown
 
 __all__ = [
     "CacheStats",
     "CompiledExecutor",
     "CompiledModel",
-    "EvaluationEngine",
-    "InterpretedEngine",
     "PredictionResult",
     "SubtaskBreakdown",
     "hardware_fingerprint",

@@ -33,10 +33,11 @@ subtask cache is keyed on ``(subtask, environment, hardware fingerprint)``
 so swapping or mutating the hardware model can never return stale times
 (the seed engine's cache ignored the hardware entirely).
 
-Numerical behaviour is bit-identical to the interpreted engine: the
-compiled closures perform exactly the same floating point operations in
-exactly the same order, and reuse the interpreter's coercion and operator
-helpers.
+Numerical behaviour is bit-identical to the seed's AST-walking interpreter:
+the compiled closures perform exactly the same floating point operations in
+exactly the same order, through the coercion and operator helpers
+:func:`_as_number` and :func:`_apply_binop` below.  The interpreter itself
+is kept outside the package, as the test suite's reference oracle.
 """
 
 from __future__ import annotations
@@ -49,7 +50,6 @@ from repro.core.clc import ClcVector
 from repro.core.hmcl.model import HardwareModel
 from repro.core.ir import ModelObject, ModelSet, ObjectKind
 from repro.core.psl import ast
-from repro.core.psl.interpreter import _apply_binop, _as_number
 from repro.core.templates import get_strategy
 from repro.core.templates.base import StageSpec, StageStep, TemplateResult
 from repro.core.evaluation.result import PredictionResult, SubtaskBreakdown
@@ -71,6 +71,49 @@ CompiledExpr = Callable[["CompiledExecutor", Env], object]
 
 #: A compiled procedure instruction: ``(executor, env, state) -> None``.
 Instr = Callable[["CompiledExecutor", Env, "_ExecState"], None]
+
+
+def _as_number(value: object, context: str) -> float:
+    if isinstance(value, bool):
+        return 1.0 if value else 0.0
+    if isinstance(value, (int, float)):
+        return float(value)
+    raise PslEvaluationError(f"{context}: expected a number, got {value!r}")
+
+
+def _apply_binop(op: str, left: float | str, right: float | str) -> float:
+    if op in ("&&", "||"):
+        lnum, rnum = _as_number(left, op), _as_number(right, op)
+        if op == "&&":
+            return 1.0 if (lnum != 0 and rnum != 0) else 0.0
+        return 1.0 if (lnum != 0 or rnum != 0) else 0.0
+    if op in ("==", "!="):
+        equal = left == right
+        return 1.0 if (equal if op == "==" else not equal) else 0.0
+    lnum, rnum = _as_number(left, op), _as_number(right, op)
+    if op == "+":
+        return lnum + rnum
+    if op == "-":
+        return lnum - rnum
+    if op == "*":
+        return lnum * rnum
+    if op == "/":
+        if rnum == 0:
+            raise PslEvaluationError("division by zero in PSL expression")
+        return lnum / rnum
+    if op == "%":
+        if rnum == 0:
+            raise PslEvaluationError("modulo by zero in PSL expression")
+        return math.fmod(lnum, rnum)
+    if op == "<":
+        return 1.0 if lnum < rnum else 0.0
+    if op == "<=":
+        return 1.0 if lnum <= rnum else 0.0
+    if op == ">":
+        return 1.0 if lnum > rnum else 0.0
+    if op == ">=":
+        return 1.0 if lnum >= rnum else 0.0
+    raise PslEvaluationError(f"unknown operator {op!r}")
 
 
 def hardware_fingerprint(hardware: HardwareModel) -> tuple:
@@ -750,12 +793,7 @@ class CompiledExecutor:
             spec.steps.append(StageStep(
                 device=device,
                 params={key: expr(self, env) for key, expr in params}))
-        strategy = cobj.strategy()
-        # Strategies may provide a compiled-pipeline fast path (the pipeline
-        # template's steady-state extrapolation); it must agree with the
-        # exact evaluation to <= 1e-12 relative.
-        evaluate = getattr(strategy, "evaluate_fast", None) or strategy.evaluate
-        return evaluate(env, spec, self.hardware)
+        return cobj.strategy().evaluate(env, spec, self.hardware)
 
     # -- helpers ------------------------------------------------------------
 

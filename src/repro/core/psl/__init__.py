@@ -20,8 +20,9 @@ A dialect of PACE's CHIP3S language with three object kinds:
     named *strategy* (``pipeline``, ``globalsum``, ``globalmax``, ``async``)
     supplies the dependency structure across processors.
 
-The module provides the lexer, parser, AST and expression/flow interpreter;
-object-level evaluation lives in :mod:`repro.core.evaluation`.
+The module provides the lexer, parser and AST; evaluation (expressions,
+cflows and objects, compiled to closures) lives in
+:mod:`repro.core.evaluation`.
 """
 
 from repro.core.psl.parser import parse_psl, load_psl_resource

@@ -20,16 +20,15 @@ finish times obey the recurrence
 
 where ``arrival`` times are the upstream neighbours' post times plus the
 one-way delivery cost fitted from the ping-pong benchmark.  The recurrence
-is evaluated with numpy over anti-diagonals of the processor array, so the
-8000-processor speculative study of Section 6 evaluates in seconds.
+is evaluated anti-diagonal by anti-diagonal as scalar Python over per-rank
+rows, so the 8000-processor speculative study of Section 6 evaluates in
+seconds.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from typing import Mapping
-
-import numpy as np
 
 from repro.core.hmcl.model import HardwareModel
 from repro.core.templates.base import (
@@ -71,64 +70,27 @@ class PipelineStrategy:
 
         costs = self._stage_costs(variables, stage, hardware)
         blocks_per_octant = n_k_blocks * n_angle_blocks
-        octants = octant_order()
-
-        finish = np.zeros((npe_i, npe_j))
-        for octant in octants:
-            si = 1 if octant.idir > 0 else -1
-            sj = 1 if octant.jdir > 0 else -1
-            # Views in "sweep space": index [0, 0] is the octant's origin corner.
-            finish_view = finish[::si, ::sj]
-            for _ in range(blocks_per_octant):
-                self._advance_block(finish_view, costs, npe_i, npe_j)
-
-        total = float(finish.max())
-        return self._result(total, costs, npe_i, npe_j, 8 * blocks_per_octant)
-
-    #: Below this rank count the scalar recurrence beats the vectorised one
-    #: (numpy's per-operation overhead dominates on short anti-diagonals).
-    SCALAR_RANK_LIMIT = 4096
-
-    def evaluate_fast(self, variables: Mapping[str, float | str], stage: StageSpec,
-                      hardware: HardwareModel) -> TemplateResult:
-        """Scalar evaluation of the wavefront (the compiled pipeline's path).
-
-        Performs **exactly** the same floating point operations as
-        :meth:`evaluate`, in the same order, so the result is bit-identical —
-        but the anti-diagonal recurrence runs as straight-line Python over
-        the small per-rank state instead of numpy calls over tiny arrays,
-        which is ~10x faster below a few thousand ranks.  Above
-        :data:`SCALAR_RANK_LIMIT` the vectorised evaluation wins and is used
-        unchanged.
-        """
-        npe_i = require_int(variables, "npe_i", minimum=1)
-        npe_j = require_int(variables, "npe_j", minimum=1)
-        if npe_i * npe_j > self.SCALAR_RANK_LIMIT:
-            return self.evaluate(variables, stage, hardware)
-        n_k_blocks = require_int(variables, "n_k_blocks", minimum=1)
-        n_angle_blocks = require_int(variables, "n_angle_blocks", minimum=1)
-
-        costs = self._stage_costs(variables, stage, hardware)
-        blocks_per_octant = n_k_blocks * n_angle_blocks
 
         finish = [[0.0] * npe_j for _ in range(npe_i)]
         for octant in octant_order():
             for _ in range(blocks_per_octant):
-                self._advance_block_scalar(finish, costs, npe_i, npe_j,
-                                           octant.idir, octant.jdir)
+                self._advance_block(finish, costs, npe_i, npe_j,
+                                    octant.idir, octant.jdir)
 
         total = max(max(row) for row in finish)
         return self._result(total, costs, npe_i, npe_j, 8 * blocks_per_octant)
 
     @staticmethod
-    def _advance_block_scalar(finish: list, costs: _StageCosts,
-                              npe_i: int, npe_j: int,
-                              idir: int, jdir: int) -> None:
-        """Scalar twin of :meth:`_advance_block` (same ops, same order).
+    def _advance_block(finish: list, costs: _StageCosts, npe_i: int, npe_j: int,
+                       idir: int, jdir: int) -> None:
+        """Advance every rank's finish time by one block of this octant.
 
-        ``finish`` is a list of per-rank rows in machine orientation; the
-        octant direction is applied through index mapping instead of a
-        flipped view.
+        ``finish`` is a list of per-rank rows in machine orientation, updated
+        in place; the octant direction is applied through index mapping, so
+        ``(a, b)`` below are sweep-space coordinates with ``(0, 0)`` at the
+        octant's origin corner.  Arrival arrays hold the virtual time at
+        which the upstream neighbour's message for *this* block reaches each
+        rank.  Ranks on one anti-diagonal do not depend on each other.
         """
         work = costs.work
         recv_ew, recv_ns = costs.recv_ew, costs.recv_ns
@@ -239,93 +201,3 @@ class PipelineStrategy:
         if npe_j > 1:
             overhead += costs.recv_ns + costs.send_ns
         return overhead
-
-    # ------------------------------------------------------------------
-
-    @staticmethod
-    def _advance_block(finish_view: np.ndarray, costs: _StageCosts,
-                       npe_i: int, npe_j: int) -> None:
-        """Advance every rank's finish time by one block of this octant.
-
-        ``finish_view`` is oriented so index ``[0, 0]`` is the sweep origin;
-        it is updated in place.  Arrival arrays hold the virtual time at
-        which the upstream neighbour's message for *this* block reaches each
-        rank.
-        """
-        arrival_ew = np.zeros((npe_i, npe_j))
-        arrival_ns = np.zeros((npe_i, npe_j))
-
-        for diag in range(npe_i + npe_j - 1):
-            a_lo = max(0, diag - (npe_j - 1))
-            a_hi = min(npe_i - 1, diag)
-            a_idx = np.arange(a_lo, a_hi + 1)
-            b_idx = diag - a_idx
-
-            t = finish_view[a_idx, b_idx]
-            has_up_ew = a_idx > 0
-            has_up_ns = b_idx > 0
-            if has_up_ew.any():
-                t = np.where(has_up_ew,
-                             np.maximum(t, arrival_ew[a_idx, b_idx]) + costs.recv_ew, t)
-            if has_up_ns.any():
-                t = np.where(has_up_ns,
-                             np.maximum(t, arrival_ns[a_idx, b_idx]) + costs.recv_ns, t)
-            t = t + costs.work
-
-            has_dn_ew = a_idx < npe_i - 1
-            if has_dn_ew.any():
-                arrival_ew[a_idx[has_dn_ew] + 1, b_idx[has_dn_ew]] = (
-                    t[has_dn_ew] + costs.delivery_ew)
-                t = np.where(has_dn_ew, t + costs.send_ew, t)
-            has_dn_ns = b_idx < npe_j - 1
-            if has_dn_ns.any():
-                arrival_ns[a_idx[has_dn_ns], b_idx[has_dn_ns] + 1] = (
-                    t[has_dn_ns] + costs.delivery_ns)
-                t = np.where(has_dn_ns, t + costs.send_ns, t)
-
-            finish_view[a_idx, b_idx] = t
-
-    # ------------------------------------------------------------------
-
-    def reference_evaluate(self, variables: Mapping[str, float | str], stage: StageSpec,
-                           hardware: HardwareModel) -> TemplateResult:
-        """Straightforward (slow) per-rank evaluation used to cross-check the
-        vectorised recurrence in the test suite."""
-        npe_i = require_int(variables, "npe_i", minimum=1)
-        npe_j = require_int(variables, "npe_j", minimum=1)
-        n_k_blocks = require_int(variables, "n_k_blocks", minimum=1)
-        n_angle_blocks = require_int(variables, "n_angle_blocks", minimum=1)
-        costs = self._stage_costs(variables, stage, hardware)
-
-        finish = {(i, j): 0.0 for i in range(npe_i) for j in range(npe_j)}
-        for octant in octant_order():
-            for _ in range(n_k_blocks * n_angle_blocks):
-                arrival_ew: dict[tuple[int, int], float] = {}
-                arrival_ns: dict[tuple[int, int], float] = {}
-                order = sorted(
-                    finish,
-                    key=lambda rc: ((rc[0] if octant.idir > 0 else npe_i - 1 - rc[0])
-                                    + (rc[1] if octant.jdir > 0 else npe_j - 1 - rc[1])))
-                for (i, j) in order:
-                    t = finish[(i, j)]
-                    up_i = (i - octant.idir, j)
-                    up_j = (i, j - octant.jdir)
-                    if 0 <= up_i[0] < npe_i:
-                        t = max(t, arrival_ew[(i, j)]) + costs.recv_ew
-                    if 0 <= up_j[1] < npe_j:
-                        t = max(t, arrival_ns[(i, j)]) + costs.recv_ns
-                    t += costs.work
-                    dn_i = (i + octant.idir, j)
-                    dn_j = (i, j + octant.jdir)
-                    if 0 <= dn_i[0] < npe_i:
-                        arrival_ew[dn_i] = t + costs.delivery_ew
-                        t += costs.send_ew
-                    if 0 <= dn_j[1] < npe_j:
-                        arrival_ns[dn_j] = t + costs.delivery_ns
-                        t += costs.send_ns
-                    finish[(i, j)] = t
-        total = max(finish.values())
-        total_blocks = 8 * n_k_blocks * n_angle_blocks
-        compute = costs.work * total_blocks
-        return TemplateResult(time=total, compute_time=compute,
-                              communication_time=max(0.0, total - compute))

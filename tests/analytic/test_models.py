@@ -86,16 +86,16 @@ class TestHoisieModel:
 
 class TestModelAgreement:
     def test_three_models_agree_on_compute_bound_configs(self, synthetic_hardware,
-                                                         workload_2x2, synthetic_engine):
-        comparison = compare_models(workload_2x2, synthetic_hardware,
-                                    engine=synthetic_engine)
+                                                         workload_2x2, synthetic_executor):
+        pace = synthetic_executor.predict(workload_2x2.model_variables()).total_time
+        comparison = compare_models(workload_2x2, synthetic_hardware, pace)
         assert comparison.pace > 0 and comparison.loggp > 0 and comparison.hoisie > 0
         # Section 6: the predictions of the different analytic models concur.
         assert comparison.spread < 0.5
         assert comparison.max_relative_difference("pace") < 0.5
 
-    def test_describe(self, synthetic_hardware, workload_2x2, synthetic_engine):
-        comparison = compare_models(workload_2x2, synthetic_hardware,
-                                    engine=synthetic_engine)
+    def test_describe(self, synthetic_hardware, workload_2x2, synthetic_executor):
+        pace = synthetic_executor.predict(workload_2x2.model_variables()).total_time
+        comparison = compare_models(workload_2x2, synthetic_hardware, pace)
         text = comparison.describe()
         assert "PACE" in text and "LogGP" in text and "Hoisie" in text

@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import pytest
 
-from repro.core.evaluation import EvaluationEngine
+from repro.core.evaluation import CompiledExecutor, CompiledModel
 from repro.core.hmcl.model import CpuCostModel, HardwareModel, MpiCostModel
 from repro.core.workload import load_sweep3d_model
 from repro.machines.presets import get_machine
@@ -71,8 +71,9 @@ def synthetic_hardware() -> HardwareModel:
 
 
 @pytest.fixture(scope="session")
-def synthetic_engine(sweep3d_model, synthetic_hardware) -> EvaluationEngine:
-    return EvaluationEngine(sweep3d_model, synthetic_hardware)
+def synthetic_executor(sweep3d_model, synthetic_hardware) -> CompiledExecutor:
+    """The shipped model compiled and bound to the synthetic hardware."""
+    return CompiledModel(sweep3d_model).executor(synthetic_hardware)
 
 
 @pytest.fixture(scope="session")

@@ -1,8 +1,9 @@
-"""Tests for the PACE evaluation engine."""
+"""Tests for the PACE evaluation pipeline (compiled executor vs the oracle)."""
 
+import oracles
 import pytest
 
-from repro.core.evaluation import CompiledModel, EvaluationEngine
+from repro.core.evaluation import CompiledModel
 from repro.core.hmcl.model import CpuCostModel, HardwareModel
 from repro.core.psl.parser import parse_psl
 from repro.core.workload import SweepWorkload
@@ -30,9 +31,13 @@ def tiny_model(body: str = "call work;", extra: str = ""):
     """)
 
 
+def executor(model, hardware):
+    return CompiledModel(model).executor(hardware)
+
+
 class TestProcedureExecution:
     def test_single_call(self, synthetic_hardware):
-        engine = EvaluationEngine(tiny_model(), synthetic_hardware)
+        engine = executor(tiny_model(), synthetic_hardware)
         prediction = engine.predict()
         # 100 MFDG flops at 200 MFLOPS.
         assert prediction.total_time == pytest.approx(100 / 200e6)
@@ -40,50 +45,50 @@ class TestProcedureExecution:
 
     def test_for_loop_repeats_calls(self, synthetic_hardware):
         model = tiny_model(body="var i; for i = 1 to n { call work; }")
-        engine = EvaluationEngine(model, synthetic_hardware)
+        engine = executor(model, synthetic_hardware)
         prediction = engine.predict()
         assert prediction.breakdown["work"].calls == 2
         assert prediction.total_time == pytest.approx(2 * 100 / 200e6)
 
     def test_variable_override_at_predict_time(self, synthetic_hardware):
         model = tiny_model(body="var i; for i = 1 to n { call work; }")
-        engine = EvaluationEngine(model, synthetic_hardware)
+        engine = executor(model, synthetic_hardware)
         prediction = engine.predict({"n": 5, "cells": 200})
         assert prediction.breakdown["work"].calls == 5
         assert prediction.total_time == pytest.approx(5 * 200 / 200e6)
 
     def test_if_statement_branches(self, synthetic_hardware):
         model = tiny_model(body="if (n > 1) { call work; } else { compute 1.0; }")
-        engine = EvaluationEngine(model, synthetic_hardware)
+        engine = executor(model, synthetic_hardware)
         assert engine.predict({"n": 2}).total_time == pytest.approx(100 / 200e6)
         assert engine.predict({"n": 1}).total_time == pytest.approx(1.0)
 
     def test_compute_statement_adds_seconds(self, synthetic_hardware):
         model = tiny_model(body="compute 0.5; call work;")
-        engine = EvaluationEngine(model, synthetic_hardware)
+        engine = executor(model, synthetic_hardware)
         prediction = engine.predict()
         assert prediction.total_time == pytest.approx(0.5 + 100 / 200e6)
         assert "app" in prediction.breakdown
 
     def test_assignment_and_expression_variables(self, synthetic_hardware):
         model = tiny_model(body="var i; n = n * 3; for i = 1 to n { call work; }")
-        engine = EvaluationEngine(model, synthetic_hardware)
+        engine = executor(model, synthetic_hardware)
         assert engine.predict({"n": 2}).breakdown["work"].calls == 6
 
     def test_for_with_negative_step(self, synthetic_hardware):
         model = tiny_model(body="var i; for i = n to 1 step 0 - 1 { call work; }")
-        engine = EvaluationEngine(model, synthetic_hardware)
+        engine = executor(model, synthetic_hardware)
         assert engine.predict({"n": 3}).breakdown["work"].calls == 3
 
     def test_zero_step_rejected(self, synthetic_hardware):
         model = tiny_model(body="var i; for i = 1 to 2 step 0 { call work; }")
-        engine = EvaluationEngine(tiny_model(), synthetic_hardware)
-        engine_bad = EvaluationEngine(model, synthetic_hardware)
+        engine = executor(tiny_model(), synthetic_hardware)
+        engine_bad = executor(model, synthetic_hardware)
         with pytest.raises(EvaluationError):
             engine_bad.predict()
 
     def test_calling_unknown_entry_proc(self, synthetic_hardware):
-        engine = EvaluationEngine(tiny_model(), synthetic_hardware)
+        engine = executor(tiny_model(), synthetic_hardware)
         from repro.errors import PslNameError
         with pytest.raises(PslNameError):
             engine.predict(entry_proc="missing")
@@ -93,7 +98,7 @@ class TestProcedureExecution:
         application app { include broken; proc init { call broken; } }
         subtask broken { var cells = 1; }
         """)
-        engine = EvaluationEngine(model, synthetic_hardware)
+        engine = executor(model, synthetic_hardware)
         with pytest.raises(EvaluationError):
             engine.predict()
 
@@ -102,37 +107,36 @@ class TestProcedureExecution:
         application app { include serial; proc init { call serial; } }
         subtask serial { var cells = 1; proc init { compute 0.125; } }
         """)
-        engine = EvaluationEngine(model, synthetic_hardware)
+        engine = executor(model, synthetic_hardware)
         assert engine.predict().total_time == pytest.approx(0.125)
 
     def test_predict_subtask_in_isolation(self, synthetic_hardware):
-        engine = EvaluationEngine(tiny_model(), synthetic_hardware)
+        engine = executor(tiny_model(), synthetic_hardware)
         result = engine.predict_subtask("work", {"cells": 400})
         assert result.time == pytest.approx(400 / 200e6)
 
     def test_cflow_vector_introspection(self, synthetic_hardware):
-        engine = EvaluationEngine(tiny_model(), synthetic_hardware)
+        engine = executor(tiny_model(), synthetic_hardware)
         clc = engine.cflow_vector("work", "body", {"cells": 7})
         assert clc.count("MFDG") == 7
 
     def test_cache_reused_across_identical_calls(self, synthetic_hardware):
         model = tiny_model(body="var i; for i = 1 to 100 { call work; }")
-        engine = EvaluationEngine(model, synthetic_hardware)
+        engine = executor(model, synthetic_hardware)
         prediction = engine.predict()
         assert prediction.breakdown["work"].calls == 100
-        assert len(engine._subtask_cache) == 1
+        assert len(engine.cache) == 1
         engine.clear_cache()
-        assert len(engine._subtask_cache) == 0
+        assert len(engine.cache) == 0
 
 
 class TestCompiledPipeline:
-    """The compiled pipeline must agree with the interpreted reference."""
+    """The compiled pipeline must agree with the interpreted oracle."""
 
     def test_tiny_model_bitwise_identical(self, synthetic_hardware):
         model = tiny_model(body="var i; for i = 1 to n { call work; } compute 0.25;")
-        compiled = EvaluationEngine(model, synthetic_hardware).predict({"n": 3})
-        interpreted = EvaluationEngine(model, synthetic_hardware,
-                                       compiled=False).predict({"n": 3})
+        compiled = executor(model, synthetic_hardware).predict({"n": 3})
+        interpreted = oracles.InterpretedEngine(model, synthetic_hardware).predict({"n": 3})
         assert compiled.total_time == interpreted.total_time
         assert set(compiled.breakdown) == set(interpreted.breakdown)
         for name, item in compiled.breakdown.items():
@@ -141,13 +145,13 @@ class TestCompiledPipeline:
 
     def test_sweep3d_model_agrees_with_interpreter(self, sweep3d_model,
                                                    synthetic_hardware):
-        for px, py in [(1, 1), (2, 2), (4, 4)]:
+        # 80x100 is the Section 6 speculative size (8000 ranks).
+        for px, py in [(1, 1), (2, 2), (4, 4), (80, 100)]:
             deck = standard_deck("validation", px=px, py=py)
             variables = SweepWorkload(deck, px, py).model_variables()
-            compiled = EvaluationEngine(sweep3d_model,
-                                        synthetic_hardware).predict(variables)
-            interpreted = EvaluationEngine(sweep3d_model, synthetic_hardware,
-                                           compiled=False).predict(variables)
+            compiled = executor(sweep3d_model, synthetic_hardware).predict(variables)
+            interpreted = oracles.InterpretedEngine(
+                sweep3d_model, synthetic_hardware).predict(variables)
             assert compiled.total_time == interpreted.total_time
             for name, item in compiled.breakdown.items():
                 assert item.time == interpreted.breakdown[name].time
@@ -171,9 +175,8 @@ class TestCompiledPipeline:
         for p in (0.1, 0.3, 0.7, 1.0 / 3.0):
             for cells in (1, 17, 1000):
                 variables = {"cells": cells, "p": p}
-                compiled = EvaluationEngine(model, synthetic_hardware)
-                interpreted = EvaluationEngine(model, synthetic_hardware,
-                                               compiled=False)
+                compiled = executor(model, synthetic_hardware)
+                interpreted = oracles.InterpretedEngine(model, synthetic_hardware)
                 assert (compiled.predict_subtask("fixup", variables).time
                         == interpreted.predict_subtask("fixup", variables).time)
 
@@ -182,22 +185,15 @@ class TestCompiledPipeline:
                                                      validation_deck_2x2):
         compiled = CompiledModel(sweep3d_model)
         variables = SweepWorkload(validation_deck_2x2, 2, 2).model_variables()
-        one = EvaluationEngine(sweep3d_model, synthetic_hardware, compiled=compiled)
-        two = EvaluationEngine(sweep3d_model, synthetic_hardware, compiled=compiled)
+        one = compiled.executor(synthetic_hardware)
+        two = compiled.executor(synthetic_hardware)
         assert one.predict(variables).total_time == two.predict(variables).total_time
-
-    def test_precompiled_model_must_match_model_set(self, sweep3d_model,
-                                                    synthetic_hardware):
-        other = tiny_model()
-        with pytest.raises(EvaluationError):
-            EvaluationEngine(other, synthetic_hardware,
-                             compiled=CompiledModel(sweep3d_model))
 
     def test_cache_stats_exposed(self, sweep3d_model, synthetic_hardware,
                                  validation_deck_2x2):
-        engine = EvaluationEngine(sweep3d_model, synthetic_hardware)
+        engine = executor(sweep3d_model, synthetic_hardware)
         engine.predict(SweepWorkload(validation_deck_2x2, 2, 2).model_variables())
-        stats = engine.cache_stats
+        stats = engine.stats
         assert stats.predictions == 1
         # 12 iterations x 4 subtasks: everything after iteration 1 is cached.
         assert stats.subtask_hits > stats.subtask_misses > 0
@@ -223,12 +219,12 @@ class TestHardwareStaleness:
                                                    synthetic_hardware,
                                                    validation_deck_2x2):
         variables = SweepWorkload(validation_deck_2x2, 2, 2).model_variables()
-        engine = EvaluationEngine(sweep3d_model, synthetic_hardware)
+        engine = executor(sweep3d_model, synthetic_hardware)
         slow = engine.predict(variables).total_time
         engine.hardware = synthetic_hardware.scaled_flop_rate(2.0)
         fast = engine.predict(variables).total_time
         assert fast < slow
-        fresh = EvaluationEngine(
+        fresh = executor(
             sweep3d_model,
             synthetic_hardware.scaled_flop_rate(2.0)).predict(variables).total_time
         assert fast == fresh
@@ -237,7 +233,7 @@ class TestHardwareStaleness:
                                         validation_deck_2x2):
         variables = SweepWorkload(validation_deck_2x2, 2, 2).model_variables()
         hardware = self._hardware(synthetic_hardware, 200e6)
-        engine = EvaluationEngine(sweep3d_model, hardware)
+        engine = executor(sweep3d_model, hardware)
         slow = engine.predict(variables).total_time
         # Mutate the cpu section in place (no clear_cache): the fingerprint
         # changes, so the stale cached subtask times must not be reused.
@@ -250,68 +246,58 @@ class TestHardwareStaleness:
     def test_swapping_back_reuses_cache(self, sweep3d_model, synthetic_hardware,
                                         validation_deck_2x2):
         variables = SweepWorkload(validation_deck_2x2, 2, 2).model_variables()
-        engine = EvaluationEngine(sweep3d_model, synthetic_hardware)
+        engine = executor(sweep3d_model, synthetic_hardware)
         first = engine.predict(variables).total_time
         upgraded = synthetic_hardware.scaled_flop_rate(1.5)
         engine.hardware = upgraded
         engine.predict(variables)
         engine.hardware = synthetic_hardware
-        hits_before = engine.cache_stats.subtask_hits
+        hits_before = engine.stats.subtask_hits
         again = engine.predict(variables).total_time
         assert again == first
-        assert engine.cache_stats.subtask_hits > hits_before
-
-    def test_interpreted_facade_clears_on_swap(self, sweep3d_model,
-                                               synthetic_hardware,
-                                               validation_deck_2x2):
-        variables = SweepWorkload(validation_deck_2x2, 2, 2).model_variables()
-        engine = EvaluationEngine(sweep3d_model, synthetic_hardware,
-                                  compiled=False)
-        slow = engine.predict(variables).total_time
-        engine.hardware = synthetic_hardware.scaled_flop_rate(2.0)
-        assert engine.predict(variables).total_time < slow
+        assert engine.stats.subtask_hits > hits_before
 
 
 class TestSweep3DModelPredictions:
-    def test_prediction_structure(self, synthetic_engine, validation_deck_2x2):
+    def test_prediction_structure(self, synthetic_executor, validation_deck_2x2):
         workload = SweepWorkload(validation_deck_2x2, 2, 2)
-        prediction = synthetic_engine.predict(workload.model_variables())
+        prediction = synthetic_executor.predict(workload.model_variables())
         assert prediction.total_time > 0
         assert set(prediction.breakdown) == {"sweep", "source", "flux_err", "balance"}
         assert prediction.breakdown["sweep"].calls == 12
         assert prediction.application_name == "sweep3d"
 
-    def test_sweep_dominates(self, synthetic_engine, validation_deck_2x2):
+    def test_sweep_dominates(self, synthetic_executor, validation_deck_2x2):
         """The paper: the sweep subtask is responsible for ~97% of the computation."""
         workload = SweepWorkload(validation_deck_2x2, 2, 2)
-        prediction = synthetic_engine.predict(workload.model_variables())
+        prediction = synthetic_executor.predict(workload.model_variables())
         assert prediction.dominant_subtask() == "sweep"
         assert prediction.breakdown["sweep"].time / prediction.total_time > 0.9
 
-    def test_weak_scaling_prediction_grows(self, synthetic_engine):
+    def test_weak_scaling_prediction_grows(self, synthetic_executor):
         times = []
         for px, py in [(1, 1), (2, 2), (4, 4), (8, 8)]:
             deck = standard_deck("validation", px=px, py=py)
             workload = SweepWorkload(deck, px, py)
-            times.append(synthetic_engine.predict(workload.model_variables()).total_time)
+            times.append(synthetic_executor.predict(workload.model_variables()).total_time)
         assert times == sorted(times)
 
-    def test_iterations_scale_linearly(self, synthetic_engine):
+    def test_iterations_scale_linearly(self, synthetic_executor):
         deck12 = standard_deck("validation", px=2, py=2, max_iterations=12)
         deck6 = standard_deck("validation", px=2, py=2, max_iterations=6)
-        twelve = synthetic_engine.predict(SweepWorkload(deck12, 2, 2).model_variables())
-        six = synthetic_engine.predict(SweepWorkload(deck6, 2, 2).model_variables())
+        twelve = synthetic_executor.predict(SweepWorkload(deck12, 2, 2).model_variables())
+        six = synthetic_executor.predict(SweepWorkload(deck6, 2, 2).model_variables())
         assert twelve.total_time == pytest.approx(2 * six.total_time, rel=1e-6)
 
     def test_faster_processor_lowers_prediction(self, sweep3d_model, synthetic_hardware,
                                                 validation_deck_2x2):
         workload = SweepWorkload(validation_deck_2x2, 2, 2)
-        slow = EvaluationEngine(sweep3d_model, synthetic_hardware)
-        fast = EvaluationEngine(sweep3d_model, synthetic_hardware.scaled_flop_rate(1.5))
+        slow = executor(sweep3d_model, synthetic_hardware)
+        fast = executor(sweep3d_model, synthetic_hardware.scaled_flop_rate(1.5))
         assert (fast.predict(workload.model_variables()).total_time
                 < slow.predict(workload.model_variables()).total_time)
 
-    def test_describe_output(self, synthetic_engine, validation_deck_2x2):
+    def test_describe_output(self, synthetic_executor, validation_deck_2x2):
         workload = SweepWorkload(validation_deck_2x2, 2, 2)
-        text = synthetic_engine.predict(workload.model_variables()).describe()
+        text = synthetic_executor.predict(workload.model_variables()).describe()
         assert "sweep" in text and "%" in text

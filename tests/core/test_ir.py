@@ -1,7 +1,9 @@
 """Tests for the model object IR and the shipped SWEEP3D model."""
 
+import oracles
 import pytest
 
+from repro.core.evaluation import CompiledModel
 from repro.core.ir import ModelObject, ModelSet, ObjectKind
 from repro.core.psl.parser import parse_psl
 from repro.errors import PslNameError
@@ -93,13 +95,18 @@ class TestShippedSweep3DModel:
         assert "sweep" in hierarchy["sweep3d"]
         assert "pipeline" in hierarchy["sweep"]
 
-    def test_sweep_cflow_matches_kernel_characterisation(self, sweep3d_model):
-        from repro.core.psl.interpreter import evaluate_cflow
+    @pytest.mark.parametrize("evaluator", ["compiled", "oracle"])
+    def test_sweep_cflow_matches_kernel_characterisation(self, sweep3d_model,
+                                                         synthetic_hardware, evaluator):
         from repro.sweep3d.kernel import SweepKernel
-        sweep = sweep3d_model.get("sweep")
         variables = {"it": 50, "jt": 50, "kt": 50, "mk": 10, "mmi": 3,
                      "npe_i": 1, "npe_j": 1, "angles_per_octant": 6}
-        tally = evaluate_cflow(sweep.cflow("work_block"), variables,
-                               resolve_cflow=sweep.cflow)
+        if evaluator == "compiled":
+            executor = CompiledModel(sweep3d_model).executor(synthetic_hardware)
+            tally = executor.cflow_vector("sweep", "work_block", variables)
+        else:
+            sweep = sweep3d_model.get("sweep")
+            tally = oracles.evaluate_cflow(sweep.cflow("work_block"), variables,
+                                           resolve_cflow=sweep.cflow)
         expected_flops = SweepKernel.flops_per_cell_angle() * 50 * 50 * 10 * 3
         assert tally.flops == pytest.approx(expected_flops)

@@ -1,10 +1,11 @@
-"""Tests for the PSL lexer, parser and expression/cflow interpreter."""
+"""Tests for the PSL lexer and parser, and for expression/cflow evaluation."""
 
+import oracles
 import pytest
 
+from repro.core.evaluation import CompiledModel
 from repro.core.ir import ObjectKind
 from repro.core.psl import ast
-from repro.core.psl.interpreter import evaluate_cflow, evaluate_expression
 from repro.core.psl.lexer import tokenize
 from repro.core.psl.parser import parse_psl
 from repro.errors import PslEvaluationError, PslNameError, PslSyntaxError
@@ -123,110 +124,133 @@ class TestParser:
         assert steps[0].device == "mpirecv"
 
 
+def _cflow_model(cflows: str):
+    """Subtask ``s`` with the given cflows, inside a minimal complete model."""
+    return parse_psl("application a { proc init { compute 0; } }"
+                     f" subtask s {{ partmp t; {cflows} }}"
+                     " partmp t { var work = 0; option { strategy = \"async\"; } }")
+
+
 class TestExpressionInterpreter:
-    def evaluate(self, text: str, variables=None):
-        model = parse_psl(f"application t {{ var dummy = {text}; proc init {{ compute 0; }} }}")
-        expr = model.application.variables["dummy"]
-        return evaluate_expression(expr, variables or {})
+    """PSL expressions on the compiled executor and on the oracle interpreter.
 
-    def test_arithmetic_precedence(self):
-        assert self.evaluate("2 + 3 * 4") == 14
-        assert self.evaluate("(2 + 3) * 4") == 20
-        assert self.evaluate("10 / 4") == 2.5
-        assert self.evaluate("-3 + 1") == -2
+    Cases written as PSL text run on both and must give equal values or
+    exceptions of the same type; cases that build AST nodes by hand or pass
+    a ``flow_evaluator`` exercise the oracle's own API.
+    """
 
-    def test_functions(self):
-        assert self.evaluate("ceil(7 / 2)") == 4
-        assert self.evaluate("floor(7 / 2)") == 3
-        assert self.evaluate("max(2, 9, 4)") == 9
-        assert self.evaluate("min(2, 9, 4)") == 2
-        assert self.evaluate("log2(8)") == 3
-        assert self.evaluate("abs(0 - 5)") == 5
+    @pytest.fixture(params=["compiled", "oracle"])
+    def evaluate(self, request, synthetic_hardware):
+        def evaluate(text: str):
+            model = parse_psl(
+                f"application t {{ var dummy = {text}; proc init {{ compute 0; }} }}")
+            if request.param == "compiled":
+                executor = CompiledModel(model).executor(synthetic_hardware)
+                return executor.predict().variables["dummy"]
+            return oracles.evaluate_expression(model.application.variables["dummy"], {})
+        return evaluate
 
-    def test_exact_integer_ceil(self):
+    def test_arithmetic_precedence(self, evaluate):
+        assert evaluate("2 + 3 * 4") == 14
+        assert evaluate("(2 + 3) * 4") == 20
+        assert evaluate("10 / 4") == 2.5
+        assert evaluate("-3 + 1") == -2
+
+    def test_functions(self, evaluate):
+        assert evaluate("ceil(7 / 2)") == 4
+        assert evaluate("floor(7 / 2)") == 3
+        assert evaluate("max(2, 9, 4)") == 9
+        assert evaluate("min(2, 9, 4)") == 2
+        assert evaluate("log2(8)") == 3
+        assert evaluate("abs(0 - 5)") == 5
+
+    def test_exact_integer_ceil(self, evaluate):
         # ceil(kt / mk) must not round 50/10 up to 6.
-        assert self.evaluate("ceil(50 / 10)") == 5
+        assert evaluate("ceil(50 / 10)") == 5
 
-    def test_comparisons_and_logic(self):
-        assert self.evaluate("3 < 4") == 1.0
-        assert self.evaluate("3 >= 4") == 0.0
-        assert self.evaluate("1 && 0") == 0.0
-        assert self.evaluate("1 || 0") == 1.0
-        assert self.evaluate("2 == 2") == 1.0
-        assert self.evaluate("2 != 2") == 0.0
+    def test_comparisons_and_logic(self, evaluate):
+        assert evaluate("3 < 4") == 1.0
+        assert evaluate("3 >= 4") == 0.0
+        assert evaluate("1 && 0") == 0.0
+        assert evaluate("1 || 0") == 1.0
+        assert evaluate("2 == 2") == 1.0
+        assert evaluate("2 != 2") == 0.0
 
     def test_variables(self):
         expr = ast.BinOp("*", ast.VarRef("a"), ast.VarRef("b"))
-        assert evaluate_expression(expr, {"a": 6, "b": 7}) == 42
+        assert oracles.evaluate_expression(expr, {"a": 6, "b": 7}) == 42
 
     def test_undefined_variable(self):
         with pytest.raises(PslNameError):
-            evaluate_expression(ast.VarRef("nope"), {})
+            oracles.evaluate_expression(ast.VarRef("nope"), {})
 
-    def test_division_by_zero(self):
-        with pytest.raises(PslEvaluationError):
-            self.evaluate("1 / 0")
+    def test_undefined_variable_in_text(self, evaluate):
+        with pytest.raises(PslNameError):
+            evaluate("nope + 1")
 
-    def test_unknown_function(self):
+    def test_division_by_zero(self, evaluate):
         with pytest.raises(PslEvaluationError):
-            self.evaluate("frobnicate(3)")
+            evaluate("1 / 0")
+
+    def test_unknown_function(self, evaluate):
+        with pytest.raises(PslEvaluationError):
+            evaluate("frobnicate(3)")
 
     def test_flow_requires_evaluator(self):
         expr = ast.FuncCall("flow", [ast.VarRef("body")])
         with pytest.raises(PslEvaluationError):
-            evaluate_expression(expr, {})
-        assert evaluate_expression(expr, {}, flow_evaluator=lambda name: 2.5) == 2.5
+            oracles.evaluate_expression(expr, {})
+        assert oracles.evaluate_expression(expr, {}, flow_evaluator=lambda name: 2.5) == 2.5
 
 
 class TestCflowInterpreter:
-    def parse_cflow(self, body: str):
-        model = parse_psl(f"subtask s {{ partmp t; cflow main {{ {body} }} }}"
-                          " partmp t { var work = 0; option { strategy = \"async\"; } }")
-        return model.get("s").cflows["main"]
+    """cflow tallies on the compiled executor and on the oracle interpreter."""
 
-    def test_clc_accumulation(self):
-        cflow = self.parse_cflow("clc { AFDG = 2; MFDG = 3; } clc { AFDG = 1; }")
-        tally = evaluate_cflow(cflow, {})
-        assert tally.count("AFDG") == 3
-        assert tally.count("MFDG") == 3
+    @pytest.fixture(params=["compiled", "oracle"])
+    def tally(self, request, synthetic_hardware):
+        def tally(cflows: str, variables=None, name: str = "main"):
+            model = _cflow_model(cflows)
+            if request.param == "compiled":
+                executor = CompiledModel(model).executor(synthetic_hardware)
+                return executor.cflow_vector("s", name, variables)
+            subtask = model.get("s")
+            return oracles.evaluate_cflow(subtask.cflow(name), variables or {},
+                                          resolve_cflow=subtask.cflow)
+        return tally
 
-    def test_loop_scaling(self):
-        cflow = self.parse_cflow("loop (n) { clc { AFDG = 2; } }")
-        assert evaluate_cflow(cflow, {"n": 10}).count("AFDG") == 20
+    def test_clc_accumulation(self, tally):
+        result = tally("cflow main { clc { AFDG = 2; MFDG = 3; } clc { AFDG = 1; } }")
+        assert result.count("AFDG") == 3
+        assert result.count("MFDG") == 3
 
-    def test_nested_loops(self):
-        cflow = self.parse_cflow("loop (n) { loop (m) { clc { MFDG = 1; } } }")
-        assert evaluate_cflow(cflow, {"n": 3, "m": 4}).count("MFDG") == 12
+    def test_loop_scaling(self, tally):
+        result = tally("cflow main { loop (n) { clc { AFDG = 2; } } }", {"n": 10})
+        assert result.count("AFDG") == 20
 
-    def test_branch_weighting(self):
-        cflow = self.parse_cflow(
-            "branch (0.25) { clc { AFDG = 4; } } else { clc { AFDG = 8; } }")
-        assert evaluate_cflow(cflow, {}).count("AFDG") == pytest.approx(0.25 * 4 + 0.75 * 8)
+    def test_nested_loops(self, tally):
+        result = tally("cflow main { loop (n) { loop (m) { clc { MFDG = 1; } } } }",
+                       {"n": 3, "m": 4})
+        assert result.count("MFDG") == 12
 
-    def test_invalid_probability(self):
-        cflow = self.parse_cflow("branch (2) { clc { AFDG = 1; } }")
+    def test_branch_weighting(self, tally):
+        result = tally(
+            "cflow main { branch (0.25) { clc { AFDG = 4; } } else { clc { AFDG = 8; } } }")
+        assert result.count("AFDG") == pytest.approx(0.25 * 4 + 0.75 * 8)
+
+    def test_invalid_probability(self, tally):
         with pytest.raises(PslEvaluationError):
-            evaluate_cflow(cflow, {})
+            tally("cflow main { branch (2) { clc { AFDG = 1; } } }")
 
-    def test_negative_loop_count_rejected(self):
-        cflow = self.parse_cflow("loop (0 - 5) { clc { AFDG = 1; } }")
+    def test_negative_loop_count_rejected(self, tally):
         with pytest.raises(PslEvaluationError):
-            evaluate_cflow(cflow, {})
+            tally("cflow main { loop (0 - 5) { clc { AFDG = 1; } } }")
 
-    def test_cflow_call_inlining(self):
-        model = parse_psl("""
-        subtask s {
-            partmp t;
-            cflow inner { clc { AFDG = 5; } }
-            cflow outer { loop (2) { call inner; } }
-        }
-        partmp t { var work = 0; option { strategy = "async"; } }
-        """)
-        subtask = model.get("s")
-        tally = evaluate_cflow(subtask.cflows["outer"], {}, resolve_cflow=subtask.cflow)
-        assert tally.count("AFDG") == 10
+    def test_cflow_call_inlining(self, tally):
+        result = tally("cflow inner { clc { AFDG = 5; } }"
+                       " cflow outer { loop (2) { call inner; } }", name="outer")
+        assert result.count("AFDG") == 10
 
     def test_cflow_call_without_resolver(self):
-        cflow = self.parse_cflow("call other;")
+        cflow = _cflow_model("cflow main { call other; }").get("s").cflows["main"]
         with pytest.raises(PslEvaluationError):
-            evaluate_cflow(cflow, {})
+            oracles.evaluate_cflow(cflow, {})

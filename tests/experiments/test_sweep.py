@@ -3,7 +3,7 @@
 import pytest
 
 from repro.cli import main
-from repro.core.evaluation import EvaluationEngine
+from repro.core.evaluation import CompiledModel
 from repro.core.workload import SweepWorkload
 from repro.errors import ExperimentError
 from repro.experiments.backends import PredictionBackend
@@ -56,9 +56,9 @@ class TestSweepRunner:
         scenarios = scenario_grid()
         outcomes = SweepRunner(backend=PredictionBackend(
             model=sweep3d_model, hardware=synthetic_hardware)).run(scenarios)
-        engine = EvaluationEngine(sweep3d_model, synthetic_hardware)
+        executor = CompiledModel(sweep3d_model).executor(synthetic_hardware)
         for scenario, outcome in zip(scenarios, outcomes):
-            assert outcome.total_time == engine.predict(scenario.variables).total_time
+            assert outcome.total_time == executor.predict(scenario.variables).total_time
 
     def test_cache_hit_accounting(self, sweep3d_model, synthetic_hardware):
         runner = SweepRunner(backend=PredictionBackend(

@@ -1,9 +1,23 @@
 """Tests for the stable public facade (:mod:`repro.api`)."""
 
+import json
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
 
 import repro
 import repro.api as api
+
+#: Modules that ``import repro.api`` must not load: test oracles and the
+#: evaluation paths they replaced.  Extend it as imports become lazy.
+NOT_LOADED_BY_API_IMPORT = [
+    "repro.core.psl.interpreter",
+    "repro.core.evaluation.engine",
+    "oracles",
+]
 
 
 class TestFacadeSurface:
@@ -17,6 +31,18 @@ class TestFacadeSurface:
                      "run_study", "run_studies", "load_spec", "study_names",
                      "write_study_artifacts", "SweepDiskCache"):
             assert hasattr(api, name), name
+
+    def test_import_loads_no_oracle(self):
+        # A fresh interpreter with the oracle importable: only what
+        # ``repro.api`` itself pulls in ends up in ``sys.modules``.
+        tests_dir = Path(__file__).resolve().parent
+        src_dir = Path(repro.__file__).resolve().parents[1]
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join([str(src_dir), str(tests_dir)]))
+        script = "import json, sys, repro.api; print(json.dumps(sorted(sys.modules)))"
+        output = subprocess.run([sys.executable, "-c", script], env=env,
+                                capture_output=True, text=True, check=True)
+        loaded = set(json.loads(output.stdout))
+        assert [name for name in NOT_LOADED_BY_API_IMPORT if name in loaded] == []
 
     def test_available_machines(self):
         machines = api.available_machines()
