@@ -5,8 +5,9 @@ batched-simulation refactor: a 25-point (px, py) scenario grid evaluated
 through ``SweepRunner`` with the registered ``SimulationBackend`` must be at
 least 3x faster than the per-point path (a fresh ``ClusterEngine``,
 decomposition, quadrature and per-block operation-mix pricing per point —
-the seed's ``machine.simulate``) while producing bit-identical results:
-same elapsed times, same per-rank finish times, same message counts.
+the seed's measurement, kept as ``oracles.per_point_simulate`` in
+``tests/oracles.py``) while producing bit-identical results: same elapsed
+times, same per-rank finish times, same message counts.
 
 The batched path wins by lowering each configuration once into a
 ``SimulationPlan`` and pricing every distinct compute-block shape once in a
@@ -19,14 +20,16 @@ run of the same grid against a shared cache directory must be served from
 disk (> 0 hits — in fact all 25) with identical results and no
 re-simulation.
 
-Baseline on the reference container: 25-point grid (2 source iterations)
-~2.5 s naive vs ~0.65 s batched (~3.9x), warm disk-cached rerun ~3 ms.
+Readings on a 2-vCPU Xeon VM, 4 runs: 25-point grid (2 source iterations)
+3.1-4.2 s naive (the oracle) vs 0.51-0.76 s batched, 4.7-7.9x; warm
+disk-cached rerun ~3 ms.
 """
 
 from __future__ import annotations
 
 import time
 
+import oracles
 from gate_report import record_gate
 
 from repro.experiments.backends import SimulationBackend, simulation_grid
@@ -48,7 +51,8 @@ def _run_naive(machine, backend) -> tuple[float, list]:
     for scenario in simulation_grid(ARRAYS):
         deck, px, py = backend.deck_for(scenario)
         offset = backend.seed_offset_for(scenario, deck, px, py)
-        run = machine.simulate(deck, px, py, numeric=False, seed_offset=offset)
+        run = oracles.per_point_simulate(machine, deck, px, py,
+                                         machine.noise_model(offset))
         results.append((run.elapsed_time,
                         tuple(r.finish_time for r in run.simulation.ranks),
                         run.total_messages))

@@ -16,11 +16,15 @@ a 2x2 processor array on the simulated machine, and checks the physics:
 Run with::
 
     python examples/numeric_transport.py [--cells 8 --iterations 20]
+
+The script exits with status 1 when the parallel and serial solutions
+differ.
 """
 
 from __future__ import annotations
 
 import argparse
+import sys
 
 import numpy as np
 
@@ -34,7 +38,7 @@ from repro.sweep3d.verification import (
 )
 
 
-def main() -> None:
+def main() -> int:
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument("--cells", type=int, default=8,
                         help="cells per direction per processor (keep small: numeric mode)")
@@ -72,9 +76,10 @@ def main() -> None:
 
     if difference < 1e-12:
         print("\nThe 2-D pipelined decomposition reproduces the serial solution exactly.")
-    else:
-        print("\nWARNING: parallel and serial solutions differ beyond round-off!")
+        return 0
+    print("\nWARNING: parallel and serial solutions differ beyond round-off!")
+    return 1
 
 
 if __name__ == "__main__":
-    main()
+    sys.exit(main())

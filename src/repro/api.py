@@ -293,13 +293,8 @@ def simulate(machine: Machine | str, px: int, py: int,
     """
     machine = _resolve(machine)
     deck = _resolve_deck(deck, px, py, iterations)
-    if samples:
-        if execution == "engine":
-            execution = "auto"
-        return machine.simulate(deck, px, py, numeric=numeric,
-                                with_noise=with_noise,
-                                seed_offset=seed_offset,
-                                execution=execution, samples=samples)
+    if samples and execution == "engine":
+        execution = "auto"
     return machine.simulate(deck, px, py, numeric=numeric,
                             with_noise=with_noise, seed_offset=seed_offset,
-                            execution=execution)
+                            execution=execution, samples=samples)

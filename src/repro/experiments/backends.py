@@ -28,11 +28,12 @@ Two backends are registered:
     recorded once (:mod:`repro.simmpi.trace`) and each run resolves as a
     vectorised max-plus recurrence instead of re-driving the rank
     generators (``execution="engine"`` forces the per-event reference
-    path); noise-free periodic traces go one tier further through the
+    engine); noise-free periodic traces go one tier further through the
     steady-state extrapolation (:mod:`repro.simmpi.steady`), O(period)
-    instead of O(events).  Results are bit-identical to hand-constructed per-point
-    :class:`~repro.simmpi.engine.ClusterEngine` runs in every mode, and
-    to themselves under any ``workers=N`` fan-out (each scenario derives
+    instead of O(events).  Results are bit-identical in every mode to
+    the seed's per-point run (a fresh engine, decomposition and
+    operation-mix pricing per point, kept as the tests' oracle), and to
+    themselves under any ``workers=N`` fan-out (each scenario derives
     its own noise seed from its identity, never from the worker that
     evaluates it).
 
@@ -376,8 +377,6 @@ class SimulationBackend:
     def __init__(self, machine, deck: str = "validation",
                  max_iterations: int = 12,
                  numeric: bool = False,
-                 charge_compute: bool = True,
-                 convergence_collectives: bool = True,
                  with_noise: bool = True,
                  execution: str = "auto",
                  samples: int = 0,
@@ -401,8 +400,6 @@ class SimulationBackend:
         self.deck_name = deck
         self.max_iterations = max_iterations
         self.numeric = numeric
-        self.charge_compute = charge_compute
-        self.convergence_collectives = convergence_collectives
         self.with_noise = with_noise
         self.execution = execution
         self.samples = samples
@@ -464,7 +461,10 @@ class SimulationBackend:
              deck.fixed_source, deck.flux_fixup),
             px, py,
             self.seed_offset_for(scenario, deck, px, py),
-            self.numeric, self.charge_compute, self.convergence_collectives,
+            # The two ``True`` stand where the charge-compute and
+            # convergence-collective flags were: every run now does both,
+            # and keeping the places keeps existing cache keys valid.
+            self.numeric, True, True,
             self.with_noise,
         )
         if self.with_noise:
@@ -483,9 +483,7 @@ class SimulationExecutor:
 
     def __init__(self, backend: SimulationBackend):
         self.backend = backend
-        machine = backend.machine
-        self.cost_table = (SweepCostTable(machine.processor)
-                           if backend.charge_compute else None)
+        self.cost_table = SweepCostTable(backend.machine.processor)
         self._plans: dict[tuple, Any] = {}
         self._evaluations = 0
         self._plan_builds = 0
@@ -501,8 +499,6 @@ class SimulationExecutor:
             plan = self._plans[key] = backend.machine.simulation_plan(
                 deck, px, py,
                 numeric=backend.numeric,
-                charge_compute=backend.charge_compute,
-                convergence_collectives=backend.convergence_collectives,
                 cost_table=self.cost_table,
                 trace_cache=getattr(backend, "trace_cache", None))
         else:
@@ -565,13 +561,11 @@ class SimulationExecutor:
         consulted during the one pattern-capture pass per plan); ``flow``
         hits/misses count simulation plan reuse vs construction.
         """
-        stats = CacheStats(predictions=self._evaluations,
-                           flow_hits=self._plan_reuses,
-                           flow_misses=self._plan_builds)
-        if self.cost_table is not None:
-            stats.subtask_hits = self.cost_table.hits
-            stats.subtask_misses = self.cost_table.misses
-        return stats
+        return CacheStats(predictions=self._evaluations,
+                          flow_hits=self._plan_reuses,
+                          flow_misses=self._plan_builds,
+                          subtask_hits=self.cost_table.hits,
+                          subtask_misses=self.cost_table.misses)
 
 
 register_backend(PredictionBackend.name, PredictionBackend)

@@ -181,9 +181,9 @@ def measure_rows(machine: Machine, results: Sequence[ValidationRowResult],
     plans, the compute cost table and (optionally) the disk-backed sweep
     cache are shared across every row, and ``workers > 1`` fans the grid
     out over multiprocessing.  Each row's noise seed is its processor
-    count (``seed_offset = row.pes``), the seed of a per-row
-    ``machine.simulate`` call, so the measured values are bit-identical to
-    that per-row path whatever the worker count.  ``execution`` selects
+    count (``seed_offset = row.pes``), so every measured value equals a
+    one-off ``machine.simulate(..., seed_offset=row.pes)`` of that row bit
+    for bit, whatever the worker count.  ``execution`` selects
     the simulation tier (``"auto"``: trace replay for these modelled runs;
     ``"engine"``: the per-event reference; both bit-identical).
     ``samples > 0`` replays each row under that many noise seeds in one

@@ -12,7 +12,7 @@ from repro.simnet.link import LinkModel, QuantizedLink
 from repro.simnet.noise import NoiseModel
 from repro.simnet.topology import ClusterTopology
 from repro.simproc.processor import ProcessorModel, QuantizedProcessor
-from repro.sweep3d.driver import SimulationPlan, Sweep3DRunResult, run_parallel_sweep
+from repro.sweep3d.driver import SimulationPlan, Sweep3DRunResult
 from repro.sweep3d.input import Sweep3DInput
 from repro.sweep3d.parallel import SweepCostTable
 
@@ -62,9 +62,9 @@ class Machine:
     _benchmark_cache: dict[bool, MpiCostModel] = field(default_factory=dict, repr=False)
     _profile_cache: dict[tuple[int, int, int], FlopProfile] = field(default_factory=dict,
                                                                     repr=False)
-    #: Plans memoised by :meth:`simulate` for the replay tiers, so repeated
-    #: calls for one configuration reuse the compiled trace instead of
-    #: re-recording it per call.
+    #: Plans memoised by :meth:`simulate`, so repeated calls for one
+    #: configuration reuse the plan (and, on the replay tiers, its
+    #: compiled trace) instead of rebuilding it per call.
     _plan_cache: dict[tuple, SimulationPlan] = field(default_factory=dict, repr=False)
 
     def __getstate__(self):
@@ -149,42 +149,34 @@ class Machine:
                  numeric: bool = False, seed_offset: int = 0,
                  with_noise: bool = True,
                  execution: str = "engine",
-                 samples: int | None = None,
-                 trace_cache=None) -> Sweep3DRunResult:
+                 samples: int | None = None) -> Sweep3DRunResult:
         """Execute the parallel sweep on the discrete-event simulator.
 
         This produces the "Measurement" column of the validation tables.
-        ``execution`` selects the tier: ``"engine"`` (default) is the
-        per-point reference path; ``"replay"``/``"auto"`` lower the
-        configuration into a :class:`~repro.sweep3d.driver.SimulationPlan`
-        and resolve the run from its compiled trace
+        The configuration is lowered once into a memoised
+        :class:`~repro.sweep3d.driver.SimulationPlan` and run on the tier
+        ``execution`` names (see :meth:`SimulationPlan.run
+        <repro.sweep3d.driver.SimulationPlan.run>`): ``"engine"``
+        (default) is the reference engine, ``"replay"``/``"auto"``
+        resolve the run from the plan's compiled trace
         (:mod:`repro.simmpi.trace`), bit-identically.  ``samples`` (with a
         replay-capable ``execution``) draws that many noise seeds in one
         batched replay and returns a
         :class:`~repro.sweep3d.driver.Sweep3DSampleSet` instead; sample 0
         uses ``seed_offset``'s own noise stream, so its run is
-        bit-identical to the single-run path.
+        bit-identical to the single-run path.  ``samples`` of 0 or
+        ``None`` is one run.
         """
         noise = self.noise_model(seed_offset) if with_noise else NoiseModel.disabled()
-        if execution != "engine" or samples:
-            key = (deck, px, py, numeric)
-            plan = self._plan_cache.get(key)
-            if plan is None:
-                plan = self._plan_cache[key] = self.simulation_plan(
-                    deck, px, py, numeric=numeric, trace_cache=trace_cache)
-            elif plan.trace_cache is None and trace_cache is not None:
-                # A cached plan built without a trace cache can still adopt
-                # one — the cache only affects where the trace comes from.
-                plan.trace_cache = trace_cache
-            return plan.run(noise=noise, mode=execution, samples=samples)
-        return run_parallel_sweep(deck, px, py, topology=self.topology,
-                                  processor=self.processor, noise=noise,
-                                  numeric=numeric)
+        key = (deck, px, py, numeric)
+        plan = self._plan_cache.get(key)
+        if plan is None:
+            plan = self._plan_cache[key] = self.simulation_plan(
+                deck, px, py, numeric=numeric)
+        return plan.run(noise=noise, mode=execution, samples=samples or None)
 
     def simulation_plan(self, deck: Sweep3DInput, px: int, py: int,
                         numeric: bool = False,
-                        charge_compute: bool = True,
-                        convergence_collectives: bool = True,
                         cost_table: SweepCostTable | None = None,
                         trace_cache=None) -> SimulationPlan:
         """Lower one configuration into a reusable :class:`SimulationPlan`.
@@ -198,8 +190,6 @@ class Machine:
         """
         return SimulationPlan(deck, px, py, topology=self.topology,
                               processor=self.processor, numeric=numeric,
-                              charge_compute=charge_compute,
-                              convergence_collectives=convergence_collectives,
                               cost_table=cost_table, trace_cache=trace_cache)
 
     def quantized(self, time_quantum: float = 2.0 ** -30,

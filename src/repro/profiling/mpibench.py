@@ -139,9 +139,10 @@ class MpiBenchmark:
         limit = self.topology.rank_limit
         if limit is not None and nranks > limit:
             peer, nranks = 1, 2
-        engine = ClusterEngine(self.topology, noise=self.noise)
-        result = engine.run(_benchmark_program, nranks=nranks,
-                            program_args=(tuple(sizes), self.repetitions, peer))
+        result = ClusterEngine(self.topology).run(
+            _benchmark_program, nranks=nranks,
+            program_args=(tuple(sizes), self.repetitions, peer),
+            noise=self.noise)
         driver = result.return_values[0]
         echo = result.return_values[peer]
         data = CommBenchmarkData(

@@ -10,9 +10,9 @@ every event to a sink.  With a timing sink the loop is the engine
 
 * moves real payloads between ranks (numeric application runs produce
   bit-correct results),
-* advances per-rank virtual clocks using the
-  :mod:`repro.simnet` link/topology cost models and the
-  :mod:`repro.simproc` processor model,
+* advances per-rank virtual clocks by the :mod:`repro.simnet`
+  link/topology cost models and the compute durations the rank programs
+  charge (``comm.compute(seconds)``),
 * injects seeded OS/network noise, and
 * reports per-rank timing breakdowns.
 
@@ -38,7 +38,6 @@ A minimal rank program::
 
 from repro.simmpi.operations import (
     Compute,
-    ExecuteMix,
     Send,
     Recv,
     Isend,
@@ -59,7 +58,6 @@ from repro.simmpi.cart import Cart2D
 
 __all__ = [
     "Compute",
-    "ExecuteMix",
     "Send",
     "Recv",
     "Isend",

@@ -27,7 +27,6 @@ from repro.simmpi.operations import (
     Barrier,
     Bcast,
     Compute,
-    ExecuteMix,
     Irecv,
     Isend,
     Now,
@@ -107,10 +106,6 @@ class SimComm:
     def compute(self, seconds: float) -> Compute:
         """Charge ``seconds`` of CPU time to this rank."""
         return Compute(float(seconds))
-
-    def execute(self, mix: Any) -> ExecuteMix:
-        """Charge the execution time of an :class:`~repro.simproc.OperationMix`."""
-        return ExecuteMix(mix)
 
     # -- point to point ------------------------------------------------------
 

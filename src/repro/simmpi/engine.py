@@ -45,7 +45,6 @@ from repro.simmpi.operations import (
     OP_BARRIER,
     OP_BCAST,
     OP_COMPUTE,
-    OP_EXECUTE,
     OP_IRECV,
     OP_ISEND,
     OP_NOW,
@@ -191,20 +190,17 @@ def _take_wildcard(queues: dict, source: int, tag: int) -> tuple | None:
     return send
 
 
-def run_ranks(sink: Any, topology: ClusterTopology, processor: Any,
+def run_ranks(sink: Any, topology: ClusterTopology,
               max_operations: int, program: Callable[..., Any],
-              nranks: int, program_args: Iterable[Any] = (),
-              program_kwargs: dict[str, Any] | None = None
+              nranks: int, program_args: Iterable[Any] = ()
               ) -> SimulationResult:
     """Run ``program`` on ``nranks`` ranks, handing every event to ``sink``.
 
-    ``program`` is called as ``program(comm, *program_args,
-    **program_kwargs)`` for each rank and must return a generator.  The
-    sink provides:
+    ``program`` is called as ``program(comm, *program_args)`` for each
+    rank and must return a generator.  The sink provides:
 
     * ``error`` — the exception class raised for misuse (bad rank count,
-      non-generator program, missing processor model, exhausted
-      operation budget);
+      non-generator program, exhausted operation budget);
     * ``compute(rank, base)``, ``send(rank, slot, base, route)``,
       ``match(rank, slot, base)`` and ``collective(base, nbytes)`` — one
       call per event, each returning the event's duration.  ``base`` is
@@ -221,10 +217,9 @@ def run_ranks(sink: Any, topology: ClusterTopology, processor: Any,
     if nranks < 1:
         raise error("nranks must be >= 1")
     topology.validate_rank_count(nranks)
-    program_kwargs = dict(program_kwargs or {})
     advance = []
     for rank in range(nranks):
-        gen = program(SimComm(rank, nranks), *program_args, **program_kwargs)
+        gen = program(SimComm(rank, nranks), *program_args)
         if not hasattr(gen, "send"):
             raise error("rank program must be a generator function (use 'yield')")
         advance.append(gen.send)
@@ -483,15 +478,6 @@ def run_ranks(sink: Any, topology: ClusterTopology, processor: Any,
                 value = result
                 continue
 
-            if code == OP_EXECUTE:
-                if processor is None:
-                    raise error(
-                        "SimComm.execute(mix) requires a processor model")
-                duration = on_compute(rank, processor.execute_time(op.mix))
-                clock[rank] += duration
-                compute_time[rank] += duration
-                continue
-
             if code == OP_WAIT or code == OP_WAITALL:
                 if code == OP_WAIT:
                     timing_dependent("wait")
@@ -579,19 +565,14 @@ class ClusterEngine:
 
     The scheduling loop (:func:`run_ranks`) with a timing sink: every
     compute block and message transfer draws its noise as the loop
-    reaches it, so the loop's clocks are the simulated times.
+    reaches it, so the loop's clocks are the simulated times.  Rank
+    programs charge compute as explicit seconds (``comm.compute``); the
+    engine prices only messages and collectives.
 
     Parameters
     ----------
     topology:
         Node layout and link cost models.
-    processor:
-        Optional :class:`~repro.simproc.ProcessorModel`; required only when
-        rank programs charge compute time through
-        :meth:`SimComm.execute` (an operation mix) rather than explicit
-        seconds.
-    noise:
-        OS/network noise model; defaults to no noise (deterministic runs).
     max_operations:
         Safety valve: abort with :class:`SimulationError` if a single run
         executes more than this many operations (guards against unbounded
@@ -599,31 +580,25 @@ class ClusterEngine:
     """
 
     def __init__(self, topology: ClusterTopology,
-                 processor: Any = None,
-                 noise: NoiseModel | None = None,
                  max_operations: int = 200_000_000):
         self.topology = topology
-        self.processor = processor
-        self.noise = noise if noise is not None else NoiseModel.disabled()
         self.max_operations = max_operations
         self._running = False
 
     def run(self, program: Callable[..., Any], nranks: int,
             program_args: Iterable[Any] = (),
-            program_kwargs: dict[str, Any] | None = None,
             noise: NoiseModel | None = None) -> SimulationResult:
         """Execute ``program`` on ``nranks`` simulated ranks.
 
-        ``program`` is called as ``program(comm, *program_args,
-        **program_kwargs)`` for each rank and must return a generator
-        (i.e. contain at least one ``yield``).
+        ``program`` is called as ``program(comm, *program_args)`` for each
+        rank and must return a generator (i.e. contain at least one
+        ``yield``).
 
-        ``noise`` overrides the engine's default noise model for this run
-        only; ``None`` uses the model the engine was constructed with.
-        Every run draws from a fresh cursor over that model's streams
-        (:meth:`~repro.simnet.noise.NoiseModel.draws`), so equal inputs
-        give equal results however often the engine or the model is
-        reused.
+        ``noise`` is this run's OS/network noise model; ``None`` runs
+        noise-free.  Every run draws from a fresh cursor over the model's
+        streams (:meth:`~repro.simnet.noise.NoiseModel.draws`), so equal
+        inputs give equal results however often the engine or the model
+        is reused.
 
         The engine may be reused: it keeps no per-run state, so no run —
         even a failed one — leaks into the next, and a re-entrant call
@@ -636,8 +611,9 @@ class ClusterEngine:
         self._running = True
         try:
             return run_ranks(
-                _TimingSink(noise if noise is not None else self.noise),
-                self.topology, self.processor, self.max_operations,
-                program, nranks, program_args, program_kwargs)
+                _TimingSink(noise if noise is not None
+                            else NoiseModel.disabled()),
+                self.topology, self.max_operations,
+                program, nranks, program_args)
         finally:
             self._running = False

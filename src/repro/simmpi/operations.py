@@ -22,8 +22,8 @@ ANY_TAG = -1
 
 #: Operation codes: the scheduling loop (:mod:`repro.simmpi.engine`)
 #: dispatches on ``op.code`` rather than on the operation's class.
-(OP_COMPUTE, OP_EXECUTE, OP_SEND, OP_RECV, OP_ISEND, OP_IRECV, OP_WAIT,
- OP_WAITALL, OP_ALLREDUCE, OP_BARRIER, OP_BCAST, OP_NOW) = range(12)
+(OP_COMPUTE, OP_SEND, OP_RECV, OP_ISEND, OP_IRECV, OP_WAIT, OP_WAITALL,
+ OP_ALLREDUCE, OP_BARRIER, OP_BCAST, OP_NOW) = range(11)
 
 
 class ReduceOp(str, Enum):
@@ -80,15 +80,6 @@ class Compute(Operation):
     def __post_init__(self) -> None:
         if self.seconds < 0:
             raise CommunicatorError("compute time must be >= 0")
-
-
-@dataclass
-class ExecuteMix(Operation):
-    """Charge the execution time of an operation mix (needs a processor model)."""
-
-    code = OP_EXECUTE
-
-    mix: Any  # OperationMix; typed loosely to avoid an import cycle
 
 
 @dataclass

@@ -816,7 +816,7 @@ class _ColumnSink:
     def timing_dependent(self, what: str) -> None:
         raise TraceError(
             f"{what} is timing-dependent and cannot be trace-compiled "
-            "(supported: compute, execute, blocking send/recv with explicit "
+            "(supported: compute, blocking send/recv with explicit "
             "source and tag, allreduce, barrier, bcast)")
 
     def trace(self, result: SimulationResult) -> CompiledTrace:
@@ -892,26 +892,22 @@ class TraceRecorder:
     (:func:`~repro.simmpi.engine.run_ranks`) once with a column sink, so
     the recorded event order is exactly the order in which
     :class:`~repro.simmpi.engine.ClusterEngine` reaches its noise draw
-    sites.  Supported operations: ``compute``,
-    ``execute``, blocking ``send``/``recv`` with explicit source and tag,
-    and the three collectives.  Anything whose pattern or result could
-    depend on virtual time (``now``, wildcard receives,
-    ``isend``/``irecv``/``wait``/``waitall``) raises
+    sites.  Supported operations: ``compute``, blocking ``send``/``recv``
+    with explicit source and tag, and the three collectives.  Anything
+    whose pattern or result could depend on virtual time (``now``,
+    wildcard receives, ``isend``/``irecv``/``wait``/``waitall``) raises
     :class:`~repro.errors.TraceError`.
     """
 
-    def __init__(self, topology: ClusterTopology, processor: Any = None,
+    def __init__(self, topology: ClusterTopology,
                  max_operations: int = 200_000_000):
         self.topology = topology
-        self.processor = processor
         self.max_operations = max_operations
 
     def record(self, program: Callable[..., Any], nranks: int,
-               program_args: Iterable[Any] = (),
-               program_kwargs: dict[str, Any] | None = None) -> CompiledTrace:
+               program_args: Iterable[Any] = ()) -> CompiledTrace:
         """Run ``program`` once on ``nranks`` ranks, recording the pattern."""
         sink = _ColumnSink()
-        result = run_ranks(sink, self.topology, self.processor,
-                           self.max_operations, program, nranks,
-                           program_args, program_kwargs)
+        result = run_ranks(sink, self.topology, self.max_operations,
+                           program, nranks, program_args)
         return sink.trace(result)

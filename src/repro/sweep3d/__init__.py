@@ -17,7 +17,8 @@ The package provides
 * :mod:`repro.sweep3d.serial` — a single-process reference solver,
 * :mod:`repro.sweep3d.parallel` — the KBA pipelined solver expressed as a
   :mod:`repro.simmpi` rank program,
-* :mod:`repro.sweep3d.driver` — one-call execution on a simulated cluster,
+* :mod:`repro.sweep3d.driver` — simulation plans that run the solver on a
+  simulated cluster,
 * :mod:`repro.sweep3d.verification` — physics invariants used by tests.
 """
 
@@ -27,7 +28,6 @@ from repro.sweep3d.input import Sweep3DInput, standard_deck, parse_input_deck
 from repro.sweep3d.kernel import SweepKernel, BlockResult
 from repro.sweep3d.serial import SerialSweepSolver, SerialSolveResult
 from repro.sweep3d.parallel import (
-    ParallelSweepConfig,
     SweepCostTable,
     SweepPlanData,
     sweep_rank_program,
@@ -35,7 +35,6 @@ from repro.sweep3d.parallel import (
 from repro.sweep3d.driver import (
     SimulationPlan,
     Sweep3DRunResult,
-    run_parallel_sweep,
     run_serial_sweep,
 )
 
@@ -54,12 +53,10 @@ __all__ = [
     "BlockResult",
     "SerialSweepSolver",
     "SerialSolveResult",
-    "ParallelSweepConfig",
     "SweepCostTable",
     "SweepPlanData",
     "sweep_rank_program",
     "SimulationPlan",
     "Sweep3DRunResult",
-    "run_parallel_sweep",
     "run_serial_sweep",
 ]

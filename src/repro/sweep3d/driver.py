@@ -1,18 +1,14 @@
-"""One-call drivers for serial and simulated-parallel SWEEP3D runs.
+"""Drivers for serial and simulated-parallel SWEEP3D runs.
 
-Two parallel entry points live here:
-
-* :func:`run_parallel_sweep` — the original per-point path: one fresh
-  :class:`~repro.simmpi.engine.ClusterEngine`, decomposition, quadrature and
-  per-block operation-mix pricing per call.  It is the bit-for-bit reference
-  the batched path is verified against.
-* :class:`SimulationPlan` — the reusable lowering of one (deck, px, py,
-  machine) configuration: topology validation, Cart2D decomposition,
-  shared per-deck data and the memoised compute cost table are built once,
-  and :meth:`SimulationPlan.run` re-executes the plan with per-run seeded
-  noise.  This is what the scenario-sweep
-  :class:`~repro.experiments.backends.SimulationBackend` evaluates grids
-  through.
+Every simulated parallel run goes through a :class:`SimulationPlan`, the
+reusable lowering of one (deck, px, py, machine) configuration: topology
+validation, Cart2D decomposition, shared per-deck data and the memoised
+compute cost table are built once, and :meth:`SimulationPlan.run`
+re-executes the plan with per-run seeded noise.  The scenario-sweep
+:class:`~repro.experiments.backends.SimulationBackend` evaluates grids
+through plans, and :meth:`Machine.simulate
+<repro.machines.machine.Machine.simulate>` memoises one plan per
+configuration.
 
 A plan additionally supports **trace replay** for modelled (timing-only)
 runs: :meth:`SimulationPlan.compile_trace` records the plan's event
@@ -57,7 +53,6 @@ from repro.simnet.topology import ClusterTopology
 from repro.simproc.processor import ProcessorModel
 from repro.sweep3d.input import Sweep3DInput
 from repro.sweep3d.parallel import (
-    ParallelSweepConfig,
     SweepCostTable,
     SweepPlanData,
     make_decomposition,
@@ -122,7 +117,7 @@ class Sweep3DRunResult:
 class Sweep3DSampleSet:
     """``S`` noisy samples of one plan, produced by a single batched replay.
 
-    Sample ``s`` is bit-identical to ``plan.run(noise=noise, seed=seeds[s],
+    Sample ``s`` is bit-identical to ``plan.run(noise.reseeded(seeds[s]),
     mode="replay")`` (and therefore to the reference engine at the same
     seed); :meth:`sample` materialises it as a full
     :class:`Sweep3DRunResult` on demand.  Summary statistics delegate to
@@ -181,51 +176,6 @@ def run_serial_sweep(deck: Sweep3DInput, max_iterations: int | None = None,
                                          require_convergence=require_convergence)
 
 
-def run_parallel_sweep(deck: Sweep3DInput,
-                       px: int,
-                       py: int,
-                       topology: ClusterTopology,
-                       processor: ProcessorModel | None = None,
-                       noise: NoiseModel | None = None,
-                       numeric: bool = False,
-                       charge_compute: bool = True,
-                       convergence_collectives: bool = True) -> Sweep3DRunResult:
-    """Run the pipelined parallel sweep on a simulated cluster.
-
-    Parameters
-    ----------
-    deck:
-        Problem definition.
-    px, py:
-        Logical processor array dimensions (``px * py`` ranks are simulated).
-    topology:
-        Simulated cluster interconnect/node layout.
-    processor:
-        Processor model used to charge per-block compute time.  Required
-        unless ``charge_compute`` is false.
-    noise:
-        OS/network noise model (defaults to none — deterministic run).
-    numeric:
-        Whether to perform real flux arithmetic (small grids only).
-    charge_compute:
-        Whether to charge modelled compute time per block.
-    convergence_collectives:
-        Whether to perform the per-iteration global reductions.
-    """
-    if charge_compute and processor is None:
-        raise DecompositionError(
-            "run_parallel_sweep needs a processor model when charge_compute=True")
-    decomp = make_decomposition(deck, px, py)
-    config = ParallelSweepConfig(numeric=numeric, charge_compute=charge_compute,
-                                 convergence_collectives=convergence_collectives)
-    engine = ClusterEngine(topology, processor=processor, noise=noise)
-    simulation = engine.run(sweep_rank_program, nranks=decomp.nranks,
-                            program_args=(deck, decomp, config))
-    summaries = [value for value in simulation.return_values]
-    return Sweep3DRunResult(deck=deck, px=px, py=py, simulation=simulation,
-                            rank_summaries=summaries)
-
-
 def _summaries_match(expected: list[dict[str, Any]],
                      recorded: list[Any]) -> bool:
     """Field-exact equality of synthesized vs recorded rank summaries.
@@ -260,27 +210,41 @@ class SimulationPlan:
 
     Building a plan performs every piece of work that does not depend on
     the individual run: the rank-count validation, the 2-D decomposition,
-    the shared quadrature/blocking data and (for modelled runs) the
-    memoised compute cost table.  One :class:`ClusterEngine` is kept for
-    the plan's lifetime and re-executed per run — the engine resets its
-    per-run state, so repeated runs are bit-identical to fresh engines.
+    the shared quadrature/blocking data and the memoised compute cost
+    table.  One :class:`ClusterEngine` is kept for the plan's lifetime and
+    re-executed per run — the engine keeps no per-run state, so repeated
+    runs are bit-identical to fresh engines.
 
-    Parameters mirror :func:`run_parallel_sweep`; ``cost_table`` may be
-    shared between plans bound to the same processor model so that grid
-    points pricing the same block shapes reuse each other's work.
+    Parameters
+    ----------
+    deck:
+        Problem definition.
+    px, py:
+        Logical processor array dimensions (``px * py`` ranks are simulated).
+    topology:
+        Simulated cluster interconnect/node layout.
+    processor:
+        Processor model that prices every compute charge.
+    numeric:
+        Whether to perform real flux arithmetic (small grids only).
+    cost_table:
+        A :class:`SweepCostTable` of ``processor`` to price through; shared
+        between plans so that grid points pricing the same block shapes
+        reuse each other's work.
+    trace_cache:
+        Optional :class:`~repro.simmpi.tracecache.TraceDiskCache` consulted
+        (and filled) by :meth:`compile_trace`.
     """
 
     def __init__(self, deck: Sweep3DInput, px: int, py: int,
                  topology: ClusterTopology,
-                 processor: ProcessorModel | None = None,
+                 processor: ProcessorModel,
                  numeric: bool = False,
-                 charge_compute: bool = True,
-                 convergence_collectives: bool = True,
                  cost_table: SweepCostTable | None = None,
                  trace_cache: "Any | None" = None):
-        if charge_compute and processor is None:
+        if processor is None:
             raise DecompositionError(
-                "SimulationPlan needs a processor model when charge_compute=True")
+                "SimulationPlan needs a processor model to charge compute")
         if cost_table is not None and cost_table.processor is not processor:
             raise DecompositionError(
                 "the shared cost table was priced for a different processor model")
@@ -291,15 +255,10 @@ class SimulationPlan:
         self.processor = processor
         self.decomp = make_decomposition(deck, px, py)
         topology.validate_rank_count(self.decomp.nranks)
-        self.config = ParallelSweepConfig(
-            numeric=numeric, charge_compute=charge_compute,
-            convergence_collectives=convergence_collectives)
+        self.numeric = numeric
         self.shared = SweepPlanData.for_deck(deck)
-        if charge_compute and processor is not None:
-            self.costs = cost_table if cost_table is not None else SweepCostTable(processor)
-        else:
-            self.costs = None
-        self.engine = ClusterEngine(topology, processor=processor)
+        self.costs = cost_table if cost_table is not None else SweepCostTable(processor)
+        self.engine = ClusterEngine(topology)
         #: Number of times this plan has been executed.
         self.runs = 0
         #: Number of runs served by trace replay (vs the reference engine).
@@ -311,8 +270,6 @@ class SimulationPlan:
         self.last_execution: str | None = None
         #: Why the steady tier refused the most recent run, if it did.
         self.last_steady_refusal: str | None = None
-        #: Optional :class:`~repro.simmpi.tracecache.TraceDiskCache`
-        #: consulted (and filled) by :meth:`compile_trace`.
         self.trace_cache = trace_cache
         #: How the most recent :meth:`compile_trace` produced its trace
         #: (None until a trace has been compiled).
@@ -339,10 +296,10 @@ class SimulationPlan:
         the fingerprint covers everything the recorded pattern is a
         function of — the deck parameters, the processor array shape, the
         processor and link models (frozen dataclasses, so their reprs are
-        stable value representations) and the capture-relevant config
-        flags.  It deliberately **excludes** the machine/topology names
-        and every noise parameter: a trace is a pattern, shared by all
-        noise seeds and by presets that alias the same models.
+        stable value representations).  It deliberately **excludes** the
+        machine/topology names and every noise parameter: a trace is a
+        pattern, shared by all noise seeds and by presets that alias the
+        same models.
         """
         deck = self.deck
         topo = self.topology
@@ -357,8 +314,10 @@ class SimulationPlan:
             topo.processors_per_node,
             repr(topo.inter_node),
             repr(topo.intra_node),
-            self.config.charge_compute,
-            self.config.convergence_collectives,
+            # Every plan charges compute and runs the convergence
+            # collectives; the two former config flags keep their places
+            # so the keys of existing trace-cache entries stay valid.
+            True, True,
         )
 
     def compile_trace(self) -> CompiledTrace:
@@ -382,7 +341,7 @@ class SimulationPlan:
         pattern, so they cannot be trace-compiled and raise
         :class:`~repro.errors.TraceError`.
         """
-        if self.config.numeric:
+        if self.numeric:
             raise TraceError(
                 "trace replay supports modelled (timing-only) runs; numeric "
                 "runs must use the reference engine")
@@ -398,11 +357,9 @@ class SimulationPlan:
         decomposition, quadrature/blocking data and cost table do not
         depend on the iteration count.
         """
-        recorder = TraceRecorder(self.topology, processor=self.processor)
-        return recorder.record(
+        return TraceRecorder(self.topology).record(
             sweep_rank_program, nranks=self.decomp.nranks,
-            program_args=(deck, self.decomp, self.config),
-            program_kwargs={"costs": self.costs, "shared": self.shared})
+            program_args=(deck, self.decomp, False, self.costs, self.shared))
 
     def _capture_trace(self) -> CompiledTrace:
         """The tiered capture chain behind :meth:`compile_trace`."""
@@ -448,10 +405,6 @@ class SimulationPlan:
             raise TraceError(
                 f"periodic capture refused: too few iterations ({total}) "
                 f"to amortise a {m}-iteration probe capture")
-        if not self.config.convergence_collectives:
-            raise TraceError(
-                "periodic capture refused: without convergence collectives "
-                "there is no per-iteration anchor to count tiled iterations")
         # Grow the probe until the detector accepts (the sweep's period is
         # one iteration, so the first probe almost always suffices).
         while True:
@@ -484,13 +437,13 @@ class SimulationPlan:
         # The rank programs' return values are synthesized analytically;
         # cross-check the synthesis against the recorded prefix first.
         expected_short = modelled_rank_summaries(
-            short_deck, self.decomp, self.config, self.shared)
+            short_deck, self.decomp, self.shared)
         if not _summaries_match(expected_short, short._return_values):
             raise TraceError(
                 "periodic capture refused: synthesized rank summaries do "
                 "not match the recorded prefix's return values")
         full_values = modelled_rank_summaries(
-            self.deck, self.decomp, self.config, self.shared)
+            self.deck, self.decomp, self.shared)
         full = tile_trace(short, info, tiles, return_values=full_values,
                           topology=self.topology)
         # Re-verify on the synthesized trace: the same structure must
@@ -510,15 +463,14 @@ class SimulationPlan:
             iterations_per_period=iters_per_period)
 
     def run(self, noise: NoiseModel | None = None,
-            seed: int | None = None,
             mode: str = "engine",
             samples: int | None = None
             ) -> Sweep3DRunResult | Sweep3DSampleSet:
         """Execute the plan once — or ``samples`` times in one batch.
 
-        ``noise`` defaults to a disabled (deterministic) model; passing
-        ``seed`` instead reseeds a copy of ``noise`` so that every scenario
-        of a sweep owns an independent, reproducible stream.  The noise is
+        ``noise`` defaults to a disabled (deterministic) model; callers
+        give each scenario its own stream with
+        :meth:`~repro.simnet.noise.NoiseModel.reseeded`.  The noise is
         passed to the engine per run — a shared plan carries no cross-run
         mutable state.
 
@@ -539,8 +491,7 @@ class SimulationPlan:
         noisy runs in **one** batched max-plus pass
         (:meth:`~repro.simmpi.trace.CompiledTrace.replay_batch`) and
         returns a :class:`Sweep3DSampleSet`.  Sample ``s`` uses seed
-        ``base + s`` — ``base`` being ``seed`` if given, else
-        ``noise.seed`` — and is bit-identical to the single run at that
+        ``noise.seed + s`` and is bit-identical to the single run at that
         seed.  Multi-sample runs are replay-only: ``mode`` must be
         ``"replay"`` or ``"auto"``, and numeric plans raise
         :class:`~repro.errors.TraceError`.
@@ -551,8 +502,6 @@ class SimulationPlan:
                 "'replay', 'steady' or 'auto'")
         if noise is None:
             noise = NoiseModel.disabled()
-        if seed is not None:
-            noise = noise.reseeded(seed)
         self.last_steady_refusal = None
         if samples is not None:
             if samples < 1:
@@ -571,7 +520,7 @@ class SimulationPlan:
             return Sweep3DSampleSet(deck=self.deck, px=self.px, py=self.py,
                                     batch=batch)
         if mode in ("replay", "steady") or (mode == "auto"
-                                            and not self.config.numeric):
+                                            and not self.numeric):
             trace = self.compile_trace()
             simulation = None
             # "auto" only *attempts* steady when noise is off — a noisy
@@ -594,8 +543,8 @@ class SimulationPlan:
             with self.phases.phase("engine"):
                 simulation = self.engine.run(
                     sweep_rank_program, nranks=self.decomp.nranks,
-                    program_args=(self.deck, self.decomp, self.config),
-                    program_kwargs={"costs": self.costs, "shared": self.shared},
+                    program_args=(self.deck, self.decomp, self.numeric,
+                                  self.costs, self.shared),
                     noise=noise)
             self.last_execution = "engine"
         self.runs += 1

@@ -20,11 +20,14 @@ Two compute modes are supported:
     for physics validation on small grids.
 
 ``modelled``
-    No arithmetic is performed; messages carry only their byte counts and
-    compute time is charged from the kernel's operation-mix characterisation
-    through the engine's processor model.  Used for the large validation and
-    speculative configurations, where the virtual cluster acts purely as a
-    timing instrument (this is the substitution documented in DESIGN.md).
+    No arithmetic is performed; messages carry only their byte counts.  Used
+    for the large validation and speculative configurations, where the
+    virtual cluster acts purely as a timing instrument (this is the
+    substitution documented in DESIGN.md).
+
+Both modes charge compute time from the kernel's operation-mix
+characterisation, priced by the processor model through a
+:class:`SweepCostTable`.
 """
 
 from __future__ import annotations
@@ -56,16 +59,14 @@ class SweepCostTable:
     The rank program charges four kinds of modelled compute — the per-block
     sweep, the per-iteration source update, the convergence test and the
     particle-balance edit.  Each duration is a pure function of the block
-    shape and the processor model, yet the per-point path rebuilds the
-    operation mix and re-prices it for **every** block of every rank of
-    every iteration.  A cost table prices each distinct shape once and is
-    shared across all ranks of a run — and, held by a
+    shape and the processor model, so a cost table builds and prices each
+    distinct shape's operation mix once and is shared across all ranks of
+    a run — and, held by a
     :class:`~repro.experiments.backends.SimulationBackend`, across every
     point of a scenario grid evaluated on the same processor model.
 
-    The returned seconds are exactly ``processor.execute_time(mix)``, so
-    runs charged through a cost table are bit-identical to the per-block
-    path.
+    The returned seconds are exactly ``processor.execute_time(mix)``, the
+    price of a freshly built mix for every block.
     """
 
     __slots__ = ("processor", "hits", "misses", "_cache")
@@ -113,10 +114,9 @@ class SweepCostTable:
 class SweepPlanData:
     """Read-only per-deck data shared by every rank of a planned run.
 
-    The per-point path rebuilds the quadrature, the angle blocking and the
-    k-plane block lists inside every rank program (and the k blocks once
-    per octant per angle block); a plan builds them once and hands the same
-    immutable objects to all ranks.
+    A plan builds the quadrature, the angle blocking and the k-plane block
+    lists of both k directions once and hands the same immutable objects
+    to every rank program.
     """
 
     quadrature: object
@@ -141,30 +141,6 @@ class SweepPlanData:
         return self.k_blocks_up if octant.kdir > 0 else self.k_blocks_down
 
 
-@dataclass(frozen=True)
-class ParallelSweepConfig:
-    """Options controlling the parallel solver.
-
-    Parameters
-    ----------
-    numeric:
-        Whether to perform the real flux arithmetic (otherwise the run is
-        timing-only).
-    charge_compute:
-        Whether to charge modelled compute time for each block through the
-        engine's processor model.  Disable only in pure message-pattern
-        tests.
-    convergence_collectives:
-        Whether to perform the per-iteration ``globalmax``/``globalsum``
-        collectives (the original code always does; disabling isolates the
-        pipeline pattern in tests).
-    """
-
-    numeric: bool = True
-    charge_compute: bool = True
-    convergence_collectives: bool = True
-
-
 def make_decomposition(deck: Sweep3DInput, px: int, py: int) -> Decomposition:
     """Build and validate the 2-D decomposition of ``deck`` over ``px x py`` ranks."""
     decomp = Decomposition(grid=deck.grid(), cart=Cart2D(px, py))
@@ -173,22 +149,19 @@ def make_decomposition(deck: Sweep3DInput, px: int, py: int) -> Decomposition:
 
 
 def sweep_rank_program(comm: SimComm, deck: Sweep3DInput, decomp: Decomposition,
-                       config: ParallelSweepConfig = ParallelSweepConfig(),
-                       costs: SweepCostTable | None = None,
-                       shared: SweepPlanData | None = None):
+                       numeric: bool, costs: SweepCostTable,
+                       shared: SweepPlanData):
     """Generator rank program implementing the pipelined sweep.
 
     Returns (via ``StopIteration``) a per-rank summary dictionary with the
     local scalar flux (numeric mode), the per-iteration global error history
     and message statistics.
 
-    ``costs`` and ``shared`` are supplied by a
-    :class:`~repro.sweep3d.driver.SimulationPlan`: modelled compute is then
-    charged from the memoised cost table (``comm.compute`` of a pre-priced
-    duration instead of ``comm.execute`` of a freshly built operation mix)
-    and the quadrature/blocking data is reused across ranks.  Both paths
-    are bit-identical; without them the program is self-contained, exactly
-    as the original code.
+    ``numeric`` selects the real flux arithmetic (otherwise the run is
+    timing-only).  ``costs`` and ``shared`` come from the
+    :class:`~repro.sweep3d.driver.SimulationPlan`: every compute charge is
+    a ``comm.compute`` of a duration from the memoised cost table, and the
+    quadrature and blocking data are the same objects on every rank.
     """
     if decomp.nranks != comm.size:
         raise DecompositionError(
@@ -197,14 +170,9 @@ def sweep_rank_program(comm: SimComm, deck: Sweep3DInput, decomp: Decomposition,
     local = decomp.local_grid(comm.rank)
     nx, ny, kt = local.nx, local.ny, local.kt
     kernel = SweepKernel(deck)
-    if shared is not None:
-        quad = shared.quadrature
-        angle_blocks = shared.angle_blocks
-    else:
-        quad = deck.quadrature()
-        angle_blocks = quad.angle_blocks(deck.mmi)
+    angle_blocks = shared.angle_blocks
 
-    phi = np.zeros((nx, ny, kt)) if config.numeric else None
+    phi = np.zeros((nx, ny, kt)) if numeric else None
     error_history: list[float] = []
     leakage_history: list[float] = []
     blocks_swept = 0
@@ -214,12 +182,8 @@ def sweep_rank_program(comm: SimComm, deck: Sweep3DInput, decomp: Decomposition,
 
     for iteration in range(deck.max_iterations):
         # Per-iteration scattering source update (the `source` subtask).
-        if config.charge_compute:
-            if costs is not None:
-                yield comm.compute(costs.source_seconds(local_cells, local_working_set))
-            else:
-                yield comm.execute(kernel.source_mix(local_cells, local_working_set))
-        if config.numeric:
+        yield comm.compute(costs.source_seconds(local_cells, local_working_set))
+        if numeric:
             q_total = deck.sigma_s * phi + deck.fixed_source
             phi_new = np.zeros_like(phi)
         local_leakage = 0.0
@@ -227,11 +191,10 @@ def sweep_rank_program(comm: SimComm, deck: Sweep3DInput, decomp: Decomposition,
         for octant in octant_order():
             up_i, up_j = cart.upstream(comm.rank, octant.idir, octant.jdir)
             dn_i, dn_j = cart.downstream(comm.rank, octant.idir, octant.jdir)
-            k_blocks = (shared.k_blocks(octant) if shared is not None
-                        else kernel.k_blocks_for_octant(octant))
+            k_blocks = shared.k_blocks(octant)
             for angles in angle_blocks:
                 na = angles.n_angles
-                psi_k = np.zeros((nx, ny, na)) if config.numeric else None
+                psi_k = np.zeros((nx, ny, na)) if numeric else None
                 for k_planes in k_blocks:
                     nk = len(k_planes)
                     ew_bytes = float(ny * nk * na * 8)
@@ -240,27 +203,21 @@ def sweep_rank_program(comm: SimComm, deck: Sweep3DInput, decomp: Decomposition,
                     # --- receive incoming faces from upstream neighbours ---
                     if up_i is not None:
                         psi_i = yield comm.recv(source=up_i, tag=TAG_EW)
-                        if config.numeric and psi_i is None:
+                        if numeric and psi_i is None:
                             psi_i = np.zeros((ny, nk, na))
                     else:
-                        psi_i = np.zeros((ny, nk, na)) if config.numeric else None
+                        psi_i = np.zeros((ny, nk, na)) if numeric else None
                     if up_j is not None:
                         psi_j = yield comm.recv(source=up_j, tag=TAG_NS)
-                        if config.numeric and psi_j is None:
+                        if numeric and psi_j is None:
                             psi_j = np.zeros((nx, nk, na))
                     else:
-                        psi_j = np.zeros((nx, nk, na)) if config.numeric else None
+                        psi_j = np.zeros((nx, nk, na)) if numeric else None
 
                     # --- compute the block ---
-                    if config.charge_compute:
-                        if costs is not None:
-                            yield comm.compute(costs.block_seconds(
-                                nx, ny, nk, na, local_working_set))
-                        else:
-                            yield comm.execute(kernel.block_mix(
-                                nx, ny, nk, na,
-                                working_set_bytes=kernel.working_set_bytes(nx, ny, kt)))
-                    if config.numeric:
+                    yield comm.compute(costs.block_seconds(
+                        nx, ny, nk, na, local_working_set))
+                    if numeric:
                         result = kernel.sweep_block(
                             octant, angles, k_planes, q_total,
                             psi_i, psi_j, psi_k, phi_new)
@@ -277,34 +234,26 @@ def sweep_rank_program(comm: SimComm, deck: Sweep3DInput, decomp: Decomposition,
                         yield comm.send(out_i, dest=dn_i, tag=TAG_EW, nbytes=ew_bytes)
                     if dn_j is not None:
                         yield comm.send(out_j, dest=dn_j, tag=TAG_NS, nbytes=ns_bytes)
-                if config.numeric:
+                if numeric:
                     # Flux leaving through the k boundary of the domain.
                     local_leakage += float(
                         (psi_k * (angles.xi * angles.weight)).sum()) * deck.dx * deck.dy
 
         # --- per-iteration convergence / balance collectives ---
-        if config.charge_compute:
-            # Convergence test and particle-balance edit (the `flux_err` and
-            # `balance` subtasks of the performance model).
-            if costs is not None:
-                yield comm.compute(costs.flux_err_seconds(local_cells, local_working_set))
-                yield comm.compute(costs.balance_seconds(local_cells, local_working_set))
-            else:
-                yield comm.execute(kernel.flux_err_mix(local_cells, local_working_set))
-                yield comm.execute(kernel.balance_mix(local_cells, local_working_set))
-        if config.numeric:
+        # Convergence test and particle-balance edit (the `flux_err` and
+        # `balance` subtasks of the performance model).
+        yield comm.compute(costs.flux_err_seconds(local_cells, local_working_set))
+        yield comm.compute(costs.balance_seconds(local_cells, local_working_set))
+        if numeric:
             local_error = _flux_error(phi, phi_new)
             phi = phi_new
         else:
             local_error = 1.0 / (iteration + 1)
-        if config.convergence_collectives:
-            global_error = yield comm.allreduce(local_error, op="max")
-            global_leakage = yield comm.allreduce(local_leakage, op="sum")
-        else:
-            global_error, global_leakage = local_error, local_leakage
+        global_error = yield comm.allreduce(local_error, op="max")
+        global_leakage = yield comm.allreduce(local_leakage, op="sum")
         error_history.append(float(global_error))
         leakage_history.append(float(global_leakage))
-        if config.numeric and global_error <= deck.epsi and iteration > 0:
+        if numeric and global_error <= deck.epsi and iteration > 0:
             break
 
     return {
@@ -319,48 +268,33 @@ def sweep_rank_program(comm: SimComm, deck: Sweep3DInput, decomp: Decomposition,
 
 
 def modelled_rank_summaries(deck: Sweep3DInput, decomp: Decomposition,
-                            config: ParallelSweepConfig = ParallelSweepConfig(),
-                            shared: SweepPlanData | None = None) -> list[dict]:
+                            shared: SweepPlanData) -> list[dict]:
     """The per-rank return values of a *modelled* sweep, without running it.
 
     For ``numeric=False`` runs :func:`sweep_rank_program` performs no flux
     arithmetic, so its return dictionary is a pure function of the deck
-    shape and configuration: ``local_error`` is the ``1/(iteration+1)``
-    placeholder, leakage stays zero, the convergence break never fires
-    (it is gated on ``config.numeric``), and every iteration sweeps the
-    same ``8 x angle_blocks x k_blocks`` block count.  The collectives are
-    reproduced through the same :meth:`ReduceOp.combine` the engine and
-    recorder use, so the values match bit for bit.
+    shape: ``local_error`` is the ``1/(iteration+1)`` placeholder, leakage
+    stays zero, the convergence break never fires (it is gated on
+    ``numeric``), and every iteration sweeps the same ``8 x angle_blocks x
+    k_blocks`` block count.  The collectives are reproduced through the
+    same :meth:`ReduceOp.combine` the engine and recorder use, so the
+    values match bit for bit.
 
     Periodic capture (:mod:`repro.simmpi.capture` via
     :meth:`~repro.sweep3d.driver.SimulationPlan.compile_trace`) uses this
     to synthesize the return values of iterations it never drives — after
     cross-checking the function against a recorded prefix.
     """
-    if config.numeric:
-        raise ValueError(
-            "modelled_rank_summaries is only valid for numeric=False runs")
-    if shared is not None:
-        angle_blocks = shared.angle_blocks
-        k_block_count = len(shared.k_blocks_up)
-    else:
-        angle_blocks = deck.quadrature().angle_blocks(deck.mmi)
-        k_block_count = len(SweepKernel(deck).k_blocks())
     nranks = decomp.nranks
     iterations = deck.max_iterations
-    blocks_swept = iterations * 8 * len(angle_blocks) * k_block_count
+    blocks_swept = (iterations * 8 * len(shared.angle_blocks)
+                    * len(shared.k_blocks_up))
     error_history: list[float] = []
     leakage_history: list[float] = []
     for iteration in range(iterations):
         local_error = 1.0 / (iteration + 1)
-        local_leakage = 0.0
-        if config.convergence_collectives:
-            global_error = ReduceOp.MAX.combine([local_error] * nranks)
-            global_leakage = ReduceOp.SUM.combine([local_leakage] * nranks)
-        else:
-            global_error, global_leakage = local_error, local_leakage
-        error_history.append(float(global_error))
-        leakage_history.append(float(global_leakage))
+        error_history.append(float(ReduceOp.MAX.combine([local_error] * nranks)))
+        leakage_history.append(float(ReduceOp.SUM.combine([0.0] * nranks)))
     return [{
         "rank": rank,
         "phi_local": None,

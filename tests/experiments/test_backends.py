@@ -1,7 +1,9 @@
 """Tests for the scenario-evaluation backends (predict vs simulate)."""
 
+import oracles
 import pytest
 
+from repro.diskio import fingerprint_digest
 from repro.errors import ExperimentError
 from repro.experiments.backends import (
     PredictionBackend,
@@ -52,8 +54,9 @@ class TestSimulationBackend:
             result = outcome.result
             deck = standard_deck("validation", px=result.px, py=result.py,
                                  max_iterations=2)
-            reference = p3_machine.simulate(deck, result.px, result.py,
-                                            seed_offset=result.seed_offset)
+            reference = oracles.per_point_simulate(
+                p3_machine, deck, result.px, result.py,
+                p3_machine.noise_model(result.seed_offset))
             assert result.elapsed_time == reference.elapsed_time
             assert result.rank_finish_times == tuple(
                 r.finish_time for r in reference.simulation.ranks)
@@ -166,6 +169,24 @@ class TestSimulationBackend:
         assert (sim_backend(other_machine).fingerprint(scenario) != token)
         different = Scenario(label="2x2", variables={"px": 2, "py": 2, "seed": 1})
         assert backend.fingerprint(different) != token
+
+    def test_persistent_cache_keys_are_pinned(self, p3_machine):
+        """Users' warm sweep and trace caches stay warm across releases.
+
+        A key change silently turns every existing cache entry cold, so a
+        deliberate change updates these digests and says so.
+        """
+        scenario = simulation_grid([(2, 2)]).scenarios[0]
+        noisy = SimulationBackend(p3_machine, max_iterations=2)
+        quiet = SimulationBackend(p3_machine, max_iterations=2, with_noise=False)
+        assert fingerprint_digest(noisy.fingerprint(scenario)) == (
+            "801cce0302a908907f8d47c3510f42119fda9fdefbc8e95012a7545b9f063394")
+        assert fingerprint_digest(quiet.fingerprint(scenario)) == (
+            "1d802ea1a2749d2646ec6c8d244570170a4a39a2df64edf5151098102cd45016")
+        deck = standard_deck("validation", px=2, py=2, max_iterations=2)
+        plan = p3_machine.simulation_plan(deck, 2, 2)
+        assert fingerprint_digest(plan.trace_fingerprint()) == (
+            "16f72a7c01e4d37f00341fc6a58de0f99511f500738bdd92579a34a2e55e52c4")
 
 
 class TestSampledSimulationBackend:

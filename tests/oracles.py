@@ -1,8 +1,9 @@
-"""Reference evaluators that the production prediction path is checked against.
+"""Reference implementations that the production paths are checked against.
 
 These are the original, deliberately straightforward implementations of the
-PACE evaluation, kept out of the package because only tests and the
-``sweep_100pt_compiled_vs_naive`` benchmark gate use them:
+PACE evaluation and of the simulated measurement, kept out of the package
+because only tests and the benchmark gates use them.  On the prediction side
+(the ``sweep_100pt_compiled_vs_naive`` gate's baseline):
 
 * :func:`evaluate_expression` / :func:`evaluate_cflow` — the AST-walking
   PSL expression and cflow interpreter;
@@ -20,6 +21,14 @@ must agree with these bit for bit: they perform the same floating point
 operations in the same order.  The compiler's operand coercion and binary
 operators (:func:`_as_number`, :func:`_apply_binop`) are shared, not
 re-implemented here.
+
+On the simulation side (the ``sim_sweep_25pt_batched_vs_naive`` gate's
+baseline), :func:`per_point_simulate` is the per-point modelled run: a
+fresh engine and decomposition per call, and a rank program that rebuilds
+its quadrature, angle blocks and k blocks and prices a freshly built
+operation mix for every block.  Every simulation tier of
+:class:`~repro.sweep3d.driver.SimulationPlan` must agree with it bit for
+bit.
 
 Tests import this module as ``oracles`` (pytest puts ``tests/`` on
 ``sys.path``); ``benchmarks/conftest.py`` adds ``tests/`` for the gates.
@@ -46,7 +55,13 @@ from repro.core.psl import ast
 from repro.core.templates import PipelineStrategy, get_strategy
 from repro.core.templates.base import StageSpec, StageStep, TemplateResult, require_int
 from repro.errors import EvaluationError, PslEvaluationError, PslNameError
+from repro.simmpi.engine import ClusterEngine
+from repro.simnet.noise import NoiseModel
+from repro.sweep3d.driver import Sweep3DRunResult
 from repro.sweep3d.geometry import octant_order
+from repro.sweep3d.input import Sweep3DInput
+from repro.sweep3d.kernel import SweepKernel
+from repro.sweep3d.parallel import TAG_EW, TAG_NS, make_decomposition
 
 #: Signature of the callback used to resolve ``flow(name)`` calls.
 FlowEvaluator = Callable[[str], float]
@@ -502,3 +517,80 @@ def dict_wavefront(variables: Mapping[str, float | str], stage: StageSpec,
                 finish[(i, j)] = t
     total = max(finish.values())
     return PipelineStrategy()._result(total, costs, npe_i, npe_j, 8 * blocks_per_octant)
+
+
+# ---------------------------------------------------------------------------
+# The per-point simulated measurement
+# ---------------------------------------------------------------------------
+
+
+def per_point_simulate(machine, deck: Sweep3DInput, px: int, py: int,
+                       noise: NoiseModel) -> Sweep3DRunResult:
+    """One modelled run of ``deck`` on ``px x py`` ranks of ``machine``.
+
+    Builds a fresh :class:`ClusterEngine` and decomposition per call and
+    runs :func:`_per_point_rank_program`, which charges every compute block
+    as ``processor.execute_time`` of a freshly built operation mix.
+    """
+    decomp = make_decomposition(deck, px, py)
+    simulation = ClusterEngine(machine.topology).run(
+        _per_point_rank_program, nranks=decomp.nranks,
+        program_args=(deck, decomp, machine.processor), noise=noise)
+    return Sweep3DRunResult(deck=deck, px=px, py=py, simulation=simulation,
+                            rank_summaries=list(simulation.return_values))
+
+
+def _per_point_rank_program(comm, deck, decomp, processor):
+    """The modelled pipelined sweep, self-contained on every rank."""
+    cart = decomp.cart
+    local = decomp.local_grid(comm.rank)
+    nx, ny, kt = local.nx, local.ny, local.kt
+    kernel = SweepKernel(deck)
+    angle_blocks = deck.quadrature().angle_blocks(deck.mmi)
+    cells = nx * ny * kt
+    working_set = kernel.working_set_bytes(nx, ny, kt)
+    error_history: list[float] = []
+    leakage_history: list[float] = []
+    blocks_swept = 0
+    for iteration in range(deck.max_iterations):
+        yield comm.compute(processor.execute_time(
+            kernel.source_mix(cells, working_set)))
+        for octant in octant_order():
+            up_i, up_j = cart.upstream(comm.rank, octant.idir, octant.jdir)
+            dn_i, dn_j = cart.downstream(comm.rank, octant.idir, octant.jdir)
+            k_blocks = kernel.k_blocks_for_octant(octant)
+            for angles in angle_blocks:
+                na = angles.n_angles
+                for k_planes in k_blocks:
+                    nk = len(k_planes)
+                    if up_i is not None:
+                        yield comm.recv(source=up_i, tag=TAG_EW)
+                    if up_j is not None:
+                        yield comm.recv(source=up_j, tag=TAG_NS)
+                    yield comm.compute(processor.execute_time(kernel.block_mix(
+                        nx, ny, nk, na,
+                        working_set_bytes=kernel.working_set_bytes(nx, ny, kt))))
+                    blocks_swept += 1
+                    if dn_i is not None:
+                        yield comm.send(None, dest=dn_i, tag=TAG_EW,
+                                        nbytes=float(ny * nk * na * 8))
+                    if dn_j is not None:
+                        yield comm.send(None, dest=dn_j, tag=TAG_NS,
+                                        nbytes=float(nx * nk * na * 8))
+        yield comm.compute(processor.execute_time(
+            kernel.flux_err_mix(cells, working_set)))
+        yield comm.compute(processor.execute_time(
+            kernel.balance_mix(cells, working_set)))
+        error = yield comm.allreduce(1.0 / (iteration + 1), op="max")
+        leakage = yield comm.allreduce(0.0, op="sum")
+        error_history.append(float(error))
+        leakage_history.append(float(leakage))
+    return {
+        "rank": comm.rank,
+        "phi_local": None,
+        "local_grid": local,
+        "error_history": error_history,
+        "leakage_history": leakage_history,
+        "blocks_swept": blocks_swept,
+        "iterations": len(error_history),
+    }

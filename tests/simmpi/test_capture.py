@@ -155,16 +155,6 @@ def test_few_iterations_fall_back_to_full_capture(machine):
     assert "too few iterations" in plan.last_capture.reason
 
 
-def test_no_collectives_fall_back_to_full_capture(machine):
-    deck = Sweep3DInput(it=8, jt=8, kt=8, mk=4, mmi=3, sn=6,
-                        max_iterations=20)
-    plan = make_plan(machine, deck, 2, 2, convergence_collectives=False)
-    tiled = plan.compile_trace()
-    assert plan.last_capture.mode == "full"
-    assert "anchor" in plan.last_capture.reason
-    assert_traces_identical(tiled, plan._record_trace(deck))
-
-
 def test_aperiodic_program_refuses_tiling(machine):
     # Every compute duration is distinct: no period ever forms, so the
     # detector refuses and tile_trace must too.
@@ -173,8 +163,7 @@ def test_aperiodic_program_refuses_tiling(machine):
             yield comm.compute(2.0 ** -10 * step)
         return comm.rank
 
-    recorder = TraceRecorder(machine.topology, processor=machine.processor)
-    trace = recorder.record(aperiodic, nranks=2)
+    trace = TraceRecorder(machine.topology).record(aperiodic, nranks=2)
     info = detect_period(trace)
     assert not info.periodic
     with pytest.raises(TraceError, match="periodic capture refused"):

@@ -109,8 +109,9 @@ class TestNoiseIntegration:
             return None
 
         def elapsed(seed):
-            engine = make_engine(noise=NoiseModel(seed=seed))
-            return engine.run(program, nranks=2).elapsed_time
+            engine = make_engine()
+            return engine.run(program, nranks=2,
+                              noise=NoiseModel(seed=seed)).elapsed_time
 
         assert elapsed(1) == elapsed(1)
         assert elapsed(1) != elapsed(2)
@@ -120,8 +121,8 @@ class TestNoiseIntegration:
             total = yield comm.allreduce(float(comm.rank), op="sum")
             return total
 
-        engine = make_engine(noise=NoiseModel(seed=9))
-        result = engine.run(program, nranks=4)
+        result = make_engine().run(program, nranks=4,
+                                   noise=NoiseModel(seed=9))
         assert result.return_values == [6.0, 6.0, 6.0, 6.0]
 
 

@@ -137,10 +137,10 @@ class TestEngineReuse:
 
     def test_noise_swap_between_runs(self):
         """One noise model gives the same result on every run."""
-        engine = make_engine(noise=NoiseModel(seed=42))
-        noisy_a = engine.run(ring_program, nranks=4)
-        noisy_b = engine.run(ring_program, nranks=4)
-        engine.noise = NoiseModel(seed=43)
-        other = engine.run(ring_program, nranks=4)
+        engine = make_engine()
+        noise = NoiseModel(seed=42)
+        noisy_a = engine.run(ring_program, nranks=4, noise=noise)
+        noisy_b = engine.run(ring_program, nranks=4, noise=noise)
+        other = engine.run(ring_program, nranks=4, noise=NoiseModel(seed=43))
         assert noisy_a.elapsed_time == noisy_b.elapsed_time
         assert other.elapsed_time != noisy_a.elapsed_time

@@ -207,13 +207,6 @@ class TestUnsupportedPatterns:
             TraceRecorder(topology).record(program, 2)
         ClusterEngine(topology).run(program, 2)
 
-    def test_execute_without_processor_rejected(self, topology):
-        def program(comm):
-            yield comm.execute(object())
-
-        with pytest.raises(TraceError, match="processor"):
-            TraceRecorder(topology).record(program, 1)
-
     def test_deadlock_detected_at_capture(self, topology):
         def program(comm):
             yield comm.recv(source=(comm.rank + 1) % 2, tag=0)
@@ -420,7 +413,7 @@ class TestPlanIntegration:
 
     def test_plan_run_does_not_mutate_engine_noise(self, machine, plan):
         """Regression: per-run noise must not leak into the shared engine."""
-        default_noise = plan.engine.noise
+        quiet = plan.run(mode="engine")
         plan.run(noise=machine.noise_model(5), mode="engine")
-        assert plan.engine.noise is default_noise
-        assert plan.engine.noise.is_disabled()
+        assert not hasattr(plan.engine, "noise")   # noise is per run only
+        assert plan.run(mode="engine").elapsed_time == quiet.elapsed_time

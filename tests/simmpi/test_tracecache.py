@@ -128,7 +128,6 @@ def test_fingerprint_ignores_machine_name_and_noise(machine):
     key = plan.trace_fingerprint()
     assert machine.topology.name not in repr(key)
     assert key == plan.trace_fingerprint()  # stable
-    other = SimulationPlan(deck, 2, 2, machine.topology,
-                           processor=machine.processor,
-                           convergence_collectives=False)
+    other = SimulationPlan(deck, 1, 2, machine.topology,
+                           processor=machine.processor)
     assert other.trace_fingerprint() != key

@@ -2,11 +2,15 @@
 
 import pytest
 
-from repro.errors import DecompositionError
 from repro.simnet.noise import NoiseModel
-from repro.sweep3d.driver import run_parallel_sweep, run_serial_sweep
+from repro.sweep3d.driver import run_serial_sweep
 from repro.sweep3d.input import Sweep3DInput
 from repro.sweep3d.verification import max_relative_difference, particle_balance
+
+
+def run_sweep(machine, deck, px, py, numeric=False, noise=None):
+    """One run of a freshly built plan on the reference engine."""
+    return machine.simulation_plan(deck, px, py, numeric=numeric).run(noise)
 
 
 @pytest.fixture(scope="module")
@@ -25,27 +29,18 @@ class TestNumericEquivalence:
     def test_parallel_matches_serial(self, numeric_deck, serial_reference,
                                      p3_machine, px, py):
         """The 2-D pipelined decomposition must not change the flux field."""
-        run = run_parallel_sweep(numeric_deck, px, py,
-                                 topology=p3_machine.topology,
-                                 processor=p3_machine.processor,
-                                 numeric=True)
+        run = run_sweep(p3_machine, numeric_deck, px, py, numeric=True)
         phi = run.global_flux()
         assert phi is not None
         assert max_relative_difference(phi, serial_reference.phi) < 1e-12
 
     def test_parallel_iteration_count_matches_serial(self, numeric_deck,
                                                      serial_reference, p3_machine):
-        run = run_parallel_sweep(numeric_deck, 2, 2,
-                                 topology=p3_machine.topology,
-                                 processor=p3_machine.processor,
-                                 numeric=True)
+        run = run_sweep(p3_machine, numeric_deck, 2, 2, numeric=True)
         assert run.iterations == serial_reference.iterations
 
     def test_parallel_balance(self, numeric_deck, p3_machine):
-        run = run_parallel_sweep(numeric_deck, 2, 2,
-                                 topology=p3_machine.topology,
-                                 processor=p3_machine.processor,
-                                 numeric=True)
+        run = run_sweep(p3_machine, numeric_deck, 2, 2, numeric=True)
         balance = particle_balance(numeric_deck, run.global_flux(),
                                    run.rank_summaries[0]["leakage_history"][-1])
         assert balance.relative_residual < 1e-2
@@ -56,8 +51,7 @@ class TestTimingBehaviour:
         """Every interior stage exchanges exactly its EW/NS boundary messages."""
         deck = Sweep3DInput(it=4, jt=4, kt=4, mk=2, mmi=3, sn=6, max_iterations=2)
         px, py = 2, 2
-        run = run_parallel_sweep(deck, px, py, topology=p3_machine.topology,
-                                 processor=p3_machine.processor, numeric=False)
+        run = run_sweep(p3_machine, deck, px, py)
         blocks = deck.blocks_per_iteration * deck.max_iterations
         # For a 2x2 array each rank has exactly one downstream neighbour in
         # each direction for half the octants: in total each block stage
@@ -71,61 +65,42 @@ class TestTimingBehaviour:
         for px, py in [(1, 1), (2, 2), (2, 4)]:
             deck = Sweep3DInput(it=10 * px, jt=10 * py, kt=10, mk=5, mmi=3,
                                 sn=6, max_iterations=2)
-            run = run_parallel_sweep(deck, px, py, topology=p3_machine.topology,
-                                     processor=p3_machine.processor, numeric=False)
+            run = run_sweep(p3_machine, deck, px, py)
             times.append(run.elapsed_time)
         assert times[0] < times[1] < times[2]
 
     def test_modelled_run_is_deterministic_without_noise(self, p3_machine):
         deck = Sweep3DInput(it=10, jt=10, kt=10, mk=5, mmi=3, sn=6, max_iterations=2)
-        first = run_parallel_sweep(deck, 2, 2, topology=p3_machine.topology,
-                                   processor=p3_machine.processor, numeric=False)
-        second = run_parallel_sweep(deck, 2, 2, topology=p3_machine.topology,
-                                    processor=p3_machine.processor, numeric=False)
+        first = run_sweep(p3_machine, deck, 2, 2)
+        second = run_sweep(p3_machine, deck, 2, 2)
         assert first.elapsed_time == second.elapsed_time
 
     def test_noise_changes_but_barely_perturbs_time(self, p3_machine):
         deck = Sweep3DInput(it=10, jt=10, kt=10, mk=5, mmi=3, sn=6, max_iterations=2)
-        clean = run_parallel_sweep(deck, 2, 2, topology=p3_machine.topology,
-                                   processor=p3_machine.processor, numeric=False)
-        noisy = run_parallel_sweep(deck, 2, 2, topology=p3_machine.topology,
-                                   processor=p3_machine.processor, numeric=False,
-                                   noise=NoiseModel(seed=5))
+        clean = run_sweep(p3_machine, deck, 2, 2)
+        noisy = run_sweep(p3_machine, deck, 2, 2, noise=NoiseModel(seed=5))
         assert noisy.elapsed_time != clean.elapsed_time
         assert abs(noisy.elapsed_time - clean.elapsed_time) / clean.elapsed_time < 0.15
 
     def test_compute_fraction_reported(self, p3_machine):
         deck = Sweep3DInput(it=10, jt=10, kt=10, mk=5, mmi=3, sn=6, max_iterations=2)
-        run = run_parallel_sweep(deck, 2, 2, topology=p3_machine.topology,
-                                 processor=p3_machine.processor, numeric=False)
+        run = run_sweep(p3_machine, deck, 2, 2)
         assert 0.0 < run.compute_fraction() <= 1.0
-
-    def test_charge_compute_requires_processor(self, p3_machine):
-        deck = Sweep3DInput(it=4, jt=4, kt=4, mk=2, max_iterations=1)
-        with pytest.raises(DecompositionError):
-            run_parallel_sweep(deck, 2, 2, topology=p3_machine.topology,
-                               processor=None, charge_compute=True)
-
-    def test_pure_communication_run(self, p3_machine):
-        """charge_compute=False isolates the message pattern."""
-        deck = Sweep3DInput(it=4, jt=4, kt=4, mk=2, mmi=3, sn=6, max_iterations=1)
-        run = run_parallel_sweep(deck, 2, 2, topology=p3_machine.topology,
-                                 processor=None, charge_compute=False,
-                                 numeric=False)
-        assert run.elapsed_time > 0
-        assert all(r.compute_time == 0 for r in run.simulation.ranks)
 
     def test_mismatched_communicator_size_rejected(self, p3_machine):
         from repro.simmpi.engine import ClusterEngine
         from repro.sweep3d.parallel import (
-            ParallelSweepConfig,
+            SweepCostTable,
+            SweepPlanData,
             make_decomposition,
             sweep_rank_program,
         )
         deck = Sweep3DInput(it=4, jt=4, kt=4, mk=2, max_iterations=1)
         decomp = make_decomposition(deck, 2, 2)
-        engine = ClusterEngine(p3_machine.topology, processor=p3_machine.processor)
+        engine = ClusterEngine(p3_machine.topology)
         from repro.errors import RankFailureError
         with pytest.raises(RankFailureError):
             engine.run(sweep_rank_program, nranks=2,
-                       program_args=(deck, decomp, ParallelSweepConfig(numeric=False)))
+                       program_args=(deck, decomp, False,
+                                     SweepCostTable(p3_machine.processor),
+                                     SweepPlanData.for_deck(deck)))

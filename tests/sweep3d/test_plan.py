@@ -1,5 +1,6 @@
 """Tests for the reusable simulation plan and its compute cost table."""
 
+import oracles
 import pytest
 
 from repro.errors import DecompositionError
@@ -64,7 +65,8 @@ class TestSweepPlanData:
 class TestSimulationPlan:
     def test_bit_identical_to_reference_path(self, machine):
         deck = standard_deck("validation", px=2, py=3, max_iterations=2)
-        reference = machine.simulate(deck, 2, 3, seed_offset=11)
+        reference = oracles.per_point_simulate(machine, deck, 2, 3,
+                                               machine.noise_model(11))
         plan = machine.simulation_plan(deck, 2, 3)
         run = plan.run(noise=machine.noise_model(11))
         assert run.elapsed_time == reference.elapsed_time
@@ -81,15 +83,6 @@ class TestSimulationPlan:
         assert a.elapsed_time != b.elapsed_time
         assert a.elapsed_time == again.elapsed_time
         assert plan.runs == 3
-
-    def test_seed_parameter_reseeds_noise(self, machine):
-        deck = standard_deck("validation", px=2, py=2, max_iterations=1)
-        plan = machine.simulation_plan(deck, 2, 2)
-        base = machine.noise_model(0)
-        seed = derive_seed("test", 2, 2)
-        via_seed = plan.run(noise=base, seed=seed)
-        direct = plan.run(noise=base.reseeded(seed))
-        assert via_seed.elapsed_time == direct.elapsed_time
 
     def test_noise_free_runs_are_deterministic(self, machine):
         deck = standard_deck("validation", px=2, py=2, max_iterations=1)
@@ -137,7 +130,7 @@ class TestMultiSampleRuns:
         assert sample_set.seeds == [machine.noise_seed + 11 + s
                                     for s in range(4)]
         for index, seed in enumerate(sample_set.seeds):
-            single = plan.run(noise=machine.noise_model(0), seed=seed,
+            single = plan.run(noise=machine.noise_model(0).reseeded(seed),
                               mode="replay")
             assert sample_set.elapsed_times[index] == single.elapsed_time
             materialised = sample_set.sample(index)
@@ -155,7 +148,7 @@ class TestMultiSampleRuns:
 
     def test_seed_parameter_offsets_the_sample_seeds(self, machine, plan):
         seed = derive_seed("sample-test", 2, 2)
-        sample_set = plan.run(noise=machine.noise_model(0), seed=seed,
+        sample_set = plan.run(noise=machine.noise_model(0).reseeded(seed),
                               samples=2, mode="auto")
         assert sample_set.seeds == [seed, seed + 1]
 
@@ -184,3 +177,59 @@ class TestMultiSampleRuns:
     def test_nonpositive_samples_rejected(self, machine, plan):
         with pytest.raises(ValueError, match="samples must be >= 1"):
             plan.run(noise=machine.noise_model(0), mode="auto", samples=0)
+
+
+def observables(run):
+    """Everything a simulated run reports, for exact comparison."""
+    simulation = run.simulation
+    return {
+        "elapsed": simulation.elapsed_time,
+        "times": [(r.finish_time, r.compute_time, r.comm_time)
+                  for r in simulation.ranks],
+        "counts": [(r.messages_sent, r.bytes_sent, r.messages_received,
+                    r.bytes_received) for r in simulation.ranks],
+        "traffic": simulation.traffic,
+        "summaries": [(s["error_history"], s["leakage_history"],
+                       s["blocks_swept"]) for s in run.rank_summaries],
+    }
+
+
+def oracle_deck(px, py, iterations):
+    # Uneven blocking (k blocks of 15, 15, 15, 5 planes; angle blocks of 4
+    # and 2 angles), so every component of the cost table's block key
+    # tells two shapes apart.
+    return standard_deck("validation", px=px, py=py,
+                         max_iterations=iterations, mk=15, mmi=4)
+
+
+class TestPerPointOracle:
+    """Every tier of ``Machine.simulate`` equals the per-point oracle."""
+
+    MODES = ("engine", "replay", "auto")
+
+    def check_all_modes(self, machine, deck, px, py, offset):
+        noise = (NoiseModel.disabled() if offset is None
+                 else machine.noise_model(offset))
+        want = observables(oracles.per_point_simulate(machine, deck, px, py, noise))
+        for mode in self.MODES:
+            got = machine.simulate(deck, px, py, seed_offset=offset or 0,
+                                   with_noise=offset is not None,
+                                   execution=mode)
+            assert observables(got) == want, mode
+
+    @pytest.mark.parametrize("offset", [None, 7], ids=["quiet", "noisy"])
+    @pytest.mark.parametrize("px,py", [(1, 1), (2, 3), (4, 4)])
+    @pytest.mark.parametrize("preset", ["pentium3-myrinet", "opteron-gige",
+                                        "altix", "steady"])
+    def test_one_iteration(self, preset, px, py, offset):
+        machine = get_machine(preset)
+        self.check_all_modes(machine, oracle_deck(px, py, 1), px, py, offset)
+
+    @pytest.mark.parametrize("offset", [None, 7], ids=["quiet", "noisy"])
+    def test_periodic_capture_and_steady_tier(self, offset):
+        machine = get_machine("steady")
+        deck = oracle_deck(2, 2, 12)
+        self.check_all_modes(machine, deck, 2, 2, offset)
+        plan = machine._plan_cache[(deck, 2, 2, False)]
+        assert plan.last_capture.mode == "periodic"
+        assert plan.last_execution == ("steady" if offset is None else "replay")
