@@ -9,22 +9,20 @@ the simulated measurement.
 
 from __future__ import annotations
 
-from conftest import run_once, save_report
+from conftest import save_report
 
 from repro.experiments.report import format_ablation
 from repro.experiments.study import build_spec, run_study
 
 
-def test_opcode_vs_coarse_benchmarking(benchmark, report_dir):
-    result = run_once(benchmark, run_study,
-                      build_spec("ablation", max_iterations=12)).payload
+def test_opcode_vs_coarse_benchmarking(report_dir):
+    result = run_study(build_spec("ablation", max_iterations=12)).payload
     report = format_ablation(result)
     print("\n" + report)
-    save_report(report_dir, "ablation_opcode", report)
-
-    benchmark.extra_info["coarse_error_pct"] = round(result.coarse_error_pct, 2)
-    benchmark.extra_info["legacy_error_pct"] = round(result.legacy_error_pct, 2)
-    benchmark.extra_info["paper_legacy_error_pct"] = 50.0
+    save_report(report_dir, "ablation_opcode", report,
+                coarse_error_pct=round(result.coarse_error_pct, 2),
+                legacy_error_pct=round(result.legacy_error_pct, 2),
+                paper_legacy_error_pct=50.0)
 
     # The coarse approach reproduces the <10% accuracy of the paper ...
     assert abs(result.coarse_error_pct) < 10.0

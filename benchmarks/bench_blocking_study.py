@@ -10,23 +10,20 @@ of design-space exploration the paper advocates performance models for.
 
 from __future__ import annotations
 
-from conftest import run_once, save_report
+from conftest import save_report
 
 from repro.experiments.study import build_spec, run_study
 
 
-def test_blocking_factor_design_space(benchmark, report_dir):
-    result = run_once(benchmark, run_study,
-                      build_spec("blocking", px=20, py=20)).payload
+def test_blocking_factor_design_space(report_dir):
+    result = run_study(build_spec("blocking", px=20, py=20)).payload
     report = result.describe()
     print("\n" + report)
-    save_report(report_dir, "blocking_study", report)
-
     best = result.best()
-    benchmark.extra_info["best_mk"] = best.mk
-    benchmark.extra_info["best_mmi"] = best.mmi
-    benchmark.extra_info["paper_choice_penalty_pct"] = round(
-        result.paper_choice_penalty() * 100, 2)
+    save_report(report_dir, "blocking_study", report,
+                best_mk=best.mk, best_mmi=best.mmi,
+                paper_choice_penalty_pct=round(
+                    result.paper_choice_penalty() * 100, 2))
 
     # The trade-off is real: both extremes are worse than the optimum.
     finest = result.point(1, 1)

@@ -2,9 +2,9 @@
 
 Figure 2 of the paper emphasises that once the application and resource
 models exist, predictions are obtained "within seconds".  These benchmarks
-measure that cost for representative configurations — a validation-table
-row, the largest speculative configuration — plus the cost of the two
-hardware-layer campaigns (profiling and the MPI micro-benchmark fit).
+run representative configurations once each — a validation-table row, the
+largest speculative configuration — plus the two hardware-layer campaigns
+(profiling and the MPI micro-benchmark fit).
 
 ``test_sweep_100_points_compiled_vs_naive`` is the acceptance gate of the
 compile/execute refactor: a 100-point parameter sweep through
@@ -30,7 +30,7 @@ import pytest
 from gate_report import record_gate
 from oracles import InterpretedEngine
 
-from repro.core.evaluation import CompiledModel
+from repro.core.evaluation.compiler import CompiledModel
 from repro.core.workload import SweepWorkload, load_sweep3d_model
 from repro.experiments.backends import PredictionBackend
 from repro.experiments.sweep import Scenario, SweepRunner
@@ -57,29 +57,24 @@ def hypothetical_executor():
     return CompiledModel(load_sweep3d_model()).executor(hardware)
 
 
-def test_prediction_speed_validation_row(benchmark, p3_executor):
+def test_prediction_speed_validation_row(p3_executor):
     """One Table-1 row prediction (112 processors, 12 iterations)."""
     deck = standard_deck("validation", px=8, py=14)
     variables = SweepWorkload(deck, 8, 14).model_variables()
 
-    result = benchmark(lambda: p3_executor.predict(variables))
+    result = p3_executor.predict(variables)
     assert result.total_time > 0
-    benchmark.extra_info["predicted_seconds"] = round(result.total_time, 2)
 
 
-def test_prediction_speed_8000_processors(benchmark, hypothetical_executor):
+def test_prediction_speed_8000_processors(hypothetical_executor):
     """The largest speculative configuration: 8000 processors, 20M cells."""
     cart = Cart2D.for_size(8000)
     deck = standard_deck("asci-20m", px=cart.px, py=cart.py)
     variables = SweepWorkload(deck, cart.px, cart.py).model_variables()
 
-    def predict():
-        hypothetical_executor.clear_cache()   # measure a cold evaluation
-        return hypothetical_executor.predict(variables)
-
-    result = benchmark.pedantic(predict, rounds=3, iterations=1)
+    hypothetical_executor.clear_cache()   # a cold evaluation
+    result = hypothetical_executor.predict(variables)
     assert result.total_time > 0
-    benchmark.extra_info["predicted_seconds"] = round(result.total_time, 3)
 
 
 def _sweep_points() -> list[Scenario]:
@@ -130,36 +125,27 @@ def test_sweep_100_points_compiled_vs_naive():
     assert best_speedup >= 5.0
 
 
-def test_sweep_runner_100_points(benchmark):
-    """Absolute cost of the compiled 100-point sweep (for trend tracking)."""
+def test_sweep_runner_100_points():
+    """The compiled 100-point sweep through one runner."""
     machine = get_machine("pentium3-myrinet")
     deck = standard_deck("validation", px=1, py=1)
     hardware = machine.hardware_model(deck, 1, 1)
     points = _sweep_points()
     runner = SweepRunner(backend=PredictionBackend(hardware=hardware))
 
-    outcomes = benchmark.pedantic(lambda: runner.run(points),
-                                  rounds=3, iterations=1)
+    outcomes = runner.run(points)
     assert len(outcomes) == 100
-    benchmark.extra_info["subtask_hit_rate"] = round(
-        runner.stats.subtask_hit_rate, 3)
 
 
-def test_flop_profiling_campaign_speed(benchmark):
+def test_flop_profiling_campaign_speed():
     """PAPI-substitute profiling of the serial kernel for one problem size."""
     machine = get_machine("opteron-gige")
     deck = standard_deck("validation", px=1, py=1)
-    profile = benchmark(lambda: FlopProfiler(machine.processor).profile(deck))
-    benchmark.extra_info["achieved_mflops"] = round(profile.achieved_mflops, 1)
+    FlopProfiler(machine.processor).profile(deck)
 
 
-def test_mpi_benchmark_campaign_speed(benchmark):
+def test_mpi_benchmark_campaign_speed():
     """The simulated MPI micro-benchmark sweep plus the A-E curve fits."""
     machine = get_machine("pentium3-myrinet")
-
-    def campaign():
-        data = MpiBenchmark(machine.topology, repetitions=3).run()
-        return data.fit()
-
-    fits = benchmark.pedantic(campaign, rounds=3, iterations=1)
+    fits = MpiBenchmark(machine.topology, repetitions=3).run().fit()
     assert set(fits) == {"send", "recv", "pingpong"}

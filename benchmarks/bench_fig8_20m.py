@@ -10,22 +10,21 @@ processors, with good scaling behaviour throughout.
 
 from __future__ import annotations
 
-from conftest import run_once, save_report
+from conftest import save_report
 
 from repro.experiments.report import format_figure
 from repro.experiments.study import build_spec, run_study
 
 
-def test_figure8_full_reproduction(benchmark, report_dir):
-    result = run_once(benchmark, run_study, build_spec("figure8")).payload
+def test_figure8_full_reproduction(report_dir):
+    result = run_study(build_spec("figure8")).payload
     report = format_figure(result)
     print("\n" + report)
-    save_report(report_dir, "figure8", report)
-
     actual = result.actual
-    benchmark.extra_info["time_at_1_proc_s"] = round(actual.times[0], 4)
-    benchmark.extra_info["time_at_8000_procs_s"] = round(actual.final_time, 4)
-    benchmark.extra_info["upgrade_speedup_50pct"] = round(result.speedup_from_upgrade(1.5), 3)
+    save_report(report_dir, "figure8", report,
+                time_at_1_proc_s=round(actual.times[0], 4),
+                time_at_8000_procs_s=round(actual.final_time, 4),
+                upgrade_speedup_50pct=round(result.speedup_from_upgrade(1.5), 3))
 
     # Three series (actual, +25%, +50%), each monotone under weak scaling.
     assert len(result.series) == 3

@@ -8,22 +8,21 @@ with the +25% and +50% achieved-rate upgrade scenarios.
 
 from __future__ import annotations
 
-from conftest import run_once, save_report
+from conftest import save_report
 
 from repro.experiments.report import format_figure
 from repro.experiments.study import build_spec, run_study
 
 
-def test_figure9_full_reproduction(benchmark, report_dir):
-    result = run_once(benchmark, run_study, build_spec("figure9")).payload
+def test_figure9_full_reproduction(report_dir):
+    result = run_study(build_spec("figure9")).payload
     report = format_figure(result)
     print("\n" + report)
-    save_report(report_dir, "figure9", report)
-
     actual = result.actual
-    benchmark.extra_info["time_at_1_proc_s"] = round(actual.times[0], 3)
-    benchmark.extra_info["time_at_8000_procs_s"] = round(actual.final_time, 3)
-    benchmark.extra_info["upgrade_speedup_50pct"] = round(result.speedup_from_upgrade(1.5), 3)
+    save_report(report_dir, "figure9", report,
+                time_at_1_proc_s=round(actual.times[0], 3),
+                time_at_8000_procs_s=round(actual.final_time, 3),
+                upgrade_speedup_50pct=round(result.speedup_from_upgrade(1.5), 3))
 
     assert len(result.series) == 3
     for series in result.series:

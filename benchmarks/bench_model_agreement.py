@@ -9,22 +9,21 @@ range of processor counts and records their relative spread.
 
 from __future__ import annotations
 
-from conftest import run_once, save_report
+from conftest import save_report
 
 from repro.experiments.study import build_spec, run_study
 
 
-def test_pace_vs_loggp_vs_hoisie(benchmark, report_dir):
+def test_pace_vs_loggp_vs_hoisie(report_dir):
     spec = build_spec("agreement",
                       processor_counts=[16, 256, 1024, 4096, 8000])
-    result = run_once(benchmark, run_study, spec).payload
+    result = run_study(spec).payload
     report = result.describe()
     print("\n" + report)
-    save_report(report_dir, "model_agreement", report)
-
-    benchmark.extra_info["worst_spread_pct"] = round(result.worst_spread * 100, 1)
-    benchmark.extra_info["worst_deviation_from_pace_pct"] = round(
-        result.worst_deviation_from_pace * 100, 1)
+    save_report(report_dir, "model_agreement", report,
+                worst_spread_pct=round(result.worst_spread * 100, 1),
+                worst_deviation_from_pace_pct=round(
+                    result.worst_deviation_from_pace * 100, 1))
 
     # "Good agreement" between three independently formulated analytic
     # models: all predictions within a factor-level band of each other.

@@ -173,15 +173,13 @@ def test_batched_daemon_noise_bit_identical():
     assert speedup >= 0.8
 
 
-def test_batched_replay_speed(benchmark):
-    """Absolute cost of one S=32 batched pass (for trend tracking)."""
+def test_batched_replay_speed():
+    """One S=32 batched pass over a 256-rank trace."""
     machine = get_machine("hypothetical-opteron-myrinet")
     plan = _plan_256_ranks(machine)
     trace = plan.compile_trace()
     noise = _jitter_noise(machine)
     seeds = [noise.seed + offset for offset in range(SAMPLES)]
 
-    batch = benchmark(lambda: trace.replay_batch(seeds, noise))
+    batch = trace.replay_batch(seeds, noise)
     assert batch.elapsed_mean > 0
-    benchmark.extra_info["events"] = trace.n_events
-    benchmark.extra_info["samples"] = SAMPLES

@@ -189,15 +189,12 @@ def test_steady_scaling_smoke_uses_steady_tier():
     record_gate("steady_scaling_smoke_identical", 1.0, 1.0, unit="identical")
 
 
-def test_steady_replay_speed(benchmark):
-    """Absolute cost of one steady-tier resolution (for trend tracking)."""
+def test_steady_replay_speed():
+    """One steady-tier resolution after a warm period analysis."""
     machine = get_machine("steady")
     plan = _long_plan(machine)
     plan.compile_trace()
     plan.run(mode="steady")                     # warm the period analysis
 
-    result = benchmark(lambda: plan.run(mode="steady"))
+    result = plan.run(mode="steady")
     assert result.elapsed_time > 0
-    benchmark.extra_info["events"] = plan.compile_trace().n_events
-    benchmark.extra_info["iterations"] = ITERATIONS
-    benchmark.extra_info["simulated_seconds"] = round(result.elapsed_time, 2)

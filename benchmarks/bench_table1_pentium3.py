@@ -5,29 +5,27 @@ configurations (4 to 112 processors, 50^3 cells per processor, mk=10,
 12 iterations) and reports a maximum error below 10% with an average of
 3.41%.  This benchmark reproduces every row: the prediction comes from the
 PACE evaluation engine, the measurement from the discrete-event cluster
-simulator, and the error statistics are attached to the benchmark record.
+simulator, and the error statistics follow the saved report.
 """
 
 from __future__ import annotations
 
-from conftest import run_once, save_report
+from conftest import save_report
 
 from repro.experiments.report import format_validation_table
 from repro.experiments.study import build_spec, run_study
 
 
-def test_table1_full_reproduction(benchmark, report_dir):
-    result = run_once(benchmark, run_study,
-                      build_spec("table1", simulate_measurement=True,
-                                 max_iterations=12)).payload
+def test_table1_full_reproduction(report_dir):
+    result = run_study(build_spec("table1", simulate_measurement=True,
+                                  max_iterations=12)).payload
     report = format_validation_table(result)
     print("\n" + report)
-    save_report(report_dir, "table1", report)
-
-    benchmark.extra_info["rows"] = len(result.rows)
-    benchmark.extra_info["max_abs_error_pct"] = round(result.max_abs_error, 2)
-    benchmark.extra_info["avg_abs_error_pct"] = round(result.average_abs_error, 2)
-    benchmark.extra_info["paper_avg_abs_error_pct"] = 3.41
+    save_report(report_dir, "table1", report,
+                rows=len(result.rows),
+                max_abs_error_pct=round(result.max_abs_error, 2),
+                avg_abs_error_pct=round(result.average_abs_error, 2),
+                paper_avg_abs_error_pct=3.41)
 
     # The headline claim of the paper: every error is below 10%.
     assert len(result.rows) == 24
@@ -41,15 +39,14 @@ def test_table1_full_reproduction(benchmark, report_dir):
     assert abs(predictions[-1] - 46.32) / 46.32 < 0.25
 
 
-def test_table1_prediction_only(benchmark, report_dir):
-    """Prediction-only variant (no simulated measurement): the cost of using
-    the model the way a procurement study would, for all 24 rows."""
-    result = run_once(benchmark, run_study,
-                      build_spec("table1", simulate_measurement=False,
-                                 max_iterations=12)).payload
+def test_table1_prediction_only(report_dir):
+    """Prediction-only variant (no simulated measurement): the model used
+    the way a procurement study would, for all 24 rows."""
+    result = run_study(build_spec("table1", simulate_measurement=False,
+                                  max_iterations=12)).payload
     report = format_validation_table(result)
-    save_report(report_dir, "table1_prediction_only", report)
-    benchmark.extra_info["rows"] = len(result.rows)
+    save_report(report_dir, "table1_prediction_only", report,
+                rows=len(result.rows))
     for row in result.rows:
         assert row.predicted == row.predicted  # not NaN
         assert abs(row.predicted - row.paper_measured) / row.paper_measured < 0.25

@@ -6,24 +6,22 @@ an average error of 5.35% with every row below 10%.
 
 from __future__ import annotations
 
-from conftest import run_once, save_report
+from conftest import save_report
 
 from repro.experiments.report import format_validation_table
 from repro.experiments.study import build_spec, run_study
 
 
-def test_table2_full_reproduction(benchmark, report_dir):
-    result = run_once(benchmark, run_study,
-                      build_spec("table2", simulate_measurement=True,
-                                 max_iterations=12)).payload
+def test_table2_full_reproduction(report_dir):
+    result = run_study(build_spec("table2", simulate_measurement=True,
+                                  max_iterations=12)).payload
     report = format_validation_table(result)
     print("\n" + report)
-    save_report(report_dir, "table2", report)
-
-    benchmark.extra_info["rows"] = len(result.rows)
-    benchmark.extra_info["max_abs_error_pct"] = round(result.max_abs_error, 2)
-    benchmark.extra_info["avg_abs_error_pct"] = round(result.average_abs_error, 2)
-    benchmark.extra_info["paper_avg_abs_error_pct"] = 5.35
+    save_report(report_dir, "table2", report,
+                rows=len(result.rows),
+                max_abs_error_pct=round(result.max_abs_error, 2),
+                avg_abs_error_pct=round(result.average_abs_error, 2),
+                paper_avg_abs_error_pct=5.35)
 
     assert len(result.rows) == 9
     assert result.max_abs_error < 10.0

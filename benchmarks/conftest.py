@@ -1,11 +1,11 @@
 """Shared helpers for the benchmark harness.
 
-Each benchmark regenerates one table or figure of the paper.  Because a
-single regeneration is already a substantial amount of work (a full
-validation table simulates dozens of cluster runs), benchmarks execute one
-round of one iteration and attach the reproduced-vs-published numbers to
-``benchmark.extra_info``; the rendered reports are also written to
-``benchmarks/output/`` so they can be inspected after the run.
+The paper-regeneration benchmarks regenerate one table or figure of the
+paper each.  A single regeneration is already a substantial amount of work
+(a full validation table simulates dozens of cluster runs), so each runs
+once; its rendered report, followed by the reproduced-vs-published
+headline numbers, is written to ``benchmarks/output/`` so it can be
+inspected after the run.
 """
 
 from __future__ import annotations
@@ -29,11 +29,8 @@ def report_dir() -> pathlib.Path:
     return OUTPUT_DIR
 
 
-def save_report(report_dir: pathlib.Path, name: str, text: str) -> None:
-    """Persist a rendered report next to the benchmark results."""
-    (report_dir / f"{name}.txt").write_text(text + "\n")
-
-
-def run_once(benchmark, func, *args, **kwargs):
-    """Run ``func`` exactly once under pytest-benchmark timing."""
-    return benchmark.pedantic(func, args=args, kwargs=kwargs, rounds=1, iterations=1)
+def save_report(report_dir: pathlib.Path, name: str, text: str,
+                **numbers) -> None:
+    """Persist a rendered report followed by its headline ``numbers``."""
+    lines = [text, ""] + [f"{key}: {value}" for key, value in numbers.items()]
+    (report_dir / f"{name}.txt").write_text("\n".join(lines) + "\n")

@@ -15,15 +15,3 @@ parameterised from the same simulated machines) so that the model-agreement
 experiment can compare all three predictors on the speculative
 configurations.
 """
-
-from repro.analytic.loggp import LogGPParameters, LogGPWavefrontModel
-from repro.analytic.hoisie import HoisieWavefrontModel
-from repro.analytic.comparison import ModelComparison, compare_models
-
-__all__ = [
-    "LogGPParameters",
-    "LogGPWavefrontModel",
-    "HoisieWavefrontModel",
-    "ModelComparison",
-    "compare_models",
-]

@@ -21,27 +21,3 @@ This package is the paper's primary contribution re-implemented in Python:
 The SWEEP3D model scripts of Figures 4-6 and the hardware objects of
 Figure 7 live under ``repro/core/resources``.
 """
-
-from repro.core.clc import ClcVector
-from repro.core.hmcl.model import CpuCostModel, HardwareModel, MpiCostModel
-from repro.core.hmcl.parser import parse_hmcl, format_hmcl
-from repro.core.ir import ModelObject, ModelSet, ObjectKind
-from repro.core.psl.parser import parse_psl
-from repro.core.evaluation.result import PredictionResult
-from repro.core.workload import SweepWorkload, load_sweep3d_model
-
-__all__ = [
-    "ClcVector",
-    "CpuCostModel",
-    "HardwareModel",
-    "MpiCostModel",
-    "parse_hmcl",
-    "format_hmcl",
-    "ModelObject",
-    "ModelSet",
-    "ObjectKind",
-    "parse_psl",
-    "PredictionResult",
-    "SweepWorkload",
-    "load_sweep3d_model",
-]

@@ -12,20 +12,3 @@ Only the C subset needed by the bundled ``sweep_kernel.c`` is supported;
 unsupported constructs raise :class:`~repro.errors.CappSyntaxError` rather
 than being silently ignored.
 """
-
-from repro.core.capp.analyzer import (
-    CappAnalyzer,
-    analyze_source,
-    analyze_sweep_kernel_resource,
-)
-from repro.core.capp.flow import FlowBlock, FlowBranch, FlowLoop, FlowSeq
-
-__all__ = [
-    "CappAnalyzer",
-    "analyze_source",
-    "analyze_sweep_kernel_resource",
-    "FlowBlock",
-    "FlowBranch",
-    "FlowLoop",
-    "FlowSeq",
-]

@@ -13,7 +13,7 @@ models can be applied to the same characterisation.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Iterable, Mapping
+from typing import Iterable
 
 from repro.simproc.opcodes import OpCategory, OperationMix
 
@@ -85,7 +85,7 @@ class ClcVector:
     # -- conversions ------------------------------------------------------------
 
     def to_operation_mix(self, working_set_bytes: float = 0.0) -> OperationMix:
-        """Convert to the :class:`~repro.simproc.OperationMix` used by the processors."""
+        """Convert to the :class:`~repro.simproc.opcodes.OperationMix` used by the processors."""
         return OperationMix(
             {OpCategory.from_mnemonic(m): v for m, v in self.counts.items()},
             working_set_bytes,
@@ -95,10 +95,6 @@ class ClcVector:
     def from_operation_mix(cls, mix: OperationMix) -> "ClcVector":
         """Build a clc tally from an operation mix."""
         return cls({category.value: value for category, value in mix.counts.items()})
-
-    @classmethod
-    def from_mapping(cls, mapping: Mapping[str, float]) -> "ClcVector":
-        return cls(dict(mapping))
 
     def as_dict(self) -> dict[str, float]:
         """Canonically ordered dictionary of the non-zero counts."""

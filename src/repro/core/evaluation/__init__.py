@@ -6,7 +6,7 @@ hardware) points in the time a simulator takes to run one.  The stack is
 therefore split into two phases:
 
 compile (:mod:`repro.core.evaluation.compiler`)
-    :class:`CompiledModel` lowers a parsed
+    :class:`~repro.core.evaluation.compiler.CompiledModel` lowers a parsed
     :class:`~repro.core.ir.ModelSet` once: object linkage is resolved,
     expressions become pre-bound closures, cflows are constant-folded and
     memoised on exactly the variables they reference, and ``proc`` bodies
@@ -25,23 +25,6 @@ Batch evaluation over scenario grids lives one layer up, in
 :mod:`repro.experiments.sweep`, where this pipeline is registered as the
 ``"predict"`` scenario backend (:mod:`repro.experiments.backends`)
 alongside the discrete-event ``"simulate"`` backend;
-:func:`hardware_fingerprint` doubles as the hardware component of the
-disk-backed sweep-cache keys.
+:func:`~repro.core.evaluation.compiler.hardware_fingerprint` doubles as
+the hardware component of the disk-backed sweep-cache keys.
 """
-
-from repro.core.evaluation.compiler import (
-    CacheStats,
-    CompiledExecutor,
-    CompiledModel,
-    hardware_fingerprint,
-)
-from repro.core.evaluation.result import PredictionResult, SubtaskBreakdown
-
-__all__ = [
-    "CacheStats",
-    "CompiledExecutor",
-    "CompiledModel",
-    "PredictionResult",
-    "SubtaskBreakdown",
-    "hardware_fingerprint",
-]

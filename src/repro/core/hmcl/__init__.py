@@ -15,15 +15,3 @@ An HMCL hardware object (Figure 7 of the paper) records, for one machine,
 :mod:`repro.core.hmcl.parser` reads and writes the textual HMCL format used
 by the resource scripts.
 """
-
-from repro.core.hmcl.model import CpuCostModel, HardwareModel, MpiCostModel
-from repro.core.hmcl.parser import parse_hmcl, format_hmcl, load_hmcl_resource
-
-__all__ = [
-    "CpuCostModel",
-    "HardwareModel",
-    "MpiCostModel",
-    "parse_hmcl",
-    "format_hmcl",
-    "load_hmcl_resource",
-]

@@ -24,8 +24,3 @@ The module provides the lexer, parser and AST; evaluation (expressions,
 cflows and objects, compiled to closures) lives in
 :mod:`repro.core.evaluation`.
 """
-
-from repro.core.psl.parser import parse_psl, load_psl_resource
-from repro.core.psl import ast
-
-__all__ = ["parse_psl", "load_psl_resource", "ast"]

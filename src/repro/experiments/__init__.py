@@ -100,160 +100,3 @@ front end is ``repro-sweep3d run <study|spec-file> [--all] [--smoke]
 ``cache {stats,prune}`` and the ad-hoc ``simulate --arrays`` grids); the
 stable import surface is :mod:`repro.api`.
 """
-
-from repro.experiments.paper_data import (
-    PAPER_TABLES,
-    PaperValidationRow,
-    SpeculativeStudy,
-    FIGURE8_STUDY,
-    FIGURE9_STUDY,
-)
-from repro.experiments.runner import (
-    ValidationRowResult,
-    ValidationTableResult,
-    measure_rows,
-)
-from repro.experiments.backends import (
-    Backend,
-    PredictionBackend,
-    SimMeasurement,
-    SimulationBackend,
-    available_backends,
-    create_backend,
-    register_backend,
-    simulation_grid,
-)
-from repro.experiments.diskcache import DiskCacheStats, PruneResult, SweepDiskCache
-from repro.experiments.figures import FigureResult
-from repro.experiments.ablation import AblationResult
-from repro.experiments.agreement import AgreementResult
-from repro.experiments.blocking import BlockingStudyResult
-from repro.experiments.scaling import ScalingAnalysis, analyze_figure, analyze_series
-from repro.experiments.sweep import Scenario, ScenarioSweep, SweepOutcome, SweepRunner
-from repro.experiments.study import (
-    StudyContext,
-    StudyResult,
-    StudyRunner,
-    StudySpec,
-    build_spec,
-    load_spec,
-    register_analysis,
-    register_study,
-    run_studies,
-    run_study,
-    study_names,
-)
-from repro.experiments.sharding import (
-    ShardPlan,
-    ShardPlanner,
-    make_shard_spec,
-    merge_study_results,
-    plan_shards,
-    plan_unit_shards,
-)
-from repro.experiments.fleet import (
-    FleetCoordinator,
-    FleetOutcome,
-    FleetWorker,
-    fleet_status,
-    run_local_fleet,
-)
-from repro.experiments.remotestore import (
-    ArtifactStore,
-    LocalDirStore,
-    MemoryStore,
-    pull_cache_entries,
-    push_cache_entries,
-    store_from_url,
-)
-from repro.experiments.artifacts import (
-    compare_artifact_dirs,
-    load_study_results,
-    merge_manifests,
-    read_manifest,
-    write_study_artifacts,
-)
-from repro.experiments.uncertainty import (
-    NoiseCalibration,
-    NoiseSensitivityResult,
-    ScenarioUncertainty,
-    StudyUncertainty,
-    calibrate_noise,
-)
-from repro.experiments.steadyscale import (
-    SteadyScaleRow,
-    SteadyScalingResult,
-)
-
-__all__ = [
-    "PAPER_TABLES",
-    "PaperValidationRow",
-    "SpeculativeStudy",
-    "FIGURE8_STUDY",
-    "FIGURE9_STUDY",
-    "ValidationRowResult",
-    "ValidationTableResult",
-    "measure_rows",
-    "Backend",
-    "PredictionBackend",
-    "SimMeasurement",
-    "SimulationBackend",
-    "available_backends",
-    "create_backend",
-    "register_backend",
-    "simulation_grid",
-    "DiskCacheStats",
-    "PruneResult",
-    "SweepDiskCache",
-    "FigureResult",
-    "AblationResult",
-    "AgreementResult",
-    "BlockingStudyResult",
-    "ScalingAnalysis",
-    "analyze_figure",
-    "analyze_series",
-    "Scenario",
-    "ScenarioSweep",
-    "SweepOutcome",
-    "SweepRunner",
-    "StudyContext",
-    "StudyResult",
-    "StudyRunner",
-    "StudySpec",
-    "build_spec",
-    "load_spec",
-    "register_analysis",
-    "register_study",
-    "run_studies",
-    "run_study",
-    "study_names",
-    "read_manifest",
-    "write_study_artifacts",
-    "ShardPlan",
-    "ShardPlanner",
-    "plan_shards",
-    "plan_unit_shards",
-    "make_shard_spec",
-    "merge_study_results",
-    "merge_manifests",
-    "load_study_results",
-    "compare_artifact_dirs",
-    "FleetCoordinator",
-    "FleetOutcome",
-    "FleetWorker",
-    "fleet_status",
-    "run_local_fleet",
-    "ArtifactStore",
-    "LocalDirStore",
-    "MemoryStore",
-    "store_from_url",
-    "push_cache_entries",
-    "pull_cache_entries",
-    "NoiseCalibration",
-    "NoiseSensitivityResult",
-    "ScenarioUncertainty",
-    "StudyUncertainty",
-    "calibrate_noise",
-    "SteadyScaleRow",
-    "SteadyScalingResult",
-]

@@ -48,7 +48,7 @@ import hashlib
 from dataclasses import dataclass
 from typing import Any, Protocol, runtime_checkable
 
-from repro.core.evaluation import PredictionResult
+from repro.core.evaluation.result import PredictionResult
 from repro.core.evaluation.compiler import (
     CacheStats,
     CompiledModel,
@@ -546,11 +546,6 @@ class SimulationExecutor:
     def trace_replays(self) -> int:
         """Evaluations served by trace replay instead of the engine."""
         return sum(plan.replays for plan in self._plans.values())
-
-    @property
-    def steady_runs(self) -> int:
-        """Evaluations served by the steady-state tier."""
-        return sum(plan.steadies for plan in self._plans.values())
 
     def collect_stats(self) -> CacheStats:
         """Cache accounting mapped onto :class:`CacheStats`.

@@ -20,7 +20,7 @@ from dataclasses import dataclass, field
 from typing import Sequence
 
 from repro import units
-from repro.core.evaluation import PredictionResult
+from repro.core.evaluation.result import PredictionResult
 from repro.core.hmcl.model import HardwareModel
 from repro.core.workload import SweepWorkload
 from repro.experiments.backends import SimulationBackend

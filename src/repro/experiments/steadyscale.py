@@ -185,55 +185,3 @@ def _run_steady_scaling_impl(machine, params, workers,
             compute_fraction=measurement.compute_fraction,
         ))
     return result
-
-
-def _tabulate_steady(payload) -> tuple[list[str], list[dict[str, Any]]]:
-    columns = ["pes", "px", "py", "it", "jt", "kt", "cells", "iterations",
-               "elapsed_s", "per_iteration_s", "messages", "bytes",
-               "compute_fraction"]
-    rows = [{
-        "pes": row.pes,
-        "px": row.px,
-        "py": row.py,
-        "it": row.it,
-        "jt": row.jt,
-        "kt": row.kt,
-        "cells": row.cells,
-        "iterations": row.iterations,
-        "elapsed_s": row.elapsed_s,
-        "per_iteration_s": row.per_iteration_s,
-        "messages": row.total_messages,
-        "bytes": row.total_bytes,
-        "compute_fraction": row.compute_fraction,
-    } for row in payload.rows]
-    return columns, rows
-
-
-def _register() -> None:
-    from repro.experiments.study import register_study
-
-    @register_study(
-        "steady-scaling",
-        title="Steady-state scaling — periodic-trace tier beyond the paper",
-        machine="hypothetical-opteron-myrinet-1ns", backend="simulate",
-        defaults={"processor_counts": (1, 4, 16, 64, 256),
-                  "iteration_counts": (12, 100),
-                  "cells_per_processor": (200, 200, 100),
-                  "mk": 10, "mmi": 3,
-                  "sim_execution": "auto"},
-        smoke={"processor_counts": (1, 4), "iteration_counts": (10,),
-               "cells_per_processor": (5, 5, 50)},
-        tabulate=_tabulate_steady,
-    )
-    def _study_steady_scaling(spec, context):
-        from repro.experiments.study import get_study
-        machine_name = spec.machine or get_study(spec.study).default_machine
-        return _run_steady_scaling_impl(
-            machine=context.machine(machine_name),
-            params=spec.resolved_params(),
-            workers=spec.workers,
-            context=context,
-        )
-
-
-_register()

@@ -614,9 +614,10 @@ class StudyResult:
     #: studies.
     execution: dict[str, int] = field(default_factory=dict)
     #: Host seconds per simulation execution phase (``{"capture": 1.9,
-    #: "steady": 0.2, ...}``) summed over this study's sweeps — where the
-    #: wall-clock actually went, complementing the tier counts.  Empty
-    #: for prediction studies.
+    #: "steady": 0.2, ...}``) summed over the scenarios this study's
+    #: sweeps computed — where this run's wall-clock went, complementing
+    #: the tier counts.  Disk-cache hits add nothing, so a fully warm run
+    #: reports ``{}``.  Empty for prediction studies.
     phases: dict[str, float] = field(default_factory=dict)
     #: Outputs of the spec's analysis hooks, keyed by hook name.
     analysis: dict[str, Any] = field(default_factory=dict)
@@ -934,6 +935,48 @@ def _tabulate_agreement(payload) -> tuple[list[str], list[dict[str, Any]]]:
     return columns, rows
 
 
+def _tabulate_noise(payload) -> tuple[list[str], list[dict[str, Any]]]:
+    columns = ["study", "machine", "label", "px", "py", "pes", "samples",
+               "elapsed_s", "elapsed_mean_s", "elapsed_std_s",
+               "elapsed_ci95_s"]
+    rows = [{
+        "study": block.study,
+        "machine": block.machine_name,
+        "label": entry.label,
+        "px": entry.px,
+        "py": entry.py,
+        "pes": entry.pes,
+        "samples": entry.samples,
+        "elapsed_s": entry.elapsed,
+        "elapsed_mean_s": entry.mean,
+        "elapsed_std_s": entry.std,
+        "elapsed_ci95_s": entry.ci95,
+    } for block in payload.studies for entry in block.scenarios]
+    return columns, rows
+
+
+def _tabulate_steady(payload) -> tuple[list[str], list[dict[str, Any]]]:
+    columns = ["pes", "px", "py", "it", "jt", "kt", "cells", "iterations",
+               "elapsed_s", "per_iteration_s", "messages", "bytes",
+               "compute_fraction"]
+    rows = [{
+        "pes": row.pes,
+        "px": row.px,
+        "py": row.py,
+        "it": row.it,
+        "jt": row.jt,
+        "kt": row.kt,
+        "cells": row.cells,
+        "iterations": row.iterations,
+        "elapsed_s": row.elapsed_s,
+        "per_iteration_s": row.per_iteration_s,
+        "messages": row.total_messages,
+        "bytes": row.total_bytes,
+        "compute_fraction": row.compute_fraction,
+    } for row in payload.rows]
+    return columns, rows
+
+
 # ---------------------------------------------------------------------------
 # Renderers (CLI plain text; lazy report import keeps import costs down)
 # ---------------------------------------------------------------------------
@@ -1160,6 +1203,42 @@ def _study_agreement(spec: StudySpec, context: StudyContext):
         study=SPECULATIVE_STUDIES[figure],
         machine=context.machine(machine_name),
         processor_counts=list(params["processor_counts"]),
+        workers=spec.workers,
+        context=context,
+    )
+
+
+@register_study("noise-sensitivity",
+                title="Noise sensitivity — multi-seed uncertainty of every study",
+                machine=None, backend="simulate",
+                defaults={"target": "all", "samples": 16, "max_processors": 512,
+                          "target_smoke": False, "iteration_cap": None,
+                          "max_scenarios": None},
+                smoke={"target_smoke": True, "samples": 2, "max_processors": 16,
+                       "iteration_cap": 1, "max_scenarios": 2},
+                tabulate=_tabulate_noise)
+def _study_noise_sensitivity(spec: StudySpec, context: StudyContext):
+    from repro.experiments.uncertainty import _run_noise_sensitivity
+    return _run_noise_sensitivity(spec, context)
+
+
+@register_study("steady-scaling",
+                title="Steady-state scaling — periodic-trace tier beyond the paper",
+                machine="hypothetical-opteron-myrinet-1ns", backend="simulate",
+                defaults={"processor_counts": (1, 4, 16, 64, 256),
+                          "iteration_counts": (12, 100),
+                          "cells_per_processor": (200, 200, 100),
+                          "mk": 10, "mmi": 3,
+                          "sim_execution": "auto"},
+                smoke={"processor_counts": (1, 4), "iteration_counts": (10,),
+                       "cells_per_processor": (5, 5, 50)},
+                tabulate=_tabulate_steady)
+def _study_steady_scaling(spec: StudySpec, context: StudyContext):
+    from repro.experiments.steadyscale import _run_steady_scaling_impl
+    machine_name = spec.machine or get_study(spec.study).default_machine
+    return _run_steady_scaling_impl(
+        machine=context.machine(machine_name),
+        params=spec.resolved_params(),
         workers=spec.workers,
         context=context,
     )

@@ -130,17 +130,20 @@ class ScenarioSweep:
 
 
 def _cached_evaluate(backend: Backend, executor, cache: SweepDiskCache | None,
-                     scenario: Scenario):
-    """Evaluate one scenario, serving/warming the disk cache when present."""
+                     scenario: Scenario) -> tuple[Any, bool]:
+    """Evaluate one scenario, serving/warming the disk cache when present.
+
+    Returns ``(result, computed)``; ``computed`` is False for a disk hit.
+    """
     if cache is None:
-        return executor.evaluate(scenario)
+        return executor.evaluate(scenario), True
     key = backend.fingerprint(scenario)
     cached = cache.get(key)
     if cached is not None:
-        return cached
+        return cached, False
     result = executor.evaluate(scenario)
     cache.put(key, result)
-    return result
+    return result, True
 
 
 def _run_chunk(payload) -> list:
@@ -154,7 +157,7 @@ def _run_chunk(payload) -> list:
     backend, cache_path, chunk = payload
     cache = SweepDiskCache(cache_path) if cache_path is not None else None
     executor = backend.compile()
-    results = [(index, _cached_evaluate(backend, executor, cache, scenario))
+    results = [(index, *_cached_evaluate(backend, executor, cache, scenario))
                for index, scenario in chunk]
     disk_stats = cache.stats if cache is not None else DiskCacheStats()
     return [results, executor.collect_stats(), disk_stats]
@@ -223,10 +226,10 @@ class SweepRunner:
         #: first computed, so the counts audit how every row was produced.
         self.execution_counts: dict[str, int] = {}
         #: Cumulative host seconds per execution phase (``"capture"``/
-        #: ``"replay"``/``"steady"``/``"engine"``), tallied from each
-        #: result's ``phase_seconds``.  Like the tier counts, disk-cache
-        #: hits contribute the phases recorded when the entry was first
-        #: computed.
+        #: ``"replay"``/``"steady"``/``"engine"``), tallied from the
+        #: ``phase_seconds`` of each result this runner computed.  Unlike
+        #: the tier counts, disk-cache hits add nothing: their seconds
+        #: were spent by the run that first computed them.
         self.phase_seconds: dict[str, float] = {}
 
     # ------------------------------------------------------------------
@@ -239,21 +242,22 @@ class SweepRunner:
             self.disk_stats = DiskCacheStats()
             return []
         if self.workers > 1 and len(points) > 1:
-            results, self.stats, self.disk_stats = self._run_parallel(points)
+            evaluated, self.stats, self.disk_stats = self._run_parallel(points)
         else:
-            results, self.stats, self.disk_stats = self._run_serial(points)
-        self._tally_execution(results)
+            evaluated, self.stats, self.disk_stats = self._run_serial(points)
+        self._tally_execution(evaluated)
         return [SweepOutcome(scenario=scenario, result=result)
-                for scenario, result in zip(points, results)]
+                for scenario, (result, _) in zip(points, evaluated)]
 
-    def _tally_execution(self, results: Iterable[Any]) -> None:
-        for result in results:
+    def _tally_execution(self, evaluated: Iterable[tuple[Any, bool]]) -> None:
+        for result, computed in evaluated:
             tier = getattr(result, "execution_tier", "")
             if tier:
                 self.execution_counts[tier] = (
                     self.execution_counts.get(tier, 0) + 1)
-            merge_phases(self.phase_seconds,
-                         getattr(result, "phase_seconds", {}))
+            if computed:
+                merge_phases(self.phase_seconds,
+                             getattr(result, "phase_seconds", {}))
 
     # ------------------------------------------------------------------
 
@@ -269,8 +273,8 @@ class SweepRunner:
             disk_before = self.cache.stats_snapshot()
         else:
             disk_before = DiskCacheStats()
-        results = [_cached_evaluate(self.backend, executor, self.cache, scenario)
-                   for scenario in points]
+        evaluated = [_cached_evaluate(self.backend, executor, self.cache, scenario)
+                     for scenario in points]
         stats = executor.collect_stats().since(stats_before)
         if self.cache is not None:
             after = self.cache.stats_snapshot()
@@ -279,7 +283,7 @@ class SweepRunner:
                                         stores=after.stores - disk_before.stores)
         else:
             disk_stats = DiskCacheStats()
-        return results, stats, disk_stats
+        return evaluated, stats, disk_stats
 
     def _run_parallel(self, points: list[Scenario]):
         workers = min(self.workers, len(points))
@@ -290,7 +294,7 @@ class SweepRunner:
         cache_path = str(self.cache.path) if self.cache is not None else None
         payloads = [(self.backend, cache_path, chunk)
                     for chunk in chunks if chunk]
-        results: dict[int, Any] = {}
+        evaluated: dict[int, tuple[Any, bool]] = {}
         stats = CacheStats()
         disk_stats = DiskCacheStats()
 
@@ -299,12 +303,12 @@ class SweepRunner:
             for chunk_results, chunk_stats, chunk_disk in pool.map(_run_chunk, payloads):
                 stats = stats.merge(chunk_stats)
                 disk_stats = disk_stats.merge(chunk_disk)
-                for index, result in chunk_results:
-                    results[index] = result
+                for index, result, computed in chunk_results:
+                    evaluated[index] = (result, computed)
 
         if self.pool is not None:
             consume(self.pool)
         else:
             with ProcessPoolExecutor(max_workers=len(payloads)) as pool:
                 consume(pool)
-        return [results[index] for index in range(len(points))], stats, disk_stats
+        return [evaluated[index] for index in range(len(points))], stats, disk_stats

@@ -7,7 +7,8 @@ makes drawing *many* measurements nearly free: the event stream is
 recorded once and ``S`` independently seeded noise streams advance through
 one vectorised max-plus pass.  This module packages that capability as
 
-* the registered ``noise-sensitivity`` study — re-runs the scenario grid
+* the ``noise-sensitivity`` study (registered in
+  :mod:`repro.experiments.study`) — re-runs the scenario grid
   of any (or every) registered study through the simulation backend at
   ``samples`` noise seeds and tabulates mean/std/CI95 per scenario, and
 * :func:`calibrate_noise` — fits the noise model's jitter amplitudes
@@ -327,47 +328,6 @@ def _run_noise_sensitivity(spec, context) -> NoiseSensitivityResult:
     if len({block.machine_name for block in result.studies}) == 1:
         result.machine_name = result.studies[0].machine_name
     return result
-
-
-def _tabulate_noise(payload) -> tuple[list[str], list[dict[str, Any]]]:
-    columns = ["study", "machine", "label", "px", "py", "pes", "samples",
-               "elapsed_s", "elapsed_mean_s", "elapsed_std_s",
-               "elapsed_ci95_s"]
-    rows = [{
-        "study": block.study,
-        "machine": block.machine_name,
-        "label": entry.label,
-        "px": entry.px,
-        "py": entry.py,
-        "pes": entry.pes,
-        "samples": entry.samples,
-        "elapsed_s": entry.elapsed,
-        "elapsed_mean_s": entry.mean,
-        "elapsed_std_s": entry.std,
-        "elapsed_ci95_s": entry.ci95,
-    } for block in payload.studies for entry in block.scenarios]
-    return columns, rows
-
-
-def _register() -> None:
-    from repro.experiments.study import register_study
-
-    @register_study(
-        "noise-sensitivity",
-        title="Noise sensitivity — multi-seed uncertainty of every study",
-        machine=None, backend="simulate",
-        defaults={"target": "all", "samples": 16, "max_processors": 512,
-                  "target_smoke": False, "iteration_cap": None,
-                  "max_scenarios": None},
-        smoke={"target_smoke": True, "samples": 2, "max_processors": 16,
-               "iteration_cap": 1, "max_scenarios": 2},
-        tabulate=_tabulate_noise,
-    )
-    def _study_noise_sensitivity(spec, context):
-        return _run_noise_sensitivity(spec, context)
-
-
-_register()
 
 
 # ---------------------------------------------------------------------------

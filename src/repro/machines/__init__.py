@@ -15,23 +15,3 @@ paper: the Pentium-3/Myrinet cluster, the Opteron/Gigabit-Ethernet cluster,
 the SGI Altix, and the hypothetical 8000-processor Opteron/Myrinet system
 of the speculative study.
 """
-
-from repro.machines.machine import Machine
-from repro.machines.presets import (
-    MACHINE_PRESETS,
-    altix_itanium2,
-    get_machine,
-    hypothetical_opteron_myrinet,
-    opteron_gige,
-    pentium3_myrinet,
-)
-
-__all__ = [
-    "Machine",
-    "MACHINE_PRESETS",
-    "get_machine",
-    "pentium3_myrinet",
-    "opteron_gige",
-    "altix_itanium2",
-    "hypothetical_opteron_myrinet",
-]

@@ -14,16 +14,3 @@ Both campaigns run against the simulated processor/network models, so the
 derived hardware parameters carry genuine measurement/fitting error into
 the PACE predictions — exactly as in the paper's methodology.
 """
-
-from repro.profiling.papi import FlopProfile, FlopProfiler
-from repro.profiling.mpibench import CommBenchmarkData, MpiBenchmark
-from repro.profiling.curvefit import PiecewiseLinearModel, fit_piecewise_linear
-
-__all__ = [
-    "FlopProfile",
-    "FlopProfiler",
-    "CommBenchmarkData",
-    "MpiBenchmark",
-    "PiecewiseLinearModel",
-    "fit_piecewise_linear",
-]

@@ -15,10 +15,11 @@ is no web framework):
 * :mod:`repro.service.batching` — the request coalescer: concurrent
   predict/simulate requests inside a small window are deduplicated by
   scenario fingerprint and micro-batched into one sweep-runner call;
-* :mod:`repro.service.core` — :class:`PredictionService`: shared warm
-  state, the in-memory result LRU (tier order: memory-LRU → disk cache →
-  compute) and the HTTP routing; :func:`run_server` and
-  :class:`BackgroundServer` run it;
+* :mod:`repro.service.core` —
+  :class:`~repro.service.core.PredictionService`: shared warm state, the
+  in-memory result LRU (tier order: memory-LRU → disk cache → compute)
+  and the HTTP routing; :func:`~repro.service.core.run_server` and
+  :class:`~repro.service.core.BackgroundServer` run it;
 * :mod:`repro.service.jobs` — study submissions as background jobs with
   status polling, cancellation and artifact retrieval;
 * :mod:`repro.service.client` — a stdlib synchronous client.
@@ -28,13 +29,3 @@ Every response is bit-identical to the corresponding direct
 service only shares compile/plan steps and caches results keyed on the
 full scenario identity, never approximates.
 """
-
-from repro.service.client import ServiceClient
-from repro.service.core import BackgroundServer, PredictionService, run_server
-
-__all__ = [
-    "BackgroundServer",
-    "PredictionService",
-    "ServiceClient",
-    "run_server",
-]

@@ -6,7 +6,7 @@ clusters.  Those machines are not available here, so this package provides a
 that ``yield`` MPI-like operations (send, recv, allreduce, compute, ...) to
 one scheduling loop (:func:`~repro.simmpi.engine.run_ranks`), which hands
 every event to a sink.  With a timing sink the loop is the engine
-(:class:`ClusterEngine`), which
+(:class:`~repro.simmpi.engine.ClusterEngine`), which
 
 * moves real payloads between ranks (numeric application runs produce
   bit-correct results),
@@ -17,8 +17,9 @@ every event to a sink.  With a timing sink the loop is the engine
 * reports per-rank timing breakdowns.
 
 With a column sink the same loop is the trace recorder
-(:class:`TraceRecorder`), which captures a modelled run's event table
-once for fast max-plus replay (:class:`CompiledTrace`).
+(:class:`~repro.simmpi.trace.TraceRecorder`), which captures a modelled
+run's event table once for fast max-plus replay
+(:class:`~repro.simmpi.trace.CompiledTrace`).
 
 A minimal rank program::
 
@@ -35,46 +36,3 @@ A minimal rank program::
     result = engine.run(program, nranks=2)
     print(result.elapsed_time)
 """
-
-from repro.simmpi.operations import (
-    Compute,
-    Send,
-    Recv,
-    Isend,
-    Irecv,
-    Wait,
-    WaitAll,
-    AllReduce,
-    Barrier,
-    Bcast,
-    Now,
-    ReduceOp,
-)
-from repro.simmpi.request import Request
-from repro.simmpi.communicator import SimComm
-from repro.simmpi.engine import ClusterEngine, RankResult, SimulationResult
-from repro.simmpi.trace import CompiledTrace, TraceRecorder
-from repro.simmpi.cart import Cart2D
-
-__all__ = [
-    "Compute",
-    "Send",
-    "Recv",
-    "Isend",
-    "Irecv",
-    "Wait",
-    "WaitAll",
-    "AllReduce",
-    "Barrier",
-    "Bcast",
-    "Now",
-    "ReduceOp",
-    "Request",
-    "SimComm",
-    "ClusterEngine",
-    "RankResult",
-    "SimulationResult",
-    "CompiledTrace",
-    "TraceRecorder",
-    "Cart2D",
-]

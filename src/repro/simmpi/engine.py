@@ -128,18 +128,6 @@ class SimulationResult:
         """Per-rank return values in rank order."""
         return [r.return_value for r in self.ranks]
 
-    @property
-    def total_compute_time(self) -> float:
-        return sum(r.compute_time for r in self.ranks)
-
-    @property
-    def total_comm_time(self) -> float:
-        return sum(r.comm_time for r in self.ranks)
-
-    @property
-    def max_comm_fraction(self) -> float:
-        return max((r.comm_fraction for r in self.ranks), default=0.0)
-
     def rank_result(self, rank: int) -> RankResult:
         return self.ranks[rank]
 

@@ -122,14 +122,6 @@ class TraceDiskCache(DirectoryStore):
             **columns,
         )
 
-    def get_trace(self, key: tuple) -> CompiledTrace | None:
-        """Alias of :meth:`get` with the trace-typed signature."""
-        return self.get(key)
-
-    def put_trace(self, key: tuple, trace: CompiledTrace) -> None:
-        """Alias of :meth:`put` with the trace-typed signature."""
-        self.put(key, trace)
-
 
 def trace_cache_for(path: "str | Any") -> TraceDiskCache:
     """Coerce ``path`` (str/Path/cache) into a :class:`TraceDiskCache`."""

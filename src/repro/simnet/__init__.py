@@ -10,28 +10,3 @@ piece-wise linear latency/bandwidth; a
 injects the operating-system/background-load jitter the paper blames for
 the variance in its measurements.
 """
-
-from repro.simnet.link import LinkModel
-from repro.simnet.topology import ClusterTopology
-from repro.simnet.noise import NoiseModel, derive_seed
-from repro.simnet.presets import (
-    myrinet2000,
-    gigabit_ethernet,
-    numalink4,
-    smp_shared_memory,
-    interconnect_preset,
-    INTERCONNECT_PRESETS,
-)
-
-__all__ = [
-    "LinkModel",
-    "ClusterTopology",
-    "NoiseModel",
-    "derive_seed",
-    "myrinet2000",
-    "gigabit_ethernet",
-    "numalink4",
-    "smp_shared_memory",
-    "interconnect_preset",
-    "INTERCONNECT_PRESETS",
-]

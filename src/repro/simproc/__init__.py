@@ -24,31 +24,3 @@ and can answer two very different questions about a serial kernel:
     reports as prediction errors "as large as 50 %" — and is retained here to
     reproduce that ablation.
 """
-
-from repro.simproc.opcodes import OpCategory, OperationMix, OpcodeCostTable
-from repro.simproc.cache import CacheLevel, MemoryHierarchy
-from repro.simproc.compiler import CompilerModel
-from repro.simproc.processor import ProcessorModel, SuperscalarModel
-from repro.simproc.presets import (
-    pentium3_1400,
-    opteron_2000,
-    itanium2_1600,
-    processor_preset,
-    PROCESSOR_PRESETS,
-)
-
-__all__ = [
-    "OpCategory",
-    "OperationMix",
-    "OpcodeCostTable",
-    "CacheLevel",
-    "MemoryHierarchy",
-    "CompilerModel",
-    "SuperscalarModel",
-    "ProcessorModel",
-    "pentium3_1400",
-    "opteron_2000",
-    "itanium2_1600",
-    "processor_preset",
-    "PROCESSOR_PRESETS",
-]

@@ -140,10 +140,6 @@ class OperationMix:
             mix.working_set_bytes = float(working_set_bytes)
         return mix
 
-    def with_working_set(self, working_set_bytes: float) -> "OperationMix":
-        """Return a copy of the mix with a different working set size."""
-        return OperationMix(dict(self.counts), float(working_set_bytes))
-
     # -- construction helpers -------------------------------------------------
 
     @classmethod

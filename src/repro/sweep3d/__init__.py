@@ -21,42 +21,3 @@ The package provides
   simulated cluster,
 * :mod:`repro.sweep3d.verification` — physics invariants used by tests.
 """
-
-from repro.sweep3d.quadrature import LevelSymmetricQuadrature, OctantAngles
-from repro.sweep3d.geometry import GlobalGrid, LocalGrid, Decomposition, Octant, octant_order
-from repro.sweep3d.input import Sweep3DInput, standard_deck, parse_input_deck
-from repro.sweep3d.kernel import SweepKernel, BlockResult
-from repro.sweep3d.serial import SerialSweepSolver, SerialSolveResult
-from repro.sweep3d.parallel import (
-    SweepCostTable,
-    SweepPlanData,
-    sweep_rank_program,
-)
-from repro.sweep3d.driver import (
-    SimulationPlan,
-    Sweep3DRunResult,
-    run_serial_sweep,
-)
-
-__all__ = [
-    "LevelSymmetricQuadrature",
-    "OctantAngles",
-    "GlobalGrid",
-    "LocalGrid",
-    "Decomposition",
-    "Octant",
-    "octant_order",
-    "Sweep3DInput",
-    "standard_deck",
-    "parse_input_deck",
-    "SweepKernel",
-    "BlockResult",
-    "SerialSweepSolver",
-    "SerialSolveResult",
-    "SweepCostTable",
-    "SweepPlanData",
-    "sweep_rank_program",
-    "SimulationPlan",
-    "Sweep3DRunResult",
-    "run_serial_sweep",
-]

@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import pytest
 
-from repro.core.evaluation import CompiledExecutor, CompiledModel
+from repro.core.evaluation.compiler import CompiledExecutor, CompiledModel
 from repro.core.hmcl.model import CpuCostModel, HardwareModel, MpiCostModel
 from repro.core.workload import load_sweep3d_model
 from repro.machines.presets import get_machine

@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.core.capp import analyze_source, analyze_sweep_kernel_resource
+from repro.core.capp.analyzer import analyze_source, analyze_sweep_kernel_resource
 from repro.core.capp.clexer import parse_pragma, tokenize
 from repro.core.capp.cparser import parse_c
 from repro.core.capp.flow import FlowLoop, evaluate_count_expression

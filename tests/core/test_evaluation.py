@@ -3,7 +3,7 @@
 import oracles
 import pytest
 
-from repro.core.evaluation import CompiledModel
+from repro.core.evaluation.compiler import CompiledModel
 from repro.core.hmcl.model import CpuCostModel, HardwareModel
 from repro.core.psl.parser import parse_psl
 from repro.core.workload import SweepWorkload

@@ -3,7 +3,7 @@
 import oracles
 import pytest
 
-from repro.core.evaluation import CompiledModel
+from repro.core.evaluation.compiler import CompiledModel
 from repro.core.ir import ModelObject, ModelSet, ObjectKind
 from repro.core.psl.parser import parse_psl
 from repro.errors import PslNameError

@@ -3,7 +3,7 @@
 import oracles
 import pytest
 
-from repro.core.evaluation import CompiledModel
+from repro.core.evaluation.compiler import CompiledModel
 from repro.core.ir import ObjectKind
 from repro.core.psl import ast
 from repro.core.psl.lexer import tokenize

@@ -120,6 +120,20 @@ class TestStudyPhases:
         entry = manifest["studies"][0]
         assert entry["phases"] == result.phases
 
+    def test_warm_run_reports_no_phases(self, tmp_path):
+        # A disk-cache hit carries the seconds of the run that computed
+        # it; the warm run spent none of them.
+        from repro.experiments.study import build_spec, run_study
+
+        spec = build_spec("steady-scaling",
+                          cache_dir=str(tmp_path / "cache")).smoke()
+        cold = run_study(spec)
+        warm = run_study(spec)
+        assert cold.phases.get("capture", 0.0) > 0.0
+        assert warm.disk_stats.hits == 2
+        assert warm.phases == {}
+        assert warm.execution == cold.execution
+
 
 class TestCacheCli:
     def test_cache_stats_include_trace_tier(self, tmp_path, capsys):

@@ -1,8 +1,10 @@
 """Tests for the declarative Study API (spec -> runner -> result)."""
 
 import json
+import os
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
@@ -34,6 +36,27 @@ ALL_STUDIES = ("table1", "table2", "table3", "figure8", "figure9",
 class TestRegistry:
     def test_every_experiment_is_registered(self):
         assert tuple(study_names()) == ALL_STUDIES
+
+    @pytest.mark.parametrize("first_import", [
+        "repro.experiments.study",
+        "repro.experiments.uncertainty",
+        "repro.experiments.steadyscale",
+        "repro.experiments.sharding",
+        "repro.api",
+    ])
+    def test_registry_does_not_depend_on_import_order(self, first_import):
+        # One module registers every study, so whichever module a fresh
+        # interpreter imports first, the registry and its order are the same.
+        script = (
+            f"import json, {first_import}\n"
+            "from repro.experiments.study import study_names\n"
+            "print(json.dumps(study_names()))\n"
+        )
+        src_dir = Path(__file__).resolve().parents[2] / "src"
+        output = subprocess.run([sys.executable, "-c", script],
+                                env=dict(os.environ, PYTHONPATH=str(src_dir)),
+                                capture_output=True, text=True, check=True)
+        assert tuple(json.loads(output.stdout)) == ALL_STUDIES
 
     def test_definitions_are_complete(self):
         for name in study_names():

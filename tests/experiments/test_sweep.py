@@ -3,7 +3,7 @@
 import pytest
 
 from repro.cli import main
-from repro.core.evaluation import CompiledModel
+from repro.core.evaluation.compiler import CompiledModel
 from repro.core.workload import SweepWorkload
 from repro.errors import ExperimentError
 from repro.experiments.backends import PredictionBackend

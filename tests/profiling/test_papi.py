@@ -46,7 +46,7 @@ class TestFlopProfiler:
         assert profile.legacy_flop_rate != pytest.approx(profile.achieved_flop_rate, rel=0.05)
 
     def test_verify_static_counts_accepts_capp_tally(self, p3_processor):
-        from repro.core.capp import analyze_sweep_kernel_resource
+        from repro.core.capp.analyzer import analyze_sweep_kernel_resource
         profiler = FlopProfiler(p3_processor)
         capp_mix = analyze_sweep_kernel_resource().tally(
             "sweep_block", dict(nx=10, ny=10, mk=5, mmi=3)).to_operation_mix()

@@ -37,7 +37,7 @@ def test_roundtrip_is_byte_exact(tmp_path, plan_parts):
     cache = TraceDiskCache(tmp_path)
     key = plan.trace_fingerprint()
     cache.put(key, trace)
-    loaded = cache.get_trace(key)
+    loaded = cache.get(key)
     assert loaded is not None
     for column in ("event_kind", "event_rank", "event_slot", "event_aux",
                    "event_peer", "event_tag", "event_nbytes"):
@@ -57,7 +57,7 @@ def test_miss_and_stats_accounting(tmp_path, plan_parts):
     cache = TraceDiskCache(tmp_path)
     key = plan.trace_fingerprint()
     assert cache.get(key) is None
-    cache.put_trace(key, trace)
+    cache.put(key, trace)
     assert cache.get(key) is not None
     snapshot = cache.stats_snapshot()
     assert (snapshot.hits, snapshot.misses, snapshot.stores) == (1, 1, 1)

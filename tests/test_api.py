@@ -11,12 +11,31 @@ import pytest
 import repro
 import repro.api as api
 
-#: Modules that ``import repro.api`` must not load: test oracles and the
-#: evaluation paths they replaced.  Extend it as imports become lazy.
+#: Modules that ``import repro.api`` must not load: test oracles, the
+#: evaluation paths they replaced, and leaves only some commands use
+#: (package ``__init__`` files import nothing, and each study executor
+#: module is imported when its study runs).  Extend it as imports become
+#: lazy.
 NOT_LOADED_BY_API_IMPORT = [
     "repro.core.psl.interpreter",
     "repro.core.evaluation.engine",
     "oracles",
+    "repro.analytic",
+    "repro.analytic.comparison",
+    "repro.analytic.hoisie",
+    "repro.analytic.loggp",
+    "repro.core.psl.parser",
+    "repro.core.psl.lexer",
+    "repro.core.hmcl.parser",
+    "repro.core.workload",
+    "repro.experiments.ablation",
+    "repro.experiments.agreement",
+    "repro.experiments.blocking",
+    "repro.experiments.figures",
+    "repro.experiments.scaling",
+    "repro.experiments.runner",
+    "repro.experiments.steadyscale",
+    "repro.experiments.tables",
 ]
 
 
@@ -43,6 +62,19 @@ class TestFacadeSurface:
                                 capture_output=True, text=True, check=True)
         loaded = set(json.loads(output.stdout))
         assert [name for name in NOT_LOADED_BY_API_IMPORT if name in loaded] == []
+
+    def test_leaf_import_loads_no_simulator(self):
+        # Package ``__init__`` files import nothing, so a leaf module loads
+        # only what it needs: the hardware model needs neither the solver
+        # nor the MPI simulator (a submodule import loads its package).
+        src_dir = Path(repro.__file__).resolve().parents[1]
+        script = ("import json, sys, repro.core.hmcl.model; "
+                  "print(json.dumps(sorted(sys.modules)))")
+        output = subprocess.run([sys.executable, "-c", script],
+                                env=dict(os.environ, PYTHONPATH=str(src_dir)),
+                                capture_output=True, text=True, check=True)
+        loaded = set(json.loads(output.stdout))
+        assert loaded & {"repro.sweep3d", "repro.simmpi"} == set()
 
     def test_available_machines(self):
         machines = api.available_machines()
