@@ -13,13 +13,15 @@ fast wrong trace must fail the gate before any timing runs.
 ``test_trace_cache_makes_recapture_free`` locks the persistence layer:
 a second process (modelled as a fresh cache handle and fresh plan over
 the same directory) must serve the same configuration from the
-fingerprint-keyed trace cache without recording a single event, orders
-of magnitude faster than even the periodic pass.
+fingerprint-keyed trace cache without recording a single event, and
+faster than even the periodic pass.
 
-Baseline on the reference container (64 ranks, 100 iterations, ~480k
-events): full recorder ~3.5 s vs periodic capture ~0.29 s (~12x), of
-which ~0.25 s is the 6-iteration probe recording; a warm cache hit is
-~15 ms (a checksummed read of the raw columns).
+Both sides record from op bodies harvested once per capture from one
+iteration of the rank generator.  On a 2-vCPU VM (64 ranks, 100
+iterations, ~480k events) the full recorder takes 0.7-1.2 s and
+periodic capture 72-112 ms (~10-11x), of which 40-69 ms is the
+6-iteration probe recording; the gate prints that split.  A warm cache
+hit is ~20-25 ms (a checksummed read of the raw columns).
 """
 
 from __future__ import annotations
@@ -30,6 +32,7 @@ import numpy as np
 from gate_report import record_gate
 
 from repro.machines.presets import get_machine
+from repro.simmpi.trace import TraceRecorder
 from repro.simmpi.tracecache import TraceDiskCache
 from repro.simnet.noise import NoiseModel
 from repro.sweep3d.driver import SimulationPlan
@@ -69,7 +72,7 @@ def _assert_identical(got, want):
     assert got._return_values == want._return_values
 
 
-def test_periodic_capture_speed_64rank():
+def test_periodic_capture_speed_64rank(monkeypatch):
     """Periodic capture is >=10x the full recorder, bit-identically."""
     machine = get_machine("steady")
     plan = _plan(machine)
@@ -87,12 +90,26 @@ def test_periodic_capture_speed_64rank():
     assert tiled.replay(noise.reseeded(5)).elapsed_time \
         == full.replay(noise.reseeded(5)).elapsed_time
 
+    # The periodic side splits into its probe recording and the rest
+    # (plan build, body harvest, period detection, tiling and checks).
+    recorded = []
+    record = TraceRecorder.record
+
+    def timed_record(self, *args, **kwargs):
+        start = time.perf_counter()
+        try:
+            return record(self, *args, **kwargs)
+        finally:
+            recorded.append(time.perf_counter() - start)
+
+    monkeypatch.setattr(TraceRecorder, "record", timed_record)
     best_speedup = 0.0
     for _ in range(2):                          # one retry guards against noise
         start = time.perf_counter()
         reference = _plan(machine)
         reference._record_trace(_deck())
         full_elapsed = time.perf_counter() - start
+        recorded.clear()
         start = time.perf_counter()
         candidate = _plan(machine)
         candidate.compile_trace()
@@ -101,12 +118,21 @@ def test_periodic_capture_speed_64rank():
         best_speedup = max(best_speedup, full_elapsed / periodic_elapsed)
         if best_speedup >= 10.0:
             break
+    probe_record = sum(recorded)
     px, py = RANKS
-    print(f"\n{px * py}-rank x{ITERATIONS}-iteration capture: full "
-          f"{full_elapsed:.2f} s, periodic {periodic_elapsed * 1e3:.0f} ms, "
-          f"speedup {best_speedup:.1f}x ({info.describe()})")
-    record_gate("periodic_capture_vs_full_64rank", best_speedup, 10.0)
-    assert best_speedup >= 10.0
+    report = (f"{px * py}-rank x{ITERATIONS}-iteration capture: full "
+              f"{full_elapsed:.2f} s, periodic {periodic_elapsed * 1e3:.0f} ms "
+              f"(probe record {probe_record * 1e3:.0f} ms, rest "
+              f"{(periodic_elapsed - probe_record) * 1e3:.0f} ms), "
+              f"speedup {best_speedup:.1f}x")
+    print(f"\n{report} ({info.describe()})")
+    record_gate("periodic_capture_vs_full_64rank", best_speedup, 10.0,
+                details={"full_ms": full_elapsed * 1e3,
+                         "periodic_ms": periodic_elapsed * 1e3,
+                         "periodic_record_ms": probe_record * 1e3,
+                         "periodic_rest_ms":
+                             (periodic_elapsed - probe_record) * 1e3})
+    assert best_speedup >= 10.0, report
 
 
 def test_trace_cache_makes_recapture_free(tmp_path):

@@ -553,8 +553,10 @@ class SimulationExecutor:
         ``subtask`` hits/misses count the compute cost table (each hit is a
         block/source/convergence charge priced from the memo instead of a
         freshly built operation mix; under trace replay the table is only
-        consulted during the one pattern-capture pass per plan); ``flow``
-        hits/misses count simulation plan reuse vs construction.
+        consulted while a capture harvests one iteration's op bodies, so
+        a capture counts one iteration's lookups per rank whatever the
+        iteration count); ``flow`` hits/misses count simulation plan
+        reuse vs construction.
         """
         return CacheStats(predictions=self._evaluations,
                           flow_hits=self._plan_reuses,

@@ -1,35 +1,36 @@
 """Periodic trace capture: record one period, tile the rest.
 
 Recording a modelled run's event stream (:class:`~repro.simmpi.trace.
-TraceRecorder`) is O(events) pure Python — at 64 ranks x 100 iterations
-it dominates a cold sweep even though replay and the steady tier are
-fast.  But the recorder is *timing-free*: the event order is a pure
-function of the rank programs' op streams and the FIFO/matching
-discipline, so a run of ``m`` iterations records exactly the first
-``n_m`` events of a run of ``T > m`` iterations (the generators yield
-identical op sequences through iteration ``m``; afterwards the short
-program simply stops).  And the sweep's stream is eventually periodic —
-the steady detector (:func:`repro.simmpi.steady.detect_period`) proves
-after the fact the repetition a full capture spells out event by event.
+TraceRecorder`) is O(events) pure Python: at 64 ranks x 100 iterations a
+full recording takes ~0.7-1 s on a 2-vCPU VM, even from harvested op
+bodies, while replay and the steady tier are fast.  But the recorder is
+*timing-free*: the event order is a pure function of the rank programs'
+op streams and the FIFO/matching discipline, so a run of ``m``
+iterations records exactly the first ``n_m`` events of a run of ``T >
+m`` iterations (the programs yield identical op sequences through
+iteration ``m``; afterwards the short program simply stops).  And the
+sweep's stream is eventually periodic — the steady detector
+(:func:`repro.simmpi.steady.detect_period`) proves after the fact the
+repetition a full capture spells out event by event.
 
 This module exploits that structure *during* capture: given a short
 capture that already exhibits warm-up + a few whole periods + drain,
 :func:`tile_trace` synthesizes the full :class:`~repro.simmpi.trace.
 CompiledTrace` by tiling the last recorded period's event columns —
-vectorised numpy concatenation, with send-slot indices advanced by the
+each column written once, with send-slot indices advanced by the
 per-period send count on each tile (the advance the detector verified) —
 and scaling the per-rank/traffic statistics by exact integer arithmetic.
 
 The contract is the steady tier's: **bit-identical to full capture or
 refuse loudly**.  Every structural precondition is re-checked on the
 synthesized table (slot sequentiality, matches referencing earlier
-sends, integer byte sizes within the float53 exact range), and callers
-(:meth:`~repro.sweep3d.driver.SimulationPlan.compile_trace`) re-run the
-period detector over the tiled result, anchor the iteration count on
-the per-period collective count, and cross-check the synthesized return
-values against the recorded prefix — any failure raises
-:class:`~repro.errors.TraceError` and the caller falls back to the full
-recorder.
+sends, integer byte sizes within the float53 exact range, the period
+structure re-verified column by column by :func:`verify_extension`), and
+callers (:meth:`~repro.sweep3d.driver.SimulationPlan.compile_trace`)
+anchor the iteration count on the per-period collective count and
+cross-check the synthesized return values against the recorded prefix —
+any failure raises :class:`~repro.errors.TraceError` and the caller
+falls back to the full recorder.
 """
 
 from __future__ import annotations
@@ -40,7 +41,7 @@ from typing import Any
 import numpy as np
 
 from repro.errors import TraceError
-from repro.simmpi.steady import PeriodInfo, _signatures
+from repro.simmpi.steady import PeriodInfo, _signature_columns
 from repro.simmpi.trace import (
     EV_COLLECTIVE,
     EV_MATCH,
@@ -48,6 +49,11 @@ from repro.simmpi.trace import (
     CompiledTrace,
 )
 from repro.simnet.topology import ClusterTopology, LinkUsageStats
+
+#: The per-event columns of a trace, each tiled by :func:`tile_trace`.
+_TILED_COLUMNS = ("event_kind", "event_rank", "event_slot", "event_aux",
+                  "_base", "_noise_kind", "event_peer", "event_tag",
+                  "event_nbytes")
 
 #: Largest float64 value that is still exactly an integer grid point;
 #: byte totals at or above this bound would round and break bit-identity.
@@ -101,24 +107,32 @@ def collectives_per_period(trace: CompiledTrace, info: PeriodInfo) -> int:
 
 
 def verify_extension(trace: CompiledTrace, info: PeriodInfo,
-                     expected_repeats: int) -> str:
+                     expected_repeats: int,
+                     eager_flag: np.ndarray | None = None) -> str:
     """Check that ``trace`` repeats ``info``'s period ``expected_repeats`` times.
 
     The targeted equivalent of re-running the period detector over a
     tiled trace: with the period already known there is no candidate
-    search, so the check is one vectorised signature pass — event
-    signatures must repeat at exactly ``info.period`` from exactly
-    ``info.warmup`` on, leaving ``info.drain`` trailing events.  (The
-    detector's remaining condition, send-slot advance, is re-checked
-    structurally by :func:`tile_trace`'s slot-sequentiality assertions.)
-    Returns ``""`` when the structure holds, else the failure reason.
+    search.  Every column an event signature covers
+    (:func:`~repro.simmpi.steady._signature_columns`; ``eager_flag`` is
+    its eager column when the caller already holds it) must repeat at
+    exactly ``info.period`` from exactly ``info.warmup`` on, leaving
+    ``info.drain`` trailing events.  Comparing the columns themselves is
+    at least as strict as comparing their signatures.  (The detector's
+    remaining condition, send-slot advance, is re-checked structurally by
+    :func:`tile_trace`'s slot-sequentiality assertions.)  Returns ``""``
+    when the structure holds, else the failure reason.
     """
-    sig = _signatures(trace)
-    n = len(sig)
+    n = trace.n_events
     period = info.period
     if period < 1 or n <= period:
         return "tiled trace holds less than one period"
-    mismatch = np.flatnonzero(sig[period:] != sig[:-period])
+    differs = np.zeros(n - period, dtype=bool)
+    column_differs = np.empty_like(differs)
+    for column in _signature_columns(trace, eager_flag):
+        np.not_equal(column[period:], column[:-period], out=column_differs)
+        differs |= column_differs
+    mismatch = np.flatnonzero(differs)
     warmup = int(mismatch[-1]) + 1 if len(mismatch) else 0
     if warmup != info.warmup:
         return f"warm-up moved ({info.warmup} -> {warmup} event(s))"
@@ -174,14 +188,14 @@ def tile_trace(short: CompiledTrace, info: PeriodInfo, tiles: int,
     per tile, statistics scaled exactly, and ``return_values`` attached
     (the caller synthesizes and cross-checks them).  Raises
     :class:`~repro.errors.TraceError` — never returns a wrong trace —
-    when any structural precondition fails.
+    when any structural precondition fails, including
+    :func:`verify_extension` over the result.
     """
     if not info.periodic:
         raise TraceError(f"periodic capture refused: {info.reason}")
     if tiles < 1:
         raise TraceError("tile_trace needs at least one tile")
     nranks = short.nranks
-    n = short.n_events
     warmup, period, sends = info.warmup, info.period, info.sends_per_period
     boundary = warmup + info.repeats * period
     seg = slice(boundary - period, boundary)
@@ -206,12 +220,12 @@ def tile_trace(short: CompiledTrace, info: PeriodInfo, tiles: int,
     # Traffic delta: re-record one period's sends through the same
     # LinkUsageStats.record the recorder uses (O(period), cheap).
     delta_traffic = LinkUsageStats()
-    seg_peer = short.event_peer[seg]
-    seg_tag = short.event_tag[seg]
-    for row in np.flatnonzero(send_mask):
-        delta_traffic.record(topology, int(seg_rank[row]),
-                             int(seg_peer[row]), float(seg_nbytes[row]),
-                             int(seg_tag[row]))
+    for source, dest, nbytes, tag in zip(
+            seg_rank[send_mask].tolist(),
+            short.event_peer[seg][send_mask].tolist(),
+            seg_nbytes[send_mask].tolist(),
+            short.event_tag[seg][send_mask].tolist()):
+        delta_traffic.record(topology, source, dest, nbytes, tag)
     if any(tag not in short._traffic.by_tag for tag in delta_traffic.by_tag):
         raise TraceError(
             "periodic capture refused: period traffic uses a tag the "
@@ -219,58 +233,68 @@ def tile_trace(short: CompiledTrace, info: PeriodInfo, tiles: int,
     _check_exact_bytes(short, tiles, d_bytes_sent, d_bytes_recv,
                        delta_traffic.bytes)
 
-    def tiled(column: np.ndarray) -> np.ndarray:
-        return np.concatenate(
-            [column[:boundary], np.tile(column[seg], tiles), column[boundary:]])
-
-    # Slot column: send/match rows advance by `sends` per tile; the drain
-    # (already verified by the detector's slot-advance check to repeat
-    # the period's slot pattern) shifts by the full `tiles * sends`.
-    seg_slot = short.event_slot[seg].astype(np.int64)
-    seg_shift = (send_mask | match_mask).astype(np.int64)
-    offsets = (np.arange(1, tiles + 1, dtype=np.int64) * sends)[:, None]
-    tiled_seg_slots = (seg_slot[None, :] + offsets * seg_shift[None, :])
-    drain_kind = kind[boundary:]
-    drain_shift = ((drain_kind == EV_SEND)
-                   | (drain_kind == EV_MATCH)).astype(np.int64)
-    new_slot = np.concatenate([
-        short.event_slot[:boundary].astype(np.int64),
-        tiled_seg_slots.reshape(-1),
-        short.event_slot[boundary:].astype(np.int64)
-        + tiles * sends * drain_shift,
-    ])
-
-    new_kind = tiled(kind)
-    new_rank = tiled(short.event_rank)
     n_messages = short.n_messages + tiles * sends
     if n_messages >= 2 ** 31:
         raise TraceError(
             "periodic capture refused: tiled trace exceeds the int32 "
             "send-slot range")
+    end = boundary + tiles * period             # the drain's new start
+    n_events = short.n_events + tiles * period
+
+    # Every column is written once: prefix, the period broadcast over
+    # the tiles, drain.
+    tiled = {}
+    for name in _TILED_COLUMNS:
+        column = getattr(short, name)
+        out = tiled[name] = np.empty(n_events, dtype=column.dtype)
+        out[:boundary] = column[:boundary]
+        out[boundary:end].reshape(tiles, period)[:] = column[seg]
+        out[end:] = column[boundary:]
+    new_kind = tiled["event_kind"]
+
+    # Slot column: send/match rows advance by `sends` per tile; the drain
+    # (already verified by the detector's slot-advance check to repeat
+    # the period's slot pattern) shifts by the full `tiles * sends`.  The
+    # range check above keeps this int32 arithmetic exact.
+    slot = short.event_slot
+    new_slot = tiled["event_slot"]
+    tile_slots = new_slot[boundary:end].reshape(tiles, period)
+    np.multiply(np.arange(1, tiles + 1, dtype=np.int32)[:, None] * sends,
+                send_mask | match_mask, out=tile_slots)
+    tile_slots += slot[seg]
+    drain_kind = kind[boundary:]
+    new_slot[end:] += np.int32(tiles * sends) * ((drain_kind == EV_SEND)
+                                                 | (drain_kind == EV_MATCH))
 
     # Structural re-checks on the synthesized table: send slots must be
     # sequential in event order (the recorder's allocation invariant) and
     # every match must reference an earlier send.
     new_send_rows = np.flatnonzero(new_kind == EV_SEND)
     if not np.array_equal(new_slot[new_send_rows],
-                          np.arange(n_messages, dtype=np.int64)):
+                          np.arange(n_messages, dtype=np.int32)):
         raise TraceError(
             "periodic capture refused: tiled send slots are not sequential "
             "(slot-advance structure does not extend)")
     new_match_rows = np.flatnonzero(new_kind == EV_MATCH)
+    match_slots = new_slot[new_match_rows]
     if len(new_match_rows) and not np.all(
-            new_send_rows[new_slot[new_match_rows]] < new_match_rows):
+            new_send_rows[match_slots] < new_match_rows):
         raise TraceError(
             "periodic capture refused: a tiled match precedes its send")
 
-    # Send tables, rebuilt from the per-event eager flags (tiled verbatim:
-    # the protocol depends only on the link and message size, which repeat).
-    ev_eager = np.zeros(n, dtype=bool)
-    slot_rows = (kind == EV_SEND) | (kind == EV_MATCH)
-    ev_eager[slot_rows] = short._send_eager_arr[short.event_slot[slot_rows]]
-    new_send_eager = tiled(ev_eager)[new_send_rows]
-    new_send_rank = new_rank[new_send_rows].astype(np.int32)
+    # Send tables in slot order.  Slots are sequential in event order (in
+    # the tiled trace, checked above, hence in the short one), so the
+    # tiled table repeats the period's slot range: the protocol and the
+    # sender depend only on the message's route, which repeats.
+    slots_before = short.n_messages - int(np.count_nonzero(drain_kind == EV_SEND))
 
+    def tiled_sends(table: np.ndarray) -> np.ndarray:
+        return np.concatenate([table[:slots_before],
+                               np.tile(table[slots_before - sends:
+                                             slots_before], tiles),
+                               table[slots_before:]])
+
+    send_eager = tiled_sends(short._send_eager_arr)
     new_traffic = LinkUsageStats(
         messages=short._traffic.messages + tiles * delta_traffic.messages,
         bytes=short._traffic.bytes + tiles * delta_traffic.bytes,
@@ -282,19 +306,19 @@ def tile_trace(short: CompiledTrace, info: PeriodInfo, tiles: int,
                 for tag, count in short._traffic.by_tag.items()},
     )
 
-    return CompiledTrace(
+    full = CompiledTrace(
         nranks=nranks,
         event_kind=new_kind,
-        event_rank=new_rank,
-        event_slot=new_slot.astype(np.int32),
-        event_aux=tiled(short.event_aux),
-        base=tiled(short._base),
-        noise_kind=tiled(short._noise_kind),
-        send_eager=new_send_eager,
-        send_rank=new_send_rank,
-        event_peer=tiled(short.event_peer),
-        event_tag=tiled(short.event_tag),
-        event_nbytes=tiled(short.event_nbytes),
+        event_rank=tiled["event_rank"],
+        event_slot=new_slot,
+        event_aux=tiled["event_aux"],
+        base=tiled["_base"],
+        noise_kind=tiled["_noise_kind"],
+        send_eager=send_eager,
+        send_rank=tiled_sends(short._send_rank_arr),
+        event_peer=tiled["event_peer"],
+        event_tag=tiled["event_tag"],
+        event_nbytes=tiled["event_nbytes"],
         messages_sent=[int(count + tiles * d_msgs_sent[rank])
                        for rank, count in enumerate(short._messages_sent)],
         bytes_sent=[float(total + tiles * d_bytes_sent[rank])
@@ -308,3 +332,14 @@ def tile_trace(short: CompiledTrace, info: PeriodInfo, tiles: int,
         traffic=new_traffic,
         return_values=return_values,
     )
+    # Re-verify on the synthesized trace: the same structure must extend
+    # by exactly `tiles` repeats.  Its per-event eager column comes from
+    # the rows and slots checked above (send slots are sequential).
+    eager_flag = np.zeros(n_events, dtype=np.uint8)
+    flag_of_slot = send_eager.astype(np.uint8) + np.uint8(1)
+    eager_flag[new_send_rows] = flag_of_slot
+    eager_flag[new_match_rows] = flag_of_slot[match_slots]
+    failure = verify_extension(full, info, info.repeats + tiles, eager_flag)
+    if failure:
+        raise TraceError(f"periodic capture refused: {failure}")
+    return full

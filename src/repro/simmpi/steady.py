@@ -135,27 +135,40 @@ class _SteadyAnalysis:
         return self.live_candidates[mask]
 
 
+def _signature_columns(trace: "CompiledTrace",
+                       eager_flag: np.ndarray | None = None) -> tuple:
+    """The per-event columns an event's signature covers, as integers.
+
+    Float columns enter as their bit patterns.  The last column is the
+    eager flag: 0 off send/match events, else 1 plus the event's
+    send-slot eager bit; a caller that already holds it passes it as
+    ``eager_flag``.
+    """
+    kind = trace.event_kind
+    if eager_flag is None:
+        linked = (kind == EV_SEND) | (kind == EV_MATCH)
+        eager_flag = np.zeros(len(kind), dtype=np.uint8)
+        eager_flag[linked] = 1 + trace._send_eager_arr.astype(np.uint8)[
+            trace.event_slot[linked]]
+    return (kind, trace.event_rank, trace.event_peer, trace.event_tag,
+            np.ascontiguousarray(trace.event_nbytes).view(np.int64),
+            np.ascontiguousarray(trace._base).view(np.int64),
+            np.ascontiguousarray(trace.event_aux).view(np.int64),
+            trace._noise_kind, eager_flag)
+
+
 def _signatures(trace: "CompiledTrace") -> np.ndarray:
-    """Int64 content signature per event (pattern + exact durations)."""
-    h = trace.event_kind.astype(np.int64)
-    b_col = trace.event_rank.astype(np.int64)    # rank / receiver
-    aux_bits = np.ascontiguousarray(trace.event_aux).view(np.int64)
-    eager_flag = np.zeros(len(h), dtype=np.int64)
-    slot_mask = (trace.event_kind == EV_SEND) | (trace.event_kind == EV_MATCH)
-    if slot_mask.any():
-        eager = trace._send_eager_arr.astype(np.int64)
-        slots = trace.event_slot[slot_mask].astype(np.int64)
-        eager_flag[slot_mask] = 1 + eager[slots]
+    """Int64 content signature per event (pattern + exact durations).
+
+    Folds :func:`_signature_columns` into ``h`` in place, ``h = h *
+    1000003 ^ column`` in wrapping int64 arithmetic, widening each
+    column on the fly.
+    """
+    first, *rest = _signature_columns(trace)
+    h = first.astype(np.int64)
     mult = np.int64(1000003)
-    for col in (b_col,
-                trace.event_peer.astype(np.int64),
-                trace.event_tag.astype(np.int64),
-                np.ascontiguousarray(trace.event_nbytes).view(np.int64),
-                np.ascontiguousarray(trace._base).view(np.int64),
-                aux_bits,
-                trace._noise_kind.astype(np.int64),
-                eager_flag):
-        h = h * mult
+    for col in rest:
+        h *= mult
         h ^= col
     return h
 

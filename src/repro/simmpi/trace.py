@@ -11,8 +11,8 @@ on every run.
 
 This module splits that work in two:
 
-* :class:`TraceRecorder` executes each rank program **once** in a
-  pattern-capture pass.  It runs the engine's scheduling loop
+* :class:`TraceRecorder` runs the rank programs it is given **once** in
+  a pattern-capture pass.  It runs the engine's scheduling loop
   (:func:`~repro.simmpi.engine.run_ranks`) with a column sink in place of
   the engine's timing sink: the sink draws no noise and appends one row
   per event, so the recorded order is the engine's order by
@@ -20,7 +20,10 @@ This module splits that work in two:
   tag, nbytes) plus the pre-resolved base durations (compute charges
   from the cost table, wire times and CPU overheads from the link
   models, collective costs) and the send/recv pair matching, all as
-  flat arrays.
+  flat arrays.  A modelled sweep is recorded from op bodies harvested
+  from one iteration of its rank generator
+  (:meth:`~repro.sweep3d.driver.SimulationPlan.compile_trace`), which
+  yield the op sequence the generator yields over the whole run.
 
 * :class:`CompiledTrace.replay` resolves every completion time with the
   max-plus recurrence ``t[e] = max(t[deps(e)]) + dur[e]`` over the

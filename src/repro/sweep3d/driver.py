@@ -12,7 +12,8 @@ configuration.
 
 A plan additionally supports **trace replay** for modelled (timing-only)
 runs: :meth:`SimulationPlan.compile_trace` records the plan's event
-stream once (:mod:`repro.simmpi.trace`) and ``run(mode="replay")``
+stream once (:mod:`repro.simmpi.trace`), from one harvested iteration
+per rank, and ``run(mode="replay")``
 resolves each run as a vectorised max-plus recurrence over that trace —
 bit-identical to the engine at matched noise seeds, an order of
 magnitude faster per run.  ``mode="steady"`` goes one tier further for
@@ -38,10 +39,9 @@ from repro.simmpi.capture import (
     CaptureInfo,
     collectives_per_period,
     tile_trace,
-    verify_extension,
 )
 from repro.simmpi.engine import ClusterEngine, SimulationResult
-from repro.simmpi.steady import MIN_REPEATS, SteadyStateError, detect_period, steady_replay
+from repro.simmpi.steady import MIN_REPEATS, SteadyStateError, _detect_period, steady_replay
 from repro.simmpi.trace import (
     EV_COLLECTIVE,
     BatchReplayResult,
@@ -55,6 +55,8 @@ from repro.sweep3d.input import Sweep3DInput
 from repro.sweep3d.parallel import (
     SweepCostTable,
     SweepPlanData,
+    body_rank_program,
+    harvest_iteration_bodies,
     make_decomposition,
     modelled_rank_summaries,
     sweep_rank_program,
@@ -337,6 +339,15 @@ class SimulationPlan:
            any structural doubt;
         3. the full :class:`~repro.simmpi.trace.TraceRecorder` pass.
 
+        Both recordings run :func:`~repro.sweep3d.parallel.
+        body_rank_program` over op bodies harvested once per capture from
+        one iteration of :func:`~repro.sweep3d.parallel.sweep_rank_program`
+        (:func:`~repro.sweep3d.parallel.harvest_iteration_bodies`), so the
+        generator runs one iteration per rank instead of the whole run (a
+        one-iteration run records the generator itself).  The bodies are
+        dropped when the capture ends; the engine tier keeps running the
+        generator.
+
         Numeric runs carry real payloads whose values feed back into the
         pattern, so they cannot be trace-compiled and raise
         :class:`~repro.errors.TraceError`.
@@ -350,16 +361,31 @@ class SimulationPlan:
                 self._trace = self._capture_trace()
         return self._trace
 
-    def _record_trace(self, deck: Sweep3DInput) -> CompiledTrace:
+    def _record_trace(self, deck: Sweep3DInput,
+                      bodies: list[list] | None = None) -> CompiledTrace:
         """One recorder pass over ``deck``, reusing the plan's shared data.
 
         Valid for any ``max_iterations`` variant of the plan's deck: the
-        decomposition, quadrature/blocking data and cost table do not
-        depend on the iteration count.
+        decomposition, quadrature/blocking data, cost table and per-rank
+        iteration bodies do not depend on the iteration count.  A run of
+        several iterations records :func:`~repro.sweep3d.parallel.
+        body_rank_program`, harvesting the bodies into ``bodies`` when it
+        is empty or not given, so that one capture harvests them once.
+        A one-iteration run would replay its bodies once, so it records
+        :func:`~repro.sweep3d.parallel.sweep_rank_program` itself.
         """
+        if deck.max_iterations < 2:
+            return TraceRecorder(self.topology).record(
+                sweep_rank_program, nranks=self.decomp.nranks,
+                program_args=(deck, self.decomp, False, self.costs, self.shared))
+        if bodies is None:
+            bodies = []
+        if not bodies:
+            bodies.extend(harvest_iteration_bodies(self.deck, self.decomp,
+                                                   self.costs, self.shared))
         return TraceRecorder(self.topology).record(
-            sweep_rank_program, nranks=self.decomp.nranks,
-            program_args=(deck, self.decomp, False, self.costs, self.shared))
+            body_rank_program, nranks=self.decomp.nranks,
+            program_args=(deck, self.decomp, self.shared, bodies))
 
     def _capture_trace(self) -> CompiledTrace:
         """The tiered capture chain behind :meth:`compile_trace`."""
@@ -374,10 +400,13 @@ class SimulationPlan:
                     total_iterations=self.deck.max_iterations,
                     capture_s=time.perf_counter() - start)
                 return cached
+        # Filled by the first recording that uses them; dropped with
+        # this frame.
+        bodies: list[list] = []
         try:
-            trace, info = self._periodic_capture()
+            trace, info = self._periodic_capture(bodies)
         except TraceError as exc:
-            trace = self._record_trace(self.deck)
+            trace = self._record_trace(self.deck, bodies)
             info = CaptureInfo(mode="full",
                                total_iterations=self.deck.max_iterations,
                                reason=str(exc))
@@ -387,7 +416,8 @@ class SimulationPlan:
             self.trace_cache.put(key, trace)
         return trace
 
-    def _periodic_capture(self) -> tuple[CompiledTrace, CaptureInfo]:
+    def _periodic_capture(self, bodies: list[list]
+                          ) -> tuple[CompiledTrace, CaptureInfo]:
         """Record a short prefix, prove its period, tile the remainder.
 
         Soundness rests on the recorder being timing-free: the trace of
@@ -409,8 +439,10 @@ class SimulationPlan:
         # one iteration, so the first probe almost always suffices).
         while True:
             short_deck = replace(self.deck, max_iterations=m)
-            short = self._record_trace(short_deck)
-            info = detect_period(short)
+            short = self._record_trace(short_deck, bodies)
+            # The detector alone: the probe's steady analysis would be
+            # discarded with it.
+            info = _detect_period(short, MIN_REPEATS)
             if info.periodic:
                 break
             m *= 2
@@ -446,11 +478,6 @@ class SimulationPlan:
             self.deck, self.decomp, self.shared)
         full = tile_trace(short, info, tiles, return_values=full_values,
                           topology=self.topology)
-        # Re-verify on the synthesized trace: the same structure must
-        # extend by exactly `tiles` repeats.
-        failure = verify_extension(full, info, info.repeats + tiles)
-        if failure:
-            raise TraceError(f"periodic capture refused: {failure}")
         collectives = int(np.count_nonzero(full.event_kind == EV_COLLECTIVE))
         if collectives != 2 * total:
             raise TraceError(

@@ -32,7 +32,8 @@ characterisation, priced by the processor model through a
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
+from itertools import takewhile
 from typing import TYPE_CHECKING, Callable
 
 import numpy as np
@@ -40,7 +41,7 @@ import numpy as np
 from repro.errors import DecompositionError
 from repro.simmpi.cart import Cart2D
 from repro.simmpi.communicator import SimComm
-from repro.simmpi.operations import ReduceOp
+from repro.simmpi.operations import OP_ALLREDUCE, ReduceOp
 from repro.sweep3d.geometry import Decomposition, Octant, octant_order
 from repro.sweep3d.input import Sweep3DInput
 from repro.sweep3d.kernel import SweepKernel
@@ -267,6 +268,63 @@ def sweep_rank_program(comm: SimComm, deck: Sweep3DInput, decomp: Decomposition,
     }
 
 
+def harvest_iteration_bodies(deck: Sweep3DInput, decomp: Decomposition,
+                             costs: SweepCostTable,
+                             shared: SweepPlanData) -> list[list]:
+    """Each rank's ops of one *modelled* source iteration, up to its reductions.
+
+    Drives :func:`sweep_rank_program` standalone, one rank at a time,
+    through a one-iteration copy of ``deck``: every receive gets ``None``
+    (the payload of every modelled send) and the drive stops at the first
+    ``AllReduce``.  The generator thus stays the only definition of the
+    op sequence; a modelled iteration yields exactly these ops (shared,
+    immutable) before its two convergence reductions, whatever its index.
+    """
+    one = replace(deck, max_iterations=1)
+    return [list(takewhile(
+        lambda op: op.code != OP_ALLREDUCE,
+        sweep_rank_program(SimComm(rank, decomp.nranks), one, decomp, False,
+                           costs, shared)))
+        for rank in range(decomp.nranks)]
+
+
+def body_rank_program(comm: SimComm, deck: Sweep3DInput,
+                      decomp: Decomposition, shared: SweepPlanData,
+                      bodies: list[list]):
+    """A modelled :func:`sweep_rank_program` replayed from harvested bodies.
+
+    Per iteration it yields ``bodies[comm.rank]``
+    (:func:`harvest_iteration_bodies`), then the two reductions exactly as
+    the modelled generator builds them, and it returns the summary built
+    from the reduction results it received.  The trace recorder runs it;
+    the engine runs the generator, the reference the two are tested
+    against.
+    """
+    body = bodies[comm.rank]
+    error_history: list[float] = []
+    leakage_history: list[float] = []
+    for iteration in range(deck.max_iterations):
+        yield from body
+        global_error = yield comm.allreduce(1.0 / (iteration + 1), op="max")
+        global_leakage = yield comm.allreduce(0.0, op="sum")
+        error_history.append(float(global_error))
+        leakage_history.append(float(global_leakage))
+    return _modelled_summary(comm.rank, decomp, shared, error_history,
+                             leakage_history)
+
+
+def _modelled_summary(rank: int, decomp: Decomposition,
+                      shared: SweepPlanData, error_history: list[float],
+                      leakage_history: list[float]) -> dict:
+    """A modelled rank's return value, as :func:`sweep_rank_program` builds it."""
+    iterations = len(error_history)
+    return dict(rank=rank, phi_local=None, local_grid=decomp.local_grid(rank),
+                error_history=error_history, leakage_history=leakage_history,
+                blocks_swept=(iterations * 8 * len(shared.angle_blocks)
+                              * len(shared.k_blocks_up)),
+                iterations=iterations)
+
+
 def modelled_rank_summaries(deck: Sweep3DInput, decomp: Decomposition,
                             shared: SweepPlanData) -> list[dict]:
     """The per-rank return values of a *modelled* sweep, without running it.
@@ -276,9 +334,9 @@ def modelled_rank_summaries(deck: Sweep3DInput, decomp: Decomposition,
     shape: ``local_error`` is the ``1/(iteration+1)`` placeholder, leakage
     stays zero, the convergence break never fires (it is gated on
     ``numeric``), and every iteration sweeps the same ``8 x angle_blocks x
-    k_blocks`` block count.  The collectives are reproduced through the
-    same :meth:`ReduceOp.combine` the engine and recorder use, so the
-    values match bit for bit.
+    k_blocks`` block count.  Each reduction goes through the same
+    :meth:`ReduceOp.combine` the engine and recorder use, once over every
+    iteration's contributions, so the values match bit for bit.
 
     Periodic capture (:mod:`repro.simmpi.capture` via
     :meth:`~repro.sweep3d.driver.SimulationPlan.compile_trace`) uses this
@@ -286,24 +344,14 @@ def modelled_rank_summaries(deck: Sweep3DInput, decomp: Decomposition,
     cross-checking the function against a recorded prefix.
     """
     nranks = decomp.nranks
-    iterations = deck.max_iterations
-    blocks_swept = (iterations * 8 * len(shared.angle_blocks)
-                    * len(shared.k_blocks_up))
-    error_history: list[float] = []
-    leakage_history: list[float] = []
-    for iteration in range(iterations):
-        local_error = 1.0 / (iteration + 1)
-        error_history.append(float(ReduceOp.MAX.combine([local_error] * nranks)))
-        leakage_history.append(float(ReduceOp.SUM.combine([0.0] * nranks)))
-    return [{
-        "rank": rank,
-        "phi_local": None,
-        "local_grid": decomp.local_grid(rank),
-        "error_history": list(error_history),
-        "leakage_history": list(leakage_history),
-        "blocks_swept": blocks_swept,
-        "iterations": iterations,
-    } for rank in range(nranks)]
+    errors = np.array([1.0 / (iteration + 1)
+                       for iteration in range(deck.max_iterations)])
+    error_history = ReduceOp.MAX.combine([errors] * nranks).tolist()
+    leakage_history = ReduceOp.SUM.combine(
+        [np.zeros(deck.max_iterations)] * nranks).tolist()
+    return [_modelled_summary(rank, decomp, shared, list(error_history),
+                              list(leakage_history))
+            for rank in range(nranks)]
 
 
 def _boundary_leakage(result, angles, deck: Sweep3DInput,

@@ -8,21 +8,37 @@ exact equality of every trace observable — event tables, send tables,
 per-rank statistics, traffic, return values — and of the replay results
 on both the noise-free and noisy paths, across randomly drawn decks,
 processor arrays and iteration counts.
+
+Capture records from per-rank op bodies harvested from one iteration of
+``sweep_rank_program``; the reference for every trace here is the
+recorder driving the generator itself over the whole run
+(:func:`generator_recording`).
 """
 
+import gc
+import weakref
+
 import numpy as np
+import oracles
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import repro.sweep3d.driver as driver
 from repro.errors import TraceError
 from repro.machines.presets import get_machine
-from repro.simmpi.capture import CaptureInfo, collectives_per_period, tile_trace
-from repro.simmpi.steady import detect_period
+from repro.simmpi.capture import (
+    CaptureInfo,
+    collectives_per_period,
+    tile_trace,
+    verify_extension,
+)
+from repro.simmpi.steady import _signatures, detect_period
 from repro.simmpi.trace import TraceRecorder
 from repro.simnet.noise import NoiseModel
 from repro.sweep3d.driver import SimulationPlan
-from repro.sweep3d.input import Sweep3DInput
+from repro.sweep3d.input import Sweep3DInput, standard_deck
+from repro.sweep3d.parallel import modelled_rank_summaries, sweep_rank_program
 
 
 @pytest.fixture(scope="module")
@@ -57,6 +73,13 @@ def assert_traces_identical(got, want):
     assert got._return_values == want._return_values
 
 
+def generator_recording(plan, deck):
+    """The recorder driving ``sweep_rank_program`` over all of ``deck``."""
+    return TraceRecorder(plan.topology).record(
+        sweep_rank_program, nranks=plan.nranks,
+        program_args=(deck, plan.decomp, False, plan.costs, plan.shared))
+
+
 def result_key(sim):
     return (sim.elapsed_time,
             tuple((r.finish_time, r.compute_time, r.comm_time,
@@ -87,7 +110,7 @@ def test_periodic_capture_bit_identity(machine, it, jt, kt, mk, px, py,
                         mmi=3, sn=6, max_iterations=iterations)
     plan = make_plan(machine, deck, px, py)
     tiled = plan.compile_trace()
-    full = plan._record_trace(deck)
+    full = generator_recording(plan, deck)
     assert_traces_identical(tiled, full)
     if plan.last_capture.mode == "periodic":
         assert plan.last_capture.short_iterations < iterations
@@ -142,8 +165,90 @@ def test_engine_cross_check_at_matched_seed(machine):
 
 
 # ---------------------------------------------------------------------------
+# Recording from harvested op bodies vs driving the generator
+# ---------------------------------------------------------------------------
+
+LOCKSTEP_DECKS = {
+    "validation": lambda px, py: standard_deck("validation", px=px, py=py,
+                                               max_iterations=3),
+    "even": lambda px, py: Sweep3DInput(it=16, jt=16, kt=10, mk=10, mmi=3,
+                                        sn=6, max_iterations=2),
+    # Uneven k blocks (3, 3, 1 planes) and angle blocks.
+    "uneven": lambda px, py: Sweep3DInput(it=12, jt=9, kt=7, mk=3, mmi=2,
+                                          sn=4, max_iterations=2),
+}
+
+
+@pytest.mark.parametrize("deck_name", sorted(LOCKSTEP_DECKS))
+@pytest.mark.parametrize("px,py", [(1, 1), (1, 3), (3, 1), (2, 3), (4, 4)])
+@pytest.mark.parametrize("preset", ["pentium3-myrinet", "opteron-gige",
+                                    "altix-itanium2", "steady"])
+def test_body_recording_equals_generator_recording(preset, px, py,
+                                                   deck_name):
+    machine = get_machine(preset)
+    deck = LOCKSTEP_DECKS[deck_name](px, py)
+    plan = make_plan(machine, deck, px, py)
+    assert_traces_identical(plan._record_trace(deck),
+                            generator_recording(plan, deck))
+
+
+def test_plan_holds_no_op_body_after_capture(machine, monkeypatch):
+    harvested = []
+
+    def harvest(*args):
+        bodies = harvest_bodies(*args)
+        harvested.extend(weakref.ref(op) for body in bodies for op in body)
+        return bodies
+
+    harvest_bodies = driver.harvest_iteration_bodies
+    monkeypatch.setattr(driver, "harvest_iteration_bodies", harvest)
+    for iterations, mode in ((14, "periodic"), (10, "full")):
+        deck = Sweep3DInput(it=8, jt=8, kt=8, mk=4, mmi=3, sn=6,
+                            max_iterations=iterations)
+        plan = make_plan(machine, deck, 2, 2)
+        plan.compile_trace()
+        assert plan.last_capture.mode == mode
+        gc.collect()
+        assert harvested and all(ref() is None for ref in harvested)
+        harvested.clear()
+    # One iteration would replay its bodies once: nothing is harvested.
+    deck = Sweep3DInput(it=8, jt=8, kt=8, mk=4, mmi=3, sn=6, max_iterations=1)
+    make_plan(machine, deck, 2, 2).compile_trace()
+    assert harvested == []
+
+
+def test_signatures_equal_the_oracle(machine):
+    deck = Sweep3DInput(it=12, jt=9, kt=7, mk=3, mmi=2, sn=4,
+                        max_iterations=14)
+    plan = make_plan(machine, deck, 2, 3)
+    tiled = plan.compile_trace()
+    assert plan.last_capture.mode == "periodic"
+    for trace in (tiled, plan._record_trace(deck), TraceRecorder(
+            machine.topology).record(_aperiodic, nranks=2)):
+        assert np.array_equal(_signatures(trace),
+                              oracles.trace_signatures(trace))
+
+
+@pytest.mark.parametrize("iterations", [1, 2, 7, 100])
+@pytest.mark.parametrize("px,py", [(1, 1), (2, 3), (8, 8)])
+def test_modelled_rank_summaries_equal_the_oracle(px, py, iterations):
+    deck = standard_deck("validation", px=px, py=py,
+                         max_iterations=iterations)
+    plan = make_plan(get_machine("steady"), deck, px, py)
+    assert modelled_rank_summaries(deck, plan.decomp, plan.shared) \
+        == oracles.modelled_rank_summaries(deck, plan.decomp, plan.shared)
+
+
+# ---------------------------------------------------------------------------
 # Loud refusals and the full-recorder fallback
 # ---------------------------------------------------------------------------
+
+
+def _aperiodic(comm):
+    # Every compute duration is distinct: no period ever forms.
+    for step in range(1, 40):
+        yield comm.compute(2.0 ** -10 * step)
+    return comm.rank
 
 
 def test_few_iterations_fall_back_to_full_capture(machine):
@@ -156,14 +261,8 @@ def test_few_iterations_fall_back_to_full_capture(machine):
 
 
 def test_aperiodic_program_refuses_tiling(machine):
-    # Every compute duration is distinct: no period ever forms, so the
-    # detector refuses and tile_trace must too.
-    def aperiodic(comm):
-        for step in range(1, 40):
-            yield comm.compute(2.0 ** -10 * step)
-        return comm.rank
-
-    trace = TraceRecorder(machine.topology).record(aperiodic, nranks=2)
+    # The detector refuses, so tile_trace must too.
+    trace = TraceRecorder(machine.topology).record(_aperiodic, nranks=2)
     info = detect_period(trace)
     assert not info.periodic
     with pytest.raises(TraceError, match="periodic capture refused"):
@@ -192,6 +291,20 @@ def test_collectives_per_period_counts_two_per_iteration(machine):
     assert info.periodic
     per_period = collectives_per_period(short, info)
     assert per_period >= 2 and per_period % 2 == 0
+
+
+def test_verify_extension_names_what_moved(machine):
+    deck = Sweep3DInput(it=8, jt=8, kt=8, mk=4, mmi=3, sn=6,
+                        max_iterations=20)
+    plan = make_plan(machine, deck, 2, 1)
+    trace = plan._record_trace(deck)
+    info = detect_period(trace)
+    assert verify_extension(trace, info, info.repeats) == ""
+    assert verify_extension(trace, info, info.repeats + 1) == (
+        f"period repeats {info.repeats} time(s), expected {info.repeats + 1}")
+    trace._base[-1] += 1.0                  # the drain's last event differs
+    assert verify_extension(trace, info, info.repeats).startswith(
+        "warm-up moved")
 
 
 def test_capture_info_describe_modes():
