@@ -107,15 +107,13 @@ def collectives_per_period(trace: CompiledTrace, info: PeriodInfo) -> int:
 
 
 def verify_extension(trace: CompiledTrace, info: PeriodInfo,
-                     expected_repeats: int,
-                     eager_flag: np.ndarray | None = None) -> str:
+                     expected_repeats: int) -> str:
     """Check that ``trace`` repeats ``info``'s period ``expected_repeats`` times.
 
     The targeted equivalent of re-running the period detector over a
     tiled trace: with the period already known there is no candidate
     search.  Every column an event signature covers
-    (:func:`~repro.simmpi.steady._signature_columns`; ``eager_flag`` is
-    its eager column when the caller already holds it) must repeat at
+    (:func:`~repro.simmpi.steady._signature_columns`) must repeat at
     exactly ``info.period`` from exactly ``info.warmup`` on, leaving
     ``info.drain`` trailing events.  Comparing the columns themselves is
     at least as strict as comparing their signatures.  (The detector's
@@ -129,7 +127,7 @@ def verify_extension(trace: CompiledTrace, info: PeriodInfo,
         return "tiled trace holds less than one period"
     differs = np.zeros(n - period, dtype=bool)
     column_differs = np.empty_like(differs)
-    for column in _signature_columns(trace, eager_flag):
+    for column in _signature_columns(trace):
         np.not_equal(column[period:], column[:-period], out=column_differs)
         differs |= column_differs
     mismatch = np.flatnonzero(differs)
@@ -276,9 +274,8 @@ def tile_trace(short: CompiledTrace, info: PeriodInfo, tiles: int,
             "periodic capture refused: tiled send slots are not sequential "
             "(slot-advance structure does not extend)")
     new_match_rows = np.flatnonzero(new_kind == EV_MATCH)
-    match_slots = new_slot[new_match_rows]
     if len(new_match_rows) and not np.all(
-            new_send_rows[match_slots] < new_match_rows):
+            new_send_rows[new_slot[new_match_rows]] < new_match_rows):
         raise TraceError(
             "periodic capture refused: a tiled match precedes its send")
 
@@ -294,7 +291,6 @@ def tile_trace(short: CompiledTrace, info: PeriodInfo, tiles: int,
                                              slots_before], tiles),
                                table[slots_before:]])
 
-    send_eager = tiled_sends(short._send_eager_arr)
     new_traffic = LinkUsageStats(
         messages=short._traffic.messages + tiles * delta_traffic.messages,
         bytes=short._traffic.bytes + tiles * delta_traffic.bytes,
@@ -314,7 +310,7 @@ def tile_trace(short: CompiledTrace, info: PeriodInfo, tiles: int,
         event_aux=tiled["event_aux"],
         base=tiled["_base"],
         noise_kind=tiled["_noise_kind"],
-        send_eager=send_eager,
+        send_eager=tiled_sends(short._send_eager_arr),
         send_rank=tiled_sends(short._send_rank_arr),
         event_peer=tiled["event_peer"],
         event_tag=tiled["event_tag"],
@@ -333,13 +329,8 @@ def tile_trace(short: CompiledTrace, info: PeriodInfo, tiles: int,
         return_values=return_values,
     )
     # Re-verify on the synthesized trace: the same structure must extend
-    # by exactly `tiles` repeats.  Its per-event eager column comes from
-    # the rows and slots checked above (send slots are sequential).
-    eager_flag = np.zeros(n_events, dtype=np.uint8)
-    flag_of_slot = send_eager.astype(np.uint8) + np.uint8(1)
-    eager_flag[new_send_rows] = flag_of_slot
-    eager_flag[new_match_rows] = flag_of_slot[match_slots]
-    failure = verify_extension(full, info, info.repeats + tiles, eager_flag)
+    # by exactly `tiles` repeats.
+    failure = verify_extension(full, info, info.repeats + tiles)
     if failure:
         raise TraceError(f"periodic capture refused: {failure}")
     return full

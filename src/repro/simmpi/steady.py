@@ -135,21 +135,18 @@ class _SteadyAnalysis:
         return self.live_candidates[mask]
 
 
-def _signature_columns(trace: "CompiledTrace",
-                       eager_flag: np.ndarray | None = None) -> tuple:
+def _signature_columns(trace: "CompiledTrace") -> tuple:
     """The per-event columns an event's signature covers, as integers.
 
     Float columns enter as their bit patterns.  The last column is the
     eager flag: 0 off send/match events, else 1 plus the event's
-    send-slot eager bit; a caller that already holds it passes it as
-    ``eager_flag``.
+    send-slot eager bit (the other events' slot -1 reads the table's
+    trailing 0).
     """
     kind = trace.event_kind
-    if eager_flag is None:
-        linked = (kind == EV_SEND) | (kind == EV_MATCH)
-        eager_flag = np.zeros(len(kind), dtype=np.uint8)
-        eager_flag[linked] = 1 + trace._send_eager_arr.astype(np.uint8)[
-            trace.event_slot[linked]]
+    flag_of_slot = np.zeros(len(trace._send_eager_arr) + 1, dtype=np.uint8)
+    np.add(trace._send_eager_arr, 1, out=flag_of_slot[:-1], casting="unsafe")
+    eager_flag = flag_of_slot.take(trace.event_slot)
     return (kind, trace.event_rank, trace.event_peer, trace.event_tag,
             np.ascontiguousarray(trace.event_nbytes).view(np.int64),
             np.ascontiguousarray(trace._base).view(np.int64),

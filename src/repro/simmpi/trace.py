@@ -277,7 +277,7 @@ class _BatchSchedule:
         base_pack = np.zeros(n)
         base_pack[pack_of_ev] = trace._base
         self.base_pack = base_pack
-        self.draw_pack = pack_of_ev[trace._draw_index]
+        self.draw_pack = pack_of_ev[trace._draws[0]]
         comp = np.flatnonzero(kind == EV_COMPUTE)
         comp_counts = np.bincount(rank[comp], minlength=nranks)
         by_rank = comp[np.argsort(rank[comp], kind="stable")]
@@ -473,9 +473,6 @@ class CompiledTrace:
         self._steady_cache: Any = None
         self._base = base
         self._noise_kind = noise_kind
-        self._draw_index = np.flatnonzero(noise_kind)
-        self._draw_kinds = noise_kind[self._draw_index]
-        self._draw_bases = base[self._draw_index]
         self._send_eager_arr = send_eager
         self._send_rank_arr = send_rank
         self._messages_sent = messages_sent
@@ -493,8 +490,21 @@ class CompiledTrace:
         self._base_list_cache: list[float] | None = None
         self._send_eager_cache: list[bool] | None = None
         self._send_rank_cache: list[int] | None = None
+        # Noise draw sites (event index, noise kind, base), built lazily:
+        # only noisy replays read them.
+        self._draws_cache: tuple[np.ndarray, np.ndarray,
+                                 np.ndarray] | None = None
 
     # ------------------------------------------------------------------
+
+    @property
+    def _draws(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        cached = self._draws_cache
+        if cached is None:
+            index = np.flatnonzero(self._noise_kind)
+            cached = self._draws_cache = (index, self._noise_kind[index],
+                                          self._base[index])
+        return cached
 
     @property
     def _program(self) -> list[tuple[int, int, int, float]]:
@@ -560,7 +570,7 @@ class CompiledTrace:
 
         return (f"compiled trace: {self.nranks} rank(s), {self.n_events} "
                 f"event(s), {self.n_messages} message(s), "
-                f"{len(self._draw_index)} noise draw site(s), "
+                f"{len(self._draws[0])} noise draw site(s), "
                 f"{self.nbytes} pattern byte(s); "
                 f"{describe_steady(self)}")
 
@@ -571,9 +581,9 @@ class CompiledTrace:
         if noise is None or noise.is_disabled():
             return self._base_list
         durs = self._base.copy()
-        if len(self._draw_index):
-            durs[self._draw_index] = noise.perturb_batch(
-                self._draw_bases, self._draw_kinds)
+        index, kinds, bases = self._draws
+        if len(index):
+            durs[index] = noise.perturb_batch(bases, kinds)
         return durs.tolist()
 
     def replay(self, noise: NoiseModel | None = None) -> SimulationResult:
@@ -636,10 +646,9 @@ class CompiledTrace:
         schedule = self.batch_schedule()
         durs = np.empty((self.n_events, len(seeds)))
         durs[:] = schedule.base_pack[:, None]
-        if (noise is not None and not noise.is_disabled()
-                and len(self._draw_index)):
-            rows = noise.perturb_batch_multi(self._draw_bases,
-                                             self._draw_kinds, seeds)
+        _, kinds, bases = self._draws
+        if noise is not None and not noise.is_disabled() and len(kinds):
+            rows = noise.perturb_batch_multi(bases, kinds, seeds)
             durs[schedule.draw_pack] = rows.T
         return durs
 

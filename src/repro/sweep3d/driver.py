@@ -343,10 +343,9 @@ class SimulationPlan:
         body_rank_program` over op bodies harvested once per capture from
         one iteration of :func:`~repro.sweep3d.parallel.sweep_rank_program`
         (:func:`~repro.sweep3d.parallel.harvest_iteration_bodies`), so the
-        generator runs one iteration per rank instead of the whole run (a
-        one-iteration run records the generator itself).  The bodies are
-        dropped when the capture ends; the engine tier keeps running the
-        generator.
+        generator runs one iteration per rank instead of the whole run.
+        The bodies are dropped when the capture ends; the engine tier
+        keeps running the generator.
 
         Numeric runs carry real payloads whose values feed back into the
         pattern, so they cannot be trace-compiled and raise
@@ -367,22 +366,13 @@ class SimulationPlan:
 
         Valid for any ``max_iterations`` variant of the plan's deck: the
         decomposition, quadrature/blocking data, cost table and per-rank
-        iteration bodies do not depend on the iteration count.  A run of
-        several iterations records :func:`~repro.sweep3d.parallel.
-        body_rank_program`, harvesting the bodies into ``bodies`` when it
-        is empty or not given, so that one capture harvests them once.
-        A one-iteration run would replay its bodies once, so it records
-        :func:`~repro.sweep3d.parallel.sweep_rank_program` itself.
+        iteration bodies do not depend on the iteration count.  Records
+        :func:`~repro.sweep3d.parallel.body_rank_program` over ``bodies``,
+        harvested here when not given.
         """
-        if deck.max_iterations < 2:
-            return TraceRecorder(self.topology).record(
-                sweep_rank_program, nranks=self.decomp.nranks,
-                program_args=(deck, self.decomp, False, self.costs, self.shared))
         if bodies is None:
-            bodies = []
-        if not bodies:
-            bodies.extend(harvest_iteration_bodies(self.deck, self.decomp,
-                                                   self.costs, self.shared))
+            bodies = harvest_iteration_bodies(self.deck, self.decomp,
+                                              self.costs, self.shared)
         return TraceRecorder(self.topology).record(
             body_rank_program, nranks=self.decomp.nranks,
             program_args=(deck, self.decomp, self.shared, bodies))
@@ -400,9 +390,10 @@ class SimulationPlan:
                     total_iterations=self.deck.max_iterations,
                     capture_s=time.perf_counter() - start)
                 return cached
-        # Filled by the first recording that uses them; dropped with
-        # this frame.
-        bodies: list[list] = []
+        # Shared by the probe and the full fallback; dropped with this
+        # frame, never kept on the plan.
+        bodies = harvest_iteration_bodies(self.deck, self.decomp, self.costs,
+                                          self.shared)
         try:
             trace, info = self._periodic_capture(bodies)
         except TraceError as exc:
