@@ -81,22 +81,3 @@ class HoisieWavefrontModel:
         collective = self.hardware.mpi.collective_cost(workload.nranks, 8.0, phases=2) * 2.0
 
         return deck.max_iterations * (sweep_iteration + serial + collective)
-
-    # ------------------------------------------------------------------
-
-    def decompose(self, workload: SweepWorkload) -> dict[str, float]:
-        """The T_computation / T_communication split of equation (2)."""
-        deck = workload.deck
-        seconds_per_flop = self.hardware.cpu.seconds_per_flop
-        blocks = 8 * deck.n_k_blocks * deck.n_angle_blocks
-        t_block = self.block_compute_time(workload, seconds_per_flop)
-        t_msg = self.block_message_time(workload)
-        delay_stages = 2.0 * (workload.px - 1 + workload.py - 1)
-        computation = deck.max_iterations * blocks * t_block
-        communication = deck.max_iterations * (
-            blocks * t_msg + delay_stages * (t_block + t_msg))
-        return {
-            "computation": computation,
-            "communication": communication,
-            "total": self.predict(workload),
-        }

@@ -34,7 +34,6 @@ from dataclasses import dataclass
 from repro.core.hmcl.model import HardwareModel
 from repro.core.workload import SweepWorkload
 from repro.errors import ModelError
-from repro.simnet.link import LinkModel
 from repro.sweep3d.kernel import SweepKernel
 
 
@@ -53,17 +52,12 @@ class LogGPParameters:
                 raise ModelError(f"LogGP parameter {name} must be >= 0")
 
     @classmethod
-    def from_link(cls, link: LinkModel) -> "LogGPParameters":
-        """Derive LogGP parameters from a simulated link model."""
-        overhead = 0.5 * (link.send_overhead + link.recv_overhead)
-        return cls(latency=link.latency, overhead=overhead,
-                   gap=max(link.send_overhead, link.recv_overhead),
-                   gap_per_byte=1.0 / link.bandwidth)
+    def from_hardware(cls, hardware: HardwareModel) -> "LogGPParameters":
+        """Derive LogGP parameters from a fitted HMCL mpi section.
 
-    @classmethod
-    def from_hardware(cls, hardware: HardwareModel,
-                      probe_bytes: float = 8.0) -> "LogGPParameters":
-        """Derive LogGP parameters from a fitted HMCL mpi section."""
+        The small-message terms are read at an 8-byte (one double) probe.
+        """
+        probe_bytes = 8.0
         overhead = hardware.mpi.send_cost(probe_bytes)
         latency = max(0.0, hardware.mpi.delivery_cost(probe_bytes) - overhead)
         large = 65536.0

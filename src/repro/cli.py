@@ -268,8 +268,8 @@ def _build_parser() -> argparse.ArgumentParser:
     cmd.add_argument("--numeric", action="store_true",
                      help="perform the real flux arithmetic (small grids only)")
     cmd.add_argument("--backend", default="simulate",
-                     help="registered scenario backend to evaluate the grid "
-                          "with (simulate or predict)")
+                     help="scenario backend to evaluate the grid with "
+                          "(simulate or predict)")
     cmd.add_argument("--execution", default="auto",
                      choices=EXECUTION_MODES,
                      help="simulation tier: 'auto' picks the fastest "
@@ -411,9 +411,8 @@ def _resolve_spec_token(token: str, overrides: dict,
         params = spec.params_dict
         params.update(_overrides_for(spec.study, overrides, used))
         return build_spec(spec.study, machine=spec.machine,
-                          backend=spec.backend, workers=spec.workers,
-                          cache_dir=spec.cache_dir, analysis=spec.analysis,
-                          **params)
+                          workers=spec.workers, cache_dir=spec.cache_dir,
+                          analysis=spec.analysis, **params)
     return build_spec(token, **_overrides_for(token, overrides, used))
 
 
@@ -677,7 +676,6 @@ def _cmd_studies(args: argparse.Namespace) -> int:
                 "name": name,
                 "title": definition.title,
                 "machine": definition.default_machine,
-                "backend": definition.default_backend,
                 "defaults": {key: _listify(value)
                              for key, value in definition.defaults.items()},
                 "smoke": {key: _listify(value)
@@ -760,7 +758,7 @@ def _parse_arrays(text: str) -> list[tuple[int, int]] | None:
 def _cmd_simulate(args: argparse.Namespace) -> int:
     from repro.experiments.backends import (
         PredictionBackend,
-        create_backend,
+        SimulationBackend,
         simulation_grid,
     )
     from repro.experiments.sweep import Scenario, ScenarioSweep, SweepRunner
@@ -803,13 +801,12 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
     # scaling: one profile serves every point).
     if args.backend == "simulate":
         try:
-            backend = create_backend("simulate", machine=machine,
-                                     deck=args.deck,
-                                     max_iterations=args.iterations,
-                                     numeric=args.numeric,
-                                     execution=args.execution,
-                                     with_noise=not args.no_noise,
-                                     samples=args.samples)
+            backend = SimulationBackend(machine=machine, deck=args.deck,
+                                        max_iterations=args.iterations,
+                                        numeric=args.numeric,
+                                        execution=args.execution,
+                                        with_noise=not args.no_noise,
+                                        samples=args.samples)
         except ExperimentError as exc:
             print(exc)
             return 2
@@ -831,9 +828,8 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
                                variables=workload.model_variables(),
                                tags={"px": px, "py": py, "pes": px * py}))
     else:
-        from repro.experiments.backends import available_backends
-        print(f"unknown backend {args.backend!r}; available: "
-              f"{', '.join(available_backends())}")
+        print(f"unknown backend {args.backend!r}; available: predict, "
+              "simulate")
         return 2
 
     runner = SweepRunner(backend=backend, workers=args.workers,

@@ -296,8 +296,3 @@ def sweep_kernel_source() -> str:
     """The bundled C source of the SWEEP3D inner kernel."""
     resource = importlib_resources.files("repro.core") / "resources" / "csrc" / "sweep_kernel.c"
     return resource.read_text()
-
-
-def analyze_sweep_kernel_resource() -> CappAnalyzer:
-    """Run ``capp`` over the bundled SWEEP3D kernel source."""
-    return analyze_source(sweep_kernel_source())

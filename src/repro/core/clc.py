@@ -13,9 +13,6 @@ models can be applied to the same characterisation.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Iterable
-
-from repro.simproc.opcodes import OpCategory, OperationMix
 
 #: Mnemonics considered floating point operations.
 FLOAT_MNEMONICS = ("AFDG", "MFDG", "DFDG")
@@ -84,18 +81,6 @@ class ClcVector:
 
     # -- conversions ------------------------------------------------------------
 
-    def to_operation_mix(self, working_set_bytes: float = 0.0) -> OperationMix:
-        """Convert to the :class:`~repro.simproc.opcodes.OperationMix` used by the processors."""
-        return OperationMix(
-            {OpCategory.from_mnemonic(m): v for m, v in self.counts.items()},
-            working_set_bytes,
-        )
-
-    @classmethod
-    def from_operation_mix(cls, mix: OperationMix) -> "ClcVector":
-        """Build a clc tally from an operation mix."""
-        return cls({category.value: value for category, value in mix.counts.items()})
-
     def as_dict(self) -> dict[str, float]:
         """Canonically ordered dictionary of the non-zero counts."""
         return {m: self.counts[m] for m in ALL_MNEMONICS if self.counts.get(m)}
@@ -103,11 +88,3 @@ class ClcVector:
     def describe(self) -> str:
         parts = [f"{m}:{v:g}" for m, v in self.as_dict().items()]
         return "clc(" + ", ".join(parts) + ")"
-
-
-def sum_vectors(vectors: Iterable[ClcVector]) -> ClcVector:
-    """Sum an iterable of clc vectors."""
-    total = ClcVector()
-    for vector in vectors:
-        total = total + vector
-    return total

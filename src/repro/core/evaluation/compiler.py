@@ -181,11 +181,6 @@ class CacheStats:
             flow_misses=self.flow_misses - baseline.flow_misses,
         )
 
-    @property
-    def subtask_hit_rate(self) -> float:
-        total = self.subtask_hits + self.subtask_misses
-        return self.subtask_hits / total if total else 0.0
-
     def describe(self) -> str:
         return (f"{self.predictions} prediction(s); subtask cache "
                 f"{self.subtask_hits} hit(s) / {self.subtask_misses} miss(es); "
@@ -697,22 +692,6 @@ class CompiledExecutor:
             application_name=app.name,
         )
 
-    def predict_subtask(self, name: str,
-                        variables: Mapping | None = None) -> TemplateResult:
-        self.refresh_hardware()
-        subtask = self._object(name)
-        env = self.object_environment(subtask, dict(variables or {}))
-        return self.evaluate_subtask(subtask, env)
-
-    def cflow_vector(self, object_name: str, cflow_name: str,
-                     variables: Mapping | None = None) -> ClcVector:
-        cobj = self._object(object_name)
-        env = self.object_environment(cobj, dict(variables or {}))
-        cflow = cobj.cflows.get(cflow_name)
-        if cflow is None:
-            cobj.obj.cflow(cflow_name)      # raises PslNameError with context
-        return cflow.vector(env)
-
     def clear_cache(self) -> None:
         self.cache.clear()
         self._flow_cache.clear()
@@ -796,12 +775,6 @@ class CompiledExecutor:
         return cobj.strategy().evaluate(env, spec, self.hardware)
 
     # -- helpers ------------------------------------------------------------
-
-    def _object(self, name: str) -> CompiledObject:
-        cobj = self.compiled.objects.get(name)
-        if cobj is None:
-            self.compiled.model.get(name)   # raises the canonical PslNameError
-        return cobj
 
     def _cache_key(self, name: str, env: Mapping) -> tuple | None:
         try:

@@ -52,12 +52,6 @@ class PredictionResult:
     def subtask(self, name: str) -> SubtaskBreakdown:
         return self.breakdown[name]
 
-    def dominant_subtask(self) -> str:
-        """Name of the subtask contributing the most predicted time."""
-        if not self.breakdown:
-            return ""
-        return max(self.breakdown.values(), key=lambda item: item.time).name
-
     def describe(self) -> str:
         """Multi-line human readable summary of the prediction."""
         lines = [

@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 from repro import units
 from repro.core.clc import ALL_MNEMONICS, FLOAT_MNEMONICS, ClcVector
@@ -132,24 +132,6 @@ class HardwareModel:
     def compute_time(self, clc: ClcVector) -> float:
         """Seconds to execute a clc tally on one processor of this machine."""
         return self.cpu.evaluate(clc)
-
-    def with_cpu(self, cpu: CpuCostModel) -> "HardwareModel":
-        """Return a copy with a different cpu section (used by the ablation)."""
-        return replace(self, cpu=cpu)
-
-    def with_flop_rate(self, flop_rate: float) -> "HardwareModel":
-        """Return a copy whose cpu section uses a fixed achieved rate.
-
-        Used by the speculative study: the paper evaluates the hypothetical
-        machine at 340 MFLOPS and again with that rate increased by 25 % and
-        50 %.
-        """
-        return replace(self, cpu=CpuCostModel.from_achieved_rate(flop_rate))
-
-    def scaled_flop_rate(self, factor: float) -> "HardwareModel":
-        """Return a copy with the achieved floating point rate scaled by ``factor``."""
-        rate = self.cpu.achieved_mflops * units.MFLOPS * factor
-        return self.with_flop_rate(rate)
 
     def describe(self) -> str:
         return (f"{self.name}: {self.cpu.achieved_mflops:.0f} MFLOPS achieved "

@@ -32,7 +32,6 @@ Example::
 from __future__ import annotations
 
 import re
-from importlib import resources as importlib_resources
 
 from repro import units
 from repro.core.clc import ALL_MNEMONICS
@@ -207,10 +206,3 @@ def format_hmcl(model: HardwareModel) -> str:
     lines.append("    }")
     lines.append("}")
     return "\n".join(lines) + "\n"
-
-
-def load_hmcl_resource(filename: str) -> HardwareModel:
-    """Load one of the HMCL hardware objects shipped under ``core/resources/hardware``."""
-    package = "repro.core"
-    resource = importlib_resources.files(package) / "resources" / "hardware" / filename
-    return parse_hmcl(resource.read_text())

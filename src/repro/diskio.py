@@ -317,10 +317,6 @@ class DirectoryStore:
                                   misses=self.stats.misses,
                                   stores=self.stats.stores)
 
-    def reset_stats(self) -> None:
-        with self._stats_lock:
-            self.stats = DiskCacheStats()
-
     def __getstate__(self):
         # Worker processes rebuild the store from its path; the lock is
         # process-local and not picklable.

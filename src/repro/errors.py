@@ -122,9 +122,9 @@ class TraceError(SimulationError):
     """Raised when a rank program cannot be trace-compiled for replay.
 
     Trace replay (:mod:`repro.simmpi.trace`) requires the event pattern to
-    be independent of virtual time: numeric payload runs, wildcard
-    receives, non-blocking requests and clock reads all make the pattern
-    (or its results) timing-dependent and are rejected with this error.
+    be independent of virtual time: numeric payload runs and clock reads
+    make the pattern (or its results) timing-dependent and are rejected
+    with this error.
     """
 
 

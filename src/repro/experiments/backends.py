@@ -9,7 +9,7 @@ mirroring the compiled prediction pipeline:
   cost tables) and returns an **executor**;
 * ``executor.evaluate(scenario)`` prices one grid point.
 
-Two backends are registered:
+There are two backends:
 
 ``"predict"``
     The compiled analytic PACE pipeline (PR 1): one
@@ -37,9 +37,8 @@ Two backends are registered:
     its own noise seed from its identity, never from the worker that
     evaluates it).
 
-Backends are selected by name through the registry
-(:func:`register_backend` / :func:`create_backend`), so future workloads
-plug in as "a backend + a scenario grid".
+The study executors and ``repro-sweep3d simulate --backend`` construct
+the two classes directly.
 """
 
 from __future__ import annotations
@@ -64,7 +63,7 @@ from repro.sweep3d.parallel import SweepCostTable
 
 
 # ---------------------------------------------------------------------------
-# Protocols and registry
+# Protocols
 # ---------------------------------------------------------------------------
 
 
@@ -94,32 +93,6 @@ class Backend(Protocol):
     def fingerprint(self, scenario) -> tuple:
         """A value-identity for (backend config, scenario): the disk-cache key."""
         ...
-
-
-_BACKENDS: dict[str, type] = {}
-
-
-def register_backend(name: str, factory: type) -> None:
-    """Register a backend class under ``name`` (later wins, like entry points)."""
-    _BACKENDS[name] = factory
-
-
-def available_backends() -> list[str]:
-    """Names of every registered backend."""
-    return sorted(_BACKENDS)
-
-
-def create_backend(name: str, **kwargs) -> Backend:
-    """Instantiate a registered backend by name.
-
-    ``kwargs`` are passed to the backend constructor; unknown names raise
-    :class:`~repro.errors.ExperimentError` listing what is available.
-    """
-    factory = _BACKENDS.get(name)
-    if factory is None:
-        raise ExperimentError(
-            f"unknown scenario backend {name!r}; available: {available_backends()}")
-    return factory(**kwargs)
 
 
 # ---------------------------------------------------------------------------
@@ -542,11 +515,6 @@ class SimulationExecutor:
             **stats,
         )
 
-    @property
-    def trace_replays(self) -> int:
-        """Evaluations served by trace replay instead of the engine."""
-        return sum(plan.replays for plan in self._plans.values())
-
     def collect_stats(self) -> CacheStats:
         """Cache accounting mapped onto :class:`CacheStats`.
 
@@ -563,10 +531,6 @@ class SimulationExecutor:
                           flow_misses=self._plan_builds,
                           subtask_hits=self.cost_table.hits,
                           subtask_misses=self.cost_table.misses)
-
-
-register_backend(PredictionBackend.name, PredictionBackend)
-register_backend(SimulationBackend.name, SimulationBackend)
 
 
 def simulation_grid(arrays, deck: str | None = None,

@@ -749,8 +749,6 @@ class FleetWorker:
     throttle_s:
         Pause before executing each unit while heartbeats continue —
         a chaos/benchmark aid to simulate a slow machine.
-    sync_cache:
-        Whether to sync ``cache_dir`` with the store at all.
     failure_hook:
         Optional chaos hook called before each unit's execution; return
         ``True`` to simulate sudden worker death (heartbeats stop, held
@@ -773,7 +771,6 @@ class FleetWorker:
                  poll_s: float = 0.2,
                  prefetch: int = 1,
                  throttle_s: float = 0.0,
-                 sync_cache: bool = True,
                  failure_hook: Callable[[int], bool] | None = None,
                  context: StudyContext | None = None,
                  clock: Callable[[], float] = time.time,
@@ -786,7 +783,6 @@ class FleetWorker:
         self.poll_s = float(poll_s)
         self.prefetch = int(prefetch)
         self.throttle_s = float(throttle_s)
-        self.sync_cache = sync_cache
         self._failure_hook = failure_hook
         self._clock = clock
         self.wake = wake
@@ -848,7 +844,7 @@ class FleetWorker:
             self._context.cache = self._context.cache_for(self.cache_dir)
         self._register()
         self.log.append("worker-registered", worker=self.worker_id)
-        if self.sync_cache and self.cache_dir is not None:
+        if self.cache_dir is not None:
             self._cache_sync = CacheSync(SweepDiskCache(self.cache_dir),
                                          self._store)
             pulled = self._cache_sync.pull()
@@ -1149,7 +1145,6 @@ def run_local_fleet(specs: Iterable[StudySpec | str],
                     store: ArtifactStore | None = None,
                     lease_ttl_s: float = 30.0,
                     poll_s: float = 0.02,
-                    prefetch: int = 1,
                     timeout_s: float = 600.0,
                     out_dir: str | Path | None = None,
                     cache_dir: str | None = None,
@@ -1194,7 +1189,7 @@ def run_local_fleet(specs: Iterable[StudySpec | str],
             else:
                 worker = FleetWorker(
                     fleet_dir, store=store, worker_id=f"local-{number}",
-                    cache_dir=cache_dir, poll_s=poll_s, prefetch=prefetch,
+                    cache_dir=cache_dir, poll_s=poll_s,
                     context=context if n_workers == 1 else None,
                     wake=coordinator.wake)
             workers.append(worker)

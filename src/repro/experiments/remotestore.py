@@ -108,26 +108,6 @@ class ArtifactStore:
     def describe(self) -> str:
         return type(self).__name__
 
-    # -- conveniences ---------------------------------------------------
-
-    def put_text(self, key: str, text: str) -> None:
-        self.put_bytes(key, text.encode("utf-8"))
-
-    def get_text(self, key: str) -> str:
-        return self.get_bytes(key).decode("utf-8")
-
-    def put_json(self, key: str, obj) -> None:
-        import json
-        self.put_text(key, json.dumps(obj, indent=2, sort_keys=True,
-                                      allow_nan=False) + "\n")
-
-    def get_json(self, key: str):
-        import json
-        try:
-            return json.loads(self.get_text(key))
-        except ValueError as exc:
-            raise StoreError(f"object {key!r} is not valid JSON: {exc}") from exc
-
 
 class MemoryStore(ArtifactStore):
     """A thread-safe in-process store (tests, benchmarks, local fleets)."""

@@ -21,7 +21,6 @@ from typing import Sequence
 
 from repro import units
 from repro.core.evaluation.result import PredictionResult
-from repro.core.hmcl.model import HardwareModel
 from repro.core.workload import SweepWorkload
 from repro.experiments.backends import SimulationBackend
 from repro.experiments.diskcache import SweepDiskCache
@@ -129,7 +128,6 @@ def scenario_for_row(row: PaperValidationRow,
 
 def predict_rows(machine: Machine, rows: Sequence[PaperValidationRow],
                  max_iterations: int = 12,
-                 hardware: HardwareModel | None = None,
                  workers: int = 1,
                  context=None) -> list[ValidationRowResult]:
     """Predict a batch of validation rows through the sweep runner.
@@ -145,9 +143,8 @@ def predict_rows(machine: Machine, rows: Sequence[PaperValidationRow],
     rows = list(rows)
     if not rows:
         return []
-    if hardware is None:
-        first_deck = deck_for_row(rows[0], max_iterations=max_iterations)
-        hardware = machine.hardware_model(first_deck, rows[0].px, rows[0].py)
+    first_deck = deck_for_row(rows[0], max_iterations=max_iterations)
+    hardware = machine.hardware_model(first_deck, rows[0].px, rows[0].py)
     sweep = ScenarioSweep([scenario_for_row(row, max_iterations=max_iterations)
                            for row in rows])
     with ensure_context(context) as ctx:

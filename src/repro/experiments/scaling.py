@@ -45,27 +45,8 @@ class ScalingAnalysis:
             raise ExperimentError("scaling analysis has no points")
         return self.points[0].time
 
-    def efficiency_at(self, processors: int) -> float:
-        for point in self.points:
-            if point.processors == processors:
-                return point.efficiency
-        raise ExperimentError(f"no scaling point at {processors} processors")
-
     def final_efficiency(self) -> float:
         return self.points[-1].efficiency if self.points else 0.0
-
-    def processors_above_efficiency(self, threshold: float) -> int:
-        """Largest processor count whose efficiency is still >= ``threshold``."""
-        qualifying = [p.processors for p in self.points if p.efficiency >= threshold]
-        if not qualifying:
-            raise ExperimentError(
-                f"no configuration reaches a weak-scaling efficiency of {threshold}")
-        return max(qualifying)
-
-    def is_monotone_degrading(self, tolerance: float = 1e-9) -> bool:
-        """Weak-scaling efficiency never improves as processors are added."""
-        efficiencies = [p.efficiency for p in self.points]
-        return all(b <= a + tolerance for a, b in zip(efficiencies, efficiencies[1:]))
 
     def describe(self) -> str:
         lines = [f"weak-scaling analysis: {self.label}",

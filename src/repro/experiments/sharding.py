@@ -290,7 +290,7 @@ def parent_spec(spec: StudySpec) -> StudySpec:
     """
     params = {name: value for name, value in spec.params
               if name not in SHARD_PARAM_DEFAULTS}
-    return build_spec(spec.study, machine=spec.machine, backend=spec.backend,
+    return build_spec(spec.study, machine=spec.machine,
                       workers=spec.workers, cache_dir=spec.cache_dir,
                       analysis=spec.analysis, **params)
 
@@ -402,7 +402,7 @@ class ShardPlanner:
         assignments = []
         for index, unit_indices in enumerate(_balance(units, effective)):
             shard_spec = build_spec(
-                spec.study, machine=spec.machine, backend=spec.backend,
+                spec.study, machine=spec.machine,
                 workers=spec.workers, cache_dir=spec.cache_dir,
                 analysis=spec.analysis, **spec.params_dict,
                 shard_index=index, shard_count=effective,
@@ -515,8 +515,7 @@ def resolve_shard(spec: StudySpec) -> ShardResolution:
         sliced_params = parent.params_dict
         sliced_params[plan.axis_param] = assignment.units
         sliced = build_spec(parent.study, machine=parent.machine,
-                            backend=parent.backend, workers=parent.workers,
-                            cache_dir=parent.cache_dir,
+                            workers=parent.workers, cache_dir=parent.cache_dir,
                             analysis=parent.analysis, **sliced_params)
     return ShardResolution(spec=spec, parent=parent, plan=plan,
                            assignment=assignment, sliced=sliced)

@@ -7,7 +7,7 @@ grid on a machine with a backend*.  This module gives that reduction a
 first-class, serializable form:
 
 * :class:`StudySpec` — a frozen, hashable description of one workload:
-  the registered study family, the machine preset, the backend, the grid
+  the registered study family, the machine preset, the grid
   parameters, worker count, cache directory and analysis hooks.  Specs
   round-trip through JSON and TOML (:meth:`StudySpec.to_toml` /
   :func:`load_spec`) and have a stable content hash
@@ -119,17 +119,15 @@ def _listify(value: Any) -> Any:
 class StudySpec:
     """A frozen, serializable description of one experiment workload.
 
-    Build specs with :func:`build_spec` (or :meth:`StudySpec.create`),
-    which validates the study name and parameters against the registry and
-    canonicalises defaults so that equal workloads hash equal.
+    Build specs with :func:`build_spec`, which validates the study name and
+    parameters against the registry and canonicalises defaults so that
+    equal workloads hash equal.
     """
 
     #: Registered study family (``"table1"``, ``"figure8"``, ``"blocking"``, ...).
     study: str
     #: Machine preset name; ``None`` means the study's default machine.
     machine: str | None = None
-    #: Scenario backend override; ``None`` means the study's default.
-    backend: str | None = None
     #: Canonicalised grid/study parameters as sorted ``(name, value)`` pairs.
     params: tuple[tuple[str, Any], ...] = ()
     #: Multiprocessing fan-out for the study's scenario sweeps.
@@ -138,18 +136,6 @@ class StudySpec:
     cache_dir: str | None = None
     #: Registered analysis hooks applied to the result.
     analysis: tuple[str, ...] = ()
-
-    # -- construction --------------------------------------------------------
-
-    @classmethod
-    def create(cls, study: str, machine: str | None = None,
-               backend: str | None = None, workers: int = 1,
-               cache_dir: str | None = None,
-               analysis: Sequence[str] = (), **params) -> "StudySpec":
-        """Validated constructor; see :func:`build_spec`."""
-        return build_spec(study, machine=machine, backend=backend,
-                          workers=workers, cache_dir=cache_dir,
-                          analysis=analysis, **params)
 
     # -- parameter access ----------------------------------------------------
 
@@ -166,16 +152,13 @@ class StudySpec:
         return resolved
 
     def with_overrides(self, workers: int | None = None,
-                       cache_dir: str | None = None,
-                       analysis: Sequence[str] | None = None) -> "StudySpec":
+                       cache_dir: str | None = None) -> "StudySpec":
         """A copy with runner-level overrides applied (None keeps the field)."""
         changes: dict[str, Any] = {}
         if workers is not None:
             changes["workers"] = workers
         if cache_dir is not None:
             changes["cache_dir"] = str(cache_dir)
-        if analysis is not None:
-            changes["analysis"] = tuple(analysis)
         return dataclasses.replace(self, **changes) if changes else self
 
     def smoke(self) -> "StudySpec":
@@ -184,9 +167,8 @@ class StudySpec:
         params = self.params_dict
         params.update(definition.smoke_params)
         return build_spec(self.study, machine=self.machine,
-                          backend=self.backend, workers=self.workers,
-                          cache_dir=self.cache_dir, analysis=self.analysis,
-                          **params)
+                          workers=self.workers, cache_dir=self.cache_dir,
+                          analysis=self.analysis, **params)
 
     # -- serialization -------------------------------------------------------
 
@@ -195,8 +177,6 @@ class StudySpec:
         data: dict[str, Any] = {"study": self.study}
         if self.machine is not None:
             data["machine"] = self.machine
-        if self.backend is not None:
-            data["backend"] = self.backend
         if self.workers != 1:
             data["workers"] = self.workers
         if self.cache_dir is not None:
@@ -218,14 +198,13 @@ class StudySpec:
         params = data.pop("params", {})
         if not isinstance(params, Mapping):
             raise ExperimentError("study spec 'params' must be a table/object")
-        unknown = set(data) - {"machine", "backend", "workers", "cache_dir", "analysis"}
+        unknown = set(data) - {"machine", "workers", "cache_dir", "analysis"}
         if unknown:
             raise ExperimentError(
                 f"study spec has unknown fields {sorted(unknown)}; expected "
-                "study/machine/backend/workers/cache_dir/analysis/params")
+                "study/machine/workers/cache_dir/analysis/params")
         return build_spec(study,
                           machine=data.get("machine"),
-                          backend=data.get("backend"),
                           workers=int(data.get("workers", 1)),
                           cache_dir=data.get("cache_dir"),
                           analysis=data.get("analysis", ()),
@@ -303,8 +282,6 @@ class StudyDefinition:
     title: str
     #: Default machine preset (None: the executor chooses / not applicable).
     default_machine: str | None
-    #: Default scenario backend the study's sweeps use.
-    default_backend: str
     #: Parameter names and default values the spec may override.
     defaults: Mapping[str, Any]
     #: Parameter overrides for reduced-grid smoke runs.
@@ -322,7 +299,6 @@ _STUDIES: dict[str, StudyDefinition] = {}
 
 def register_study(name: str, *, title: str,
                    machine: str | None = None,
-                   backend: str = "predict",
                    defaults: Mapping[str, Any] | None = None,
                    smoke: Mapping[str, Any] | None = None,
                    tabulate: Callable[[Any], tuple[list[str], list[dict[str, Any]]]] | None = None,
@@ -346,7 +322,6 @@ def register_study(name: str, *, title: str,
             name=name,
             title=title,
             default_machine=machine,
-            default_backend=backend,
             defaults={key: _normalize(value)
                       for key, value in declared.items()},
             smoke_params={key: _normalize(value)
@@ -395,8 +370,7 @@ def study_names() -> list[str]:
     return list(_STUDIES)
 
 
-def build_spec(study: str, machine: str | None = None,
-               backend: str | None = None, workers: int = 1,
+def build_spec(study: str, machine: str | None = None, workers: int = 1,
                cache_dir: str | None = None,
                analysis: Sequence[str] = (), **params) -> StudySpec:
     """Build a canonical :class:`StudySpec`, validating against the registry.
@@ -421,9 +395,7 @@ def build_spec(study: str, machine: str | None = None,
             canonical.append((name, value))
     if machine is not None and machine == definition.default_machine:
         machine = None
-    if backend is not None and backend == definition.default_backend:
-        backend = None
-    return StudySpec(study=study, machine=machine, backend=backend,
+    return StudySpec(study=study, machine=machine,
                      params=tuple(canonical), workers=int(workers),
                      cache_dir=str(cache_dir) if cache_dir is not None else None,
                      analysis=tuple(analysis))
@@ -470,10 +442,9 @@ class StudyContext:
     Usable as a context manager; :meth:`close` shuts the shared pool down.
     """
 
-    def __init__(self, cache: SweepDiskCache | str | None = None):
-        if cache is not None and not isinstance(cache, SweepDiskCache):
-            cache = SweepDiskCache(cache)
-        self.cache: SweepDiskCache | None = cache
+    def __init__(self):
+        #: The sweep cache of the spec being run (set by the runner).
+        self.cache: SweepDiskCache | None = None
         self._model = None
         self._compiled: CompiledModel | None = None
         self._machines: dict[str, Any] = {}
@@ -1040,7 +1011,7 @@ _TABLE_SMOKE = {"max_pes": 6, "max_iterations": 1}
 
 @register_study("table1",
                 title="Table 1 — validation on the Pentium-3/Myrinet cluster",
-                machine="pentium3-myrinet", backend="predict",
+                machine="pentium3-myrinet",
                 defaults=_TABLE_DEFAULTS, smoke=_TABLE_SMOKE,
                 tabulate=_tabulate_table, render=_render_table)
 def _study_table1(spec: StudySpec, context: StudyContext):
@@ -1049,7 +1020,7 @@ def _study_table1(spec: StudySpec, context: StudyContext):
 
 @register_study("table2",
                 title="Table 2 — validation on the Opteron/GigE cluster",
-                machine="opteron-gige", backend="predict",
+                machine="opteron-gige",
                 defaults=_TABLE_DEFAULTS, smoke=_TABLE_SMOKE,
                 tabulate=_tabulate_table, render=_render_table)
 def _study_table2(spec: StudySpec, context: StudyContext):
@@ -1058,7 +1029,7 @@ def _study_table2(spec: StudySpec, context: StudyContext):
 
 @register_study("table3",
                 title="Table 3 — validation on the SGI Altix Itanium-2 SMP",
-                machine="altix-itanium2", backend="predict",
+                machine="altix-itanium2",
                 defaults=_TABLE_DEFAULTS, smoke=_TABLE_SMOKE,
                 tabulate=_tabulate_table, render=_render_table)
 def _study_table3(spec: StudySpec, context: StudyContext):
@@ -1088,7 +1059,7 @@ _FIGURE_SMOKE = {"processor_counts": (1, 4, 16), "rate_factors": (1.0,)}
 
 @register_study("figure8",
                 title="Figure 8 — speculative scaling, twenty-million-cell problem",
-                machine="hypothetical-opteron-myrinet", backend="predict",
+                machine="hypothetical-opteron-myrinet",
                 defaults=_FIGURE_DEFAULTS, smoke=_FIGURE_SMOKE,
                 tabulate=_tabulate_figure, render=_render_figure)
 def _study_figure8(spec: StudySpec, context: StudyContext):
@@ -1097,7 +1068,7 @@ def _study_figure8(spec: StudySpec, context: StudyContext):
 
 @register_study("figure9",
                 title="Figure 9 — speculative scaling, one-billion-cell problem",
-                machine="hypothetical-opteron-myrinet", backend="predict",
+                machine="hypothetical-opteron-myrinet",
                 defaults=_FIGURE_DEFAULTS, smoke=_FIGURE_SMOKE,
                 tabulate=_tabulate_figure, render=_render_figure)
 def _study_figure9(spec: StudySpec, context: StudyContext):
@@ -1106,7 +1077,7 @@ def _study_figure9(spec: StudySpec, context: StudyContext):
 
 @register_study("blocking",
                 title="Blocking-factor study — (mk, mmi) sensitivity sweep",
-                machine="hypothetical-opteron-myrinet", backend="predict",
+                machine="hypothetical-opteron-myrinet",
                 defaults={"px": 20, "py": 20,
                           "cells_per_processor": (5, 5, 100),
                           "mk_values": (1, 2, 5, 10, 20, 50, 100),
@@ -1133,7 +1104,7 @@ def _study_blocking(spec: StudySpec, context: StudyContext):
 
 @register_study("scaling",
                 title="Weak-scaling analysis of a speculative study",
-                machine="hypothetical-opteron-myrinet", backend="predict",
+                machine="hypothetical-opteron-myrinet",
                 defaults={"figure": "figure8",
                           "processor_counts": (1, 16, 256, 1024, 8000),
                           "rate_factor": 1.0},
@@ -1160,7 +1131,7 @@ def _study_scaling(spec: StudySpec, context: StudyContext):
 
 @register_study("ablation",
                 title="Section-4 ablation — legacy opcode vs coarse benchmarking",
-                machine="opteron-gige", backend="predict",
+                machine="opteron-gige",
                 defaults={"table": "table2", "row_index": 0,
                           "max_iterations": 12, "simulate_measurement": True},
                 smoke={"max_iterations": 1},
@@ -1185,7 +1156,7 @@ def _study_ablation(spec: StudySpec, context: StudyContext):
 
 @register_study("agreement",
                 title="Section-6 agreement — PACE vs LogGP vs the Los Alamos model",
-                machine="hypothetical-opteron-myrinet", backend="predict",
+                machine="hypothetical-opteron-myrinet",
                 defaults={"figure": "figure8",
                           "processor_counts": (16, 256, 1024, 8000)},
                 smoke={"processor_counts": (16,)},
@@ -1210,7 +1181,7 @@ def _study_agreement(spec: StudySpec, context: StudyContext):
 
 @register_study("noise-sensitivity",
                 title="Noise sensitivity — multi-seed uncertainty of every study",
-                machine=None, backend="simulate",
+                machine=None,
                 defaults={"target": "all", "samples": 16, "max_processors": 512,
                           "target_smoke": False, "iteration_cap": None,
                           "max_scenarios": None},
@@ -1224,7 +1195,7 @@ def _study_noise_sensitivity(spec: StudySpec, context: StudyContext):
 
 @register_study("steady-scaling",
                 title="Steady-state scaling — periodic-trace tier beyond the paper",
-                machine="hypothetical-opteron-myrinet-1ns", backend="simulate",
+                machine="hypothetical-opteron-myrinet-1ns",
                 defaults={"processor_counts": (1, 4, 16, 64, 256),
                           "iteration_counts": (12, 100),
                           "cells_per_processor": (200, 200, 100),

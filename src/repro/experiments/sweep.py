@@ -106,8 +106,7 @@ class ScenarioSweep:
 
     @classmethod
     def grid(cls, axes: Mapping[str, Sequence[float]],
-             base: Mapping[str, float | str] | None = None,
-             hardware: HardwareModel | None = None) -> "ScenarioSweep":
+             base: Mapping[str, float | str] | None = None) -> "ScenarioSweep":
         """Build the cartesian product of ``axes`` over ``base`` variables.
 
         >>> sweep = ScenarioSweep.grid({"mk": [1, 10], "mmi": [1, 3]},
@@ -124,7 +123,6 @@ class ScenarioSweep:
                              else f"{name}={value}"
                              for name, value in zip(names, values))
             sweep.add(Scenario(label=label, variables=variables,
-                               hardware=hardware,
                                tags=dict(zip(names, values))))
         return sweep
 
@@ -170,9 +168,8 @@ class SweepRunner:
     ----------
     backend:
         The scenario backend instance
-        (:class:`~repro.experiments.backends.PredictionBackend`,
-        :class:`~repro.experiments.backends.SimulationBackend`, or one
-        built by name with :func:`~repro.experiments.backends.create_backend`).
+        (:class:`~repro.experiments.backends.PredictionBackend` or
+        :class:`~repro.experiments.backends.SimulationBackend`).
     workers:
         Number of ``multiprocessing`` workers.  ``1`` (default) runs
         in-process; results are independent of the worker count.

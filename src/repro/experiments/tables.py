@@ -89,12 +89,3 @@ def rows_for_indices(table_name: str,
                 f"published table has rows 0..{len(published) - 1}")
         selected.append(published[index])
     return selected
-
-
-def validation_row_for(table_name: str, pes: int) -> PaperValidationRow:
-    """Convenience lookup of a published row by processor count."""
-    spec = PAPER_TABLES[table_name]
-    for row in spec["rows"]:
-        if row.pes == pes:
-            return row
-    raise ExperimentError(f"{table_name} has no row with {pes} processors")

@@ -100,13 +100,6 @@ class NoiseSensitivityResult:
     #: ``None``: the targets ran on their own (different) machines.
     machine_name: str | None = None
 
-    def study_for(self, name: str) -> StudyUncertainty:
-        for entry in self.studies:
-            if entry.study == name:
-                return entry
-        raise ExperimentError(
-            f"noise-sensitivity result has no target study {name!r}")
-
     def describe(self) -> str:
         lines = [f"noise sensitivity at {self.samples} sample(s) per scenario"]
         for entry in self.studies:

@@ -243,11 +243,6 @@ class Machine:
             topology=topology,
             _benchmark_cache={}, _profile_cache={}, _plan_cache={})
 
-    def can_host(self, nranks: int) -> bool:
-        """Whether the physical machine has at least ``nranks`` processors."""
-        limit = self.topology.rank_limit
-        return limit is None or nranks <= limit
-
     def describe(self) -> str:
         return (f"{self.name}: {self.description}\n"
                 f"  processor: {self.processor.describe()}\n"

@@ -21,6 +21,9 @@ import numpy as np
 
 from repro.errors import ModelError
 
+#: Fewest samples either segment of a two-segment fit may hold.
+MIN_POINTS_PER_SEGMENT = 2
+
 
 @dataclass(frozen=True)
 class PiecewiseLinearModel:
@@ -40,11 +43,6 @@ class PiecewiseLinearModel:
         if nbytes <= self.A:
             return self.B + self.C * nbytes
         return self.D + self.E * nbytes
-
-    def evaluate_many(self, nbytes: Sequence[float]) -> np.ndarray:
-        """Vectorised :meth:`evaluate`."""
-        x = np.asarray(nbytes, dtype=float)
-        return np.where(x <= self.A, self.B + self.C * x, self.D + self.E * x)
 
     def as_dict(self) -> dict[str, float]:
         """The parameters keyed ``A``..``E`` (the HMCL representation)."""
@@ -74,35 +72,33 @@ def _linear_fit(x: np.ndarray, y: np.ndarray) -> tuple[float, float, float]:
     return intercept, slope, float(residual @ residual)
 
 
-def fit_piecewise_linear(sizes: Sequence[float], times: Sequence[float],
-                         min_points_per_segment: int = 2) -> PiecewiseLinearModel:
+def fit_piecewise_linear(sizes: Sequence[float],
+                         times: Sequence[float]) -> PiecewiseLinearModel:
     """Fit the two-segment model of equation (3) to benchmark data.
 
     Parameters
     ----------
     sizes, times:
         Measured message sizes (bytes) and transfer times (seconds).
-    min_points_per_segment:
-        Minimum number of samples each segment must contain.
 
     Raises
     ------
     ModelError
-        If fewer than ``2 * min_points_per_segment`` samples are supplied.
+        If fewer than ``2 * MIN_POINTS_PER_SEGMENT`` samples are supplied.
     """
     x = np.asarray(sizes, dtype=float)
     y = np.asarray(times, dtype=float)
     if x.shape != y.shape or x.ndim != 1:
         raise ModelError("sizes and times must be 1-D sequences of equal length")
-    if len(x) < 2 * min_points_per_segment:
+    if len(x) < 2 * MIN_POINTS_PER_SEGMENT:
         raise ModelError(
-            f"need at least {2 * min_points_per_segment} samples for a two-segment fit "
+            f"need at least {2 * MIN_POINTS_PER_SEGMENT} samples for a two-segment fit "
             f"(got {len(x)})")
     order = np.argsort(x)
     x, y = x[order], y[order]
 
     best: tuple[float, PiecewiseLinearModel] | None = None
-    for split in range(min_points_per_segment, len(x) - min_points_per_segment + 1):
+    for split in range(MIN_POINTS_PER_SEGMENT, len(x) - MIN_POINTS_PER_SEGMENT + 1):
         b, c, sse_low = _linear_fit(x[:split], y[:split])
         d, e, sse_high = _linear_fit(x[split:], y[split:])
         sse = sse_low + sse_high

@@ -13,8 +13,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Sequence
 
-import numpy as np
-
 from repro.profiling.curvefit import PiecewiseLinearModel, fit_piecewise_linear
 from repro.simmpi.engine import ClusterEngine
 from repro.simnet.noise import NoiseModel
@@ -47,12 +45,6 @@ class CommBenchmarkData:
             "recv": fit_piecewise_linear(self.sizes, self.recv_times),
             "pingpong": fit_piecewise_linear(self.sizes, self.pingpong_times),
         }
-
-    def one_way_model(self) -> PiecewiseLinearModel:
-        """Fitted model of the one-way delivery time (half the ping-pong time)."""
-        halves = [t / 2.0 for t in self.pingpong_times]
-        return fit_piecewise_linear(self.sizes, halves)
-
 
 def _benchmark_program(comm, sizes: Sequence[int], repetitions: int, inter_rank: int):
     """Two-rank benchmark program: rank 0 drives, rank ``inter_rank`` echoes.
@@ -155,9 +147,3 @@ class MpiBenchmark:
                 == len(data.recv_times) == len(data.pingpong_times)):
             raise AssertionError("benchmark bookkeeping mismatch")
         return data
-
-    def effective_bandwidth(self, data: CommBenchmarkData) -> float:
-        """Asymptotic bandwidth (bytes/s) implied by the largest ping-pong sample."""
-        largest = int(np.argmax(data.sizes))
-        one_way = data.pingpong_times[largest] / 2.0
-        return data.sizes[largest] / one_way

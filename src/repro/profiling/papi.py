@@ -74,11 +74,6 @@ class FlopProfile:
         """Achieved fraction of the processor's peak floating point rate."""
         return self.achieved_flop_rate / self.peak_flop_rate
 
-    @property
-    def legacy_flop_rate(self) -> float:
-        """The flop rate implied by the legacy per-opcode prediction."""
-        return self.flops / self.legacy_time
-
     def describe(self) -> str:
         nx, ny, nz = self.cells
         return (f"{self.processor_name}: {nx}x{ny}x{nz} cells/proc -> "
@@ -118,28 +113,3 @@ class FlopProfiler:
             peak_flop_rate=self.processor.peak_flop_rate,
             legacy_time=self.processor.legacy_opcode_time(mix),
         )
-
-    def profile_cells_per_processor(self, deck: Sweep3DInput, px: int,
-                                    py: int) -> FlopProfile:
-        """Profile the sub-domain a single processor owns in a ``px x py`` run."""
-        nx = -(-deck.it // px)
-        ny = -(-deck.jt // py)
-        return self.profile(deck, nx=nx, ny=ny)
-
-    # ------------------------------------------------------------------
-
-    def verify_static_counts(self, static_mix: OperationMix,
-                             reference_mix: OperationMix,
-                             tolerance: float = 0.05) -> bool:
-        """Check a static (capp) operation count against the profiled tally.
-
-        Returns ``True`` when the floating point totals agree within
-        ``tolerance`` (relative).  The paper uses run-time profiling in this
-        role: "any unforeseen operation counts can be included into the
-        floating-point operation flow manually if their significance becomes
-        apparent".
-        """
-        if reference_mix.flops == 0:
-            return static_mix.flops == 0
-        relative = abs(static_mix.flops - reference_mix.flops) / reference_mix.flops
-        return relative <= tolerance

@@ -394,11 +394,3 @@ def decode_request(payload: Any):
 def decode_response(payload: Any):
     """Rebuild a response message from its wire form (strictly validated)."""
     return _decode(payload, _RESPONSE_TYPES, "response")
-
-
-def request_types() -> list[str]:
-    return sorted(_REQUEST_TYPES)
-
-
-def response_types() -> list[str]:
-    return sorted(_RESPONSE_TYPES)

@@ -101,21 +101,6 @@ class Cart2D:
         self._check_direction(idir, jdir)
         return (self.neighbour(rank, +idir, 0), self.neighbour(rank, 0, +jdir))
 
-    def corner_rank(self, idir: int, jdir: int) -> int:
-        """The rank at which a sweep travelling ``(idir, jdir)`` originates."""
-        self._check_direction(idir, jdir)
-        i = 0 if idir > 0 else self.px - 1
-        j = 0 if jdir > 0 else self.py - 1
-        return self.rank(i, j)
-
-    def sweep_depth(self, rank: int, idir: int, jdir: int) -> int:
-        """Number of pipeline hops between the origin corner and ``rank``."""
-        self._check_direction(idir, jdir)
-        i, j = self.coords(rank)
-        di = i if idir > 0 else self.px - 1 - i
-        dj = j if jdir > 0 else self.py - 1 - j
-        return di + dj
-
     @staticmethod
     def _check_direction(idir: int, jdir: int) -> None:
         if idir not in (-1, 1) or jdir not in (-1, 1):
@@ -125,7 +110,7 @@ class Cart2D:
     # -- factory ----------------------------------------------------------------
 
     @classmethod
-    def for_size(cls, nranks: int, prefer_square: bool = True) -> "Cart2D":
+    def for_size(cls, nranks: int) -> "Cart2D":
         """Choose a near-square ``Px x Py`` factorisation of ``nranks``.
 
         Mirrors the usual ``MPI_Dims_create`` behaviour: the factor pair
@@ -134,10 +119,8 @@ class Cart2D:
         """
         if nranks < 1:
             raise DecompositionError("nranks must be >= 1")
-        best: tuple[int, int] | None = None
+        best = (1, nranks)
         for px in range(1, int(nranks ** 0.5) + 1):
             if nranks % px == 0:
                 best = (px, nranks // px)
-        if best is None or not prefer_square:
-            best = (1, nranks)
         return cls(*best)

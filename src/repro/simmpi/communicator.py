@@ -7,34 +7,31 @@ performs the operation and sends the result back into the generator::
     def program(comm):
         right = (comm.rank + 1) % comm.size
         yield comm.send(np.arange(4.0), dest=right, tag=1)
-        data = yield comm.recv(source=comm.ANY_SOURCE, tag=1)
+        data = yield comm.recv(source=(comm.rank - 1) % comm.size, tag=1)
         total = yield comm.allreduce(float(data.sum()), op="sum")
         return total
+
+It builds what SWEEP3D's rank programs yield and nothing more: compute
+charges, blocking ``send``/``recv`` with an explicit source (the tag
+defaults to 0 on both sides), ``allreduce`` with ``sum`` or ``max``, and
+``now``.
 """
 
 from __future__ import annotations
 
 import sys
-from typing import Any, Sequence
+from typing import Any
 
 import numpy as np
 
 from repro.errors import CommunicatorError
 from repro.simmpi.operations import (
-    ANY_SOURCE,
-    ANY_TAG,
     AllReduce,
-    Barrier,
-    Bcast,
     Compute,
-    Irecv,
-    Isend,
     Now,
     Recv,
     ReduceOp,
     Send,
-    Wait,
-    WaitAll,
 )
 
 
@@ -66,11 +63,6 @@ class SimComm:
     (:func:`~repro.simmpi.engine.run_ranks`);
     user code receives one as the first argument of its rank program.
     """
-
-    #: Wildcard source, mirroring ``MPI_ANY_SOURCE``.
-    ANY_SOURCE = ANY_SOURCE
-    #: Wildcard tag, mirroring ``MPI_ANY_TAG``.
-    ANY_TAG = ANY_TAG
 
     def __init__(self, rank: int, size: int):
         if size < 1:
@@ -109,9 +101,7 @@ class SimComm:
 
     # -- point to point ------------------------------------------------------
 
-    def _check_peer(self, peer: int, allow_any: bool = False) -> None:
-        if allow_any and peer == ANY_SOURCE:
-            return
+    def _check_peer(self, peer: int) -> None:
         if not 0 <= peer < self._size:
             raise CommunicatorError(
                 f"peer rank {peer} outside communicator of size {self._size}")
@@ -123,45 +113,14 @@ class SimComm:
         size = payload_nbytes(payload) if nbytes is None else float(nbytes)
         return Send(dest=dest, payload=payload, nbytes=size, tag=tag)
 
-    def recv(self, source: int = ANY_SOURCE, tag: int = ANY_TAG) -> Recv:
-        """Blocking receive; yields the received payload."""
-        self._check_peer(source, allow_any=True)
+    def recv(self, source: int, tag: int = 0) -> Recv:
+        """Blocking receive from ``source``; yields the received payload."""
+        self._check_peer(source)
         return Recv(source=source, tag=tag)
-
-    def isend(self, payload: Any, dest: int, tag: int = 0,
-              nbytes: float | None = None) -> Isend:
-        """Non-blocking send; yields a :class:`~repro.simmpi.request.Request`."""
-        self._check_peer(dest)
-        size = payload_nbytes(payload) if nbytes is None else float(nbytes)
-        return Isend(dest=dest, payload=payload, nbytes=size, tag=tag)
-
-    def irecv(self, source: int = ANY_SOURCE, tag: int = ANY_TAG) -> Irecv:
-        """Non-blocking receive; yields a :class:`~repro.simmpi.request.Request`."""
-        self._check_peer(source, allow_any=True)
-        return Irecv(source=source, tag=tag)
-
-    def wait(self, request: Any) -> Wait:
-        """Block until ``request`` completes; yields the payload for receives."""
-        return Wait(request)
-
-    def waitall(self, requests: Sequence[Any]) -> WaitAll:
-        """Block until every request completes; yields a list of payloads."""
-        return WaitAll(list(requests))
 
     # -- collectives ---------------------------------------------------------
 
-    def allreduce(self, value: Any, op: ReduceOp | str = ReduceOp.SUM,
-                  nbytes: float | None = None) -> AllReduce:
+    def allreduce(self, value: Any, op: ReduceOp | str) -> AllReduce:
         """Reduce ``value`` across all ranks; every rank yields the result."""
-        size = payload_nbytes(value) if nbytes is None else float(nbytes)
-        return AllReduce(value=value, op=ReduceOp.coerce(op), nbytes=size)
-
-    def barrier(self) -> Barrier:
-        """Synchronise all ranks."""
-        return Barrier()
-
-    def bcast(self, value: Any, root: int = 0, nbytes: float | None = None) -> Bcast:
-        """Broadcast ``value`` from ``root``; every rank yields the root's value."""
-        self._check_peer(root)
-        size = payload_nbytes(value) if nbytes is None else float(nbytes)
-        return Bcast(value=value, root=root, nbytes=size)
+        return AllReduce(value=value, op=ReduceOp.coerce(op),
+                         nbytes=payload_nbytes(value))

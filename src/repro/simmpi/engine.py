@@ -3,17 +3,20 @@
 :func:`run_ranks` advances every rank program (a generator) until it
 blocks on a communication operation and wakes blocked ranks when their
 operations complete.  It is the only place the simulator's MPI semantics
-live: the FIFO ready queue, (source, tag) and wildcard matching, eager vs
-rendez-vous blocking, request waits, collectives and their results,
-message and traffic counts, and the deadlock and operation-budget checks.
-The loop keeps every rank's virtual clock and hands each event to a
-*sink*, the object that does the per-event work:
+live: the FIFO ready queue, (source, tag) matching of blocking sends and
+receives, eager vs rendez-vous blocking, allreduce and its result,
+message and traffic counts, and the deadlock, operation-budget,
+collective-mismatch and unknown-operation checks.  The operations are
+the ones the repo's rank programs yield: compute, blocking send/recv,
+allreduce (sum or max) and ``now``.  The loop keeps every rank's virtual
+clock and hands each event to a *sink*, the object that does the
+per-event work:
 
 * :class:`ClusterEngine` runs the loop with a timing sink, which draws
   the run's noise at every draw site;
 * :class:`~repro.simmpi.trace.TraceRecorder` runs it with a column sink,
-  which appends one trace row per event and refuses operations whose
-  pattern could depend on virtual time.
+  which appends one trace row per event and refuses ``now``, whose
+  result depends on virtual time.
 
 Because every completion time is a pure function of the *posting* times
 of the participating ranks (``max`` of post times plus link costs), the
@@ -39,34 +42,27 @@ from repro.simnet.noise import NoiseModel
 from repro.simnet.topology import ClusterTopology, LinkUsageStats
 from repro.simmpi.communicator import SimComm
 from repro.simmpi.operations import (
-    ANY_SOURCE,
-    ANY_TAG,
     OP_ALLREDUCE,
-    OP_BARRIER,
-    OP_BCAST,
     OP_COMPUTE,
-    OP_IRECV,
-    OP_ISEND,
     OP_NOW,
     OP_RECV,
     OP_SEND,
-    OP_WAIT,
-    OP_WAITALL,
 )
-from repro.simmpi.request import Request
 from repro.units import snap_to_grid
 
 _READY = 0
 _BLOCKED = 1
 _DONE = 2
 
+#: Operations one run may execute before it is stopped as a runaway
+#: program (the engine's default; the recorder's fixed budget).
+MAX_OPERATIONS = 200_000_000
 
-def collective_cost(kind: str, nbytes: float, nranks: int, link) -> float:
-    """Base (noise-free) cost of one collective over ``nranks`` ranks.
 
-    ``kind`` is the operation class name (``"AllReduce"``, ``"Bcast"``,
-    ``"Barrier"``); ``link`` is the inter-node
-    :class:`~repro.simnet.link.LinkModel`.
+def collective_cost(nbytes: float, nranks: int, link) -> float:
+    """Base (noise-free) cost of one allreduce over ``nranks`` ranks.
+
+    ``link`` is the inter-node :class:`~repro.simnet.link.LinkModel`.
 
     Collective costs are computed from the link's fitted parameters, not
     through its per-message methods, so a tick-quantized link
@@ -79,13 +75,7 @@ def collective_cost(kind: str, nbytes: float, nranks: int, link) -> float:
     rounds = math.ceil(math.log2(nranks))
     per_hop = (link.latency + link.send_overhead + link.recv_overhead
                + nbytes / link.bandwidth)
-    if kind == "AllReduce":
-        cost = 2.0 * rounds * per_hop
-    elif kind == "Bcast":
-        cost = rounds * per_hop
-    else:  # Barrier
-        cost = 2.0 * rounds * (link.latency + link.send_overhead
-                               + link.recv_overhead)
+    cost = 2.0 * rounds * per_hop
     quantum = getattr(link, "time_quantum", 0.0)
     if quantum:
         cost = snap_to_grid(cost, quantum)
@@ -106,13 +96,6 @@ class RankResult:
     messages_received: int = 0
     bytes_received: float = 0.0
 
-    @property
-    def comm_fraction(self) -> float:
-        """Fraction of the rank's finish time spent in communication."""
-        if self.finish_time <= 0:
-            return 0.0
-        return self.comm_time / self.finish_time
-
 
 @dataclass
 class SimulationResult:
@@ -128,9 +111,6 @@ class SimulationResult:
         """Per-rank return values in rank order."""
         return [r.return_value for r in self.ranks]
 
-    def rank_result(self, rank: int) -> RankResult:
-        return self.ranks[rank]
-
 
 def _route(topology: ClusterTopology, key: tuple, index: int) -> tuple:
     """Price one message shape ``key = (source, dest, tag, nbytes)``.
@@ -145,37 +125,6 @@ def _route(topology: ClusterTopology, key: tuple, index: int) -> tuple:
                 and topology.same_node(source, dest))
     return (link.sender_cpu_time(nbytes), link.receiver_cpu_time(nbytes),
             link.wire_time(nbytes), link.is_eager(nbytes), intra, index, key)
-
-
-def _take_wildcard(queues: dict, source: int, tag: int) -> tuple | None:
-    """Remove and return the unexpected send a wildcard receive matches.
-
-    ``ANY_SOURCE`` takes the message available first (eager sends by
-    arrival, rendez-vous sends by sender readiness, then send order);
-    ``ANY_TAG`` alone takes the named source's first send.
-    """
-    best = None
-    for key, queue in queues.items():
-        if (source != ANY_SOURCE and key[0] != source
-                or tag != ANY_TAG and key[1] != tag):
-            continue
-        for index, send in enumerate(queue):
-            slot, _, _, _, route, ready_time, arrival, _ = send
-            if source == ANY_SOURCE:
-                order = (arrival if route[3] else ready_time, slot)
-            else:
-                order = (slot,)
-            if best is None or order < best[0]:
-                best = (order, key, index)
-    if best is None:
-        return None
-    _, key, index = best
-    queue = queues[key]
-    send = queue[index]
-    del queue[index]
-    if not queue:
-        del queues[key]
-    return send
 
 
 def run_ranks(sink: Any, topology: ClusterTopology,
@@ -195,8 +144,7 @@ def run_ranks(sink: Any, topology: ClusterTopology,
       the noise-free duration of the event's draw site (0.0 where the
       event draws nothing: a rendez-vous send, an eager match); ``slot``
       numbers the run's sends in send order;
-    * ``timing_dependent(what)`` — called before ``now``, ``isend``,
-      ``irecv``, ``wait``, ``waitall`` and wildcard receives.
+    * ``timing_dependent(what)`` — called before ``now``.
 
     All per-run state lives in this call's frame, so nothing of a run —
     generators, payloads, queues — outlives it, failed runs included.
@@ -225,19 +173,13 @@ def run_ranks(sink: Any, topology: ClusterTopology,
     collective_index = [0] * nranks
     # Per destination, the unmatched sends keyed by (source, tag), each
     # deque in send order (the MPI non-overtaking rule).  A send is
-    # (slot, source, nbytes, payload, route, ready time, eager arrival,
-    # request); request is None for a blocking send.
+    # (slot, source, nbytes, payload, route, ready time, eager arrival).
     unexpected: list[dict[tuple[int, int], deque]] = [
         {} for _ in range(nranks)]
-    # Per rank, its posted receives (source, tag, post time, request) in
-    # post order; request is None for a blocking receive.
-    posted: list[list[tuple]] = [[] for _ in range(nranks)]
+    # Per rank, the receive it is blocked in: (source, tag, post time).
+    posted: list[tuple[int, int, float] | None] = [None] * nranks
     # Open collectives: call index -> {rank: (post time, op)}.
     collectives: dict[int, dict[int, tuple[float, Any]]] = {}
-    # Ranks blocked in wait/waitall: request id -> rank, and per rank
-    # (requests, whether the call was a waitall).
-    waiters: dict[int, int] = {}
-    waiting: list[Any] = [None] * nranks
     routes: dict[tuple, tuple] = {}
     by_tag: dict[int, int] = {}
     messages = 0
@@ -250,7 +192,6 @@ def run_ranks(sink: Any, topology: ClusterTopology,
     on_compute = sink.compute
     on_send = sink.send
     on_match = sink.match
-    timing_dependent = sink.timing_dependent
 
     def settle(rank: int, time: float) -> None:
         """Advance ``rank``'s clock to ``time``, charging the wait as comm."""
@@ -258,43 +199,23 @@ def run_ranks(sink: Any, topology: ClusterTopology,
             comm_time[rank] += time - clock[rank]
             clock[rank] = time
 
-    def complete(request: Request, time: float, payload: Any = None) -> None:
-        """Complete ``request``; wake its waiter once all it awaits is done."""
-        request.mark_complete(time, payload)
-        rank = waiters.pop(request.request_id, None)
-        if rank is None:
-            return
-        requests, as_list = waiting[rank]
-        if not all(r.complete for r in requests):
-            return
-        waiting[rank] = None
-        for r in requests:
-            settle(rank, r.completion_time)
-        resume[rank] = ([r.payload for r in requests] if as_list
-                        else requests[0].payload)
-        status[rank] = _READY
-        push(rank)
-
     def deliver(send: tuple, receiver: int, post: float) -> float:
         """Match ``send`` with ``receiver``'s receive posted at ``post``.
 
         Completes the send side — a blocked sender wakes — counts the
         message received and returns the receive's completion time.
         """
-        slot, sender, nbytes, _, route, ready_time, arrival, request = send
+        slot, sender, nbytes, _, route, ready_time, arrival = send
         if route[3]:
             on_match(receiver, slot, 0.0)
             done = (post if post > arrival else arrival) + route[1]
         else:
             arrival = ((ready_time if ready_time > post else post)
                        + on_match(receiver, slot, route[2]))
-            if request is not None:
-                complete(request, arrival)
-            else:
-                settle(sender, arrival)
-                if status[sender] == _BLOCKED:
-                    status[sender] = _READY
-                    push(sender)
+            settle(sender, arrival)
+            if status[sender] == _BLOCKED:
+                status[sender] = _READY
+                push(sender)
             done = arrival + route[1]
         received[receiver] += 1
         received_bytes[receiver] += nbytes
@@ -325,39 +246,19 @@ def run_ranks(sink: Any, topology: ClusterTopology,
             except AttributeError:
                 code = None
 
-            if code == OP_RECV or code == OP_IRECV:
-                request = None
-                if code == OP_IRECV:
-                    timing_dependent("irecv")
-                    request = Request(kind="recv", rank=rank)
-                source = op.source
-                tag = op.tag
+            if code == OP_RECV:
+                key = (op.source, op.tag)
                 queues = unexpected[rank]
-                if source == ANY_SOURCE or tag == ANY_TAG:
-                    timing_dependent("a wildcard receive")
-                    send = _take_wildcard(queues, source, tag)
-                else:
-                    queue = queues.get((source, tag))
-                    if queue:
-                        send = queue.popleft()
-                        if not queue:
-                            del queues[(source, tag)]
-                    else:
-                        send = None
-                if send is None:
-                    posted[rank].append((source, tag, clock[rank], request))
-                    if request is None:
-                        status[rank] = _BLOCKED
-                        break
-                    value = request
-                    continue
-                done = deliver(send, rank, clock[rank])
-                if request is None:
-                    settle(rank, done)
-                    value = send[3]
-                else:
-                    request.mark_complete(done, send[3])
-                    value = request
+                queue = queues.get(key)
+                if not queue:
+                    posted[rank] = (op.source, op.tag, clock[rank])
+                    status[rank] = _BLOCKED
+                    break
+                send = queue.popleft()
+                if not queue:
+                    del queues[key]
+                settle(rank, deliver(send, rank, clock[rank]))
+                value = send[3]
                 continue
 
             if code == OP_COMPUTE:
@@ -366,11 +267,7 @@ def run_ranks(sink: Any, topology: ClusterTopology,
                 compute_time[rank] += duration
                 continue
 
-            if code == OP_SEND or code == OP_ISEND:
-                request = None
-                if code == OP_ISEND:
-                    timing_dependent("isend")
-                    request = Request(kind="send", rank=rank)
+            if code == OP_SEND:
                 dest = op.dest
                 tag = op.tag
                 nbytes = op.nbytes
@@ -391,51 +288,37 @@ def run_ranks(sink: Any, topology: ClusterTopology,
                 by_tag[tag] = by_tag.get(tag, 0) + 1
                 if eager:
                     arrival = ready_time + on_send(rank, slot, wire, route)
-                    if request is not None:
-                        request.mark_complete(ready_time)
                 else:
                     on_send(rank, slot, 0.0, route)
                     arrival = 0.0
                 send = (slot, rank, nbytes, op.payload, route, ready_time,
-                        arrival, request)
-                recvs = posted[dest]
-                for index, (source, recv_tag, post, recv_request) in \
-                        enumerate(recvs):
-                    if ((source == rank or source == ANY_SOURCE)
-                            and (recv_tag == tag or recv_tag == ANY_TAG)):
-                        del recvs[index]
-                        break
-                else:
+                        arrival)
+                recv = posted[dest]
+                if recv is None or recv[0] != rank or recv[1] != tag:
                     unexpected[dest].setdefault((rank, tag), deque()).append(
                         send)
-                    if request is not None:
-                        value = request
-                    elif not eager:
+                    if not eager:
                         status[rank] = _BLOCKED
                         break
                     continue
-                done = deliver(send, dest, post)
-                if recv_request is None:
-                    settle(dest, done)
-                    resume[dest] = op.payload
-                    status[dest] = _READY
-                    push(dest)
-                else:
-                    complete(recv_request, done, op.payload)
-                value = request
+                posted[dest] = None
+                settle(dest, deliver(send, dest, recv[2]))
+                resume[dest] = op.payload
+                status[dest] = _READY
+                push(dest)
                 continue
 
-            if code == OP_ALLREDUCE or code == OP_BARRIER or code == OP_BCAST:
+            if code == OP_ALLREDUCE:
                 index = collective_index[rank]
                 collective_index[rank] = index + 1
                 posts = collectives.setdefault(index, {})
                 if posts:
                     first = next(iter(posts.values()))[1]
-                    if first.code != code:
+                    if first.op is not op.op:
                         raise CommunicatorError(
                             f"collective mismatch at index {index}: rank "
-                            f"{rank} called {type(op).__name__} but other "
-                            f"ranks called {type(first).__name__}")
+                            f"{rank} reduced with {op.op.value!r} but other "
+                            f"ranks with {first.op.value!r}")
                 posts[rank] = (clock[rank], op)
                 if len(posts) < nranks:
                     status[rank] = _BLOCKED
@@ -443,20 +326,13 @@ def run_ranks(sink: Any, topology: ClusterTopology,
                 # Last arrival: the completion time and result for all.
                 del collectives[index]
                 nbytes = 0.0
-                if code != OP_BARRIER:
-                    for _, arrived in posts.values():
-                        nbytes = max(nbytes, arrived.nbytes)
-                cost = collective_cost(type(op).__name__, nbytes, nranks,
-                                       topology.inter_node)
+                for _, arrived in posts.values():
+                    nbytes = max(nbytes, arrived.nbytes)
+                cost = collective_cost(nbytes, nranks, topology.inter_node)
                 completion = (max(post for post, _ in posts.values())
                               + sink.collective(cost, nbytes))
-                if code == OP_ALLREDUCE:
-                    result = op.op.combine(
-                        [posts[r][1].value for r in sorted(posts)])
-                elif code == OP_BCAST:
-                    result = posts[op.root][1].value
-                else:
-                    result = None
+                result = op.op.combine(
+                    [posts[r][1].value for r in sorted(posts)])
                 for other in range(nranks):
                     settle(other, completion)
                     if other != rank:
@@ -466,32 +342,8 @@ def run_ranks(sink: Any, topology: ClusterTopology,
                 value = result
                 continue
 
-            if code == OP_WAIT or code == OP_WAITALL:
-                if code == OP_WAIT:
-                    timing_dependent("wait")
-                    requests = [op.request]
-                else:
-                    timing_dependent("waitall")
-                    requests = list(op.requests)
-                if any(not isinstance(r, Request) for r in requests):
-                    raise CommunicatorError(
-                        "wait() expects a Request object" if code == OP_WAIT
-                        else "waitall() expects Request objects")
-                if all(r.complete for r in requests):
-                    for r in requests:
-                        settle(rank, r.completion_time)
-                    value = ([r.payload for r in requests]
-                             if code == OP_WAITALL else requests[0].payload)
-                    continue
-                for r in requests:
-                    if not r.complete:
-                        waiters[r.request_id] = rank
-                waiting[rank] = (requests, code == OP_WAITALL)
-                status[rank] = _BLOCKED
-                break
-
             if code == OP_NOW:
-                timing_dependent("now")
+                sink.timing_dependent("now")
                 value = clock[rank]
                 continue
 
@@ -568,7 +420,7 @@ class ClusterEngine:
     """
 
     def __init__(self, topology: ClusterTopology,
-                 max_operations: int = 200_000_000):
+                 max_operations: int = MAX_OPERATIONS):
         self.topology = topology
         self.max_operations = max_operations
         self._running = False

@@ -4,11 +4,16 @@ Rank programs never manipulate the engine directly; they build these small
 descriptor objects through the :class:`~repro.simmpi.communicator.SimComm`
 facade and ``yield`` them.  The engine interprets each descriptor, advances
 virtual time and sends the operation's result back into the generator.
+
+The operations are the ones SWEEP3D's rank programs need: compute charges,
+blocking ``MPI_Send``/``MPI_Recv`` with an explicit source and tag, the
+``globalmax``/``globalsum`` reductions and the ``MPI_Wtime`` clock read
+of the ping-pong benchmark.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import Enum
 from typing import Any, Sequence
 
@@ -16,23 +21,16 @@ import numpy as np
 
 from repro.errors import CommunicatorError
 
-#: Wildcard values mirroring ``MPI_ANY_SOURCE`` / ``MPI_ANY_TAG``.
-ANY_SOURCE = -1
-ANY_TAG = -1
-
 #: Operation codes: the scheduling loop (:mod:`repro.simmpi.engine`)
 #: dispatches on ``op.code`` rather than on the operation's class.
-(OP_COMPUTE, OP_SEND, OP_RECV, OP_ISEND, OP_IRECV, OP_WAIT, OP_WAITALL,
- OP_ALLREDUCE, OP_BARRIER, OP_BCAST, OP_NOW) = range(11)
+OP_COMPUTE, OP_SEND, OP_RECV, OP_ALLREDUCE, OP_NOW = range(5)
 
 
 class ReduceOp(str, Enum):
-    """Reduction operators supported by the simulated collectives."""
+    """Reduction operators supported by :class:`AllReduce`."""
 
     SUM = "sum"
     MAX = "max"
-    MIN = "min"
-    PROD = "prod"
 
     def combine(self, values: Sequence[Any]) -> Any:
         """Apply the reduction across per-rank contributions."""
@@ -43,12 +41,8 @@ class ReduceOp(str, Enum):
                             else a for a in arrays])
         if self is ReduceOp.SUM:
             result = stacked.sum(axis=0)
-        elif self is ReduceOp.MAX:
-            result = stacked.max(axis=0)
-        elif self is ReduceOp.MIN:
-            result = stacked.min(axis=0)
         else:
-            result = stacked.prod(axis=0)
+            result = stacked.max(axis=0)
         if result.shape == ():
             return result.item()
         return result
@@ -91,7 +85,7 @@ class Send(Operation):
     dest: int
     payload: Any
     nbytes: float
-    tag: int = 0
+    tag: int
 
 
 @dataclass
@@ -100,48 +94,8 @@ class Recv(Operation):
 
     code = OP_RECV
 
-    source: int = ANY_SOURCE
-    tag: int = ANY_TAG
-
-
-@dataclass
-class Isend(Operation):
-    """Non-blocking send; evaluates to a :class:`~repro.simmpi.request.Request`."""
-
-    code = OP_ISEND
-
-    dest: int
-    payload: Any
-    nbytes: float
-    tag: int = 0
-
-
-@dataclass
-class Irecv(Operation):
-    """Non-blocking receive; evaluates to a :class:`~repro.simmpi.request.Request`."""
-
-    code = OP_IRECV
-
-    source: int = ANY_SOURCE
-    tag: int = ANY_TAG
-
-
-@dataclass
-class Wait(Operation):
-    """Block until ``request`` completes; evaluates to its payload (recv) or ``None``."""
-
-    code = OP_WAIT
-
-    request: Any
-
-
-@dataclass
-class WaitAll(Operation):
-    """Block until every request in ``requests`` completes; evaluates to a list."""
-
-    code = OP_WAITALL
-
-    requests: list = field(default_factory=list)
+    source: int
+    tag: int
 
 
 @dataclass
@@ -151,26 +105,8 @@ class AllReduce(Operation):
     code = OP_ALLREDUCE
 
     value: Any
-    op: ReduceOp = ReduceOp.SUM
-    nbytes: float = 8.0
-
-
-@dataclass
-class Barrier(Operation):
-    """Synchronise all ranks."""
-
-    code = OP_BARRIER
-
-
-@dataclass
-class Bcast(Operation):
-    """Broadcast ``value`` from ``root``; evaluates to the root's value on every rank."""
-
-    code = OP_BCAST
-
-    value: Any
-    root: int = 0
-    nbytes: float = 8.0
+    op: ReduceOp
+    nbytes: float
 
 
 @dataclass

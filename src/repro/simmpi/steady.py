@@ -170,8 +170,7 @@ def _signatures(trace: "CompiledTrace") -> np.ndarray:
     return h
 
 
-def _detect_period(trace: "CompiledTrace",
-                   min_repeats: int) -> PeriodInfo:
+def _detect_period(trace: "CompiledTrace") -> PeriodInfo:
     """Find the repeating suffix of the event stream, if any.
 
     Candidate periods are the recurrence distances of the *last* event's
@@ -179,7 +178,7 @@ def _detect_period(trace: "CompiledTrace",
     wins.  A candidate must satisfy (a) ``sig[i + P] == sig[i]`` for
     every ``i`` in the periodic region, (b) send-slot indices advancing
     by exactly the per-period send count ``M``, and (c) at least
-    ``min_repeats`` whole repetitions.
+    :data:`MIN_REPEATS` whole repetitions.
     """
     n = trace.n_events
     if n == 0:
@@ -199,7 +198,7 @@ def _detect_period(trace: "CompiledTrace",
         mismatch = np.flatnonzero(sig[period:] != sig[:-period])
         warmup = int(mismatch[-1]) + 1 if len(mismatch) else 0
         repeats = (n - warmup) // period
-        if repeats < min_repeats:
+        if repeats < MIN_REPEATS:
             continue
         sends = int(np.count_nonzero(
             kind_col[warmup:warmup + period] == EV_SEND))
@@ -212,7 +211,7 @@ def _detect_period(trace: "CompiledTrace",
                           sends_per_period=sends)
     return PeriodInfo(
         periodic=False,
-        reason=f"no candidate period with >= {min_repeats} repetitions")
+        reason=f"no candidate period with >= {MIN_REPEATS} repetitions")
 
 
 def _dyadic_exponent(trace: "CompiledTrace") -> tuple[int | None, str]:
@@ -238,8 +237,7 @@ def _dyadic_exponent(trace: "CompiledTrace") -> tuple[int | None, str]:
     return exponent, ""
 
 
-def analyze(trace: "CompiledTrace",
-            min_repeats: int = MIN_REPEATS) -> _SteadyAnalysis:
+def analyze(trace: "CompiledTrace") -> _SteadyAnalysis:
     """Period + exactness analysis of a trace, cached on the trace."""
     cached = trace._steady_cache
     if cached is not None:
@@ -247,7 +245,7 @@ def analyze(trace: "CompiledTrace",
     n = trace.n_events
     nmsg = trace.n_messages
     if n:
-        info = _detect_period(trace, min_repeats)
+        info = _detect_period(trace)
         exponent, exact_reason = _dyadic_exponent(trace)
         kind_col = trace.event_kind
         b_col = trace.event_slot.astype(np.int64)
@@ -286,10 +284,9 @@ def analyze(trace: "CompiledTrace",
     return analysis
 
 
-def detect_period(trace: "CompiledTrace",
-                  min_repeats: int = MIN_REPEATS) -> PeriodInfo:
+def detect_period(trace: "CompiledTrace") -> PeriodInfo:
     """Public period-detection entry point (cached with the analysis)."""
-    return analyze(trace, min_repeats).info
+    return analyze(trace).info
 
 
 def describe_steady(trace: "CompiledTrace") -> str:

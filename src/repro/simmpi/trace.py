@@ -53,9 +53,9 @@ batch schedule and the steady-state tier (:mod:`repro.simmpi.steady`)
 read the numpy columns, so a long trace never pays for the mirror on
 those paths.
 
-Only timing-independent patterns can be captured: numeric-payload runs,
-wildcard receives, non-blocking requests and clock reads raise
-:class:`~repro.errors.TraceError` (callers fall back to the engine).
+Only timing-independent patterns can be captured: numeric-payload runs
+and clock reads (``now``) raise :class:`~repro.errors.TraceError`
+(callers fall back to the engine).
 """
 
 from __future__ import annotations
@@ -65,7 +65,12 @@ from typing import Any, Callable, Iterable
 import numpy as np
 
 from repro.errors import TraceError
-from repro.simmpi.engine import RankResult, SimulationResult, run_ranks
+from repro.simmpi.engine import (
+    MAX_OPERATIONS,
+    RankResult,
+    SimulationResult,
+    run_ranks,
+)
 from repro.simnet.noise import NoiseModel
 from repro.simnet.topology import ClusterTopology, LinkUsageStats
 
@@ -771,8 +776,8 @@ class _ColumnSink:
     A row is (kind, rank, slot, base) and every hook returns the base
     duration unperturbed.  The other columns of a trace — CPU overheads,
     peers, tags, sizes, noise kinds — follow from each send's route and
-    are gathered per send slot when the trace is built.  Operations whose
-    pattern or result could depend on virtual time raise
+    are gathered per send slot when the trace is built.  ``now``, whose
+    result depends on virtual time, raises
     :class:`~repro.errors.TraceError`.
     """
 
@@ -828,8 +833,7 @@ class _ColumnSink:
     def timing_dependent(self, what: str) -> None:
         raise TraceError(
             f"{what} is timing-dependent and cannot be trace-compiled "
-            "(supported: compute, blocking send/recv with explicit "
-            "source and tag, allreduce, barrier, bcast)")
+            "(supported: compute, send, recv, allreduce)")
 
     def trace(self, result: SimulationResult) -> CompiledTrace:
         """The recorded run as a :class:`CompiledTrace`."""
@@ -904,22 +908,18 @@ class TraceRecorder:
     (:func:`~repro.simmpi.engine.run_ranks`) once with a column sink, so
     the recorded event order is exactly the order in which
     :class:`~repro.simmpi.engine.ClusterEngine` reaches its noise draw
-    sites.  Supported operations: ``compute``, blocking ``send``/``recv``
-    with explicit source and tag, and the three collectives.  Anything
-    whose pattern or result could depend on virtual time (``now``,
-    wildcard receives, ``isend``/``irecv``/``wait``/``waitall``) raises
+    sites.  It records ``compute``, ``send``, ``recv`` and ``allreduce``;
+    ``now``, whose result depends on virtual time, raises
     :class:`~repro.errors.TraceError`.
     """
 
-    def __init__(self, topology: ClusterTopology,
-                 max_operations: int = 200_000_000):
+    def __init__(self, topology: ClusterTopology):
         self.topology = topology
-        self.max_operations = max_operations
 
     def record(self, program: Callable[..., Any], nranks: int,
                program_args: Iterable[Any] = ()) -> CompiledTrace:
         """Run ``program`` once on ``nranks`` ranks, recording the pattern."""
         sink = _ColumnSink()
-        result = run_ranks(sink, self.topology, self.max_operations,
+        result = run_ranks(sink, self.topology, MAX_OPERATIONS,
                            program, nranks, program_args)
         return sink.trace(result)

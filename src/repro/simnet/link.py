@@ -99,21 +99,6 @@ class LinkModel:
         """CPU time the receiving rank spends on a message of ``nbytes``."""
         return self.recv_overhead + nbytes * self.per_byte_cpu
 
-    def ping_pong_time(self, nbytes: float) -> float:
-        """Round-trip time of a ping-pong exchange of ``nbytes`` messages.
-
-        This is what an MPI ping-pong benchmark reports (divided by two it
-        gives the one-way time); used by the benchmark substitute.
-        """
-        one_way = (self.sender_cpu_time(nbytes) + self.wire_time(nbytes)
-                   + self.receiver_cpu_time(nbytes))
-        return 2.0 * one_way
-
-    def one_way_time(self, nbytes: float) -> float:
-        """Complete one-way delivery time including both CPU overheads."""
-        return (self.sender_cpu_time(nbytes) + self.wire_time(nbytes)
-                + self.receiver_cpu_time(nbytes))
-
     def describe(self) -> str:
         return (f"{self.name}: {self.latency * 1e6:.1f}us + "
                 f"{self.bandwidth / 1e6:.0f}MB/s (eager<= {self.eager_threshold:.0f}B)")

@@ -15,8 +15,6 @@ interconnect generations used in the paper's clusters:
 
 from __future__ import annotations
 
-from typing import Callable
-
 from repro import units
 from repro.simnet.link import LinkModel
 from repro.simnet.topology import ClusterTopology
@@ -145,23 +143,3 @@ def hypothetical_cluster_topology() -> ClusterTopology:
         intra_node=smp_shared_memory_link(copy_bandwidth_mb=900.0),
         max_nodes=4096,
     )
-
-
-#: Registry of interconnect presets keyed by short identifier.
-INTERCONNECT_PRESETS: dict[str, Callable[[], LinkModel]] = {
-    "myrinet2000": myrinet2000_link,
-    "gige": gigabit_ethernet_link,
-    "numalink4": numalink4_link,
-    "smp": smp_shared_memory_link,
-}
-
-
-def interconnect_preset(name: str) -> LinkModel:
-    """Instantiate an interconnect preset by short name."""
-    try:
-        factory = INTERCONNECT_PRESETS[name.lower()]
-    except KeyError:
-        raise KeyError(
-            f"unknown interconnect preset {name!r}; available: "
-            f"{sorted(INTERCONNECT_PRESETS)}") from None
-    return factory()

@@ -87,12 +87,6 @@ class ClusterTopology:
             return self.intra_node
         return self.inter_node
 
-    def nodes_required(self, nranks: int) -> int:
-        """Number of SMP nodes needed to host ``nranks`` ranks."""
-        if nranks < 1:
-            raise NetworkConfigError("nranks must be >= 1")
-        return -(-nranks // self.processors_per_node)
-
     def validate_rank_count(self, nranks: int) -> None:
         """Raise :class:`NetworkConfigError` if the machine cannot host ``nranks``."""
         limit = self.rank_limit

@@ -117,17 +117,16 @@ class MemoryHierarchy:
         fractions.append(("memory", remaining))
         return fractions
 
-    def average_access_cycles(self, working_set_bytes: float,
-                              element_bytes: int = 8) -> float:
+    def average_access_cycles(self, working_set_bytes: float) -> float:
         """Average cycles per *memory-touching operation* for a streamed working set.
 
         Accesses that miss all cache levels pay the main-memory cost, but
-        spatial locality amortises that cost over ``line_bytes /
-        element_bytes`` consecutive elements.
+        spatial locality amortises that cost over the ``line_bytes / 8``
+        consecutive double-precision elements of a line.
         """
         fractions = self.hit_fractions(working_set_bytes)
         last_level = self.levels[-1]
-        elements_per_line = max(1.0, last_level.line_bytes / float(element_bytes))
+        elements_per_line = max(1.0, last_level.line_bytes / 8.0)
         cycles = 0.0
         for (name, fraction), level in zip(fractions[:-1], self.levels):
             cycles += fraction * level.access_cycles
@@ -136,8 +135,8 @@ class MemoryHierarchy:
                                      + last_level.access_cycles)
         return cycles
 
-    def stall_cycles(self, memory_accesses: float, working_set_bytes: float,
-                     element_bytes: int = 8) -> float:
+    def stall_cycles(self, memory_accesses: float,
+                     working_set_bytes: float) -> float:
         """Total stall cycles for ``memory_accesses`` operations on a working set.
 
         Only the ``streaming_factor`` fraction of accesses probe the
@@ -147,7 +146,7 @@ class MemoryHierarchy:
         """
         if memory_accesses <= 0:
             return 0.0
-        average = self.average_access_cycles(working_set_bytes, element_bytes)
+        average = self.average_access_cycles(working_set_bytes)
         l1_cost = self.levels[0].access_cycles
         excess = max(0.0, average - l1_cost)
         return memory_accesses * self.streaming_factor * excess

@@ -13,7 +13,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from enum import Enum
-from typing import Iterable, Mapping
+from typing import Mapping
 
 from repro.errors import ProcessorConfigError
 
@@ -143,16 +143,9 @@ class OperationMix:
     # -- construction helpers -------------------------------------------------
 
     @classmethod
-    def from_mnemonics(cls, tally: Mapping[str, float],
-                       working_set_bytes: float = 0.0) -> "OperationMix":
+    def from_mnemonics(cls, tally: Mapping[str, float]) -> "OperationMix":
         """Build a mix from PACE mnemonic names (``{"MFDG": 12, "AFDG": 9}``)."""
-        return cls({OpCategory.from_mnemonic(k): v for k, v in tally.items()},
-                   working_set_bytes)
-
-    def as_mnemonics(self) -> dict[str, float]:
-        """Export the tally keyed by PACE mnemonic."""
-        return {category.value: value for category, value in sorted(
-            self.counts.items(), key=lambda item: item[0].name)}
+        return cls({OpCategory.from_mnemonic(k): v for k, v in tally.items()})
 
 
 @dataclass
@@ -203,11 +196,3 @@ class OpcodeCostTable:
         latency = {cat: float(lat) for cat, (lat, _) in pairs.items()}
         throughput = {cat: float(thr) for cat, (_, thr) in pairs.items()}
         return cls(latency, throughput)
-
-
-def merge_mixes(mixes: Iterable[OperationMix]) -> OperationMix:
-    """Sum an iterable of operation mixes into a single mix."""
-    total = OperationMix()
-    for mix in mixes:
-        total = total + mix
-    return total

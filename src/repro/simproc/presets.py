@@ -18,8 +18,6 @@ Hypothetical Opteron node  340 MFLOPS               5x5x100 / 25x25x200
 
 from __future__ import annotations
 
-from typing import Callable
-
 from repro.simproc.cache import CacheLevel, MemoryHierarchy
 from repro.simproc.compiler import CompilerModel
 from repro.simproc.opcodes import OpCategory, OpcodeCostTable
@@ -110,22 +108,3 @@ def itanium2_1600() -> ProcessorModel:
     compiler = CompilerModel(name="icc-8.1", optimization_level="O1", x87=True)
     return ProcessorModel("Intel Itanium-2 1.6GHz", 1.6e9, costs, memory,
                           superscalar, compiler)
-
-
-#: Registry of processor presets keyed by a short identifier.
-PROCESSOR_PRESETS: dict[str, Callable[[], ProcessorModel]] = {
-    "pentium3": pentium3_1400,
-    "opteron": opteron_2000,
-    "itanium2": itanium2_1600,
-}
-
-
-def processor_preset(name: str) -> ProcessorModel:
-    """Instantiate a processor preset by short name (``pentium3``, ``opteron``, ``itanium2``)."""
-    try:
-        factory = PROCESSOR_PRESETS[name.lower()]
-    except KeyError:
-        raise KeyError(
-            f"unknown processor preset {name!r}; available: {sorted(PROCESSOR_PRESETS)}"
-        ) from None
-    return factory()

@@ -18,7 +18,7 @@ in two different ways:
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 from repro.errors import ProcessorConfigError
 from repro.simproc.cache import MemoryHierarchy
@@ -156,17 +156,6 @@ class ProcessorModel:
     def efficiency(self, mix: OperationMix) -> float:
         """Achieved fraction of peak floating point rate for ``mix``."""
         return self.achieved_flop_rate(mix) / self.peak_flop_rate
-
-    def scaled_clock(self, factor: float, name: str | None = None) -> "ProcessorModel":
-        """Return a copy of this model with the clock scaled by ``factor``.
-
-        Used by the speculative study of Section 6, where the achieved
-        floating point rate is increased by 25 % and 50 %.
-        """
-        if factor <= 0:
-            raise ProcessorConfigError("clock scaling factor must be positive")
-        return replace(self, clock_hz=self.clock_hz * factor,
-                       name=name or f"{self.name} (x{factor:g} clock)")
 
     def describe(self) -> str:
         return (f"{self.name}: {self.clock_hz / 1e9:.2f} GHz, "

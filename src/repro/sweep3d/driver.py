@@ -171,11 +171,9 @@ class Sweep3DSampleSet:
         return self.batch.summary()
 
 
-def run_serial_sweep(deck: Sweep3DInput, max_iterations: int | None = None,
-                     require_convergence: bool = False) -> SerialSolveResult:
+def run_serial_sweep(deck: Sweep3DInput) -> SerialSolveResult:
     """Solve ``deck`` with the single-process reference solver."""
-    return SerialSweepSolver(deck).solve(max_iterations=max_iterations,
-                                         require_convergence=require_convergence)
+    return SerialSweepSolver(deck).solve()
 
 
 def _summaries_match(expected: list[dict[str, Any]],
@@ -433,7 +431,7 @@ class SimulationPlan:
             short = self._record_trace(short_deck, bodies)
             # The detector alone: the probe's steady analysis would be
             # discarded with it.
-            info = _detect_period(short, MIN_REPEATS)
+            info = _detect_period(short)
             if info.periodic:
                 break
             m *= 2

@@ -38,11 +38,6 @@ class GlobalGrid:
         """Number of cells in the global grid."""
         return self.it * self.jt * self.kt
 
-    @property
-    def volume(self) -> float:
-        """Physical volume of the domain."""
-        return self.total_cells * self.dx * self.dy * self.dz
-
 
 @dataclass(frozen=True)
 class LocalGrid:
@@ -112,19 +107,6 @@ class Decomposition:
         j0, ny = j_blocks[j_index]
         return LocalGrid(rank=rank, i0=i0, j0=j0, nx=nx, ny=ny, kt=self.grid.kt)
 
-    def local_grids(self) -> list[LocalGrid]:
-        """All per-rank sub-grids, indexed by rank."""
-        return [self.local_grid(rank) for rank in range(self.nranks)]
-
-    def max_local_cells(self) -> int:
-        """Cells on the most heavily loaded processor."""
-        return max(grid.cells for grid in self.local_grids())
-
-    def is_balanced(self) -> bool:
-        """Whether every processor owns the same number of cells."""
-        cells = {grid.cells for grid in self.local_grids()}
-        return len(cells) == 1
-
     def validate(self) -> None:
         """Raise :class:`DecompositionError` if the decomposition is infeasible."""
         if self.px > self.grid.it:
@@ -183,9 +165,3 @@ def octant_order() -> list[Octant]:
             octants.append(Octant(index=index, idir=idir, jdir=jdir, kdir=kdir))
             index += 1
     return octants
-
-
-def octant_pairs() -> list[tuple[Octant, Octant]]:
-    """The four octant pairs in processing order."""
-    ordered = octant_order()
-    return [(ordered[i], ordered[i + 1]) for i in range(0, 8, 2)]

@@ -2,9 +2,8 @@
 
 The original benchmark reads a small fixed-format input file defining the
 grid size, blocking factors, quadrature order and convergence control.
-Here the same parameters live in a :class:`Sweep3DInput` dataclass, with a
-keyword-style text format for file-based decks and helpers that construct
-the configurations used in the paper:
+Here the same parameters live in a :class:`Sweep3DInput` dataclass, and
+:func:`standard_deck` builds the configurations used in the paper:
 
 * the weak-scaling validation runs — 50x50x50 cells *per processor*,
   ``mk = 10``, 12 iterations (Tables 1-3);
@@ -15,7 +14,7 @@ the configurations used in the paper:
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 from repro.errors import InputDeckError
 from repro.sweep3d.geometry import GlobalGrid
@@ -121,27 +120,6 @@ class Sweep3DInput:
         return (f"SWEEP3D{label}: {self.it}x{self.jt}x{self.kt} cells, S{self.sn}, "
                 f"mk={self.mk}, mmi={self.mmi}, {self.max_iterations} iterations")
 
-    # -- constructors -----------------------------------------------------
-
-    @classmethod
-    def weak_scaled(cls, cells_per_proc: tuple[int, int, int], px: int, py: int,
-                    **overrides) -> "Sweep3DInput":
-        """Build a deck with a fixed per-processor sub-grid (weak scaling).
-
-        ``cells_per_proc`` is the (nx, ny, nz) sub-grid owned by each
-        processor; the global grid is ``(nx*px, ny*py, nz)`` as in the
-        paper's validation tables and speculative study.
-        """
-        nx, ny, nz = cells_per_proc
-        if min(nx, ny, nz) < 1 or px < 1 or py < 1:
-            raise InputDeckError("cells_per_proc and processor counts must be >= 1")
-        return cls(it=nx * px, jt=ny * py, kt=nz, **overrides)
-
-    def scaled_to(self, px: int, py: int, cells_per_proc: tuple[int, int, int]) -> "Sweep3DInput":
-        """Return a copy re-dimensioned for a different processor array."""
-        nx, ny, nz = cells_per_proc
-        return replace(self, it=nx * px, jt=ny * py, kt=nz)
-
 
 # ---------------------------------------------------------------------------
 # Named decks
@@ -186,66 +164,3 @@ def standard_deck(name: str, px: int = 1, py: int = 1, **overrides) -> Sweep3DIn
     params.setdefault("jt", ny * py)
     params.setdefault("kt", nz)
     return Sweep3DInput(**params)
-
-
-# ---------------------------------------------------------------------------
-# Text decks
-# ---------------------------------------------------------------------------
-
-_INT_KEYS = {"it", "jt", "kt", "mk", "mmi", "sn", "max_iterations"}
-_FLOAT_KEYS = {"epsi", "dx", "dy", "dz", "sigma_t", "sigma_s", "fixed_source"}
-_BOOL_KEYS = {"flux_fixup"}
-_STR_KEYS = {"label"}
-
-
-def parse_input_deck(text: str) -> Sweep3DInput:
-    """Parse a keyword-style SWEEP3D input deck.
-
-    The format is one ``key = value`` pair per line; ``#`` or ``!`` start a
-    comment.  Unknown keys raise :class:`~repro.errors.InputDeckError` so
-    typos are caught rather than silently ignored.
-
-    >>> deck = parse_input_deck('''
-    ... it = 100      # global i cells
-    ... jt = 100
-    ... kt = 50
-    ... mk = 10
-    ... ''')
-    >>> deck.it, deck.mk
-    (100, 10)
-    """
-    values: dict[str, object] = {}
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.split("#", 1)[0].split("!", 1)[0].strip()
-        if not line:
-            continue
-        if "=" not in line:
-            raise InputDeckError(f"line {lineno}: expected 'key = value', got {raw!r}")
-        key, _, value = line.partition("=")
-        key = key.strip().lower()
-        value = value.strip()
-        try:
-            if key in _INT_KEYS:
-                values[key] = int(value)
-            elif key in _FLOAT_KEYS:
-                values[key] = float(value)
-            elif key in _BOOL_KEYS:
-                values[key] = value.lower() in ("1", "true", "yes", "on")
-            elif key in _STR_KEYS:
-                values[key] = value
-            else:
-                raise InputDeckError(f"line {lineno}: unknown input key {key!r}")
-        except ValueError as exc:
-            raise InputDeckError(f"line {lineno}: bad value for {key!r}: {value!r}") from exc
-    return Sweep3DInput(**values)
-
-
-def format_input_deck(deck: Sweep3DInput) -> str:
-    """Serialise a deck back to the keyword text format (round-trips with parse)."""
-    lines = ["# SWEEP3D input deck"]
-    for key in sorted(_INT_KEYS | _FLOAT_KEYS | _BOOL_KEYS | _STR_KEYS):
-        value = getattr(deck, key)
-        if key in _STR_KEYS and not value:
-            continue
-        lines.append(f"{key} = {value}")
-    return "\n".join(lines) + "\n"

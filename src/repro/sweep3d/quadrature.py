@@ -120,10 +120,6 @@ class LevelSymmetricQuadrature:
         """Total ordinates over all eight octants."""
         return 8 * self.angles_per_octant
 
-    def octant_angles(self) -> OctantAngles:
-        """The (positive-cosine) ordinates of a single octant."""
-        return self._octant
-
     def angle_blocks(self, mmi: int) -> list[OctantAngles]:
         """Split the octant's ordinates into blocks of at most ``mmi`` angles.
 
@@ -147,15 +143,6 @@ class LevelSymmetricQuadrature:
         return -(-self.angles_per_octant // mmi)
 
     # -- sanity ----------------------------------------------------------
-
-    def weight_sum(self) -> float:
-        """Total weight over all eight octants (should be 1.0)."""
-        return float(8.0 * self._octant.weight.sum())
-
-    def mean_cosine_check(self) -> float:
-        """Value of sum(w * mu^2) over the sphere; exactly 1/3 for a valid set."""
-        octant = self._octant
-        return float(8.0 * np.sum(octant.weight * octant.mu ** 2))
 
     def __repr__(self) -> str:
         return f"LevelSymmetricQuadrature(S{self.sn}, {self.angles_per_octant} angles/octant)"

@@ -17,7 +17,6 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from repro.errors import ConvergenceError
-from repro.simproc.opcodes import OperationMix
 from repro.sweep3d.geometry import octant_order
 from repro.sweep3d.input import Sweep3DInput
 from repro.sweep3d.kernel import SweepKernel
@@ -37,10 +36,6 @@ class SerialSolveResult:
     #: Total negative-flux fixups applied during the final iteration.
     fixups: int = 0
 
-    @property
-    def final_error(self) -> float:
-        return self.error_history[-1] if self.error_history else float("inf")
-
     def mean_flux(self) -> float:
         return float(self.phi.mean())
 
@@ -53,10 +48,6 @@ class SerialSweepSolver:
         self.kernel = SweepKernel(deck)
 
     # ------------------------------------------------------------------
-
-    def iteration_mix(self) -> OperationMix:
-        """Operation mix of one full source iteration on the whole grid."""
-        return self.kernel.local_sweep_mix(self.deck.it, self.deck.jt)
 
     def solve(self, max_iterations: int | None = None,
               require_convergence: bool = False) -> SerialSolveResult:

@@ -60,16 +60,6 @@ def usec(value: float) -> float:
     return value * USEC
 
 
-def msec(value: float) -> float:
-    """Convert a value expressed in milliseconds to seconds."""
-    return value * MSEC
-
-
-def mflops(value: float) -> float:
-    """Convert a rate expressed in MFLOP/s to FLOP/s."""
-    return value * MFLOPS
-
-
 def mbytes_per_s(value: float) -> float:
     """Convert a bandwidth expressed in MB/s (decimal) to bytes/s."""
     return value * MB_PER_S
@@ -80,7 +70,7 @@ def doubles(count: float) -> float:
     return count * DOUBLE_BYTES
 
 
-def format_seconds(value: float, precision: int = 2) -> str:
+def format_seconds(value: float) -> str:
     """Render a duration with an auto-selected unit.
 
     >>> format_seconds(0.0000032)
@@ -92,38 +82,22 @@ def format_seconds(value: float, precision: int = 2) -> str:
         return str(value)
     magnitude = abs(value)
     if magnitude >= 1.0 or magnitude == 0.0:
-        return f"{value:.{precision}f} s"
+        return f"{value:.2f} s"
     if magnitude >= MSEC:
-        return f"{value / MSEC:.{precision}f} ms"
+        return f"{value / MSEC:.2f} ms"
     if magnitude >= USEC:
-        return f"{value / USEC:.{precision}f} us"
-    return f"{value / NSEC:.{precision}f} ns"
+        return f"{value / USEC:.2f} us"
+    return f"{value / NSEC:.2f} ns"
 
 
-def format_bytes(value: float, precision: int = 2) -> str:
-    """Render a byte count with an auto-selected binary unit.
-
-    >>> format_bytes(2048)
-    '2.00 KiB'
-    """
-    magnitude = abs(value)
-    if magnitude >= GIB:
-        return f"{value / GIB:.{precision}f} GiB"
-    if magnitude >= MIB:
-        return f"{value / MIB:.{precision}f} MiB"
-    if magnitude >= KIB:
-        return f"{value / KIB:.{precision}f} KiB"
-    return f"{value:.0f} B"
-
-
-def format_rate(value: float, precision: int = 1) -> str:
+def format_rate(value: float) -> str:
     """Render an operation rate (ops/second) with an auto-selected unit."""
     magnitude = abs(value)
     if magnitude >= GFLOPS:
-        return f"{value / GFLOPS:.{precision}f} Gop/s"
+        return f"{value / GFLOPS:.1f} Gop/s"
     if magnitude >= MFLOPS:
-        return f"{value / MFLOPS:.{precision}f} Mop/s"
-    return f"{value:.{precision}f} op/s"
+        return f"{value / MFLOPS:.1f} Mop/s"
+    return f"{value:.1f} op/s"
 
 
 def relative_error(measured: float, predicted: float) -> float:

@@ -2,11 +2,12 @@
 
 import pytest
 
-from repro.core.capp.analyzer import analyze_source, analyze_sweep_kernel_resource
+from repro.core.capp.analyzer import analyze_source, sweep_kernel_source
 from repro.core.capp.clexer import parse_pragma, tokenize
 from repro.core.capp.cparser import parse_c
 from repro.core.capp.flow import FlowLoop, evaluate_count_expression
 from repro.errors import CappError, CappSyntaxError
+from repro.simproc.opcodes import OpCategory
 from repro.sweep3d.kernel import SweepKernel
 
 
@@ -216,29 +217,29 @@ class TestFlowEvaluation:
 
 class TestSweepKernelResource:
     def test_all_three_kernels_analysed(self):
-        analyzer = analyze_sweep_kernel_resource()
+        analyzer = analyze_source(sweep_kernel_source())
         assert {"sweep_block", "source_update", "flux_error"} <= set(analyzer.functions)
 
     def test_per_cell_angle_flops_match_canonical(self):
         """capp's static count agrees with the hand-verified characterisation."""
-        analyzer = analyze_sweep_kernel_resource()
+        analyzer = analyze_source(sweep_kernel_source())
         tally = analyzer.tally("sweep_block", dict(nx=1, ny=1, mk=1, mmi=1))
         assert tally.flops == SweepKernel.flops_per_cell_angle()
-        assert tally.count("AFDG") == SweepKernel.cell_mix().as_mnemonics()["AFDG"]
-        assert tally.count("MFDG") == SweepKernel.cell_mix().as_mnemonics()["MFDG"]
+        assert tally.count("AFDG") == SweepKernel.cell_mix().count(OpCategory.FADD)
+        assert tally.count("MFDG") == SweepKernel.cell_mix().count(OpCategory.FMUL)
         assert tally.count("DFDG") == 1
 
     def test_counts_scale_with_block_size(self):
-        analyzer = analyze_sweep_kernel_resource()
+        analyzer = analyze_source(sweep_kernel_source())
         tally = analyzer.tally("sweep_block", dict(nx=50, ny=50, mk=10, mmi=3))
         assert tally.flops == pytest.approx(36 * 50 * 50 * 10 * 3)
 
     def test_source_update_flops_per_cell(self):
-        analyzer = analyze_sweep_kernel_resource()
+        analyzer = analyze_source(sweep_kernel_source())
         tally = analyzer.tally("source_update", dict(ncells=1000))
         assert tally.flops == pytest.approx(2000)
 
     def test_flux_error_flops_per_cell(self):
-        analyzer = analyze_sweep_kernel_resource()
+        analyzer = analyze_source(sweep_kernel_source())
         tally = analyzer.tally("flux_error", dict(ncells=1000))
         assert tally.flops == pytest.approx(4000, rel=0.3)

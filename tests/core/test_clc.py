@@ -2,8 +2,7 @@
 
 import pytest
 
-from repro.core.clc import ClcVector, sum_vectors
-from repro.simproc.opcodes import OpCategory, OperationMix
+from repro.core.clc import ClcVector
 
 
 class TestClcVector:
@@ -34,18 +33,6 @@ class TestClcVector:
     def test_is_empty(self):
         assert ClcVector().is_empty()
         assert not ClcVector({"LFOR": 0.5}).is_empty()
-
-    def test_operation_mix_roundtrip(self):
-        clc = ClcVector({"AFDG": 3, "MFDG": 4, "LDDG": 5, "IFBR": 1})
-        mix = clc.to_operation_mix(working_set_bytes=256)
-        assert isinstance(mix, OperationMix)
-        assert mix.count(OpCategory.FADD) == 3
-        assert mix.working_set_bytes == 256
-        assert ClcVector.from_operation_mix(mix) == clc
-
-    def test_sum_vectors(self):
-        total = sum_vectors(ClcVector({"AFDG": 1}) for _ in range(4))
-        assert total.count("AFDG") == 4
 
     def test_as_dict_canonical_order(self):
         clc = ClcVector({"LFOR": 1, "AFDG": 2, "DFDG": 3})

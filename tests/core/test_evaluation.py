@@ -112,12 +112,12 @@ class TestProcedureExecution:
 
     def test_predict_subtask_in_isolation(self, synthetic_hardware):
         engine = executor(tiny_model(), synthetic_hardware)
-        result = engine.predict_subtask("work", {"cells": 400})
+        result = oracles.predict_subtask(engine, "work", {"cells": 400})
         assert result.time == pytest.approx(400 / 200e6)
 
     def test_cflow_vector_introspection(self, synthetic_hardware):
         engine = executor(tiny_model(), synthetic_hardware)
-        clc = engine.cflow_vector("work", "body", {"cells": 7})
+        clc = oracles.cflow_vector(engine, "work", "body", {"cells": 7})
         assert clc.count("MFDG") == 7
 
     def test_cache_reused_across_identical_calls(self, synthetic_hardware):
@@ -177,7 +177,7 @@ class TestCompiledPipeline:
                 variables = {"cells": cells, "p": p}
                 compiled = executor(model, synthetic_hardware)
                 interpreted = oracles.InterpretedEngine(model, synthetic_hardware)
-                assert (compiled.predict_subtask("fixup", variables).time
+                assert (oracles.predict_subtask(compiled, "fixup", variables).time
                         == interpreted.predict_subtask("fixup", variables).time)
 
     def test_precompiled_model_shared_across_engines(self, sweep3d_model,
@@ -221,12 +221,12 @@ class TestHardwareStaleness:
         variables = SweepWorkload(validation_deck_2x2, 2, 2).model_variables()
         engine = executor(sweep3d_model, synthetic_hardware)
         slow = engine.predict(variables).total_time
-        engine.hardware = synthetic_hardware.scaled_flop_rate(2.0)
+        engine.hardware = oracles.scaled_flop_rate(synthetic_hardware, 2.0)
         fast = engine.predict(variables).total_time
         assert fast < slow
         fresh = executor(
             sweep3d_model,
-            synthetic_hardware.scaled_flop_rate(2.0)).predict(variables).total_time
+            oracles.scaled_flop_rate(synthetic_hardware, 2.0)).predict(variables).total_time
         assert fast == fresh
 
     def test_mutating_hardware_in_place(self, sweep3d_model, synthetic_hardware,
@@ -248,7 +248,7 @@ class TestHardwareStaleness:
         variables = SweepWorkload(validation_deck_2x2, 2, 2).model_variables()
         engine = executor(sweep3d_model, synthetic_hardware)
         first = engine.predict(variables).total_time
-        upgraded = synthetic_hardware.scaled_flop_rate(1.5)
+        upgraded = oracles.scaled_flop_rate(synthetic_hardware, 1.5)
         engine.hardware = upgraded
         engine.predict(variables)
         engine.hardware = synthetic_hardware
@@ -271,7 +271,8 @@ class TestSweep3DModelPredictions:
         """The paper: the sweep subtask is responsible for ~97% of the computation."""
         workload = SweepWorkload(validation_deck_2x2, 2, 2)
         prediction = synthetic_executor.predict(workload.model_variables())
-        assert prediction.dominant_subtask() == "sweep"
+        assert max(prediction.breakdown.values(),
+                   key=lambda item: item.time).name == "sweep"
         assert prediction.breakdown["sweep"].time / prediction.total_time > 0.9
 
     def test_weak_scaling_prediction_grows(self, synthetic_executor):
@@ -293,7 +294,7 @@ class TestSweep3DModelPredictions:
                                                 validation_deck_2x2):
         workload = SweepWorkload(validation_deck_2x2, 2, 2)
         slow = executor(sweep3d_model, synthetic_hardware)
-        fast = executor(sweep3d_model, synthetic_hardware.scaled_flop_rate(1.5))
+        fast = executor(sweep3d_model, oracles.scaled_flop_rate(synthetic_hardware, 1.5))
         assert (fast.predict(workload.model_variables()).total_time
                 < slow.predict(workload.model_variables()).total_time)
 

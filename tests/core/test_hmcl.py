@@ -5,7 +5,7 @@ import pytest
 from repro import units
 from repro.core.clc import ClcVector
 from repro.core.hmcl.model import CpuCostModel, MpiCostModel
-from repro.core.hmcl.parser import format_hmcl, load_hmcl_resource, parse_hmcl
+from repro.core.hmcl.parser import format_hmcl, parse_hmcl
 from repro.errors import HmclLookupError, HmclSyntaxError
 from repro.profiling.curvefit import PiecewiseLinearModel
 
@@ -91,22 +91,6 @@ class TestHardwareModel:
         clc = ClcVector({"MFDG": 200e6})
         assert synthetic_hardware.compute_time(clc) == pytest.approx(1.0)
 
-    def test_with_flop_rate(self, synthetic_hardware):
-        upgraded = synthetic_hardware.with_flop_rate(400e6)
-        assert upgraded.cpu.achieved_mflops == pytest.approx(400.0)
-        # The mpi section is untouched.
-        assert upgraded.mpi is synthetic_hardware.mpi
-
-    def test_scaled_flop_rate(self, synthetic_hardware):
-        faster = synthetic_hardware.scaled_flop_rate(1.5)
-        assert faster.cpu.achieved_mflops == pytest.approx(300.0)
-
-    def test_with_cpu_swaps_section(self, synthetic_hardware, p3_processor):
-        legacy = synthetic_hardware.with_cpu(
-            CpuCostModel.from_opcode_benchmark(p3_processor.opcode_benchmark()))
-        assert legacy.cpu.source == "opcode-benchmark"
-        assert legacy.name == synthetic_hardware.name
-
 
 class TestHmclFormat:
     def test_parse_example(self):
@@ -157,6 +141,8 @@ class TestHmclFormat:
         ("hypothetical_opteron_myrinet.hmcl", 340.0),
     ])
     def test_shipped_resources(self, resource, expected_mflops):
-        hw = load_hmcl_resource(resource)
+        from importlib import resources
+        path = resources.files("repro.core") / "resources" / "hardware" / resource
+        hw = parse_hmcl(path.read_text())
         assert hw.cpu.achieved_mflops == pytest.approx(expected_mflops, rel=0.10)
         assert hw.processors_per_node >= 2

@@ -103,7 +103,7 @@ class TestShippedSweep3DModel:
                      "npe_i": 1, "npe_j": 1, "angles_per_octant": 6}
         if evaluator == "compiled":
             executor = CompiledModel(sweep3d_model).executor(synthetic_hardware)
-            tally = executor.cflow_vector("sweep", "work_block", variables)
+            tally = oracles.cflow_vector(executor, "sweep", "work_block", variables)
         else:
             sweep = sweep3d_model.get("sweep")
             tally = oracles.evaluate_cflow(sweep.cflow("work_block"), variables,

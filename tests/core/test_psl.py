@@ -212,7 +212,7 @@ class TestCflowInterpreter:
             model = _cflow_model(cflows)
             if request.param == "compiled":
                 executor = CompiledModel(model).executor(synthetic_hardware)
-                return executor.cflow_vector("s", name, variables)
+                return oracles.cflow_vector(executor, "s", name, variables)
             subtask = model.get("s")
             return oracles.evaluate_cflow(subtask.cflow(name), variables or {},
                                           resolve_cflow=subtask.cflow)

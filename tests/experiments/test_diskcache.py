@@ -3,6 +3,7 @@
 import multiprocessing
 import pickle
 
+import oracles
 import pytest
 
 from repro.experiments.backends import (
@@ -161,7 +162,7 @@ class TestSweepIntegration:
         warm.run([scenario])
         assert warm.disk_stats.hits == 1
 
-        changed = runner(synthetic_hardware.scaled_flop_rate(2.0))
+        changed = runner(oracles.scaled_flop_rate(synthetic_hardware, 2.0))
         outcomes = changed.run([scenario])
         assert changed.disk_stats.hits == 0
         assert outcomes[0].total_time != warm.run([scenario])[0].total_time
@@ -212,7 +213,7 @@ class TestThreadSafeStats:
 
         cache = SweepDiskCache(tmp_path)
         cache.put(("hot",), {"elapsed": 1.0})
-        cache.reset_stats()
+        cache.stats = DiskCacheStats()
         threads, rounds = 8, 200
 
         def reader():
@@ -301,7 +302,7 @@ class TestPrune:
     def test_pruned_entries_are_misses_survivors_hit(self, tmp_path):
         cache = self._seed(tmp_path, 3, mtime_base=1000.0)
         cache.prune(max_entries=1)
-        cache.reset_stats()
+        cache.stats = DiskCacheStats()
         # Exactly one entry survives; pruned keys read as clean misses.
         values = [cache.get(("entry", index)) for index in range(3)]
         assert values.count(None) == 2

@@ -55,11 +55,6 @@ class TestStoreRoundTrips:
         store.put_bytes("k", b"two")
         assert store.get_bytes("k") == b"two"
 
-    def test_json_round_trip(self, store):
-        payload = {"b": [1, 2], "a": {"nested": True}}
-        store.put_json("doc", payload)
-        assert store.get_json("doc") == payload
-
     def test_list_keys_prefix(self, store):
         for key in ("runs/x/1", "runs/x/2", "runs/y/1", "other"):
             store.put_bytes(key, b".")

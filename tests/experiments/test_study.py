@@ -147,6 +147,27 @@ class TestSpecSerialization:
         with pytest.raises(ExperimentError, match="unknown fields"):
             load_spec(extra)
 
+    def test_spec_naming_a_backend_is_rejected(self, tmp_path):
+        # No executor reads a spec-level backend, so a spec file that sets
+        # one fails loudly instead of changing the hash and nothing else.
+        data = {"study": "table1", "backend": "predict"}
+        spec_file = tmp_path / "backend.toml"
+        spec_file.write_text('study = "table1"\nbackend = "predict"\n')
+        for load in (lambda: StudySpec.from_dict(data),
+                     lambda: StudySpec.from_toml(spec_file.read_text()),
+                     lambda: load_spec(spec_file)):
+            with pytest.raises(ExperimentError, match="backend"):
+                load()
+
+    @pytest.mark.parametrize("path", sorted(
+        (Path(__file__).resolve().parents[2] / "examples" / "specs").glob(
+            "*.toml")), ids=lambda path: path.name)
+    def test_example_spec_files_load_and_round_trip(self, path):
+        spec = load_spec(path)
+        rebuilt = StudySpec.from_toml(spec.to_toml())
+        assert rebuilt == spec
+        assert rebuilt.spec_hash() == spec.spec_hash()
+
     def test_spec_hash_stable_across_processes(self):
         spec = build_spec("table2", max_pes=6, max_iterations=2,
                           workers=2, analysis=("error-stats",))

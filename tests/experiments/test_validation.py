@@ -6,7 +6,6 @@ from repro.errors import ExperimentError
 from repro.experiments.paper_data import TABLE2_ROWS
 from repro.experiments.runner import deck_for_row
 from repro.experiments.study import build_spec, run_study
-from repro.experiments.tables import validation_row_for
 
 
 def table(name, **params):
@@ -77,12 +76,6 @@ class TestRunTable:
     def test_empty_selection(self):
         with pytest.raises(ExperimentError):
             table("table2", max_pes=1)
-
-    def test_validation_row_lookup(self):
-        row = validation_row_for("table1", 64)
-        assert (row.px, row.py) == (8, 8)
-        with pytest.raises(ExperimentError):
-            validation_row_for("table1", 999)
 
     def test_table3_prediction_against_paper(self):
         """Altix predictions stay within 25% of the published measurements."""

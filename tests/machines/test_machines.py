@@ -76,11 +76,6 @@ class TestMachineCampaigns:
         assert p3_machine.noise_model(0).seed == p3_machine.noise_seed
         assert p3_machine.noise_model(5).seed == p3_machine.noise_seed + 5
 
-    def test_can_host(self, p3_machine):
-        assert p3_machine.can_host(128)
-        assert not p3_machine.can_host(129)
-        assert get_machine("hypothetical").can_host(8000)
-
     def test_simulate_produces_measurement(self, opteron_machine):
         deck = standard_deck("validation", px=2, py=2, max_iterations=1)
         run = opteron_machine.simulate(deck, 2, 2)

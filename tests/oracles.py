@@ -37,6 +37,12 @@ signature hash as one fresh array per column, and
 (:func:`repro.simmpi.steady._signatures`) and the batched summaries
 (:func:`repro.sweep3d.parallel.modelled_rank_summaries`) must equal them.
 
+It also holds the test-side helpers that nothing in the package needs:
+:func:`predict_subtask` and :func:`cflow_vector` probe one object of a
+compiled executor, :func:`scaled_flop_rate` and :func:`weak_scaled_deck`
+build test inputs, and :func:`ping_pong_time` is a link's analytic
+ping-pong round trip.
+
 Tests import this module as ``oracles`` (pytest puts ``tests/`` on
 ``sys.path``); ``benchmarks/conftest.py`` adds ``tests/`` for the gates.
 """
@@ -44,10 +50,12 @@ Tests import this module as ``oracles`` (pytest puts ``tests/`` on
 from __future__ import annotations
 
 import math
+from dataclasses import replace
 from typing import Callable, Mapping
 
 import numpy as np
 
+from repro import units
 from repro.core.clc import ClcVector
 from repro.core.evaluation.compiler import (
     MAX_LOOP_ITERATIONS,
@@ -56,7 +64,7 @@ from repro.core.evaluation.compiler import (
     _ExecState,
 )
 from repro.core.evaluation.result import PredictionResult
-from repro.core.hmcl.model import HardwareModel
+from repro.core.hmcl.model import CpuCostModel, HardwareModel
 from repro.core.ir import ModelObject, ModelSet, ObjectKind
 from repro.core.psl import ast
 from repro.core.templates import PipelineStrategy, get_strategy
@@ -656,3 +664,56 @@ def modelled_rank_summaries(deck: Sweep3DInput, decomp, shared) -> list[dict]:
         "blocks_swept": blocks_swept,
         "iterations": iterations,
     } for rank in range(nranks)]
+
+
+# ---------------------------------------------------------------------------
+# Test-side helpers
+# ---------------------------------------------------------------------------
+
+
+def _compiled_object(executor, name: str):
+    cobj = executor.compiled.objects.get(name)
+    if cobj is None:
+        executor.compiled.model.get(name)   # raises the canonical PslNameError
+    return cobj
+
+
+def predict_subtask(executor, name: str,
+                    variables: Mapping | None = None) -> TemplateResult:
+    """Evaluate one subtask of a compiled executor in isolation."""
+    executor.refresh_hardware()
+    subtask = _compiled_object(executor, name)
+    env = executor.object_environment(subtask, dict(variables or {}))
+    return executor.evaluate_subtask(subtask, env)
+
+
+def cflow_vector(executor, object_name: str, cflow_name: str,
+                 variables: Mapping | None = None) -> ClcVector:
+    """The clc tally of one cflow of a compiled executor's object."""
+    cobj = _compiled_object(executor, object_name)
+    env = executor.object_environment(cobj, dict(variables or {}))
+    cflow = cobj.cflows.get(cflow_name)
+    if cflow is None:
+        cobj.obj.cflow(cflow_name)      # raises PslNameError with context
+    return cflow.vector(env)
+
+
+def scaled_flop_rate(hardware: HardwareModel, factor: float) -> HardwareModel:
+    """A copy of ``hardware`` with its achieved flop rate scaled by ``factor``."""
+    rate = hardware.cpu.achieved_mflops * units.MFLOPS * factor
+    return replace(hardware, cpu=CpuCostModel.from_achieved_rate(rate))
+
+
+def weak_scaled_deck(cells_per_proc: tuple[int, int, int], px: int, py: int,
+                     **overrides) -> Sweep3DInput:
+    """A deck with a fixed ``(nx, ny, nz)`` sub-grid per processor."""
+    nx, ny, nz = cells_per_proc
+    return Sweep3DInput(it=nx * px, jt=ny * py, kt=nz, **overrides)
+
+
+def ping_pong_time(link, nbytes: float) -> float:
+    """Round trip of an ``nbytes`` ping-pong over ``link``: both CPU
+    overheads and the wire time, twice."""
+    one_way = (link.sender_cpu_time(nbytes) + link.wire_time(nbytes)
+               + link.receiver_cpu_time(nbytes))
+    return 2.0 * one_way

@@ -1,5 +1,6 @@
 """Tests for the MPI micro-benchmark substitute."""
 
+import oracles
 import pytest
 
 from repro.profiling.mpibench import DEFAULT_SIZES, MpiBenchmark
@@ -39,19 +40,8 @@ class TestMpiBenchmark:
         link = pentium3_cluster_topology().inter_node
         model = benchmark_data.fit()["pingpong"]
         for nbytes in (1024, 8192, 131072):
-            truth = link.ping_pong_time(nbytes)
+            truth = oracles.ping_pong_time(link, nbytes)
             assert model.evaluate(nbytes) == pytest.approx(truth, rel=0.15)
-
-    def test_one_way_model_is_half_pingpong(self, benchmark_data):
-        one_way = benchmark_data.one_way_model()
-        pingpong = benchmark_data.fit()["pingpong"]
-        assert one_way.evaluate(4096) == pytest.approx(pingpong.evaluate(4096) / 2, rel=0.05)
-
-    def test_effective_bandwidth_close_to_link(self, benchmark_data):
-        benchmark = MpiBenchmark(pentium3_cluster_topology(), repetitions=3)
-        bandwidth = benchmark.effective_bandwidth(benchmark_data)
-        link = pentium3_cluster_topology().inter_node
-        assert bandwidth == pytest.approx(link.bandwidth, rel=0.30)
 
     def test_intra_node_faster_than_inter_node(self):
         benchmark = MpiBenchmark(opteron_cluster_topology(), repetitions=2)

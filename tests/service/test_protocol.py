@@ -132,5 +132,3 @@ class TestValidation:
         with pytest.raises(ProtocolError):
             decode_request(encode(PredictResponse(
                 total_time=1.0, compute_time=0.5, communication_time=0.5)))
-        assert "predict" in protocol.request_types()
-        assert "predict_result" in protocol.response_types()

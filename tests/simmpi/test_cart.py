@@ -49,13 +49,6 @@ class TestNeighbours:
 
 
 class TestSweepSupport:
-    def test_corner_ranks(self):
-        cart = Cart2D(4, 5)
-        assert cart.corner_rank(+1, +1) == cart.rank(0, 0)
-        assert cart.corner_rank(-1, +1) == cart.rank(3, 0)
-        assert cart.corner_rank(+1, -1) == cart.rank(0, 4)
-        assert cart.corner_rank(-1, -1) == cart.rank(3, 4)
-
     def test_upstream_downstream_are_opposite(self):
         cart = Cart2D(4, 4)
         rank = cart.rank(2, 1)
@@ -68,15 +61,9 @@ class TestSweepSupport:
 
     def test_origin_corner_has_no_upstream(self):
         cart = Cart2D(3, 3)
-        origin = cart.corner_rank(+1, -1)
+        origin = cart.rank(0, 2)   # the corner a (+1, -1) sweep starts from
         up_i, up_j = cart.upstream(origin, +1, -1)
         assert up_i is None and up_j is None
-
-    def test_sweep_depth(self):
-        cart = Cart2D(4, 4)
-        assert cart.sweep_depth(cart.corner_rank(+1, +1), +1, +1) == 0
-        far = cart.rank(3, 3)
-        assert cart.sweep_depth(far, +1, +1) == 6
 
     def test_invalid_direction(self):
         cart = Cart2D(2, 2)

@@ -57,12 +57,12 @@ class TestSimComm:
         with pytest.raises(CommunicatorError):
             comm.send(1.0, dest=5)
 
-    def test_recv_wildcards(self):
+    def test_recv_tag_defaults_to_sends(self):
         comm = SimComm(0, 2)
-        op = comm.recv()
+        op = comm.recv(source=1)
         assert isinstance(op, Recv)
-        assert op.source == SimComm.ANY_SOURCE
-        assert op.tag == SimComm.ANY_TAG
+        assert op.source == 1
+        assert op.tag == comm.send(None, dest=1).tag == 0
 
     def test_recv_invalid_source(self):
         comm = SimComm(0, 2)
@@ -84,11 +84,6 @@ class TestSimComm:
         comm = SimComm(0, 2)
         op = comm.allreduce(1.0, op="max")
         assert op.op.value == "max"
-
-    def test_bcast_invalid_root(self):
-        comm = SimComm(0, 2)
-        with pytest.raises(CommunicatorError):
-            comm.bcast(1.0, root=3)
 
     def test_repr(self):
         assert "rank=1" in repr(SimComm(1, 8))

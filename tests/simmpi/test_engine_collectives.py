@@ -27,22 +27,13 @@ class TestAllReduce:
         result = engine.run(program, nranks=4)
         assert result.return_values == [10.0, 10.0, 10.0, 10.0]
 
-    def test_max_and_min(self, engine):
+    def test_max(self, engine):
         def program(comm):
             largest = yield comm.allreduce(float(comm.rank), op="max")
-            smallest = yield comm.allreduce(float(comm.rank), op="min")
-            return (largest, smallest)
+            return largest
 
         result = engine.run(program, nranks=5)
-        assert result.return_values[0] == (4.0, 0.0)
-
-    def test_prod(self, engine):
-        def program(comm):
-            value = yield comm.allreduce(2.0, op=ReduceOp.PROD)
-            return value
-
-        result = engine.run(program, nranks=3)
-        assert result.return_values[0] == pytest.approx(8.0)
+        assert result.return_values == [4.0] * 5
 
     def test_array_reduction(self, engine):
         def program(comm):
@@ -84,28 +75,6 @@ class TestAllReduce:
         large = engine.run(program, nranks=16).elapsed_time
         assert large > small
 
-
-class TestBarrierAndBcast:
-    def test_barrier_aligns_clocks(self, engine):
-        def program(comm):
-            yield comm.compute(2e-3 if comm.rank == 0 else 1e-4)
-            yield comm.barrier()
-            after = yield comm.now()
-            return after
-
-        result = engine.run(program, nranks=3)
-        assert max(result.return_values) - min(result.return_values) < 1e-12
-        assert min(result.return_values) >= 2e-3
-
-    def test_bcast_distributes_root_value(self, engine):
-        def program(comm):
-            value = {"data": 99} if comm.rank == 1 else None
-            received = yield comm.bcast(value, root=1)
-            return received["data"]
-
-        result = engine.run(program, nranks=4)
-        assert result.return_values == [99, 99, 99, 99]
-
     def test_repeated_collectives_in_a_loop(self, engine):
         def program(comm):
             totals = []
@@ -118,13 +87,10 @@ class TestBarrierAndBcast:
 
     def test_mismatched_collectives_raise(self, engine):
         def program(comm):
-            if comm.rank == 0:
-                yield comm.barrier()
-            else:
-                yield comm.allreduce(1.0, op="sum")
+            yield comm.allreduce(1.0, op="max" if comm.rank == 0 else "sum")
             return None
 
-        with pytest.raises(CommunicatorError):
+        with pytest.raises(CommunicatorError, match="collective mismatch"):
             engine.run(program, nranks=2)
 
 

@@ -54,17 +54,6 @@ class TestSelfAndZeroMessages:
         # Even an empty message pays the latency and overheads.
         assert result.return_values[1] > 0
 
-    def test_any_tag_matching(self):
-        def program(comm):
-            if comm.rank == 0:
-                yield comm.send("payload", dest=1, tag=42)
-                return None
-            data = yield comm.recv(source=0, tag=comm.ANY_TAG)
-            return data
-
-        result = make_engine().run(program, nranks=2)
-        assert result.return_values[1] == "payload"
-
 
 class TestIntraNodeVsInterNode:
     def test_intra_node_message_is_faster(self):
@@ -128,14 +117,12 @@ class TestNoiseIntegration:
 
 class TestManyRanks:
     def test_ring_exchange_scales_to_many_ranks(self):
-        """A 64-rank non-blocking ring exchange completes and preserves data."""
+        """A 64-rank ring exchange completes and preserves data."""
         def program(comm):
             right = (comm.rank + 1) % comm.size
             left = (comm.rank - 1) % comm.size
-            send_req = yield comm.isend(comm.rank, dest=right, tag=1)
-            recv_req = yield comm.irecv(source=left, tag=1)
-            value = yield comm.wait(recv_req)
-            yield comm.wait(send_req)
+            yield comm.send(comm.rank, dest=right, tag=1)
+            value = yield comm.recv(source=left, tag=1)
             return value
 
         result = make_engine().run(program, nranks=64)

@@ -57,9 +57,6 @@ class TestLinkModel:
         assert link.sender_cpu_time(1000) == pytest.approx(units.usec(2) + 1000e-9)
         assert link.receiver_cpu_time(1000) == pytest.approx(units.usec(3) + 1000e-9)
 
-    def test_pingpong_is_twice_one_way(self, link):
-        assert link.ping_pong_time(4096) == pytest.approx(2 * link.one_way_time(4096))
-
     def test_bandwidth_dominates_large_messages(self, link):
         size = 10 * units.MIB
         expected = size / link.bandwidth

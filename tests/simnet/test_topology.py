@@ -6,7 +6,6 @@ from repro.errors import NetworkConfigError
 from repro.simnet.presets import (
     altix_topology,
     hypothetical_cluster_topology,
-    interconnect_preset,
     opteron_cluster_topology,
     pentium3_cluster_topology,
 )
@@ -40,11 +39,6 @@ class TestClusterTopology:
         with pytest.raises(NetworkConfigError):
             p3_topology.validate_rank_count(129)
 
-    def test_nodes_required(self, p3_topology):
-        assert p3_topology.nodes_required(1) == 1
-        assert p3_topology.nodes_required(2) == 1
-        assert p3_topology.nodes_required(3) == 2
-
     def test_invalid_rank(self, p3_topology):
         with pytest.raises(NetworkConfigError):
             p3_topology.node_of(-1)
@@ -60,11 +54,6 @@ class TestClusterTopology:
     def test_hypothetical_hosts_8000(self):
         hypothetical = hypothetical_cluster_topology()
         hypothetical.validate_rank_count(8000)
-
-    def test_interconnect_preset_lookup(self):
-        assert interconnect_preset("myrinet2000").name == "Myrinet 2000"
-        with pytest.raises(KeyError):
-            interconnect_preset("infiniband-hdr")
 
 
 class TestLinkUsageStats:

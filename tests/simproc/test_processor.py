@@ -5,11 +5,9 @@ import pytest
 from repro.errors import ProcessorConfigError
 from repro.simproc.opcodes import OpCategory, OperationMix
 from repro.simproc.presets import (
-    PROCESSOR_PRESETS,
     itanium2_1600,
     opteron_2000,
     pentium3_1400,
-    processor_preset,
 )
 from repro.simproc.processor import SuperscalarModel
 from repro.sweep3d.input import standard_deck
@@ -63,16 +61,6 @@ class TestProcessorModel:
         assert set(benchmark) == {c.value for c in OpCategory}
         assert all(value > 0 for value in benchmark.values())
 
-    def test_scaled_clock(self, p3_processor, sweep_mix):
-        faster = p3_processor.scaled_clock(1.5)
-        assert faster.clock_hz == pytest.approx(1.5 * p3_processor.clock_hz)
-        assert (faster.achieved_flop_rate(sweep_mix)
-                > p3_processor.achieved_flop_rate(sweep_mix))
-
-    def test_scaled_clock_invalid(self, p3_processor):
-        with pytest.raises(ProcessorConfigError):
-            p3_processor.scaled_clock(0.0)
-
     def test_working_set_affects_rate(self, opteron_processor):
         kernel = SweepKernel(standard_deck("validation", 1, 1))
         small = kernel.cell_mix().scaled(1000, working_set_bytes=32 * 1024)
@@ -84,14 +72,6 @@ class TestProcessorModel:
 
 
 class TestPresets:
-    def test_registry(self):
-        assert set(PROCESSOR_PRESETS) == {"pentium3", "opteron", "itanium2"}
-        assert processor_preset("opteron").name.startswith("AMD")
-
-    def test_unknown_preset(self):
-        with pytest.raises(KeyError):
-            processor_preset("cray1")
-
     @pytest.mark.parametrize("factory,paper_mflops,tolerance", [
         (pentium3_1400, 110.0, 0.10),
         (opteron_2000, 350.0, 0.10),

@@ -5,8 +5,6 @@ import pytest
 from repro.errors import InputDeckError
 from repro.sweep3d.input import (
     Sweep3DInput,
-    format_input_deck,
-    parse_input_deck,
     standard_deck,
 )
 
@@ -47,14 +45,6 @@ class TestSweep3DInput:
         with pytest.raises(InputDeckError):
             Sweep3DInput(sn=5)
 
-    def test_weak_scaled_constructor(self):
-        deck = Sweep3DInput.weak_scaled((50, 50, 50), px=4, py=6)
-        assert (deck.it, deck.jt, deck.kt) == (200, 300, 50)
-
-    def test_scaled_to(self):
-        deck = Sweep3DInput().scaled_to(3, 4, (5, 5, 100))
-        assert (deck.it, deck.jt, deck.kt) == (15, 20, 100)
-
     def test_describe_mentions_parameters(self):
         text = Sweep3DInput(label="demo").describe()
         assert "demo" in text and "mk=10" in text
@@ -85,42 +75,3 @@ class TestStandardDecks:
     def test_unknown_deck(self):
         with pytest.raises(InputDeckError):
             standard_deck("does-not-exist")
-
-
-class TestTextDecks:
-    def test_parse_minimal(self):
-        deck = parse_input_deck("it = 100\njt = 100\nkt = 50\nmk = 10\n")
-        assert deck.it == 100 and deck.mk == 10
-
-    def test_comments_and_blank_lines(self):
-        deck = parse_input_deck("""
-        # problem size
-        it = 20   ! global i cells
-        jt = 20
-
-        kt = 10
-        """)
-        assert (deck.it, deck.jt, deck.kt) == (20, 20, 10)
-
-    def test_unknown_key_rejected(self):
-        with pytest.raises(InputDeckError):
-            parse_input_deck("unknown_key = 5")
-
-    def test_bad_value_rejected(self):
-        with pytest.raises(InputDeckError):
-            parse_input_deck("it = lots")
-
-    def test_missing_equals_rejected(self):
-        with pytest.raises(InputDeckError):
-            parse_input_deck("it 100")
-
-    def test_bool_and_string_values(self):
-        deck = parse_input_deck("flux_fixup = false\nlabel = my-run\n")
-        assert deck.flux_fixup is False
-        assert deck.label == "my-run"
-
-    def test_roundtrip(self):
-        original = Sweep3DInput(it=32, jt=16, kt=8, mk=4, mmi=2, sn=4,
-                                label="roundtrip", flux_fixup=False)
-        parsed = parse_input_deck(format_input_deck(original))
-        assert parsed == original

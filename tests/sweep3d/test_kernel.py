@@ -25,7 +25,7 @@ class TestCharacterisation:
 
     def test_cell_mix_composition(self):
         mix = SweepKernel.cell_mix()
-        mnemonics = mix.as_mnemonics()
+        mnemonics = {category.value: count for category, count in mix.counts.items()}
         assert mnemonics["AFDG"] == 16
         assert mnemonics["MFDG"] == 19
         assert mnemonics["DFDG"] == 1

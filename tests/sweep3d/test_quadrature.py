@@ -7,6 +7,11 @@ from repro.errors import InputDeckError
 from repro.sweep3d.quadrature import LevelSymmetricQuadrature
 
 
+def whole_octant(quad):
+    """All of one octant's ordinates, as a single angle block."""
+    return quad.angle_blocks(quad.angles_per_octant)[0]
+
+
 class TestQuadratureSets:
     @pytest.mark.parametrize("sn,angles", [(2, 1), (4, 3), (6, 6), (8, 10)])
     def test_angles_per_octant(self, sn, angles):
@@ -18,24 +23,25 @@ class TestQuadratureSets:
 
     @pytest.mark.parametrize("sn", [2, 4, 6, 8])
     def test_weights_normalised(self, sn):
-        quad = LevelSymmetricQuadrature(sn)
-        assert quad.weight_sum() == pytest.approx(1.0, rel=1e-5)
+        octant = whole_octant(LevelSymmetricQuadrature(sn))
+        assert 8.0 * octant.weight.sum() == pytest.approx(1.0, rel=1e-5)
 
     @pytest.mark.parametrize("sn", [2, 4, 6, 8])
     def test_second_moment_is_one_third(self, sn):
         # The level-symmetric sets integrate mu^2 exactly: sum(w mu^2) = 1/3.
-        quad = LevelSymmetricQuadrature(sn)
-        assert quad.mean_cosine_check() == pytest.approx(1.0 / 3.0, rel=1e-5)
+        octant = whole_octant(LevelSymmetricQuadrature(sn))
+        assert 8.0 * np.sum(octant.weight * octant.mu ** 2) == \
+            pytest.approx(1.0 / 3.0, rel=1e-5)
 
     @pytest.mark.parametrize("sn", [2, 4, 6, 8])
     def test_directions_are_unit_vectors(self, sn):
-        octant = LevelSymmetricQuadrature(sn).octant_angles()
+        octant = whole_octant(LevelSymmetricQuadrature(sn))
         norms = octant.mu ** 2 + octant.eta ** 2 + octant.xi ** 2
         np.testing.assert_allclose(norms, 1.0, rtol=1e-5)
 
     @pytest.mark.parametrize("sn", [2, 4, 6, 8])
     def test_cosines_positive(self, sn):
-        octant = LevelSymmetricQuadrature(sn).octant_angles()
+        octant = whole_octant(LevelSymmetricQuadrature(sn))
         assert (octant.mu > 0).all() and (octant.eta > 0).all() and (octant.xi > 0).all()
 
     def test_unsupported_order(self):
@@ -76,7 +82,7 @@ class TestAngleBlocking:
             LevelSymmetricQuadrature(6).n_angle_blocks(0)
 
     def test_angle_block_slicing(self):
-        octant = LevelSymmetricQuadrature(6).octant_angles()
+        octant = whole_octant(LevelSymmetricQuadrature(6))
         block = octant.angle_block(2, 3)
         np.testing.assert_allclose(block.mu, octant.mu[2:5])
         assert block.n_angles == 3

@@ -189,7 +189,7 @@ class TestStudyCli:
         assert sorted(by_name) == sorted(study_names())
         table1 = by_name["table1"]
         assert table1["machine"] == "pentium3-myrinet"
-        assert table1["backend"] == "predict"
+        assert "backend" not in table1
         assert table1["defaults"]["max_iterations"] == 12
         assert table1["smoke"]["max_pes"] == 6
         assert table1["shard_axis"] == "rows"

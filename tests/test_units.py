@@ -11,12 +11,6 @@ class TestConversions:
     def test_usec(self):
         assert units.usec(5.0) == pytest.approx(5e-6)
 
-    def test_msec(self):
-        assert units.msec(2.5) == pytest.approx(2.5e-3)
-
-    def test_mflops(self):
-        assert units.mflops(110) == pytest.approx(110e6)
-
     def test_mbytes_per_s(self):
         assert units.mbytes_per_s(240) == pytest.approx(240e6)
 
@@ -48,12 +42,6 @@ class TestFormatting:
 
     def test_format_seconds_non_finite(self):
         assert units.format_seconds(math.inf) == "inf"
-
-    def test_format_bytes(self):
-        assert units.format_bytes(2048) == "2.00 KiB"
-        assert units.format_bytes(3 * 1024 ** 2) == "3.00 MiB"
-        assert units.format_bytes(512) == "512 B"
-        assert units.format_bytes(2 * 1024 ** 3) == "2.00 GiB"
 
     def test_format_rate(self):
         assert units.format_rate(1.5e9) == "1.5 Gop/s"
