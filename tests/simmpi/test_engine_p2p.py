@@ -4,7 +4,12 @@ import numpy as np
 import pytest
 
 from repro import units
-from repro.errors import DeadlockError, RankFailureError, SimulationError
+from repro.errors import (
+    CommunicatorError,
+    DeadlockError,
+    RankFailureError,
+    SimulationError,
+)
 from repro.simmpi.engine import ClusterEngine
 from repro.simnet.link import LinkModel
 from repro.simnet.topology import ClusterTopology
@@ -182,6 +187,14 @@ class TestErrorsAndAccounting:
         with pytest.raises(RankFailureError) as excinfo:
             engine.run(program, nranks=1)
         assert isinstance(excinfo.value.original, ValueError)
+
+    def test_unknown_operation_rejected(self, engine):
+        def program(comm):
+            yield comm.compute(1e-6)
+            yield "barrier"
+
+        with pytest.raises(CommunicatorError, match="unknown operation"):
+            engine.run(program, nranks=2)
 
     def test_non_generator_program_rejected(self, engine):
         def program(comm):
