@@ -185,6 +185,71 @@ class TestSpecSerialization:
         assert output.stdout.strip() == spec.spec_hash()
 
 
+#: Every study's default and smoke spec hash.  Artifacts and shard sets
+#: record these hashes and merging refuses a shard whose parent hashes
+#: differently, so a drift strands every saved run; a deliberate change
+#: updates the digests and says so.
+PINNED_SPEC_HASHES = {
+    ("table1", "default"):
+        "475bf3daf29ac9f5f593e784d232a67fd01e252a13baf35100de36c8cf2dede4",
+    ("table1", "smoke"):
+        "56e1ebb6d0b736f786386367f9e1530b4e75a59961cdfac1eb2d541dd6f4c5a2",
+    ("table2", "default"):
+        "b1889843ab3ca9efc54b5c9d1c06f6c219d60c6ccfc0c787e19bcf7e2bfe4c58",
+    ("table2", "smoke"):
+        "4756334caefe9c59f5afe6b5ef4e07ef926475b1472295d2cd14a47dfa99e066",
+    ("table3", "default"):
+        "beb9479930af4b14953b40a1aff005672f74390c7cd86c83e3c256df73683922",
+    ("table3", "smoke"):
+        "f25afa0b051598724d5f09846d96f196bc50d2d6e469596a71737430d5835f6f",
+    ("figure8", "default"):
+        "fdb2cce3e6e5a79d2a13d24b2f4064ad18c998ee301dbee775cf8931aedb710e",
+    ("figure8", "smoke"):
+        "c4a5132fd1250078a1374d868ed1e9e9789891de64cc6984858df574e2a970c5",
+    ("figure9", "default"):
+        "b0ccb307679d6b854a4755efd4333e6fe90900d139ab4e9fb17c05e363fc0fcd",
+    ("figure9", "smoke"):
+        "d89f156c82e2aab257a2cc66fdf2d4c06967a9045dc9574c83b52f76a2377eb1",
+    ("blocking", "default"):
+        "5c762a4be6a120d09b951d491ca9b3dfabcf01ec038d77b1393878632ed89064",
+    ("blocking", "smoke"):
+        "cd81221f431665fe9e79eba48c3c421cd8a7902d50adf4d13f92f560a03f34d7",
+    ("scaling", "default"):
+        "07a1455034c3815eb9603e2a5406abee53b16d779bc638a904e713e4be724f8f",
+    ("scaling", "smoke"):
+        "a55dc0508e61ce3cc67112a97511b1e17323990d9217a71fc2a4d9ba6e450ded",
+    ("ablation", "default"):
+        "86c5e1c7d4f965d17b3178aa05edc0b14c95544e4ff9ac8e5a8b7fa4a8c05d83",
+    ("ablation", "smoke"):
+        "ed8679055e18354316d8a1089d9cc7ba7dfdfd3761382fa98a80e199e16e3cf5",
+    ("agreement", "default"):
+        "1790210a3c96fe5767270490699ded69fe2d41603b8c9261d7673c7d525d7cbd",
+    ("agreement", "smoke"):
+        "c374733ec52d9e0d0704ea8269efe205ecfc230e75ce0b778beb6220a4aae8f1",
+    ("noise-sensitivity", "default"):
+        "2bb38f7331f50fd42428c7b68c8b6768d7de07975fea5a11a1cc94a0ae9aa953",
+    ("noise-sensitivity", "smoke"):
+        "3686151b1d04f6ede920f2ea1e7c6e775f962c1a05282b0d5c4a52661c340cd4",
+    ("steady-scaling", "default"):
+        "6a3681e9a6730903851e4bb272ff43186c6cc5fecf11dda40e29ca0ef5819f07",
+    ("steady-scaling", "smoke"):
+        "f8b4234ed734ca128bc423a15fd42c60157e9c968b5f5438be1821e768527d98",
+}
+
+
+class TestSpecHashesArePinned:
+    @pytest.mark.parametrize("name", ALL_STUDIES)
+    @pytest.mark.parametrize("variant", ["default", "smoke"])
+    def test_spec_hash_is_pinned(self, name, variant):
+        spec = build_spec(name)
+        if variant == "smoke":
+            spec = spec.smoke()
+        assert spec.spec_hash() == PINNED_SPEC_HASHES[name, variant]
+
+    def test_every_registered_study_is_pinned(self):
+        assert {name for name, _ in PINNED_SPEC_HASHES} == set(study_names())
+
+
 class TestRoundTrippedRunsAreBitIdentical:
     def test_table_spec_round_trip_runs_identically(self):
         spec = build_spec("table2", max_pes=6, max_iterations=2)

@@ -40,8 +40,8 @@ signature hash as one fresh array per column, and
 It also holds the test-side helpers that nothing in the package needs:
 :func:`predict_subtask` and :func:`cflow_vector` probe one object of a
 compiled executor, :func:`scaled_flop_rate` and :func:`weak_scaled_deck`
-build test inputs, and :func:`ping_pong_time` is a link's analytic
-ping-pong round trip.
+build test inputs, :func:`ping_pong_time` is a link's analytic
+ping-pong round trip and :func:`sweep_depths` every rank's pipeline stage.
 
 Tests import this module as ``oracles`` (pytest puts ``tests/`` on
 ``sys.path``); ``benchmarks/conftest.py`` adds ``tests/`` for the gates.
@@ -717,3 +717,18 @@ def ping_pong_time(link, nbytes: float) -> float:
     one_way = (link.sender_cpu_time(nbytes) + link.wire_time(nbytes)
                + link.receiver_cpu_time(nbytes))
     return 2.0 * one_way
+
+
+def sweep_depths(cart, idir: int, jdir: int) -> list[int]:
+    """Every rank's pipeline stage in a sweep travelling ``(idir, jdir)``:
+    the longest chain of :meth:`~repro.simmpi.cart.Cart2D.upstream` links
+    back to the corner the sweep starts from, in rank order."""
+    depths: dict[int, int] = {}
+
+    def depth(rank: int) -> int:
+        if rank not in depths:
+            ups = [up for up in cart.upstream(rank, idir, jdir) if up is not None]
+            depths[rank] = 1 + max(map(depth, ups)) if ups else 0
+        return depths[rank]
+
+    return [depth(rank) for rank in range(cart.size)]

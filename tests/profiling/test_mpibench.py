@@ -3,6 +3,7 @@
 import oracles
 import pytest
 
+from repro.core.hmcl.model import MpiCostModel
 from repro.profiling.mpibench import DEFAULT_SIZES, MpiBenchmark
 from repro.simnet.presets import opteron_cluster_topology, pentium3_cluster_topology
 
@@ -42,6 +43,24 @@ class TestMpiBenchmark:
         for nbytes in (1024, 8192, 131072):
             truth = oracles.ping_pong_time(link, nbytes)
             assert model.evaluate(nbytes) == pytest.approx(truth, rel=0.15)
+
+    def test_one_way_model_is_half_pingpong(self, benchmark_data):
+        """The HMCL delivery cost, half the fitted ping-pong, tracks the
+        link's one-way time (sender CPU, wire, receiver CPU)."""
+        fits = benchmark_data.fit()
+        mpi = MpiCostModel(send=fits["send"], recv=fits["recv"],
+                           pingpong=fits["pingpong"])
+        link = pentium3_cluster_topology().inter_node
+        for nbytes in (1024, 8192, 131072):
+            truth = oracles.ping_pong_time(link, nbytes) / 2.0
+            assert mpi.delivery_cost(nbytes) == pytest.approx(truth, rel=0.15)
+
+    def test_effective_bandwidth_close_to_link(self, benchmark_data):
+        """Above the protocol switch a ping-pong moves each byte twice, so
+        the fitted per-byte slope recovers the link's bandwidth."""
+        pingpong = benchmark_data.fit()["pingpong"]
+        link = pentium3_cluster_topology().inter_node
+        assert 2.0 / pingpong.E == pytest.approx(link.bandwidth, rel=0.30)
 
     def test_intra_node_faster_than_inter_node(self):
         benchmark = MpiBenchmark(opteron_cluster_topology(), repetitions=2)

@@ -29,6 +29,24 @@ class TestFlopProfiler:
         large = profiler.profile(standard_deck("validation", 1, 1), nx=50, ny=50)
         assert small.achieved_flop_rate > large.achieved_flop_rate
 
+    def test_cells_per_processor_profile(self, opteron_processor):
+        """One processor's share of a weak-scaled 4x4 deck is the 1x1
+        deck's work."""
+        profiler = FlopProfiler(opteron_processor)
+        deck = standard_deck("validation", px=4, py=4)
+        profile = profiler.profile(deck, nx=deck.it // 4, ny=deck.jt // 4)
+        assert profile.cells == (50, 50, 50)
+        single = profiler.profile(standard_deck("validation", 1, 1))
+        assert profile.flops == single.flops
+        assert profile.execute_time == single.execute_time
+
+    def test_legacy_rate_differs(self, opteron_processor):
+        """The legacy per-opcode summation misses the achieved time."""
+        deck = standard_deck("validation", 1, 1)
+        profile = FlopProfiler(opteron_processor).profile(deck)
+        assert profile.legacy_time != pytest.approx(profile.execute_time,
+                                                    rel=0.05)
+
     def test_seconds_per_flop(self, p3_processor):
         deck = standard_deck("validation", 1, 1)
         profile = FlopProfiler(p3_processor).profile(deck)

@@ -1,5 +1,6 @@
 """Tests for the 2-D Cartesian decomposition helper."""
 
+import oracles
 import pytest
 
 from repro.errors import DecompositionError
@@ -49,6 +50,17 @@ class TestNeighbours:
 
 
 class TestSweepSupport:
+    def test_corner_ranks(self):
+        """Each sweep direction starts from exactly one corner: the only
+        rank with no upstream neighbour in either dimension."""
+        cart = Cart2D(4, 5)
+        corners = {(+1, +1): cart.rank(0, 0), (-1, +1): cart.rank(3, 0),
+                   (+1, -1): cart.rank(0, 4), (-1, -1): cart.rank(3, 4)}
+        for (idir, jdir), corner in corners.items():
+            origins = [rank for rank in range(cart.size)
+                       if cart.upstream(rank, idir, jdir) == (None, None)]
+            assert origins == [corner]
+
     def test_upstream_downstream_are_opposite(self):
         cart = Cart2D(4, 4)
         rank = cart.rank(2, 1)
@@ -64,6 +76,13 @@ class TestSweepSupport:
         origin = cart.rank(0, 2)   # the corner a (+1, -1) sweep starts from
         up_i, up_j = cart.upstream(origin, +1, -1)
         assert up_i is None and up_j is None
+
+    def test_sweep_depth(self):
+        cart = Cart2D(4, 4)
+        depths = oracles.sweep_depths(cart, +1, +1)
+        assert depths[cart.rank(0, 0)] == 0
+        assert depths[cart.rank(3, 3)] == 6
+        assert depths[cart.rank(2, 1)] == 3
 
     def test_invalid_direction(self):
         cart = Cart2D(2, 2)

@@ -69,6 +69,11 @@ class TestSimComm:
         with pytest.raises(CommunicatorError):
             comm.recv(source=9)
 
+    def test_recv_refuses_a_wildcard_source(self):
+        """There is no ANY_SOURCE: -1, MPI's wildcard, is no rank."""
+        with pytest.raises(CommunicatorError, match="outside communicator"):
+            SimComm(0, 2).recv(source=-1)
+
     def test_compute_negative_rejected(self):
         comm = SimComm(0, 1)
         with pytest.raises(CommunicatorError):
@@ -84,6 +89,11 @@ class TestSimComm:
         comm = SimComm(0, 2)
         op = comm.allreduce(1.0, op="max")
         assert op.op.value == "max"
+
+    def test_allreduce_sizes_its_message_from_the_value(self):
+        comm = SimComm(0, 2)
+        assert comm.allreduce(1.0, op="sum").nbytes == 8
+        assert comm.allreduce(np.zeros(4), op="max").nbytes == 32
 
     def test_repr(self):
         assert "rank=1" in repr(SimComm(1, 8))

@@ -3,8 +3,10 @@
 import numpy as np
 import pytest
 
+from repro.core.hmcl.model import MpiCostModel
 from repro.errors import CommunicatorError
-from repro.simmpi.engine import ClusterEngine
+from repro.profiling.curvefit import PiecewiseLinearModel
+from repro.simmpi.engine import ClusterEngine, collective_cost
 from repro.simmpi.operations import ReduceOp
 from repro.simnet.link import LinkModel
 from repro.simnet.topology import ClusterTopology
@@ -94,14 +96,30 @@ class TestAllReduce:
             engine.run(program, nranks=2)
 
 
+class TestCollectiveCost:
+    @pytest.mark.parametrize("nranks", [1, 2, 3, 4, 5, 8, 9, 16, 17, 64])
+    def test_rounds_match_the_hmcl_collective_template(self, nranks):
+        """Measured and modelled allreduce walk the same binomial tree:
+        with one second per hop both cost two seconds per round."""
+        hop = LinkModel(name="hop", latency=1.0, bandwidth=1e6,
+                        send_overhead=0.0, recv_overhead=0.0)
+        one_second = PiecewiseLinearModel(A=0.0, B=2.0, C=0.0, D=2.0, E=0.0)
+        hmcl = MpiCostModel(send=one_second, recv=one_second,
+                            pingpong=one_second)
+        assert collective_cost(0.0, nranks, hop) == hmcl.collective_cost(
+            nranks, 0.0)
+
+
 class TestReduceOp:
     def test_coerce_from_string(self):
         assert ReduceOp.coerce("SUM") is ReduceOp.SUM
         assert ReduceOp.coerce(ReduceOp.MAX) is ReduceOp.MAX
 
-    def test_unknown_operator(self):
-        with pytest.raises(CommunicatorError):
-            ReduceOp.coerce("median")
+    @pytest.mark.parametrize("name", ["median", "min", "prod"])
+    def test_unknown_operator(self, name):
+        """SWEEP3D reduces with sum and max only; others fail loudly."""
+        with pytest.raises(CommunicatorError, match="unknown reduction"):
+            ReduceOp.coerce(name)
 
     def test_combine_empty_rejected(self):
         with pytest.raises(CommunicatorError):

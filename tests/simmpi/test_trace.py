@@ -2,8 +2,9 @@
 
 import pytest
 
-from repro.errors import DeadlockError, TraceError
+from repro.errors import CommunicatorError, DeadlockError, TraceError
 from repro.machines.presets import get_machine
+from repro.simmpi import trace as trace_module
 from repro.simmpi.engine import ClusterEngine
 from repro.simmpi.steady import steady_replay
 from repro.simmpi.trace import (
@@ -150,6 +151,33 @@ class TestUnsupportedPatterns:
         with pytest.raises(TraceError, match="timing-dependent"):
             TraceRecorder(topology).record(program, 2)
         ClusterEngine(topology).run(program, 2)
+
+    def test_unknown_operation_rejected_at_capture(self, topology):
+        def program(comm):
+            yield comm.compute(1e-6)
+            yield "barrier"
+
+        with pytest.raises(CommunicatorError, match="unknown operation"):
+            TraceRecorder(topology).record(program, 2)
+
+    def test_runaway_program_is_stopped_at_capture(self, topology,
+                                                   monkeypatch):
+        """The recorder spends the engine's operation budget."""
+        def program(comm, operations):
+            for _ in range(operations):
+                yield comm.compute(1e-9)
+
+        monkeypatch.setattr(trace_module, "MAX_OPERATIONS", 500)
+        TraceRecorder(topology).record(program, 1, program_args=(400,))
+        with pytest.raises(TraceError, match="operation budget exceeded"):
+            TraceRecorder(topology).record(program, 1, program_args=(600,))
+
+    def test_collective_mismatch_rejected_at_capture(self, topology):
+        def program(comm):
+            yield comm.allreduce(1.0, op="max" if comm.rank == 0 else "sum")
+
+        with pytest.raises(CommunicatorError, match="collective mismatch"):
+            TraceRecorder(topology).record(program, 2)
 
     def test_deadlock_detected_at_capture(self, topology):
         def program(comm):

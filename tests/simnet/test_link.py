@@ -1,11 +1,14 @@
 """Tests for the link cost model."""
 
+import oracles
 import pytest
 
 from repro import units
 from repro.errors import NetworkConfigError
+from repro.simmpi.engine import ClusterEngine
 from repro.simnet.link import LinkModel
 from repro.simnet.presets import gigabit_ethernet_link, myrinet2000_link, numalink4_link
+from repro.simnet.topology import ClusterTopology
 
 
 @pytest.fixture
@@ -61,6 +64,27 @@ class TestLinkModel:
         size = 10 * units.MIB
         expected = size / link.bandwidth
         assert link.wire_time(size) == pytest.approx(expected, rel=0.05)
+
+    def test_pingpong_is_twice_one_way(self, link):
+        """On the engine a ping-pong costs two one-way trips (sender CPU,
+        wire, receiver CPU), under either protocol."""
+        def program(comm, nbytes):
+            peer = 1 - comm.rank
+            if comm.rank == 0:
+                yield comm.send(None, dest=peer, nbytes=nbytes)
+                yield comm.recv(source=peer)
+            else:
+                yield comm.recv(source=peer)
+                yield comm.send(None, dest=peer, nbytes=nbytes)
+            return None
+
+        engine = ClusterEngine(ClusterTopology(
+            name="pair", processors_per_node=1, inter_node=link))
+        assert link.is_eager(64) and not link.is_eager(4096)
+        for nbytes in (64, 4096):
+            result = engine.run(program, 2, program_args=(nbytes,))
+            assert result.ranks[0].finish_time == pytest.approx(
+                oracles.ping_pong_time(link, nbytes), rel=1e-12)
 
 
 class TestPresets:

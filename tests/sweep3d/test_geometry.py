@@ -70,6 +70,12 @@ class TestOctants:
         signs = {(o.idir, o.jdir, o.kdir) for o in octants}
         assert len(signs) == 8
 
+    def test_pairs_share_corner(self):
+        octants = octant_order()
+        for first, second in zip(octants[::2], octants[1::2]):
+            assert first.corner == second.corner
+            assert first.kdir != second.kdir
+
     def test_four_distinct_corners(self):
         # Octants come in pairs sharing a corner; the first of each pair.
         corners = [octant.corner for octant in octant_order()[::2]]

@@ -108,6 +108,13 @@ class TestCartProperties:
             seen.add(coords)
         assert len(seen) == cart.size
 
+    @given(st.integers(min_value=2, max_value=20), st.integers(min_value=2, max_value=20),
+           st.sampled_from([-1, 1]), st.sampled_from([-1, 1]))
+    def test_sweep_depth_bounds(self, px, py, idir, jdir):
+        depths = oracles.sweep_depths(Cart2D(px, py), idir, jdir)
+        assert min(depths) == 0
+        assert max(depths) == px + py - 2
+
     @given(st.integers(min_value=1, max_value=2000))
     def test_for_size_preserves_total(self, nranks):
         cart = Cart2D.for_size(nranks)
