@@ -33,6 +33,11 @@ Everything a user (or a fleet of machines) needs sits behind this module:
   (:mod:`repro.experiments.remotestore`); :func:`run_local_fleet` runs
   the whole protocol in-process.
 
+The service, fleet, store, shard and calibration names load their
+modules on first access.  ``import repro.api`` loads neither numpy nor
+the simulator: a simulation, a hardware campaign or a curve fit loads
+them when it starts.
+
 Static fleet example::
 
     import repro.api as api
@@ -72,30 +77,6 @@ from repro.experiments.artifacts import (
     write_study_artifacts,
 )
 from repro.experiments.diskcache import DiskCacheStats, SweepDiskCache
-from repro.experiments.fleet import (
-    FleetCoordinator,
-    FleetOutcome,
-    FleetWorker,
-    fleet_status,
-    run_local_fleet,
-)
-from repro.experiments.remotestore import (
-    ArtifactStore,
-    LocalDirStore,
-    MemoryStore,
-    pull_cache_entries,
-    push_cache_entries,
-    store_from_url,
-)
-from repro.experiments.sharding import (
-    ShardPlan,
-    ShardPlanner,
-    make_shard_spec,
-    merge_study_results,
-    parent_spec,
-    plan_shards,
-    plan_unit_shards,
-)
 from repro.experiments.study import (
     StudyContext,
     StudyResult,
@@ -110,7 +91,6 @@ from repro.experiments.study import (
     run_study,
     study_names,
 )
-from repro.experiments.uncertainty import NoiseCalibration, calibrate_noise
 from repro.machines.machine import Machine
 from repro.machines.presets import MACHINE_PRESETS, get_machine
 from repro.sweep3d.input import Sweep3DInput, standard_deck
@@ -169,8 +149,21 @@ __all__ = [
     "run_server",
 ]
 
-#: Service symbols resolved lazily (the service imports this module).
-_SERVICE_EXPORTS = {
+#: Names looked up in their defining module on each access (PEP 562):
+#: the service imports this module, and the fleet, store, shard and
+#: calibration modules serve only some commands.
+_LAZY_EXPORTS = {
+    **dict.fromkeys(["FleetCoordinator", "FleetOutcome", "FleetWorker",
+                     "fleet_status", "run_local_fleet"],
+                    "repro.experiments.fleet"),
+    **dict.fromkeys(["ArtifactStore", "LocalDirStore", "MemoryStore",
+                     "pull_cache_entries", "push_cache_entries",
+                     "store_from_url"], "repro.experiments.remotestore"),
+    **dict.fromkeys(["ShardPlan", "ShardPlanner", "make_shard_spec",
+                     "merge_study_results", "parent_spec", "plan_shards",
+                     "plan_unit_shards"], "repro.experiments.sharding"),
+    "NoiseCalibration": "repro.experiments.uncertainty",
+    "calibrate_noise": "repro.experiments.uncertainty",
     "PredictionService": "repro.service.core",
     "ServiceClient": "repro.service.client",
     "run_server": "repro.service.core",
@@ -178,7 +171,7 @@ _SERVICE_EXPORTS = {
 
 
 def __getattr__(name: str):
-    module_name = _SERVICE_EXPORTS.get(name)
+    module_name = _LAZY_EXPORTS.get(name)
     if module_name is None:
         raise AttributeError(f"module 'repro.api' has no attribute {name!r}")
     import importlib

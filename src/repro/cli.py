@@ -59,24 +59,14 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from typing import Sequence
+from typing import TYPE_CHECKING, Sequence
 
-from repro import units
 from repro._version import __version__
-from repro.core.hmcl.parser import format_hmcl
-from repro.core.workload import SweepWorkload, load_sweep3d_model
-from repro.errors import ExperimentError
-from repro.experiments.study import (
-    StudyRunner,
-    StudySpec,
-    build_spec,
-    get_study,
-    load_spec,
-    study_names,
-)
-from repro.machines.presets import MACHINE_PRESETS, get_machine
-from repro.sweep3d.driver import EXECUTION_MODES
-from repro.sweep3d.input import standard_deck
+from repro.errors import ExperimentError, ReproError
+from repro.sweep3d.execution import EXECUTION_MODES
+
+if TYPE_CHECKING:
+    from repro.experiments.study import StudySpec
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -396,6 +386,8 @@ def _parse_override(text: str) -> tuple[str, object]:
 def _overrides_for(study: str, overrides: dict,
                    used: set[str]) -> dict:
     """The subset of ``--set`` overrides the study's registry accepts."""
+    from repro.experiments.study import get_study
+
     accepted = set(get_study(study).defaults)
     applicable = {key: value for key, value in overrides.items()
                   if key in accepted}
@@ -406,6 +398,8 @@ def _overrides_for(study: str, overrides: dict,
 def _resolve_spec_token(token: str, overrides: dict,
                         used: set[str]) -> StudySpec:
     """A canonical spec from a study name or spec-file path, ``--set`` applied."""
+    from repro.experiments.study import build_spec, load_spec
+
     if token.endswith((".toml", ".json")) or "/" in token:
         spec = load_spec(token)
         params = spec.params_dict
@@ -433,6 +427,8 @@ def _parse_shard(text: str) -> tuple[int, int] | None:
 
 
 def _cmd_run(args: argparse.Namespace) -> int:
+    from repro.experiments.study import StudyRunner, build_spec, study_names
+
     try:
         overrides = dict(_parse_override(item) for item in args.overrides)
     except ExperimentError as exc:
@@ -583,6 +579,7 @@ def _cmd_fleet(args: argparse.Namespace) -> int:
         fleet_status,
     )
     from repro.experiments.remotestore import store_from_url
+    from repro.experiments.study import build_spec, study_names
     if args.fleet_command == "status":
         status = fleet_status(args.fleet_dir)
         if args.json:
@@ -666,6 +663,8 @@ def _cmd_fleet(args: argparse.Namespace) -> int:
 
 
 def _cmd_studies(args: argparse.Namespace) -> int:
+    from repro.experiments.study import get_study, study_names
+
     if args.json:
         from repro.experiments.sharding import shard_axis_for
         from repro.experiments.study import _listify
@@ -720,6 +719,9 @@ def _cmd_cache(args: argparse.Namespace) -> int:
 
 def _cmd_predict(args: argparse.Namespace) -> int:
     from repro import api
+    from repro.core.workload import SweepWorkload
+    from repro.machines.presets import get_machine
+    from repro.sweep3d.input import standard_deck
 
     machine = get_machine(args.machine)
     deck = standard_deck(args.deck, px=args.px, py=args.py,
@@ -761,7 +763,11 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
         SimulationBackend,
         simulation_grid,
     )
+    from repro import units
+    from repro.core.workload import SweepWorkload, load_sweep3d_model
     from repro.experiments.sweep import Scenario, ScenarioSweep, SweepRunner
+    from repro.machines.presets import get_machine
+    from repro.sweep3d.input import standard_deck
 
     if args.workers < 1:
         print("--workers must be >= 1")
@@ -878,6 +884,10 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
 
 
 def _cmd_hmcl(args: argparse.Namespace) -> int:
+    from repro.core.hmcl.parser import format_hmcl
+    from repro.machines.presets import get_machine
+    from repro.sweep3d.input import standard_deck
+
     machine = get_machine(args.machine)
     deck = standard_deck(args.deck, px=args.px, py=args.py)
     hardware = machine.hardware_model(deck, args.px, args.py)
@@ -886,6 +896,8 @@ def _cmd_hmcl(args: argparse.Namespace) -> int:
 
 
 def _cmd_machines() -> int:
+    from repro.machines.presets import MACHINE_PRESETS, get_machine
+
     for name in sorted(MACHINE_PRESETS):
         print(get_machine(name).describe())
         print()
@@ -973,9 +985,21 @@ def _cmd_client(args: argparse.Namespace) -> int:
 
 
 def main(argv: Sequence[str] | None = None) -> int:
-    """CLI entry point; returns a process exit code."""
+    """CLI entry point; returns a process exit code.
+
+    A :class:`~repro.errors.ReproError` from any subcommand ends the
+    command with one ``error: <message>`` line on stderr and exit code 2.
+    """
     parser = _build_parser()
     args = parser.parse_args(argv)
+    try:
+        return _dispatch(parser, args)
+    except ReproError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
+
+
+def _dispatch(parser: argparse.ArgumentParser, args: argparse.Namespace) -> int:
     command = args.command
     if command == "run":
         return _cmd_run(args)

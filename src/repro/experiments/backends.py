@@ -56,10 +56,8 @@ from repro.core.evaluation.compiler import (
 from repro.core.hmcl.model import HardwareModel
 from repro.core.ir import ModelSet
 from repro.errors import ExperimentError
-from repro.simnet.noise import NOISE_SCHEME, derive_seed
-from repro.sweep3d.driver import EXECUTION_MODES
+from repro.sweep3d.execution import EXECUTION_MODES
 from repro.sweep3d.input import Sweep3DInput, standard_deck
-from repro.sweep3d.parallel import SweepCostTable
 
 
 # ---------------------------------------------------------------------------
@@ -415,6 +413,8 @@ class SimulationBackend:
         explicit = scenario.variables.get("seed")
         if explicit is not None:
             return int(explicit)
+        from repro.simnet.noise import derive_seed
+
         return derive_seed("sweep3d-simulate", self.machine.name,
                            deck.it, deck.jt, deck.kt, deck.mk, deck.mmi,
                            deck.sn, deck.max_iterations, px, py)
@@ -441,6 +441,8 @@ class SimulationBackend:
             self.with_noise,
         )
         if self.with_noise:
+            from repro.simnet.noise import NOISE_SCHEME
+
             # Only noisy runs extend the key: noise-free entries stay
             # addressable across changes to how noise is drawn.
             key = key + (("noise", NOISE_SCHEME),)
@@ -455,6 +457,8 @@ class SimulationExecutor:
     """Reusable simulation plans plus a sweep-wide compute cost table."""
 
     def __init__(self, backend: SimulationBackend):
+        from repro.sweep3d.parallel import SweepCostTable
+
         self.backend = backend
         self.cost_table = SweepCostTable(backend.machine.processor)
         self._plans: dict[tuple, Any] = {}

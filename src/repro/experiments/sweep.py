@@ -9,8 +9,7 @@ every experiment module; this module centralises it.
   object's externally modifiable variables, an optional per-scenario
   hardware model (for rate-factor/ablation sweeps) and free-form ``tags``
   carried through to the outcome.
-* :class:`ScenarioSweep` — a declarative collection of scenarios, with a
-  :meth:`ScenarioSweep.grid` constructor for cartesian parameter grids.
+* :class:`ScenarioSweep` — a declarative collection of scenarios.
 * :class:`SweepRunner` — executes an iterable of scenarios through a
   scenario **backend** instance (:mod:`repro.experiments.backends`).  The
   backend is compiled **once** per runner — for the prediction backend
@@ -33,10 +32,9 @@ Cache-hit accounting is aggregated into :attr:`SweepRunner.stats` (and
 
 from __future__ import annotations
 
-import itertools
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
-from typing import Any, Iterable, Mapping, Sequence
+from typing import Any, Iterable, Mapping
 
 from repro.core.evaluation.compiler import CacheStats
 from repro.core.hmcl.model import HardwareModel
@@ -103,28 +101,6 @@ class ScenarioSweep:
 
     def add(self, scenario: Scenario) -> None:
         self.scenarios.append(scenario)
-
-    @classmethod
-    def grid(cls, axes: Mapping[str, Sequence[float]],
-             base: Mapping[str, float | str] | None = None) -> "ScenarioSweep":
-        """Build the cartesian product of ``axes`` over ``base`` variables.
-
-        >>> sweep = ScenarioSweep.grid({"mk": [1, 10], "mmi": [1, 3]},
-        ...                            base={"kt": 100.0})
-        >>> [s.label for s in sweep]
-        ['mk=1 mmi=1', 'mk=1 mmi=3', 'mk=10 mmi=1', 'mk=10 mmi=3']
-        """
-        names = list(axes)
-        sweep = cls()
-        for values in itertools.product(*(axes[name] for name in names)):
-            variables = dict(base or {})
-            variables.update(zip(names, values))
-            label = " ".join(f"{name}={value:g}" if isinstance(value, (int, float))
-                             else f"{name}={value}"
-                             for name, value in zip(names, values))
-            sweep.add(Scenario(label=label, variables=variables,
-                               tags=dict(zip(names, values))))
-        return sweep
 
 
 def _cached_evaluate(backend: Backend, executor, cache: SweepDiskCache | None,

@@ -3,18 +3,20 @@
 from __future__ import annotations
 
 from dataclasses import dataclass, field, fields, replace
+from typing import TYPE_CHECKING
 
 from repro import units
 from repro.core.hmcl.model import CpuCostModel, HardwareModel, MpiCostModel
-from repro.profiling.mpibench import MpiBenchmark
-from repro.profiling.papi import FlopProfile, FlopProfiler
 from repro.simnet.link import LinkModel, QuantizedLink
-from repro.simnet.noise import NoiseModel
 from repro.simnet.topology import ClusterTopology
 from repro.simproc.processor import ProcessorModel, QuantizedProcessor
-from repro.sweep3d.driver import SimulationPlan, Sweep3DRunResult
 from repro.sweep3d.input import Sweep3DInput
-from repro.sweep3d.parallel import SweepCostTable
+
+if TYPE_CHECKING:
+    from repro.profiling.papi import FlopProfile
+    from repro.simnet.noise import NoiseModel
+    from repro.sweep3d.driver import SimulationPlan, Sweep3DRunResult
+    from repro.sweep3d.parallel import SweepCostTable
 
 
 @dataclass
@@ -81,6 +83,8 @@ class Machine:
 
     def profile_flop_rate(self, deck: Sweep3DInput, px: int, py: int) -> FlopProfile:
         """Profile the achieved flop rate for the per-processor sub-domain."""
+        from repro.profiling.papi import FlopProfiler
+
         nx, ny = -(-deck.it // px), -(-deck.jt // py)
         key = (nx, ny, deck.kt)
         if key not in self._profile_cache:
@@ -91,6 +95,9 @@ class Machine:
     def mpi_cost_model(self, inter_node: bool = True) -> MpiCostModel:
         """Fit the A-E communication parameters from simulated micro-benchmarks."""
         if inter_node not in self._benchmark_cache:
+            from repro.profiling.mpibench import MpiBenchmark
+            from repro.simnet.noise import NoiseModel
+
             benchmark = MpiBenchmark(self.topology, noise=NoiseModel.disabled())
             data = benchmark.run(inter_node=inter_node)
             fits = data.fit()
@@ -139,6 +146,8 @@ class Machine:
 
     def noise_model(self, seed_offset: int = 0) -> NoiseModel:
         """Noise model for one simulated run (seeded, reproducible)."""
+        from repro.simnet.noise import NoiseModel
+
         return NoiseModel(seed=self.noise_seed + seed_offset,
                           compute_jitter=self.compute_jitter,
                           network_jitter=self.network_jitter,
@@ -167,6 +176,8 @@ class Machine:
         bit-identical to the single-run path.  ``samples`` of 0 or
         ``None`` is one run.
         """
+        from repro.simnet.noise import NoiseModel
+
         noise = self.noise_model(seed_offset) if with_noise else NoiseModel.disabled()
         key = (deck, px, py, numeric)
         plan = self._plan_cache.get(key)
@@ -188,6 +199,8 @@ class Machine:
         (a :class:`~repro.simmpi.tracecache.TraceDiskCache`) lets the
         plan serve/persist its compiled trace across processes.
         """
+        from repro.sweep3d.driver import SimulationPlan
+
         return SimulationPlan(deck, px, py, topology=self.topology,
                               processor=self.processor, numeric=numeric,
                               cost_table=cost_table, trace_cache=trace_cache)

@@ -15,11 +15,12 @@ lines and keeps the break point with the smallest total squared error.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Sequence
-
-import numpy as np
+from typing import TYPE_CHECKING, Sequence
 
 from repro.errors import ModelError
+
+if TYPE_CHECKING:
+    import numpy as np
 
 #: Fewest samples either segment of a two-segment fit may hold.
 MIN_POINTS_PER_SEGMENT = 2
@@ -63,6 +64,8 @@ class PiecewiseLinearModel:
 
 def _linear_fit(x: np.ndarray, y: np.ndarray) -> tuple[float, float, float]:
     """Least-squares line fit returning (intercept, slope, sse)."""
+    import numpy as np
+
     if len(x) == 1:
         return float(y[0]), 0.0, 0.0
     design = np.vstack([np.ones_like(x), x]).T
@@ -86,6 +89,8 @@ def fit_piecewise_linear(sizes: Sequence[float],
     ModelError
         If fewer than ``2 * MIN_POINTS_PER_SEGMENT`` samples are supplied.
     """
+    import numpy as np
+
     x = np.asarray(sizes, dtype=float)
     y = np.asarray(times, dtype=float)
     if x.shape != y.shape or x.ndim != 1:
@@ -115,6 +120,8 @@ def fit_single_line(sizes: Sequence[float], times: Sequence[float]) -> Piecewise
 
     Useful when a link shows no protocol switch over the measured range.
     """
+    import numpy as np
+
     x = np.asarray(sizes, dtype=float)
     y = np.asarray(times, dtype=float)
     intercept, slope, _ = _linear_fit(x, y)

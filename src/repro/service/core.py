@@ -71,7 +71,7 @@ from repro.service.protocol import (
     StatsResponse,
     StudySubmitRequest,
 )
-from repro.sweep3d.driver import EXECUTION_MODES
+from repro.sweep3d.execution import EXECUTION_MODES
 
 
 class ResultLRU:

@@ -19,5 +19,6 @@ The package provides
   :mod:`repro.simmpi` rank program,
 * :mod:`repro.sweep3d.driver` — simulation plans that run the solver on a
   simulated cluster,
+* :mod:`repro.sweep3d.execution` — the names of the simulation tiers,
 * :mod:`repro.sweep3d.verification` — physics invariants used by tests.
 """

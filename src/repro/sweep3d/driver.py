@@ -51,6 +51,7 @@ from repro.simmpi.trace import (
 from repro.simnet.noise import NoiseModel
 from repro.simnet.topology import ClusterTopology
 from repro.simproc.processor import ProcessorModel
+from repro.sweep3d.execution import EXECUTION_MODES
 from repro.sweep3d.input import Sweep3DInput
 from repro.sweep3d.parallel import (
     SweepCostTable,
@@ -199,10 +200,6 @@ def _summaries_match(expected: list[dict[str, Any]],
                 or want["iterations"] != got["iterations"]):
             return False
     return True
-
-
-#: The execution tiers :meth:`SimulationPlan.run` accepts as ``mode``.
-EXECUTION_MODES = ("auto", "engine", "replay", "steady")
 
 
 class SimulationPlan:

@@ -156,6 +156,9 @@ def standard_deck(name: str, px: int = 1, py: int = 1, **overrides) -> Sweep3DIn
     if key not in _STANDARD_DECKS:
         raise InputDeckError(
             f"unknown standard deck {name!r}; available: {sorted(_STANDARD_DECKS)}")
+    for axis, count in (("px", px), ("py", py)):
+        if count < 1:
+            raise InputDeckError(f"processor array {axis} must be >= 1 (got {count})")
     params = dict(_STANDARD_DECKS[key])
     params.update(overrides)
     nx, ny, nz = STANDARD_CELLS_PER_PROC[key]

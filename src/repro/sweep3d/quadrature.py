@@ -15,10 +15,12 @@ carries a total weight of 1/8.
 from __future__ import annotations
 
 from dataclasses import dataclass
-
-import numpy as np
+from typing import TYPE_CHECKING
 
 from repro.errors import InputDeckError
+
+if TYPE_CHECKING:
+    import numpy as np
 
 # Level-symmetric quadrature tables: for each N, the distinct positive
 # direction cosines and, for each point type (a multiset of cosine indices
@@ -97,23 +99,16 @@ class LevelSymmetricQuadrature:
             raise InputDeckError(
                 f"unsupported S_N order {sn}; available: {sorted(_LQN_TABLES)}")
         self.sn = sn
-        table = _LQN_TABLES[sn]
-        mu_values = np.asarray(table["mu"], dtype=float)
-        mu, eta, xi, weight = [], [], [], []
-        for (a, b, c), w in table["points"]:
-            mu.append(mu_values[a])
-            eta.append(mu_values[b])
-            xi.append(mu_values[c])
-            weight.append(w / 8.0)  # full-sphere normalisation
-        self._octant = OctantAngles(np.asarray(mu), np.asarray(eta),
-                                    np.asarray(xi), np.asarray(weight))
+        #: The octant's ordinates as arrays, built by the first
+        #: :meth:`angle_blocks` call (deck validation needs no numpy).
+        self._octant: OctantAngles | None = None
 
     # ------------------------------------------------------------------
 
     @property
     def angles_per_octant(self) -> int:
         """Number of ordinates in each octant (= sn(sn+2)/8)."""
-        return self._octant.n_angles
+        return len(_LQN_TABLES[self.sn]["points"])
 
     @property
     def total_angles(self) -> int:
@@ -128,6 +123,19 @@ class LevelSymmetricQuadrature:
         """
         if mmi < 1:
             raise InputDeckError("mmi (angle block size) must be >= 1")
+        if self._octant is None:
+            import numpy as np
+
+            table = _LQN_TABLES[self.sn]
+            mu_values = np.asarray(table["mu"], dtype=float)
+            mu, eta, xi, weight = [], [], [], []
+            for (a, b, c), w in table["points"]:
+                mu.append(mu_values[a])
+                eta.append(mu_values[b])
+                xi.append(mu_values[c])
+                weight.append(w / 8.0)  # full-sphere normalisation
+            self._octant = OctantAngles(np.asarray(mu), np.asarray(eta),
+                                        np.asarray(xi), np.asarray(weight))
         blocks = []
         start = 0
         while start < self.angles_per_octant:

@@ -8,7 +8,7 @@ from repro.core.evaluation.compiler import CompiledModel
 from repro.core.workload import SweepWorkload
 from repro.errors import ExperimentError
 from repro.experiments.backends import PredictionBackend
-from repro.experiments.sweep import Scenario, ScenarioSweep, SweepRunner
+from repro.experiments.sweep import Scenario, SweepRunner
 from repro.sweep3d.input import standard_deck
 
 
@@ -23,18 +23,6 @@ def scenario_grid(iterations: int = 2) -> list[Scenario]:
                                   variables=workload.model_variables(),
                                   tags={"px": px, "py": py, "pes": px * py}))
     return scenarios
-
-
-class TestScenarioSweep:
-    def test_grid_declaration(self):
-        sweep = ScenarioSweep.grid({"mk": [1, 10], "mmi": [1, 3]},
-                                   base={"kt": 100.0})
-        assert len(sweep) == 4
-        assert [s.label for s in sweep] == [
-            "mk=1 mmi=1", "mk=1 mmi=3", "mk=10 mmi=1", "mk=10 mmi=3"]
-        first = sweep.scenarios[0]
-        assert first.variables == {"kt": 100.0, "mk": 1, "mmi": 1}
-        assert first.tags == {"mk": 1, "mmi": 1}
 
 
 class TestSweepRunner:

@@ -75,3 +75,8 @@ class TestStandardDecks:
     def test_unknown_deck(self):
         with pytest.raises(InputDeckError):
             standard_deck("does-not-exist")
+
+    @pytest.mark.parametrize("axis", ["px", "py"])
+    def test_processor_array_below_one_is_named(self, axis):
+        with pytest.raises(InputDeckError, match=rf"processor array {axis} must be >= 1"):
+            standard_deck("validation", **{axis: 0})

@@ -1,5 +1,6 @@
 """Tests for the stable public facade (:mod:`repro.api`)."""
 
+import importlib
 import json
 import os
 import subprocess
@@ -38,6 +39,61 @@ NOT_LOADED_BY_API_IMPORT = [
     "repro.experiments.tables",
 ]
 
+#: What only a run, a hardware campaign or a curve fit may load: numpy,
+#: the MPI simulator, the solver, noise, the measurement campaigns and
+#: the fleet.
+HEAVY_MODULES = [
+    "numpy",
+    "repro.simmpi.engine", "repro.simmpi.trace", "repro.simmpi.capture",
+    "repro.simmpi.steady", "repro.simmpi.tracecache",
+    "repro.simmpi.communicator", "repro.simmpi.operations",
+    "repro.sweep3d.driver", "repro.sweep3d.parallel", "repro.sweep3d.kernel",
+    "repro.sweep3d.serial",
+    "repro.simnet.noise", "repro.profiling.mpibench", "repro.profiling.papi",
+    "repro.experiments.fleet", "repro.experiments.remotestore",
+    "repro.experiments.uncertainty",
+]
+
+#: Entry points that load none of ``HEAVY_MODULES``, each checked in a
+#: fresh interpreter where importing numpy fails.
+LIGHT_ENTRY_POINTS = {
+    "import-api": "import repro.api",
+    "import-cli": "import repro.cli",
+    "cli-help": ("from repro.cli import main\n"
+                 "try:\n    main(['--help'])\n"
+                 "except SystemExit as done:\n    assert done.code == 0"),
+    "cli-studies": "from repro.cli import main\nassert main(['studies']) == 0",
+    "cli-machines": "from repro.cli import main\nassert main(['machines']) == 0",
+    "setup-probe": ("import repro.api as api\n"
+                    "context = api.StudyContext()\n"
+                    "context.model()\ncontext.compiled_model()"),
+    "decks": ("from repro.errors import InputDeckError\n"
+              "from repro.sweep3d.input import Sweep3DInput, standard_deck\n"
+              "standard_deck('validation', px=2, py=2)\n"
+              "try:\n    Sweep3DInput(sn=5)\n"
+              "except InputDeckError as exc:\n"
+              "    assert str(exc) == ('unsupported S_N order 5; '\n"
+              "                        'available: [2, 4, 6, 8]'), exc\n"
+              "else:\n    raise AssertionError('S5 accepted')"),
+}
+
+
+def loaded_without_numpy(script: str) -> set[str]:
+    """The modules a fresh interpreter holds after ``script``.
+
+    ``sys.modules["numpy"] = None`` comes first, so any numpy import in
+    the script's path raises instead of passing unnoticed.
+    """
+    src_dir = Path(repro.__file__).resolve().parents[1]
+    program = ("import sys\nsys.modules['numpy'] = None\n" + script
+               + "\nimport json\nprint(json.dumps(sorted(name for name, module"
+               " in sys.modules.items() if module is not None)))")
+    output = subprocess.run([sys.executable, "-c", program],
+                            env=dict(os.environ, PYTHONPATH=str(src_dir)),
+                            capture_output=True, text=True)
+    assert output.returncode == 0, output.stderr
+    return set(json.loads(output.stdout.splitlines()[-1]))
+
 
 class TestFacadeSurface:
     def test_lazy_attribute_on_package(self):
@@ -66,15 +122,16 @@ class TestFacadeSurface:
     def test_leaf_import_loads_no_simulator(self):
         # Package ``__init__`` files import nothing, so a leaf module loads
         # only what it needs: the hardware model needs neither the solver
-        # nor the MPI simulator (a submodule import loads its package).
-        src_dir = Path(repro.__file__).resolve().parents[1]
-        script = ("import json, sys, repro.core.hmcl.model; "
-                  "print(json.dumps(sorted(sys.modules)))")
-        output = subprocess.run([sys.executable, "-c", script],
-                                env=dict(os.environ, PYTHONPATH=str(src_dir)),
-                                capture_output=True, text=True, check=True)
-        loaded = set(json.loads(output.stdout))
+        # nor the MPI simulator (a submodule import loads its package),
+        # nor numpy.
+        loaded = loaded_without_numpy("import repro.core.hmcl.model")
         assert loaded & {"repro.sweep3d", "repro.simmpi"} == set()
+
+    @pytest.mark.parametrize("script", LIGHT_ENTRY_POINTS.values(),
+                             ids=list(LIGHT_ENTRY_POINTS))
+    def test_light_entry_point_loads_no_numpy_or_simulator(self, script):
+        loaded = loaded_without_numpy(script)
+        assert sorted(loaded.intersection(HEAVY_MODULES)) == []
 
     def test_available_machines(self):
         machines = api.available_machines()
@@ -123,6 +180,10 @@ class TestOneShots:
         assert api.run_server is run_server
         with pytest.raises(AttributeError):
             api.no_such_service_symbol
+        # The fleet, store, shard and calibration names resolve the same way.
+        for name, module in api._LAZY_EXPORTS.items():
+            assert getattr(api, name) is getattr(importlib.import_module(module), name)
+        assert [name for name in api.__all__ if not hasattr(api, name)] == []
 
     def test_predict_and_study_rows_agree(self):
         """One-shot predictions equal the registered table study's column."""

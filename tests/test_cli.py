@@ -4,6 +4,19 @@ import pytest
 
 from repro.cli import main
 
+#: Commands that fail on a domain error, and the message each names.
+DOMAIN_ERRORS = [
+    ("run nosuch", "unknown study 'nosuch'"),
+    ("shard plan nosuch --shards 2", "unknown study 'nosuch'"),
+    ("shard plan table1 --shards 0", "a shard plan needs at least one shard"),
+    ("hmcl --machine nosuch", "unknown machine 'nosuch'"),
+    ("predict --machine nosuch", "unknown machine 'nosuch'"),
+    ("simulate --machine nosuch", "unknown machine 'nosuch'"),
+    ("predict --machine opteron --px 2 --py 2 --iterations 0",
+     "max_iterations must be >= 1"),
+    ("predict --machine opteron --px 0", "processor array px must be >= 1 (got 0)"),
+]
+
 
 class TestCli:
     def test_machines_listing(self, capsys):
@@ -71,10 +84,18 @@ class TestCli:
         with pytest.raises(SystemExit):
             main([])
 
-    def test_unknown_machine_raises(self):
-        from repro.errors import MachineNotFoundError
-        with pytest.raises(MachineNotFoundError):
-            main(["predict", "--machine", "cray-xmp"])
+    def test_unknown_machine_raises(self, capsys):
+        assert main(["predict", "--machine", "cray-xmp"]) == 2
+        assert "unknown machine 'cray-xmp'" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command, message", DOMAIN_ERRORS,
+                             ids=[command for command, _ in DOMAIN_ERRORS])
+    def test_domain_error_is_one_line_and_exit_2(self, capsys, command, message):
+        assert main(command.split()) == 2
+        captured = capsys.readouterr()
+        assert "Traceback" not in captured.out + captured.err
+        assert captured.err.startswith(f"error: {message}")
+        assert captured.err.count("\n") == 1
 
 
 class TestSimulateGridCli:
