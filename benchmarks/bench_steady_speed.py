@@ -23,6 +23,14 @@ its durations are not exactly representable), the steady tier must
 fall back to a replay that still matches the engine bit for bit.
 Silent wrong-but-fast extrapolation is the failure mode this guards.
 
+``test_steady_from_probe_64rank`` is the steady tier's memory gate: on
+the capture gate's 64-rank x 100-iteration deck a fresh plan's
+``run(mode="steady")`` must resolve the run from the periodic-capture
+probe alone (``tile_trace`` patched to raise), bit-identical to
+``steady_replay(compile_trace())`` on a second plan, and the tiled path's
+tracemalloc peak must be at least 4x the probe path's (2-vCPU VM: 43 vs
+4 MiB, ~11x).
+
 ``test_steady_scaling_smoke_uses_steady_tier`` is the end-to-end gate:
 the ``steady-scaling`` study's smoke grid, run with the default
 ``sim_execution="auto"``, must actually land every scenario on the
@@ -43,13 +51,17 @@ event).  Most of the cold steady time is the full-trace period analysis
 from __future__ import annotations
 
 import time
+import tracemalloc
 
 from gate_report import record_gate
 
+import repro.sweep3d.driver as driver
 from repro.experiments.study import build_spec, run_study
 from repro.machines.presets import get_machine
+from repro.simmpi.steady import steady_replay
 from repro.simmpi.tracecache import TraceDiskCache
-from repro.sweep3d.input import standard_deck
+from repro.sweep3d.driver import SimulationPlan
+from repro.sweep3d.input import Sweep3DInput, standard_deck
 
 #: Source iterations per simulated run.  Long enough that the periodic
 #: bulk dwarfs the warm-up + lock-in window the steady tier replays.
@@ -174,6 +186,49 @@ def test_steady_refuses_loudly_and_falls_back():
     assert _result_key(noisy) == \
         _result_key(quantised.run(noise=machine.noise_model(3), mode="engine"))
     record_gate("steady_loud_fallback_identical", 1.0, 1.0, unit="identical")
+
+
+def test_steady_from_probe_64rank(monkeypatch):
+    """A periodic run resolves from its probe: no table, >=4x less memory."""
+    machine = get_machine("steady")
+    deck = Sweep3DInput(it=16, jt=16, kt=10, mk=10, mmi=3, sn=6,
+                        max_iterations=100)     # the capture gate's deck
+
+    def fresh_plan():
+        return SimulationPlan(deck, 8, 8, machine.topology,
+                              processor=machine.processor)
+
+    def peak_mib(resolve):
+        tracemalloc.start()
+        try:
+            result = resolve()
+            return result, tracemalloc.get_traced_memory()[1] / 2 ** 20
+        finally:
+            tracemalloc.stop()
+
+    def no_table(*args, **kwargs):
+        raise AssertionError("the steady tier tiled the trace")
+
+    probe_plan = fresh_plan()
+    with monkeypatch.context() as patch:
+        patch.setattr(driver, "tile_trace", no_table)
+        run, probe_peak = peak_mib(lambda: probe_plan.run(mode="steady"))
+    assert probe_plan.last_capture.mode == "periodic"
+    assert probe_plan.last_execution == "steady", \
+        probe_plan.last_steady_refusal
+    tiled_plan = fresh_plan()
+    tiled, tiled_peak = peak_mib(
+        lambda: steady_replay(tiled_plan.compile_trace()))
+    assert repr(run.simulation) == repr(tiled)
+
+    ratio = tiled_peak / probe_peak
+    print(f"\n64-rank x100-iteration steady run: tracemalloc peak "
+          f"{probe_peak:.1f} MiB from the probe vs {tiled_peak:.1f} MiB "
+          f"from the tiled trace ({ratio:.1f}x)")
+    record_gate("steady_probe_vs_tiled_memory_64rank", ratio, 4.0,
+                unit="x less peak memory",
+                details={"probe_mib": probe_peak, "tiled_mib": tiled_peak})
+    assert ratio >= 4.0
 
 
 def test_steady_scaling_smoke_uses_steady_tier():

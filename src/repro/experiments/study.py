@@ -108,6 +108,26 @@ def _normalize(value: Any) -> Any:
         "specs may only carry numbers, strings, booleans and lists thereof")
 
 
+def _same_type(value: Any, default: Any) -> bool:
+    """Whether a normalised ``value`` has the type of the ``default``.
+
+    An int may stand for a float and a list (normalised to a tuple) for a
+    tuple, whose items must then match the default's first item; a
+    ``None`` default (an optional parameter) admits anything.
+    """
+    if default is None:
+        return True
+    if isinstance(default, bool):
+        return isinstance(value, bool)
+    if isinstance(default, (int, float)):
+        number = (int,) if isinstance(default, int) else (int, float)
+        return isinstance(value, number) and not isinstance(value, bool)
+    if isinstance(default, tuple):
+        return isinstance(value, tuple) and (
+            not default or all(_same_type(item, default[0]) for item in value))
+    return isinstance(value, type(default))
+
+
 def _listify(value: Any) -> Any:
     """The JSON/TOML-facing form of a normalised value (tuples -> lists)."""
     if isinstance(value, tuple):
@@ -391,7 +411,12 @@ def build_spec(study: str, machine: str | None = None, workers: int = 1,
     canonical = []
     for name in sorted(params):
         value = _normalize(params[name])
-        if value != definition.defaults[name]:
+        default = definition.defaults[name]
+        if not _same_type(value, default):
+            raise ExperimentError(
+                f"study {study!r} parameter {name!r} got {value!r}; expected "
+                f"a value of the default's type (default: {default!r})")
+        if value != default:
             canonical.append((name, value))
     if machine is not None and machine == definition.default_machine:
         machine = None
@@ -976,14 +1001,25 @@ def _render_ablation(payload) -> str:
 def _table_executor(table_name: str, spec: StudySpec, context: StudyContext):
     from repro.experiments.tables import _run_table_impl, rows_for_indices
     params = spec.resolved_params()
+    max_pes = params["max_pes"]
+    if max_pes is not None and not (isinstance(max_pes, int)
+                                    and not isinstance(max_pes, bool)
+                                    and max_pes >= 1):
+        raise ExperimentError(
+            f"{table_name} parameter 'max_pes' must be an integer >= 1, "
+            f"got {max_pes!r}")
     indices = params["rows"]
+    if indices is not None and not isinstance(indices, tuple):
+        raise ExperimentError(
+            f"{table_name} parameter 'rows' must be a list of row indices, "
+            f"got {indices!r}")
     rows = rows_for_indices(table_name, indices) if indices is not None else None
     return _run_table_impl(
         table_name,
         rows=rows,
         simulate_measurement=params["simulate_measurement"],
         max_iterations=params["max_iterations"],
-        max_pes=params["max_pes"],
+        max_pes=max_pes,
         workers=spec.workers,
         cache=context.cache,
         machine=spec.machine,

@@ -13,24 +13,30 @@ sweep's stream is eventually periodic — the steady detector
 (:func:`repro.simmpi.steady.detect_period`) proves after the fact the
 repetition a full capture spells out event by event.
 
-This module exploits that structure *during* capture: given a short
-capture that already exhibits warm-up + a few whole periods + drain,
-:func:`tile_trace` synthesizes the full :class:`~repro.simmpi.trace.
-CompiledTrace` by tiling the last recorded period's event columns —
-each column written once, with send-slot indices advanced by the
-per-period send count on each tile (the advance the detector verified) —
-and scaling the per-rank/traffic statistics by exact integer arithmetic.
+This module exploits that structure *during* capture.  A short probe
+capture that already exhibits warm-up + a few whole periods + drain
+becomes a :class:`PeriodicCapture`: the probe, its period, the number of
+periods the run adds (its *tiles*) and the run's per-rank/traffic
+statistics, scaled from one period's deltas by exact integer arithmetic
+(:func:`periodic_capture`).  That value stands for the whole run: the
+steady tier resolves it directly (:func:`~repro.simmpi.steady.
+steady_replay`), and :func:`tile_trace` builds the full
+:class:`~repro.simmpi.trace.CompiledTrace` from it — each column written
+once, with send-slot indices advanced by the per-period send count on
+each tile (the advance the detector verified) — only when a replay, a
+trace-cache entry or a trace description needs the table.
 
 The contract is the steady tier's: **bit-identical to full capture or
-refuse loudly**.  Every structural precondition is re-checked on the
-synthesized table (slot sequentiality, matches referencing earlier
-sends, integer byte sizes within the float53 exact range, the period
-structure re-verified column by column by :func:`verify_extension`), and
-callers (:meth:`~repro.sweep3d.driver.SimulationPlan.compile_trace`)
-anchor the iteration count on the per-period collective count and
-cross-check the synthesized return values against the recorded prefix —
-any failure raises :class:`~repro.errors.TraceError` and the caller
-falls back to the full recorder.
+refuse loudly**.  Every structural precondition is checked: integer
+byte sizes within the float53 exact range and traffic tags the probe saw
+when the capture is made; slot sequentiality, matches referencing
+earlier sends and the period structure, re-verified column by column by
+:func:`verify_extension`, on the tiled table.  Callers
+(:meth:`~repro.sweep3d.driver.SimulationPlan.compile_trace`) anchor the
+iteration count on the per-period collective count and cross-check the
+synthesized return values against the recorded prefix — any failure
+raises :class:`~repro.errors.TraceError` and the caller falls back to
+the full recorder.
 """
 
 from __future__ import annotations
@@ -41,7 +47,7 @@ from typing import Any
 import numpy as np
 
 from repro.errors import TraceError
-from repro.simmpi.steady import PeriodInfo, _signature_columns
+from repro.simmpi.steady import PeriodInfo, column_warmup
 from repro.simmpi.trace import (
     EV_COLLECTIVE,
     EV_MATCH,
@@ -112,26 +118,20 @@ def verify_extension(trace: CompiledTrace, info: PeriodInfo,
 
     The targeted equivalent of re-running the period detector over a
     tiled trace: with the period already known there is no candidate
-    search.  Every column an event signature covers
-    (:func:`~repro.simmpi.steady._signature_columns`) must repeat at
-    exactly ``info.period`` from exactly ``info.warmup`` on, leaving
-    ``info.drain`` trailing events.  Comparing the columns themselves is
-    at least as strict as comparing their signatures.  (The detector's
-    remaining condition, send-slot advance, is re-checked structurally by
-    :func:`tile_trace`'s slot-sequentiality assertions.)  Returns ``""``
-    when the structure holds, else the failure reason.
+    search.  The detector's warm-up rule, applied to the exact columns an
+    event signature covers (:func:`~repro.simmpi.steady.column_warmup`:
+    every column repeats at ``info.period`` and every send/match slot
+    advances by the per-period send count), must put the warm-up at
+    exactly ``info.warmup``, leaving ``info.drain`` trailing events.
+    Comparing the columns themselves is at least as strict as comparing
+    their signatures.  Returns ``""`` when the structure holds, else the
+    failure reason.
     """
     n = trace.n_events
     period = info.period
     if period < 1 or n <= period:
         return "tiled trace holds less than one period"
-    differs = np.zeros(n - period, dtype=bool)
-    column_differs = np.empty_like(differs)
-    for column in _signature_columns(trace):
-        np.not_equal(column[period:], column[:-period], out=column_differs)
-        differs |= column_differs
-    mismatch = np.flatnonzero(differs)
-    warmup = int(mismatch[-1]) + 1 if len(mismatch) else 0
+    warmup = column_warmup(trace, period, info.sends_per_period)
     if warmup != info.warmup:
         return f"warm-up moved ({info.warmup} -> {warmup} event(s))"
     repeats = (n - warmup) // period
@@ -174,32 +174,51 @@ def _check_exact_bytes(trace: CompiledTrace, tiles: int,
             "float64 integer range (2**53)")
 
 
-def tile_trace(short: CompiledTrace, info: PeriodInfo, tiles: int,
-               return_values: list[Any],
-               topology: ClusterTopology) -> CompiledTrace:
-    """Synthesize the trace of ``tiles`` extra periods appended to ``short``.
+@dataclass
+class PeriodicCapture:
+    """A probe recording standing for a run ``tiles`` periods longer.
+
+    Built by :func:`periodic_capture`.  The run's trace is the probe with
+    ``tiles`` copies of its last whole period inserted before its drain
+    (:func:`tile_trace`); the per-rank and traffic totals and the return
+    values are those of the run, not of the probe.
+    """
+
+    probe: CompiledTrace
+    info: PeriodInfo
+    tiles: int
+    messages_sent: list[int]
+    bytes_sent: list[float]
+    messages_received: list[int]
+    bytes_received: list[float]
+    traffic: LinkUsageStats
+    return_values: list[Any]
+    #: Steady-tier analysis memo, owned by :mod:`repro.simmpi.steady`.
+    steady_analysis: Any = None
+
+
+def periodic_capture(short: CompiledTrace, info: PeriodInfo, tiles: int,
+                     return_values: list[Any],
+                     topology: ClusterTopology) -> PeriodicCapture:
+    """The run ``tiles`` periods longer than ``short``, as a capture.
 
     ``short`` must be periodic per ``info`` (its own
-    :func:`~repro.simmpi.steady.detect_period` outcome).  The result has
-    ``info.repeats + tiles`` whole periods between the same warm-up and
-    drain, with send-slot indices advanced by ``info.sends_per_period``
-    per tile, statistics scaled exactly, and ``return_values`` attached
-    (the caller synthesizes and cross-checks them).  Raises
-    :class:`~repro.errors.TraceError` — never returns a wrong trace —
-    when any structural precondition fails, including
-    :func:`verify_extension` over the result.
+    :func:`~repro.simmpi.steady.detect_period` outcome).  Scales the
+    probe's statistics by one period's deltas in exact arithmetic and
+    attaches ``return_values`` (the caller synthesizes and cross-checks
+    them).  Raises :class:`~repro.errors.TraceError` when any
+    precondition fails: an aperiodic probe, no tile, a period sending on
+    a tag the probe never saw, byte totals past the exact float range or
+    slots past the int32 range.
     """
     if not info.periodic:
         raise TraceError(f"periodic capture refused: {info.reason}")
     if tiles < 1:
-        raise TraceError("tile_trace needs at least one tile")
+        raise TraceError("periodic capture needs at least one tile")
     nranks = short.nranks
-    warmup, period, sends = info.warmup, info.period, info.sends_per_period
-    boundary = warmup + info.repeats * period
-    seg = slice(boundary - period, boundary)
-
-    kind = short.event_kind
-    seg_kind = kind[seg]
+    boundary = info.warmup + info.repeats * info.period
+    seg = slice(boundary - info.period, boundary)
+    seg_kind = short.event_kind[seg]
     seg_rank = short.event_rank[seg]
     seg_nbytes = short.event_nbytes[seg]
     send_mask = seg_kind == EV_SEND
@@ -230,12 +249,55 @@ def tile_trace(short: CompiledTrace, info: PeriodInfo, tiles: int,
             "recorded prefix never saw")
     _check_exact_bytes(short, tiles, d_bytes_sent, d_bytes_recv,
                        delta_traffic.bytes)
-
-    n_messages = short.n_messages + tiles * sends
-    if n_messages >= 2 ** 31:
+    if short.n_messages + tiles * info.sends_per_period >= 2 ** 31:
         raise TraceError(
             "periodic capture refused: tiled trace exceeds the int32 "
             "send-slot range")
+
+    traffic = short._traffic
+    return PeriodicCapture(
+        probe=short, info=info, tiles=tiles,
+        messages_sent=[int(count + tiles * d_msgs_sent[rank])
+                       for rank, count in enumerate(short._messages_sent)],
+        bytes_sent=[float(total + tiles * d_bytes_sent[rank])
+                    for rank, total in enumerate(short._bytes_sent)],
+        messages_received=[int(count + tiles * d_msgs_recv[rank])
+                           for rank, count in
+                           enumerate(short._messages_received)],
+        bytes_received=[float(total + tiles * d_bytes_recv[rank])
+                        for rank, total in enumerate(short._bytes_received)],
+        traffic=LinkUsageStats(
+            messages=traffic.messages + tiles * delta_traffic.messages,
+            bytes=traffic.bytes + tiles * delta_traffic.bytes,
+            intra_node_messages=(traffic.intra_node_messages
+                                 + tiles * delta_traffic.intra_node_messages),
+            inter_node_messages=(traffic.inter_node_messages
+                                 + tiles * delta_traffic.inter_node_messages),
+            by_tag={tag: count + tiles * delta_traffic.by_tag.get(tag, 0)
+                    for tag, count in traffic.by_tag.items()},
+        ),
+        return_values=return_values,
+    )
+
+
+def tile_trace(capture: PeriodicCapture) -> CompiledTrace:
+    """Synthesize the run's full trace from a periodic capture.
+
+    The result has ``info.repeats + tiles`` whole periods between the
+    probe's warm-up and drain, with send-slot indices advanced by
+    ``info.sends_per_period`` per tile and the capture's statistics and
+    return values attached.  Raises :class:`~repro.errors.TraceError` —
+    never returns a wrong trace — when any structural check on the
+    synthesized table fails, including :func:`verify_extension`.
+    """
+    short, info, tiles = capture.probe, capture.info, capture.tiles
+    warmup, period, sends = info.warmup, info.period, info.sends_per_period
+    boundary = warmup + info.repeats * period
+    seg = slice(boundary - period, boundary)
+
+    kind = short.event_kind
+    seg_kind = kind[seg]
+    n_messages = short.n_messages + tiles * sends
     end = boundary + tiles * period             # the drain's new start
     n_events = short.n_events + tiles * period
 
@@ -253,12 +315,13 @@ def tile_trace(short: CompiledTrace, info: PeriodInfo, tiles: int,
     # Slot column: send/match rows advance by `sends` per tile; the drain
     # (already verified by the detector's slot-advance check to repeat
     # the period's slot pattern) shifts by the full `tiles * sends`.  The
-    # range check above keeps this int32 arithmetic exact.
+    # capture's range check keeps this int32 arithmetic exact.
     slot = short.event_slot
     new_slot = tiled["event_slot"]
     tile_slots = new_slot[boundary:end].reshape(tiles, period)
     np.multiply(np.arange(1, tiles + 1, dtype=np.int32)[:, None] * sends,
-                send_mask | match_mask, out=tile_slots)
+                (seg_kind == EV_SEND) | (seg_kind == EV_MATCH),
+                out=tile_slots)
     tile_slots += slot[seg]
     drain_kind = kind[boundary:]
     new_slot[end:] += np.int32(tiles * sends) * ((drain_kind == EV_SEND)
@@ -291,19 +354,8 @@ def tile_trace(short: CompiledTrace, info: PeriodInfo, tiles: int,
                                              slots_before], tiles),
                                table[slots_before:]])
 
-    new_traffic = LinkUsageStats(
-        messages=short._traffic.messages + tiles * delta_traffic.messages,
-        bytes=short._traffic.bytes + tiles * delta_traffic.bytes,
-        intra_node_messages=(short._traffic.intra_node_messages
-                             + tiles * delta_traffic.intra_node_messages),
-        inter_node_messages=(short._traffic.inter_node_messages
-                             + tiles * delta_traffic.inter_node_messages),
-        by_tag={tag: count + tiles * delta_traffic.by_tag.get(tag, 0)
-                for tag, count in short._traffic.by_tag.items()},
-    )
-
     full = CompiledTrace(
-        nranks=nranks,
+        nranks=short.nranks,
         event_kind=new_kind,
         event_rank=tiled["event_rank"],
         event_slot=new_slot,
@@ -315,18 +367,12 @@ def tile_trace(short: CompiledTrace, info: PeriodInfo, tiles: int,
         event_peer=tiled["event_peer"],
         event_tag=tiled["event_tag"],
         event_nbytes=tiled["event_nbytes"],
-        messages_sent=[int(count + tiles * d_msgs_sent[rank])
-                       for rank, count in enumerate(short._messages_sent)],
-        bytes_sent=[float(total + tiles * d_bytes_sent[rank])
-                    for rank, total in enumerate(short._bytes_sent)],
-        messages_received=[int(count + tiles * d_msgs_recv[rank])
-                           for rank, count in
-                           enumerate(short._messages_received)],
-        bytes_received=[float(total + tiles * d_bytes_recv[rank])
-                        for rank, total in
-                        enumerate(short._bytes_received)],
-        traffic=new_traffic,
-        return_values=return_values,
+        messages_sent=capture.messages_sent,
+        bytes_sent=capture.bytes_sent,
+        messages_received=capture.messages_received,
+        bytes_received=capture.bytes_received,
+        traffic=capture.traffic,
+        return_values=capture.return_values,
     )
     # Re-verify on the synthesized trace: the same structure must extend
     # by exactly `tiles` repeats.

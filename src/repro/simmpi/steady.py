@@ -42,6 +42,21 @@ same scalar loop as :meth:`CompiledTrace.replay`
 (:func:`~repro.simmpi.trace._replay_events`), so on acceptance the result
 is bit-identical to the full replay — elapsed time, per-rank
 finish/compute/comm, message and traffic statistics.
+
+**Resolving from the probe.**  A periodic capture
+(:class:`~repro.simmpi.capture.PeriodicCapture`) is a short probe
+recording, its :class:`PeriodInfo` and the number of whole periods the
+run adds to it.  :func:`steady_replay` resolves the whole run from it
+without building the run's event table: it replays the probe's own
+warm-up, lock-in periods and drain in the probe's slot numbering, and
+multiplies only λ and the per-rank increments by the run's repeat count.
+A complete trace is the zero-tile case of the same scan and
+extrapolation.  The probe accepts only what the tiled trace would accept,
+with the same bits: its lock-in reads only boundaries whose live slots
+the probe fully determines, its timebase is judged against the whole
+run's duration total, and its columns must repeat from the detected
+warm-up.  Where it cannot decide, :class:`SteadyNeedsTrace` sends the
+caller to the tiled trace.
 """
 
 from __future__ import annotations
@@ -57,13 +72,14 @@ from repro.simmpi.engine import RankResult, SimulationResult
 from repro.simmpi.trace import (
     EV_MATCH,
     EV_SEND,
+    CompiledTrace,
     _copy_traffic,
     _replay_events,
 )
 from repro.simnet.noise import NoiseModel
 
 if TYPE_CHECKING:
-    from repro.simmpi.trace import CompiledTrace
+    from repro.simmpi.capture import PeriodicCapture
 
 #: Minimum number of period repetitions before steady is attempted.
 MIN_REPEATS = 5
@@ -80,6 +96,14 @@ _LOCKIN_RUN = 3
 
 class SteadyStateError(TraceError):
     """The steady tier refused a trace (callers fall back to full replay)."""
+
+
+class SteadyNeedsTrace(TraceError):
+    """A probe cannot decide its run: resolve the tiled trace instead.
+
+    Not a refusal: :func:`steady_replay` of the tiled trace gives the
+    verdict, and the result, that the run is owed.
+    """
 
 
 @dataclass(frozen=True)
@@ -117,17 +141,20 @@ class _SteadyAnalysis:
     #: timebase is not exactly representable on any single dyadic grid.
     exponent: int | None
     exact_reason: str
-    #: Per-slot send/match event indices (match == n_events: never matched).
-    send_ev: np.ndarray
-    match_ev: np.ndarray
     #: Message slots that are in flight across at least one period
     #: boundary, with the (inclusive) range of boundary indices ``j``
     #: (boundary ``j`` sits before event ``warmup + j*period``) each one
     #: spans.  Lets :func:`steady_replay` fetch a boundary's live set in
     #: O(candidates) instead of O(n_messages) per call.
-    live_candidates: np.ndarray = None  # type: ignore[assignment]
-    live_lo: np.ndarray = None          # type: ignore[assignment]
-    live_hi: np.ndarray = None          # type: ignore[assignment]
+    live_candidates: np.ndarray
+    live_lo: np.ndarray
+    live_hi: np.ndarray
+    #: Last boundary whose live slots the recorded events fully determine:
+    #: every boundary of a complete trace; in a probe, none after its
+    #: first send it never matches (the whole run may match it later).
+    determined: int
+    #: Why a probe cannot decide its run ("" when it can).
+    undecided: str = ""
 
     def live_at(self, j: int) -> np.ndarray:
         """Slots live at boundary ``j`` (sorted ascending)."""
@@ -135,7 +162,7 @@ class _SteadyAnalysis:
         return self.live_candidates[mask]
 
 
-def _signature_columns(trace: "CompiledTrace") -> tuple:
+def _signature_columns(trace: CompiledTrace) -> tuple:
     """The per-event columns an event's signature covers, as integers.
 
     Float columns enter as their bit patterns.  The last column is the
@@ -154,7 +181,7 @@ def _signature_columns(trace: "CompiledTrace") -> tuple:
             trace._noise_kind, eager_flag)
 
 
-def _signatures(trace: "CompiledTrace") -> np.ndarray:
+def _signatures(trace: CompiledTrace) -> np.ndarray:
     """Int64 content signature per event (pattern + exact durations).
 
     Folds :func:`_signature_columns` into ``h`` in place, ``h = h *
@@ -170,15 +197,33 @@ def _signatures(trace: "CompiledTrace") -> np.ndarray:
     return h
 
 
-def _detect_period(trace: "CompiledTrace") -> PeriodInfo:
+def _past_slot_failures(trace: CompiledTrace, warmup: int, period: int,
+                        sends: int) -> int:
+    """``warmup``, moved past the last send/match event from ``warmup`` on
+    whose slot does not advance by ``sends`` one period later.
+
+    Only send and match events carry a slot; every other event's is -1.
+    """
+    n = trace.n_events
+    slot = trace.event_slot[warmup:n - period]
+    fails = trace.event_slot[warmup + period:] - slot != sends
+    fails &= slot >= 0
+    failures = np.flatnonzero(fails)
+    return warmup + int(failures[-1]) + 1 if len(failures) else warmup
+
+
+def _detect_period(trace: CompiledTrace) -> PeriodInfo:
     """Find the repeating suffix of the event stream, if any.
 
     Candidate periods are the recurrence distances of the *last* event's
     signature; the smallest candidate whose periodicity check passes
-    wins.  A candidate must satisfy (a) ``sig[i + P] == sig[i]`` for
-    every ``i`` in the periodic region, (b) send-slot indices advancing
-    by exactly the per-period send count ``M``, and (c) at least
-    :data:`MIN_REPEATS` whole repetitions.
+    wins.  A candidate's warm-up ends after the last event whose
+    signature differs one period later, or whose send-slot index does
+    not advance by the per-period send count ``M`` one period later; it
+    needs at least :data:`MIN_REPEATS` whole repetitions after that.
+    (With rendez-vous messages a few early receives match warm-up sends
+    numbered in another order than later periods', while their
+    signatures already repeat: those receives belong to the warm-up.)
     """
     n = trace.n_events
     if n == 0:
@@ -189,22 +234,20 @@ def _detect_period(trace: "CompiledTrace") -> PeriodInfo:
         return PeriodInfo(periodic=False,
                           reason="final event's signature never recurs")
     diffs = occ[-1] - occ[-1 - np.arange(1, min(_MAX_CANDIDATES + 1, len(occ)))]
-    kind_col = trace.event_kind
-    b_col = trace.event_slot.astype(np.int64)
-    slot_mask = (kind_col == EV_SEND) | (kind_col == EV_MATCH)
     for period in sorted(set(int(d) for d in diffs)):
         if period < 1 or period >= n:
             continue
         mismatch = np.flatnonzero(sig[period:] != sig[:-period])
         warmup = int(mismatch[-1]) + 1 if len(mismatch) else 0
+        if (n - warmup) // period < MIN_REPEATS:
+            continue
+        # Kinds repeat from here on, so every period window holds as
+        # many sends.
+        sends = int(np.count_nonzero(
+            trace.event_kind[warmup:warmup + period] == EV_SEND))
+        warmup = _past_slot_failures(trace, warmup, period, sends)
         repeats = (n - warmup) // period
         if repeats < MIN_REPEATS:
-            continue
-        sends = int(np.count_nonzero(
-            kind_col[warmup:warmup + period] == EV_SEND))
-        region = slot_mask[warmup:n - period]
-        if not np.array_equal(b_col[warmup + period:n][region],
-                              b_col[warmup:n - period][region] + sends):
             continue
         return PeriodInfo(periodic=True, warmup=warmup, period=period,
                           repeats=repeats, drain=(n - warmup) - repeats * period,
@@ -214,18 +257,38 @@ def _detect_period(trace: "CompiledTrace") -> PeriodInfo:
         reason=f"no candidate period with >= {MIN_REPEATS} repetitions")
 
 
-def _dyadic_exponent(trace: "CompiledTrace") -> tuple[int | None, str]:
+def column_warmup(trace: CompiledTrace, period: int, sends: int) -> int:
+    """The warm-up :func:`_detect_period`'s rule gives at ``period``,
+    judged on exact columns instead of hashed signatures.
+
+    The first event from which every column an event signature covers
+    (:func:`_signature_columns`) repeats one period later and every
+    send/match slot advances by ``sends``.  Requires ``period <
+    trace.n_events``.
+    """
+    n = trace.n_events
+    differs = np.zeros(n - period, dtype=bool)
+    column_differs = np.empty_like(differs)
+    for column in _signature_columns(trace):
+        np.not_equal(column[period:], column[:-period], out=column_differs)
+        differs |= column_differs
+    mismatch = np.flatnonzero(differs)
+    warmup = int(mismatch[-1]) + 1 if len(mismatch) else 0
+    return _past_slot_failures(trace, warmup, period, sends)
+
+
+def _dyadic_exponent(durations: np.ndarray,
+                     total: float) -> tuple[int | None, str]:
     """The shared dyadic grid exponent, or ``None`` with a reason.
 
-    ``B`` (the sum of every base and auxiliary duration) bounds every
-    value the scalar replay can hold, since each clock/accumulator is a
-    sum of a subset of durations.  With ``e = ceil(log2 B) - 52`` the
-    bound is ``B <= 2**52 · 2**e``, so if every duration is an integer
-    multiple of ``q = 2**e`` the whole replay is exact integer
-    arithmetic — the property the extrapolation relies on.
+    ``total``, the sum of every base and auxiliary duration of the run,
+    bounds every value the scalar replay can hold, since each
+    clock/accumulator is a sum of a subset of durations.  With ``e =
+    ceil(log2 total) - 52`` the bound is ``total <= 2**52 · 2**e``, so if
+    every duration is an integer multiple of ``q = 2**e`` the whole
+    replay is exact integer arithmetic — the property the extrapolation
+    relies on.
     """
-    durations = np.concatenate([trace._base, trace.event_aux])
-    total = float(durations.sum())
     if total == 0.0:
         return 0, ""
     exponent = math.ceil(math.log2(total)) - 52
@@ -237,29 +300,28 @@ def _dyadic_exponent(trace: "CompiledTrace") -> tuple[int | None, str]:
     return exponent, ""
 
 
-def analyze(trace: "CompiledTrace") -> _SteadyAnalysis:
-    """Period + exactness analysis of a trace, cached on the trace."""
-    cached = trace._steady_cache
-    if cached is not None:
-        return cached
+def _trace_durations(trace: CompiledTrace) -> np.ndarray:
+    return np.concatenate([trace._base, trace.event_aux])
+
+
+def _analysis(trace: CompiledTrace, info: PeriodInfo,
+              exponent: int | None, exact_reason: str,
+              whole: bool, undecided: str = "") -> _SteadyAnalysis:
+    """Live-slot analysis of ``trace`` under ``info``.
+
+    ``whole`` says the trace is the complete run; otherwise it is a probe
+    whose unmatched sends the run may match after the probe ends.
+    """
     n = trace.n_events
-    nmsg = trace.n_messages
-    if n:
-        info = _detect_period(trace)
-        exponent, exact_reason = _dyadic_exponent(trace)
-        kind_col = trace.event_kind
-        b_col = trace.event_slot.astype(np.int64)
-        send_ev = np.full(nmsg, -1, dtype=np.int64)
-        send_mask = kind_col == EV_SEND
-        send_ev[b_col[send_mask]] = np.flatnonzero(send_mask)
-        match_ev = np.full(nmsg, n, dtype=np.int64)
-        match_mask = kind_col == EV_MATCH
-        match_ev[b_col[match_mask]] = np.flatnonzero(match_mask)
-    else:
-        info = PeriodInfo(periodic=False, reason="empty trace")
-        exponent, exact_reason = 0, ""
-        send_ev = np.empty(0, dtype=np.int64)
-        match_ev = np.empty(0, dtype=np.int64)
+    kind_col = trace.event_kind
+    b_col = trace.event_slot.astype(np.int64)
+    send_ev = np.full(trace.n_messages, -1, dtype=np.int64)
+    send_mask = kind_col == EV_SEND
+    send_ev[b_col[send_mask]] = np.flatnonzero(send_mask)
+    match_ev = np.full(trace.n_messages, n, dtype=np.int64)
+    match_mask = kind_col == EV_MATCH
+    match_ev[b_col[match_mask]] = np.flatnonzero(match_mask)
+    determined = info.repeats
     if info.periodic:
         # Boundary j sits before event warmup + j*period; slot s is live
         # there iff send_ev[s] < boundary <= match_ev[s] (and the slot is
@@ -271,25 +333,76 @@ def analyze(trace: "CompiledTrace") -> _SteadyAnalysis:
         candidates = np.flatnonzero(live_lo <= live_hi)
         live_lo = live_lo[candidates]
         live_hi = live_hi[candidates]
+        unmatched = np.flatnonzero(match_ev == n)
+        if not whole and len(unmatched):
+            # Slots are numbered in send order: the first unmatched slot
+            # is the earliest unmatched send.
+            determined = min(determined, int(
+                send_ev[unmatched[0]] - info.warmup) // info.period)
     else:
-        candidates = np.empty(0, dtype=np.int64)
-        live_lo = np.empty(0, dtype=np.int64)
-        live_hi = np.empty(0, dtype=np.int64)
-    analysis = _SteadyAnalysis(info=info, exponent=exponent,
-                               exact_reason=exact_reason,
-                               send_ev=send_ev, match_ev=match_ev,
-                               live_candidates=candidates,
-                               live_lo=live_lo, live_hi=live_hi)
-    trace._steady_cache = analysis
-    return analysis
+        candidates = live_lo = live_hi = np.empty(0, dtype=np.int64)
+    return _SteadyAnalysis(info=info, exponent=exponent,
+                           exact_reason=exact_reason,
+                           live_candidates=candidates,
+                           live_lo=live_lo, live_hi=live_hi,
+                           determined=determined, undecided=undecided)
 
 
-def detect_period(trace: "CompiledTrace") -> PeriodInfo:
+def analyze(trace: CompiledTrace) -> _SteadyAnalysis:
+    """Period + exactness analysis of a complete trace, cached on it."""
+    cached = trace._steady_cache
+    if cached is None:
+        durations = _trace_durations(trace)
+        cached = trace._steady_cache = _analysis(
+            trace, _detect_period(trace),
+            *_dyadic_exponent(durations, float(durations.sum())), whole=True)
+    return cached
+
+
+#: Relative margin within which a probe's estimate of the whole run's
+#: duration total brackets the total a complete trace sums (pairwise
+#: sums of non-negative terms err by under 2**-44).
+_TOTAL_MARGIN = 2.0 ** -30
+
+
+def _capture_analysis(capture: "PeriodicCapture") -> _SteadyAnalysis:
+    """Analysis of the run a periodic capture stands for, cached on it."""
+    cached = capture.steady_analysis
+    if cached is not None:
+        return cached
+    probe, info = capture.probe, capture.info
+    undecided = exact_reason = ""
+    exponent = None
+    if column_warmup(probe, info.period, info.sends_per_period) \
+            != info.warmup:
+        undecided = "the probe's columns do not repeat from its warm-up"
+    durations = _trace_durations(probe)
+    end = info.warmup + info.repeats * info.period
+    estimate = float(durations.sum()) + capture.tiles * float(
+        probe._base[end - info.period:end].sum()
+        + probe.event_aux[end - info.period:end].sum())
+    low = estimate * (1.0 - _TOTAL_MARGIN)
+    high = estimate * (1.0 + _TOTAL_MARGIN)
+    if durations.min() < 0.0 or (estimate > 0.0 and math.ceil(
+            math.log2(low)) != math.ceil(math.log2(high))):
+        undecided = undecided or (
+            "the run's duration total is too close to a power of two to "
+            "fix its dyadic grid from the probe")
+    else:
+        # The tiled trace holds exactly the probe's durations, more often.
+        exponent, exact_reason = _dyadic_exponent(durations, high)
+    cached = capture.steady_analysis = _analysis(
+        probe, info, exponent, exact_reason, whole=False,
+        undecided=undecided)
+    return cached
+
+
+def detect_period(trace: CompiledTrace) -> PeriodInfo:
     """Public period-detection entry point (cached with the analysis)."""
     return analyze(trace).info
 
 
-def describe_steady(trace: "CompiledTrace") -> str:
+def describe_steady(trace: CompiledTrace) -> str:
     """Human-readable period + steady-eligibility diagnostics."""
     analysis = analyze(trace)
     timebase = ("dyadic-exact timebase (steady-eligible)"
@@ -352,7 +465,7 @@ def _transition(prev: tuple, cur: tuple, sends_per_period: int,
     return (lam, dcomm, dcomp)
 
 
-def _segment(trace: "CompiledTrace", lo: int, hi: int):
+def _segment(trace: CompiledTrace, lo: int, hi: int):
     """``((kind, rank, slot, aux), duration)`` pairs of events ``lo:hi``.
 
     Converted from the numpy columns for just this range: the tier never
@@ -365,30 +478,48 @@ def _segment(trace: "CompiledTrace", lo: int, hi: int):
     return zip(program, trace._base[lo:hi].tolist())
 
 
-def steady_replay(trace: "CompiledTrace",
+def steady_replay(source: "CompiledTrace | PeriodicCapture",
                   noise: NoiseModel | None = None) -> SimulationResult:
-    """Resolve a periodic trace in O(period) — bit-identical or refuse.
+    """Resolve a periodic run in O(period) — bit-identical or refuse.
 
-    On success the returned :class:`~repro.simmpi.engine.SimulationResult`
-    is bit-identical to ``trace.replay(noise)`` (and hence to the
-    reference engine).  Any precondition failure raises
-    :class:`SteadyStateError` with the reason; callers fall back to the
-    full replay, so correctness is never traded for speed.
+    ``source`` is a complete trace or a periodic capture (a probe plus
+    the periods the run adds, resolved without tiling; see the module
+    docstring).  On success the returned
+    :class:`~repro.simmpi.engine.SimulationResult` is bit-identical to
+    the full replay of the run's trace (and hence to the reference
+    engine).  Any precondition failure raises :class:`SteadyStateError`
+    with the reason; callers fall back to the full replay, so correctness
+    is never traded for speed.  A capture whose probe cannot decide the
+    run raises :class:`SteadyNeedsTrace`.
     """
     if noise is not None and not noise.is_disabled():
         raise SteadyStateError(
             "noise model is enabled: noise draws are per-event, so a noisy "
             "run has no repeating period (use the replay tier)")
-    analysis = analyze(trace)
+    if isinstance(source, CompiledTrace):
+        trace, tiles, analysis = source, 0, analyze(source)
+        totals = (trace._messages_sent, trace._bytes_sent,
+                  trace._messages_received, trace._bytes_received,
+                  trace._traffic, trace._return_values)
+    else:
+        trace, tiles, analysis = (source.probe, source.tiles,
+                                  _capture_analysis(source))
+        totals = (source.messages_sent, source.bytes_sent,
+                  source.messages_received, source.bytes_received,
+                  source.traffic, source.return_values)
     info = analysis.info
     if not info.periodic:
         raise SteadyStateError(f"trace is not periodic: {info.reason}")
+    if analysis.undecided:
+        raise SteadyNeedsTrace(analysis.undecided)
     if analysis.exponent is None:
         raise SteadyStateError(analysis.exact_reason)
 
     n = trace.n_events
     nranks = trace.nranks
-    warmup, period, repeats = info.warmup, info.period, info.repeats
+    warmup, period = info.warmup, info.period
+    recorded = info.repeats                 # whole periods in ``trace``
+    repeats = recorded + tiles              # whole periods in the run
     sends = info.sends_per_period
     eager = trace._send_eager
     srank = trace._send_rank
@@ -413,7 +544,8 @@ def steady_replay(trace: "CompiledTrace",
                      ready_t, arrive, eager)
     keys: list[tuple | None] = []
     locked_at = None
-    last_boundary = min(repeats, _LOCKIN_BUDGET)
+    budget = min(repeats, _LOCKIN_BUDGET)
+    last_boundary = min(budget, analysis.determined)
     for j in range(1, last_boundary + 1):
         replay_until(warmup + j * period)
         nxt = _snapshot(analysis, j,
@@ -425,8 +557,12 @@ def steady_replay(trace: "CompiledTrace",
             locked_at = j
             break
     if locked_at is None:
+        if last_boundary < budget:
+            raise SteadyNeedsTrace(
+                f"the probe determines {max(last_boundary, 0)} of the "
+                f"{budget} period boundaries the lock-in scan may use")
         raise SteadyStateError(
-            f"no locked growth vector within {last_boundary} period(s): the "
+            f"no locked growth vector within {budget} period(s): the "
             "per-period state delta never became a bitwise-constant uniform "
             "advance")
 
@@ -434,8 +570,9 @@ def steady_replay(trace: "CompiledTrace",
     skipped = repeats - locked_at
     if skipped > 0:
         live = snap[3]
-        live_target = analysis.live_at(repeats)
-        if not np.array_equal(live_target, live + skipped * sends):
+        # The drain boundary, in ``trace``'s own slot numbering.
+        offset = (recorded - locked_at) * sends
+        if not np.array_equal(analysis.live_at(recorded), live + offset):
             raise SteadyStateError(
                 "live message-slot structure does not repeat up to the "
                 "drain boundary")
@@ -446,27 +583,28 @@ def steady_replay(trace: "CompiledTrace",
             clock[rank] += shift
             comm[rank] += skipped * dcomm[rank]
             comp[rank] += skipped * dcomp[rank]
-        offset = skipped * sends
         for s in live:
             ready_t[s + offset] = ready_t[s] + shift
             if eager[s + offset]:
                 arrive[s + offset] = arrive[s] + shift
-        position = warmup + repeats * period
+        position = warmup + recorded * period
     replay_until(n)                     # the drain (or the rest, unskipped)
 
+    (messages_sent, bytes_sent, messages_received, bytes_received,
+     traffic, return_values) = totals
     ranks = [RankResult(
         rank=rank,
         finish_time=clock[rank],
-        return_value=trace._return_values[rank],
+        return_value=return_values[rank],
         compute_time=comp[rank],
         comm_time=comm[rank],
-        messages_sent=trace._messages_sent[rank],
-        bytes_sent=trace._bytes_sent[rank],
-        messages_received=trace._messages_received[rank],
-        bytes_received=trace._bytes_received[rank],
+        messages_sent=messages_sent[rank],
+        bytes_sent=bytes_sent[rank],
+        messages_received=messages_received[rank],
+        bytes_received=bytes_received[rank],
     ) for rank in range(nranks)]
     elapsed = max((r.finish_time for r in ranks), default=0.0)
     trace.steady_replays += 1
     return SimulationResult(nranks=nranks, ranks=ranks,
                             elapsed_time=elapsed,
-                            traffic=_copy_traffic(trace._traffic))
+                            traffic=_copy_traffic(traffic))

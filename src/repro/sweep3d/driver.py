@@ -23,6 +23,14 @@ O(period) instead of O(events), bit-identical or loudly falling back to
 the full replay.  ``mode="auto"`` picks the fastest applicable tier:
 steady for noise-free modelled runs (when it accepts), replay for other
 modelled runs, the engine for numeric ones.
+
+A plan holds one capture at a time.  A periodic capture
+(:class:`~repro.simmpi.capture.PeriodicCapture`: a short probe standing
+for the whole run) is held as it is while only the steady tier has
+asked for it, since that tier resolves the run from the probe.  The full
+table is tiled from the held probe, never recorded again, when a scalar
+or batched replay, a trace-cache entry or :meth:`compile_trace` needs
+it, and it then replaces the probe.
 """
 
 from __future__ import annotations
@@ -37,11 +45,19 @@ from repro.errors import DecompositionError, TraceError
 from repro.profiling.phases import PhaseTimer
 from repro.simmpi.capture import (
     CaptureInfo,
+    PeriodicCapture,
     collectives_per_period,
+    periodic_capture,
     tile_trace,
 )
 from repro.simmpi.engine import ClusterEngine, SimulationResult
-from repro.simmpi.steady import MIN_REPEATS, SteadyStateError, _detect_period, steady_replay
+from repro.simmpi.steady import (
+    MIN_REPEATS,
+    SteadyNeedsTrace,
+    SteadyStateError,
+    _detect_period,
+    steady_replay,
+)
 from repro.simmpi.trace import (
     EV_COLLECTIVE,
     BatchReplayResult,
@@ -274,7 +290,8 @@ class SimulationPlan:
         #: Host wall-clock accounting per execution phase ("capture",
         #: "replay", "steady", "engine"), accumulated across runs.
         self.phases = PhaseTimer()
-        self._trace: CompiledTrace | None = None
+        #: The trace, or the periodic capture not yet tiled into one.
+        self._capture: CompiledTrace | PeriodicCapture | None = None
 
     @property
     def nranks(self) -> int:
@@ -340,20 +357,43 @@ class SimulationPlan:
         (:func:`~repro.sweep3d.parallel.harvest_iteration_bodies`), so the
         generator runs one iteration per rank instead of the whole run.
         The bodies are dropped when the capture ends; the engine tier
-        keeps running the generator.
+        keeps running the generator.  A periodic capture the steady tier
+        already holds is tiled here, without recording again.
 
         Numeric runs carry real payloads whose values feed back into the
         pattern, so they cannot be trace-compiled and raise
         :class:`~repro.errors.TraceError`.
         """
+        capture = self._held_capture()
+        if isinstance(capture, PeriodicCapture):
+            with self.phases.phase("capture"):
+                capture = self._capture = self._table(capture)
+        return capture
+
+    def _held_capture(self) -> CompiledTrace | PeriodicCapture:
+        """The plan's capture, made on first use but not tiled."""
         if self.numeric:
             raise TraceError(
                 "trace replay supports modelled (timing-only) runs; numeric "
                 "runs must use the reference engine")
-        if self._trace is None:
+        if self._capture is None:
             with self.phases.phase("capture"):
-                self._trace = self._capture_trace()
-        return self._trace
+                self._capture = self._capture_trace()
+        return self._capture
+
+    def _table(self, capture: PeriodicCapture) -> CompiledTrace:
+        """Tile ``capture`` into the full trace (recorded in full if the
+        tiled table fails its checks)."""
+        start = time.perf_counter()
+        try:
+            trace = tile_trace(capture)
+        except TraceError as exc:
+            trace = self._record_trace(self.deck)
+            self.last_capture = CaptureInfo(
+                mode="full", total_iterations=self.deck.max_iterations,
+                reason=str(exc), capture_s=self.last_capture.capture_s)
+        self.last_capture.capture_s += time.perf_counter() - start
+        return trace
 
     def _record_trace(self, deck: Sweep3DInput,
                       bodies: list[list] | None = None) -> CompiledTrace:
@@ -372,8 +412,12 @@ class SimulationPlan:
             body_rank_program, nranks=self.decomp.nranks,
             program_args=(deck, self.decomp, self.shared, bodies))
 
-    def _capture_trace(self) -> CompiledTrace:
-        """The tiered capture chain behind :meth:`compile_trace`."""
+    def _capture_trace(self) -> CompiledTrace | PeriodicCapture:
+        """The tiered capture chain behind :meth:`compile_trace`.
+
+        Returns a periodic capture untiled unless a trace-cache entry
+        needs its table.
+        """
         start = time.perf_counter()
         key = None
         if self.trace_cache is not None:
@@ -390,21 +434,23 @@ class SimulationPlan:
         bodies = harvest_iteration_bodies(self.deck, self.decomp, self.costs,
                                           self.shared)
         try:
-            trace, info = self._periodic_capture(bodies)
+            capture, info = self._periodic_capture(bodies)
         except TraceError as exc:
-            trace = self._record_trace(self.deck, bodies)
+            capture = self._record_trace(self.deck, bodies)
             info = CaptureInfo(mode="full",
                                total_iterations=self.deck.max_iterations,
                                reason=str(exc))
         info.capture_s = time.perf_counter() - start
         self.last_capture = info
         if key is not None:
-            self.trace_cache.put(key, trace)
-        return trace
+            if isinstance(capture, PeriodicCapture):
+                capture = self._table(capture)
+            self.trace_cache.put(key, capture)
+        return capture
 
     def _periodic_capture(self, bodies: list[list]
-                          ) -> tuple[CompiledTrace, CaptureInfo]:
-        """Record a short prefix, prove its period, tile the remainder.
+                          ) -> tuple[PeriodicCapture, CaptureInfo]:
+        """Record a short prefix and prove its period.
 
         Soundness rests on the recorder being timing-free: the trace of
         ``m`` iterations is exactly the first ``n_m`` events of the trace
@@ -426,8 +472,8 @@ class SimulationPlan:
         while True:
             short_deck = replace(self.deck, max_iterations=m)
             short = self._record_trace(short_deck, bodies)
-            # The detector alone: the probe's steady analysis would be
-            # discarded with it.
+            # The detector alone: the steady tier analyses the probe only
+            # if it is asked to resolve the run.
             info = _detect_period(short)
             if info.periodic:
                 break
@@ -452,6 +498,12 @@ class SimulationPlan:
                 f"({remaining}) are not a whole number of "
                 f"{iters_per_period}-iteration periods")
         tiles = remaining // iters_per_period
+        collectives = (int(np.count_nonzero(short.event_kind == EV_COLLECTIVE))
+                       + tiles * per_period)
+        if collectives != 2 * total:
+            raise TraceError(
+                f"periodic capture refused: tiled collective count "
+                f"({collectives}) does not anchor {total} iterations")
         # The rank programs' return values are synthesized analytically;
         # cross-check the synthesis against the recorded prefix first.
         expected_short = modelled_rank_summaries(
@@ -460,16 +512,12 @@ class SimulationPlan:
             raise TraceError(
                 "periodic capture refused: synthesized rank summaries do "
                 "not match the recorded prefix's return values")
-        full_values = modelled_rank_summaries(
-            self.deck, self.decomp, self.shared)
-        full = tile_trace(short, info, tiles, return_values=full_values,
-                          topology=self.topology)
-        collectives = int(np.count_nonzero(full.event_kind == EV_COLLECTIVE))
-        if collectives != 2 * total:
-            raise TraceError(
-                f"periodic capture refused: tiled collective count "
-                f"({collectives}) does not anchor {total} iterations")
-        return full, CaptureInfo(
+        capture = periodic_capture(
+            short, info, tiles,
+            return_values=modelled_rank_summaries(self.deck, self.decomp,
+                                                  self.shared),
+            topology=self.topology)
+        return capture, CaptureInfo(
             mode="periodic", total_iterations=total, short_iterations=m,
             tiles=tiles, warmup=info.warmup, period=info.period,
             drain=info.drain, sends_per_period=info.sends_per_period,
@@ -534,20 +582,14 @@ class SimulationPlan:
                                     batch=batch)
         if mode in ("replay", "steady") or (mode == "auto"
                                             and not self.numeric):
-            trace = self.compile_trace()
             simulation = None
             # "auto" only *attempts* steady when noise is off — a noisy
             # run has no repeating period, so the attempt would always
             # refuse and the O(events) scan would be wasted.
             if mode == "steady" or (mode == "auto" and noise.is_disabled()):
-                try:
-                    with self.phases.phase("steady"):
-                        simulation = steady_replay(trace, noise)
-                    self.steadies += 1
-                    self.last_execution = "steady"
-                except SteadyStateError as exc:
-                    self.last_steady_refusal = str(exc)
+                simulation = self._steady(noise)
             if simulation is None:
+                trace = self.compile_trace()
                 with self.phases.phase("replay"):
                     simulation = trace.replay(noise)
                 self.replays += 1
@@ -564,3 +606,22 @@ class SimulationPlan:
         summaries = [value for value in simulation.return_values]
         return Sweep3DRunResult(deck=self.deck, px=self.px, py=self.py,
                                 simulation=simulation, rank_summaries=summaries)
+
+    def _steady(self, noise: NoiseModel) -> SimulationResult | None:
+        """The steady tier's result for the held capture, or ``None``
+        with the reason in :attr:`last_steady_refusal`."""
+        source = self._held_capture()
+        try:
+            try:
+                with self.phases.phase("steady"):
+                    simulation = steady_replay(source, noise)
+            except SteadyNeedsTrace:
+                source = self.compile_trace()
+                with self.phases.phase("steady"):
+                    simulation = steady_replay(source, noise)
+        except SteadyStateError as exc:
+            self.last_steady_refusal = str(exc)
+            return None
+        self.steadies += 1
+        self.last_execution = "steady"
+        return simulation

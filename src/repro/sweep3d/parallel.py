@@ -34,7 +34,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
 from itertools import takewhile
-from typing import TYPE_CHECKING, Callable
+from typing import TYPE_CHECKING
 
 import numpy as np
 
@@ -78,37 +78,55 @@ class SweepCostTable:
         self.misses = 0
         self._cache: dict[tuple, float] = {}
 
-    def _seconds(self, key: tuple, build_mix: Callable[[], object]) -> float:
-        value = self._cache.get(key)
-        if value is None:
-            self.misses += 1
-            value = self._cache[key] = self.processor.execute_time(build_mix())
-        else:
-            self.hits += 1
+    # Each charge looks its key up first and builds the operation mix
+    # only on a miss: a hit (nearly every charge of a run) allocates no
+    # mix and no closure.
+
+    def _store(self, key: tuple, mix) -> float:
+        self.misses += 1
+        value = self._cache[key] = self.processor.execute_time(mix)
         return value
 
     def block_seconds(self, nx: int, ny: int, nk: int, na: int,
                       working_set_bytes: float) -> float:
         """Duration of one (k-block, angle-block) sweep of ``nx x ny x nk`` cells."""
-        return self._seconds(
-            ("block", nx, ny, nk, na, working_set_bytes),
-            lambda: SweepKernel.block_mix(nx, ny, nk, na,
-                                          working_set_bytes=working_set_bytes))
+        key = ("block", nx, ny, nk, na, working_set_bytes)
+        value = self._cache.get(key)
+        if value is None:
+            return self._store(key, SweepKernel.block_mix(
+                nx, ny, nk, na, working_set_bytes=working_set_bytes))
+        self.hits += 1
+        return value
 
     def source_seconds(self, cells: int, working_set_bytes: float) -> float:
         """Duration of the per-iteration scattering-source update."""
-        return self._seconds(("source", cells, working_set_bytes),
-                             lambda: SweepKernel.source_mix(cells, working_set_bytes))
+        key = ("source", cells, working_set_bytes)
+        value = self._cache.get(key)
+        if value is None:
+            return self._store(key, SweepKernel.source_mix(
+                cells, working_set_bytes))
+        self.hits += 1
+        return value
 
     def flux_err_seconds(self, cells: int, working_set_bytes: float) -> float:
         """Duration of the per-iteration convergence test."""
-        return self._seconds(("flux_err", cells, working_set_bytes),
-                             lambda: SweepKernel.flux_err_mix(cells, working_set_bytes))
+        key = ("flux_err", cells, working_set_bytes)
+        value = self._cache.get(key)
+        if value is None:
+            return self._store(key, SweepKernel.flux_err_mix(
+                cells, working_set_bytes))
+        self.hits += 1
+        return value
 
     def balance_seconds(self, cells: int, working_set_bytes: float) -> float:
         """Duration of the particle-balance edit."""
-        return self._seconds(("balance", cells, working_set_bytes),
-                             lambda: SweepKernel.balance_mix(cells, working_set_bytes))
+        key = ("balance", cells, working_set_bytes)
+        value = self._cache.get(key)
+        if value is None:
+            return self._store(key, SweepKernel.balance_mix(
+                cells, working_set_bytes))
+        self.hits += 1
+        return value
 
 
 @dataclass

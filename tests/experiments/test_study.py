@@ -73,6 +73,27 @@ class TestRegistry:
         with pytest.raises(ExperimentError, match="does not accept"):
             build_spec("table2", max_pies=6)
 
+    @pytest.mark.parametrize("study, params", [
+        ("table2", {"max_iterations": "abc"}),
+        ("table2", {"simulate_measurement": 1}),
+        ("table2", {"samples": 1.5}),
+        ("scaling", {"rate_factor": "fast"}),
+        ("steady-scaling", {"processor_counts": [1, 2.5]}),
+        ("steady-scaling", {"cells_per_processor": 200}),
+    ])
+    def test_mistyped_parameter_rejected(self, study, params):
+        (name, _), = params.items()
+        with pytest.raises(ExperimentError,
+                           match=f"{study!r} parameter {name!r} got"):
+            build_spec(study, **params)
+
+    def test_int_stands_for_float_and_list_for_tuple(self):
+        assert build_spec("scaling", rate_factor=1) == build_spec("scaling")
+        assert build_spec("scaling", rate_factor=2).params_dict \
+            == {"rate_factor": 2}
+        assert build_spec("steady-scaling", iteration_counts=[12, 100]) \
+            == build_spec("steady-scaling")
+
     def test_unserializable_parameter_rejected(self):
         with pytest.raises(ExperimentError, match="not JSON/TOML-serializable"):
             build_spec("figure8", processor_counts=[object()])

@@ -21,7 +21,7 @@ import weakref
 import numpy as np
 import oracles
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import repro.sweep3d.driver as driver
@@ -29,12 +29,14 @@ from repro.errors import TraceError
 from repro.machines.presets import get_machine
 from repro.simmpi.capture import (
     CaptureInfo,
+    PeriodicCapture,
     collectives_per_period,
-    tile_trace,
+    periodic_capture,
     verify_extension,
 )
-from repro.simmpi.steady import _signatures, detect_period
+from repro.simmpi.steady import _signatures, column_warmup, detect_period
 from repro.simmpi.trace import TraceRecorder
+from repro.simmpi.tracecache import TraceDiskCache
 from repro.simnet.noise import NoiseModel
 from repro.sweep3d.driver import SimulationPlan
 from repro.sweep3d.input import Sweep3DInput, standard_deck
@@ -94,6 +96,9 @@ def result_key(sim):
 
 
 @settings(max_examples=12, deadline=None)
+# 200x200x100 cells per rank: every face message is rendez-vous sized.
+@example(it=400, jt=400, kt=100, mk=10, px=2, py=2, iterations=12, seed=1)
+@example(it=800, jt=800, kt=100, mk=10, px=4, py=4, iterations=12, seed=2)
 @given(
     it=st.integers(min_value=6, max_value=14),
     jt=st.integers(min_value=6, max_value=14),
@@ -162,6 +167,59 @@ def test_engine_cross_check_at_matched_seed(machine):
                                                 mode="engine")
     assert replayed.elapsed_time == engine.elapsed_time
     assert replayed.rank_summaries == engine.rank_summaries
+
+
+def test_steady_replay_steady_records_once(machine, monkeypatch):
+    recorded = []
+    record = TraceRecorder.record
+
+    def counting_record(self, *args, **kwargs):
+        recorded.append(1)
+        return record(self, *args, **kwargs)
+
+    monkeypatch.setattr(TraceRecorder, "record", counting_record)
+    deck = Sweep3DInput(it=12, jt=12, kt=10, mk=5, mmi=3, sn=6,
+                        max_iterations=24)
+    plan = make_plan(machine, deck, 2, 2)
+    first = plan.run(mode="steady")
+    assert isinstance(plan._capture, PeriodicCapture)
+    replayed = plan.run(mode="replay")
+    assert plan._capture is plan.compile_trace()   # the table replaced it
+    second = plan.run(mode="steady")
+    assert plan.last_execution == "steady"
+    assert len(recorded) == 1
+    assert result_key(first.simulation) == result_key(replayed.simulation) \
+        == result_key(second.simulation)
+
+
+def test_a_tiling_refusal_falls_back_to_the_full_recorder(machine,
+                                                          monkeypatch):
+    def refuse(capture):
+        raise TraceError("periodic capture refused: forced")
+
+    monkeypatch.setattr(driver, "tile_trace", refuse)
+    deck = Sweep3DInput(it=12, jt=12, kt=10, mk=5, mmi=3, sn=6,
+                        max_iterations=24)
+    plan = make_plan(machine, deck, 2, 2)
+    steady = plan.run(mode="steady")        # from the probe: no tiling
+    assert plan.last_execution == "steady"
+    trace = plan.compile_trace()
+    assert plan.last_capture.mode == "full"
+    assert "forced" in plan.last_capture.reason
+    assert_traces_identical(trace, generator_recording(plan, deck))
+    assert result_key(steady.simulation) == result_key(trace.replay())
+
+
+def test_trace_cache_entry_is_the_tiled_trace(machine, tmp_path):
+    deck = Sweep3DInput(it=12, jt=12, kt=10, mk=5, mmi=3, sn=6,
+                        max_iterations=24)
+    plan = make_plan(machine, deck, 2, 2, trace_cache=TraceDiskCache(tmp_path))
+    plan.run(mode="steady")
+    assert plan.last_capture.mode == "periodic"
+    assert plan.last_execution == "steady"
+    stored = TraceDiskCache(tmp_path).get(plan.trace_fingerprint())
+    assert stored is not None
+    assert_traces_identical(stored, generator_recording(plan, deck))
 
 
 # ---------------------------------------------------------------------------
@@ -259,13 +317,13 @@ def test_few_iterations_fall_back_to_full_capture(machine):
 
 
 def test_aperiodic_program_refuses_tiling(machine):
-    # The detector refuses, so tile_trace must too.
+    # The detector refuses, so periodic capture must too.
     trace = TraceRecorder(machine.topology).record(_aperiodic, nranks=2)
     info = detect_period(trace)
     assert not info.periodic
     with pytest.raises(TraceError, match="periodic capture refused"):
-        tile_trace(trace, info, 3, return_values=[0, 1],
-                   topology=machine.topology)
+        periodic_capture(trace, info, 3, return_values=[0, 1],
+                         topology=machine.topology)
 
 
 def test_tile_trace_needs_at_least_one_tile(machine):
@@ -276,8 +334,9 @@ def test_tile_trace_needs_at_least_one_tile(machine):
     info = detect_period(short)
     assert info.periodic
     with pytest.raises(TraceError, match="at least one tile"):
-        tile_trace(short, info, 0, return_values=list(short._return_values),
-                   topology=machine.topology)
+        periodic_capture(short, info, 0,
+                         return_values=list(short._return_values),
+                         topology=machine.topology)
 
 
 def test_collectives_per_period_counts_two_per_iteration(machine):
@@ -303,6 +362,22 @@ def test_verify_extension_names_what_moved(machine):
     trace._base[-1] += 1.0                  # the drain's last event differs
     assert verify_extension(trace, info, info.repeats).startswith(
         "warm-up moved")
+
+
+def test_verify_extension_applies_the_detectors_slot_rule(machine):
+    # Rendez-vous sized messages: a few early receives break the slot
+    # advance while signatures already repeat, so the detector's warm-up
+    # lies past them; the column check must put it in the same place.
+    deck = Sweep3DInput(it=400, jt=400, kt=100, mk=10, mmi=3, sn=6,
+                        max_iterations=12)
+    trace = make_plan(machine, deck, 2, 2)._record_trace(deck)
+    info = detect_period(trace)
+    assert verify_extension(trace, info, info.repeats) == ""
+    assert column_warmup(trace, info.period, info.sends_per_period) \
+        == info.warmup
+    sig = _signatures(trace)
+    mismatch = np.flatnonzero(sig[info.period:] != sig[:-info.period])
+    assert mismatch[-1] + 1 < info.warmup     # columns alone repeat sooner
 
 
 def test_capture_info_describe_modes():

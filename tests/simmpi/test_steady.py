@@ -9,24 +9,35 @@ holds by construction; the non-dyadic and noisy variants check the loud
 refusals.
 """
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import repro.simmpi.steady as steady
+import repro.sweep3d.driver as driver
 from repro.machines.presets import get_machine
+from repro.simmpi.capture import (
+    PeriodicCapture,
+    collectives_per_period,
+    periodic_capture,
+    tile_trace,
+)
 from repro.simmpi.engine import ClusterEngine
 from repro.simmpi.steady import (
     MIN_REPEATS,
+    SteadyNeedsTrace,
     SteadyStateError,
+    _signatures,
     describe_steady,
     detect_period,
     steady_replay,
 )
-from repro.simmpi.trace import TraceRecorder
+from repro.simmpi.trace import CompiledTrace, TraceRecorder
 from repro.simnet.link import LinkModel
 from repro.simnet.noise import NoiseModel
 from repro.simnet.topology import ClusterTopology
-from repro.sweep3d.input import standard_deck
+from repro.sweep3d.input import Sweep3DInput, standard_deck
 
 
 def result_key(sim):
@@ -69,6 +80,12 @@ def ping_pong_loop(iterations, compute=2.0**-10, nbytes=256,
 
 def record(topology, program, nranks=2):
     return TraceRecorder(topology).record(program, nranks)
+
+
+def rendezvous_deck(px, py, iterations):
+    """200x200x100 cells per rank: every face message is rendez-vous."""
+    return Sweep3DInput(it=200 * px, jt=200 * py, kt=100, mk=10, mmi=3,
+                        sn=6, max_iterations=iterations)
 
 
 class TestPeriodDetector:
@@ -116,6 +133,21 @@ class TestPeriodDetector:
                 yield comm.compute(2.0**-10)
 
         assert not detect_period(record(topology, program)).periodic
+
+    def test_rendezvous_warm_up_moves_past_slot_failures(self):
+        # 200x200x100 cells per rank: every face message is rendez-vous
+        # sized, and a few early receives match warm-up sends numbered in
+        # another order than later periods' while signatures repeat.
+        machine = get_machine("steady")
+        deck = rendezvous_deck(2, 2, 12)
+        trace = machine.simulation_plan(deck, 2, 2)._record_trace(deck)
+        info = detect_period(trace)
+        assert info.periodic and info.repeats >= MIN_REPEATS
+        sig = _signatures(trace)
+        mismatch = np.flatnonzero(sig[info.period:] != sig[:-info.period])
+        assert mismatch[-1] + 1 < info.warmup
+        assert info.warmup + info.repeats * info.period + info.drain \
+            == trace.n_events
 
     def test_describe_steady_reports_eligibility(self, topology):
         trace = record(topology, ping_pong_loop(12))
@@ -335,3 +367,224 @@ class TestPlanIntegration:
         snapped = quantized.simulation_plan(deck, 2, 2).run(mode="steady")
         assert snapped.elapsed_time == pytest.approx(base.elapsed_time,
                                                      rel=1e-4)
+
+
+# ---------------------------------------------------------------------------
+# Resolving a run from its periodic-capture probe
+# ---------------------------------------------------------------------------
+
+
+def late_receiver(iterations, lag):
+    """Rank 1 receives each of rank 0's messages ``lag`` iterations late."""
+    def program(comm):
+        for index in range(iterations):
+            yield comm.compute(2.0**-10 * (comm.rank + 1))
+            if comm.rank == 0:
+                yield comm.send(None, dest=1, tag=1, nbytes=64)
+            elif index >= lag:
+                yield comm.recv(source=0, tag=1)
+            yield comm.allreduce(1.0, op="sum")
+        return comm.rank
+    return program
+
+
+def verdict(source):
+    """The steady tier's outcome for ``source``, comparable by ``==``."""
+    try:
+        return result_key(steady_replay(source))
+    except SteadyNeedsTrace:
+        return "needs the tiled trace"
+    except SteadyStateError as exc:
+        return f"refused: {exc}"
+
+
+class TestProbeResolution:
+    @pytest.mark.parametrize("lag", [1, 2, 3, 4])
+    def test_unmatched_sends_bound_the_probe(self, topology, lag):
+        # The probe's last `lag` sends are unmatched but the run matches
+        # them: no boundary after the first of them is the probe's to
+        # read, so a lock-in that needs one defers to the tiled trace.
+        probe = record(topology, late_receiver(14, lag))
+        info = detect_period(probe)
+        tiles = 10
+        capture = periodic_capture(probe, info, tiles, [0, 1], topology)
+        # One allreduce per iteration.
+        iterations = 14 + tiles * collectives_per_period(probe, info)
+        want = verdict(record(topology, late_receiver(iterations, lag)))
+        assert verdict(tile_trace(capture)) == want
+        got = verdict(capture)
+        if lag >= 3:
+            assert got == "needs the tiled trace"
+        else:
+            assert got == want
+
+    def test_a_complete_trace_is_the_zero_tile_case(self, topology):
+        probe = record(topology, ping_pong_loop(20))
+        info = detect_period(probe)
+        capture = periodic_capture(probe, info, 3, probe._return_values,
+                                   topology)
+        assert verdict(capture) == verdict(record(topology,
+                                                  ping_pong_loop(23)))
+        assert probe.steady_replays == 1
+
+    def test_the_timebase_is_judged_on_the_whole_run(self, topology):
+        # Exact on the probe's own grid, but the run's total needs a grid
+        # coarser than the duration's 2**-40 bit.
+        probe = record(topology, ping_pong_loop(20, compute=1.0 + 2.0**-40))
+        assert verdict(probe) == result_key(probe.replay())
+        capture = periodic_capture(probe, detect_period(probe), 2000,
+                                   probe._return_values, topology)
+        want = verdict(tile_trace(capture))
+        assert want.startswith("refused: durations are not integer multiples")
+        assert verdict(capture) == want
+
+    def test_columns_that_do_not_repeat_defer(self, topology):
+        probe = record(topology, ping_pong_loop(20))
+        info = detect_period(probe)
+        capture = periodic_capture(probe, info, 3, probe._return_values,
+                                   topology)
+        probe._base[info.warmup] += 2.0**-20     # a warm-up change only
+        assert verdict(capture) == "needs the tiled trace"
+
+
+class TestPlanProbePath:
+    """``plan.run(mode="steady")`` on a periodic capture (>= 12 iterations)."""
+
+    @pytest.fixture
+    def calls(self, monkeypatch):
+        counts = {"steady_replay": 0, "tile_trace": 0}
+
+        def counting(name):
+            original = getattr(driver, name)
+
+            def wrapper(*args, **kwargs):
+                counts[name] += 1
+                return original(*args, **kwargs)
+            monkeypatch.setattr(driver, name, wrapper)
+
+        counting("steady_replay")
+        counting("tile_trace")
+        return counts
+
+    def test_resolves_without_tiling(self, calls):
+        machine = get_machine("steady")
+        deck = standard_deck("validation", px=2, py=2, max_iterations=24)
+        plan = machine.simulation_plan(deck, 2, 2)
+        run = plan.run(mode="steady")
+        assert plan.last_capture.mode == "periodic"
+        assert plan.last_execution == "steady"
+        assert isinstance(plan._capture, PeriodicCapture)
+        assert calls == {"steady_replay": 1, "tile_trace": 0}
+        reference = steady_replay(
+            machine.simulation_plan(deck, 2, 2).compile_trace())
+        assert repr(run.simulation) == repr(reference)
+
+    def test_continuous_timebase_refuses_and_replays(self, calls):
+        machine = get_machine("hypothetical-opteron-myrinet")
+        deck = standard_deck("validation", px=2, py=2, max_iterations=24)
+        plan = machine.simulation_plan(deck, 2, 2)
+        run = plan.run(mode="steady")
+        assert plan.last_capture.mode == "periodic"
+        assert plan.last_execution == "replay"
+        assert "dyadic" in plan.last_steady_refusal
+        # The probe refused by itself; the table was tiled for the replay.
+        assert calls == {"steady_replay": 1, "tile_trace": 1}
+        engine = machine.simulation_plan(deck, 2, 2).run(mode="engine")
+        assert repr(run.simulation) == repr(engine.simulation)
+
+    def test_noise_refuses_and_replays(self, calls):
+        machine = get_machine("steady")
+        deck = standard_deck("validation", px=2, py=2, max_iterations=24)
+        plan = machine.simulation_plan(deck, 2, 2)
+        run = plan.run(mode="steady", noise=machine.noise_model(3))
+        assert plan.last_execution == "replay"
+        assert "noise" in plan.last_steady_refusal
+        assert calls == {"steady_replay": 1, "tile_trace": 1}
+        engine = machine.simulation_plan(deck, 2, 2).run(
+            mode="engine", noise=machine.noise_model(3))
+        assert repr(run.simulation) == repr(engine.simulation)
+
+    def test_short_decks_keep_the_full_recording(self, calls):
+        machine = get_machine("steady")
+        deck = standard_deck("validation", px=2, py=2, max_iterations=11)
+        plan = machine.simulation_plan(deck, 2, 2)
+        run = plan.run(mode="steady")
+        assert plan.last_capture.mode == "full"
+        assert "too few iterations" in plan.last_capture.reason
+        assert isinstance(plan._capture, CompiledTrace)
+        assert plan.last_execution == "steady"
+        assert calls == {"steady_replay": 1, "tile_trace": 0}
+        engine = machine.simulation_plan(deck, 2, 2).run(mode="engine")
+        assert repr(run.simulation) == repr(engine.simulation)
+
+    def test_lockin_beyond_the_probe_falls_back_to_tiling(self, calls,
+                                                          monkeypatch):
+        machine = get_machine("steady")
+        deck = standard_deck("validation", px=2, py=2, max_iterations=24)
+        reference = machine.simulation_plan(deck, 2, 2)
+        # The 6-iteration probe holds 5 boundaries; a lock-in run of 6
+        # transitions needs more.
+        monkeypatch.setattr(steady, "_LOCKIN_RUN", 6)
+        plan = machine.simulation_plan(deck, 2, 2)
+        run = plan.run(mode="steady")
+        assert plan.last_execution == "steady"
+        assert calls == {"steady_replay": 2, "tile_trace": 1}
+        assert isinstance(plan._capture, CompiledTrace)
+        assert repr(run.simulation) == repr(
+            steady_replay(reference.compile_trace()))
+        assert repr(run.simulation) == repr(
+            reference.compile_trace().replay())
+
+
+def _matrix_deck(kind, px, py, iterations):
+    if kind == "validation":
+        return standard_deck("validation", px=px, py=py,
+                             max_iterations=iterations)
+    return rendezvous_deck(px, py, iterations)
+
+
+def _matrix():
+    """Presets x grids x iterations x decks, without the large corners
+    (each would cost tier-1 seconds to repeat what smaller cases check)."""
+    cases = []
+    for preset in ("steady", "pentium3-myrinet"):
+        for grid in ((1, 1), (2, 3), (4, 4), (8, 8)):
+            for iterations in (12, 30, 100):
+                for deck in ("validation", "rendezvous"):
+                    pes = grid[0] * grid[1]
+                    if pes == 64 and (preset, iterations, deck) \
+                            != ("steady", 12, "validation"):
+                        continue
+                    if preset == "pentium3-myrinet" and pes > 1 \
+                            and iterations > 12:
+                        continue
+                    if (pes, iterations, deck) == (16, 100, "rendezvous"):
+                        continue
+                    cases.append((preset, grid, iterations, deck))
+    return cases
+
+
+@pytest.mark.parametrize(
+    "preset, grid, iterations, deck_kind", _matrix(),
+    ids=lambda value: (f"{value[0]}x{value[1]}" if isinstance(value, tuple)
+                       else str(value)))
+def test_probe_resolution_matches_the_tiled_trace(preset, grid, iterations,
+                                                  deck_kind):
+    """A fresh plan's steady run has the tier and bits of
+    ``steady_replay(compile_trace())`` on a second plan (and of the
+    engine, up to 4x4 ranks and 30 iterations)."""
+    machine = get_machine(preset)
+    px, py = grid
+    deck = _matrix_deck(deck_kind, px, py, iterations)
+    plan = machine.simulation_plan(deck, px, py)
+    run = plan.run(mode="steady")
+    trace = machine.simulation_plan(deck, px, py).compile_trace()
+    try:
+        tier, reference = "steady", steady_replay(trace)
+    except SteadyStateError:
+        tier, reference = "replay", trace.replay()
+    assert plan.last_execution == tier
+    assert repr(run.simulation) == repr(reference)
+    if px * py <= 16 and iterations <= 30:
+        engine = machine.simulation_plan(deck, px, py).run(mode="engine")
+        assert repr(run.simulation) == repr(engine.simulation)

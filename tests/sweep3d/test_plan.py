@@ -26,6 +26,26 @@ class TestSweepCostTable:
         table.block_seconds(10, 10, 5, 3, 1e6)
         assert table.hits == 1
 
+    def test_warm_lookups_build_no_mix(self, machine, monkeypatch):
+        table = SweepCostTable(machine.processor)
+        cold = (table.block_seconds(10, 10, 5, 3, 1e6),
+                table.source_seconds(1000, 5e5),
+                table.flux_err_seconds(1000, 5e5),
+                table.balance_seconds(1000, 5e5))
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("a warm lookup built an operation mix")
+
+        for name in ("block_mix", "source_mix", "flux_err_mix",
+                     "balance_mix"):
+            monkeypatch.setattr(SweepKernel, name, refuse)
+        warm = (table.block_seconds(10, 10, 5, 3, 1e6),
+                table.source_seconds(1000, 5e5),
+                table.flux_err_seconds(1000, 5e5),
+                table.balance_seconds(1000, 5e5))
+        assert warm == cold
+        assert (table.hits, table.misses) == (4, 4)
+
     def test_distinct_shapes_priced_separately(self, machine):
         table = SweepCostTable(machine.processor)
         a = table.block_seconds(10, 10, 5, 3, 1e6)

@@ -15,6 +15,16 @@ DOMAIN_ERRORS = [
     ("predict --machine opteron --px 2 --py 2 --iterations 0",
      "max_iterations must be >= 1"),
     ("predict --machine opteron --px 0", "processor array px must be >= 1 (got 0)"),
+    ("run table2 --set max_iterations=abc",
+     "study 'table2' parameter 'max_iterations' got 'abc'"),
+    ("run steady-scaling --set processor_counts=[1,2.5]",
+     "study 'steady-scaling' parameter 'processor_counts' got (1, 2.5)"),
+    ("run table2 --set max_pes=abc",
+     "table2 parameter 'max_pes' must be an integer >= 1, got 'abc'"),
+    ("run table2 --set max_pes=0",
+     "table2 parameter 'max_pes' must be an integer >= 1, got 0"),
+    ("run table2 --set rows=5",
+     "table2 parameter 'rows' must be a list of row indices, got 5"),
 ]
 
 
