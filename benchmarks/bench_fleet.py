@@ -60,39 +60,36 @@ def _rows(results):
 
 def _run_static(specs, scratch):
     """The pre-fleet CI recipe: 4 static shards per study, merged."""
-    with StudyContext() as ctx:
-        runner = StudyRunner(context=ctx)
-        shard_dirs = []
-        for spec in specs:
-            for shard in plan_shards(spec, 4).shards:
-                out_dir = scratch / f"shard-{len(shard_dirs):03d}"
-                write_study_artifacts([runner.run(shard.spec)], out_dir)
-                shard_dirs.append(out_dir)
-        loaded = []
-        for out_dir in shard_dirs:
-            loaded.extend(load_study_results(out_dir))
-        families, plain = group_by_parent(loaded)
-        assert not plain
-        return [merge_study_results(family)
-                for family in families.values()]
+    runner = StudyRunner(context=StudyContext())
+    shard_dirs = []
+    for spec in specs:
+        for shard in plan_shards(spec, 4).shards:
+            out_dir = scratch / f"shard-{len(shard_dirs):03d}"
+            write_study_artifacts([runner.run(shard.spec)], out_dir)
+            shard_dirs.append(out_dir)
+    loaded = []
+    for out_dir in shard_dirs:
+        loaded.extend(load_study_results(out_dir))
+    families, plain = group_by_parent(loaded)
+    assert not plain
+    return [merge_study_results(family)
+            for family in families.values()]
 
 
 def _run_fleet(specs):
-    with StudyContext() as ctx:
-        outcome = run_local_fleet(specs, n_workers=1, store=MemoryStore(),
-                                  lease_ttl_s=60.0, poll_s=0.01,
-                                  timeout_s=600.0, context=ctx)
-        assert outcome.status == "done", outcome.reason
-        return outcome.results
+    outcome = run_local_fleet(specs, n_workers=1, store=MemoryStore(),
+                              lease_ttl_s=60.0, poll_s=0.01,
+                              timeout_s=600.0, context=StudyContext())
+    assert outcome.status == "done", outcome.reason
+    return outcome.results
 
 
 def test_fleet_overhead_vs_static_sharding(tmp_path, monkeypatch):
     """Coordinator-run smoke grids cost <=1.10x the static 4-way plan."""
     specs = [build_spec(name).smoke() for name in study_names()]
 
-    with StudyContext() as ctx:
-        reference = _rows(StudyRunner(context=ctx).run(spec)
-                          for spec in specs)
+    ctx = StudyContext()
+    reference = _rows(StudyRunner(context=ctx).run(spec) for spec in specs)
 
     # Each side's orchestration time is its wall-clock minus the time
     # spent in StudyRunner.run, the work both sides share.

@@ -32,8 +32,6 @@ def main() -> None:
                         help="source iterations (the paper always uses 12)")
     parser.add_argument("--no-measurement", action="store_true",
                         help="skip the discrete-event measurement and only predict")
-    parser.add_argument("--workers", type=int, default=1,
-                        help="multiprocessing fan-out for the row grids")
     parser.add_argument("--out", default=None, metavar="DIR",
                         help="write the JSON/CSV artifacts and manifest here")
     args = parser.parse_args()
@@ -41,8 +39,7 @@ def main() -> None:
     spec = api.build_spec(args.table,
                           simulate_measurement=not args.no_measurement,
                           max_iterations=args.iterations,
-                          max_pes=args.max_pes,
-                          workers=args.workers)
+                          max_pes=args.max_pes)
     print(f"spec (hash {spec.spec_hash()[:12]}):\n{spec.to_toml()}")
 
     result = api.run_study(spec)

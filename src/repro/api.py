@@ -58,13 +58,13 @@ Example::
 
     import repro.api as api
 
-    spec = api.build_spec("table2", max_pes=16, workers=4,
+    spec = api.build_spec("table2", max_pes=16,
                           cache_dir="~/.cache/repro-sweep3d")
     result = api.run_study(spec)
     api.write_study_artifacts([result], "artifacts/")
 
     # or, for every registered study:
-    results = api.StudyRunner(workers=4).run_all()
+    results = api.StudyRunner().run_all()
 """
 
 from __future__ import annotations
@@ -205,14 +205,12 @@ def default_context() -> StudyContext:
 
 
 def clear_cached_context() -> None:
-    """Drop (and close) the memoised default context.
+    """Drop the memoised default context.
 
     The next one-shot rebuilds everything from scratch — useful in tests
     and for bounding memory in very long-lived processes.
     """
     global _DEFAULT_CONTEXT
-    if _DEFAULT_CONTEXT is not None:
-        _DEFAULT_CONTEXT.close()
     _DEFAULT_CONTEXT = None
 
 

@@ -10,7 +10,7 @@ sweep store:
 
     repro-sweep3d studies
     repro-sweep3d run table2 --smoke
-    repro-sweep3d run table1 figure8 --workers 4 --out artifacts/
+    repro-sweep3d run table1 figure8 --out artifacts/
     repro-sweep3d run my-study.toml --out artifacts/
     repro-sweep3d run --all --smoke --out artifacts/
     repro-sweep3d run table2 --set max_pes=16 --set max_iterations=2
@@ -18,12 +18,14 @@ sweep store:
     repro-sweep3d cache prune --cache-dir ~/.cache/repro-sweep3d \\
         --max-entries 5000 --max-age-s 604800
 
-Sharded execution splits one spec's grid across machines with zero
-coordination beyond a spec file and a shared cache directory: ``shard
-plan`` shows (or writes) the deterministic split, ``run --shard i/N``
-executes one machine's slice, and ``merge`` recombines the shard
-artifact directories into a run that matches the unsharded one
-bit-for-bit (rows and CSVs; ``--expect`` asserts it):
+A study runs in one process.  Sharded execution splits one spec's grid
+across processes or machines with zero coordination beyond a spec file
+and a shared cache directory: ``shard plan`` shows (or writes) the
+deterministic split, ``run --shard i/N`` executes one slice, and
+``merge`` recombines the shard artifact directories into a run that
+matches the unsharded one bit-for-bit (rows and CSVs; ``--expect``
+asserts it).  ``fleet serve`` / ``fleet work`` lease the same grid units
+to whatever workers show up:
 
 .. code-block:: console
 
@@ -32,6 +34,9 @@ bit-for-bit (rows and CSVs; ``--expect`` asserts it):
         --cache-dir /shared/sweep-cache
     repro-sweep3d merge shard-0/ shard-1/ shard-2/ shard-3/ \\
         --out merged/ --expect reference/
+    repro-sweep3d fleet serve --all --smoke --fleet-dir /shared/fleet \\
+        --out merged/
+    repro-sweep3d fleet work --fleet-dir /shared/fleet   # on each worker
 
 Alongside the Study API sit the ad-hoc grid and inspection tools:
 
@@ -39,10 +44,10 @@ Alongside the Study API sit the ad-hoc grid and inspection tools:
 
     repro-sweep3d predict --machine opteron --px 4 --py 4
     repro-sweep3d simulate --backend predict --machine opteron \\
-        --arrays 1x1,2x2,4x4 --workers 4
+        --arrays 1x1,2x2,4x4
     repro-sweep3d simulate --machine pentium3 --px 2 --py 2 --iterations 2
     repro-sweep3d simulate --machine pentium3 --arrays 1x1,2x2,4x4 \\
-        --iterations 2 --workers 4 --cache-dir ~/.cache/repro-sweep3d
+        --iterations 2 --cache-dir ~/.cache/repro-sweep3d
     repro-sweep3d simulate --machine pentium3 --px 2 --py 2 --execution engine
     repro-sweep3d simulate --machine steady --px 4 --py 4 --execution steady
     repro-sweep3d simulate --machine steady --px 4 --py 4 --describe-trace
@@ -86,8 +91,6 @@ def _build_parser() -> argparse.ArgumentParser:
                      help="run every registered study")
     cmd.add_argument("--smoke", action="store_true",
                      help="reduced grids (CI smoke: each study's smoke overrides)")
-    cmd.add_argument("--workers", type=int, default=None,
-                     help="multiprocessing fan-out override for every study")
     cmd.add_argument("--cache-dir", default=None,
                      help="shared disk-backed sweep cache directory")
     cmd.add_argument("--out", default=None, metavar="DIR",
@@ -111,8 +114,8 @@ def _build_parser() -> argparse.ArgumentParser:
     cmd = sub.add_parser("studies", help="list the registered studies")
     cmd.add_argument("--json", action="store_true",
                      help="machine-readable listing: name, title, machine, "
-                          "backend, defaults, smoke overrides and shard axis "
-                          "per study")
+                          "defaults, smoke overrides and shard axis per "
+                          "study")
 
     cmd = sub.add_parser(
         "shard",
@@ -127,8 +130,6 @@ def _build_parser() -> argparse.ArgumentParser:
     scmd.add_argument("--smoke", action="store_true",
                       help="plan the reduced smoke grid (matches "
                            "'run --smoke --shard')")
-    scmd.add_argument("--workers", type=int, default=None,
-                      help="worker override recorded in the shard specs")
     scmd.add_argument("--cache-dir", default=None,
                       help="shared sweep cache directory recorded in the "
                            "shard specs")
@@ -270,11 +271,9 @@ def _build_parser() -> argparse.ArgumentParser:
                           "forces replay, 'steady' attempts the steady tier "
                           "and falls back to replay when it refuses; all "
                           "tiers are bit-identical (simulate backend only)")
-    cmd.add_argument("--workers", type=int, default=1,
-                     help="multiprocessing fan-out for the grid")
     cmd.add_argument("--cache-dir", default=None,
                      help="disk-backed sweep cache directory (shared across "
-                          "runs and worker processes)")
+                          "runs and processes)")
     cmd.add_argument("--samples", type=int, default=0, metavar="S",
                      help="replay every grid point under S noise seeds in "
                           "one batched pass and report mean/std/CI95 "
@@ -405,7 +404,7 @@ def _resolve_spec_token(token: str, overrides: dict,
         params = spec.params_dict
         params.update(_overrides_for(spec.study, overrides, used))
         return build_spec(spec.study, machine=spec.machine,
-                          workers=spec.workers, cache_dir=spec.cache_dir,
+                          cache_dir=spec.cache_dir,
                           analysis=spec.analysis, **params)
     return build_spec(token, **_overrides_for(token, overrides, used))
 
@@ -469,12 +468,11 @@ def _cmd_run(args: argparse.Namespace) -> int:
     smoke = args.smoke
     if shard_selector is not None:
         # The plan is computed on the grid that actually runs, so apply
-        # the smoke reduction (and runner-level overrides, which are part
-        # of the spec hash) before planning.
+        # the smoke reduction (and the runner-level cache directory, which
+        # is part of the spec hash) before planning.
         from repro.experiments.sharding import make_shard_spec
         index, count = shard_selector
-        resolved = [spec.with_overrides(workers=args.workers,
-                                        cache_dir=args.cache_dir)
+        resolved = [spec.with_overrides(cache_dir=args.cache_dir)
                     for spec in specs]
         if smoke:
             resolved = [spec.smoke() for spec in resolved]
@@ -488,7 +486,7 @@ def _cmd_run(args: argparse.Namespace) -> int:
             else:
                 specs.append(shard)
 
-    runner = StudyRunner(workers=args.workers, cache_dir=args.cache_dir)
+    runner = StudyRunner(cache_dir=args.cache_dir)
     results = runner.run_many(specs, smoke=smoke) if specs else []
 
     for result in results:
@@ -524,7 +522,7 @@ def _cmd_shard_plan(args: argparse.Namespace) -> int:
         print(f"--set parameter(s) {sorted(unused)} not accepted by "
               f"{spec.study}")
         return 2
-    spec = spec.with_overrides(workers=args.workers, cache_dir=args.cache_dir)
+    spec = spec.with_overrides(cache_dir=args.cache_dir)
     if args.smoke:
         spec = spec.smoke()
     plan = plan_shards(spec, args.shards)
@@ -769,9 +767,6 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
     from repro.machines.presets import get_machine
     from repro.sweep3d.input import standard_deck
 
-    if args.workers < 1:
-        print("--workers must be >= 1")
-        return 2
     machine = get_machine(args.machine)
     if args.arrays is not None:
         arrays = _parse_arrays(args.arrays)
@@ -838,8 +833,7 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
               "simulate")
         return 2
 
-    runner = SweepRunner(backend=backend, workers=args.workers,
-                         cache=args.cache_dir)
+    runner = SweepRunner(backend=backend, cache=args.cache_dir)
     outcomes = runner.run(sweep)
 
     print(machine.describe())

@@ -11,7 +11,7 @@ compile (:mod:`repro.core.evaluation.compiler`)
     expressions become pre-bound closures, cflows are constant-folded and
     memoised on exactly the variables they reference, and ``proc`` bodies
     become flat executable plans.  Compilation is hardware-independent and
-    shareable across executors and sweep workers.
+    shareable across executors and sweeps.
 
 execute (:class:`~repro.core.evaluation.compiler.CompiledExecutor`)
     Binds a compiled model to one HMCL

@@ -137,15 +137,15 @@ class DirectoryStore:
 
     Subclasses choose the payload codec by setting :attr:`suffix` and
     implementing :meth:`_encode` / :meth:`_decode`; everything else —
-    atomic writes, miss-on-corruption reads, accounting, pruning,
-    pickling across worker processes — is shared.
+    atomic writes, miss-on-corruption reads, accounting and pruning — is
+    shared.
 
     Parameters
     ----------
     path:
-        Store directory; created on first use.  Multiple processes (the
-        sweep runner's workers, or independent CLI invocations) may share
-        one directory concurrently.
+        Store directory; created on first use.  Multiple processes (shard
+        runs, fleet workers, independent CLI invocations) may share one
+        directory concurrently.
     """
 
     #: File suffix of every entry (used to enumerate the store).
@@ -316,14 +316,3 @@ class DirectoryStore:
             return DiskCacheStats(hits=self.stats.hits,
                                   misses=self.stats.misses,
                                   stores=self.stats.stores)
-
-    def __getstate__(self):
-        # Worker processes rebuild the store from its path; the lock is
-        # process-local and not picklable.
-        state = dict(self.__dict__)
-        del state["_stats_lock"]
-        return state
-
-    def __setstate__(self, state):
-        self.__dict__.update(state)
-        self._stats_lock = threading.Lock()

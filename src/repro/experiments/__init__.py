@@ -3,12 +3,12 @@
 Every experiment is a **registered study**: a named entry in the
 :mod:`repro.experiments.study` registry whose workload is described by a
 frozen, JSON/TOML-serializable :class:`~repro.experiments.study.StudySpec`
-(machine preset, backend, grid parameters, workers, cache directory,
-analysis hooks).  One :class:`~repro.experiments.study.StudyRunner`
-executes any number of specs in a single invocation — the PSL model is
-parsed and compiled once, one disk-backed
-:class:`~repro.experiments.diskcache.SweepDiskCache` and one
-multiprocessing pool are shared across studies — and emits typed
+(machine preset, grid parameters, cache directory, analysis hooks).
+One :class:`~repro.experiments.study.StudyRunner` executes any number of
+specs in a single invocation — the PSL model is parsed and compiled
+once, and one disk-backed
+:class:`~repro.experiments.diskcache.SweepDiskCache` per directory is
+shared across studies — and emits typed
 :class:`~repro.experiments.study.StudyResult` artifacts with uniform
 JSON/CSV export and a run manifest
 (:mod:`repro.experiments.artifacts`).  A spec file plus a shared cache

@@ -13,6 +13,7 @@ against the simulated measurement.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import TYPE_CHECKING
 
 from repro import units
 from repro.core.workload import SweepWorkload
@@ -21,6 +22,9 @@ from repro.experiments.runner import deck_for_row
 from repro.experiments.sweep import Scenario
 from repro.machines.machine import Machine
 from repro.machines.presets import get_machine
+
+if TYPE_CHECKING:
+    from repro.experiments.study import StudyContext
 
 
 @dataclass
@@ -58,12 +62,12 @@ class AblationResult:
                 f"legacy {self.legacy_prediction:.2f}s ({self.legacy_error_pct:+.1f}%)")
 
 
-def _run_opcode_ablation_impl(machine: Machine | None = None,
+def _run_opcode_ablation_impl(context: StudyContext,
+                              machine: Machine | None = None,
                               table_name: str = "table2",
                               row_index: int = 0,
                               max_iterations: int = 12,
-                              simulate_measurement: bool = True,
-                              context=None) -> AblationResult:
+                              simulate_measurement: bool = True) -> AblationResult:
     """The implementation behind the ``ablation`` study.
 
     Defaults to the first row of Table 2 — the Opteron cluster singled out
@@ -78,17 +82,14 @@ def _run_opcode_ablation_impl(machine: Machine | None = None,
     # The ablation is a two-point hardware sweep: the same scenario
     # variables evaluated against the coarse and the legacy cpu sections.
     variables = workload.model_variables()
-    from repro.experiments.study import ensure_context
-    with ensure_context(context) as ctx:
-        runner = ctx.prediction_runner()
-        coarse_outcome, legacy_outcome = runner.run([
-            Scenario(label="coarse", variables=variables,
-                     hardware=machine.hardware_model(deck, row.px, row.py,
-                                                     legacy_cpu=False)),
-            Scenario(label="legacy", variables=variables,
-                     hardware=machine.hardware_model(deck, row.px, row.py,
-                                                     legacy_cpu=True)),
-        ])
+    coarse_outcome, legacy_outcome = context.prediction_runner().run([
+        Scenario(label="coarse", variables=variables,
+                 hardware=machine.hardware_model(deck, row.px, row.py,
+                                                 legacy_cpu=False)),
+        Scenario(label="legacy", variables=variables,
+                 hardware=machine.hardware_model(deck, row.px, row.py,
+                                                 legacy_cpu=True)),
+    ])
     coarse = coarse_outcome.total_time
     legacy = legacy_outcome.total_time
 

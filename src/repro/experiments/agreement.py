@@ -15,6 +15,7 @@ point from the same hardware objects.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from typing import TYPE_CHECKING
 
 from repro import units
 from repro.analytic.comparison import ModelComparison, compare_models
@@ -25,6 +26,9 @@ from repro.machines.machine import Machine
 from repro.machines.presets import get_machine
 from repro.simmpi.cart import Cart2D
 from repro.sweep3d.input import Sweep3DInput
+
+if TYPE_CHECKING:
+    from repro.experiments.study import StudyContext
 
 
 @dataclass
@@ -52,11 +56,10 @@ class AgreementResult:
         return "\n".join(lines)
 
 
-def _run_model_agreement_impl(study: SpeculativeStudy = FIGURE8_STUDY,
+def _run_model_agreement_impl(context: StudyContext,
+                              study: SpeculativeStudy = FIGURE8_STUDY,
                               machine: Machine | None = None,
-                              processor_counts: list[int] | None = None,
-                              workers: int = 1,
-                              context=None) -> AgreementResult:
+                              processor_counts: list[int] | None = None) -> AgreementResult:
     """Compare the three predictors (the ``agreement`` study)."""
     machine = machine or get_machine("hypothetical-opteron-myrinet")
     counts = processor_counts if processor_counts is not None else [16, 256, 1024, 8000]
@@ -81,10 +84,7 @@ def _run_model_agreement_impl(study: SpeculativeStudy = FIGURE8_STUDY,
                            hardware=hardware,
                            tags={"nranks": nranks}))
 
-    from repro.experiments.study import ensure_context
-    with ensure_context(context) as ctx:
-        runner = ctx.prediction_runner(workers=workers)
-        outcomes = runner.run(sweep)
+    outcomes = context.prediction_runner().run(sweep)
     for (workload, hardware), outcome in zip(workloads, outcomes):
         result.comparisons.append(
             compare_models(workload, hardware,

@@ -33,9 +33,9 @@ There are two backends:
     instead of O(events).  Results are bit-identical in every mode to
     the seed's per-point run (a fresh engine, decomposition and
     operation-mix pricing per point, kept as the tests' oracle), and to
-    themselves under any ``workers=N`` fan-out (each scenario derives
-    its own noise seed from its identity, never from the worker that
-    evaluates it).
+    themselves in any evaluation order, shard or fleet worker (each
+    scenario derives its own noise seed from its identity, never from
+    where it is evaluated).
 
 The study executors and ``repro-sweep3d simulate --backend`` construct
 the two classes directly.
@@ -150,13 +150,6 @@ class PredictionBackend:
             hardware_fingerprint(hardware),
             tuple(sorted(scenario.variables.items())),
         )
-
-    def __getstate__(self):
-        # The compiled model is closure-heavy and cheap to rebuild; workers
-        # recompile rather than ship it across the process boundary.
-        state = dict(self.__dict__)
-        state["_compiled"] = None
-        return state
 
 
 class PredictionExecutor:
@@ -409,7 +402,7 @@ class SimulationBackend:
 
     def seed_offset_for(self, scenario, deck: Sweep3DInput,
                         px: int, py: int) -> int:
-        """The noise-seed offset of one scenario (stable across workers)."""
+        """The noise-seed offset of one scenario (stable across placements)."""
         explicit = scenario.variables.get("seed")
         if explicit is not None:
             return int(explicit)

@@ -20,7 +20,7 @@ It doubles as an ablation on the paper's choice of ``mk = 10``.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Sequence
+from typing import TYPE_CHECKING, Sequence
 
 from repro.core.workload import SweepWorkload
 from repro.errors import ExperimentError
@@ -28,6 +28,9 @@ from repro.experiments.sweep import Scenario, ScenarioSweep
 from repro.machines.machine import Machine
 from repro.machines.presets import get_machine
 from repro.sweep3d.input import Sweep3DInput
+
+if TYPE_CHECKING:
+    from repro.experiments.study import StudyContext
 
 #: k-plane blocking factors explored by default (divisors of the speculative
 #: study's kt = 100, spanning both extremes).
@@ -123,15 +126,14 @@ def blocking_sweep(px: int, py: int, cells_per_processor: tuple[int, int, int],
     return sweep
 
 
-def _run_blocking_impl(machine: Machine | None = None,
+def _run_blocking_impl(context: StudyContext,
+                       machine: Machine | None = None,
                        px: int = 20,
                        py: int = 20,
                        cells_per_processor: tuple[int, int, int] = (5, 5, 100),
                        mk_values: Sequence[int] = DEFAULT_MK_VALUES,
                        mmi_values: Sequence[int] = DEFAULT_MMI_VALUES,
-                       max_iterations: int = 12,
-                       workers: int = 1,
-                       context=None) -> BlockingStudyResult:
+                       max_iterations: int = 12) -> BlockingStudyResult:
     """The implementation behind the ``blocking`` study.
 
     The default configuration is the paper's 20-million-cell speculative
@@ -153,10 +155,7 @@ def _run_blocking_impl(machine: Machine | None = None,
     if not len(sweep):
         raise ExperimentError("no valid (mk, mmi) combinations were explored")
 
-    from repro.experiments.study import ensure_context
-    with ensure_context(context) as ctx:
-        runner = ctx.prediction_runner(hardware=hardware, workers=workers)
-        outcomes = runner.run(sweep)
+    outcomes = context.prediction_runner(hardware=hardware).run(sweep)
 
     result = BlockingStudyResult(machine_name=machine.name, px=px, py=py,
                                  cells_per_processor=cells_per_processor)

@@ -1,14 +1,13 @@
 """Disk-backed sweep cache: persistent, cross-process scenario results.
 
-The multiprocessing fan-out of :class:`~repro.experiments.sweep.SweepRunner`
-used to rebuild every cache per worker, and nothing survived the process.
-This module stores one file per evaluated scenario under a cache directory
-so that
+The in-memory caches of a :class:`~repro.experiments.sweep.SweepRunner`
+die with its process.  This module stores one file per evaluated scenario
+under a cache directory so that
 
 * a **warm second run** of the same sweep (same model/machine fingerprint,
   same scenario) is served from disk,
-* **worker processes share one store**: whatever any worker evaluated is a
-  hit for every other worker and for later runs.
+* **processes share one store**: whatever one shard run or fleet worker
+  evaluated is a hit for every other process and for later runs.
 
 Keys are the backend's scenario fingerprint — backend name + model/machine
 and hardware fingerprints + the scenario's variables/seed — hashed to a
@@ -55,9 +54,9 @@ class SweepDiskCache(DirectoryStore):
     Parameters
     ----------
     path:
-        Cache directory; created on first use.  Multiple processes (the
-        sweep runner's workers, or independent CLI invocations) may share
-        one directory concurrently.
+        Cache directory; created on first use.  Multiple processes (shard
+        runs, fleet workers, independent CLI invocations) may share one
+        directory concurrently.
     """
 
     suffix = ".pkl"

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from typing import TYPE_CHECKING
 
 from repro import units
 from repro.core.workload import SweepWorkload
@@ -13,6 +14,9 @@ from repro.machines.machine import Machine
 from repro.machines.presets import get_machine
 from repro.simmpi.cart import Cart2D
 from repro.sweep3d.input import Sweep3DInput
+
+if TYPE_CHECKING:
+    from repro.experiments.study import StudyContext
 
 
 @dataclass
@@ -99,11 +103,10 @@ def speculative_sweep(study: SpeculativeStudy, machine: Machine,
 
 
 def _run_speculative_figure_impl(study: SpeculativeStudy,
+                                 context: StudyContext,
                                  machine: Machine | None = None,
                                  processor_counts: list[int] | None = None,
-                                 rate_factors: list[float] | None = None,
-                                 workers: int = 1,
-                                 context=None) -> FigureResult:
+                                 rate_factors: list[float] | None = None) -> FigureResult:
     """The implementation behind the ``figure8``/``figure9`` studies.
 
     The hypothetical machine's HMCL object uses the fixed achieved rate of
@@ -119,10 +122,8 @@ def _run_speculative_figure_impl(study: SpeculativeStudy,
     if not counts or not factors:
         raise ExperimentError("speculative figure needs processor counts and rate factors")
 
-    from repro.experiments.study import ensure_context
-    with ensure_context(context) as ctx:
-        runner = ctx.prediction_runner(workers=workers)
-        outcomes = runner.run(speculative_sweep(study, machine, counts, factors))
+    outcomes = context.prediction_runner().run(
+        speculative_sweep(study, machine, counts, factors))
 
     result = FigureResult(study=study, machine_name=machine.name)
     series_by_factor: dict[float, FigureSeries] = {}

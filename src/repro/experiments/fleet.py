@@ -754,8 +754,8 @@ class FleetWorker:
         ``True`` to simulate sudden worker death (heartbeats stop, held
         leases are abandoned un-released).
     context:
-        A shared :class:`StudyContext`; by default the worker owns one
-        (and closes it when the loop ends).
+        A shared :class:`StudyContext`; by default the worker builds its
+        own when the loop starts.
     clock:
         Injectable wall-clock for lease deadlines (tests).
     wake:
@@ -788,7 +788,6 @@ class FleetWorker:
         self.wake = wake
         self._store = store
         self._context = context
-        self._owns_context = context is None
         self.log = FleetEventLog(self.paths.events, clock=clock)
         self.lease_ttl_s = 30.0
         #: (index, generation) -> lease path, guarded for the heartbeat.
@@ -868,8 +867,6 @@ class FleetWorker:
                                 completed=self.completed)
             if restore_cache is not _UNSET:
                 self._context.cache = restore_cache
-            if self._owns_context and self._context is not None:
-                self._context.close()
         return self.completed
 
     # -- the loop ------------------------------------------------------------

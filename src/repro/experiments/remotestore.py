@@ -80,7 +80,7 @@ def validate_key(key: str) -> str:
 class ArtifactStore:
     """Abstract object store: flat keys, whole-object reads and writes.
 
-    Subclasses implement the five primitives; the JSON/text conveniences
+    Subclasses implement the four primitives; the JSON/text conveniences
     are shared.  All methods are safe under concurrent use
     from multiple threads (and, for :class:`LocalDirStore`, processes).
     """
@@ -99,10 +99,6 @@ class ArtifactStore:
 
     def list_keys(self, prefix: str = "") -> list[str]:
         """Every key under ``prefix`` (sorted; ``""`` lists everything)."""
-        raise NotImplementedError
-
-    def delete(self, key: str) -> bool:
-        """Remove ``key``; returns whether it existed."""
         raise NotImplementedError
 
     def describe(self) -> str:
@@ -140,10 +136,6 @@ class MemoryStore(ArtifactStore):
             return sorted(keys)
         return sorted(key for key in keys
                       if key == prefix or key.startswith(prefix + "/"))
-
-    def delete(self, key: str) -> bool:
-        with self._lock:
-            return self._objects.pop(key, None) is not None
 
     def describe(self) -> str:
         return f"MemoryStore({len(self._objects)} object(s))"
@@ -200,15 +192,6 @@ class LocalDirStore(ArtifactStore):
             if path.is_file() and not path.name.endswith(".tmp"):
                 keys.append(path.relative_to(self.root).as_posix())
         return sorted(keys)
-
-    def delete(self, key: str) -> bool:
-        try:
-            self._path(key).unlink()
-            return True
-        except FileNotFoundError:
-            return False
-        except OSError as exc:
-            raise StoreError(f"cannot delete {key!r}: {exc}") from exc
 
     def describe(self) -> str:
         return f"LocalDirStore({self.root})"

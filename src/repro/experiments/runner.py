@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import statistics
 from dataclasses import dataclass, field
-from typing import Sequence
+from typing import TYPE_CHECKING, Sequence
 
 from repro import units
 from repro.core.evaluation.result import PredictionResult
@@ -28,6 +28,9 @@ from repro.experiments.paper_data import PaperValidationRow
 from repro.experiments.sweep import Scenario, ScenarioSweep
 from repro.machines.machine import Machine
 from repro.sweep3d.input import Sweep3DInput, standard_deck
+
+if TYPE_CHECKING:
+    from repro.experiments.study import StudyContext
 
 
 @dataclass
@@ -127,19 +130,17 @@ def scenario_for_row(row: PaperValidationRow,
 
 
 def predict_rows(machine: Machine, rows: Sequence[PaperValidationRow],
-                 max_iterations: int = 12,
-                 workers: int = 1,
-                 context=None) -> list[ValidationRowResult]:
+                 context: StudyContext,
+                 max_iterations: int = 12) -> list[ValidationRowResult]:
     """Predict a batch of validation rows through the sweep runner.
 
     All rows of a table share the same per-processor problem size (50^3
     weak scaling), so the hardware model is built once — exactly as the
     paper profiles once per problem size per machine — and the compiled
-    model plus its caches are shared across every row.  A
-    :class:`~repro.experiments.study.StudyContext` may be supplied to
-    share the compiled model (and pool/cache) across tables.
+    model plus its caches are shared across every row.  The
+    :class:`~repro.experiments.study.StudyContext` supplies the compiled
+    model and the sweep cache, shared across tables.
     """
-    from repro.experiments.study import ensure_context
     rows = list(rows)
     if not rows:
         return []
@@ -147,9 +148,7 @@ def predict_rows(machine: Machine, rows: Sequence[PaperValidationRow],
     hardware = machine.hardware_model(first_deck, rows[0].px, rows[0].py)
     sweep = ScenarioSweep([scenario_for_row(row, max_iterations=max_iterations)
                            for row in rows])
-    with ensure_context(context) as ctx:
-        runner = ctx.prediction_runner(hardware=hardware, workers=workers)
-        outcomes = runner.run(sweep)
+    outcomes = context.prediction_runner(hardware=hardware).run(sweep)
     return [
         ValidationRowResult(
             data_size=row.data_size,
@@ -165,10 +164,9 @@ def predict_rows(machine: Machine, rows: Sequence[PaperValidationRow],
 
 
 def measure_rows(machine: Machine, results: Sequence[ValidationRowResult],
+                 context: StudyContext,
                  max_iterations: int = 12,
-                 workers: int = 1,
                  cache: SweepDiskCache | str | None = None,
-                 context=None,
                  execution: str = "auto",
                  samples: int = 0) -> list[ValidationRowResult]:
     """Attach the discrete-event measurements of a whole table as one sweep.
@@ -176,11 +174,11 @@ def measure_rows(machine: Machine, results: Sequence[ValidationRowResult],
     The rows become one scenario grid evaluated through the
     :class:`~repro.experiments.backends.SimulationBackend` — simulation
     plans, the compute cost table and (optionally) the disk-backed sweep
-    cache are shared across every row, and ``workers > 1`` fans the grid
-    out over multiprocessing.  Each row's noise seed is its processor
-    count (``seed_offset = row.pes``), so every measured value equals a
-    one-off ``machine.simulate(..., seed_offset=row.pes)`` of that row bit
-    for bit, whatever the worker count.  ``execution`` selects
+    cache are shared across every row.  Each row's noise seed is its
+    processor count (``seed_offset = row.pes``), so every measured value
+    equals a one-off ``machine.simulate(..., seed_offset=row.pes)`` of
+    that row bit for bit, whatever shard or fleet worker runs it.
+    ``cache`` overrides the context's sweep cache.  ``execution`` selects
     the simulation tier (``"auto"``: trace replay for these modelled runs;
     ``"engine"``: the per-event reference; both bit-identical).
     ``samples > 0`` replays each row under that many noise seeds in one
@@ -188,7 +186,6 @@ def measure_rows(machine: Machine, results: Sequence[ValidationRowResult],
     fields; ``measured`` itself stays the sample-0 value, bit-identical
     to ``samples=0``.
     """
-    from repro.experiments.study import ensure_context
     results = list(results)
     if not results:
         return results
@@ -202,17 +199,16 @@ def measure_rows(machine: Machine, results: Sequence[ValidationRowResult],
                  tags={"row": row})
         for row in (result.paper_row for result in results)
     ])
-    with ensure_context(context) as ctx:
-        if cache is not None:
-            runner = ctx.backend_runner(backend, workers=workers, cache=cache)
-        else:
-            runner = ctx.backend_runner(backend, workers=workers)
-        for result, outcome in zip(results, runner.run(sweep)):
-            measurement = outcome.result
-            result.measured = measurement.elapsed_time
-            if measurement.n_samples:
-                result.measured_samples = tuple(measurement.elapsed_samples)
-                result.measured_mean = measurement.elapsed_mean
-                result.measured_std = measurement.elapsed_std
-                result.measured_ci95 = measurement.elapsed_ci95
+    if cache is not None:
+        runner = context.backend_runner(backend, cache=cache)
+    else:
+        runner = context.backend_runner(backend)
+    for result, outcome in zip(results, runner.run(sweep)):
+        measurement = outcome.result
+        result.measured = measurement.elapsed_time
+        if measurement.n_samples:
+            result.measured_samples = tuple(measurement.elapsed_samples)
+            result.measured_mean = measurement.elapsed_mean
+            result.measured_std = measurement.elapsed_std
+            result.measured_ci95 = measurement.elapsed_ci95
     return results

@@ -11,11 +11,14 @@ a threshold — the numbers a procurement study would actually quote.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Sequence
+from typing import TYPE_CHECKING, Sequence
 
 from repro.errors import ExperimentError
 from repro.experiments.figures import FigureResult, FigureSeries, speculative_sweep
 from repro.experiments.paper_data import FIGURE8_STUDY, SpeculativeStudy
+
+if TYPE_CHECKING:
+    from repro.experiments.study import StudyContext
 
 
 @dataclass(frozen=True)
@@ -93,12 +96,11 @@ def analyze_figure(result: FigureResult) -> dict[float, ScalingAnalysis]:
             for series in result.series}
 
 
-def _run_scaling_impl(machine=None,
+def _run_scaling_impl(context: StudyContext,
+                      machine=None,
                       study: SpeculativeStudy = FIGURE8_STUDY,
                       processor_counts: Sequence[int] = (1, 16, 256, 1024, 8000),
-                      rate_factor: float = 1.0,
-                      workers: int = 1,
-                      context=None) -> ScalingAnalysis:
+                      rate_factor: float = 1.0) -> ScalingAnalysis:
     """Predict and analyse a weak-scaling curve (the ``scaling`` study).
 
     The processor-count axis is declared as a scenario grid and evaluated
@@ -110,10 +112,7 @@ def _run_scaling_impl(machine=None,
     counts = list(processor_counts)
     if not counts:
         raise ExperimentError("scaling study needs at least one processor count")
-    from repro.experiments.study import ensure_context
-    with ensure_context(context) as ctx:
-        runner = ctx.prediction_runner(workers=workers)
-        outcomes = runner.run(speculative_sweep(study, machine, counts,
-                                                [rate_factor]))
+    outcomes = context.prediction_runner().run(
+        speculative_sweep(study, machine, counts, [rate_factor]))
     return analyze_series(counts, [outcome.total_time for outcome in outcomes],
                           label=f"{study.name} x{rate_factor:g} on {machine.name}")

@@ -160,8 +160,7 @@ def steady_scaling_scenarios(params) -> list[Scenario]:
 # ---------------------------------------------------------------------------
 
 
-def _run_steady_scaling_impl(machine, params, workers,
-                             context) -> SteadyScalingResult:
+def _run_steady_scaling_impl(machine, params, context) -> SteadyScalingResult:
     execution = str(params["sim_execution"])
     # Noise is hardcoded off: the steady tier refuses noisy traces (their
     # draws are per-event), and this study measures the deterministic
@@ -169,7 +168,7 @@ def _run_steady_scaling_impl(machine, params, workers,
     backend = SimulationBackend(machine, deck="validation",
                                 numeric=False, with_noise=False,
                                 execution=execution)
-    runner = context.backend_runner(backend, workers=workers)
+    runner = context.backend_runner(backend)
     scenarios = steady_scaling_scenarios(params)
     result = SteadyScalingResult(machine_name=machine.name,
                                  sim_execution=execution)

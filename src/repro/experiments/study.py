@@ -8,7 +8,7 @@ first-class, serializable form:
 
 * :class:`StudySpec` — a frozen, hashable description of one workload:
   the registered study family, the machine preset, the grid
-  parameters, worker count, cache directory and analysis hooks.  Specs
+  parameters, cache directory and analysis hooks.  Specs
   round-trip through JSON and TOML (:meth:`StudySpec.to_toml` /
   :func:`load_spec`) and have a stable content hash
   (:meth:`StudySpec.spec_hash`) — a spec file plus a shared cache
@@ -18,8 +18,8 @@ first-class, serializable form:
   user overrides against those defaults (unknown studies and unknown
   parameters fail loudly).
 * :class:`StudyContext` — shared execution state: the PSL model is parsed
-  and compiled **once**, one disk-backed sweep cache and one
-  multiprocessing pool serve every study of a run.
+  and compiled **once**, and one disk-backed sweep cache per directory
+  serves every study of a run.
 * :class:`StudyRunner` — executes one or many specs in a single
   invocation and emits typed :class:`StudyResult` artifacts: the
   per-experiment payload object, uniform tabular rows for JSON/CSV
@@ -39,8 +39,6 @@ import hashlib
 import json
 import os
 import time
-from concurrent.futures import ProcessPoolExecutor
-from contextlib import contextmanager
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Any, Callable, Iterable, Mapping, Sequence
@@ -150,8 +148,6 @@ class StudySpec:
     machine: str | None = None
     #: Canonicalised grid/study parameters as sorted ``(name, value)`` pairs.
     params: tuple[tuple[str, Any], ...] = ()
-    #: Multiprocessing fan-out for the study's scenario sweeps.
-    workers: int = 1
     #: Disk-backed sweep cache directory shared across studies/processes.
     cache_dir: str | None = None
     #: Registered analysis hooks applied to the result.
@@ -171,23 +167,21 @@ class StudySpec:
         resolved.update(self.params)
         return resolved
 
-    def with_overrides(self, workers: int | None = None,
-                       cache_dir: str | None = None) -> "StudySpec":
-        """A copy with runner-level overrides applied (None keeps the field)."""
-        changes: dict[str, Any] = {}
-        if workers is not None:
-            changes["workers"] = workers
-        if cache_dir is not None:
-            changes["cache_dir"] = str(cache_dir)
-        return dataclasses.replace(self, **changes) if changes else self
+    def with_overrides(self, cache_dir: str | None = None) -> "StudySpec":
+        """A copy with a runner-level cache directory (None keeps the field)."""
+        if cache_dir is None:
+            return self
+        return dataclasses.replace(self, cache_dir=str(cache_dir))
 
     def smoke(self) -> "StudySpec":
-        """The reduced-grid variant of this spec (CI smoke runs)."""
-        definition = get_study(self.study)
-        params = self.params_dict
-        params.update(definition.smoke_params)
+        """The reduced-grid variant of this spec (CI smoke runs).
+
+        The study's smoke parameters fill in only what the spec leaves at
+        its defaults: an explicit parameter keeps its value.
+        """
+        params = {**get_study(self.study).smoke_params, **self.params_dict}
         return build_spec(self.study, machine=self.machine,
-                          workers=self.workers, cache_dir=self.cache_dir,
+                          cache_dir=self.cache_dir,
                           analysis=self.analysis, **params)
 
     # -- serialization -------------------------------------------------------
@@ -197,8 +191,6 @@ class StudySpec:
         data: dict[str, Any] = {"study": self.study}
         if self.machine is not None:
             data["machine"] = self.machine
-        if self.workers != 1:
-            data["workers"] = self.workers
         if self.cache_dir is not None:
             data["cache_dir"] = self.cache_dir
         if self.analysis:
@@ -218,14 +210,13 @@ class StudySpec:
         params = data.pop("params", {})
         if not isinstance(params, Mapping):
             raise ExperimentError("study spec 'params' must be a table/object")
-        unknown = set(data) - {"machine", "workers", "cache_dir", "analysis"}
+        unknown = set(data) - {"machine", "cache_dir", "analysis"}
         if unknown:
             raise ExperimentError(
                 f"study spec has unknown fields {sorted(unknown)}; expected "
-                "study/machine/workers/cache_dir/analysis/params")
+                "study/machine/cache_dir/analysis/params")
         return build_spec(study,
                           machine=data.get("machine"),
-                          workers=int(data.get("workers", 1)),
                           cache_dir=data.get("cache_dir"),
                           analysis=data.get("analysis", ()),
                           **dict(params))
@@ -390,7 +381,7 @@ def study_names() -> list[str]:
     return list(_STUDIES)
 
 
-def build_spec(study: str, machine: str | None = None, workers: int = 1,
+def build_spec(study: str, machine: str | None = None,
                cache_dir: str | None = None,
                analysis: Sequence[str] = (), **params) -> StudySpec:
     """Build a canonical :class:`StudySpec`, validating against the registry.
@@ -405,8 +396,6 @@ def build_spec(study: str, machine: str | None = None, workers: int = 1,
         raise ExperimentError(
             f"study {study!r} does not accept parameter(s) {sorted(unknown)}; "
             f"accepted: {sorted(definition.defaults)}")
-    if workers < 1:
-        raise ExperimentError("a study spec needs at least one worker")
     _validate_shard_params(params)
     canonical = []
     for name in sorted(params):
@@ -421,7 +410,7 @@ def build_spec(study: str, machine: str | None = None, workers: int = 1,
     if machine is not None and machine == definition.default_machine:
         machine = None
     return StudySpec(study=study, machine=machine,
-                     params=tuple(canonical), workers=int(workers),
+                     params=tuple(canonical),
                      cache_dir=str(cache_dir) if cache_dir is not None else None,
                      analysis=tuple(analysis))
 
@@ -460,11 +449,11 @@ class StudyContext:
     * the PSL model is parsed once and compiled once
       (:meth:`model` / :meth:`compiled_model`);
     * machine presets are instantiated once (:meth:`machine`);
-    * one :class:`~repro.experiments.diskcache.SweepDiskCache` serves every
-      sweep (:attr:`cache`), and one ``ProcessPoolExecutor`` is reused by
-      every ``workers > 1`` fan-out (:meth:`pool`).
+    * one :class:`~repro.experiments.diskcache.SweepDiskCache` per
+      directory serves every sweep (:meth:`cache_for`, :attr:`cache`).
 
-    Usable as a context manager; :meth:`close` shuts the shared pool down.
+    It holds no OS resource.  It is not safe under concurrent studies:
+    :class:`StudyRunner` binds :attr:`cache` for the duration of each one.
     """
 
     def __init__(self):
@@ -474,9 +463,8 @@ class StudyContext:
         self._compiled: CompiledModel | None = None
         self._machines: dict[str, Any] = {}
         self._caches: dict[str, SweepDiskCache] = {}
-        self._pool: ProcessPoolExecutor | None = None
-        self._pool_size = 0
-        #: Sweep runners created through this context (stats aggregation).
+        #: Sweep runners created through this context by the study being
+        #: run; :class:`StudyRunner` aggregates and then drops them.
         self._runners: list[Any] = []
 
     # -- shared resources ----------------------------------------------------
@@ -506,27 +494,15 @@ class StudyContext:
             self._caches[key] = SweepDiskCache(key)
         return self._caches[key]
 
-    def pool(self, workers: int) -> ProcessPoolExecutor | None:
-        """The shared process pool (grown on demand); ``None`` for serial."""
-        if workers <= 1:
-            return None
-        if self._pool is None or self._pool_size < workers:
-            if self._pool is not None:
-                self._pool.shutdown()
-            self._pool = ProcessPoolExecutor(max_workers=workers)
-            self._pool_size = workers
-        return self._pool
-
     # -- runner factories ----------------------------------------------------
 
-    def prediction_runner(self, hardware: HardwareModel | None = None,
-                          workers: int = 1):
+    def prediction_runner(self, hardware: HardwareModel | None = None):
         """A :class:`SweepRunner` on the shared compiled prediction backend."""
         backend = PredictionBackend(hardware=hardware,
                                     compiled=self.compiled_model())
-        return self.backend_runner(backend, workers=workers)
+        return self.backend_runner(backend)
 
-    def backend_runner(self, backend: Backend, workers: int = 1,
+    def backend_runner(self, backend: Backend,
                        cache: SweepDiskCache | str | None = _UNSET):
         """A :class:`SweepRunner` on an explicit backend instance.
 
@@ -534,38 +510,10 @@ class StudyContext:
         disable caching for one sweep.
         """
         from repro.experiments.sweep import SweepRunner
-        runner = SweepRunner(backend=backend, workers=workers,
-                             cache=self.cache if cache is _UNSET else cache,
-                             pool=self.pool(workers))
+        runner = SweepRunner(backend=backend,
+                             cache=self.cache if cache is _UNSET else cache)
         self._runners.append(runner)
         return runner
-
-    # -- lifecycle -----------------------------------------------------------
-
-    def close(self) -> None:
-        if self._pool is not None:
-            self._pool.shutdown()
-            self._pool = None
-            self._pool_size = 0
-
-    def __enter__(self) -> "StudyContext":
-        return self
-
-    def __exit__(self, *exc_info) -> None:
-        self.close()
-
-
-@contextmanager
-def ensure_context(context: StudyContext | None = None):
-    """Yield ``context`` or a fresh one, closing only what this call created."""
-    if context is not None:
-        yield context
-        return
-    owned = StudyContext()
-    try:
-        yield owned
-    finally:
-        owned.close()
 
 
 # ---------------------------------------------------------------------------
@@ -684,20 +632,16 @@ class StudyRunner:
 
     Parameters
     ----------
-    workers:
-        Override applied to every spec that does not exceed it (CLI
-        ``--workers``); ``None`` keeps each spec's own value.
     cache_dir:
         Shared disk-cache directory override (CLI ``--cache-dir``).
     context:
-        An externally owned :class:`StudyContext`; without one the runner
-        creates (and closes) its own around each :meth:`run_all` call.
+        A :class:`StudyContext` to share with other runners; without one
+        the runner creates a fresh context per :meth:`run` or
+        :meth:`run_many` call.
     """
 
-    def __init__(self, workers: int | None = None,
-                 cache_dir: str | None = None,
+    def __init__(self, cache_dir: str | None = None,
                  context: StudyContext | None = None):
-        self.workers = workers
         self.cache_dir = cache_dir
         self._context = context
 
@@ -707,14 +651,13 @@ class StudyRunner:
             context: StudyContext | None = None) -> StudyResult:
         """Execute one spec (or a registered study's default spec)."""
         spec = self._resolve(spec)
-        with ensure_context(context or self._context) as ctx:
-            return self._run_one(spec, ctx)
+        return self._run_one(spec, context or self._context or StudyContext())
 
     # -- many studies --------------------------------------------------------
 
     def run_many(self, specs: Iterable[StudySpec | str],
                  smoke: bool = False) -> list[StudyResult]:
-        """Execute several specs sharing one context (model, caches, pool).
+        """Execute several specs sharing one context (model, caches).
 
         Each spec's own ``cache_dir`` governs its run (specs naming the
         same directory share one store); the runner-level ``cache_dir``
@@ -723,8 +666,8 @@ class StudyRunner:
         resolved = [self._resolve(spec) for spec in specs]
         if smoke:
             resolved = [spec.smoke() for spec in resolved]
-        with ensure_context(self._context) as ctx:
-            return [self._run_one(spec, ctx) for spec in resolved]
+        ctx = self._context or StudyContext()
+        return [self._run_one(spec, ctx) for spec in resolved]
 
     def run_all(self, smoke: bool = False) -> list[StudyResult]:
         """Execute every registered study's (default or smoke) spec."""
@@ -735,8 +678,7 @@ class StudyRunner:
     def _resolve(self, spec: StudySpec | str) -> StudySpec:
         if isinstance(spec, str):
             spec = build_spec(spec)
-        return spec.with_overrides(workers=self.workers,
-                                   cache_dir=self.cache_dir)
+        return spec.with_overrides(cache_dir=self.cache_dir)
 
     def _machine_identity(self, spec: StudySpec, payload: Any,
                           ctx: StudyContext) -> tuple[str | None, str | None]:
@@ -771,17 +713,19 @@ class StudyRunner:
             started = time.perf_counter()
             payload = definition.execute(exec_spec, ctx)
             elapsed = time.perf_counter() - started
+            runners = ctx._runners[runners_before:]
         finally:
             ctx.cache = previous_cache
+            # The runners hold plans and compiled traces; a long-lived
+            # context (the service's, a fleet worker's) must not keep them.
+            del ctx._runners[runners_before:]
         # Aggregate accounting from the sweep runners this study created;
-        # each runner's stats cover its one run() call, and the parallel
-        # path already merges its workers' disk I/O into runner.disk_stats
-        # (the shared cache object's own counters never see worker hits).
+        # each runner's stats cover its one run() call.
         cache_stats = CacheStats()
         disk_stats = DiskCacheStats()
         execution: dict[str, int] = {}
         phases: dict[str, float] = {}
-        for runner in ctx._runners[runners_before:]:
+        for runner in runners:
             cache_stats = cache_stats.merge(runner.stats)
             disk_stats = disk_stats.merge(runner.disk_stats)
             for tier, count in getattr(runner, "execution_counts", {}).items():
@@ -820,12 +764,10 @@ def run_study(spec: StudySpec | str,
 
 
 def run_studies(specs: Iterable[StudySpec | str],
-                workers: int | None = None,
                 cache_dir: str | None = None,
                 smoke: bool = False) -> list[StudyResult]:
     """Execute several specs in one invocation with shared state."""
-    return StudyRunner(workers=workers, cache_dir=cache_dir).run_many(
-        specs, smoke=smoke)
+    return StudyRunner(cache_dir=cache_dir).run_many(specs, smoke=smoke)
 
 
 # ---------------------------------------------------------------------------
@@ -1020,7 +962,6 @@ def _table_executor(table_name: str, spec: StudySpec, context: StudyContext):
         simulate_measurement=params["simulate_measurement"],
         max_iterations=params["max_iterations"],
         max_pes=max_pes,
-        workers=spec.workers,
         cache=context.cache,
         machine=spec.machine,
         context=context,
@@ -1084,7 +1025,6 @@ def _figure_executor(study: SpeculativeStudy, spec: StudySpec,
         machine=context.machine(machine_name),
         processor_counts=list(counts) if counts is not None else None,
         rate_factors=list(factors) if factors is not None else None,
-        workers=spec.workers,
         context=context,
     )
 
@@ -1133,7 +1073,6 @@ def _study_blocking(spec: StudySpec, context: StudyContext):
         mk_values=tuple(params["mk_values"]),
         mmi_values=tuple(params["mmi_values"]),
         max_iterations=params["max_iterations"],
-        workers=spec.workers,
         context=context,
     )
 
@@ -1160,7 +1099,6 @@ def _study_scaling(spec: StudySpec, context: StudyContext):
         study=SPECULATIVE_STUDIES[figure],
         processor_counts=tuple(params["processor_counts"]),
         rate_factor=params["rate_factor"],
-        workers=spec.workers,
         context=context,
     )
 
@@ -1210,7 +1148,6 @@ def _study_agreement(spec: StudySpec, context: StudyContext):
         study=SPECULATIVE_STUDIES[figure],
         machine=context.machine(machine_name),
         processor_counts=list(params["processor_counts"]),
-        workers=spec.workers,
         context=context,
     )
 
@@ -1246,7 +1183,6 @@ def _study_steady_scaling(spec: StudySpec, context: StudyContext):
     return _run_steady_scaling_impl(
         machine=context.machine(machine_name),
         params=spec.resolved_params(),
-        workers=spec.workers,
         context=context,
     )
 

@@ -7,7 +7,7 @@ to 16 processors.
 
 from __future__ import annotations
 
-from typing import Iterable, Sequence
+from typing import TYPE_CHECKING, Iterable, Sequence
 
 from repro.errors import ExperimentError
 from repro.experiments.diskcache import SweepDiskCache
@@ -20,16 +20,18 @@ from repro.experiments.runner import (
 from repro.machines.machine import Machine
 from repro.machines.presets import get_machine
 
+if TYPE_CHECKING:
+    from repro.experiments.study import StudyContext
+
 
 def _run_table_impl(table_name: str,
+                    context: StudyContext,
                     rows: Sequence[PaperValidationRow] | None = None,
                     simulate_measurement: bool = True,
                     max_iterations: int = 12,
                     max_pes: int | None = None,
-                    workers: int = 1,
                     cache: SweepDiskCache | str | None = None,
                     machine: Machine | str | None = None,
-                    context=None,
                     sim_execution: str = "auto",
                     samples: int = 0) -> ValidationTableResult:
     """The implementation behind the ``table1``-``table3`` studies."""
@@ -56,13 +58,12 @@ def _run_table_impl(table_name: str,
     # machine), and the "Measurement" column runs through the same runner
     # with the discrete-event simulation backend (simulation plans and the
     # compute cost table shared across rows).
-    result.rows = predict_rows(machine, selected, max_iterations=max_iterations,
-                               workers=workers, context=context)
+    result.rows = predict_rows(machine, selected, context,
+                               max_iterations=max_iterations)
     if simulate_measurement:
-        result.rows = measure_rows(machine, result.rows,
+        result.rows = measure_rows(machine, result.rows, context,
                                    max_iterations=max_iterations,
-                                   workers=workers, cache=cache,
-                                   context=context, execution=sim_execution,
+                                   cache=cache, execution=sim_execution,
                                    samples=samples)
     return result
 

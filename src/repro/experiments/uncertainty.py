@@ -307,7 +307,7 @@ def _run_noise_sensitivity(spec, context) -> NoiseSensitivityResult:
         if runnable:
             backend = SimulationBackend(machine, deck="validation",
                                         samples=samples)
-            runner = context.backend_runner(backend, workers=spec.workers)
+            runner = context.backend_runner(backend)
             sweep = ScenarioSweep([scenario for _, scenario in runnable])
             for (entry, _), outcome in zip(runnable, runner.run(sweep)):
                 measurement = outcome.result

@@ -69,14 +69,6 @@ class Machine:
     #: compiled trace) instead of rebuilding it per call.
     _plan_cache: dict[tuple, SimulationPlan] = field(default_factory=dict, repr=False)
 
-    def __getstate__(self):
-        # Machines travel to multiprocessing workers inside a pickled
-        # SimulationBackend; memoised plans (and their compiled traces)
-        # are cheap to rebuild and would only bloat that payload.
-        state = dict(self.__dict__)
-        state["_plan_cache"] = {}
-        return state
-
     # ------------------------------------------------------------------
     # Hardware-layer measurement campaigns
     # ------------------------------------------------------------------

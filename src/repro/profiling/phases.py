@@ -22,8 +22,7 @@ class PhaseTimer:
     """Accumulates wall-clock seconds per named phase.
 
     Not thread-safe — each timer belongs to one plan evaluated by one
-    worker at a time (the multiprocessing fan-out gives every worker its
-    own plans).
+    thread at a time.
     """
 
     __slots__ = ("seconds",)

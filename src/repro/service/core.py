@@ -384,7 +384,7 @@ class PredictionService:
                 machine=self.context.machine(machine_name), deck=deck,
                 max_iterations=iterations, with_noise=with_noise,
                 execution=execution, samples=samples)
-        runner = SweepRunner(backend=backend, workers=1, cache=self.cache)
+        runner = SweepRunner(backend=backend, cache=self.cache)
         self._runners[group] = runner
         return runner
 

@@ -8,8 +8,8 @@ fingerprint-keyed, atomic-write, verified-read discipline as the sweep
 cache (:class:`~repro.experiments.diskcache.SweepDiskCache` — both build
 on :class:`repro.diskio.DirectoryStore`), so
 
-* decks sharing a decomposition never re-capture across processes (a
-  sweep's multiprocessing workers and later CLI runs all hit one store),
+* decks sharing a decomposition never re-capture across processes
+  (shard runs, fleet workers and later CLI runs all hit one store),
 * warm traces can travel between machines through an ``ArtifactStore``
   with the generic cache helpers
   (:func:`repro.experiments.remotestore.push_cache_entries` /
@@ -67,8 +67,8 @@ class TraceDiskCache(DirectoryStore):
 
     Shares :class:`~repro.diskio.DirectoryStore`'s contract: atomic
     writes, verified reads, lock-guarded hit/miss/store stats,
-    ``prune``/``clear`` bounding, safe concurrent sharing across
-    processes, and pickling across multiprocessing workers.
+    ``prune``/``clear`` bounding and safe concurrent sharing across
+    processes.
     """
 
     suffix = ".trace"

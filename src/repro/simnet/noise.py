@@ -49,9 +49,10 @@ def derive_seed(*components: object) -> int:
 
     Used to give every scenario of a simulation sweep its own reproducible
     noise stream: the seed depends only on the scenario's identity (machine
-    base seed, processor array, deck shape, ...), never on the worker that
-    happens to evaluate it, so ``workers=1`` and ``workers=N`` runs are
-    bit-identical.  The hash is ``zlib.crc32`` over the ``repr`` of the
+    base seed, processor array, deck shape, ...), never on the order the
+    grid is evaluated in, the shard that holds the scenario or the fleet
+    worker that runs it, so every placement of a grid gives bit-identical
+    results.  The hash is ``zlib.crc32`` over the ``repr`` of the
     components — stable across processes and Python invocations (unlike
     ``hash()``, which is salted for strings).
     """
@@ -109,7 +110,7 @@ class NoiseModel:
 
         Simulation plans thread one of these per scenario so that every grid
         point sees an independent, reproducible noise stream regardless of
-        evaluation order or multiprocessing fan-out.
+        evaluation order, shard or fleet worker.
         """
         return replace(self, seed=seed)
 

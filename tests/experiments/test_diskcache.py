@@ -1,7 +1,6 @@
 """Tests for the disk-backed sweep cache."""
 
 import multiprocessing
-import pickle
 
 import oracles
 import pytest
@@ -94,15 +93,6 @@ class TestSweepIntegration:
         assert warm.stats.predictions == 0          # nothing re-simulated
         assert ([o.total_time for o in warm_outcomes]
                 == [o.total_time for o in cold_outcomes])
-
-    def test_workers_warm_from_shared_store(self, tmp_path, p3_machine):
-        grid = simulation_grid([(1, 1), (2, 2), (1, 3), (3, 1)])
-        SweepRunner(backend=sim_backend(p3_machine), cache=tmp_path).run(grid)
-        fanned = SweepRunner(backend=sim_backend(p3_machine), cache=tmp_path,
-                             workers=2)
-        fanned.run(grid)
-        assert fanned.disk_stats.hits == len(grid)
-        assert fanned.stats.predictions == 0
 
     def test_invalidation_on_machine_change(self, tmp_path, p3_machine):
         """A different hardware fingerprint must miss, not serve stale times."""
@@ -239,15 +229,6 @@ class TestThreadSafeStats:
         assert before.hits == 0 and before.stores == 0
         after = cache.stats_snapshot()
         assert (after.hits, after.misses, after.stores) == (1, 0, 1)
-
-    def test_pickle_round_trip_recreates_the_lock(self, tmp_path):
-        cache = SweepDiskCache(tmp_path)
-        cache.put(("k",), 1)
-        clone = pickle.loads(pickle.dumps(cache))
-        assert clone.get(("k",)) == 1
-        assert clone.stats_snapshot().hits == 1
-        # The rebuilt lock is functional, not shared with the original.
-        assert clone._stats_lock is not cache._stats_lock
 
 
 class TestPrune:

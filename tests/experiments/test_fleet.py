@@ -4,7 +4,6 @@ import json
 import random
 import threading
 import time
-from pathlib import Path
 
 import pytest
 from test_artifacts import mutate_field
@@ -32,8 +31,7 @@ SPECS = ("table2", "figure8")
 
 @pytest.fixture(scope="module")
 def shared_context():
-    with StudyContext() as ctx:
-        yield ctx
+    return StudyContext()
 
 
 @pytest.fixture(scope="module")
@@ -462,9 +460,7 @@ class TestLeaseProtocol:
         zombie._refresh_leases()
         assert not lease_path.exists()
         # The zombie then finishes the unit and publishes at g0.
-        with StudyContext() as ctx:
-            runner = StudyRunner(context=ctx)
-            result = runner.run(claimed.spec)
+        result = StudyRunner(context=StudyContext()).run(claimed.spec)
         zombie._publish(claimed, result, elapsed=0.0)
         coordinator.poll_once()
         assert coordinator._zombies == 1

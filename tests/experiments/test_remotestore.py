@@ -62,12 +62,6 @@ class TestStoreRoundTrips:
         assert store.list_keys() == ["other", "runs/x/1", "runs/x/2",
                                      "runs/y/1"]
 
-    def test_delete(self, store):
-        store.put_bytes("gone", b".")
-        assert store.delete("gone")
-        assert not store.delete("gone")
-        assert not store.exists("gone")
-
     def test_concurrent_writers(self, store):
         errors = []
 

@@ -37,8 +37,7 @@ ALL_STUDIES = tuple(study_names())
 @pytest.fixture(scope="module")
 def shared_context():
     """One compiled model / machine set across every run of this module."""
-    with StudyContext() as ctx:
-        yield ctx
+    return StudyContext()
 
 
 @pytest.fixture(scope="module")

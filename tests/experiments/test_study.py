@@ -125,6 +125,14 @@ class TestSpecCanonicalisation:
         assert params["max_pes"] == 6
         assert params["max_iterations"] == 1
 
+    def test_explicit_parameters_survive_smoke(self):
+        params = build_spec("table2", max_pes=4).smoke().resolved_params()
+        assert params["max_pes"] == 4
+        assert params["max_iterations"] == 1
+        noise = build_spec("noise-sensitivity", samples=5).smoke()
+        assert noise.resolved_params()["samples"] == 5
+        assert noise.resolved_params()["max_scenarios"] == 2
+
 
 class TestSpecSerialization:
     @pytest.mark.parametrize("name", ALL_STUDIES)
@@ -136,7 +144,7 @@ class TestSpecSerialization:
     def test_rich_spec_round_trips(self):
         spec = build_spec("figure8", machine="pentium3-myrinet",
                           processor_counts=[1, 4, 16], rate_factors=[1.0],
-                          workers=3, cache_dir="/tmp/cache",
+                          cache_dir="/tmp/cache",
                           analysis=("weak-scaling",))
         for rebuilt in (StudySpec.from_toml(spec.to_toml()),
                         StudySpec.from_json(spec.to_json())):
@@ -169,16 +177,19 @@ class TestSpecSerialization:
             load_spec(extra)
 
     def test_spec_naming_a_backend_is_rejected(self, tmp_path):
-        # No executor reads a spec-level backend, so a spec file that sets
-        # one fails loudly instead of changing the hash and nothing else.
-        data = {"study": "table1", "backend": "predict"}
-        spec_file = tmp_path / "backend.toml"
-        spec_file.write_text('study = "table1"\nbackend = "predict"\n')
-        for load in (lambda: StudySpec.from_dict(data),
-                     lambda: StudySpec.from_toml(spec_file.read_text()),
-                     lambda: load_spec(spec_file)):
-            with pytest.raises(ExperimentError, match="backend"):
-                load()
+        # No executor reads a spec-level backend or worker count, so a spec
+        # file that sets one fails loudly instead of changing the hash and
+        # nothing else.
+        for field, value, toml_value in (("backend", "predict", '"predict"'),
+                                         ("workers", 2, "2")):
+            data = {"study": "table1", field: value}
+            spec_file = tmp_path / f"{field}.toml"
+            spec_file.write_text(f'study = "table1"\n{field} = {toml_value}\n')
+            for load in (lambda: StudySpec.from_dict(data),
+                         lambda: StudySpec.from_toml(spec_file.read_text()),
+                         lambda: load_spec(spec_file)):
+                with pytest.raises(ExperimentError, match=field):
+                    load()
 
     @pytest.mark.parametrize("path", sorted(
         (Path(__file__).resolve().parents[2] / "examples" / "specs").glob(
@@ -191,12 +202,12 @@ class TestSpecSerialization:
 
     def test_spec_hash_stable_across_processes(self):
         spec = build_spec("table2", max_pes=6, max_iterations=2,
-                          workers=2, analysis=("error-stats",))
+                          analysis=("error-stats",))
         script = (
             "import sys; sys.path.insert(0, 'src')\n"
             "from repro.experiments.study import build_spec\n"
             "spec = build_spec('table2', max_pes=6, max_iterations=2,\n"
-            "                  workers=2, analysis=('error-stats',))\n"
+            "                  analysis=('error-stats',))\n"
             "print(spec.spec_hash())\n"
         )
         output = subprocess.run([sys.executable, "-c", script],
@@ -298,7 +309,8 @@ class TestSpecsMatchDirectExecutors:
     def test_table_spec_matches_impl(self):
         via_spec = run_study(build_spec("table2", max_pes=6,
                                         max_iterations=2)).payload
-        direct = _run_table_impl("table2", max_pes=6, max_iterations=2)
+        direct = _run_table_impl("table2", StudyContext(), max_pes=6,
+                                 max_iterations=2)
         assert [row.predicted for row in via_spec.rows] \
             == [row.predicted for row in direct.rows]
         assert [row.measured for row in via_spec.rows] \
@@ -308,7 +320,8 @@ class TestSpecsMatchDirectExecutors:
         via_spec = run_study(build_spec("figure9", processor_counts=[1, 4],
                                         rate_factors=[1.0, 1.25])).payload
         direct = _run_speculative_figure_impl(
-            FIGURE9_STUDY, processor_counts=[1, 4], rate_factors=[1.0, 1.25])
+            FIGURE9_STUDY, StudyContext(), processor_counts=[1, 4],
+            rate_factors=[1.0, 1.25])
         assert [series.times for series in via_spec.series] \
             == [series.times for series in direct.series]
 
@@ -316,7 +329,7 @@ class TestSpecsMatchDirectExecutors:
         params = dict(px=4, py=4, mk_values=(1, 10), mmi_values=(1, 3),
                       max_iterations=2)
         via_spec = run_study(build_spec("blocking", **params)).payload
-        direct = _run_blocking_impl(**params)
+        direct = _run_blocking_impl(StudyContext(), **params)
         assert [p.predicted_time for p in via_spec.points] \
             == [p.predicted_time for p in direct.points]
 
@@ -325,7 +338,8 @@ class TestSpecsMatchDirectExecutors:
                       mk_values=(1, 10), mmi_values=(1, 3), max_iterations=1)
         via_spec = run_study(build_spec("blocking", machine="pentium3-myrinet",
                                         **params)).payload
-        direct = _run_blocking_impl(machine=get_machine("pentium3-myrinet"),
+        direct = _run_blocking_impl(StudyContext(),
+                                    machine=get_machine("pentium3-myrinet"),
                                     **params)
         assert via_spec.machine_name == direct.machine_name == "pentium3-myrinet"
         assert [p.predicted_time for p in via_spec.points] \
@@ -335,13 +349,13 @@ class TestSpecsMatchDirectExecutors:
         via_spec = run_study(build_spec("scaling", figure="figure9",
                                         processor_counts=(1, 16),
                                         rate_factor=1.5)).payload
-        direct = _run_scaling_impl(study=FIGURE9_STUDY,
+        direct = _run_scaling_impl(StudyContext(), study=FIGURE9_STUDY,
                                    processor_counts=(1, 16), rate_factor=1.5)
         assert [p.time for p in via_spec.points] == [p.time for p in direct.points]
 
     def test_ablation_spec_matches_impl(self):
         via_spec = run_study(build_spec("ablation", max_iterations=2)).payload
-        direct = _run_opcode_ablation_impl(max_iterations=2)
+        direct = _run_opcode_ablation_impl(StudyContext(), max_iterations=2)
         assert via_spec.coarse_prediction == direct.coarse_prediction
         assert via_spec.legacy_prediction == direct.legacy_prediction
         assert via_spec.measured == direct.measured
@@ -349,7 +363,8 @@ class TestSpecsMatchDirectExecutors:
     def test_agreement_spec_matches_impl(self):
         via_spec = run_study(build_spec("agreement",
                                         processor_counts=[16, 64])).payload
-        direct = _run_model_agreement_impl(processor_counts=[16, 64])
+        direct = _run_model_agreement_impl(StudyContext(),
+                                           processor_counts=[16, 64])
         assert [c.pace for c in via_spec.comparisons] \
             == [c.pace for c in direct.comparisons]
         assert [c.loggp for c in via_spec.comparisons] \
@@ -370,13 +385,13 @@ class TestStudyRunner:
 
     def test_run_many_shares_context(self):
         runner = StudyRunner()
-        with StudyContext() as ctx:
-            first = runner.run(build_spec("figure8", processor_counts=[1, 4],
-                                          rate_factors=[1.0]), context=ctx)
-            compiled = ctx.compiled_model()
-            second = runner.run(build_spec("figure9", processor_counts=[1, 4],
-                                           rate_factors=[1.0]), context=ctx)
-            assert ctx.compiled_model() is compiled
+        ctx = StudyContext()
+        first = runner.run(build_spec("figure8", processor_counts=[1, 4],
+                                      rate_factors=[1.0]), context=ctx)
+        compiled = ctx.compiled_model()
+        second = runner.run(build_spec("figure9", processor_counts=[1, 4],
+                                       rate_factors=[1.0]), context=ctx)
+        assert ctx.compiled_model() is compiled
         assert first.machine_name == second.machine_name \
             == "hypothetical-opteron-myrinet"
         assert first.machine_fingerprint == second.machine_fingerprint
@@ -392,19 +407,26 @@ class TestStudyRunner:
             == [row.measured for row in warm.payload.rows]
 
     def test_runner_overrides_apply(self, tmp_path):
-        runner = StudyRunner(workers=2, cache_dir=str(tmp_path))
+        runner = StudyRunner(cache_dir=str(tmp_path))
         result = runner.run(build_spec("table2", max_pes=6, max_iterations=1))
-        assert result.spec.workers == 2
         assert result.spec.cache_dir == str(tmp_path)
 
-    def test_workers_match_serial(self):
-        serial = run_study(build_spec("table2", max_pes=6, max_iterations=1))
-        fanned = run_study(build_spec("table2", max_pes=6, max_iterations=1,
-                                      workers=2))
-        assert [row.measured for row in serial.payload.rows] \
-            == [row.measured for row in fanned.payload.rows]
-        assert [row.predicted for row in serial.payload.rows] \
-            == [row.predicted for row in fanned.payload.rows]
+    def test_repeated_studies_leave_no_runner_on_the_context(self):
+        # A long-lived context (the service's, a fleet worker's) runs study
+        # after study; the sweep runners hold plans and compiled traces, so
+        # each study's runners go once its accounting is aggregated.
+        ctx = StudyContext()
+        runner = StudyRunner(context=ctx)
+        spec = build_spec("table2", max_pes=4, max_iterations=1)
+        results = [runner.run(spec) for _ in range(3)]
+        assert ctx._runners == []
+        assert [result.rows for result in results[1:]] \
+            == [results[0].rows] * 2
+        assert results[0].cache_stats.predictions > 0
+        with pytest.raises(ExperimentError):
+            runner.run(build_spec("table2", max_pes=4, max_iterations=1,
+                                  rows=[99]))
+        assert ctx._runners == []
 
     def test_run_all_smoke_covers_every_study(self):
         results = StudyRunner().run_all(smoke=True)
@@ -447,15 +469,6 @@ class TestAnalysisHooks:
 
 
 class TestReviewRegressions:
-    def test_disk_stats_survive_worker_fanout(self, tmp_path):
-        """Parallel workers' disk I/O lands in the study's accounting."""
-        spec = build_spec("table2", max_pes=6, max_iterations=1, workers=2,
-                          cache_dir=str(tmp_path / "store"))
-        cold = run_study(spec)
-        assert cold.disk_stats.stores > 0
-        warm = run_study(spec)
-        assert warm.disk_stats.hits > 0
-
     def test_run_many_honours_each_specs_cache_dir(self, tmp_path):
         from repro.experiments.diskcache import SweepDiskCache
         dir_a, dir_b = tmp_path / "a", tmp_path / "b"

@@ -26,21 +26,6 @@ def scenario_grid(iterations: int = 2) -> list[Scenario]:
 
 
 class TestSweepRunner:
-    def test_worker_fanout_determinism(self, sweep3d_model, synthetic_hardware):
-        """Identical results at workers=1 and workers=4, in input order."""
-        scenarios = scenario_grid()
-        serial_runner = SweepRunner(backend=PredictionBackend(
-            model=sweep3d_model, hardware=synthetic_hardware), workers=1)
-        parallel_runner = SweepRunner(backend=PredictionBackend(
-            model=sweep3d_model, hardware=synthetic_hardware), workers=4)
-        serial = serial_runner.run(scenarios)
-        parallel = parallel_runner.run(scenarios)
-        assert [o.total_time for o in serial] == [o.total_time for o in parallel]
-        assert [o.scenario.label for o in parallel] == [s.label for s in scenarios]
-        # stats describe the latest run whatever the worker count.
-        assert serial_runner.stats.predictions == len(scenarios)
-        assert parallel_runner.stats.predictions == len(scenarios)
-
     def test_matches_single_point_engine(self, sweep3d_model, synthetic_hardware):
         scenarios = scenario_grid()
         outcomes = SweepRunner(backend=PredictionBackend(
@@ -74,11 +59,6 @@ class TestSweepRunner:
         with pytest.raises(ExperimentError):
             runner.run(scenario_grid(iterations=1)[:1])
 
-    def test_invalid_worker_count(self, sweep3d_model):
-        with pytest.raises(ExperimentError):
-            SweepRunner(backend=PredictionBackend(model=sweep3d_model),
-                        workers=0)
-
     def test_empty_run(self, sweep3d_model, synthetic_hardware):
         runner = SweepRunner(backend=PredictionBackend(
             model=sweep3d_model, hardware=synthetic_hardware))
@@ -89,7 +69,7 @@ class TestSweepCli:
     def test_round_trip(self, capsys):
         assert main(["simulate", "--backend", "predict", "--machine",
                      "opteron", "--deck", "validation", "--arrays", "1x1,2x2",
-                     "--iterations", "2", "--workers", "2"]) == 0
+                     "--iterations", "2"]) == 0
         out = capsys.readouterr().out
         assert "opteron-gige" in out
         assert "via the 'predict' backend" in out
@@ -102,8 +82,3 @@ class TestSweepCli:
         assert main(predict + ["--arrays", ","]) == 2
         assert main(predict + ["--arrays", "0x2"]) == 2
         assert main(predict + ["--arrays", "2x-1"]) == 2
-
-    def test_bad_workers_rejected(self, capsys):
-        assert main(["simulate", "--backend", "predict", "--arrays", "1x1",
-                     "--workers", "0"]) == 2
-        assert "--workers" in capsys.readouterr().out

@@ -2,11 +2,9 @@
 
 The cache must be byte-exact (a hit replays bit-identically to the
 capture that stored it), verified on read (corrupt/foreign/stale entries
-are misses, never errors) and safe to share: across plans, across
-pickled multiprocessing workers and across processes.
+are misses, never errors) and safe to share: across plans and across
+processes.
 """
-
-import pickle
 
 import numpy as np
 import pytest
@@ -102,16 +100,6 @@ def test_prune_and_clear(tmp_path, plan_parts):
     assert len(cache) == 1
     cache.clear()
     assert len(cache) == 0
-
-
-def test_cache_pickles_for_worker_fanout(tmp_path, plan_parts):
-    plan, trace = plan_parts
-    cache = TraceDiskCache(tmp_path)
-    key = plan.trace_fingerprint()
-    cache.put(key, trace)
-    clone = pickle.loads(pickle.dumps(cache))
-    assert clone.path == cache.path
-    assert clone.get(key) is not None
 
 
 def test_trace_cache_for_coercion(tmp_path):

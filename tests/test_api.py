@@ -15,9 +15,11 @@ import repro.api as api
 #: Modules that ``import repro.api`` must not load: test oracles, the
 #: evaluation paths they replaced, and leaves only some commands use
 #: (package ``__init__`` files import nothing, and each study executor
-#: module is imported when its study runs).  Extend it as imports become
-#: lazy.
+#: module is imported when its study runs), and process pools: a study
+#: runs in one process.  Extend it as imports become lazy.
 NOT_LOADED_BY_API_IMPORT = [
+    "multiprocessing",
+    "concurrent.futures",
     "repro.core.psl.interpreter",
     "repro.core.evaluation.engine",
     "oracles",

@@ -21,6 +21,8 @@ DOMAIN_ERRORS = [
      "study 'steady-scaling' parameter 'processor_counts' got (1, 2.5)"),
     ("run table2 --set max_pes=abc",
      "table2 parameter 'max_pes' must be an integer >= 1, got 'abc'"),
+    ("run table2 --smoke --set max_pes=abc",
+     "table2 parameter 'max_pes' must be an integer >= 1, got 'abc'"),
     ("run table2 --set max_pes=0",
      "table2 parameter 'max_pes' must be an integer >= 1, got 0"),
     ("run table2 --set rows=5",
@@ -112,7 +114,7 @@ class TestSimulateGridCli:
     def test_grid_through_simulation_backend(self, capsys, tmp_path):
         cache_dir = str(tmp_path / "sweep-cache")
         args = ["simulate", "--machine", "pentium3", "--arrays", "1x1,2x2",
-                "--iterations", "1", "--workers", "2", "--cache-dir", cache_dir]
+                "--iterations", "1", "--cache-dir", cache_dir]
         assert main(args) == 0
         out = capsys.readouterr().out
         assert "'simulate' backend" in out
@@ -135,10 +137,6 @@ class TestSimulateGridCli:
         assert main(["simulate", "--arrays", "2by2"]) == 2
         assert main(["simulate", "--arrays", ","]) == 2
         assert main(["simulate", "--arrays", "0x2"]) == 2
-
-    def test_bad_workers_rejected(self, capsys):
-        assert main(["simulate", "--arrays", "1x1", "--workers", "0"]) == 2
-        assert "--workers" in capsys.readouterr().out
 
     def test_unknown_backend_rejected(self, capsys):
         assert main(["simulate", "--arrays", "1x1", "--backend", "warp"]) == 2
@@ -261,6 +259,23 @@ class TestStudyCli:
         assert "not accepted by any" in capsys.readouterr().out
         assert main(["run", "table2", "--set", "nonsense"]) == 2
         assert "bad --set" in capsys.readouterr().out
+
+    def test_set_survives_smoke(self, capsys, tmp_path):
+        import json
+        out_dir = tmp_path / "artifacts"
+        assert main(["run", "table2", "--smoke", "--set", "max_pes=4",
+                     "--out", str(out_dir)]) == 0
+        artifact = json.loads((out_dir / "table2.json").read_text())
+        assert [row["pes"] for row in artifact["rows"]] == [4]
+        assert artifact["spec"]["params"] == {"max_iterations": 1,
+                                              "max_pes": 4}
+
+    def test_run_has_no_workers_option(self, capsys):
+        # A study runs in one process; shards and the fleet spread a grid.
+        with pytest.raises(SystemExit) as exit_info:
+            main(["run", "table2", "--workers", "2"])
+        assert exit_info.value.code == 2
+        assert "--workers" in capsys.readouterr().err
 
     def test_run_all_with_partial_overrides(self, capsys):
         # max_iterations only exists for some studies; the override applies

@@ -1,13 +1,18 @@
 """Regrowth guard: every function and class in src is named somewhere else.
 
 A word scan over ``src``, ``examples``, ``perfbench`` and ``benchmarks``
-counts each identifier.  A function, method or class defined in src that
-no word outside its own definition names is unreached code: nothing in
-the package, the examples, the perfbench workloads or the benchmark
-suites calls it, so it should be deleted, or moved into ``tests/`` when
-only tests use it.  The few names Python or a registry reaches without
-spelling them out, and the calls README documents for users, are listed
-in :data:`ALLOWED` with the reason they stay.
+counts each identifier.  A function, method or class defined in src is
+unreached code when no word outside every definition of its name names
+it: nothing in the package, the examples, the perfbench workloads or the
+benchmark suites calls it, so it should be deleted, or moved into
+``tests/`` when only tests use it.  Counting words outside *every*
+definition keeps several definitions of one name (a base method and its
+overrides) from vouching for each other.  Dunder methods are the
+exception: the language calls them without naming them, so one counts
+as reached when any word outside its own definition names the dunder.
+The few names Python or a registry reaches without spelling them out,
+and the calls README documents for users, are listed in :data:`ALLOWED`
+with the reason they stay.
 
 The scan is a heuristic: a common name (``create``, ``grid``) is "named"
 by any other use of the same word, so it only catches what nothing at
@@ -16,7 +21,7 @@ all mentions.
 
 import ast
 import re
-from collections import Counter
+from collections import Counter, defaultdict
 from functools import lru_cache
 from pathlib import Path
 
@@ -43,8 +48,8 @@ ALLOWED = {
     # Dunder methods, called by the language.
     "src/repro/core/clc.py:__eq__": "clc tallies compare with ==",
     "src/repro/core/ir.py:__contains__": "`name in model` membership",
-    "src/repro/diskio.py:__setstate__": "pickle restores caches sent to workers",
     "src/repro/experiments/sweep.py:__iter__": "sweeps are iterated",
+    "src/repro/service/core.py:__exit__": "BackgroundServer is used in `with`",
     # Calls README shows users.
     "src/repro/experiments/study.py:to_json": "README: StudySpec.to_json",
     "src/repro/experiments/uncertainty.py:machine_overrides":
@@ -65,6 +70,10 @@ def _sources() -> dict[Path, str]:
             for path in sorted((ROOT / directory).rglob("*.py"))}
 
 
+def _is_dunder(name: str) -> bool:
+    return name.startswith("__") and name.endswith("__")
+
+
 @lru_cache(maxsize=1)
 def unreached_definitions() -> tuple[tuple[str, int, str], ...]:
     """``(path, line, name)`` of every src definition no other word names."""
@@ -72,22 +81,33 @@ def unreached_definitions() -> tuple[tuple[str, int, str], ...]:
     counts = Counter()
     for text in sources.values():
         counts.update(WORD.findall(text))
-    unreached = []
+    #: (path, line, name, uses of the name inside this one definition).
+    definitions = []
+    #: name -> uses of the name inside any scanned definition of it.
+    inside = Counter()
     for path, text in sources.items():
         relative = path.relative_to(ROOT).as_posix()
-        if not relative.startswith("src/"):
-            continue
         lines = text.splitlines()
+        covered = defaultdict(set)
         for node in ast.walk(ast.parse(text)):
             if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef,
                                      ast.ClassDef)):
                 continue
             start = min([node.lineno]
                         + [decorator.lineno for decorator in node.decorator_list])
-            own = WORD.findall("\n".join(lines[start - 1:node.end_lineno]))
-            if counts[node.name] == own.count(node.name):
-                unreached.append((relative, node.lineno, node.name))
-    return tuple(unreached)
+            covered[node.name].update(range(start, node.end_lineno + 1))
+            if relative.startswith("src/"):
+                own = WORD.findall("\n".join(lines[start - 1:node.end_lineno]))
+                definitions.append((relative, node.lineno, node.name,
+                                    own.count(node.name)))
+        # A line shared by nested definitions of one name counts once.
+        for name, numbers in covered.items():
+            inside[name] += sum(WORD.findall(lines[number - 1]).count(name)
+                                for number in numbers)
+    return tuple(
+        (relative, line, name)
+        for relative, line, name, own in definitions
+        if counts[name] == (own if _is_dunder(name) else inside[name]))
 
 
 def test_every_src_definition_is_reached():
