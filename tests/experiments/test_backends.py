@@ -51,6 +51,24 @@ class TestSimulationBackend:
                 r.finish_time for r in reference.simulation.ranks)
             assert result.total_messages == reference.total_messages
 
+    def test_worker_fanout_determinism(self, p3_machine):
+        """Same scenarios => bit-identical results on one runner or fanned
+        out over three workers, each with its own backend, plans and cost
+        table (as shard and fleet workers have)."""
+        grid = list(simulation_grid([(px, py) for px in (1, 2, 3)
+                                     for py in (1, 2)]))
+        serial = SweepRunner(backend=sim_backend(p3_machine)).run(grid)
+        fanned = {}
+        for worker in range(3):
+            share = grid[worker::3]
+            outcomes = SweepRunner(backend=sim_backend(p3_machine)).run(share)
+            assert [o.scenario.label for o in outcomes] == [s.label for s in share]
+            fanned.update((o.scenario.label, o) for o in outcomes)
+        assert [o.total_time for o in serial] \
+            == [fanned[s.label].total_time for s in grid]
+        assert ([o.result.rank_finish_times for o in serial]
+                == [fanned[s.label].result.rank_finish_times for s in grid])
+
     def test_scenario_seed_is_identity_derived(self, p3_machine):
         """Seeds come from scenario identity, not evaluation order."""
         backend = sim_backend(p3_machine)

@@ -94,6 +94,19 @@ class TestSweepIntegration:
         assert ([o.total_time for o in warm_outcomes]
                 == [o.total_time for o in cold_outcomes])
 
+    def test_workers_warm_from_shared_store(self, tmp_path, p3_machine):
+        """Worker processes on one store (shards, fleet units) all hit."""
+        grid = simulation_grid([(1, 1), (2, 2), (1, 3), (3, 1)])
+        cold = SweepRunner(backend=sim_backend(p3_machine), cache=tmp_path)
+        cold_times = [o.total_time for o in cold.run(grid)]
+        with multiprocessing.Pool(2) as pool:
+            shares = pool.map(_warm_worker,
+                              [(str(tmp_path), w, 2) for w in range(2)])
+        for worker, (hits, predictions, times) in enumerate(shares):
+            assert hits == len(times) == len(cold_times[worker::2])
+            assert predictions == 0          # nothing re-simulated
+            assert times == cold_times[worker::2]
+
     def test_invalidation_on_machine_change(self, tmp_path, p3_machine):
         """A different hardware fingerprint must miss, not serve stale times."""
         grid = simulation_grid([(2, 2)])
@@ -174,6 +187,17 @@ def _hammer_cache(args):
         if seen is not None and seen != payload:
             clean = False
     return clean
+
+
+def _warm_worker(args):
+    """Worker: evaluate its share of the warm-store grid from the store."""
+    path, worker, workers = args
+    grid = list(simulation_grid([(1, 1), (2, 2), (1, 3), (3, 1)]))
+    runner = SweepRunner(backend=sim_backend(get_machine("pentium3-myrinet")),
+                         cache=path)
+    outcomes = runner.run(grid[worker::workers])
+    return (runner.disk_stats.hits, runner.stats.predictions,
+            [o.total_time for o in outcomes])
 
 
 class TestConcurrentWriters:

@@ -115,6 +115,17 @@ class TestLocalFleet:
         assert outcome.status == "done"
         assert_bit_identical(outcome, references)
 
+    def test_worker_leaves_no_runner_on_its_context(self, references):
+        # A worker runs unit after unit on one context; each unit's sweep
+        # runners (plans, compiled traces) go once its result is aggregated.
+        context = StudyContext()
+        outcome = run_local_fleet([build_spec("table2").smoke()],
+                                  n_workers=1, context=context)
+        assert outcome.status == "done"
+        assert outcome.unit_count > 1
+        assert_bit_identical(outcome, {"table2": references["table2"]})
+        assert context._runners == []
+
     def test_multi_worker_bit_identity(self, references):
         outcome = run_local_fleet([build_spec(n).smoke() for n in SPECS],
                                   n_workers=3)

@@ -15,6 +15,7 @@ from repro.experiments.blocking import _run_blocking_impl
 from repro.experiments.figures import _run_speculative_figure_impl
 from repro.experiments.paper_data import FIGURE9_STUDY
 from repro.experiments.scaling import _run_scaling_impl
+from repro.experiments.sharding import merge_study_results, plan_shards
 from repro.experiments.study import (
     StudyContext,
     StudyRunner,
@@ -411,6 +412,17 @@ class TestStudyRunner:
         result = runner.run(build_spec("table2", max_pes=6, max_iterations=1))
         assert result.spec.cache_dir == str(tmp_path)
 
+    def test_workers_match_serial(self):
+        """Shard workers, each on its own context, match one serial run."""
+        spec = build_spec("table2", max_pes=6, max_iterations=1)
+        serial = run_study(spec)
+        fanned = merge_study_results(
+            StudyRunner(context=StudyContext()).run(shard.spec)
+            for shard in plan_shards(spec, 2).shards)
+        assert fanned.spec == serial.spec
+        assert fanned.columns == serial.columns
+        assert fanned.rows == serial.rows
+
     def test_repeated_studies_leave_no_runner_on_the_context(self):
         # A long-lived context (the service's, a fleet worker's) runs study
         # after study; the sweep runners hold plans and compiled traces, so
@@ -469,6 +481,20 @@ class TestAnalysisHooks:
 
 
 class TestReviewRegressions:
+    def test_disk_stats_survive_worker_fanout(self, tmp_path):
+        """Shard workers' disk I/O lands in the merged study's accounting."""
+        spec = build_spec("table2", max_pes=6, max_iterations=1,
+                          cache_dir=str(tmp_path / "store"))
+        shard_specs = [shard.spec for shard in plan_shards(spec, 2).shards]
+        cold_shards = [run_study(shard_spec) for shard_spec in shard_specs]
+        cold = merge_study_results(cold_shards)
+        assert cold.disk_stats.stores \
+            == sum(shard.disk_stats.stores for shard in cold_shards) > 0
+        warm = merge_study_results(run_study(shard_spec)
+                                   for shard_spec in shard_specs)
+        assert warm.disk_stats.hits > 0
+        assert warm.disk_stats.misses == 0
+
     def test_run_many_honours_each_specs_cache_dir(self, tmp_path):
         from repro.experiments.diskcache import SweepDiskCache
         dir_a, dir_b = tmp_path / "a", tmp_path / "b"

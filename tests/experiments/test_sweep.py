@@ -26,6 +26,31 @@ def scenario_grid(iterations: int = 2) -> list[Scenario]:
 
 
 class TestSweepRunner:
+    def test_worker_fanout_determinism(self, sweep3d_model, synthetic_hardware):
+        """A grid fanned out over workers equals one runner's, point by point.
+
+        Shard and fleet workers each evaluate a slice of a grid on their
+        own runner; neither the compiled model's subtask cache nor the
+        order of evaluation may change a point's result.
+        """
+        scenarios = scenario_grid()
+        serial_runner = SweepRunner(backend=PredictionBackend(
+            model=sweep3d_model, hardware=synthetic_hardware))
+        serial = serial_runner.run(scenarios)
+        fanned = {}
+        for worker in range(4):
+            share = scenarios[worker::4][::-1]
+            worker_runner = SweepRunner(backend=PredictionBackend(
+                model=sweep3d_model, hardware=synthetic_hardware))
+            outcomes = worker_runner.run(share)
+            assert [o.scenario.label for o in outcomes] == [s.label for s in share]
+            # stats describe the worker's own run.
+            assert worker_runner.stats.predictions == len(share)
+            fanned.update((o.scenario.label, o.total_time) for o in outcomes)
+        assert [o.total_time for o in serial] \
+            == [fanned[s.label] for s in scenarios]
+        assert serial_runner.stats.predictions == len(scenarios)
+
     def test_matches_single_point_engine(self, sweep3d_model, synthetic_hardware):
         scenarios = scenario_grid()
         outcomes = SweepRunner(backend=PredictionBackend(
@@ -82,3 +107,11 @@ class TestSweepCli:
         assert main(predict + ["--arrays", ","]) == 2
         assert main(predict + ["--arrays", "0x2"]) == 2
         assert main(predict + ["--arrays", "2x-1"]) == 2
+
+    def test_bad_workers_rejected(self, capsys):
+        # A sweep runs in one process: any --workers is an unknown option.
+        with pytest.raises(SystemExit) as exit_info:
+            main(["simulate", "--backend", "predict", "--arrays", "1x1",
+                  "--workers", "0"])
+        assert exit_info.value.code == 2
+        assert "--workers" in capsys.readouterr().err

@@ -8,7 +8,7 @@ import pytest
 import repro.api as api
 from repro.errors import ServiceError
 from repro.service.jobs import JobManager
-from repro.experiments.study import StudyResult
+from repro.experiments.study import StudyContext, StudyResult
 
 
 def tiny_spec():
@@ -53,6 +53,22 @@ class TestLifecycle:
         assert record.state == "done"
         # The scaling smoke grid is (1, 16): two points, not five.
         assert len(record.result.rows) == 2
+
+    def test_jobs_leave_no_runner_on_the_service_context(self):
+        # Every job runs on the service's one context; a job's sweep
+        # runners go with the job, so the context does not grow per job.
+        context = StudyContext()
+
+        async def main():
+            manager = JobManager(context)
+            records = [await manager.submit(tiny_spec()) for _ in range(2)]
+            await asyncio.gather(*(record.task for record in records))
+            return records
+
+        records = asyncio.run(main())
+        assert [record.state for record in records] == ["done", "done"]
+        assert records[0].result.rows == records[1].result.rows
+        assert context._runners == []
 
     def test_failure_is_reported_not_raised(self):
         async def main():

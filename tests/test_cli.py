@@ -138,6 +138,14 @@ class TestSimulateGridCli:
         assert main(["simulate", "--arrays", ","]) == 2
         assert main(["simulate", "--arrays", "0x2"]) == 2
 
+    def test_bad_workers_rejected(self, capsys):
+        # A grid runs in one process; shards and the fleet spread it, so
+        # simulate has no --workers option left to take any value.
+        with pytest.raises(SystemExit) as exit_info:
+            main(["simulate", "--arrays", "1x1", "--workers", "0"])
+        assert exit_info.value.code == 2
+        assert "--workers" in capsys.readouterr().err
+
     def test_unknown_backend_rejected(self, capsys):
         assert main(["simulate", "--arrays", "1x1", "--backend", "warp"]) == 2
         assert "available" in capsys.readouterr().out
@@ -269,6 +277,20 @@ class TestStudyCli:
         assert [row["pes"] for row in artifact["rows"]] == [4]
         assert artifact["spec"]["params"] == {"max_iterations": 1,
                                               "max_pes": 4}
+
+    def test_samples_survive_smoke(self, capsys, tmp_path):
+        # --samples is an explicit parameter, so it beats the smoke grid's
+        # samples=2 while the grid itself stays reduced.
+        import json
+        out_dir = tmp_path / "artifacts"
+        assert main(["run", "noise-sensitivity", "--smoke", "--samples", "3",
+                     "--out", str(out_dir)]) == 0
+        artifact = json.loads((out_dir / "noise-sensitivity.json").read_text())
+        params = artifact["spec"]["params"]
+        assert params["samples"] == 3
+        assert params["max_scenarios"] == 2
+        assert 3 in {row["samples"] for row in artifact["rows"]}
+        assert {row["samples"] for row in artifact["rows"]} <= {0, 3}
 
     def test_run_has_no_workers_option(self, capsys):
         # A study runs in one process; shards and the fleet spread a grid.

@@ -24,6 +24,7 @@ import re
 from collections import Counter, defaultdict
 from functools import lru_cache
 from pathlib import Path
+from typing import Mapping
 
 ROOT = Path(__file__).resolve().parents[1]
 SCANNED = ("src", "examples", "perfbench", "benchmarks")
@@ -64,8 +65,9 @@ ALLOWED = {
 }
 
 
-def _sources() -> dict[Path, str]:
-    return {path: path.read_text()
+def _sources() -> dict[str, str]:
+    """Repository-relative posix path -> text of every scanned file."""
+    return {path.relative_to(ROOT).as_posix(): path.read_text()
             for directory in SCANNED
             for path in sorted((ROOT / directory).rglob("*.py"))}
 
@@ -74,10 +76,11 @@ def _is_dunder(name: str) -> bool:
     return name.startswith("__") and name.endswith("__")
 
 
-@lru_cache(maxsize=1)
-def unreached_definitions() -> tuple[tuple[str, int, str], ...]:
-    """``(path, line, name)`` of every src definition no other word names."""
-    sources = _sources()
+def unreached_in(sources: Mapping[str, str]) -> list[tuple[str, int, str]]:
+    """``(path, line, name)`` of every ``src/`` definition no other word names.
+
+    ``sources`` maps repository-relative posix paths to file text.
+    """
     counts = Counter()
     for text in sources.values():
         counts.update(WORD.findall(text))
@@ -85,8 +88,7 @@ def unreached_definitions() -> tuple[tuple[str, int, str], ...]:
     definitions = []
     #: name -> uses of the name inside any scanned definition of it.
     inside = Counter()
-    for path, text in sources.items():
-        relative = path.relative_to(ROOT).as_posix()
+    for relative, text in sources.items():
         lines = text.splitlines()
         covered = defaultdict(set)
         for node in ast.walk(ast.parse(text)):
@@ -104,10 +106,15 @@ def unreached_definitions() -> tuple[tuple[str, int, str], ...]:
         for name, numbers in covered.items():
             inside[name] += sum(WORD.findall(lines[number - 1]).count(name)
                                 for number in numbers)
-    return tuple(
-        (relative, line, name)
-        for relative, line, name, own in definitions
-        if counts[name] == (own if _is_dunder(name) else inside[name]))
+    return [(relative, line, name)
+            for relative, line, name, own in definitions
+            if counts[name] == (own if _is_dunder(name) else inside[name])]
+
+
+@lru_cache(maxsize=1)
+def unreached_definitions() -> tuple[tuple[str, int, str], ...]:
+    """:func:`unreached_in` over the scanned directories of this repository."""
+    return tuple(unreached_in(_sources()))
 
 
 def test_every_src_definition_is_reached():
@@ -127,3 +134,54 @@ def test_allowlist_has_no_stale_entries():
     assert not stale, (
         "ALLOWED lists names that are now reached or gone; remove them:\n  "
         + "\n  ".join(stale))
+
+
+
+#: A base method and its override that only mention each other, and two
+#: definitions of one dunder.
+STORE_SOURCE = """\
+class Store:
+    def delete(self, key):
+        raise NotImplementedError("delete")
+
+
+class Memory(Store):
+    def delete(self, key):
+        return super().delete(key)
+
+    def __eq__(self, other):
+        return other is self
+
+
+class Disk(Store):
+    def __eq__(self, other):
+        return other is self
+"""
+
+#: A program that builds both stores and compares them, deleting nothing.
+STORE_USER = "print(Memory() == Disk())\n"
+
+
+def test_definitions_of_one_name_do_not_vouch_for_each_other():
+    # The two ``__eq__`` definitions still vouch for each other: the
+    # language calls a dunder without naming it.
+    found = unreached_in({"src/store.py": STORE_SOURCE,
+                          "examples/use.py": STORE_USER})
+    assert found == [("src/store.py", 2, "delete"),
+                     ("src/store.py", 7, "delete")]
+
+
+def test_a_use_outside_every_definition_reaches_them_all():
+    found = unreached_in({"src/store.py": STORE_SOURCE,
+                          "examples/use.py": STORE_USER
+                          + "Memory().delete('key')\n"})
+    assert found == []
+
+
+def test_a_dunder_no_other_word_names_is_unreached():
+    found = unreached_in({
+        "src/tally.py": "class Tally:\n"
+                        "    def __eq__(self, other):\n"
+                        "        return True\n",
+        "examples/use.py": "print(Tally() == Tally())\n"})
+    assert found == [("src/tally.py", 2, "__eq__")]
