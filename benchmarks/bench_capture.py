@@ -21,7 +21,8 @@ iteration of the rank generator.  On a 2-vCPU VM (64 ranks, 100
 iterations, ~480k events) the full recorder takes 0.7-1.2 s and
 periodic capture 72-112 ms (~10-11x), of which 40-69 ms is the
 6-iteration probe recording; the gate prints that split.  A warm cache
-hit is ~20-25 ms (a checksummed read of the raw columns).
+hit is ~20-25 ms: a checksummed read of the probe's raw columns, then
+tiling them into the table.
 """
 
 from __future__ import annotations

@@ -11,13 +11,24 @@ finish/compute/comm times).
 ``test_batched_replay_cold_vs_sequential`` repeats the S=32 comparison
 on fresh traces from a warm trace cache, so the batched pass includes
 building the wave schedule (``batch_schedule()``) and the sequential
-replays include building the trace's Python mirror.  It records the
-ratio with a threshold of 1.0: the batch must still win cold.
+replays read the trace's numpy columns as a first replay does.  It
+records the ratio with a threshold of 1.0: the batch must still win
+cold.
+
+``test_per_seed_crossover`` pins where ``SimulationPlan.run(samples=S)``
+switches from one scalar replay per seed to one batched pass
+(``PER_SEED_SAMPLES``), at two points whose measured margins are wide:
+per-seed replays must win at S=2 on a 4-rank trace, and the batch, wave
+schedule included, at S=16 on the 64-rank 12-iteration trace.
 
 ``test_batched_daemon_noise_bit_identical`` asserts the same per-sample
 identity under daemon noise and checks one sample against the reference
 engine at the matched seed; its speedup is recorded for the trajectory
 only.
+
+Crossover, same VM, fresh traces with daemon noise: at S=2 on 2x2
+ranks (974 events) per-seed 1.4 ms vs batch 8.1 ms; at S=16 on 8x8 ranks
+x 12 iterations (278,808 events) per-seed 1.57 s vs batch 0.75 s.
 
 Baseline on the reference container (256 ranks, 1 iteration, ~100k
 events): 32 sequential jitter replays ~3.3 s vs one batched pass
@@ -37,6 +48,7 @@ from gate_report import record_gate
 from repro.machines.presets import get_machine
 from repro.simmpi.tracecache import TraceDiskCache
 from repro.simnet.noise import NoiseModel
+from repro.sweep3d.driver import PER_SEED_SAMPLES
 from repro.sweep3d.input import standard_deck
 
 #: Noise seeds resolved per batched pass.
@@ -130,6 +142,55 @@ def test_batched_replay_cold_vs_sequential(tmp_path):
     record_gate("multiseed_batch_cold_vs_sequential_256rank", best_speedup,
                 1.0)
     assert best_speedup >= 1.0
+
+
+def test_per_seed_crossover(tmp_path):
+    """Per-seed replays win below the crossover, the batch above it."""
+    machine = get_machine("pentium3-myrinet")
+    cache = TraceDiskCache(tmp_path)
+    noise = machine.noise_model(0)              # daemon noise on
+    cases = {"per_seed": (2, 2, 1), "batch": (16, 8, 12)}
+    assert cases["per_seed"][0] <= PER_SEED_SAMPLES < cases["batch"][0]
+
+    def fresh_trace(ranks, iterations):
+        deck = standard_deck("validation", px=ranks, py=ranks,
+                             max_iterations=iterations)
+        return machine.simulation_plan(
+            deck, ranks, ranks, trace_cache=cache).compile_trace()
+
+    times = {}
+    margins = {}
+    for _ in range(2):                          # one retry guards against noise
+        for winner, (samples, ranks, iterations) in cases.items():
+            seeds = [noise.seed + offset for offset in range(samples)]
+            trace = fresh_trace(ranks, iterations)
+            start = time.perf_counter()
+            per_seed = trace.replay_seeds(seeds, noise)
+            per_seed_elapsed = time.perf_counter() - start
+            trace = fresh_trace(ranks, iterations)
+            start = time.perf_counter()
+            batch = trace.replay_batch(seeds, noise)
+            batch_elapsed = time.perf_counter() - start
+            assert per_seed.elapsed.tolist() == batch.elapsed.tolist()
+            assert per_seed.comm.tolist() == batch.comm.tolist()
+            times[winner] = (per_seed_elapsed, batch_elapsed)
+            margin = (batch_elapsed / per_seed_elapsed if winner == "per_seed"
+                      else per_seed_elapsed / batch_elapsed)
+            margins[winner] = max(margins.get(winner, 0.0), margin)
+        if min(margins.values()) >= 1.0:
+            break
+    report = ", ".join(
+        f"S={cases[winner][0]} on {cases[winner][1]}x{cases[winner][1]} "
+        f"ranks x{cases[winner][2]}: per-seed {times[winner][0] * 1e3:.1f} "
+        f"ms, batch {times[winner][1] * 1e3:.1f} ms"
+        for winner in cases)
+    print(f"\ncrossover at PER_SEED_SAMPLES={PER_SEED_SAMPLES}: {report}")
+    record_gate("multiseed_per_seed_crossover", min(margins.values()), 1.0,
+                unit="x margin of the faster loop at each side",
+                details={"per_seed_margin_s2": margins["per_seed"],
+                         "batch_margin_s16": margins["batch"]})
+    assert margins["per_seed"] >= 1.0, report
+    assert margins["batch"] >= 1.0, report
 
 
 def test_batched_daemon_noise_bit_identical():

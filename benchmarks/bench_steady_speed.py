@@ -12,9 +12,10 @@ per-rank finish/compute/comm times, message and traffic statistics.
 
 ``test_steady_vs_replay_cold_from_trace_cache`` times the same run on
 fresh plans served from a warm trace cache, so each side also pays for
-what it builds on a trace it has not seen before: the replay its Python
-mirror of every event, the steady tier its period analysis and the
-segments it replays.  Steady must stay at least 3x faster.
+what it builds on a capture it has not seen before: the replay tiles the
+cached probe into the table and replays it from the numpy columns, the
+steady tier analyses the probe and replays its segments.  Steady must
+stay at least 3x faster.
 
 ``test_steady_refuses_loudly_and_falls_back`` locks the other half of
 the contract: on a machine whose cost table is not quantised (sums of
@@ -42,10 +43,10 @@ Baseline on the reference container (16 ranks, 320 iterations, ~3.3M
 events): full replay ~0.9 s/run vs steady ~25 ms/run (~35x); the
 one-off capture pass (~25 s) is shared by both paths and amortised
 across the sweep exactly as in the replay tier.  Cold variant (2-vCPU
-Xeon VM): replay ~1.1-1.5 s vs steady ~0.3-0.45 s per fresh plan
-(3.1-3.9x; 1.2-1.4x while the tier built a Python mirror of every
-event).  Most of the cold steady time is the full-trace period analysis
-(~0.2 s) and the trace-cache read (~0.1 s).
+Xeon VM): since cache entries hold the probe, steady resolves a fresh
+plan in ~10 ms against ~0.5 s for the replay (45-50x); it read
+3.1-5.8x while entries held the tiled table, whose read and period
+analysis dominated the steady side.
 """
 
 from __future__ import annotations

@@ -275,8 +275,8 @@ def simulate(machine: Machine | str, px: int, py: int,
     extrapolates the periodic bulk — bit-identical or it refuses, falling
     back to replay; ``"auto"`` picks the fastest applicable tier.
 
-    ``samples > 0`` draws that many noise seeds in **one** batched replay
-    and returns a :class:`~repro.sweep3d.driver.Sweep3DSampleSet`
+    ``samples > 0`` replays that many noise seeds (one batched replay, or
+    one replay per seed for a few) and returns a :class:`~repro.sweep3d.driver.Sweep3DSampleSet`
     (per-sample elapsed times plus mean/std/CI95).  Sampled runs are
     replay-resolved, so the default ``execution="engine"`` is upgraded to
     ``"auto"`` (bit-identical per sample); sample 0 uses ``seed_offset``'s

@@ -107,9 +107,9 @@ def _build_parser() -> argparse.ArgumentParser:
     cmd.add_argument("--samples", type=int, default=None, metavar="S",
                      help="multi-seed uncertainty: studies that accept a "
                           "'samples' parameter replay every measurement "
-                          "under S noise seeds in one batched pass and add "
-                          "mean/std/CI95 columns (other selected studies "
-                          "are unaffected)")
+                          "under S noise seeds and add mean/std/CI95 "
+                          "columns (other selected studies are "
+                          "unaffected)")
 
     cmd = sub.add_parser("studies", help="list the registered studies")
     cmd.add_argument("--json", action="store_true",
@@ -275,9 +275,9 @@ def _build_parser() -> argparse.ArgumentParser:
                      help="disk-backed sweep cache directory (shared across "
                           "runs and processes)")
     cmd.add_argument("--samples", type=int, default=0, metavar="S",
-                     help="replay every grid point under S noise seeds in "
-                          "one batched pass and report mean/std/CI95 "
-                          "(simulate backend, replay-capable execution)")
+                     help="replay every grid point under S noise seeds "
+                          "and report mean/std/CI95 (simulate backend, "
+                          "replay-capable execution)")
     cmd.add_argument("--no-noise", action="store_true",
                      help="disable the machine's OS/network noise model "
                           "(deterministic modelled runs; required for the "

@@ -320,9 +320,9 @@ class SimulationBackend:
         actually ran is recorded per measurement
         (:attr:`SimMeasurement.execution_tier`).
     samples:
-        When ``> 0``, every scenario is resolved ``samples`` times in one
-        batched replay (:meth:`~repro.sweep3d.driver.SimulationPlan.run`
-        with ``samples=``) and the measurement carries per-sample elapsed
+        When ``> 0``, every scenario is resolved ``samples`` times
+        (:meth:`~repro.sweep3d.driver.SimulationPlan.run` with
+        ``samples=``) and the measurement carries per-sample elapsed
         times plus mean/std/CI95 summary statistics.  Sample 0 uses the
         scenario's own seed, so ``elapsed_time`` is bit-identical to the
         ``samples=0`` run and the fingerprint only gains a component when

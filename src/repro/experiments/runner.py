@@ -23,7 +23,6 @@ from repro import units
 from repro.core.evaluation.result import PredictionResult
 from repro.core.workload import SweepWorkload
 from repro.experiments.backends import SimulationBackend
-from repro.experiments.diskcache import SweepDiskCache
 from repro.experiments.paper_data import PaperValidationRow
 from repro.experiments.sweep import Scenario, ScenarioSweep
 from repro.machines.machine import Machine
@@ -166,19 +165,18 @@ def predict_rows(machine: Machine, rows: Sequence[PaperValidationRow],
 def measure_rows(machine: Machine, results: Sequence[ValidationRowResult],
                  context: StudyContext,
                  max_iterations: int = 12,
-                 cache: SweepDiskCache | str | None = None,
                  execution: str = "auto",
                  samples: int = 0) -> list[ValidationRowResult]:
     """Attach the discrete-event measurements of a whole table as one sweep.
 
     The rows become one scenario grid evaluated through the
     :class:`~repro.experiments.backends.SimulationBackend` — simulation
-    plans, the compute cost table and (optionally) the disk-backed sweep
-    cache are shared across every row.  Each row's noise seed is its
+    plans, the compute cost table and the context's sweep cache (if any)
+    are shared across every row.  Each row's noise seed is its
     processor count (``seed_offset = row.pes``), so every measured value
     equals a one-off ``machine.simulate(..., seed_offset=row.pes)`` of
     that row bit for bit, whatever shard or fleet worker runs it.
-    ``cache`` overrides the context's sweep cache.  ``execution`` selects
+    ``execution`` selects
     the simulation tier (``"auto"``: trace replay for these modelled runs;
     ``"engine"``: the per-event reference; both bit-identical).
     ``samples > 0`` replays each row under that many noise seeds in one
@@ -199,10 +197,7 @@ def measure_rows(machine: Machine, results: Sequence[ValidationRowResult],
                  tags={"row": row})
         for row in (result.paper_row for result in results)
     ])
-    if cache is not None:
-        runner = context.backend_runner(backend, cache=cache)
-    else:
-        runner = context.backend_runner(backend)
+    runner = context.backend_runner(backend)
     for result, outcome in zip(results, runner.run(sweep)):
         measurement = outcome.result
         result.measured = measurement.elapsed_time

@@ -962,7 +962,6 @@ def _table_executor(table_name: str, spec: StudySpec, context: StudyContext):
         simulate_measurement=params["simulate_measurement"],
         max_iterations=params["max_iterations"],
         max_pes=max_pes,
-        cache=context.cache,
         machine=spec.machine,
         context=context,
         sim_execution=params["sim_execution"],
@@ -976,8 +975,8 @@ def _table_executor(table_name: str, spec: StudySpec, context: StudyContext):
 #: ("auto": trace replay for modelled runs; "engine": the per-event
 #: reference; "replay": force replay) — all tiers are bit-identical, so
 #: the choice never changes a result, only its cost.  ``samples > 0``
-#: replays every measurement under that many noise seeds in one batched
-#: max-plus pass and adds uncertainty columns; the default 0 keeps the
+#: replays every measurement under that many noise seeds and adds
+#: uncertainty columns; the default 0 keeps the
 #: historical schema (and existing spec hashes, since default-equal
 #: parameters are dropped by :func:`build_spec`).
 _TABLE_DEFAULTS = {"simulate_measurement": True, "max_iterations": 12,

@@ -10,7 +10,6 @@ from __future__ import annotations
 from typing import TYPE_CHECKING, Iterable, Sequence
 
 from repro.errors import ExperimentError
-from repro.experiments.diskcache import SweepDiskCache
 from repro.experiments.paper_data import PAPER_TABLES, PaperValidationRow
 from repro.experiments.runner import (
     ValidationTableResult,
@@ -30,7 +29,6 @@ def _run_table_impl(table_name: str,
                     simulate_measurement: bool = True,
                     max_iterations: int = 12,
                     max_pes: int | None = None,
-                    cache: SweepDiskCache | str | None = None,
                     machine: Machine | str | None = None,
                     sim_execution: str = "auto",
                     samples: int = 0) -> ValidationTableResult:
@@ -63,8 +61,7 @@ def _run_table_impl(table_name: str,
     if simulate_measurement:
         result.rows = measure_rows(machine, result.rows, context,
                                    max_iterations=max_iterations,
-                                   cache=cache, execution=sim_execution,
-                                   samples=samples)
+                                   execution=sim_execution, samples=samples)
     return result
 
 

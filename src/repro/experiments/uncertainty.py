@@ -5,7 +5,9 @@ model — one OS/network jitter stream applied to one simulated run.  The
 batched trace replay (:meth:`repro.simmpi.trace.CompiledTrace.replay_batch`)
 makes drawing *many* measurements nearly free: the event stream is
 recorded once and ``S`` independently seeded noise streams advance through
-one vectorised max-plus pass.  This module packages that capability as
+one vectorised max-plus pass (a few seeds replay one by one, which costs
+less than the pass's wave schedule).  This module packages that
+capability as
 
 * the ``noise-sensitivity`` study (registered in
   :mod:`repro.experiments.study`) — re-runs the scenario grid

@@ -161,8 +161,8 @@ class Machine:
         (default) is the reference engine, ``"replay"``/``"auto"``
         resolve the run from the plan's compiled trace
         (:mod:`repro.simmpi.trace`), bit-identically.  ``samples`` (with a
-        replay-capable ``execution``) draws that many noise seeds in one
-        batched replay and returns a
+        replay-capable ``execution``) replays that many noise seeds
+        (``SimulationPlan.run(samples=)``) and returns a
         :class:`~repro.sweep3d.driver.Sweep3DSampleSet` instead; sample 0
         uses ``seed_offset``'s own noise stream, so its run is
         bit-identical to the single-run path.  ``samples`` of 0 or

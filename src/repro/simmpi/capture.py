@@ -23,8 +23,9 @@ steady tier resolves it directly (:func:`~repro.simmpi.steady.
 steady_replay`), and :func:`tile_trace` builds the full
 :class:`~repro.simmpi.trace.CompiledTrace` from it — each column written
 once, with send-slot indices advanced by the per-period send count on
-each tile (the advance the detector verified) — only when a replay, a
-trace-cache entry or a trace description needs the table.
+each tile (the advance the detector verified) — only when a replay or
+a trace description needs the table.  A trace-cache entry
+(:mod:`repro.simmpi.tracecache`) stores the capture itself, untiled.
 
 The contract is the steady tier's: **bit-identical to full capture or
 refuse loudly**.  Every structural precondition is checked: integer

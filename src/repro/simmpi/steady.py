@@ -63,7 +63,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import TYPE_CHECKING
+from typing import TYPE_CHECKING, Sequence
 
 import numpy as np
 
@@ -75,6 +75,7 @@ from repro.simmpi.trace import (
     CompiledTrace,
     _copy_traffic,
     _replay_events,
+    _wave_keys,
 )
 from repro.simnet.noise import NoiseModel
 
@@ -414,7 +415,7 @@ def describe_steady(trace: CompiledTrace) -> str:
 def _snapshot(analysis: _SteadyAnalysis, j: int,
               clock: list[float], comm: list[float], comp: list[float],
               ready_t: list[float], arrive: list[float],
-              eager: list[bool]) -> tuple:
+              eager: Sequence[bool]) -> tuple:
     """Full replay state at period boundary ``j``.
 
     The state comprises the per-rank clock/comm/comp values plus the
@@ -430,7 +431,7 @@ def _snapshot(analysis: _SteadyAnalysis, j: int,
 
 
 def _transition(prev: tuple, cur: tuple, sends_per_period: int,
-                eager: list[bool]) -> tuple | None:
+                eager: Sequence[bool]) -> tuple | None:
     """The per-period growth key between two boundary snapshots.
 
     Returns ``(λ, Δcomm, Δcomp)`` when the transition is structurally
@@ -466,16 +467,12 @@ def _transition(prev: tuple, cur: tuple, sends_per_period: int,
 
 
 def _segment(trace: CompiledTrace, lo: int, hi: int):
-    """``((kind, rank, slot, aux), duration)`` pairs of events ``lo:hi``.
-
-    Converted from the numpy columns for just this range: the tier never
-    builds the full-trace Python mirror the scalar replay uses.
-    """
-    program = zip(trace.event_kind[lo:hi].tolist(),
-                  trace.event_rank[lo:hi].tolist(),
-                  trace.event_slot[lo:hi].tolist(),
-                  trace.event_aux[lo:hi].tolist())
-    return zip(program, trace._base[lo:hi].tolist())
+    """The scalar replay's flat ``(key, rank, slot, aux, duration)`` rows
+    of events ``lo:hi``, read through memoryviews of the numpy columns."""
+    key = _wave_keys(trace.event_kind[lo:hi], trace.event_slot[lo:hi],
+                     trace._send_eager_arr)
+    return zip(memoryview(key), *(memoryview(column)[lo:hi] for column in (
+        trace.event_rank, trace.event_slot, trace.event_aux, trace._base)))
 
 
 def steady_replay(source: "CompiledTrace | PeriodicCapture",
@@ -521,8 +518,8 @@ def steady_replay(source: "CompiledTrace | PeriodicCapture",
     recorded = info.repeats                 # whole periods in ``trace``
     repeats = recorded + tiles              # whole periods in the run
     sends = info.sends_per_period
-    eager = trace._send_eager
-    srank = trace._send_rank
+    eager = memoryview(trace._send_eager_arr)
+    srank = memoryview(trace._send_rank_arr)
 
     clock = [0.0] * nranks
     comm = [0.0] * nranks
@@ -534,7 +531,7 @@ def steady_replay(source: "CompiledTrace | PeriodicCapture",
     def replay_until(target: int) -> None:
         nonlocal position
         _replay_events(_segment(trace, position, target), nranks,
-                       clock, comm, comp, ready_t, arrive, eager, srank)
+                       clock, comm, comp, ready_t, arrive, srank)
         position = target
 
     # Lock-in scan: replay whole periods until _LOCKIN_RUN consecutive

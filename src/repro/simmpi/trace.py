@@ -48,10 +48,13 @@ This module splits that work in two:
   integer pass (the ASAP levels).  Per sample, the result is
   bit-identical to :meth:`CompiledTrace.replay` at the same seed.
 
-Only the scalar replay iterates a Python mirror of every event; the
-batch schedule and the steady-state tier (:mod:`repro.simmpi.steady`)
-read the numpy columns, so a long trace never pays for the mirror on
-those paths.
+The scalar replay reads the numpy columns through memoryviews, one flat
+``(wave kind, rank, slot, aux, duration)`` row per event, so a trace
+holds no Python object per event.  Only a trace replayed noise-free more
+than once keeps Python lists of those five columns, built on its second
+noise-free replay, since a list is faster to iterate than a memoryview
+once the build is paid.  The batch schedule and the steady-state tier
+(:mod:`repro.simmpi.steady`) build no lists either.
 
 Only timing-independent patterns can be captured: numeric-payload runs
 and clock reads (``now``) raise :class:`~repro.errors.TraceError`
@@ -60,7 +63,7 @@ and clock reads (``now``) raise :class:`~repro.errors.TraceError`
 
 from __future__ import annotations
 
-from typing import Any, Callable, Iterable
+from typing import Any, Callable, Iterable, Sequence
 
 import numpy as np
 
@@ -89,7 +92,17 @@ _N_WAVE_KINDS = 6
 #: Wave kind of an event, indexed by ``2 * event_kind + eager``.
 _WAVE_KEY = np.array([_K_COMPUTE, _K_COMPUTE, _K_SEND_RDV, _K_SEND_EAGER,
                       _K_MATCH_RDV, _K_MATCH_EAGER, _K_COLLECTIVE,
-                      _K_COLLECTIVE], dtype=np.intp)
+                      _K_COLLECTIVE], dtype=np.int8)
+
+
+def _wave_keys(kind: np.ndarray, slot: np.ndarray,
+               send_eager: np.ndarray) -> np.ndarray:
+    """The wave kind of every event of the ``kind``/``slot`` columns
+    (int8): a send or match carries its message's protocol."""
+    linked = (kind == EV_SEND) | (kind == EV_MATCH)
+    eager = np.zeros(len(kind), dtype=np.intp)
+    eager[linked] = send_eager[slot[linked]]
+    return _WAVE_KEY[2 * kind.astype(np.intp) + eager]
 
 
 def _asap_levels(keys: list[int], ranks: list[int], slots: list[int],
@@ -177,9 +190,7 @@ class _BatchSchedule:
         eager = trace._send_eager_arr
 
         linked = (kind == EV_SEND) | (kind == EV_MATCH)
-        ev_eager = np.zeros(n, dtype=np.intp)
-        ev_eager[linked] = eager[slot[linked]]
-        key = _WAVE_KEY[2 * kind.astype(np.intp) + ev_eager]
+        key = trace._wave_key.astype(np.intp)
         rdv = np.flatnonzero(key == _K_MATCH_RDV)
         sender = np.full(n, -1, dtype=np.intp)
         sender[rdv] = trace._send_rank_arr[slot[rdv]]
@@ -375,48 +386,57 @@ class BatchReplayResult:
 def _replay_events(events: Iterable, nranks: int,
                    clock: list[float], comm: list[float], comp: list[float],
                    ready_t: list[float], arrive: list[float],
-                   eager: list[bool], srank: list[int]) -> None:
+                   srank: Sequence[int]) -> None:
     """Advance the scalar max-plus state over ``events`` in place.
 
-    ``events`` yields ``((kind, a, b, aux), duration)`` pairs; the state
-    lists are mutated exactly as :meth:`CompiledTrace.replay`'s historical
-    inline loop did — this helper *is* that loop, shared with the
-    steady-state tier (:mod:`repro.simmpi.steady`) so prefix/validation/
-    drain segments replay with bit-identical floating-point arithmetic.
+    ``events`` yields flat ``(key, rank, slot, aux, duration)`` rows, where
+    ``key`` is the event's wave kind (:func:`_wave_keys`), so a message's
+    protocol needs no lookup.  The state lists are mutated in the
+    engine's floating-point order.  This is the only scalar loop: it
+    serves :meth:`CompiledTrace.replay` and the steady-state tier's
+    segments (:mod:`repro.simmpi.steady`), so both replay with
+    bit-identical arithmetic.
     """
-    for (kind, a, b, aux), d in events:
-        if kind == EV_COMPUTE:
-            clock[a] += d
-            comp[a] += d
-        elif kind == EV_SEND:
+    for key, a, b, aux, d in events:
+        if key == _K_SEND_EAGER:
             c = clock[a] + aux          # aux: sender CPU overhead
             clock[a] = c
             comm[a] += aux
             ready_t[b] = c
-            if eager[b]:
-                arrive[b] = c + d       # d: eager wire time
-        elif kind == EV_MATCH:
+            arrive[b] = c + d           # d: eager wire time
+        elif key == _K_MATCH_EAGER:
             pc = clock[a]               # a: receiver rank (blocked => post time)
-            if eager[b]:
-                done = arrive[b]
-                if pc > done:
-                    done = pc
-                done += aux             # aux: receiver CPU overhead
-            else:
-                start = ready_t[b]
-                if pc > start:
-                    start = pc
-                arrival = start + d     # d: rendez-vous wire time
-                sender = srank[b]
-                sc = clock[sender]
-                if arrival > sc:
-                    comm[sender] += arrival - sc
-                    clock[sender] = arrival
-                done = arrival + aux
+            done = arrive[b]
+            if pc > done:
+                done = pc
+            done += aux                 # aux: receiver CPU overhead
             if done > pc:
                 comm[a] += done - pc
                 clock[a] = done
-        else:                           # EV_COLLECTIVE
+        elif key == _K_COMPUTE:
+            clock[a] += d
+            comp[a] += d
+        elif key == _K_SEND_RDV:
+            c = clock[a] + aux
+            clock[a] = c
+            comm[a] += aux
+            ready_t[b] = c
+        elif key == _K_MATCH_RDV:
+            pc = clock[a]
+            start = ready_t[b]
+            if pc > start:
+                start = pc
+            arrival = start + d         # d: rendez-vous wire time
+            sender = srank[b]
+            sc = clock[sender]
+            if arrival > sc:
+                comm[sender] += arrival - sc
+                clock[sender] = arrival
+            done = arrival + aux
+            if done > pc:
+                comm[a] += done - pc
+                clock[a] = done
+        else:                           # _K_COLLECTIVE
             base = max(clock)
             completion = base + d       # d: collective cost (0 for 1 rank)
             for rank in range(nranks):
@@ -487,14 +507,12 @@ class CompiledTrace:
         self._traffic = traffic
         self._return_values = return_values
         self._schedule: _BatchSchedule | None = None
-        # Native-object mirrors of the hot columns, built lazily: the
-        # scalar replay loop is ~2x faster iterating Python tuples/lists
-        # than numpy scalars, but the persistent/tiled representation
-        # stays compact until a scalar replay actually needs them.
-        self._program_cache: list[tuple[int, int, int, float]] | None = None
-        self._base_list_cache: list[float] | None = None
-        self._send_eager_cache: list[bool] | None = None
-        self._send_rank_cache: list[int] | None = None
+        # Wave kind of every event (int8), built on first use.
+        self._wave_key_cache: np.ndarray | None = None
+        # Python lists of the scalar replay's five columns, kept only for
+        # a trace replayed noise-free more than once (see _replay_rows).
+        self._replay_lists: tuple[list, ...] | None = None
+        self._replayed_noise_free = False
         # Noise draw sites (event index, noise kind, base), built lazily:
         # only noisy replays read them.
         self._draws_cache: tuple[np.ndarray, np.ndarray,
@@ -512,33 +530,11 @@ class CompiledTrace:
         return cached
 
     @property
-    def _program(self) -> list[tuple[int, int, int, float]]:
-        cached = self._program_cache
+    def _wave_key(self) -> np.ndarray:
+        cached = self._wave_key_cache
         if cached is None:
-            cached = self._program_cache = list(zip(
-                self.event_kind.tolist(), self.event_rank.tolist(),
-                self.event_slot.tolist(), self.event_aux.tolist()))
-        return cached
-
-    @property
-    def _base_list(self) -> list[float]:
-        cached = self._base_list_cache
-        if cached is None:
-            cached = self._base_list_cache = self._base.tolist()
-        return cached
-
-    @property
-    def _send_eager(self) -> list[bool]:
-        cached = self._send_eager_cache
-        if cached is None:
-            cached = self._send_eager_cache = self._send_eager_arr.tolist()
-        return cached
-
-    @property
-    def _send_rank(self) -> list[int]:
-        cached = self._send_rank_cache
-        if cached is None:
-            cached = self._send_rank_cache = self._send_rank_arr.tolist()
+            cached = self._wave_key_cache = _wave_keys(
+                self.event_kind, self.event_slot, self._send_eager_arr)
         return cached
 
     @property
@@ -553,9 +549,10 @@ class CompiledTrace:
     def nbytes(self) -> int:
         """On-heap size of the recorded pattern columns (bytes).
 
-        Counts the compact numpy columns only — the lazily built Python
-        mirrors the scalar replay uses are excluded, as are the per-rank
-        statistics lists (O(nranks), not O(events)).
+        Counts the recorded numpy columns only — the columns derived on
+        first use (wave kinds, noise draw sites), the Python lists of a
+        trace replayed noise-free more than once and the per-rank
+        statistics lists (O(nranks), not O(events)) are excluded.
         """
         return int(sum(column.nbytes for column in (
             self.event_kind, self.event_rank, self.event_slot,
@@ -581,15 +578,35 @@ class CompiledTrace:
 
     # ------------------------------------------------------------------
 
-    def _durations(self, noise: NoiseModel | None) -> list[float]:
-        """Per-event durations with ``noise`` applied in engine draw order."""
+    def _replay_rows(self, noise: NoiseModel | None) -> Iterable:
+        """The flat ``(key, rank, slot, aux, duration)`` rows of one scalar
+        replay under ``noise``, durations perturbed in engine draw order.
+
+        A noisy replay, or the first noise-free one, reads memoryviews of
+        the numpy columns.  The second noise-free replay converts the five
+        columns to Python lists and keeps them for every later one: a
+        list is faster to iterate, but it costs several times the
+        columns' memory, which a trace replayed once never needs.
+        """
         if noise is None or noise.is_disabled():
-            return self._base_list
-        durs = self._base.copy()
+            if self._replay_lists is None:
+                if not self._replayed_noise_free:
+                    self._replayed_noise_free = True
+                    return self._column_rows(self._base)
+                self._replay_lists = tuple(column.tolist() for column in (
+                    self._wave_key, self.event_rank, self.event_slot,
+                    self.event_aux, self._base))
+            return zip(*self._replay_lists)
+        durations = self._base.copy()
         index, kinds, bases = self._draws
         if len(index):
-            durs[index] = noise.perturb_batch(bases, kinds)
-        return durs.tolist()
+            durations[index] = noise.perturb_batch(bases, kinds)
+        return self._column_rows(durations)
+
+    def _column_rows(self, durations: np.ndarray) -> Iterable:
+        return zip(*map(memoryview, (self._wave_key, self.event_rank,
+                                     self.event_slot, self.event_aux,
+                                     durations)))
 
     def replay(self, noise: NoiseModel | None = None) -> SimulationResult:
         """Resolve all completion times under ``noise`` (max-plus pass).
@@ -604,17 +621,16 @@ class CompiledTrace:
         captured during recording and are shared across replays — treat
         them as read-only.
         """
-        durs = self._durations(noise)
         nranks = self.nranks
         clock = [0.0] * nranks
         comm = [0.0] * nranks
         comp = [0.0] * nranks
-        ready_t = [0.0] * len(self._send_rank)
-        arrive = [0.0] * len(self._send_rank)
+        ready_t = [0.0] * self.n_messages
+        arrive = [0.0] * self.n_messages
 
-        _replay_events(zip(self._program, durs), nranks,
+        _replay_events(self._replay_rows(noise), nranks,
                        clock, comm, comp, ready_t, arrive,
-                       self._send_eager, self._send_rank)
+                       memoryview(self._send_rank_arr))
 
         ranks = [RankResult(
             rank=rank,
@@ -768,6 +784,28 @@ class CompiledTrace:
         elapsed = clock.max(axis=0)
         self.replays += n_samples
         return BatchReplayResult(self, seeds, elapsed, clock, compute, comm)
+
+    def replay_seeds(self, seeds, noise: NoiseModel) -> BatchReplayResult:
+        """:meth:`replay_batch`'s result, from one scalar replay per seed.
+
+        Sample ``s`` is ``self.replay(noise.reseeded(seeds[s]))``, the run
+        every batch sample is bit-identical to, so the two results are
+        equal; this path builds no wave schedule, which costs more than a
+        few scalar replays.
+        """
+        seeds = [int(seed) for seed in seeds]
+        if not seeds:
+            raise ValueError("replay_seeds needs at least one seed")
+        runs = [self.replay(noise.reseeded(seed)) for seed in seeds]
+
+        def per_rank(field: str) -> np.ndarray:
+            return np.array([[getattr(rank, field) for rank in run.ranks]
+                             for run in runs]).T
+
+        return BatchReplayResult(
+            self, seeds, np.array([run.elapsed_time for run in runs]),
+            per_rank("finish_time"), per_rank("compute_time"),
+            per_rank("comm_time"))
 
 
 class _ColumnSink:

@@ -2,11 +2,10 @@
 
 Even with periodic capture (:mod:`repro.simmpi.capture`) a cold process
 pays one short recorder pass per distinct (deck, decomposition, network,
-processor) combination.  This module persists the resulting
-:class:`~repro.simmpi.trace.CompiledTrace` to disk under the same
-fingerprint-keyed, atomic-write, verified-read discipline as the sweep
-cache (:class:`~repro.experiments.diskcache.SweepDiskCache` — both build
-on :class:`repro.diskio.DirectoryStore`), so
+processor) combination.  This module persists the capture to disk under
+the same fingerprint-keyed, atomic-write, verified-read discipline as the
+sweep cache (:class:`~repro.experiments.diskcache.SweepDiskCache` — both
+build on :class:`repro.diskio.DirectoryStore`), so
 
 * decks sharing a decomposition never re-capture across processes
   (shard runs, fleet workers and later CLI runs all hit one store),
@@ -17,10 +16,20 @@ on :class:`repro.diskio.DirectoryStore`), so
   only their sweep-cache entries), and
 * the prediction service's warm tiers extend down into capture.
 
-Each entry is a small pickled header — the fingerprint key, per-rank
-statistics, traffic, captured return values and the column layout —
-followed by the trace's compact event/send columns as raw bytes, each
-8-byte aligned.  The columns are byte-exact, so a cache hit replays
+An entry holds what the capture produced: a full
+:class:`~repro.simmpi.trace.CompiledTrace` (a full recording), or a
+:class:`~repro.simmpi.capture.PeriodicCapture` (the short probe, its
+period, the tile count and the run's statistics), stored untiled.  A hit
+is that value again: the steady tier resolves a cached periodic run from
+the probe without building the run's table, and a replay tiles it as it
+would a fresh capture.  A probe entry is a few per cent of the tiled
+table's bytes.
+
+Each entry is a small pickled header — the fingerprint key, the stored
+trace's per-rank statistics, traffic, captured return values and column
+layout, plus a capture's period, tile count and run totals — followed by
+the trace's compact event/send columns as raw bytes, each 8-byte
+aligned.  The columns are byte-exact, so a cache hit replays
 bit-identically to the capture that stored it, and decoding them is a
 zero-copy view of the buffer the entry was read into.  A corrupt,
 truncated or foreign entry — including one written by a different
@@ -41,10 +50,12 @@ from typing import Any
 import numpy as np
 
 from repro.diskio import DirectoryStore
+from repro.simmpi.capture import PeriodicCapture
 from repro.simmpi.trace import CompiledTrace
 
 #: Format marker stored with every entry; bump to invalidate old caches.
-_TRACE_CACHE_VERSION = 2
+#: Format 3 stores a periodic capture's probe untiled.
+_TRACE_CACHE_VERSION = 3
 
 #: Event/send columns persisted as raw arrays, in constructor order.
 _COLUMNS = ("event_kind", "event_rank", "event_slot", "event_aux",
@@ -75,7 +86,16 @@ class TraceDiskCache(DirectoryStore):
     _decode_errors = (pickle.PickleError, EOFError, AttributeError,
                       ImportError, TypeError)
 
-    def _encode(self, key: tuple, trace: CompiledTrace) -> bytes:
+    def _encode(self, key: tuple,
+                capture: CompiledTrace | PeriodicCapture) -> bytes:
+        periodic = None
+        trace = capture
+        if isinstance(capture, PeriodicCapture):
+            trace = capture.probe
+            periodic = (capture.info, capture.tiles, capture.messages_sent,
+                        capture.bytes_sent, capture.messages_received,
+                        capture.bytes_received, capture.traffic,
+                        capture.return_values)
         columns = (trace.event_kind, trace.event_rank, trace.event_slot,
                    trace.event_aux, trace._base, trace._noise_kind,
                    trace._send_eager_arr, trace._send_rank_arr,
@@ -86,7 +106,7 @@ class TraceDiskCache(DirectoryStore):
             (_TRACE_CACHE_VERSION, key, trace.nranks,
              trace._messages_sent, trace._bytes_sent,
              trace._messages_received, trace._bytes_received,
-             trace._traffic, trace._return_values, layout),
+             trace._traffic, trace._return_values, layout, periodic),
             protocol=pickle.HIGHEST_PROTOCOL)
         parts = [len(header).to_bytes(_HEADER_LENGTH_BYTES, "little"), header]
         size = _HEADER_LENGTH_BYTES + len(header)
@@ -96,22 +116,24 @@ class TraceDiskCache(DirectoryStore):
             size = _aligned(size) + column.nbytes
         return b"".join(parts)
 
-    def _decode(self, data: bytearray, key: tuple) -> CompiledTrace:
+    def _decode(self, data: bytearray,
+                key: tuple) -> CompiledTrace | PeriodicCapture:
         end = _HEADER_LENGTH_BYTES + int.from_bytes(
             data[:_HEADER_LENGTH_BYTES], "little")
-        (version, stored_key, nranks, messages_sent, bytes_sent,
-         messages_received, bytes_received, traffic,
-         return_values, layout) = pickle.loads(data[_HEADER_LENGTH_BYTES:end])
-        if version != _TRACE_CACHE_VERSION or stored_key != key:
+        header = pickle.loads(data[_HEADER_LENGTH_BYTES:end])
+        if header[:2] != (_TRACE_CACHE_VERSION, key):
             # Format change or (astronomically unlikely) digest collision.
             raise ValueError("stale or foreign trace-cache entry")
+        (nranks, messages_sent, bytes_sent, messages_received,
+         bytes_received, traffic, return_values, layout,
+         periodic) = header[2:]
         columns = {}
         for name, dtype, length in layout:
             # Views of ``data``: no copy, writable like a fresh capture.
             columns[name] = np.frombuffer(data, dtype=dtype, count=length,
                                           offset=_aligned(end))
             end = _aligned(end) + columns[name].nbytes
-        return CompiledTrace(
+        trace = CompiledTrace(
             nranks=nranks,
             messages_sent=messages_sent,
             bytes_sent=bytes_sent,
@@ -121,6 +143,9 @@ class TraceDiskCache(DirectoryStore):
             return_values=return_values,
             **columns,
         )
+        if periodic is None:
+            return trace
+        return PeriodicCapture(trace, *periodic)
 
 
 def trace_cache_for(path: "str | Any") -> TraceDiskCache:

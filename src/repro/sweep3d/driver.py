@@ -27,10 +27,10 @@ modelled runs, the engine for numeric ones.
 A plan holds one capture at a time.  A periodic capture
 (:class:`~repro.simmpi.capture.PeriodicCapture`: a short probe standing
 for the whole run) is held as it is while only the steady tier has
-asked for it, since that tier resolves the run from the probe.  The full
-table is tiled from the held probe, never recorded again, when a scalar
-or batched replay, a trace-cache entry or :meth:`compile_trace` needs
-it, and it then replaces the probe.
+asked for it, since that tier resolves the run from the probe, and a
+trace-cache entry stores it as it is.  The full table is tiled from the
+held probe, never recorded again, when a scalar or batched replay or
+:meth:`compile_trace` needs it, and it then replaces the probe.
 """
 
 from __future__ import annotations
@@ -79,6 +79,16 @@ from repro.sweep3d.parallel import (
     sweep_rank_program,
 )
 from repro.sweep3d.serial import SerialSolveResult, SerialSweepSolver
+
+#: Largest sample count :meth:`SimulationPlan.run` resolves by one scalar
+#: replay per seed; more samples share one batched replay, whose wave
+#: schedule costs more than a few scalar replays.  On fresh traces with
+#: daemon noise (2-vCPU VM), per-seed replays won at S=4 on every trace
+#: measured, from 974 to 278,808 events (402 against 505 ms on the
+#: 64-rank 12-iteration trace), and the batch won on that trace from S=8
+#: (562 against 770 ms).  ``benchmarks/bench_multiseed.py`` pins both
+#: sides.
+PER_SEED_SAMPLES = 4
 
 
 @dataclass
@@ -134,11 +144,13 @@ class Sweep3DRunResult:
 
 @dataclass
 class Sweep3DSampleSet:
-    """``S`` noisy samples of one plan, produced by a single batched replay.
+    """``S`` noisy samples of one plan, as one batch result.
 
-    Sample ``s`` is bit-identical to ``plan.run(noise.reseeded(seeds[s]),
+    Produced by one batched replay, or for up to :data:`PER_SEED_SAMPLES`
+    samples by one scalar replay per seed; either way sample ``s`` is
+    bit-identical to ``plan.run(noise.reseeded(seeds[s]),
     mode="replay")`` (and therefore to the reference engine at the same
-    seed); :meth:`sample` materialises it as a full
+    seed).  :meth:`sample` materialises it as a full
     :class:`Sweep3DRunResult` on demand.  Summary statistics delegate to
     the underlying :class:`~repro.simmpi.trace.BatchReplayResult`.
     """
@@ -344,7 +356,8 @@ class SimulationPlan:
         :attr:`last_capture`:
 
         1. the persistent :attr:`trace_cache` (if one is attached), keyed
-           by :meth:`trace_fingerprint`;
+           by :meth:`trace_fingerprint`, whose entry is a full trace or a
+           periodic capture, stored as tier 2 or 3 made it;
         2. **periodic capture** — record only warm-up plus a few whole
            periods, then tile the period
            (:func:`~repro.simmpi.capture.tile_trace`), refusing loudly on
@@ -357,8 +370,9 @@ class SimulationPlan:
         (:func:`~repro.sweep3d.parallel.harvest_iteration_bodies`), so the
         generator runs one iteration per rank instead of the whole run.
         The bodies are dropped when the capture ends; the engine tier
-        keeps running the generator.  A periodic capture the steady tier
-        already holds is tiled here, without recording again.
+        keeps running the generator.  A periodic capture the plan
+        already holds (the steady tier's, or a trace-cache hit) is tiled
+        here, without recording again.
 
         Numeric runs carry real payloads whose values feed back into the
         pattern, so they cannot be trace-compiled and raise
@@ -415,8 +429,8 @@ class SimulationPlan:
     def _capture_trace(self) -> CompiledTrace | PeriodicCapture:
         """The tiered capture chain behind :meth:`compile_trace`.
 
-        Returns a periodic capture untiled unless a trace-cache entry
-        needs its table.
+        Returns a periodic capture untiled, and stores it untiled in the
+        trace cache; a cache hit is whichever kind the entry holds.
         """
         start = time.perf_counter()
         key = None
@@ -443,8 +457,6 @@ class SimulationPlan:
         info.capture_s = time.perf_counter() - start
         self.last_capture = info
         if key is not None:
-            if isinstance(capture, PeriodicCapture):
-                capture = self._table(capture)
             self.trace_cache.put(key, capture)
         return capture
 
@@ -549,11 +561,14 @@ class SimulationPlan:
         most recent result.
 
         With ``samples=S`` the plan resolves ``S`` independently seeded
-        noisy runs in **one** batched max-plus pass
-        (:meth:`~repro.simmpi.trace.CompiledTrace.replay_batch`) and
-        returns a :class:`Sweep3DSampleSet`.  Sample ``s`` uses seed
-        ``noise.seed + s`` and is bit-identical to the single run at that
-        seed.  Multi-sample runs are replay-only: ``mode`` must be
+        noisy runs and returns a :class:`Sweep3DSampleSet`: one scalar
+        replay per seed up to :data:`PER_SEED_SAMPLES`
+        (:meth:`~repro.simmpi.trace.CompiledTrace.replay_seeds`), above it
+        **one** batched max-plus pass
+        (:meth:`~repro.simmpi.trace.CompiledTrace.replay_batch`), whose
+        wave schedule costs more than a few scalar replays.  Sample ``s``
+        uses seed ``noise.seed + s`` and is bit-identical to the single
+        run at that seed.  Multi-sample runs are replay-only: ``mode`` must be
         ``"replay"`` or ``"auto"``, and numeric plans raise
         :class:`~repro.errors.TraceError`.
         """
@@ -574,7 +589,10 @@ class SimulationPlan:
             seeds = [noise.seed + offset for offset in range(samples)]
             trace = self.compile_trace()
             with self.phases.phase("replay"):
-                batch = trace.replay_batch(seeds, noise)
+                if samples <= PER_SEED_SAMPLES:
+                    batch = trace.replay_seeds(seeds, noise)
+                else:
+                    batch = trace.replay_batch(seeds, noise)
             self.replays += samples
             self.runs += samples
             self.last_execution = "replay"

@@ -32,6 +32,7 @@ from repro.simmpi.capture import (
     PeriodicCapture,
     collectives_per_period,
     periodic_capture,
+    tile_trace,
     verify_extension,
 )
 from repro.simmpi.steady import _signatures, column_warmup, detect_period
@@ -210,7 +211,7 @@ def test_a_tiling_refusal_falls_back_to_the_full_recorder(machine,
     assert result_key(steady.simulation) == result_key(trace.replay())
 
 
-def test_trace_cache_entry_is_the_tiled_trace(machine, tmp_path):
+def test_trace_cache_entry_holds_the_probe(machine, tmp_path):
     deck = Sweep3DInput(it=12, jt=12, kt=10, mk=5, mmi=3, sn=6,
                         max_iterations=24)
     plan = make_plan(machine, deck, 2, 2, trace_cache=TraceDiskCache(tmp_path))
@@ -218,8 +219,38 @@ def test_trace_cache_entry_is_the_tiled_trace(machine, tmp_path):
     assert plan.last_capture.mode == "periodic"
     assert plan.last_execution == "steady"
     stored = TraceDiskCache(tmp_path).get(plan.trace_fingerprint())
-    assert stored is not None
-    assert_traces_identical(stored, generator_recording(plan, deck))
+    assert isinstance(stored, PeriodicCapture)
+    held = plan._capture
+    assert_traces_identical(stored.probe, held.probe)
+    assert (stored.info, stored.tiles) == (held.info, held.tiles)
+    assert (stored.messages_sent, stored.bytes_sent, stored.messages_received,
+            stored.bytes_received, stored.traffic, stored.return_values) \
+        == (held.messages_sent, held.bytes_sent, held.messages_received,
+            held.bytes_received, held.traffic, held.return_values)
+    assert_traces_identical(tile_trace(stored),
+                            generator_recording(plan, deck))
+
+
+def refuse_tiling(capture):
+    raise AssertionError("the steady tier tiled the trace")
+
+
+def test_cached_periodic_steady_run_never_tiles(machine, tmp_path,
+                                                monkeypatch):
+    deck = Sweep3DInput(it=12, jt=12, kt=10, mk=5, mmi=3, sn=6,
+                        max_iterations=24)
+    reference = make_plan(machine, deck, 2, 2).run(mode="steady")
+    monkeypatch.setattr(driver, "tile_trace", refuse_tiling)
+    runs = []
+    for _ in range(2):                      # cold, then from the entry
+        plan = make_plan(machine, deck, 2, 2,
+                         trace_cache=TraceDiskCache(tmp_path))
+        runs.append(plan.run(mode="steady"))
+        assert plan.last_execution == "steady"
+        assert isinstance(plan._capture, PeriodicCapture)
+    assert plan.last_capture.mode == "cache"
+    assert [repr(run.simulation) for run in runs] \
+        == [repr(reference.simulation)] * 2
 
 
 # ---------------------------------------------------------------------------

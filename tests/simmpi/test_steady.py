@@ -34,6 +34,7 @@ from repro.simmpi.steady import (
     steady_replay,
 )
 from repro.simmpi.trace import CompiledTrace, TraceRecorder
+from repro.simmpi.tracecache import TraceDiskCache
 from repro.simnet.link import LinkModel
 from repro.simnet.noise import NoiseModel
 from repro.simnet.topology import ClusterTopology
@@ -588,3 +589,30 @@ def test_probe_resolution_matches_the_tiled_trace(preset, grid, iterations,
     if px * py <= 16 and iterations <= 30:
         engine = machine.simulation_plan(deck, px, py).run(mode="engine")
         assert repr(run.simulation) == repr(engine.simulation)
+
+
+@pytest.mark.parametrize(
+    "preset, grid, iterations, deck_kind", _matrix(),
+    ids=lambda value: (f"{value[0]}x{value[1]}" if isinstance(value, tuple)
+                       else str(value)))
+def test_tier_matrix_with_a_trace_cache(preset, grid, iterations, deck_kind,
+                                        tmp_path):
+    """With a trace cache attached, a cold and a warm plan resolve the run
+    on the uncached plan's tier with its bits, noise-free and noisy."""
+    machine = get_machine(preset)
+    px, py = grid
+    deck = _matrix_deck(deck_kind, px, py, iterations)
+    noise = machine.noise_model(2)
+    uncached = machine.simulation_plan(deck, px, py)
+    want = (repr(uncached.run(mode="steady").simulation),
+            uncached.last_execution,
+            repr(uncached.run(mode="replay", noise=noise).simulation))
+    mode = uncached.last_capture.mode
+    for cold in (True, False):
+        plan = machine.simulation_plan(deck, px, py,
+                                       trace_cache=TraceDiskCache(tmp_path))
+        steady_run = plan.run(mode="steady")
+        got = (repr(steady_run.simulation), plan.last_execution,
+               repr(plan.run(mode="replay", noise=noise).simulation))
+        assert got == want
+        assert plan.last_capture.mode == (mode if cold else "cache")

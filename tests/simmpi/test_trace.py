@@ -308,8 +308,9 @@ class TestBatchReplay:
 
 
 class TestFastPathsBuildNoMirror:
-    """The batch and steady paths read the numpy columns: neither builds
-    the full-trace Python mirror that only the scalar replay needs."""
+    """Only a trace replayed noise-free more than once holds Python lists
+    of its columns: the batch and steady paths, noisy replays and a first
+    noise-free replay read the numpy columns."""
 
     @pytest.fixture
     def trace(self):
@@ -320,8 +321,7 @@ class TestFastPathsBuildNoMirror:
 
     @staticmethod
     def assert_no_mirror(trace):
-        assert trace._program_cache is None
-        assert trace._base_list_cache is None
+        assert trace._replay_lists is None
 
     def test_batch_schedule_and_replay_batch(self, trace):
         self.assert_no_mirror(trace)
@@ -334,6 +334,20 @@ class TestFastPathsBuildNoMirror:
         steady_replay(trace)
         assert trace.steady_replays == 1
         self.assert_no_mirror(trace)
+
+    def test_noisy_and_first_noise_free_replays(self, trace):
+        noise = NoiseModel(seed=5)
+        noisy = repr(trace.replay(noise))
+        assert repr(trace.replay(noise)) == noisy
+        self.assert_no_mirror(trace)
+        modelled = repr(trace.replay())
+        self.assert_no_mirror(trace)
+        # The second noise-free replay keeps the lists; repeated replays,
+        # from lists or memoryviews, equal the first bit for bit.
+        assert repr(trace.replay()) == modelled
+        assert trace._replay_lists is not None
+        assert repr(trace.replay(NoiseModel.disabled())) == modelled
+        assert repr(trace.replay(noise)) == noisy
 
 
 class TestPlanIntegration:

@@ -6,8 +6,8 @@ import pytest
 from repro.errors import DecompositionError
 from repro.machines.presets import get_machine
 from repro.simnet.noise import NoiseModel, derive_seed
-from repro.sweep3d.driver import SimulationPlan
-from repro.sweep3d.input import standard_deck
+from repro.sweep3d.driver import PER_SEED_SAMPLES, SimulationPlan
+from repro.sweep3d.input import Sweep3DInput, standard_deck
 from repro.sweep3d.parallel import SweepCostTable, SweepPlanData
 from repro.sweep3d.kernel import SweepKernel
 
@@ -197,6 +197,49 @@ class TestMultiSampleRuns:
     def test_nonpositive_samples_rejected(self, machine, plan):
         with pytest.raises(ValueError, match="samples must be >= 1"):
             plan.run(noise=machine.noise_model(0), mode="auto", samples=0)
+
+
+class TestPerSeedRouting:
+    """``run(samples=S)`` replays each seed on its own up to
+    ``PER_SEED_SAMPLES`` and in one batch above; either way the sample set
+    is ``replay_batch``'s result bit for bit."""
+
+    @staticmethod
+    def shape(name):
+        if name == "validation-daemon":
+            machine = get_machine("pentium3-myrinet")
+            deck = standard_deck("validation", px=2, py=2, max_iterations=2)
+            return machine.simulation_plan(deck, 2, 2), machine.noise_model(4)
+        if name == "uneven-jitter":
+            machine = get_machine("opteron-gige")
+            deck = Sweep3DInput(it=12, jt=9, kt=7, mk=3, mmi=2, sn=4,
+                                max_iterations=2)
+            return (machine.simulation_plan(deck, 1, 3),
+                    NoiseModel(seed=9, daemon_interval=0.0))
+        # 200x200x100 cells per rank: every face message is rendez-vous.
+        machine = get_machine("pentium3-myrinet")
+        deck = Sweep3DInput(it=400, jt=400, kt=100, mk=10, mmi=3, sn=6,
+                            max_iterations=1)
+        return machine.simulation_plan(deck, 2, 2), machine.noise_model(6)
+
+    @pytest.mark.parametrize("samples", range(1, PER_SEED_SAMPLES + 2))
+    @pytest.mark.parametrize("name", ["validation-daemon", "uneven-jitter",
+                                      "rendezvous-daemon"])
+    def test_equals_replay_batch(self, name, samples):
+        plan, noise = self.shape(name)
+        sample_set = plan.run(noise=noise, mode="auto", samples=samples)
+        trace = plan.compile_trace()
+        assert (trace._schedule is None) == (samples <= PER_SEED_SAMPLES)
+        if name.startswith("rendezvous"):
+            assert not trace._send_eager_arr.any()
+        batch = trace.replay_batch(sample_set.seeds, noise)
+        for field in ("elapsed", "finish", "compute", "comm"):
+            got, want = getattr(sample_set.batch, field), getattr(batch, field)
+            assert got.shape == want.shape
+            assert got.tolist() == want.tolist(), field
+        for index in range(samples):
+            assert repr(sample_set.sample(index).simulation) \
+                == repr(batch.sample(index))
 
 
 def observables(run):

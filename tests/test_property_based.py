@@ -368,15 +368,20 @@ class TestBatchReplayProperties:
         sample_set = plan.run(noise=noise, mode="auto", samples=samples)
         assert sample_set.n_samples == samples
         trace = plan.compile_trace()
-        for index in range(samples):
-            single = trace.replay(noise.reseeded(noise.seed + index))
-            batched = sample_set.sample(index).simulation
-            assert batched.elapsed_time == single.elapsed_time
-            assert sample_set.elapsed_times[index] == single.elapsed_time
-            for got, want in zip(batched.ranks, single.ranks):
-                assert got.finish_time == want.finish_time
-                assert got.compute_time == want.compute_time
-                assert got.comm_time == want.comm_time
+        # plan.run replays small sample sets seed by seed, so the wave
+        # loop is checked on the same draws directly as well.
+        seeds = [noise.seed + index for index in range(samples)]
+        direct = trace.replay_batch(seeds, noise)
+        for batch in (sample_set.batch, direct):
+            for index, seed in enumerate(seeds):
+                single = trace.replay(noise.reseeded(seed))
+                batched = batch.sample(index)
+                assert batched.elapsed_time == single.elapsed_time
+                assert batch.elapsed[index] == single.elapsed_time
+                for got, want in zip(batched.ranks, single.ranks):
+                    assert got.finish_time == want.finish_time
+                    assert got.compute_time == want.compute_time
+                    assert got.comm_time == want.comm_time
 
 
 # ---------------------------------------------------------------------------
