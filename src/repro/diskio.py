@@ -41,7 +41,7 @@ import time
 import zlib
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Any
+from typing import Any, Sequence
 
 from repro.errors import ExperimentError
 
@@ -87,18 +87,24 @@ class PruneResult:
 _CHECKSUM_BYTES = 4
 
 
-def _checksum(payload: bytes | bytearray) -> bytes:
-    return zlib.crc32(payload).to_bytes(_CHECKSUM_BYTES, "big")
+def _checksum(*chunks: Any) -> bytes:
+    """The CRC-32 frame of the payload ``chunks`` make, in order."""
+    crc = 0
+    for chunk in chunks:
+        crc = zlib.crc32(chunk, crc)
+    return crc.to_bytes(_CHECKSUM_BYTES, "big")
 
 
-def write_atomic(path: Path, *chunks: bytes) -> None:
+def write_atomic(path: Path, *chunks: Any) -> None:
     """Write ``chunks`` to ``path`` atomically.
 
-    The bytes go to a temporary file in the same directory (created when
-    missing) and move into place with ``os.replace``, which is atomic on
-    POSIX and Windows: concurrent writers race to one complete file and
-    readers never see a partial one.  Raw ``os`` calls keep the write to
-    four syscalls; each one lets a busy thread take the GIL.
+    Each chunk is any C-contiguous buffer (bytes, a numpy array), written
+    as its raw bytes.  The bytes go to a temporary file in the same
+    directory (created when missing) and move into place with
+    ``os.replace``, which is atomic on POSIX and Windows: concurrent
+    writers race to one complete file and readers never see a partial
+    one.  Raw ``os`` calls keep the write to a few syscalls; each one
+    lets a busy thread take the GIL.
     """
     try:
         fd, tmp_name = tempfile.mkstemp(dir=path.parent, suffix=".tmp")
@@ -108,7 +114,7 @@ def write_atomic(path: Path, *chunks: bytes) -> None:
     try:
         try:
             for chunk in chunks:
-                view = memoryview(chunk)
+                view = memoryview(chunk).cast("B")
                 while view:
                     view = view[os.write(fd, view):]
         finally:
@@ -171,8 +177,11 @@ class DirectoryStore:
 
     # -- codec hooks (subclass responsibility) --------------------------
 
-    def _encode(self, key: tuple, value: Any) -> bytes:
-        """Serialise ``(key, value)`` into one entry payload."""
+    def _encode(self, key: tuple, value: Any) -> Sequence[Any]:
+        """Serialise ``(key, value)`` into one entry payload, given as the
+        chunks it is made of (bytes or C-contiguous buffers such as numpy
+        columns): :meth:`put` checksums and writes them in turn, never
+        joining them."""
         raise NotImplementedError
 
     def _decode(self, data: bytearray, key: tuple) -> Any:
@@ -214,10 +223,11 @@ class DirectoryStore:
         The entry is the payload's CRC-32 checksum followed by the
         payload, written with :func:`write_atomic` — concurrent writers of
         the same key simply race to an identical complete file, and
-        readers never observe a partial one.
+        readers never observe a partial one.  The payload streams from
+        :meth:`_encode`'s chunks: no copy of it is held in memory.
         """
-        payload = self._encode(key, value)
-        write_atomic(self._entry_path(key), _checksum(payload), payload)
+        chunks = self._encode(key, value)
+        write_atomic(self._entry_path(key), _checksum(*chunks), *chunks)
         with self._stats_lock:
             self.stats.stores += 1
 

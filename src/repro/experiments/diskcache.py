@@ -63,9 +63,9 @@ class SweepDiskCache(DirectoryStore):
     _decode_errors = (pickle.PickleError, EOFError, AttributeError,
                       ImportError)
 
-    def _encode(self, key: tuple, value: Any) -> bytes:
-        return pickle.dumps((_CACHE_VERSION, key, value),
-                            protocol=pickle.HIGHEST_PROTOCOL)
+    def _encode(self, key: tuple, value: Any) -> tuple[bytes]:
+        return (pickle.dumps((_CACHE_VERSION, key, value),
+                             protocol=pickle.HIGHEST_PROTOCOL),)
 
     def _decode(self, data: bytearray, key: tuple) -> Any:
         version, stored_key, result = pickle.loads(data)

@@ -1,4 +1,4 @@
-"""Periodic trace capture: record one period, tile the rest.
+"""Periodic trace capture: record two iterations, prove the rest, tile.
 
 Recording a modelled run's event stream (:class:`~repro.simmpi.trace.
 TraceRecorder`) is O(events) pure Python: at 64 ranks x 100 iterations a
@@ -13,19 +13,31 @@ sweep's stream is eventually periodic — the steady detector
 (:func:`repro.simmpi.steady.detect_period`) proves after the fact the
 repetition a full capture spells out event by event.
 
-This module exploits that structure *during* capture.  A short probe
-capture that already exhibits warm-up + a few whole periods + drain
-becomes a :class:`PeriodicCapture`: the probe, its period, the number of
-periods the run adds (its *tiles*) and the run's per-rank/traffic
-statistics, scaled from one period's deltas by exact integer arithmetic
-(:func:`periodic_capture`).  That value stands for the whole run: the
-steady tier resolves it directly (:func:`~repro.simmpi.steady.
-steady_replay`), and :func:`tile_trace` builds the full
-:class:`~repro.simmpi.trace.CompiledTrace` from it — each column written
-once, with send-slot indices advanced by the per-period send count on
-each tile (the advance the detector verified) — only when a replay or
-a trace description needs the table.  A trace-cache entry
+This module exploits that structure *during* capture, in two steps.
+
+First, the probe.  Every source iteration of the modelled sweep is the
+same op sequence per rank, closed by two reductions, and at each
+iteration boundary the scheduler's state comes down to the rank that
+completed the last reduction (:func:`~repro.simmpi.engine.run_ranks`).
+So two recorded iterations decide every later one:
+:func:`extend_recording` checks that they end in that state with no
+message in flight and extends them to the probe's length (six
+iterations) — the very events a six-iteration recording holds.
+
+Second, the run.  A probe that exhibits warm-up + a few whole periods +
+drain becomes a :class:`PeriodicCapture`: the probe, its period, the
+number of periods the run adds (its *tiles*) and the run's
+per-rank/traffic statistics, scaled from one period's deltas by exact
+integer arithmetic (:func:`periodic_capture`).  That value stands for
+the whole run: the steady tier resolves it directly
+(:func:`~repro.simmpi.steady.steady_replay`), and :func:`tile_trace`
+builds the full :class:`~repro.simmpi.trace.CompiledTrace` from it — each
+column written once, with send-slot indices advanced by the per-period
+send count on each tile (the advance the detector verified) — only when
+a replay or a trace description needs the table.  A trace-cache entry
 (:mod:`repro.simmpi.tracecache`) stores the capture itself, untiled.
+The probe's extension is built by the same two functions, with one
+iteration as the period.
 
 The contract is the steady tier's: **bit-identical to full capture or
 refuse loudly**.  Every structural precondition is checked: integer
@@ -35,9 +47,10 @@ earlier sends and the period structure, re-verified column by column by
 :func:`verify_extension`, on the tiled table.  Callers
 (:meth:`~repro.sweep3d.driver.SimulationPlan.compile_trace`) anchor the
 iteration count on the per-period collective count and cross-check the
-synthesized return values against the recorded prefix — any failure
-raises :class:`~repro.errors.TraceError` and the caller falls back to
-the full recorder.
+synthesized return values against the recorded iterations — any failure
+raises :class:`~repro.errors.TraceError` and the caller falls back: to
+recording the probe in full when the extension refuses, to the full
+recorder when the capture does.
 """
 
 from __future__ import annotations
@@ -74,13 +87,18 @@ class CaptureInfo:
     ``mode`` is ``"periodic"`` (short capture + tiling), ``"full"`` (the
     O(events) recorder; ``reason`` says why periodic capture was not
     used), or ``"cache"`` (served from a :class:`~repro.simmpi.tracecache.
-    TraceDiskCache`).  Event counts describe the *short* capture's
-    structure; ``capture_s`` is the wall-clock the capture cost.
+    TraceDiskCache`).  A periodic capture's probe holds
+    ``short_iterations`` iterations, of which the recorder ran
+    ``recorded_iterations``: two when :func:`extend_recording` proved the
+    rest, all of them otherwise, with ``reason`` saying why.  Event counts
+    describe the probe's structure; ``capture_s`` is the wall-clock the
+    capture cost.
     """
 
     mode: str
     total_iterations: int = 0
     short_iterations: int = 0
+    recorded_iterations: int = 0
     tiles: int = 0
     warmup: int = 0
     period: int = 0
@@ -98,12 +116,17 @@ class CaptureInfo:
             suffix = f" ({self.reason})" if self.reason else ""
             return (f"capture: full recorder, "
                     f"{self.total_iterations} iteration(s){suffix}")
-        return (f"capture: periodic, recorded {self.short_iterations} of "
-                f"{self.total_iterations} iteration(s) and tiled "
+        probe = (f" (a {self.short_iterations}-iteration probe)"
+                 if self.recorded_iterations < self.short_iterations else "")
+        refusal = (f"; probe recorded in full: {self.reason}"
+                   if self.reason else "")
+        return (f"capture: periodic, recorded {self.recorded_iterations} of "
+                f"{self.total_iterations} iteration(s){probe} and tiled "
                 f"{self.tiles} period(s) "
                 f"(warm-up {self.warmup} + period {self.period} x "
                 f"{self.iterations_per_period} iteration(s)/period + drain "
-                f"{self.drain}, {self.sends_per_period} send(s)/period)")
+                f"{self.drain}, {self.sends_per_period} send(s)/period)"
+                f"{refusal}")
 
 
 def collectives_per_period(trace: CompiledTrace, info: PeriodInfo) -> int:
@@ -381,3 +404,77 @@ def tile_trace(capture: PeriodicCapture) -> CompiledTrace:
     if failure:
         raise TraceError(f"periodic capture refused: {failure}")
     return full
+
+
+def extend_recording(recording: CompiledTrace, collective_ranks: list[int],
+                     iterations: int, return_values: list[Any],
+                     topology: ClusterTopology) -> CompiledTrace:
+    """The ``iterations``-iteration recording, proved from a two-iteration one.
+
+    ``recording`` holds two iterations of rank programs that yield the
+    same op sequence in every iteration and close it with two
+    collectives (the modelled sweep's ``globalmax`` and ``globalsum``),
+    whatever the reductions return.  ``collective_ranks`` names the rank
+    that completed each collective
+    (:attr:`~repro.simmpi.trace.TraceRecorder.collective_ranks`) and
+    ``return_values`` are the longer run's.
+
+    The argument:
+
+    * when an allreduce completes, every other rank is blocked in it: no
+      rank waits in a receive or a rendez-vous send, and the ready queue
+      is empty;
+    * :func:`~repro.simmpi.engine.run_ranks` then queues the other ranks
+      in rank order and continues the completing rank; the start of a
+      run is the same state with rank 0;
+    * if no message is in flight at that moment, the next iteration's
+      events depend on the completing rank alone;
+    * so if iterations 1 and 2 end with their last reduction completed by
+      the same rank, iteration 3 starts in iteration 2's state.  It
+      repeats iteration 2's events with send slots advanced by the
+      iteration's send count, and it ends the same way; by induction, so
+      does every later iteration.
+
+    This checks the argument's conditions on the recording: it holds
+    exactly four collectives; each iteration holds half the events and
+    ends in its two collectives; every send is matched within its own
+    iteration; the same rank completed both iterations' last reduction.
+    The result is built as a :class:`PeriodicCapture` whose period is one
+    iteration's events and whose warm-up is
+    :func:`~repro.simmpi.steady.column_warmup`'s on the recording, tiled
+    by :func:`tile_trace`, so every check :func:`periodic_capture` and
+    :func:`tile_trace` make holds on it too.  Raises
+    :class:`~repro.errors.TraceError` naming the first check that fails.
+    """
+    n = recording.n_events
+    period = n // 2
+    kind = recording.event_kind
+    collectives = np.flatnonzero(kind == EV_COLLECTIVE).tolist()
+    if len(collectives) != 4:
+        raise TraceError(
+            f"the two-iteration recording holds {len(collectives)} "
+            "collective(s), not four")
+    if n % 2 or collectives != [period - 2, period - 1, n - 2, n - 1]:
+        raise TraceError(
+            "the two recorded iterations do not hold half the events each, "
+            "each ending in its two collectives")
+    # Slots are numbered in send order, so send rows are in slot order.
+    match_rows = np.full(recording.n_messages, n)
+    matches = np.flatnonzero(kind == EV_MATCH)
+    match_rows[recording.event_slot[matches]] = matches
+    if np.any(match_rows // period
+              != np.flatnonzero(kind == EV_SEND) // period):
+        raise TraceError(
+            "a message is in flight at the end of a recorded iteration")
+    if collective_ranks[1] != collective_ranks[3]:
+        raise TraceError(
+            f"the last reductions of iterations 1 and 2 were completed by "
+            f"ranks {collective_ranks[1]} and {collective_ranks[3]}")
+    sends = int(np.count_nonzero(kind[period:] == EV_SEND))
+    warmup = column_warmup(recording, period, sends)
+    repeats = (n - warmup) // period
+    info = PeriodInfo(periodic=True, warmup=warmup, period=period,
+                      repeats=repeats, drain=n - warmup - repeats * period,
+                      sends_per_period=sends)
+    return tile_trace(periodic_capture(recording, info, iterations - 2,
+                                       return_values, topology))

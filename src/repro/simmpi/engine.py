@@ -139,12 +139,22 @@ def run_ranks(sink: Any, topology: ClusterTopology,
     * ``error`` — the exception class raised for misuse (bad rank count,
       non-generator program, exhausted operation budget);
     * ``compute(rank, base)``, ``send(rank, slot, base, route)``,
-      ``match(rank, slot, base)`` and ``collective(base, nbytes)`` — one
-      call per event, each returning the event's duration.  ``base`` is
-      the noise-free duration of the event's draw site (0.0 where the
-      event draws nothing: a rendez-vous send, an eager match); ``slot``
+      ``match(rank, slot, base)`` and ``collective(rank, base, nbytes)``
+      — one call per event, each returning the event's duration.
+      ``rank`` is the rank whose step made the event: for a collective,
+      the last rank to join it, which completes it.  ``base`` is the
+      noise-free duration of the event's draw site (0.0 where the event
+      draws nothing: a rendez-vous send, an eager match); ``slot``
       numbers the run's sends in send order;
     * ``timing_dependent(what)`` — called before ``now``.
+
+    When an allreduce completes, every other rank is blocked in it: no
+    rank waits in a receive or a rendez-vous send and the ready queue is
+    empty.  The loop then queues the other ranks in rank order and
+    continues the completing rank; the start of a run is that state with
+    rank 0.  So when no message is in flight at that moment, the events
+    that follow depend on the rank programs and the completing rank
+    alone, which periodic capture (:mod:`repro.simmpi.capture`) uses.
 
     All per-run state lives in this call's frame, so nothing of a run —
     generators, payloads, queues — outlives it, failed runs included.
@@ -330,7 +340,7 @@ def run_ranks(sink: Any, topology: ClusterTopology,
                     nbytes = max(nbytes, arrived.nbytes)
                 cost = collective_cost(nbytes, nranks, topology.inter_node)
                 completion = (max(post for post, _ in posts.values())
-                              + sink.collective(cost, nbytes))
+                              + sink.collective(rank, cost, nbytes))
                 result = op.op.combine(
                     [posts[r][1].value for r in sorted(posts)])
                 for other in range(nranks):
@@ -393,7 +403,7 @@ class _TimingSink:
     def match(self, rank: int, slot: int, base: float) -> float:
         return self._network(base)
 
-    def collective(self, base: float, nbytes: float) -> float:
+    def collective(self, rank: int, base: float, nbytes: float) -> float:
         return self._network(base)
 
     def timing_dependent(self, what: str) -> None:

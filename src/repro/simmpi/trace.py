@@ -814,7 +814,9 @@ class _ColumnSink:
     A row is (kind, rank, slot, base) and every hook returns the base
     duration unperturbed.  The other columns of a trace — CPU overheads,
     peers, tags, sizes, noise kinds — follow from each send's route and
-    are gathered per send slot when the trace is built.  ``now``, whose
+    are gathered per send slot when the trace is built.  A collective's
+    row has rank -1; the rank that completed it is kept apart, in
+    :attr:`collective_ranks`.  ``now``, whose
     result depends on virtual time, raises
     :class:`~repro.errors.TraceError`.
     """
@@ -829,6 +831,8 @@ class _ColumnSink:
         self._routes: list[tuple] = []           # by route index
         self._send_routes: list[int] = []        # route index per send slot
         self._collective_nbytes: list[float] = []
+        #: The completing rank of each collective, in event order.
+        self.collective_ranks: list[int] = []
         self._kind = self._kinds.append
         self._rank = self._ranks.append
         self._slot = self._slots.append
@@ -860,12 +864,13 @@ class _ColumnSink:
         self._base(base)
         return base
 
-    def collective(self, base: float, nbytes: float) -> float:
+    def collective(self, rank: int, base: float, nbytes: float) -> float:
         self._kind(EV_COLLECTIVE)
         self._rank(-1)
         self._slot(-1)
         self._base(base)
         self._collective_nbytes.append(nbytes)
+        self.collective_ranks.append(rank)
         return base
 
     def timing_dependent(self, what: str) -> None:
@@ -953,6 +958,12 @@ class TraceRecorder:
 
     def __init__(self, topology: ClusterTopology):
         self.topology = topology
+        #: The rank that completed each collective of the latest
+        #: recording, in event order.  Periodic capture reads it to prove
+        #: a recording's iterations repeat
+        #: (:func:`~repro.simmpi.capture.extend_recording`); it is not
+        #: part of the trace.
+        self.collective_ranks: list[int] = []
 
     def record(self, program: Callable[..., Any], nranks: int,
                program_args: Iterable[Any] = ()) -> CompiledTrace:
@@ -960,4 +971,5 @@ class TraceRecorder:
         sink = _ColumnSink()
         result = run_ranks(sink, self.topology, MAX_OPERATIONS,
                            program, nranks, program_args)
+        self.collective_ranks = sink.collective_ranks
         return sink.trace(result)

@@ -29,9 +29,10 @@ Each entry is a small pickled header — the fingerprint key, the stored
 trace's per-rank statistics, traffic, captured return values and column
 layout, plus a capture's period, tile count and run totals — followed by
 the trace's compact event/send columns as raw bytes, each 8-byte
-aligned.  The columns are byte-exact, so a cache hit replays
-bit-identically to the capture that stored it, and decoding them is a
-zero-copy view of the buffer the entry was read into.  A corrupt,
+aligned.  A put streams the columns to disk from the arrays themselves,
+without a joined copy of the entry.  The columns are byte-exact, so a
+cache hit replays bit-identically to the capture that stored it, and
+decoding them is a zero-copy view of the buffer the entry was read into.  A corrupt,
 truncated or foreign entry — including one written by a different
 format version — is a miss, never an error.
 
@@ -87,7 +88,7 @@ class TraceDiskCache(DirectoryStore):
                       ImportError, TypeError)
 
     def _encode(self, key: tuple,
-                capture: CompiledTrace | PeriodicCapture) -> bytes:
+                capture: CompiledTrace | PeriodicCapture) -> list:
         periodic = None
         trace = capture
         if isinstance(capture, PeriodicCapture):
@@ -108,13 +109,15 @@ class TraceDiskCache(DirectoryStore):
              trace._messages_received, trace._bytes_received,
              trace._traffic, trace._return_values, layout, periodic),
             protocol=pickle.HIGHEST_PROTOCOL)
-        parts = [len(header).to_bytes(_HEADER_LENGTH_BYTES, "little"), header]
+        # The columns go out as they are, each after its padding: the
+        # store writes the chunks in turn, copying none.
+        chunks = [len(header).to_bytes(_HEADER_LENGTH_BYTES, "little"), header]
         size = _HEADER_LENGTH_BYTES + len(header)
         for column in columns:
-            parts.append(bytes(_aligned(size) - size))
-            parts.append(column.tobytes())
+            chunks.append(bytes(_aligned(size) - size))
+            chunks.append(np.ascontiguousarray(column))
             size = _aligned(size) + column.nbytes
-        return b"".join(parts)
+        return chunks
 
     def _decode(self, data: bytearray,
                 key: tuple) -> CompiledTrace | PeriodicCapture:

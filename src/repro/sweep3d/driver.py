@@ -13,7 +13,8 @@ configuration.
 A plan additionally supports **trace replay** for modelled (timing-only)
 runs: :meth:`SimulationPlan.compile_trace` records the plan's event
 stream once (:mod:`repro.simmpi.trace`), from one harvested iteration
-per rank, and ``run(mode="replay")``
+per rank (and for a periodic capture, two recorded iterations; see
+:mod:`repro.simmpi.capture`), and ``run(mode="replay")``
 resolves each run as a vectorised max-plus recurrence over that trace —
 bit-identical to the engine at matched noise seeds, an order of
 magnitude faster per run.  ``mode="steady"`` goes one tier further for
@@ -47,6 +48,7 @@ from repro.simmpi.capture import (
     CaptureInfo,
     PeriodicCapture,
     collectives_per_period,
+    extend_recording,
     periodic_capture,
     tile_trace,
 )
@@ -358,13 +360,28 @@ class SimulationPlan:
         1. the persistent :attr:`trace_cache` (if one is attached), keyed
            by :meth:`trace_fingerprint`, whose entry is a full trace or a
            periodic capture, stored as tier 2 or 3 made it;
-        2. **periodic capture** — record only warm-up plus a few whole
-           periods, then tile the period
+        2. **periodic capture** — a six-iteration probe holding warm-up
+           plus a few whole periods, whose period is then tiled
            (:func:`~repro.simmpi.capture.tile_trace`), refusing loudly on
-           any structural doubt;
+           any structural doubt.  The recorder runs only the probe's first
+           two iterations: every iteration of the modelled sweep yields
+           the same ops per rank and ends in the ``globalmax`` and
+           ``globalsum`` reductions; when an allreduce completes, every
+           other rank is blocked in it, no rank waits in a receive or a
+           rendez-vous send and the ready queue is empty, and
+           :func:`~repro.simmpi.engine.run_ranks` queues the other ranks
+           in rank order and continues the completing rank (the start of
+           a run is that state with rank 0).  With no message in flight,
+           the next iteration's events depend on the completing rank
+           alone, so if iterations 1 and 2 end with their last reduction
+           completed by the same rank, iteration 3 repeats iteration 2
+           with its send slots advanced, and so on by induction
+           (:func:`~repro.simmpi.capture.extend_recording` checks this on
+           the recording; the probe is recorded in full, the reason kept
+           in :attr:`last_capture`, when it refuses);
         3. the full :class:`~repro.simmpi.trace.TraceRecorder` pass.
 
-        Both recordings run :func:`~repro.sweep3d.parallel.
+        Every recording runs :func:`~repro.sweep3d.parallel.
         body_rank_program` over op bodies harvested once per capture from
         one iteration of :func:`~repro.sweep3d.parallel.sweep_rank_program`
         (:func:`~repro.sweep3d.parallel.harvest_iteration_bodies`), so the
@@ -472,6 +489,14 @@ class SimulationPlan:
         :class:`~repro.errors.TraceError` (and the caller falls back to
         the full recorder) unless every check below passes, so the result
         is bit-identical to full capture or refused loudly.
+
+        The probe itself is recorded for two iterations and proved for
+        the rest (:meth:`_record_probe`): every iteration of the modelled
+        sweep yields the same ops per rank and ends in the ``globalmax``
+        and ``globalsum`` reductions, and when the last one completes
+        every other rank is blocked in it, so the scheduler's state
+        comes down to the rank that completed it.  Two iterations ending
+        in the same state, with no message in flight, repeat forever.
         """
         total = self.deck.max_iterations
         m = self._MIN_SHORT_ITERATIONS
@@ -482,8 +507,7 @@ class SimulationPlan:
         # Grow the probe until the detector accepts (the sweep's period is
         # one iteration, so the first probe almost always suffices).
         while True:
-            short_deck = replace(self.deck, max_iterations=m)
-            short = self._record_trace(short_deck, bodies)
+            short, refusal = self._record_probe(bodies, m)
             # The detector alone: the steady tier analyses the probe only
             # if it is asked to resolve the run.
             info = _detect_period(short)
@@ -516,14 +540,6 @@ class SimulationPlan:
             raise TraceError(
                 f"periodic capture refused: tiled collective count "
                 f"({collectives}) does not anchor {total} iterations")
-        # The rank programs' return values are synthesized analytically;
-        # cross-check the synthesis against the recorded prefix first.
-        expected_short = modelled_rank_summaries(
-            short_deck, self.decomp, self.shared)
-        if not _summaries_match(expected_short, short._return_values):
-            raise TraceError(
-                "periodic capture refused: synthesized rank summaries do "
-                "not match the recorded prefix's return values")
         capture = periodic_capture(
             short, info, tiles,
             return_values=modelled_rank_summaries(self.deck, self.decomp,
@@ -531,9 +547,50 @@ class SimulationPlan:
             topology=self.topology)
         return capture, CaptureInfo(
             mode="periodic", total_iterations=total, short_iterations=m,
-            tiles=tiles, warmup=info.warmup, period=info.period,
-            drain=info.drain, sends_per_period=info.sends_per_period,
-            iterations_per_period=iters_per_period)
+            recorded_iterations=m if refusal else 2, tiles=tiles,
+            warmup=info.warmup, period=info.period, drain=info.drain,
+            sends_per_period=info.sends_per_period,
+            iterations_per_period=iters_per_period, reason=refusal)
+
+    def _record_probe(self, bodies: list[list],
+                      iterations: int) -> tuple[CompiledTrace, str]:
+        """The ``iterations``-iteration probe, and why it was recorded in
+        full ("" when it was not).
+
+        Records two iterations, checks their return values against
+        :func:`~repro.sweep3d.parallel.modelled_rank_summaries` and
+        extends them (:func:`~repro.simmpi.capture.extend_recording`),
+        which proves that every later iteration repeats the second.  If
+        any check refuses, records the probe in full with
+        :meth:`_record_trace`.  Either way the probe's return values
+        equal the synthesized ones, checked against what was recorded.
+        """
+        deck = replace(self.deck, max_iterations=iterations)
+        expected = modelled_rank_summaries(deck, self.decomp, self.shared)
+        two = replace(self.deck, max_iterations=2)
+        recorder = TraceRecorder(self.topology)
+        recording = recorder.record(
+            body_rank_program, nranks=self.decomp.nranks,
+            program_args=(two, self.decomp, self.shared, bodies))
+        try:
+            if not _summaries_match(
+                    modelled_rank_summaries(two, self.decomp, self.shared),
+                    recording._return_values):
+                raise TraceError(
+                    "synthesized rank summaries do not match the "
+                    "two-iteration recording's return values")
+            return extend_recording(recording, recorder.collective_ranks,
+                                    iterations, expected, self.topology), ""
+        except TraceError as exc:
+            refusal = str(exc)
+        probe = self._record_trace(deck, bodies)
+        # The rank programs' return values are synthesized analytically;
+        # cross-check the synthesis against the recorded probe first.
+        if not _summaries_match(expected, probe._return_values):
+            raise TraceError(
+                "periodic capture refused: synthesized rank summaries do "
+                "not match the recorded prefix's return values")
+        return probe, refusal
 
     def run(self, noise: NoiseModel | None = None,
             mode: str = "engine",

@@ -17,6 +17,7 @@ recorder driving the generator itself over the whole run
 
 import gc
 import weakref
+from dataclasses import replace
 
 import numpy as np
 import oracles
@@ -115,11 +116,25 @@ def test_periodic_capture_bit_identity(machine, it, jt, kt, mk, px, py,
     deck = Sweep3DInput(it=max(it, px), jt=max(jt, py), kt=kt, mk=mk,
                         mmi=3, sn=6, max_iterations=iterations)
     plan = make_plan(machine, deck, px, py)
-    tiled = plan.compile_trace()
+    recorded = []
+    record = TraceRecorder.record
+
+    def counting_record(self, *args, **kwargs):
+        trace = record(self, *args, **kwargs)
+        recorded.append(trace.n_events)
+        return trace
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(TraceRecorder, "record", counting_record)
+        tiled = plan.compile_trace()
     full = generator_recording(plan, deck)
     assert_traces_identical(tiled, full)
     if plan.last_capture.mode == "periodic":
         assert plan.last_capture.short_iterations < iterations
+        # The recorder ran two iterations; the probe's others were proved.
+        assert plan.last_capture.recorded_iterations == 2
+        two = replace(deck, max_iterations=2)
+        assert recorded == [generator_recording(plan, two).n_events]
     else:
         # Only a genuinely non-amortisable structure may fall back.
         assert plan.last_capture.mode == "full"

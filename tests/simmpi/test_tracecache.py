@@ -126,25 +126,52 @@ def test_fingerprint_ignores_machine_name_and_noise(machine):
     assert other.trace_fingerprint() != key
 
 
-def format_2_payload(key, trace):
-    """An entry as format 2 wrote it: always the full table, no capture."""
-    columns = (trace.event_kind, trace.event_rank, trace.event_slot,
-               trace.event_aux, trace._base, trace._noise_kind,
-               trace._send_eager_arr, trace._send_rank_arr,
-               trace.event_peer, trace.event_tag, trace.event_nbytes)
-    layout = tuple((name, column.dtype.str, len(column))
-                   for name, column in zip(tracecache._COLUMNS, columns))
-    header = pickle.dumps(
-        (2, key, trace.nranks, trace._messages_sent, trace._bytes_sent,
-         trace._messages_received, trace._bytes_received, trace._traffic,
-         trace._return_values, layout))
+def _columns(trace):
+    return (trace.event_kind, trace.event_rank, trace.event_slot,
+            trace.event_aux, trace._base, trace._noise_kind,
+            trace._send_eager_arr, trace._send_rank_arr,
+            trace.event_peer, trace.event_tag, trace.event_nbytes)
+
+
+def _layout(trace):
+    return tuple((name, column.dtype.str, len(column))
+                 for name, column in zip(tracecache._COLUMNS, _columns(trace)))
+
+
+def _joined(header, trace):
+    """One in-memory payload: the header, then each column aligned."""
     parts = [len(header).to_bytes(8, "little"), header]
     size = 8 + len(header)
-    for column in columns:
+    for column in _columns(trace):
         parts.append(bytes(tracecache._aligned(size) - size))
         parts.append(column.tobytes())
         size = tracecache._aligned(size) + column.nbytes
     return b"".join(parts)
+
+
+def format_2_payload(key, trace):
+    """An entry as format 2 wrote it: always the full table, no capture."""
+    return _joined(pickle.dumps(
+        (2, key, trace.nranks, trace._messages_sent, trace._bytes_sent,
+         trace._messages_received, trace._bytes_received, trace._traffic,
+         trace._return_values, _layout(trace))), trace)
+
+
+def format_3_payload(key, capture):
+    """A format-3 entry joined in memory, as puts wrote it before they
+    streamed the columns."""
+    trace, periodic = capture, None
+    if isinstance(capture, PeriodicCapture):
+        trace = capture.probe
+        periodic = (capture.info, capture.tiles, capture.messages_sent,
+                    capture.bytes_sent, capture.messages_received,
+                    capture.bytes_received, capture.traffic,
+                    capture.return_values)
+    return _joined(pickle.dumps(
+        (3, key, trace.nranks, trace._messages_sent, trace._bytes_sent,
+         trace._messages_received, trace._bytes_received, trace._traffic,
+         trace._return_values, _layout(trace), periodic),
+        protocol=pickle.HIGHEST_PROTOCOL), trace)
 
 
 def test_format_2_entry_is_a_miss(tmp_path, plan_parts):
@@ -202,3 +229,20 @@ def test_truncated_format_3_entry_is_a_miss(tmp_path, periodic_parts):
     write_atomic(entry, _checksum(payload), payload)
     assert cache.get(key) is None
     assert cache.stats_snapshot().misses == 2
+
+
+def test_streamed_entries_equal_the_joined_encoding(tmp_path, plan_parts,
+                                                    periodic_parts):
+    # A full recording's table and a periodic capture's probe, each put
+    # from its columns, write the bytes the joined payload framed.
+    full = SimulationPlan(
+        Sweep3DInput(it=10, jt=10, kt=8, mk=4, mmi=3, sn=6,
+                     max_iterations=3), 2, 3, plan_parts[0].topology,
+        processor=plan_parts[0].processor)
+    for plan, capture in ((full, full.compile_trace()), periodic_parts):
+        cache = TraceDiskCache(tmp_path / str(plan.nranks))
+        key = plan.trace_fingerprint()
+        cache.put(key, capture)
+        payload = format_3_payload(key, capture)
+        assert cache._entry_path(key).read_bytes() \
+            == _checksum(payload) + payload
