@@ -17,12 +17,14 @@ fingerprint-keyed trace cache without recording a single event, and
 faster than even the periodic pass.
 
 Both sides record from op bodies harvested once per capture from one
-iteration of the rank generator.  On a 2-vCPU VM (64 ranks, 100
-iterations, ~480k events) the full recorder takes 0.7-1.2 s and
-periodic capture 72-112 ms (~10-11x), of which 40-69 ms is the
-6-iteration probe recording; the gate prints that split.  A warm cache
-hit is ~20-25 ms: a checksummed read of the probe's raw columns, then
-tiling them into the table.
+iteration of the rank generator.  Periodic capture records only the
+first two iterations of its 6-iteration probe and proves the other four
+(``repro.simmpi.capture.extend_recording``).  On a 2-vCPU VM (64 ranks,
+100 iterations, ~480k events) the full recorder takes 0.6-1.4 s and
+periodic capture 39-71 ms (12-19x at the first attempt), of which 12-26
+ms records the probe's two iterations; the gate prints that split.  A
+warm cache hit is ~20-25 ms: a checksummed read of the probe's raw
+columns, then tiling them into the table.
 """
 
 from __future__ import annotations

@@ -32,9 +32,9 @@ the trace's compact event/send columns as raw bytes, each 8-byte
 aligned.  A put streams the columns to disk from the arrays themselves,
 without a joined copy of the entry.  The columns are byte-exact, so a
 cache hit replays bit-identically to the capture that stored it, and
-decoding them is a zero-copy view of the buffer the entry was read into.  A corrupt,
-truncated or foreign entry — including one written by a different
-format version — is a miss, never an error.
+decoding them is a zero-copy view of the buffer the entry was read
+into.  A corrupt, truncated or foreign entry — including one written by
+a different format version — is a miss, never an error.
 
 Keys are built by :meth:`~repro.sweep3d.driver.SimulationPlan.
 trace_fingerprint`: deck shape + decomposition + processor/topology

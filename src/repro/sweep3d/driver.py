@@ -567,14 +567,15 @@ class SimulationPlan:
         """
         deck = replace(self.deck, max_iterations=iterations)
         expected = modelled_rank_summaries(deck, self.decomp, self.shared)
-        two = replace(self.deck, max_iterations=2)
+        two_deck = replace(self.deck, max_iterations=2)
         recorder = TraceRecorder(self.topology)
         recording = recorder.record(
             body_rank_program, nranks=self.decomp.nranks,
-            program_args=(two, self.decomp, self.shared, bodies))
+            program_args=(two_deck, self.decomp, self.shared, bodies))
         try:
             if not _summaries_match(
-                    modelled_rank_summaries(two, self.decomp, self.shared),
+                    modelled_rank_summaries(two_deck, self.decomp,
+                                            self.shared),
                     recording._return_values):
                 raise TraceError(
                     "synthesized rank summaries do not match the "

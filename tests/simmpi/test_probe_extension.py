@@ -246,10 +246,11 @@ def test_uneven_iterations_refuse(machine):
         extend_recording(trace, ranks, 6, [None, None], machine.topology)
 
 
-def _generator_recording(plan, program, bodies):
+def _recording(plan, program, args):
+    """The recorder driving ``program`` over the whole of ``plan.deck``."""
     return TraceRecorder(plan.topology).record(
-        program, nranks=plan.nranks,
-        program_args=(plan.deck, plan.decomp, plan.shared, bodies))
+        program, nranks=plan.nranks, program_args=(plan.deck, plan.decomp,
+                                                   *args))
 
 
 def _assert_full_probe(plan, reason, reference):
@@ -271,9 +272,8 @@ def test_a_refused_extension_records_the_probe_in_full(machine, monkeypatch):
 
     monkeypatch.setattr(driver, "extend_recording", other_rank)
     plan = make_plan(machine, deck, 2, 2)
-    reference = _generator_recording(
-        plan, body_rank_program,
-        harvest_iteration_bodies(deck, plan.decomp, plan.costs, plan.shared))
+    reference = _recording(plan, sweep_rank_program,
+                           (False, plan.costs, plan.shared))
     _assert_full_probe(plan, "completed by ranks 2 and 1", reference)
 
 
@@ -300,9 +300,8 @@ def test_a_message_received_an_iteration_later_records_the_probe_in_full(
     monkeypatch.setattr(driver, "harvest_iteration_bodies", late_bodies)
     monkeypatch.setattr(driver, "body_rank_program", late_program)
     plan = make_plan(machine, deck, 2, 2)
-    reference = _generator_recording(
-        plan, late_program,
-        late_bodies(deck, plan.decomp, plan.costs, plan.shared))
+    reference = _recording(plan, late_program, (plan.shared, late_bodies(
+        deck, plan.decomp, plan.costs, plan.shared)))
     _assert_full_probe(plan, "half the events", reference)
 
 
