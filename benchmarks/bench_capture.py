@@ -83,7 +83,7 @@ def test_periodic_capture_speed_64rank(monkeypatch):
     info = plan.last_capture
     assert info.mode == "periodic", info.reason
     assert info.short_iterations < ITERATIONS
-    full = plan._record_trace(_deck())
+    full = plan._record_trace()
 
     # Identity first — the timing below is meaningless otherwise.
     _assert_identical(tiled, full)
@@ -94,7 +94,7 @@ def test_periodic_capture_speed_64rank(monkeypatch):
         == full.replay(noise.reseeded(5)).elapsed_time
 
     # The periodic side splits into its probe recording and the rest
-    # (plan build, body harvest, period detection, tiling and checks).
+    # (plan build, body harvest, the extension, tiling and checks).
     recorded = []
     record = TraceRecorder.record
 
@@ -110,7 +110,7 @@ def test_periodic_capture_speed_64rank(monkeypatch):
     for _ in range(2):                          # one retry guards against noise
         start = time.perf_counter()
         reference = _plan(machine)
-        reference._record_trace(_deck())
+        reference._record_trace()
         full_elapsed = time.perf_counter() - start
         recorded.clear()
         start = time.perf_counter()

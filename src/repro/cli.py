@@ -181,8 +181,6 @@ def _build_parser() -> argparse.ArgumentParser:
                       help="controller-loop cadence in seconds")
     fcmd.add_argument("--timeout", type=float, default=None, metavar="S",
                       help="fail the run after this many seconds")
-    fcmd.add_argument("--no-steal", action="store_true",
-                      help="never revoke prefetched units from stragglers")
     fcmd.add_argument("--out", default=None, metavar="DIR",
                       help="write the merged artifacts + manifest here")
     fcmd.add_argument("--expect", default=None, metavar="DIR",
@@ -632,8 +630,7 @@ def _cmd_fleet(args: argparse.Namespace) -> int:
     store = store_from_url(args.store) if args.store else None
     coordinator = FleetCoordinator(args.fleet_dir, store=store,
                                    lease_ttl_s=args.lease_ttl,
-                                   poll_s=args.poll,
-                                   steal=not args.no_steal)
+                                   poll_s=args.poll)
     units = coordinator.enqueue(specs, smoke=args.smoke)
     print(f"enqueued {units} unit(s) from {len(specs)} stud(y/ies) "
           f"at {args.fleet_dir}")

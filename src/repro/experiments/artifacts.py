@@ -377,6 +377,12 @@ def _normalize_volatile(entry: dict) -> dict:
     if isinstance(normalized.get("phases"), dict):
         # Per-phase host seconds are wall-clock accounting, never results.
         normalized["phases"] = {}
+    if isinstance(normalized.get("spec"), dict):
+        # A cache directory is where a host kept its cache; it is not
+        # part of the spec's identity (StudySpec.spec_hash).
+        normalized["spec"] = {key: value for key, value
+                              in normalized["spec"].items()
+                              if key != "cache_dir"}
     return normalized
 
 
@@ -389,8 +395,9 @@ def compare_artifact_dirs(candidate: str | Path,
     """Differences between two artifact directories, timing normalised.
 
     Manifests are compared after zeroing wall-clock and cache accounting
-    (everything else — specs, hashes, machine fingerprints, row counts,
-    artifact names — must be byte-identical); per-study CSVs are compared
+    and dropping each spec's cache directory (everything else — specs,
+    hashes, machine fingerprints, row counts, artifact names — must be
+    byte-identical); per-study CSVs are compared
     byte-for-byte and per-study JSONs field-by-field with the same
     normalisation.  Returns a list of human-readable differences (empty:
     the runs match).

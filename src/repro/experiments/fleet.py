@@ -274,9 +274,6 @@ class FleetCoordinator:
     poll_s:
         Controller-loop cadence: the longest :meth:`serve` waits between
         passes when no :meth:`wake` cuts the wait short.
-    steal:
-        Whether to revoke prefetched units from stragglers once the open
-        pool is dry and idle workers wait.
     clock:
         Injectable wall-clock (tests).
     """
@@ -285,7 +282,6 @@ class FleetCoordinator:
                  store: ArtifactStore | None = None,
                  lease_ttl_s: float = 30.0,
                  poll_s: float = 0.2,
-                 steal: bool = True,
                  clock: Callable[[], float] = time.time):
         if lease_ttl_s <= 0:
             raise FleetError("lease_ttl_s must be > 0")
@@ -296,7 +292,6 @@ class FleetCoordinator:
         self.store = store
         self.lease_ttl_s = float(lease_ttl_s)
         self.poll_s = float(poll_s)
-        self.steal = steal
         self._clock = clock
         self.log = FleetEventLog(self.paths.events, clock=clock)
         #: index -> mutable unit record (the files mirror this table).
@@ -433,8 +428,7 @@ class FleetCoordinator:
         self._collect_results(leases)
         leases = {key: value for key, value in leases.items()
                   if self._units[key[0]]["state"] != "done"}
-        if self.steal:
-            self._steal_from_stragglers(leases, now)
+        self._steal_from_stragglers(leases, now)
 
     # -- controller internals --------------------------------------------
 
@@ -989,9 +983,9 @@ class FleetWorker:
                 raise _SimulatedDeath(claimed.index)
             started = time.perf_counter()
             # The cache binds at context level, never as a spec override:
-            # a cache_dir override would change the shard spec's hash and
-            # break its recorded parent (each worker's cache is local
-            # anyway — only the rows, which caches cannot alter, travel).
+            # each worker's cache is local, so its path does not belong in
+            # the published result's spec (only the rows, which caches
+            # cannot alter, travel).
             runner = StudyRunner(context=self._context)
             result = runner.run(claimed.spec)
             elapsed = time.perf_counter() - started

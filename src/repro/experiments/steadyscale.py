@@ -11,16 +11,17 @@ pushes two axes well past the paper:
   ASCI configuration).  Cell counts only change the per-block compute
   charge, not the event count, so they are effectively free.
 * **iterations** — the event stream grows linearly with the source
-  iteration count, but a noise-free run on the steady tier records a
-  six-iteration probe (:mod:`repro.simmpi.capture`), replays only its
-  warm-up, one lock-in window and its drain, and extrapolates the rest
-  without ever building the run's event table
+  iteration count, but a noise-free run on the steady tier records two
+  iterations, proves a six-iteration probe from them
+  (:mod:`repro.simmpi.capture`), replays only its warm-up, one lock-in
+  window and its drain, and extrapolates the rest without ever building
+  the run's event table
   (:func:`repro.simmpi.steady.steady_replay`), so hundred-iteration runs
   cost barely more than twelve-iteration ones.
 
-* **ranks** — the probe is the only O(events) recorder pass, so the
-  grid climbs to 256 ranks (the modelled machine hosts 8000
-  processors).  On a 2-vCPU VM the default 256-rank x 100-iteration
+* **ranks** — those two iterations are the only O(events) recorder
+  pass, so the grid climbs to 256 ranks (the modelled machine hosts
+  8000 processors).  On a 2-vCPU VM the default 256-rank x 100-iteration
   point (3,200 x 3,200 x 100 cells, 19.5M events) costs a fresh plan
   2-4 s CPU and about 190 MB peak RSS on the steady tier, where
   recording and replaying all its events took 118 s and 5.4 GB.

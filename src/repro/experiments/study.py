@@ -250,9 +250,15 @@ class StudySpec:
         return cls.from_dict(data)
 
     def spec_hash(self) -> str:
-        """A stable content digest of the spec (identical across processes)."""
-        payload = json.dumps(self.to_dict(), sort_keys=True,
-                             separators=(",", ":"))
+        """A stable content digest of the spec (identical across processes).
+
+        ``cache_dir`` is left out: where a host keeps its cache is a
+        deployment setting, and caches never change a row, so one
+        workload run against two cache directories is one spec.
+        """
+        data = self.to_dict()
+        data.pop("cache_dir", None)
+        payload = json.dumps(data, sort_keys=True, separators=(",", ":"))
         return hashlib.sha256(payload.encode("utf-8")).hexdigest()
 
 

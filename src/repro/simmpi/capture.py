@@ -13,49 +13,46 @@ sweep's stream is eventually periodic — the steady detector
 (:func:`repro.simmpi.steady.detect_period`) proves after the fact the
 repetition a full capture spells out event by event.
 
-This module exploits that structure *during* capture, in two steps.
+This module exploits that structure *during* capture.  Every source
+iteration of the modelled sweep is the same op sequence per rank, closed
+by two reductions, and at each iteration boundary the scheduler's state
+comes down to the rank that completed the last reduction
+(:func:`~repro.simmpi.engine.run_ranks`).  So two recorded iterations
+decide every later one: :func:`extend_recording` checks that they end in
+that state with no message in flight and extends them by whole
+iterations, the very events a longer recording holds.
 
-First, the probe.  Every source iteration of the modelled sweep is the
-same op sequence per rank, closed by two reductions, and at each
-iteration boundary the scheduler's state comes down to the rank that
-completed the last reduction (:func:`~repro.simmpi.engine.run_ranks`).
-So two recorded iterations decide every later one:
-:func:`extend_recording` checks that they end in that state with no
-message in flight and extends them to the probe's length (six
-iterations) — the very events a six-iteration recording holds.
-
-Second, the run.  A probe that exhibits warm-up + a few whole periods +
-drain becomes a :class:`PeriodicCapture`: the probe, its period, the
-number of periods the run adds (its *tiles*) and the run's
-per-rank/traffic statistics, scaled from one period's deltas by exact
-integer arithmetic (:func:`periodic_capture`).  That value stands for
-the whole run: the steady tier resolves it directly
+The caller (:meth:`~repro.sweep3d.driver.SimulationPlan.compile_trace`)
+has one rule.  A run of one or two iterations is recorded in full.  Any
+longer run records two iterations and extends them: to the whole run if
+it has at most six iterations, otherwise to a six-iteration probe, which
+becomes a :class:`PeriodicCapture`: the probe, its period, the number of
+periods the run adds (its *tiles*) and the run's per-rank/traffic
+statistics, scaled from one period's deltas by exact integer arithmetic
+(:func:`periodic_capture`).  That value stands for the whole run: the
+steady tier resolves it directly
 (:func:`~repro.simmpi.steady.steady_replay`), and :func:`tile_trace`
 builds the full :class:`~repro.simmpi.trace.CompiledTrace` from it — each
 column written once, with send-slot indices advanced by the per-period
-send count on each tile (the advance the detector verified) — only when
-a replay or a trace description needs the table.  A trace-cache entry
-(:mod:`repro.simmpi.tracecache`) stores the capture itself, untiled.
-The probe's extension is built by the same two functions, with one
-iteration as the period.
+send count on each tile — only when a replay or a trace description
+needs the table.  A trace-cache entry (:mod:`repro.simmpi.tracecache`)
+stores the capture itself, untiled.  The extension is built by the same
+two functions, with one iteration as the period.
 
 The contract is the steady tier's: **bit-identical to full capture or
 refuse loudly**.  Every structural precondition is checked: integer
 byte sizes within the float53 exact range and traffic tags the probe saw
 when the capture is made; slot sequentiality, matches referencing
 earlier sends and the period structure, re-verified column by column by
-:func:`verify_extension`, on the tiled table.  Callers
-(:meth:`~repro.sweep3d.driver.SimulationPlan.compile_trace`) anchor the
-iteration count on the per-period collective count and cross-check the
-synthesized return values against the recorded iterations — any failure
-raises :class:`~repro.errors.TraceError` and the caller falls back: to
-recording the probe in full when the extension refuses, to the full
-recorder when the capture does.
+:func:`verify_extension`, on the tiled table.  The caller cross-checks
+the synthesized return values against the two recorded iterations.  Any
+failure raises :class:`~repro.errors.TraceError`, and the caller records
+the whole run in full, keeping the reason.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Any
 
 import numpy as np
@@ -84,27 +81,24 @@ _MAX_EXACT_BYTES = float(2 ** 53)
 class CaptureInfo:
     """How one :meth:`SimulationPlan.compile_trace` produced its trace.
 
-    ``mode`` is ``"periodic"`` (short capture + tiling), ``"full"`` (the
-    O(events) recorder; ``reason`` says why periodic capture was not
-    used), or ``"cache"`` (served from a :class:`~repro.simmpi.tracecache.
-    TraceDiskCache`).  A periodic capture's probe holds
-    ``short_iterations`` iterations, of which the recorder ran
-    ``recorded_iterations``: two when :func:`extend_recording` proved the
-    rest, all of them otherwise, with ``reason`` saying why.  Event counts
-    describe the probe's structure; ``capture_s`` is the wall-clock the
-    capture cost.
+    ``mode`` is ``"periodic"`` (two recorded iterations, extended and
+    tiled), ``"full"`` (the O(events) recorder; ``reason`` says why
+    periodic capture was not used), or ``"cache"`` (served from a
+    :class:`~repro.simmpi.tracecache.TraceDiskCache`).  A periodic
+    capture's probe holds ``short_iterations`` iterations, proved from
+    the two recorded ones, and the run adds ``tiles`` periods of one
+    iteration each to it.  Event counts describe the probe's structure;
+    ``capture_s`` is the wall-clock the capture cost.
     """
 
     mode: str
     total_iterations: int = 0
     short_iterations: int = 0
-    recorded_iterations: int = 0
     tiles: int = 0
     warmup: int = 0
     period: int = 0
     drain: int = 0
     sends_per_period: int = 0
-    iterations_per_period: int = 0
     reason: str = ""
     capture_s: float = 0.0
 
@@ -116,24 +110,11 @@ class CaptureInfo:
             suffix = f" ({self.reason})" if self.reason else ""
             return (f"capture: full recorder, "
                     f"{self.total_iterations} iteration(s){suffix}")
-        probe = (f" (a {self.short_iterations}-iteration probe)"
-                 if self.recorded_iterations < self.short_iterations else "")
-        refusal = (f"; probe recorded in full: {self.reason}"
-                   if self.reason else "")
-        return (f"capture: periodic, recorded {self.recorded_iterations} of "
-                f"{self.total_iterations} iteration(s){probe} and tiled "
-                f"{self.tiles} period(s) "
-                f"(warm-up {self.warmup} + period {self.period} x "
-                f"{self.iterations_per_period} iteration(s)/period + drain "
-                f"{self.drain}, {self.sends_per_period} send(s)/period)"
-                f"{refusal}")
-
-
-def collectives_per_period(trace: CompiledTrace, info: PeriodInfo) -> int:
-    """Number of collective events inside one detected period."""
-    end = info.warmup + info.repeats * info.period
-    segment = trace.event_kind[end - info.period:end]
-    return int(np.count_nonzero(segment == EV_COLLECTIVE))
+        return (f"capture: periodic, recorded 2 of {self.total_iterations} "
+                f"iteration(s), proved a {self.short_iterations}-iteration "
+                f"probe and tiled {self.tiles} period(s) (warm-up "
+                f"{self.warmup} + period {self.period} + drain {self.drain} "
+                f"event(s), {self.sends_per_period} send(s)/period)")
 
 
 def verify_extension(trace: CompiledTrace, info: PeriodInfo,
@@ -226,8 +207,9 @@ def periodic_capture(short: CompiledTrace, info: PeriodInfo, tiles: int,
                      topology: ClusterTopology) -> PeriodicCapture:
     """The run ``tiles`` periods longer than ``short``, as a capture.
 
-    ``short`` must be periodic per ``info`` (its own
-    :func:`~repro.simmpi.steady.detect_period` outcome).  Scales the
+    ``short`` must be periodic per ``info`` (its
+    :func:`~repro.simmpi.steady.detect_period` outcome, or the one
+    :func:`extend_recording` returned with it).  Scales the
     probe's statistics by one period's deltas in exact arithmetic and
     attaches ``return_values`` (the caller synthesizes and cross-checks
     them).  Raises :class:`~repro.errors.TraceError` when any
@@ -408,8 +390,10 @@ def tile_trace(capture: PeriodicCapture) -> CompiledTrace:
 
 def extend_recording(recording: CompiledTrace, collective_ranks: list[int],
                      iterations: int, return_values: list[Any],
-                     topology: ClusterTopology) -> CompiledTrace:
-    """The ``iterations``-iteration recording, proved from a two-iteration one.
+                     topology: ClusterTopology
+                     ) -> tuple[CompiledTrace, PeriodInfo]:
+    """The ``iterations``-iteration recording, proved from a two-iteration
+    one, and its period structure.
 
     ``recording`` holds two iterations of rank programs that yield the
     same op sequence in every iteration and close it with two
@@ -443,8 +427,11 @@ def extend_recording(recording: CompiledTrace, collective_ranks: list[int],
     iteration's events and whose warm-up is
     :func:`~repro.simmpi.steady.column_warmup`'s on the recording, tiled
     by :func:`tile_trace`, so every check :func:`periodic_capture` and
-    :func:`tile_trace` make holds on it too.  Raises
-    :class:`~repro.errors.TraceError` naming the first check that fails.
+    :func:`tile_trace` make holds on it too.  The returned
+    :class:`~repro.simmpi.steady.PeriodInfo` is the recording's with the
+    tiles added to its repeats, which :func:`verify_extension` checked on
+    the result.  Raises :class:`~repro.errors.TraceError` naming the
+    first check that fails.
     """
     n = recording.n_events
     period = n // 2
@@ -476,5 +463,7 @@ def extend_recording(recording: CompiledTrace, collective_ranks: list[int],
     info = PeriodInfo(periodic=True, warmup=warmup, period=period,
                       repeats=repeats, drain=n - warmup - repeats * period,
                       sends_per_period=sends)
-    return tile_trace(periodic_capture(recording, info, iterations - 2,
-                                       return_values, topology))
+    tiles = iterations - 2
+    extended = tile_trace(periodic_capture(recording, info, tiles,
+                                           return_values, topology))
+    return extended, replace(info, repeats=repeats + tiles)

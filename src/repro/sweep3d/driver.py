@@ -47,7 +47,6 @@ from repro.profiling.phases import PhaseTimer
 from repro.simmpi.capture import (
     CaptureInfo,
     PeriodicCapture,
-    collectives_per_period,
     extend_recording,
     periodic_capture,
     tile_trace,
@@ -57,15 +56,9 @@ from repro.simmpi.steady import (
     MIN_REPEATS,
     SteadyNeedsTrace,
     SteadyStateError,
-    _detect_period,
     steady_replay,
 )
-from repro.simmpi.trace import (
-    EV_COLLECTIVE,
-    BatchReplayResult,
-    CompiledTrace,
-    TraceRecorder,
-)
+from repro.simmpi.trace import BatchReplayResult, CompiledTrace, TraceRecorder
 from repro.simnet.noise import NoiseModel
 from repro.simnet.topology import ClusterTopology
 from repro.simproc.processor import ProcessorModel
@@ -213,7 +206,7 @@ def _summaries_match(expected: list[dict[str, Any]],
 
     Used by periodic capture to validate the analytic return-value
     synthesis (:func:`~repro.sweep3d.parallel.modelled_rank_summaries`)
-    against what the short probe capture actually recorded — every float
+    against what the two recorded iterations returned — every float
     compared exactly, since the contract is bit-identity.
     """
     if len(expected) != len(recorded):
@@ -311,12 +304,6 @@ class SimulationPlan:
     def nranks(self) -> int:
         return self.decomp.nranks
 
-    #: Shortest candidate capture: enough iterations for the detector to
-    #: see ``MIN_REPEATS`` whole periods (the sweep's period is one
-    #: iteration and its warm-up a fraction of one, so one extra
-    #: iteration of slack suffices; if not, the probe doubles).
-    _MIN_SHORT_ITERATIONS = MIN_REPEATS + 1
-
     def trace_fingerprint(self) -> tuple:
         """A value identity of this plan's *pattern*, keying the trace cache.
 
@@ -353,33 +340,33 @@ class SimulationPlan:
 
         The trace is captured lazily and cached for the plan's lifetime
         (the pattern is a pure function of the plan's deck/decomposition).
-        Capture itself is tiered, cheapest first, each tier bit-identical
-        to the O(events) recorder or skipped with the reason recorded in
-        :attr:`last_capture`:
+        Capture is one rule with one fallback, each path bit-identical to
+        the O(events) recorder:
 
         1. the persistent :attr:`trace_cache` (if one is attached), keyed
            by :meth:`trace_fingerprint`, whose entry is a full trace or a
-           periodic capture, stored as tier 2 or 3 made it;
-        2. **periodic capture** — a six-iteration probe holding warm-up
-           plus a few whole periods, whose period is then tiled
-           (:func:`~repro.simmpi.capture.tile_trace`), refusing loudly on
-           any structural doubt.  The recorder runs only the probe's first
-           two iterations: every iteration of the modelled sweep yields
-           the same ops per rank and ends in the ``globalmax`` and
-           ``globalsum`` reductions; when an allreduce completes, every
-           other rank is blocked in it, no rank waits in a receive or a
-           rendez-vous send and the ready queue is empty, and
+           periodic capture, stored as path 2 or 3 made it;
+        2. **periodic capture** of any run of three or more iterations:
+           the recorder runs two iterations, and
+           :func:`~repro.simmpi.capture.extend_recording` proves the rest.
+           Every iteration of the modelled sweep yields the same ops per
+           rank and ends in the ``globalmax`` and ``globalsum``
+           reductions; when an allreduce completes, every other rank is
+           blocked in it, no rank waits in a receive or a rendez-vous
+           send and the ready queue is empty, and
            :func:`~repro.simmpi.engine.run_ranks` queues the other ranks
            in rank order and continues the completing rank (the start of
            a run is that state with rank 0).  With no message in flight,
            the next iteration's events depend on the completing rank
            alone, so if iterations 1 and 2 end with their last reduction
            completed by the same rank, iteration 3 repeats iteration 2
-           with its send slots advanced, and so on by induction
-           (:func:`~repro.simmpi.capture.extend_recording` checks this on
-           the recording; the probe is recorded in full, the reason kept
-           in :attr:`last_capture`, when it refuses);
-        3. the full :class:`~repro.simmpi.trace.TraceRecorder` pass.
+           with its send slots advanced, and so on by induction.  A run
+           of at most six iterations is the extension itself; a longer
+           one is a six-iteration probe plus ``T - 6`` tiles of its
+           period (:func:`~repro.simmpi.capture.periodic_capture`);
+        3. the full :class:`~repro.simmpi.trace.TraceRecorder` pass, for
+           runs of one or two iterations and whenever a check of path 2
+           refuses, with the reason kept in :attr:`last_capture`.
 
         Every recording runs :func:`~repro.sweep3d.parallel.
         body_rank_program` over op bodies harvested once per capture from
@@ -419,32 +406,31 @@ class SimulationPlan:
         try:
             trace = tile_trace(capture)
         except TraceError as exc:
-            trace = self._record_trace(self.deck)
+            trace = self._record_trace()
             self.last_capture = CaptureInfo(
                 mode="full", total_iterations=self.deck.max_iterations,
                 reason=str(exc), capture_s=self.last_capture.capture_s)
         self.last_capture.capture_s += time.perf_counter() - start
         return trace
 
-    def _record_trace(self, deck: Sweep3DInput,
-                      bodies: list[list] | None = None) -> CompiledTrace:
-        """One recorder pass over ``deck``, reusing the plan's shared data.
+    def _record_trace(self, bodies: list[list] | None = None
+                      ) -> CompiledTrace:
+        """One recorder pass over the whole run, reusing the plan's shared
+        data.
 
-        Valid for any ``max_iterations`` variant of the plan's deck: the
-        decomposition, quadrature/blocking data, cost table and per-rank
-        iteration bodies do not depend on the iteration count.  Records
-        :func:`~repro.sweep3d.parallel.body_rank_program` over ``bodies``,
-        harvested here when not given.
+        Records :func:`~repro.sweep3d.parallel.body_rank_program` over
+        ``bodies``, harvested here when not given.
         """
         if bodies is None:
             bodies = harvest_iteration_bodies(self.deck, self.decomp,
                                               self.costs, self.shared)
         return TraceRecorder(self.topology).record(
             body_rank_program, nranks=self.decomp.nranks,
-            program_args=(deck, self.decomp, self.shared, bodies))
+            program_args=(self.deck, self.decomp, self.shared, bodies))
 
     def _capture_trace(self) -> CompiledTrace | PeriodicCapture:
-        """The tiered capture chain behind :meth:`compile_trace`.
+        """The capture behind :meth:`compile_trace`: the trace cache, then
+        periodic capture, then the full recorder.
 
         Returns a periodic capture untiled, and stores it untiled in the
         trace cache; a cache hit is whichever kind the entry holds.
@@ -460,14 +446,14 @@ class SimulationPlan:
                     total_iterations=self.deck.max_iterations,
                     capture_s=time.perf_counter() - start)
                 return cached
-        # Shared by the probe and the full fallback; dropped with this
-        # frame, never kept on the plan.
+        # Shared by the two-iteration recording and the full fallback;
+        # dropped with this frame, never kept on the plan.
         bodies = harvest_iteration_bodies(self.deck, self.decomp, self.costs,
                                           self.shared)
         try:
             capture, info = self._periodic_capture(bodies)
         except TraceError as exc:
-            capture = self._record_trace(self.deck, bodies)
+            capture = self._record_trace(bodies)
             info = CaptureInfo(mode="full",
                                total_iterations=self.deck.max_iterations,
                                reason=str(exc))
@@ -478,120 +464,60 @@ class SimulationPlan:
         return capture
 
     def _periodic_capture(self, bodies: list[list]
-                          ) -> tuple[PeriodicCapture, CaptureInfo]:
-        """Record a short prefix and prove its period.
+                          ) -> tuple[CompiledTrace | PeriodicCapture,
+                                     CaptureInfo]:
+        """Record two iterations and prove the rest of the run.
 
-        Soundness rests on the recorder being timing-free: the trace of
-        ``m`` iterations is exactly the first ``n_m`` events of the trace
-        of ``T > m`` iterations, so extending the short capture by whole
-        periods *is* the longer capture — provided the period structure
-        genuinely extends.  That proviso is enforced, not assumed: raises
-        :class:`~repro.errors.TraceError` (and the caller falls back to
-        the full recorder) unless every check below passes, so the result
-        is bit-identical to full capture or refused loudly.
+        Every iteration of the modelled sweep yields the same ops per
+        rank and ends in the ``globalmax`` and ``globalsum`` reductions,
+        and when the last one completes every other rank is blocked in
+        it, so the scheduler's state comes down to the rank that
+        completed it.  Two iterations ending in the same state, with no
+        message in flight, repeat forever
+        (:func:`~repro.simmpi.capture.extend_recording`).  A run of at
+        most six iterations is that extension; a longer one is a
+        six-iteration probe (warm-up plus the :data:`~repro.simmpi.steady.
+        MIN_REPEATS` whole periods the steady tier's detector asks for)
+        and ``T - 6`` tiles of its period, a :class:`~repro.simmpi.
+        capture.PeriodicCapture`.
 
-        The probe itself is recorded for two iterations and proved for
-        the rest (:meth:`_record_probe`): every iteration of the modelled
-        sweep yields the same ops per rank and ends in the ``globalmax``
-        and ``globalsum`` reductions, and when the last one completes
-        every other rank is blocked in it, so the scheduler's state
-        comes down to the rank that completed it.  Two iterations ending
-        in the same state, with no message in flight, repeat forever.
+        Raises :class:`~repro.errors.TraceError`, and the caller records
+        the run in full, for a run of one or two iterations, when the two
+        recorded iterations' return values differ from the synthesized
+        ones (:func:`~repro.sweep3d.parallel.modelled_rank_summaries`), or
+        when any check of the extension or the capture refuses.
         """
         total = self.deck.max_iterations
-        m = self._MIN_SHORT_ITERATIONS
-        if total < 2 * m:
+        if total <= 2:
             raise TraceError(
-                f"periodic capture refused: too few iterations ({total}) "
-                f"to amortise a {m}-iteration probe capture")
-        # Grow the probe until the detector accepts (the sweep's period is
-        # one iteration, so the first probe almost always suffices).
-        while True:
-            short, refusal = self._record_probe(bodies, m)
-            # The detector alone: the steady tier analyses the probe only
-            # if it is asked to resolve the run.
-            info = _detect_period(short)
-            if info.periodic:
-                break
-            m *= 2
-            if 2 * m > total:
-                raise TraceError(
-                    "periodic capture refused: no period detected within "
-                    f"half the run ({info.reason})")
-        # Anchor the iteration count on the per-period collective count:
-        # modelled sweeps perform exactly two reductions per iteration.
-        per_period = collectives_per_period(short, info)
-        if per_period <= 0 or per_period % 2:
-            raise TraceError(
-                "periodic capture refused: the detected period holds "
-                f"{per_period} collective(s), not the two per iteration "
-                "the sweep's convergence reductions contribute")
-        iters_per_period = per_period // 2
-        remaining = total - m
-        if remaining % iters_per_period:
-            raise TraceError(
-                f"periodic capture refused: remaining iterations "
-                f"({remaining}) are not a whole number of "
-                f"{iters_per_period}-iteration periods")
-        tiles = remaining // iters_per_period
-        collectives = (int(np.count_nonzero(short.event_kind == EV_COLLECTIVE))
-                       + tiles * per_period)
-        if collectives != 2 * total:
-            raise TraceError(
-                f"periodic capture refused: tiled collective count "
-                f"({collectives}) does not anchor {total} iterations")
-        capture = periodic_capture(
-            short, info, tiles,
-            return_values=modelled_rank_summaries(self.deck, self.decomp,
-                                                  self.shared),
-            topology=self.topology)
-        return capture, CaptureInfo(
-            mode="periodic", total_iterations=total, short_iterations=m,
-            recorded_iterations=m if refusal else 2, tiles=tiles,
-            warmup=info.warmup, period=info.period, drain=info.drain,
-            sends_per_period=info.sends_per_period,
-            iterations_per_period=iters_per_period, reason=refusal)
-
-    def _record_probe(self, bodies: list[list],
-                      iterations: int) -> tuple[CompiledTrace, str]:
-        """The ``iterations``-iteration probe, and why it was recorded in
-        full ("" when it was not).
-
-        Records two iterations, checks their return values against
-        :func:`~repro.sweep3d.parallel.modelled_rank_summaries` and
-        extends them (:func:`~repro.simmpi.capture.extend_recording`),
-        which proves that every later iteration repeats the second.  If
-        any check refuses, records the probe in full with
-        :meth:`_record_trace`.  Either way the probe's return values
-        equal the synthesized ones, checked against what was recorded.
-        """
-        deck = replace(self.deck, max_iterations=iterations)
-        expected = modelled_rank_summaries(deck, self.decomp, self.shared)
+                f"periodic capture refused: the run has {total} "
+                "iteration(s), none past the two it would record")
         two_deck = replace(self.deck, max_iterations=2)
         recorder = TraceRecorder(self.topology)
         recording = recorder.record(
             body_rank_program, nranks=self.decomp.nranks,
             program_args=(two_deck, self.decomp, self.shared, bodies))
-        try:
-            if not _summaries_match(
-                    modelled_rank_summaries(two_deck, self.decomp,
-                                            self.shared),
-                    recording._return_values):
-                raise TraceError(
-                    "synthesized rank summaries do not match the "
-                    "two-iteration recording's return values")
-            return extend_recording(recording, recorder.collective_ranks,
-                                    iterations, expected, self.topology), ""
-        except TraceError as exc:
-            refusal = str(exc)
-        probe = self._record_trace(deck, bodies)
-        # The rank programs' return values are synthesized analytically;
-        # cross-check the synthesis against the recorded probe first.
-        if not _summaries_match(expected, probe._return_values):
+        if not _summaries_match(
+                modelled_rank_summaries(two_deck, self.decomp, self.shared),
+                recording._return_values):
             raise TraceError(
                 "periodic capture refused: synthesized rank summaries do "
-                "not match the recorded prefix's return values")
-        return probe, refusal
+                "not match the two-iteration recording's return values")
+        short = min(total, MIN_REPEATS + 1)
+        probe_deck = replace(self.deck, max_iterations=short)
+        capture, info = extend_recording(
+            recording, recorder.collective_ranks, short,
+            modelled_rank_summaries(probe_deck, self.decomp, self.shared),
+            self.topology)
+        if total > short:
+            capture = periodic_capture(
+                capture, info, total - short,
+                modelled_rank_summaries(self.deck, self.decomp, self.shared),
+                self.topology)
+        return capture, CaptureInfo(
+            mode="periodic", total_iterations=total, short_iterations=short,
+            tiles=total - short, warmup=info.warmup, period=info.period,
+            drain=info.drain, sends_per_period=info.sends_per_period)
 
     def run(self, noise: NoiseModel | None = None,
             mode: str = "engine",

@@ -282,6 +282,14 @@ class TestSpecHashesArePinned:
     def test_every_registered_study_is_pinned(self):
         assert {name for name, _ in PINNED_SPEC_HASHES} == set(study_names())
 
+    def test_cache_dir_is_not_part_of_the_hash(self):
+        spec = build_spec("table2")
+        for cache_dir in ("/tmp/cache-a", "cache-b"):
+            cached = spec.with_overrides(cache_dir=cache_dir)
+            assert cached.to_dict()["cache_dir"] == cache_dir
+            assert cached.spec_hash() == PINNED_SPEC_HASHES["table2",
+                                                            "default"]
+
 
 class TestRoundTrippedRunsAreBitIdentical:
     def test_table_spec_round_trip_runs_identically(self):

@@ -31,7 +31,6 @@ from repro.machines.presets import get_machine
 from repro.simmpi.capture import (
     CaptureInfo,
     PeriodicCapture,
-    collectives_per_period,
     periodic_capture,
     tile_trace,
     verify_extension,
@@ -132,7 +131,6 @@ def test_periodic_capture_bit_identity(machine, it, jt, kt, mk, px, py,
     if plan.last_capture.mode == "periodic":
         assert plan.last_capture.short_iterations < iterations
         # The recorder ran two iterations; the probe's others were proved.
-        assert plan.last_capture.recorded_iterations == 2
         two = replace(deck, max_iterations=2)
         assert recorded == [generator_recording(plan, two).n_events]
     else:
@@ -155,7 +153,6 @@ def test_periodic_capture_is_the_default_at_scale(machine):
     assert info.mode == "periodic"
     assert info.total_iterations == 30
     assert info.tiles >= 1
-    assert info.iterations_per_period >= 1
     assert info.capture_s >= 0.0
     assert "periodic" in info.describe()
 
@@ -168,7 +165,7 @@ def test_steady_tier_accepts_tiled_trace(machine):
     assert plan.last_capture.mode == "periodic"
     assert plan.last_execution == "steady"
     reference = make_plan(machine, deck, 2, 2)
-    ref = reference._record_trace(deck).replay(NoiseModel.disabled())
+    ref = reference._record_trace().replay(NoiseModel.disabled())
     assert result.elapsed_time == ref.elapsed_time
 
 
@@ -294,7 +291,7 @@ def test_body_recording_equals_generator_recording(preset, px, py,
     machine = get_machine(preset)
     deck = LOCKSTEP_DECKS[deck_name](px, py)
     plan = make_plan(machine, deck, px, py)
-    assert_traces_identical(plan._record_trace(deck),
+    assert_traces_identical(plan._record_trace(),
                             generator_recording(plan, deck))
 
 
@@ -308,7 +305,7 @@ def test_plan_holds_no_op_body_after_capture(machine, monkeypatch):
 
     harvest_bodies = driver.harvest_iteration_bodies
     monkeypatch.setattr(driver, "harvest_iteration_bodies", harvest)
-    for iterations, mode in ((14, "periodic"), (10, "full"), (1, "full")):
+    for iterations, mode in ((14, "periodic"), (10, "periodic"), (1, "full")):
         deck = Sweep3DInput(it=8, jt=8, kt=8, mk=4, mmi=3, sn=6,
                             max_iterations=iterations)
         plan = make_plan(machine, deck, 2, 2)
@@ -325,7 +322,7 @@ def test_signatures_equal_the_oracle(machine):
     plan = make_plan(machine, deck, 2, 3)
     tiled = plan.compile_trace()
     assert plan.last_capture.mode == "periodic"
-    for trace in (tiled, plan._record_trace(deck), TraceRecorder(
+    for trace in (tiled, plan._record_trace(), TraceRecorder(
             machine.topology).record(_aperiodic, nranks=2)):
         assert np.array_equal(_signatures(trace),
                               oracles.trace_signatures(trace))
@@ -354,12 +351,17 @@ def _aperiodic(comm):
 
 
 def test_few_iterations_fall_back_to_full_capture(machine):
-    deck = Sweep3DInput(it=8, jt=8, kt=8, mk=4, mmi=3, sn=6,
-                        max_iterations=10)
-    plan = make_plan(machine, deck, 2, 2)
-    plan.compile_trace()
-    assert plan.last_capture.mode == "full"
-    assert "too few iterations" in plan.last_capture.reason
+    for iterations, mode in ((1, "full"), (2, "full"), (10, "periodic")):
+        deck = Sweep3DInput(it=8, jt=8, kt=8, mk=4, mmi=3, sn=6,
+                            max_iterations=iterations)
+        plan = make_plan(machine, deck, 2, 2)
+        trace = plan.compile_trace()
+        assert plan.last_capture.mode == mode
+        if mode == "full":
+            assert plan.last_capture.reason == (
+                f"periodic capture refused: the run has {iterations} "
+                "iteration(s), none past the two it would record")
+        assert_traces_identical(trace, generator_recording(plan, deck))
 
 
 def test_aperiodic_program_refuses_tiling(machine):
@@ -376,7 +378,7 @@ def test_tile_trace_needs_at_least_one_tile(machine):
     deck = Sweep3DInput(it=8, jt=8, kt=8, mk=4, mmi=3, sn=6,
                         max_iterations=20)
     plan = make_plan(machine, deck, 1, 1)
-    short = plan._record_trace(deck)
+    short = plan._record_trace()
     info = detect_period(short)
     assert info.periodic
     with pytest.raises(TraceError, match="at least one tile"):
@@ -385,22 +387,11 @@ def test_tile_trace_needs_at_least_one_tile(machine):
                          topology=machine.topology)
 
 
-def test_collectives_per_period_counts_two_per_iteration(machine):
-    deck = Sweep3DInput(it=8, jt=8, kt=8, mk=4, mmi=3, sn=6,
-                        max_iterations=20)
-    plan = make_plan(machine, deck, 2, 1)
-    short = plan._record_trace(deck)
-    info = detect_period(short)
-    assert info.periodic
-    per_period = collectives_per_period(short, info)
-    assert per_period >= 2 and per_period % 2 == 0
-
-
 def test_verify_extension_names_what_moved(machine):
     deck = Sweep3DInput(it=8, jt=8, kt=8, mk=4, mmi=3, sn=6,
                         max_iterations=20)
     plan = make_plan(machine, deck, 2, 1)
-    trace = plan._record_trace(deck)
+    trace = plan._record_trace()
     info = detect_period(trace)
     assert verify_extension(trace, info, info.repeats) == ""
     assert verify_extension(trace, info, info.repeats + 1) == (
@@ -416,7 +407,7 @@ def test_verify_extension_applies_the_detectors_slot_rule(machine):
     # lies past them; the column check must put it in the same place.
     deck = Sweep3DInput(it=400, jt=400, kt=100, mk=10, mmi=3, sn=6,
                         max_iterations=12)
-    trace = make_plan(machine, deck, 2, 2)._record_trace(deck)
+    trace = make_plan(machine, deck, 2, 2)._record_trace()
     info = detect_period(trace)
     assert verify_extension(trace, info, info.repeats) == ""
     assert column_warmup(trace, info.period, info.sends_per_period) \

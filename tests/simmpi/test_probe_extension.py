@@ -1,15 +1,15 @@
-"""Tests for the two-iteration probe (repro.simmpi.capture.extend_recording).
+"""Tests for two recorded iterations, extended (repro.simmpi.capture.extend_recording).
 
 Periodic capture records two iterations of the modelled sweep and proves
-the rest of its probe from the scheduler's state at the iteration
-boundary: the rank that completed the last reduction.  The probe must be
-**bit-identical** to recording it in full, or the extension refuses and
-the probe is recorded in full.
+the rest of the run from the scheduler's state at the iteration
+boundary: the rank that completed the last reduction.  The capture must
+be **bit-identical** to recording the run in full, or a check refuses
+and the run is recorded in full.
 
 The identity matrix below runs in tier 1 on a subset; run the module as a
 script for the full matrix (every preset x four decks x seven geometries,
-where the machine has the processors, x 3, 6 and 12 iterations), which
-exits 1 on any difference::
+where the machine has the processors, x 1, 2, 3, 6, 7 and 12
+iterations), which exits 1 on any difference::
 
     PYTHONPATH=src python tests/simmpi/test_probe_extension.py
 """
@@ -26,14 +26,16 @@ import pytest
 import repro.sweep3d.driver as driver
 from repro.errors import TraceError
 from repro.machines.presets import MACHINE_PRESETS, get_machine
-from repro.simmpi.capture import CaptureInfo, extend_recording
+from repro.simmpi.capture import CaptureInfo, PeriodicCapture, extend_recording
 from repro.simmpi.communicator import SimComm
 from repro.simmpi.engine import MAX_OPERATIONS, _TimingSink, run_ranks
+from repro.simmpi.steady import _detect_period
 from repro.simmpi.trace import TraceRecorder
 from repro.simnet.noise import NoiseModel
 from repro.sweep3d.driver import SimulationPlan
 from repro.sweep3d.input import Sweep3DInput, standard_deck
 from repro.sweep3d.parallel import (
+    SweepCostTable,
     body_rank_program,
     harvest_iteration_bodies,
     modelled_rank_summaries,
@@ -59,7 +61,7 @@ DECKS = {
 
 GEOMETRIES = [(1, 1), (1, 4), (4, 1), (2, 3), (4, 4)]
 FULL_GEOMETRIES = GEOMETRIES + [(2, 2), (8, 8)]
-ITERATIONS = (3, 6, 12)
+ITERATIONS = (1, 2, 3, 6, 7, 12)
 
 ARRAY_COLUMNS = ("event_kind", "event_rank", "event_slot", "event_aux",
                  "event_peer", "event_tag", "event_nbytes",
@@ -78,27 +80,35 @@ def differences(got, want) -> list[str]:
                      if getattr(got, name) != getattr(want, name)]
 
 
-def make_plan(machine, deck, px, py):
+def make_plan(machine, deck, px, py, **kwargs):
     return SimulationPlan(deck, px, py, machine.topology,
-                          processor=machine.processor)
+                          processor=machine.processor, **kwargs)
 
 
 def check_configuration(preset: str, deck_name: str, px: int,
                         py: int) -> list[str]:
-    """Every failure of the two-iteration probe on one configuration, at
-    each of :data:`ITERATIONS`."""
-    plan = make_plan(get_machine(preset), DECKS[deck_name](px, py), px, py)
-    bodies = harvest_iteration_bodies(plan.deck, plan.decomp, plan.costs,
-                                      plan.shared)
+    """Every failure of the whole capture on one configuration, at each of
+    :data:`ITERATIONS`: from three iterations up it must be periodic, a
+    probe's period must be the one the steady tier's detector finds (so
+    trace-cache entries keep their bytes), and the trace must equal the
+    full recording."""
+    machine = get_machine(preset)
+    costs = SweepCostTable(machine.processor)
     failures = []
     for iterations in ITERATIONS:
         where = f"{preset} {deck_name} {px}x{py} x{iterations}"
-        probe, refusal = plan._record_probe(bodies, iterations)
-        if refusal:
-            failures.append(f"{where}: extension refused ({refusal})")
-        want = plan._record_trace(
-            replace(plan.deck, max_iterations=iterations), bodies)
-        differ = differences(probe, want)
+        deck = replace(DECKS[deck_name](px, py), max_iterations=iterations)
+        plan = make_plan(machine, deck, px, py, cost_table=costs)
+        held = plan._held_capture()
+        info = plan.last_capture
+        if iterations >= 3 and info.mode != "periodic":
+            failures.append(f"{where}: periodic capture refused "
+                            f"({info.reason})")
+        if isinstance(held, PeriodicCapture) \
+                and held.info != _detect_period(held.probe):
+            failures.append(f"{where}: the probe's period is not the "
+                            "detector's")
+        differ = differences(plan.compile_trace(), plan._record_trace())
         if differ:
             failures.append(f"{where}: differs in {', '.join(differ)}")
     return failures
@@ -212,9 +222,10 @@ def _validation_recording(machine, px=2, py=2):
 def test_different_completing_ranks_refuse(machine):
     trace, ranks, summaries = _validation_recording(machine)
     assert ranks == [3, 2, 3, 2]
-    extended = extend_recording(trace, ranks, 6, summaries,
-                                machine.topology)
+    extended, info = extend_recording(trace, ranks, 6, summaries,
+                                      machine.topology)
     assert extended.n_events == 3 * trace.n_events
+    assert info == _detect_period(extended)
     with pytest.raises(TraceError, match="completed by ranks 2 and 1"):
         extend_recording(trace, [3, 2, 3, 1], 6, summaries,
                          machine.topology)
@@ -253,17 +264,16 @@ def _recording(plan, program, args):
                                                    *args))
 
 
-def _assert_full_probe(plan, reason, reference):
+def _assert_full_recording(plan, reason, reference):
     trace = plan.compile_trace()
     info = plan.last_capture
-    assert info.mode == "periodic"
-    assert (info.recorded_iterations, info.short_iterations) == (6, 6)
+    assert info.mode == "full"
     assert reason in info.reason
-    assert f"probe recorded in full: {info.reason}" in info.describe()
+    assert info.describe().endswith(f"({info.reason})")
     assert differences(trace, reference) == []
 
 
-def test_a_refused_extension_records_the_probe_in_full(machine, monkeypatch):
+def test_a_refused_extension_records_the_run_in_full(machine, monkeypatch):
     deck = standard_deck("validation", px=2, py=2, max_iterations=24)
     extend = driver.extend_recording
 
@@ -274,10 +284,10 @@ def test_a_refused_extension_records_the_probe_in_full(machine, monkeypatch):
     plan = make_plan(machine, deck, 2, 2)
     reference = _recording(plan, sweep_rank_program,
                            (False, plan.costs, plan.shared))
-    _assert_full_probe(plan, "completed by ranks 2 and 1", reference)
+    _assert_full_recording(plan, "completed by ranks 2 and 1", reference)
 
 
-def test_a_message_received_an_iteration_later_records_the_probe_in_full(
+def test_a_message_received_an_iteration_later_records_the_run_in_full(
         machine, monkeypatch):
     # Rank 0 sends one more eager message before the first iteration; each
     # iteration rank 1 receives the one rank 0 sent the iteration before.
@@ -302,7 +312,7 @@ def test_a_message_received_an_iteration_later_records_the_probe_in_full(
     plan = make_plan(machine, deck, 2, 2)
     reference = _recording(plan, late_program, (plan.shared, late_bodies(
         deck, plan.decomp, plan.costs, plan.shared)))
-    _assert_full_probe(plan, "half the events", reference)
+    _assert_full_recording(plan, "half the events", reference)
 
 
 # ---------------------------------------------------------------------------
@@ -310,30 +320,29 @@ def test_a_message_received_an_iteration_later_records_the_probe_in_full(
 # ---------------------------------------------------------------------------
 
 
-def test_describe_names_the_recorded_iterations(machine):
-    deck = standard_deck("validation", px=2, py=2, max_iterations=100)
+@pytest.mark.parametrize("iterations,short,tiles", [(100, 6, 94),
+                                                    (5, 5, 0)])
+def test_describe_names_the_recorded_iterations(machine, iterations, short,
+                                                tiles):
+    deck = standard_deck("validation", px=2, py=2, max_iterations=iterations)
     plan = make_plan(machine, deck, 2, 2)
     plan._held_capture()
     info = plan.last_capture
-    assert (info.recorded_iterations, info.short_iterations) == (2, 6)
-    assert info.reason == ""
-    assert info.describe().startswith(
-        "capture: periodic, recorded 2 of 100 iteration(s) (a 6-iteration "
-        "probe) and tiled 94 period(s) (warm-up ")
+    assert (info.short_iterations, info.tiles, info.reason) \
+        == (short, tiles, "")
+    assert info.describe() == (
+        f"capture: periodic, recorded 2 of {iterations} iteration(s), "
+        f"proved a {short}-iteration probe and tiled {tiles} period(s) "
+        "(warm-up 3 + period 974 + drain 971 event(s), 320 send(s)/period)")
 
 
 def test_describe_a_refused_extension():
-    info = CaptureInfo(mode="periodic", total_iterations=100,
-                       short_iterations=6, recorded_iterations=6, tiles=94,
-                       warmup=15, period=5170, drain=5155,
-                       sends_per_period=1920, iterations_per_period=1,
+    info = CaptureInfo(mode="full", total_iterations=100,
                        reason="a message is in flight at the end of a "
                               "recorded iteration")
     assert info.describe() == (
-        "capture: periodic, recorded 6 of 100 iteration(s) and tiled 94 "
-        "period(s) (warm-up 15 + period 5170 x 1 iteration(s)/period + "
-        "drain 5155, 1920 send(s)/period); probe recorded in full: a "
-        "message is in flight at the end of a recorded iteration")
+        "capture: full recorder, 100 iteration(s) (a message is in flight "
+        "at the end of a recorded iteration)")
 
 
 def main() -> int:

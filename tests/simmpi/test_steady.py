@@ -19,7 +19,6 @@ import repro.sweep3d.driver as driver
 from repro.machines.presets import get_machine
 from repro.simmpi.capture import (
     PeriodicCapture,
-    collectives_per_period,
     periodic_capture,
     tile_trace,
 )
@@ -33,7 +32,7 @@ from repro.simmpi.steady import (
     detect_period,
     steady_replay,
 )
-from repro.simmpi.trace import CompiledTrace, TraceRecorder
+from repro.simmpi.trace import EV_COLLECTIVE, CompiledTrace, TraceRecorder
 from repro.simmpi.tracecache import TraceDiskCache
 from repro.simnet.link import LinkModel
 from repro.simnet.noise import NoiseModel
@@ -141,7 +140,7 @@ class TestPeriodDetector:
         # another order than later periods' while signatures repeat.
         machine = get_machine("steady")
         deck = rendezvous_deck(2, 2, 12)
-        trace = machine.simulation_plan(deck, 2, 2)._record_trace(deck)
+        trace = machine.simulation_plan(deck, 2, 2)._record_trace()
         info = detect_period(trace)
         assert info.periodic and info.repeats >= MIN_REPEATS
         sig = _signatures(trace)
@@ -410,7 +409,9 @@ class TestProbeResolution:
         tiles = 10
         capture = periodic_capture(probe, info, tiles, [0, 1], topology)
         # One allreduce per iteration.
-        iterations = 14 + tiles * collectives_per_period(probe, info)
+        period = probe.event_kind[info.warmup:info.warmup + info.period]
+        iterations = 14 + tiles * int(np.count_nonzero(
+            period == EV_COLLECTIVE))
         want = verdict(record(topology, late_receiver(iterations, lag)))
         assert verdict(tile_trace(capture)) == want
         got = verdict(capture)
@@ -449,7 +450,7 @@ class TestProbeResolution:
 
 
 class TestPlanProbePath:
-    """``plan.run(mode="steady")`` on a periodic capture (>= 12 iterations)."""
+    """``plan.run(mode="steady")`` on a periodic capture (> 6 iterations)."""
 
     @pytest.fixture
     def calls(self, monkeypatch):
@@ -505,14 +506,14 @@ class TestPlanProbePath:
             mode="engine", noise=machine.noise_model(3))
         assert repr(run.simulation) == repr(engine.simulation)
 
-    def test_short_decks_keep_the_full_recording(self, calls):
+    def test_short_decks_resolve_from_the_probe(self, calls):
         machine = get_machine("steady")
         deck = standard_deck("validation", px=2, py=2, max_iterations=11)
         plan = machine.simulation_plan(deck, 2, 2)
         run = plan.run(mode="steady")
-        assert plan.last_capture.mode == "full"
-        assert "too few iterations" in plan.last_capture.reason
-        assert isinstance(plan._capture, CompiledTrace)
+        assert plan.last_capture.mode == "periodic"
+        assert plan.last_capture.tiles == 5
+        assert isinstance(plan._capture, PeriodicCapture)
         assert plan.last_execution == "steady"
         assert calls == {"steady_replay": 1, "tile_trace": 0}
         engine = machine.simulation_plan(deck, 2, 2).run(mode="engine")

@@ -15,6 +15,7 @@ from repro.diskio import _checksum, write_atomic
 from repro.machines.presets import get_machine
 from repro.simmpi import tracecache
 from repro.simmpi.capture import PeriodicCapture, tile_trace
+from repro.simmpi.trace import CompiledTrace
 from repro.simmpi.tracecache import TraceDiskCache, trace_cache_for
 from repro.simnet.noise import NoiseModel
 from repro.sweep3d.driver import SimulationPlan
@@ -215,6 +216,59 @@ def test_periodic_capture_roundtrip(tmp_path, periodic_parts):
     assert cache.total_bytes() < tile_trace(capture).nbytes
 
 
+def _assert_same_table(got, want):
+    for a, b in zip(_columns(got), _columns(want)):
+        assert a.dtype == b.dtype and np.array_equal(a, b)
+    assert (got._messages_sent, got._bytes_sent, got._messages_received,
+            got._bytes_received, got._traffic, got._return_values) \
+        == (want._messages_sent, want._bytes_sent, want._messages_received,
+            want._bytes_received, want._traffic, want._return_values)
+
+
+def test_seven_iteration_periodic_entry_roundtrip(tmp_path, machine):
+    # The shortest run a probe stands for: six iterations and one tile.
+    deck = Sweep3DInput(it=10, jt=10, kt=8, mk=4, mmi=3, sn=6,
+                        max_iterations=7)
+    plans = [SimulationPlan(deck, 2, 2, machine.topology,
+                            processor=machine.processor,
+                            trace_cache=TraceDiskCache(tmp_path))
+             for _ in range(2)]
+    stored = plans[0]._held_capture()
+    assert plans[0].last_capture.mode == "periodic"
+    assert isinstance(stored, PeriodicCapture) and stored.tiles == 1
+    loaded = plans[1]._held_capture()
+    assert plans[1].last_capture.mode == "cache"
+    assert isinstance(loaded, PeriodicCapture)
+    assert (loaded.info, loaded.tiles, loaded.return_values) \
+        == (stored.info, stored.tiles, stored.return_values)
+    _assert_same_table(loaded.probe, stored.probe)
+    _assert_same_table(plans[1].compile_trace(), plans[1]._record_trace())
+
+
+def test_a_full_table_entry_of_a_ten_iteration_run_is_a_hit(tmp_path,
+                                                            machine):
+    # Runs under 12 iterations used to be recorded in full, and their
+    # entries hold the table; they stay valid under the same key.
+    deck = Sweep3DInput(it=10, jt=10, kt=8, mk=4, mmi=3, sn=6,
+                        max_iterations=10)
+    plan = SimulationPlan(deck, 2, 2, machine.topology,
+                          processor=machine.processor,
+                          trace_cache=TraceDiskCache(tmp_path))
+    table = plan._record_trace()
+    key = plan.trace_fingerprint()
+    payload = format_3_payload(key, table)
+    write_atomic(plan.trace_cache._entry_path(key), _checksum(payload),
+                 payload)
+    run = plan.run(mode="steady")
+    assert plan.last_capture.mode == "cache"
+    assert isinstance(plan._capture, CompiledTrace)
+    _assert_same_table(plan._capture, table)
+    fresh = SimulationPlan(deck, 2, 2, machine.topology,
+                           processor=machine.processor)
+    assert repr(run.simulation) == repr(fresh.run(mode="steady").simulation)
+    assert fresh.last_capture.mode == "periodic"
+
+
 def test_truncated_format_3_entry_is_a_miss(tmp_path, periodic_parts):
     plan, capture = periodic_parts
     cache = TraceDiskCache(tmp_path)
@@ -233,8 +287,8 @@ def test_truncated_format_3_entry_is_a_miss(tmp_path, periodic_parts):
 
 def test_streamed_entries_equal_the_joined_encoding(tmp_path, plan_parts,
                                                     periodic_parts):
-    # A full recording's table and a periodic capture's probe, each put
-    # from its columns, write the bytes the joined payload framed.
+    # A run's table and a periodic capture's probe, each put from its
+    # columns, write the bytes the joined payload framed.
     full = SimulationPlan(
         Sweep3DInput(it=10, jt=10, kt=8, mk=4, mmi=3, sn=6,
                      max_iterations=3), 2, 3, plan_parts[0].topology,

@@ -332,6 +332,16 @@ class TestStudyCli:
         for entry in manifest["studies"]:
             assert (out_dir / entry["artifacts"]["csv"]).exists()
 
+    def test_run_all_smoke_is_one_workload_across_cache_dirs(self, capsys,
+                                                             tmp_path):
+        # Where a host keeps its cache is no part of a spec's identity.
+        from repro.experiments.artifacts import compare_artifact_dirs
+        for name in ("a", "b"):
+            assert main(["run", "--all", "--smoke",
+                         "--cache-dir", str(tmp_path / f"cache-{name}"),
+                         "--out", str(tmp_path / name)]) == 0
+        assert compare_artifact_dirs(tmp_path / "a", tmp_path / "b") == []
+
     def test_run_without_studies_errors(self, capsys):
         assert main(["run"]) == 2
         assert "nothing to run" in capsys.readouterr().out
@@ -431,6 +441,20 @@ class TestShardCli:
         assert "matches" in out
         assert (tmp_path / "merged" / "table2.csv").read_bytes() \
             == (tmp_path / "reference" / "table2.csv").read_bytes()
+
+    def test_shards_with_their_own_cache_dirs_merge(self, capsys, tmp_path):
+        for index in range(2):
+            assert main(["run", "table2", "--smoke", "--shard", f"{index}/2",
+                         "--cache-dir", str(tmp_path / f"cache-{index}"),
+                         "--out", str(tmp_path / f"shard-{index}")]) == 0
+        assert main(["run", "table2", "--smoke",
+                     "--out", str(tmp_path / "reference")]) == 0
+        capsys.readouterr()
+        assert main(["merge", str(tmp_path / "shard-0"),
+                     str(tmp_path / "shard-1"),
+                     "--out", str(tmp_path / "merged"),
+                     "--expect", str(tmp_path / "reference")]) == 0
+        assert "matches" in capsys.readouterr().out
 
     def test_merge_expect_mismatch_fails(self, capsys, tmp_path):
         assert main(["run", "scaling", "--smoke", "--shard", "0/2",
