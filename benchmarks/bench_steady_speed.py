@@ -3,19 +3,19 @@
 ``test_steady_vs_replay_4x4_long_run`` is the acceptance gate of the
 periodic-trace steady-state tier: on a 16-rank modelled validation
 scenario iterated long enough that the periodic bulk dominates
-(~320 source iterations, ~3.3M events), ``SimulationPlan.run
-(mode="steady")`` — which replays only the warm-up plus a short lock-in
-window and extrapolates the repeating bulk as a max-plus cycle mean —
-must resolve the run at least 20x faster than the full O(events) trace
+(~320 source iterations, ~1.65M events), ``SimulationPlan.run
+(mode="steady")`` — which replays the two recorded iterations and
+extrapolates the other 318 by the second one's clock advance — must
+resolve the run at least 20x faster than the full O(events) trace
 replay, bit-identical down to the last rank counter: same elapsed time,
 per-rank finish/compute/comm times, message and traffic statistics.
 
 ``test_steady_vs_replay_cold_from_trace_cache`` times the same run on
 fresh plans served from a warm trace cache, so each side also pays for
 what it builds on a capture it has not seen before: the replay tiles the
-cached probe into the table and replays it from the numpy columns, the
-steady tier analyses the probe and replays its segments.  Steady must
-stay at least 3x faster.
+cached recording into the table and replays it from the numpy columns,
+the steady tier replays the two recorded iterations.  Steady must stay
+at least 3x faster.
 
 ``test_steady_refuses_loudly_and_falls_back`` locks the other half of
 the contract: on a machine whose cost table is not quantised (sums of
@@ -26,11 +26,11 @@ Silent wrong-but-fast extrapolation is the failure mode this guards.
 
 ``test_steady_from_probe_64rank`` is the steady tier's memory gate: on
 the capture gate's 64-rank x 100-iteration deck a fresh plan's
-``run(mode="steady")`` must resolve the run from the periodic-capture
-probe alone (``tile_trace`` patched to raise), bit-identical to
-``steady_replay(compile_trace())`` on a second plan, and the tiled path's
-tracemalloc peak must be at least 4x the probe path's (2-vCPU VM: 43 vs
-4 MiB, ~11x).
+``run(mode="steady")`` must resolve the run from the periodic capture's
+two recorded iterations alone (``tile_trace`` patched to raise),
+bit-identical to ``compile_trace().replay()`` on a second plan, the run's
+reference, and that reference's tracemalloc peak must be at least 4x the
+steady path's (2-vCPU VM: 31.7 vs 1.7 MiB, 18.3x).
 
 ``test_steady_scaling_smoke_uses_steady_tier`` is the end-to-end gate:
 the ``steady-scaling`` study's smoke grid, run with the default
@@ -39,14 +39,11 @@ steady tier (per-scenario execution counts in ``StudyResult.execution``)
 and produce rows identical to the forced-engine path modulo the tier
 column itself.
 
-Baseline on the reference container (16 ranks, 320 iterations, ~3.3M
-events): full replay ~0.9 s/run vs steady ~25 ms/run (~35x); the
-one-off capture pass (~25 s) is shared by both paths and amortised
-across the sweep exactly as in the replay tier.  Cold variant (2-vCPU
-Xeon VM): since cache entries hold the probe, steady resolves a fresh
-plan in ~10 ms against ~0.5 s for the replay (45-50x); it read
-3.1-5.8x while entries held the tiled table, whose read and period
-analysis dominated the steady side.
+On a 2-vCPU Xeon VM (16 ranks, 320 iterations, ~1.65M events) the full
+replay takes ~0.5 s/run and the steady tier, replaying two recorded
+iterations, ~4 ms/run (139x in one run); the one-off capture is shared
+by both paths.  Cold, from cache entries holding the capture, steady
+resolves a fresh plan in ~5 ms against ~0.5 s for the replay (109x).
 """
 
 from __future__ import annotations
@@ -59,13 +56,12 @@ from gate_report import record_gate
 import repro.sweep3d.driver as driver
 from repro.experiments.study import build_spec, run_study
 from repro.machines.presets import get_machine
-from repro.simmpi.steady import steady_replay
 from repro.simmpi.tracecache import TraceDiskCache
 from repro.sweep3d.driver import SimulationPlan
 from repro.sweep3d.input import Sweep3DInput, standard_deck
 
 #: Source iterations per simulated run.  Long enough that the periodic
-#: bulk dwarfs the warm-up + lock-in window the steady tier replays.
+#: bulk dwarfs the two recorded iterations the steady tier replays.
 ITERATIONS = 320
 
 #: Runs per timing sample (the steady pass is fast; average timer noise).
@@ -190,7 +186,8 @@ def test_steady_refuses_loudly_and_falls_back():
 
 
 def test_steady_from_probe_64rank(monkeypatch):
-    """A periodic run resolves from its probe: no table, >=4x less memory."""
+    """A periodic run resolves from its capture: no table, >=4x less
+    memory than the table's replay."""
     machine = get_machine("steady")
     deck = Sweep3DInput(it=16, jt=16, kt=10, mk=10, mmi=3, sn=6,
                         max_iterations=100)     # the capture gate's deck
@@ -219,13 +216,13 @@ def test_steady_from_probe_64rank(monkeypatch):
         probe_plan.last_steady_refusal
     tiled_plan = fresh_plan()
     tiled, tiled_peak = peak_mib(
-        lambda: steady_replay(tiled_plan.compile_trace()))
+        lambda: tiled_plan.compile_trace().replay())
     assert repr(run.simulation) == repr(tiled)
 
     ratio = tiled_peak / probe_peak
     print(f"\n64-rank x100-iteration steady run: tracemalloc peak "
-          f"{probe_peak:.1f} MiB from the probe vs {tiled_peak:.1f} MiB "
-          f"from the tiled trace ({ratio:.1f}x)")
+          f"{probe_peak:.1f} MiB from the capture vs {tiled_peak:.1f} MiB "
+          f"replaying the tiled trace ({ratio:.1f}x)")
     record_gate("steady_probe_vs_tiled_memory_64rank", ratio, 4.0,
                 unit="x less peak memory",
                 details={"probe_mib": probe_peak, "tiled_mib": tiled_peak})
@@ -246,11 +243,10 @@ def test_steady_scaling_smoke_uses_steady_tier():
 
 
 def test_steady_replay_speed():
-    """One steady-tier resolution after a warm period analysis."""
+    """One steady-tier resolution after the table was tiled."""
     machine = get_machine("steady")
     plan = _long_plan(machine)
     plan.compile_trace()
-    plan.run(mode="steady")                     # warm the period analysis
 
     result = plan.run(mode="steady")
     assert result.elapsed_time > 0

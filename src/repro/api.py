@@ -270,10 +270,10 @@ def simulate(machine: Machine | str, px: int, py: int,
     resolves the run as a max-plus trace replay
     (:mod:`repro.simmpi.trace`) — bit-identical, and much faster when
     the same configuration is simulated repeatedly; ``"steady"`` attempts
-    the steady-state cycle-mean tier (:mod:`repro.simmpi.steady`), which
-    replays only the trace's warm-up plus a short lock-in window and
-    extrapolates the periodic bulk — bit-identical or it refuses, falling
-    back to replay; ``"auto"`` picks the fastest applicable tier.
+    the steady-state tier (:mod:`repro.simmpi.steady`), which replays
+    only the two recorded iterations of a periodic capture and
+    extrapolates the rest — bit-identical or it refuses, falling back to
+    replay; ``"auto"`` picks the fastest applicable tier.
 
     ``samples > 0`` replays that many noise seeds (one batched replay, or
     one replay per seed for a few) and returns a :class:`~repro.sweep3d.driver.Sweep3DSampleSet`

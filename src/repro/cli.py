@@ -262,8 +262,8 @@ def _build_parser() -> argparse.ArgumentParser:
     cmd.add_argument("--execution", default="auto",
                      choices=EXECUTION_MODES,
                      help="simulation tier: 'auto' picks the fastest "
-                          "bit-identical tier (steady-state cycle-mean "
-                          "extrapolation for noise-free periodic traces, "
+                          "bit-identical tier (steady-state "
+                          "extrapolation for noise-free periodic runs, "
                           "else trace replay, else the engine), 'engine' "
                           "forces the per-event reference engine, 'replay' "
                           "forces replay, 'steady' attempts the steady tier "
@@ -281,7 +281,7 @@ def _build_parser() -> argparse.ArgumentParser:
                           "(deterministic modelled runs; required for the "
                           "steady tier, which refuses noisy traces)")
     cmd.add_argument("--describe-trace", action="store_true",
-                     help="compile each grid point's event trace and print "
+                     help="capture each grid point's event trace and print "
                           "its period/steady-eligibility diagnostics instead "
                           "of running the sweep (simulate backend only)")
 
@@ -786,8 +786,8 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
                                  max_iterations=args.iterations)
             plan = machine.simulation_plan(deck, px, py, numeric=args.numeric)
             try:
-                print(f"{px}x{py}: {plan.compile_trace().describe()}")
-                print(f"{px}x{py}: {plan.last_capture.describe()}")
+                for line in plan.describe_capture():
+                    print(f"{px}x{py}: {line}")
             except TraceError as exc:
                 print(f"{px}x{py}: not trace-compilable ({exc})")
                 return 2

@@ -12,19 +12,19 @@ pushes two axes well past the paper:
   charge, not the event count, so they are effectively free.
 * **iterations** — the event stream grows linearly with the source
   iteration count, but a noise-free run on the steady tier records two
-  iterations, proves a six-iteration probe from them
-  (:mod:`repro.simmpi.capture`), replays only its warm-up, one lock-in
-  window and its drain, and extrapolates the rest without ever building
-  the run's event table
+  iterations, proves that every later one repeats the second
+  (:mod:`repro.simmpi.capture`), replays only those two and extrapolates
+  the rest without ever building the run's event table
   (:func:`repro.simmpi.steady.steady_replay`), so hundred-iteration runs
   cost barely more than twelve-iteration ones.
 
 * **ranks** — those two iterations are the only O(events) recorder
   pass, so the grid climbs to 256 ranks (the modelled machine hosts
-  8000 processors).  On a 2-vCPU VM the default 256-rank x 100-iteration
-  point (3,200 x 3,200 x 100 cells, 19.5M events) costs a fresh plan
-  2-4 s CPU and about 190 MB peak RSS on the steady tier, where
-  recording and replaying all its events took 118 s and 5.4 GB.
+  8000 processors).  On a 2-vCPU VM the whole default grid, up to its
+  256-rank x 100-iteration point (3,200 x 3,200 x 100 cells, 19.5M
+  events), runs cold with a ``--cache-dir`` in about 5 s CPU and 136 MB
+  peak RSS on the steady tier, where recording and replaying that
+  point's events alone took 118 s and 5.4 GB.
 
 Runs are noise-free by construction (``with_noise`` is hardcoded off):
 the steady tier refuses noisy traces, and the point of this study is the

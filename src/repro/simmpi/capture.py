@@ -8,10 +8,7 @@ bodies, while replay and the steady tier are fast.  But the recorder is
 op streams and the FIFO/matching discipline, so a run of ``m``
 iterations records exactly the first ``n_m`` events of a run of ``T >
 m`` iterations (the programs yield identical op sequences through
-iteration ``m``; afterwards the short program simply stops).  And the
-sweep's stream is eventually periodic — the steady detector
-(:func:`repro.simmpi.steady.detect_period`) proves after the fact the
-repetition a full capture spells out event by event.
+iteration ``m``; afterwards the short program simply stops).
 
 This module exploits that structure *during* capture.  Every source
 iteration of the modelled sweep is the same op sequence per rank, closed
@@ -19,46 +16,43 @@ by two reductions, and at each iteration boundary the scheduler's state
 comes down to the rank that completed the last reduction
 (:func:`~repro.simmpi.engine.run_ranks`).  So two recorded iterations
 decide every later one: :func:`extend_recording` checks that they end in
-that state with no message in flight and extends them by whole
-iterations, the very events a longer recording holds.
+that state with no message in flight and returns a
+:class:`PeriodicCapture`: the two-iteration recording, its period
+structure (:class:`PeriodInfo`, one iteration per period), the ``T - 2``
+periods the run adds to it (its *tiles*) and the run's per-rank/traffic
+statistics, scaled from one period's deltas by exact integer arithmetic
+(:func:`periodic_capture`).
 
 The caller (:meth:`~repro.sweep3d.driver.SimulationPlan.compile_trace`)
-has one rule.  A run of one or two iterations is recorded in full.  Any
-longer run records two iterations and extends them: to the whole run if
-it has at most six iterations, otherwise to a six-iteration probe, which
-becomes a :class:`PeriodicCapture`: the probe, its period, the number of
-periods the run adds (its *tiles*) and the run's per-rank/traffic
-statistics, scaled from one period's deltas by exact integer arithmetic
-(:func:`periodic_capture`).  That value stands for the whole run: the
-steady tier resolves it directly
-(:func:`~repro.simmpi.steady.steady_replay`), and :func:`tile_trace`
-builds the full :class:`~repro.simmpi.trace.CompiledTrace` from it — each
-column written once, with send-slot indices advanced by the per-period
-send count on each tile — only when a replay or a trace description
-needs the table.  A trace-cache entry (:mod:`repro.simmpi.tracecache`)
-stores the capture itself, untiled.  The extension is built by the same
-two functions, with one iteration as the period.
+has one rule.  A run of one or two iterations is recorded in full; any
+longer run is captured periodically.  The capture stands for the whole
+run: the steady tier resolves it directly
+(:func:`~repro.simmpi.steady.steady_replay`), a trace-cache entry
+(:mod:`repro.simmpi.tracecache`) stores it as it is, and
+:func:`tile_trace` builds the full :class:`~repro.simmpi.trace.
+CompiledTrace` from it — each column written once, with send-slot
+indices advanced by the per-period send count on each tile — only when a
+replay needs the table.
 
 The contract is the steady tier's: **bit-identical to full capture or
 refuse loudly**.  Every structural precondition is checked: integer
-byte sizes within the float53 exact range and traffic tags the probe saw
-when the capture is made; slot sequentiality, matches referencing
-earlier sends and the period structure, re-verified column by column by
-:func:`verify_extension`, on the tiled table.  The caller cross-checks
-the synthesized return values against the two recorded iterations.  Any
-failure raises :class:`~repro.errors.TraceError`, and the caller records
-the whole run in full, keeping the reason.
+byte sizes within the float53 exact range and traffic tags the
+recording saw when the capture is made; slot sequentiality, matches
+referencing earlier sends and the period structure, re-verified column
+by column by :func:`verify_extension`, on the tiled table.  The caller
+cross-checks the synthesized return values against the two recorded
+iterations.  Any failure raises :class:`~repro.errors.TraceError`, and
+the caller records the whole run in full, keeping the reason.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Any
 
 import numpy as np
 
 from repro.errors import TraceError
-from repro.simmpi.steady import PeriodInfo, column_warmup
 from repro.simmpi.trace import (
     EV_COLLECTIVE,
     EV_MATCH,
@@ -77,23 +71,37 @@ _TILED_COLUMNS = ("event_kind", "event_rank", "event_slot", "event_aux",
 _MAX_EXACT_BYTES = float(2 ** 53)
 
 
+@dataclass(frozen=True)
+class PeriodInfo:
+    """The period structure of a recording.
+
+    The recording splits as ``warmup + repeats × period + drain`` (event
+    counts); ``sends_per_period`` is the constant by which send slot
+    indices advance between consecutive periods.
+    """
+
+    warmup: int
+    period: int
+    repeats: int
+    drain: int
+    sends_per_period: int
+
+
 @dataclass
 class CaptureInfo:
     """How one :meth:`SimulationPlan.compile_trace` produced its trace.
 
-    ``mode`` is ``"periodic"`` (two recorded iterations, extended and
-    tiled), ``"full"`` (the O(events) recorder; ``reason`` says why
-    periodic capture was not used), or ``"cache"`` (served from a
-    :class:`~repro.simmpi.tracecache.TraceDiskCache`).  A periodic
-    capture's probe holds ``short_iterations`` iterations, proved from
-    the two recorded ones, and the run adds ``tiles`` periods of one
-    iteration each to it.  Event counts describe the probe's structure;
-    ``capture_s`` is the wall-clock the capture cost.
+    ``mode`` is ``"periodic"`` (two recorded iterations, extended by
+    ``tiles`` periods of one iteration each), ``"full"`` (the O(events)
+    recorder; ``reason`` says why periodic capture was not used), or
+    ``"cache"`` (served from a
+    :class:`~repro.simmpi.tracecache.TraceDiskCache`).  Event counts
+    describe the recording's structure; ``capture_s`` is the wall-clock
+    the capture cost.
     """
 
     mode: str
     total_iterations: int = 0
-    short_iterations: int = 0
     tiles: int = 0
     warmup: int = 0
     period: int = 0
@@ -111,25 +119,75 @@ class CaptureInfo:
             return (f"capture: full recorder, "
                     f"{self.total_iterations} iteration(s){suffix}")
         return (f"capture: periodic, recorded 2 of {self.total_iterations} "
-                f"iteration(s), proved a {self.short_iterations}-iteration "
-                f"probe and tiled {self.tiles} period(s) (warm-up "
+                f"iteration(s) and proved {self.tiles} more (warm-up "
                 f"{self.warmup} + period {self.period} + drain {self.drain} "
                 f"event(s), {self.sends_per_period} send(s)/period)")
+
+
+def _signature_columns(trace: CompiledTrace) -> tuple:
+    """The per-event columns that must repeat one period later, as
+    integers.
+
+    Float columns enter as their bit patterns.  The last column is the
+    eager flag: 0 off send/match events, else 1 plus the event's
+    send-slot eager bit (the other events' slot -1 reads the table's
+    trailing 0).
+    """
+    kind = trace.event_kind
+    flag_of_slot = np.zeros(len(trace._send_eager_arr) + 1, dtype=np.uint8)
+    np.add(trace._send_eager_arr, 1, out=flag_of_slot[:-1], casting="unsafe")
+    eager_flag = flag_of_slot.take(trace.event_slot)
+    return (kind, trace.event_rank, trace.event_peer, trace.event_tag,
+            np.ascontiguousarray(trace.event_nbytes).view(np.int64),
+            np.ascontiguousarray(trace._base).view(np.int64),
+            np.ascontiguousarray(trace.event_aux).view(np.int64),
+            trace._noise_kind, eager_flag)
+
+
+def _past_slot_failures(trace: CompiledTrace, warmup: int, period: int,
+                        sends: int) -> int:
+    """``warmup``, moved past the last send/match event from ``warmup`` on
+    whose slot does not advance by ``sends`` one period later.
+
+    Only send and match events carry a slot; every other event's is -1.
+    """
+    n = trace.n_events
+    slot = trace.event_slot[warmup:n - period]
+    fails = trace.event_slot[warmup + period:] - slot != sends
+    fails &= slot >= 0
+    failures = np.flatnonzero(fails)
+    return warmup + int(failures[-1]) + 1 if len(failures) else warmup
+
+
+def column_warmup(trace: CompiledTrace, period: int, sends: int) -> int:
+    """The first event from which ``trace`` repeats at ``period``.
+
+    From that event on, every column :func:`_signature_columns` covers
+    repeats one period later and every send/match slot advances by
+    ``sends``.  (With rendez-vous messages a few early receives match
+    sends numbered in another order than later periods', while their
+    other columns already repeat: those receives belong to the warm-up.)
+    Requires ``period < trace.n_events``.
+    """
+    n = trace.n_events
+    differs = np.zeros(n - period, dtype=bool)
+    column_differs = np.empty_like(differs)
+    for column in _signature_columns(trace):
+        np.not_equal(column[period:], column[:-period], out=column_differs)
+        differs |= column_differs
+    mismatch = np.flatnonzero(differs)
+    warmup = int(mismatch[-1]) + 1 if len(mismatch) else 0
+    return _past_slot_failures(trace, warmup, period, sends)
 
 
 def verify_extension(trace: CompiledTrace, info: PeriodInfo,
                      expected_repeats: int) -> str:
     """Check that ``trace`` repeats ``info``'s period ``expected_repeats`` times.
 
-    The targeted equivalent of re-running the period detector over a
-    tiled trace: with the period already known there is no candidate
-    search.  The detector's warm-up rule, applied to the exact columns an
-    event signature covers (:func:`~repro.simmpi.steady.column_warmup`:
-    every column repeats at ``info.period`` and every send/match slot
-    advances by the per-period send count), must put the warm-up at
-    exactly ``info.warmup``, leaving ``info.drain`` trailing events.
-    Comparing the columns themselves is at least as strict as comparing
-    their signatures.  Returns ``""`` when the structure holds, else the
+    :func:`column_warmup` (every column repeats at ``info.period`` and
+    every send/match slot advances by the per-period send count) must
+    put the warm-up at exactly ``info.warmup``, leaving ``info.drain``
+    trailing events.  Returns ``""`` when the structure holds, else the
     failure reason.
     """
     n = trace.n_events
@@ -181,12 +239,13 @@ def _check_exact_bytes(trace: CompiledTrace, tiles: int,
 
 @dataclass
 class PeriodicCapture:
-    """A probe recording standing for a run ``tiles`` periods longer.
+    """A recording standing for a run ``tiles`` periods longer.
 
-    Built by :func:`periodic_capture`.  The run's trace is the probe with
-    ``tiles`` copies of its last whole period inserted before its drain
-    (:func:`tile_trace`); the per-rank and traffic totals and the return
-    values are those of the run, not of the probe.
+    Built by :func:`periodic_capture`.  The run's trace is the recording
+    (``probe``) with ``tiles`` copies of its last whole period inserted
+    before its drain (:func:`tile_trace`); the per-rank and traffic
+    totals and the return values are those of the run, not of the
+    recording.
     """
 
     probe: CompiledTrace
@@ -198,8 +257,6 @@ class PeriodicCapture:
     bytes_received: list[float]
     traffic: LinkUsageStats
     return_values: list[Any]
-    #: Steady-tier analysis memo, owned by :mod:`repro.simmpi.steady`.
-    steady_analysis: Any = None
 
 
 def periodic_capture(short: CompiledTrace, info: PeriodInfo, tiles: int,
@@ -207,18 +264,14 @@ def periodic_capture(short: CompiledTrace, info: PeriodInfo, tiles: int,
                      topology: ClusterTopology) -> PeriodicCapture:
     """The run ``tiles`` periods longer than ``short``, as a capture.
 
-    ``short`` must be periodic per ``info`` (its
-    :func:`~repro.simmpi.steady.detect_period` outcome, or the one
-    :func:`extend_recording` returned with it).  Scales the
-    probe's statistics by one period's deltas in exact arithmetic and
-    attaches ``return_values`` (the caller synthesizes and cross-checks
-    them).  Raises :class:`~repro.errors.TraceError` when any
-    precondition fails: an aperiodic probe, no tile, a period sending on
-    a tag the probe never saw, byte totals past the exact float range or
-    slots past the int32 range.
+    ``short`` must repeat per ``info`` (:func:`extend_recording` makes
+    both).  Scales the recording's statistics by one period's deltas in
+    exact arithmetic and attaches ``return_values`` (the caller
+    synthesizes and cross-checks them).  Raises
+    :class:`~repro.errors.TraceError` when any precondition fails: no
+    tile, a period sending on a tag the recording never saw, byte totals
+    past the exact float range or slots past the int32 range.
     """
-    if not info.periodic:
-        raise TraceError(f"periodic capture refused: {info.reason}")
     if tiles < 1:
         raise TraceError("periodic capture needs at least one tile")
     nranks = short.nranks
@@ -290,7 +343,7 @@ def tile_trace(capture: PeriodicCapture) -> CompiledTrace:
     """Synthesize the run's full trace from a periodic capture.
 
     The result has ``info.repeats + tiles`` whole periods between the
-    probe's warm-up and drain, with send-slot indices advanced by
+    recording's warm-up and drain, with send-slot indices advanced by
     ``info.sends_per_period`` per tile and the capture's statistics and
     return values attached.  Raises :class:`~repro.errors.TraceError` —
     never returns a wrong trace — when any structural check on the
@@ -319,7 +372,7 @@ def tile_trace(capture: PeriodicCapture) -> CompiledTrace:
     new_kind = tiled["event_kind"]
 
     # Slot column: send/match rows advance by `sends` per tile; the drain
-    # (already verified by the detector's slot-advance check to repeat
+    # (already checked by column_warmup's slot-advance rule to repeat
     # the period's slot pattern) shifts by the full `tiles * sends`.  The
     # capture's range check keeps this int32 arithmetic exact.
     slot = short.event_slot
@@ -388,12 +441,29 @@ def tile_trace(capture: PeriodicCapture) -> CompiledTrace:
     return full
 
 
+def share_columns(capture: PeriodicCapture, table: CompiledTrace) -> None:
+    """Point ``capture``'s recording at the first rows of ``table``, the
+    trace :func:`tile_trace` built from it, so the plan holding both
+    keeps one copy of the recorded columns.
+
+    Those rows are the recording, column for column: :func:`tile_trace`
+    copies it up to its last whole period, continues with the first tile,
+    and :func:`verify_extension` checked that every column repeats from
+    the warm-up with its slots advanced.
+    """
+    recording = capture.probe
+    n, messages = recording.n_events, recording.n_messages
+    for name in _TILED_COLUMNS:
+        setattr(recording, name, getattr(table, name)[:n])
+    for name in ("_send_eager_arr", "_send_rank_arr"):
+        setattr(recording, name, getattr(table, name)[:messages])
+
+
 def extend_recording(recording: CompiledTrace, collective_ranks: list[int],
                      iterations: int, return_values: list[Any],
-                     topology: ClusterTopology
-                     ) -> tuple[CompiledTrace, PeriodInfo]:
-    """The ``iterations``-iteration recording, proved from a two-iteration
-    one, and its period structure.
+                     topology: ClusterTopology) -> PeriodicCapture:
+    """The ``iterations``-iteration run, proved from a two-iteration
+    recording, as a :class:`PeriodicCapture`.
 
     ``recording`` holds two iterations of rank programs that yield the
     same op sequence in every iteration and close it with two
@@ -423,15 +493,11 @@ def extend_recording(recording: CompiledTrace, collective_ranks: list[int],
     exactly four collectives; each iteration holds half the events and
     ends in its two collectives; every send is matched within its own
     iteration; the same rank completed both iterations' last reduction.
-    The result is built as a :class:`PeriodicCapture` whose period is one
-    iteration's events and whose warm-up is
-    :func:`~repro.simmpi.steady.column_warmup`'s on the recording, tiled
-    by :func:`tile_trace`, so every check :func:`periodic_capture` and
-    :func:`tile_trace` make holds on it too.  The returned
-    :class:`~repro.simmpi.steady.PeriodInfo` is the recording's with the
-    tiles added to its repeats, which :func:`verify_extension` checked on
-    the result.  Raises :class:`~repro.errors.TraceError` naming the
-    first check that fails.
+    The capture's period is one iteration's events, its warm-up is
+    :func:`column_warmup`'s on the recording and its tiles are the
+    ``iterations - 2`` iterations the recording leaves out; every check
+    of :func:`periodic_capture` holds on it.  Raises
+    :class:`~repro.errors.TraceError` naming the first check that fails.
     """
     n = recording.n_events
     period = n // 2
@@ -460,10 +526,8 @@ def extend_recording(recording: CompiledTrace, collective_ranks: list[int],
     sends = int(np.count_nonzero(kind[period:] == EV_SEND))
     warmup = column_warmup(recording, period, sends)
     repeats = (n - warmup) // period
-    info = PeriodInfo(periodic=True, warmup=warmup, period=period,
-                      repeats=repeats, drain=n - warmup - repeats * period,
+    info = PeriodInfo(warmup=warmup, period=period, repeats=repeats,
+                      drain=n - warmup - repeats * period,
                       sends_per_period=sends)
-    tiles = iterations - 2
-    extended = tile_trace(periodic_capture(recording, info, tiles,
-                                           return_values, topology))
-    return extended, replace(info, repeats=repeats + tiles)
+    return periodic_capture(recording, info, iterations - 2, return_values,
+                            topology)

@@ -393,8 +393,8 @@ def _replay_events(events: Iterable, nranks: int,
     ``key`` is the event's wave kind (:func:`_wave_keys`), so a message's
     protocol needs no lookup.  The state lists are mutated in the
     engine's floating-point order.  This is the only scalar loop: it
-    serves :meth:`CompiledTrace.replay` and the steady-state tier's
-    segments (:mod:`repro.simmpi.steady`), so both replay with
+    serves :meth:`CompiledTrace.replay` and the steady-state tier's two
+    recorded iterations (:mod:`repro.simmpi.steady`), so both replay with
     bit-identical arithmetic.
     """
     for key, a, b, aux, d in events:
@@ -490,12 +490,10 @@ class CompiledTrace:
         self.event_nbytes = event_nbytes
         #: Number of times :meth:`replay` has run.
         self.replays = 0
-        #: Number of runs resolved by the steady-state tier
+        #: Number of runs resolved by the steady-state tier from this
+        #: trace as a periodic capture's recording
         #: (:func:`repro.simmpi.steady.steady_replay`).
         self.steady_replays = 0
-        #: Period/exactness analysis memo, owned by
-        #: :mod:`repro.simmpi.steady` (pattern-level, noise-independent).
-        self._steady_cache: Any = None
         self._base = base
         self._noise_kind = noise_kind
         self._send_eager_arr = send_eager
@@ -561,20 +559,11 @@ class CompiledTrace:
             self._send_eager_arr, self._send_rank_arr)))
 
     def describe(self) -> str:
-        """One-line summary plus period/steady-state diagnostics.
-
-        The period analysis is computed lazily (and cached) by
-        :mod:`repro.simmpi.steady`; for a periodic trace the summary shows
-        the warm-up/period/repeat/drain split and whether the timebase is
-        dyadic-exact (the steady tier's extrapolation precondition).
-        """
-        from repro.simmpi.steady import describe_steady
-
+        """One-line summary of the recorded table."""
         return (f"compiled trace: {self.nranks} rank(s), {self.n_events} "
                 f"event(s), {self.n_messages} message(s), "
                 f"{len(self._draws[0])} noise draw site(s), "
-                f"{self.nbytes} pattern byte(s); "
-                f"{describe_steady(self)}")
+                f"{self.nbytes} pattern byte(s)")
 
     # ------------------------------------------------------------------
 

@@ -18,12 +18,12 @@ build on :class:`repro.diskio.DirectoryStore`), so
 
 An entry holds what the capture produced: a full
 :class:`~repro.simmpi.trace.CompiledTrace` (a full recording), or a
-:class:`~repro.simmpi.capture.PeriodicCapture` (the short probe, its
-period, the tile count and the run's statistics), stored untiled.  A hit
-is that value again: the steady tier resolves a cached periodic run from
-the probe without building the run's table, and a replay tiles it as it
-would a fresh capture.  A probe entry is a few per cent of the tiled
-table's bytes.
+:class:`~repro.simmpi.capture.PeriodicCapture` (the two-iteration
+recording, its period, the tile count and the run's statistics),
+stored untiled.  A hit is that value again: the steady tier resolves a
+cached periodic run from the recording without building the run's
+table, and a replay tiles it as it would a fresh capture.  A periodic
+entry of a 100-iteration run is 2-3% of the tiled table's bytes.
 
 Each entry is a small pickled header — the fingerprint key, the stored
 trace's per-rank statistics, traffic, captured return values and column
@@ -55,8 +55,8 @@ from repro.simmpi.capture import PeriodicCapture
 from repro.simmpi.trace import CompiledTrace
 
 #: Format marker stored with every entry; bump to invalidate old caches.
-#: Format 3 stores a periodic capture's probe untiled.
-_TRACE_CACHE_VERSION = 3
+#: Format 4 stores a periodic capture as its two-iteration recording.
+_TRACE_CACHE_VERSION = 4
 
 #: Event/send columns persisted as raw arrays, in constructor order.
 _COLUMNS = ("event_kind", "event_rank", "event_slot", "event_aux",

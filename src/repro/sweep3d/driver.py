@@ -18,20 +18,20 @@ per rank (and for a periodic capture, two recorded iterations; see
 resolves each run as a vectorised max-plus recurrence over that trace —
 bit-identical to the engine at matched noise seeds, an order of
 magnitude faster per run.  ``mode="steady"`` goes one tier further for
-periodic noise-free traces on a dyadic timebase: the steady-state tier
-(:mod:`repro.simmpi.steady`) extrapolates the repeating regime in
-O(period) instead of O(events), bit-identical or loudly falling back to
-the full replay.  ``mode="auto"`` picks the fastest applicable tier:
-steady for noise-free modelled runs (when it accepts), replay for other
-modelled runs, the engine for numeric ones.
+periodic noise-free runs on a dyadic timebase: the steady-state tier
+(:mod:`repro.simmpi.steady`) replays the two recorded iterations and
+extrapolates the rest, bit-identical or loudly falling back to the full
+replay.  ``mode="auto"`` picks the fastest applicable tier: steady for
+noise-free modelled runs (when it accepts), replay for other modelled
+runs, the engine for numeric ones.
 
-A plan holds one capture at a time.  A periodic capture
-(:class:`~repro.simmpi.capture.PeriodicCapture`: a short probe standing
-for the whole run) is held as it is while only the steady tier has
-asked for it, since that tier resolves the run from the probe, and a
-trace-cache entry stores it as it is.  The full table is tiled from the
-held probe, never recorded again, when a scalar or batched replay or
-:meth:`compile_trace` needs it, and it then replaces the probe.
+A plan holds its capture for its lifetime.  A periodic capture
+(:class:`~repro.simmpi.capture.PeriodicCapture`: two recorded
+iterations standing for the whole run) is what the steady tier resolves
+and what a trace-cache entry stores.  The full table is tiled from it,
+never recorded again, the first time a scalar or batched replay or
+:meth:`compile_trace` needs it; the plan keeps the table too, and the
+capture's recording then reads the table's first rows.
 """
 
 from __future__ import annotations
@@ -48,14 +48,13 @@ from repro.simmpi.capture import (
     CaptureInfo,
     PeriodicCapture,
     extend_recording,
-    periodic_capture,
+    share_columns,
     tile_trace,
 )
 from repro.simmpi.engine import ClusterEngine, SimulationResult
 from repro.simmpi.steady import (
-    MIN_REPEATS,
-    SteadyNeedsTrace,
     SteadyStateError,
+    describe_steady,
     steady_replay,
 )
 from repro.simmpi.trace import BatchReplayResult, CompiledTrace, TraceRecorder
@@ -297,8 +296,10 @@ class SimulationPlan:
         #: Host wall-clock accounting per execution phase ("capture",
         #: "replay", "steady", "engine"), accumulated across runs.
         self.phases = PhaseTimer()
-        #: The trace, or the periodic capture not yet tiled into one.
+        #: The capture: a periodic capture or a full recording.
         self._capture: CompiledTrace | PeriodicCapture | None = None
+        #: The run's table (:meth:`compile_trace`), once built.
+        self._trace: CompiledTrace | None = None
 
     @property
     def nranks(self) -> int:
@@ -344,8 +345,8 @@ class SimulationPlan:
         the O(events) recorder:
 
         1. the persistent :attr:`trace_cache` (if one is attached), keyed
-           by :meth:`trace_fingerprint`, whose entry is a full trace or a
-           periodic capture, stored as path 2 or 3 made it;
+           by :meth:`trace_fingerprint`, whose entry is a full recording
+           or a periodic capture, stored as path 2 or 3 made it;
         2. **periodic capture** of any run of three or more iterations:
            the recorder runs two iterations, and
            :func:`~repro.simmpi.capture.extend_recording` proves the rest.
@@ -360,13 +361,14 @@ class SimulationPlan:
            the next iteration's events depend on the completing rank
            alone, so if iterations 1 and 2 end with their last reduction
            completed by the same rank, iteration 3 repeats iteration 2
-           with its send slots advanced, and so on by induction.  A run
-           of at most six iterations is the extension itself; a longer
-           one is a six-iteration probe plus ``T - 6`` tiles of its
-           period (:func:`~repro.simmpi.capture.periodic_capture`);
+           with its send slots advanced, and so on by induction.  The
+           capture is the recording plus ``T - 2`` one-iteration tiles
+           (:class:`~repro.simmpi.capture.PeriodicCapture`), tiled into
+           the table here (:func:`~repro.simmpi.capture.tile_trace`);
         3. the full :class:`~repro.simmpi.trace.TraceRecorder` pass, for
            runs of one or two iterations and whenever a check of path 2
-           refuses, with the reason kept in :attr:`last_capture`.
+           refuses, the tiling's included, with the reason kept in
+           :attr:`last_capture`.
 
         Every recording runs :func:`~repro.sweep3d.parallel.
         body_rank_program` over op bodies harvested once per capture from
@@ -376,20 +378,28 @@ class SimulationPlan:
         The bodies are dropped when the capture ends; the engine tier
         keeps running the generator.  A periodic capture the plan
         already holds (the steady tier's, or a trace-cache hit) is tiled
-        here, without recording again.
+        here, without recording again, and kept beside the table.
 
         Numeric runs carry real payloads whose values feed back into the
         pattern, so they cannot be trace-compiled and raise
         :class:`~repro.errors.TraceError`.
         """
+        if self._trace is None:
+            capture = self._held_capture()
+            if isinstance(capture, PeriodicCapture):
+                with self.phases.phase("capture"):
+                    capture = self._table(capture)
+            self._trace = capture
+        return self._trace
+
+    def describe_capture(self) -> list[str]:
+        """How the plan captured its run, then the steady tier's
+        noise-free verdict on that capture; captures but never tiles."""
         capture = self._held_capture()
-        if isinstance(capture, PeriodicCapture):
-            with self.phases.phase("capture"):
-                capture = self._capture = self._table(capture)
-        return capture
+        return [self.last_capture.describe(), describe_steady(capture)]
 
     def _held_capture(self) -> CompiledTrace | PeriodicCapture:
-        """The plan's capture, made on first use but not tiled."""
+        """The plan's capture, made on first use; a periodic one untiled."""
         if self.numeric:
             raise TraceError(
                 "trace replay supports modelled (timing-only) runs; numeric "
@@ -400,16 +410,22 @@ class SimulationPlan:
         return self._capture
 
     def _table(self, capture: PeriodicCapture) -> CompiledTrace:
-        """Tile ``capture`` into the full trace (recorded in full if the
-        tiled table fails its checks)."""
+        """Tile ``capture`` into the full trace, whose first rows the
+        capture's recording then reads.
+
+        If the tiled table fails its checks the run is recorded in full,
+        and that recording replaces the capture.
+        """
         start = time.perf_counter()
         try:
             trace = tile_trace(capture)
         except TraceError as exc:
-            trace = self._record_trace()
+            trace = self._capture = self._record_trace()
             self.last_capture = CaptureInfo(
                 mode="full", total_iterations=self.deck.max_iterations,
                 reason=str(exc), capture_s=self.last_capture.capture_s)
+        else:
+            share_columns(capture, trace)
         self.last_capture.capture_s += time.perf_counter() - start
         return trace
 
@@ -464,8 +480,7 @@ class SimulationPlan:
         return capture
 
     def _periodic_capture(self, bodies: list[list]
-                          ) -> tuple[CompiledTrace | PeriodicCapture,
-                                     CaptureInfo]:
+                          ) -> tuple[PeriodicCapture, CaptureInfo]:
         """Record two iterations and prove the rest of the run.
 
         Every iteration of the modelled sweep yields the same ops per
@@ -474,12 +489,9 @@ class SimulationPlan:
         it, so the scheduler's state comes down to the rank that
         completed it.  Two iterations ending in the same state, with no
         message in flight, repeat forever
-        (:func:`~repro.simmpi.capture.extend_recording`).  A run of at
-        most six iterations is that extension; a longer one is a
-        six-iteration probe (warm-up plus the :data:`~repro.simmpi.steady.
-        MIN_REPEATS` whole periods the steady tier's detector asks for)
-        and ``T - 6`` tiles of its period, a :class:`~repro.simmpi.
-        capture.PeriodicCapture`.
+        (:func:`~repro.simmpi.capture.extend_recording`): the capture is
+        the recording plus ``T - 2`` tiles of one iteration, a
+        :class:`~repro.simmpi.capture.PeriodicCapture`.
 
         Raises :class:`~repro.errors.TraceError`, and the caller records
         the run in full, for a run of one or two iterations, when the two
@@ -503,21 +515,15 @@ class SimulationPlan:
             raise TraceError(
                 "periodic capture refused: synthesized rank summaries do "
                 "not match the two-iteration recording's return values")
-        short = min(total, MIN_REPEATS + 1)
-        probe_deck = replace(self.deck, max_iterations=short)
-        capture, info = extend_recording(
-            recording, recorder.collective_ranks, short,
-            modelled_rank_summaries(probe_deck, self.decomp, self.shared),
+        capture = extend_recording(
+            recording, recorder.collective_ranks, total,
+            modelled_rank_summaries(self.deck, self.decomp, self.shared),
             self.topology)
-        if total > short:
-            capture = periodic_capture(
-                capture, info, total - short,
-                modelled_rank_summaries(self.deck, self.decomp, self.shared),
-                self.topology)
+        info = capture.info
         return capture, CaptureInfo(
-            mode="periodic", total_iterations=total, short_iterations=short,
-            tiles=total - short, warmup=info.warmup, period=info.period,
-            drain=info.drain, sends_per_period=info.sends_per_period)
+            mode="periodic", total_iterations=total, tiles=capture.tiles,
+            warmup=info.warmup, period=info.period, drain=info.drain,
+            sends_per_period=info.sends_per_period)
 
     def run(self, noise: NoiseModel | None = None,
             mode: str = "engine",
@@ -536,7 +542,7 @@ class SimulationPlan:
         ``"replay"`` resolves the run from the compiled trace
         (:meth:`compile_trace`), bit-identically; ``"steady"`` asks the
         steady-state tier (:mod:`repro.simmpi.steady`) to resolve the
-        periodic regime in O(period) — bit-identical when it accepts,
+        run from its two recorded iterations — bit-identical when it accepts,
         falling back to the full replay (with the reason recorded in
         :attr:`last_steady_refusal`) when it refuses; ``"auto"`` picks
         the fastest applicable tier — steady for noise-free modelled
@@ -587,7 +593,7 @@ class SimulationPlan:
             simulation = None
             # "auto" only *attempts* steady when noise is off — a noisy
             # run has no repeating period, so the attempt would always
-            # refuse and the O(events) scan would be wasted.
+            # refuse.
             if mode == "steady" or (mode == "auto" and noise.is_disabled()):
                 simulation = self._steady(noise)
             if simulation is None:
@@ -614,13 +620,8 @@ class SimulationPlan:
         with the reason in :attr:`last_steady_refusal`."""
         source = self._held_capture()
         try:
-            try:
-                with self.phases.phase("steady"):
-                    simulation = steady_replay(source, noise)
-            except SteadyNeedsTrace:
-                source = self.compile_trace()
-                with self.phases.phase("steady"):
-                    simulation = steady_replay(source, noise)
+            with self.phases.phase("steady"):
+                simulation = steady_replay(source, noise)
         except SteadyStateError as exc:
             self.last_steady_refusal = str(exc)
             return None

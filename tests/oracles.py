@@ -30,11 +30,9 @@ operation mix for every block.  Every simulation tier of
 :class:`~repro.sweep3d.driver.SimulationPlan` must agree with it bit for
 bit.
 
-Periodic trace capture has two more: :func:`trace_signatures`, the event
-signature hash as one fresh array per column, and
-:func:`modelled_rank_summaries`, the modelled return values with one
-``ReduceOp.combine`` per reduction and iteration.  The in-place hash
-(:func:`repro.simmpi.steady._signatures`) and the batched summaries
+Periodic trace capture has one more: :func:`modelled_rank_summaries`,
+the modelled return values with one ``ReduceOp.combine`` per reduction
+and iteration.  The batched summaries
 (:func:`repro.sweep3d.parallel.modelled_rank_summaries`) must equal them.
 
 It also holds the test-side helpers that nothing in the package needs:
@@ -72,7 +70,6 @@ from repro.core.templates.base import StageSpec, StageStep, TemplateResult, requ
 from repro.errors import EvaluationError, PslEvaluationError, PslNameError
 from repro.simmpi.engine import ClusterEngine
 from repro.simmpi.operations import ReduceOp
-from repro.simmpi.trace import EV_MATCH, EV_SEND
 from repro.simnet.noise import NoiseModel
 from repro.sweep3d.driver import Sweep3DRunResult
 from repro.sweep3d.geometry import octant_order
@@ -616,31 +613,6 @@ def _per_point_rank_program(comm, deck, decomp, processor):
 # ---------------------------------------------------------------------------
 # Periodic trace capture
 # ---------------------------------------------------------------------------
-
-
-def trace_signatures(trace) -> np.ndarray:
-    """Int64 content signature per event (pattern + exact durations)."""
-    h = trace.event_kind.astype(np.int64)
-    b_col = trace.event_rank.astype(np.int64)    # rank / receiver
-    aux_bits = np.ascontiguousarray(trace.event_aux).view(np.int64)
-    eager_flag = np.zeros(len(h), dtype=np.int64)
-    slot_mask = (trace.event_kind == EV_SEND) | (trace.event_kind == EV_MATCH)
-    if slot_mask.any():
-        eager = trace._send_eager_arr.astype(np.int64)
-        slots = trace.event_slot[slot_mask].astype(np.int64)
-        eager_flag[slot_mask] = 1 + eager[slots]
-    mult = np.int64(1000003)
-    for col in (b_col,
-                trace.event_peer.astype(np.int64),
-                trace.event_tag.astype(np.int64),
-                np.ascontiguousarray(trace.event_nbytes).view(np.int64),
-                np.ascontiguousarray(trace._base).view(np.int64),
-                aux_bits,
-                trace._noise_kind.astype(np.int64),
-                eager_flag):
-        h = h * mult
-        h ^= col
-    return h
 
 
 def modelled_rank_summaries(deck: Sweep3DInput, decomp, shared) -> list[dict]:

@@ -28,15 +28,18 @@ from hypothesis import strategies as st
 import repro.sweep3d.driver as driver
 from repro.errors import TraceError
 from repro.machines.presets import get_machine
+from repro.simmpi import capture
 from repro.simmpi.capture import (
     CaptureInfo,
     PeriodicCapture,
+    PeriodInfo,
+    column_warmup,
+    extend_recording,
     periodic_capture,
     tile_trace,
     verify_extension,
 )
-from repro.simmpi.steady import _signatures, column_warmup, detect_period
-from repro.simmpi.trace import TraceRecorder
+from repro.simmpi.trace import EV_SEND, TraceRecorder
 from repro.simmpi.tracecache import TraceDiskCache
 from repro.simnet.noise import NoiseModel
 from repro.sweep3d.driver import SimulationPlan
@@ -129,8 +132,8 @@ def test_periodic_capture_bit_identity(machine, it, jt, kt, mk, px, py,
     full = generator_recording(plan, deck)
     assert_traces_identical(tiled, full)
     if plan.last_capture.mode == "periodic":
-        assert plan.last_capture.short_iterations < iterations
-        # The recorder ran two iterations; the probe's others were proved.
+        assert plan.last_capture.tiles == iterations - 2
+        # The recorder ran two iterations; the others were proved.
         two = replace(deck, max_iterations=2)
         assert recorded == [generator_recording(plan, two).n_events]
     else:
@@ -197,7 +200,7 @@ def test_steady_replay_steady_records_once(machine, monkeypatch):
     first = plan.run(mode="steady")
     assert isinstance(plan._capture, PeriodicCapture)
     replayed = plan.run(mode="replay")
-    assert plan._capture is plan.compile_trace()   # the table replaced it
+    assert isinstance(plan._capture, PeriodicCapture)  # kept beside the table
     second = plan.run(mode="steady")
     assert plan.last_execution == "steady"
     assert len(recorded) == 1
@@ -214,11 +217,12 @@ def test_a_tiling_refusal_falls_back_to_the_full_recorder(machine,
     deck = Sweep3DInput(it=12, jt=12, kt=10, mk=5, mmi=3, sn=6,
                         max_iterations=24)
     plan = make_plan(machine, deck, 2, 2)
-    steady = plan.run(mode="steady")        # from the probe: no tiling
+    steady = plan.run(mode="steady")        # from the capture: no tiling
     assert plan.last_execution == "steady"
     trace = plan.compile_trace()
     assert plan.last_capture.mode == "full"
     assert "forced" in plan.last_capture.reason
+    assert plan._capture is trace           # the recording replaced it
     assert_traces_identical(trace, generator_recording(plan, deck))
     assert result_key(steady.simulation) == result_key(trace.replay())
 
@@ -232,6 +236,10 @@ def test_trace_cache_entry_holds_the_probe(machine, tmp_path):
     assert plan.last_execution == "steady"
     stored = TraceDiskCache(tmp_path).get(plan.trace_fingerprint())
     assert isinstance(stored, PeriodicCapture)
+    # The entry is the two recorded iterations and their tiles.
+    assert stored.tiles == 22
+    assert_traces_identical(stored.probe, generator_recording(
+        plan, replace(deck, max_iterations=2)))
     held = plan._capture
     assert_traces_identical(stored.probe, held.probe)
     assert (stored.info, stored.tiles) == (held.info, held.tiles)
@@ -316,18 +324,6 @@ def test_plan_holds_no_op_body_after_capture(machine, monkeypatch):
         harvested.clear()
 
 
-def test_signatures_equal_the_oracle(machine):
-    deck = Sweep3DInput(it=12, jt=9, kt=7, mk=3, mmi=2, sn=4,
-                        max_iterations=14)
-    plan = make_plan(machine, deck, 2, 3)
-    tiled = plan.compile_trace()
-    assert plan.last_capture.mode == "periodic"
-    for trace in (tiled, plan._record_trace(), TraceRecorder(
-            machine.topology).record(_aperiodic, nranks=2)):
-        assert np.array_equal(_signatures(trace),
-                              oracles.trace_signatures(trace))
-
-
 @pytest.mark.parametrize("iterations", [1, 2, 7, 100])
 @pytest.mark.parametrize("px,py", [(1, 1), (2, 3), (8, 8)])
 def test_modelled_rank_summaries_equal_the_oracle(px, py, iterations):
@@ -364,27 +360,34 @@ def test_few_iterations_fall_back_to_full_capture(machine):
         assert_traces_identical(trace, generator_recording(plan, deck))
 
 
-def test_aperiodic_program_refuses_tiling(machine):
-    # The detector refuses, so periodic capture must too.
-    trace = TraceRecorder(machine.topology).record(_aperiodic, nranks=2)
-    info = detect_period(trace)
-    assert not info.periodic
-    with pytest.raises(TraceError, match="periodic capture refused"):
-        periodic_capture(trace, info, 3, return_values=[0, 1],
-                         topology=machine.topology)
+def test_aperiodic_program_refuses_extension(machine):
+    # No iteration ends in the two collectives the extension needs.
+    recorder = TraceRecorder(machine.topology)
+    trace = recorder.record(_aperiodic, nranks=2)
+    with pytest.raises(TraceError, match="holds 0 collective"):
+        extend_recording(trace, recorder.collective_ranks, 6, [0, 1],
+                         machine.topology)
 
 
 def test_tile_trace_needs_at_least_one_tile(machine):
     deck = Sweep3DInput(it=8, jt=8, kt=8, mk=4, mmi=3, sn=6,
                         max_iterations=20)
-    plan = make_plan(machine, deck, 1, 1)
-    short = plan._record_trace()
-    info = detect_period(short)
-    assert info.periodic
+    capture = make_plan(machine, deck, 1, 1)._held_capture()
     with pytest.raises(TraceError, match="at least one tile"):
-        periodic_capture(short, info, 0,
-                         return_values=list(short._return_values),
+        periodic_capture(capture.probe, capture.info, 0,
+                         return_values=list(capture.probe._return_values),
                          topology=machine.topology)
+
+
+def period_info(trace, period):
+    """``trace``'s structure at ``period``, by the extension's rule."""
+    n = trace.n_events
+    sends = int(np.count_nonzero(trace.event_kind[n - period:] == EV_SEND))
+    warmup = column_warmup(trace, period, sends)
+    repeats = (n - warmup) // period
+    return PeriodInfo(warmup=warmup, period=period, repeats=repeats,
+                      drain=n - warmup - repeats * period,
+                      sends_per_period=sends)
 
 
 def test_verify_extension_names_what_moved(machine):
@@ -392,7 +395,7 @@ def test_verify_extension_names_what_moved(machine):
                         max_iterations=20)
     plan = make_plan(machine, deck, 2, 1)
     trace = plan._record_trace()
-    info = detect_period(trace)
+    info = period_info(trace, trace.n_events // 20)   # one iteration
     assert verify_extension(trace, info, info.repeats) == ""
     assert verify_extension(trace, info, info.repeats + 1) == (
         f"period repeats {info.repeats} time(s), expected {info.repeats + 1}")
@@ -401,20 +404,21 @@ def test_verify_extension_names_what_moved(machine):
         "warm-up moved")
 
 
-def test_verify_extension_applies_the_detectors_slot_rule(machine):
+def test_the_warm_up_moves_past_slot_failures(machine):
     # Rendez-vous sized messages: a few early receives break the slot
-    # advance while signatures already repeat, so the detector's warm-up
-    # lies past them; the column check must put it in the same place.
+    # advance while every other column already repeats, so the warm-up
+    # lies past them, in the two recorded iterations and the whole run.
     deck = Sweep3DInput(it=400, jt=400, kt=100, mk=10, mmi=3, sn=6,
                         max_iterations=12)
-    trace = make_plan(machine, deck, 2, 2)._record_trace()
-    info = detect_period(trace)
-    assert verify_extension(trace, info, info.repeats) == ""
-    assert column_warmup(trace, info.period, info.sends_per_period) \
-        == info.warmup
-    sig = _signatures(trace)
-    mismatch = np.flatnonzero(sig[info.period:] != sig[:-info.period])
-    assert mismatch[-1] + 1 < info.warmup     # columns alone repeat sooner
+    plan = make_plan(machine, deck, 2, 2)
+    info = plan._held_capture().info
+    trace = plan._record_trace()
+    assert verify_extension(trace, info, info.repeats + 10) == ""
+    period = info.period
+    differs = np.zeros(trace.n_events - period, dtype=bool)
+    for column in capture._signature_columns(trace):
+        differs |= column[period:] != column[:-period]
+    assert np.flatnonzero(differs)[-1] + 1 < info.warmup
 
 
 def test_capture_info_describe_modes():

@@ -2,9 +2,10 @@
 
 Periodic capture records two iterations of the modelled sweep and proves
 the rest of the run from the scheduler's state at the iteration
-boundary: the rank that completed the last reduction.  The capture must
-be **bit-identical** to recording the run in full, or a check refuses
-and the run is recorded in full.
+boundary: the rank that completed the last reduction.  The capture is
+those two iterations and the ``T - 2`` tiles the run adds, and its
+tiled table must be **bit-identical** to recording the run in full, or a
+check refuses and the run is recorded in full.
 
 The identity matrix below runs in tier 1 on a subset; run the module as a
 script for the full matrix (every preset x four decks x seven geometries,
@@ -26,10 +27,14 @@ import pytest
 import repro.sweep3d.driver as driver
 from repro.errors import TraceError
 from repro.machines.presets import MACHINE_PRESETS, get_machine
-from repro.simmpi.capture import CaptureInfo, PeriodicCapture, extend_recording
+from repro.simmpi.capture import (
+    CaptureInfo,
+    PeriodicCapture,
+    extend_recording,
+    tile_trace,
+)
 from repro.simmpi.communicator import SimComm
 from repro.simmpi.engine import MAX_OPERATIONS, _TimingSink, run_ranks
-from repro.simmpi.steady import _detect_period
 from repro.simmpi.trace import TraceRecorder
 from repro.simnet.noise import NoiseModel
 from repro.sweep3d.driver import SimulationPlan
@@ -88,10 +93,10 @@ def make_plan(machine, deck, px, py, **kwargs):
 def check_configuration(preset: str, deck_name: str, px: int,
                         py: int) -> list[str]:
     """Every failure of the whole capture on one configuration, at each of
-    :data:`ITERATIONS`: from three iterations up it must be periodic, a
-    probe's period must be the one the steady tier's detector finds (so
-    trace-cache entries keep their bytes), and the trace must equal the
-    full recording."""
+    :data:`ITERATIONS`: from three iterations up it must be periodic and
+    hold the two recorded iterations (also once its table is tiled, when
+    the recording reads the table's first rows) plus ``T - 2`` tiles, and
+    the trace must equal the full recording."""
     machine = get_machine(preset)
     costs = SweepCostTable(machine.processor)
     failures = []
@@ -104,13 +109,17 @@ def check_configuration(preset: str, deck_name: str, px: int,
         if iterations >= 3 and info.mode != "periodic":
             failures.append(f"{where}: periodic capture refused "
                             f"({info.reason})")
-        if isinstance(held, PeriodicCapture) \
-                and held.info != _detect_period(held.probe):
-            failures.append(f"{where}: the probe's period is not the "
-                            "detector's")
         differ = differences(plan.compile_trace(), plan._record_trace())
         if differ:
             failures.append(f"{where}: differs in {', '.join(differ)}")
+        if isinstance(held, PeriodicCapture):
+            two = make_plan(machine, replace(deck, max_iterations=2), px, py,
+                            cost_table=costs)._record_trace()
+            differ = differences(held.probe, two)
+            if differ or held.tiles != iterations - 2:
+                failures.append(f"{where}: the capture is not the two "
+                                f"recorded iterations and {iterations - 2} "
+                                f"tiles ({', '.join(differ)})")
     return failures
 
 
@@ -222,10 +231,10 @@ def _validation_recording(machine, px=2, py=2):
 def test_different_completing_ranks_refuse(machine):
     trace, ranks, summaries = _validation_recording(machine)
     assert ranks == [3, 2, 3, 2]
-    extended, info = extend_recording(trace, ranks, 6, summaries,
-                                      machine.topology)
-    assert extended.n_events == 3 * trace.n_events
-    assert info == _detect_period(extended)
+    capture = extend_recording(trace, ranks, 6, summaries, machine.topology)
+    assert (capture.probe, capture.tiles) == (trace, 4)
+    assert capture.info.period == trace.n_events // 2
+    assert tile_trace(capture).n_events == 3 * trace.n_events
     with pytest.raises(TraceError, match="completed by ranks 2 and 1"):
         extend_recording(trace, [3, 2, 3, 1], 6, summaries,
                          machine.topology)
@@ -320,20 +329,19 @@ def test_a_message_received_an_iteration_later_records_the_run_in_full(
 # ---------------------------------------------------------------------------
 
 
-@pytest.mark.parametrize("iterations,short,tiles", [(100, 6, 94),
-                                                    (5, 5, 0)])
-def test_describe_names_the_recorded_iterations(machine, iterations, short,
-                                                tiles):
+@pytest.mark.parametrize("iterations", [100, 5, 3])
+def test_describe_names_the_recorded_iterations(machine, iterations):
     deck = standard_deck("validation", px=2, py=2, max_iterations=iterations)
     plan = make_plan(machine, deck, 2, 2)
     plan._held_capture()
     info = plan.last_capture
-    assert (info.short_iterations, info.tiles, info.reason) \
-        == (short, tiles, "")
+    assert (info.tiles, info.reason) == (iterations - 2, "")
     assert info.describe() == (
-        f"capture: periodic, recorded 2 of {iterations} iteration(s), "
-        f"proved a {short}-iteration probe and tiled {tiles} period(s) "
-        "(warm-up 3 + period 974 + drain 971 event(s), 320 send(s)/period)")
+        f"capture: periodic, recorded 2 of {iterations} iteration(s) and "
+        f"proved {iterations - 2} more (warm-up 3 + period 974 + drain 971 "
+        "event(s), 320 send(s)/period)")
+    assert plan.describe_capture() == [
+        info.describe(), "dyadic-exact timebase (steady-eligible)"]
 
 
 def test_describe_a_refused_extension():

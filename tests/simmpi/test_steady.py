@@ -1,13 +1,18 @@
 """Tests for the steady-state execution tier (repro.simmpi.steady).
 
-The tier's contract is *bit-identical or refuse*: every accepted trace
-resolves to exactly the replay/engine result, and every precondition
-failure raises :class:`~repro.simmpi.steady.SteadyStateError` with a
-reason.  The synthetic programs below use dyadic durations (powers of
-two and their small integer multiples) so the exactness precondition
-holds by construction; the non-dyadic and noisy variants check the loud
-refusals.
+The tier's contract is *bit-identical or refuse*: every accepted capture
+resolves to exactly the full recording's replay and the engine's result,
+and every precondition failure raises
+:class:`~repro.simmpi.steady.SteadyStateError` with a reason.  The
+synthetic programs below end every iteration in two allreduces, like the
+modelled sweep, and use dyadic durations (powers of two and their small
+integer multiples) so the exactness rule holds by construction; their
+captures are two recorded iterations extended by
+:func:`~repro.simmpi.capture.extend_recording`.  The non-dyadic, noisy
+and hand-built variants check the loud refusals.
 """
+
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -16,23 +21,19 @@ from hypothesis import strategies as st
 
 import repro.simmpi.steady as steady
 import repro.sweep3d.driver as driver
+from repro.errors import TraceError
 from repro.machines.presets import get_machine
 from repro.simmpi.capture import (
     PeriodicCapture,
+    PeriodInfo,
+    column_warmup,
+    extend_recording,
     periodic_capture,
     tile_trace,
 )
 from repro.simmpi.engine import ClusterEngine
-from repro.simmpi.steady import (
-    MIN_REPEATS,
-    SteadyNeedsTrace,
-    SteadyStateError,
-    _signatures,
-    describe_steady,
-    detect_period,
-    steady_replay,
-)
-from repro.simmpi.trace import EV_COLLECTIVE, CompiledTrace, TraceRecorder
+from repro.simmpi.steady import SteadyStateError, describe_steady, steady_replay
+from repro.simmpi.trace import CompiledTrace, TraceRecorder
 from repro.simmpi.tracecache import TraceDiskCache
 from repro.simnet.link import LinkModel
 from repro.simnet.noise import NoiseModel
@@ -62,244 +63,217 @@ def topology():
                            inter_node=link)
 
 
-def ping_pong_loop(iterations, compute=2.0**-10, nbytes=256,
-                   reply_nbytes=512):
-    """A two-rank loop whose body repeats bit-identically."""
+def iterated(body, iterations):
+    """A rank program: ``body`` closed by two allreduces, ``iterations``
+    times, as each iteration of the modelled sweep is."""
     def program(comm):
-        peer = 1 - comm.rank
         for _ in range(iterations):
-            yield comm.compute(compute * (comm.rank + 1))
-            if comm.rank == 0:
-                yield comm.send(None, dest=peer, tag=1, nbytes=nbytes)
-                yield comm.recv(source=peer, tag=2)
-            else:
-                yield comm.recv(source=peer, tag=1)
-                yield comm.send(None, dest=peer, tag=2, nbytes=reply_nbytes)
+            yield from body(comm)
+            yield comm.allreduce(1.0, op="max")
+            yield comm.allreduce(0.0, op="sum")
+        return comm.rank
     return program
 
 
-def record(topology, program, nranks=2):
-    return TraceRecorder(topology).record(program, nranks)
+def ping_pong(compute=2.0**-10, nbytes=256, reply_nbytes=512):
+    def body(comm):
+        peer = 1 - comm.rank
+        yield comm.compute(compute * (comm.rank + 1))
+        if comm.rank == 0:
+            yield comm.send(None, dest=peer, tag=1, nbytes=nbytes)
+            yield comm.recv(source=peer, tag=2)
+        else:
+            yield comm.recv(source=peer, tag=1)
+            yield comm.send(None, dest=peer, tag=2, nbytes=reply_nbytes)
+    return body
 
 
-def rendezvous_deck(px, py, iterations):
-    """200x200x100 cells per rank: every face message is rendez-vous."""
-    return Sweep3DInput(it=200 * px, jt=200 * py, kt=100, mk=10, mmi=3,
-                        sn=6, max_iterations=iterations)
+def mixed_protocols(comm):
+    peer = 1 - comm.rank
+    yield comm.compute(2.0**-11 * (comm.rank + 1))
+    if comm.rank == 0:
+        yield comm.send(None, dest=peer, tag=1, nbytes=256)
+        yield comm.recv(source=peer, tag=2)
+        yield comm.send(None, dest=peer, tag=3, nbytes=2**20)
+    else:
+        yield comm.recv(source=peer, tag=1)
+        yield comm.send(None, dest=peer, tag=2, nbytes=512)
+        yield comm.recv(source=peer, tag=3)
 
 
-class TestPeriodDetector:
-    def test_detects_the_loop_body(self, topology):
-        trace = record(topology, ping_pong_loop(12))
-        info = detect_period(trace)
-        assert info.periodic
-        # One loop iteration: 2 computes + 2 sends + 2 matches.
-        assert info.period == 6
-        assert info.sends_per_period == 2
-        assert info.warmup + info.repeats * info.period + info.drain \
-            == trace.n_events
-        assert info.repeats >= MIN_REPEATS
-        assert "periodic" in info.describe()
-        assert "2 send(s)/period" in info.describe()
+def ring(nbytes=64):
+    def body(comm):
+        nxt = (comm.rank + 1) % comm.size
+        prv = (comm.rank - 1) % comm.size
+        yield comm.compute(2.0**-11 * (comm.rank + 1))
+        # Even/odd ordering: a ring of blocking rendez-vous sends would
+        # deadlock.
+        if comm.rank % 2 == 0:
+            yield comm.send(None, dest=nxt, tag=1, nbytes=nbytes)
+            yield comm.recv(source=prv, tag=1)
+        else:
+            yield comm.recv(source=prv, tag=1)
+            yield comm.send(None, dest=nxt, tag=1, nbytes=nbytes)
+    return body
 
-    def test_aperiodic_durations_refuse(self, topology):
-        def program(comm):
-            for index in range(12):
-                # The duration changes every iteration: no repeating
-                # suffix exists at any candidate period.
-                yield comm.compute(2.0**-10 * (index + 1))
 
-        info = detect_period(record(topology, program, nranks=1))
-        assert not info.periodic
-        assert "aperiodic" in info.describe()
+def compute_only(comm):
+    yield comm.compute(2.0**-9)
 
-    def test_too_few_repetitions_refuse(self, topology):
-        trace = record(topology, ping_pong_loop(MIN_REPEATS - 2))
-        info = detect_period(trace)
-        assert not info.periodic
-        assert f">= {MIN_REPEATS} repetitions" in info.reason
 
-    def test_changed_message_size_breaks_the_period(self, topology):
-        def program(comm):
-            peer = 1 - comm.rank
-            for index in range(12):
-                # The payload grows each iteration: the event signature
-                # (which hashes nbytes) never repeats.
-                nbytes = 64 * (index + 1)
-                if comm.rank == 0:
-                    yield comm.send(None, dest=peer, tag=1, nbytes=nbytes)
-                else:
-                    yield comm.recv(source=peer, tag=1)
-                yield comm.compute(2.0**-10)
+def capture_of(topology, body, nranks, iterations):
+    """The periodic capture of ``iterations`` iterations of ``body``: two
+    recorded, the rest proved."""
+    recorder = TraceRecorder(topology)
+    recording = recorder.record(iterated(body, 2), nranks)
+    return extend_recording(recording, recorder.collective_ranks,
+                            iterations, list(range(nranks)), topology)
 
-        assert not detect_period(record(topology, program)).periodic
 
-    def test_rendezvous_warm_up_moves_past_slot_failures(self):
-        # 200x200x100 cells per rank: every face message is rendez-vous
-        # sized, and a few early receives match warm-up sends numbered in
-        # another order than later periods' while signatures repeat.
-        machine = get_machine("steady")
-        deck = rendezvous_deck(2, 2, 12)
-        trace = machine.simulation_plan(deck, 2, 2)._record_trace()
-        info = detect_period(trace)
-        assert info.periodic and info.repeats >= MIN_REPEATS
-        sig = _signatures(trace)
-        mismatch = np.flatnonzero(sig[info.period:] != sig[:-info.period])
-        assert mismatch[-1] + 1 < info.warmup
-        assert info.warmup + info.repeats * info.period + info.drain \
-            == trace.n_events
+def full_recording(topology, body, nranks, iterations):
+    return TraceRecorder(topology).record(iterated(body, iterations), nranks)
 
-    def test_describe_steady_reports_eligibility(self, topology):
-        trace = record(topology, ping_pong_loop(12))
-        assert "steady-eligible" in describe_steady(trace)
-        assert "steady-eligible" in trace.describe()
 
-    def test_describe_steady_reports_continuous_timebase(self, topology):
-        trace = record(topology, ping_pong_loop(12, compute=1e-3))
-        assert "steady refuses" in describe_steady(trace)
+def assert_steady_matches(topology, body, nranks=2, iterations=12):
+    capture = capture_of(topology, body, nranks, iterations)
+    result = steady_replay(capture)
+    assert capture.probe.steady_replays == 1
+    want = result_key(full_recording(topology, body, nranks,
+                                     iterations).replay())
+    assert result_key(result) == want
+    assert result_key(tile_trace(capture).replay()) == want
+    engine = ClusterEngine(topology).run(iterated(body, iterations), nranks)
+    assert result_key(result) == result_key(engine)
 
 
 class TestBitIdentity:
-    def assert_steady_matches(self, topology, program, nranks=2):
-        trace = record(topology, program, nranks)
-        steady = steady_replay(trace)
-        assert result_key(steady) == result_key(trace.replay())
-        reference = ClusterEngine(topology).run(program, nranks)
-        assert result_key(steady) == result_key(reference)
-        assert trace.steady_replays == 1
-
     def test_eager_ping_pong(self, topology):
-        self.assert_steady_matches(topology, ping_pong_loop(12))
+        assert_steady_matches(topology, ping_pong())
 
     def test_rendezvous_messages(self, topology):
         # 1 MiB >> the 1 KiB eager threshold: rendez-vous protocol.
-        self.assert_steady_matches(
-            topology, ping_pong_loop(10, nbytes=2**20, reply_nbytes=2**20))
+        assert_steady_matches(topology,
+                              ping_pong(nbytes=2**20, reply_nbytes=2**20))
 
     def test_mixed_protocols_and_collectives(self, topology):
-        def program(comm):
-            peer = 1 - comm.rank
-            for _ in range(14):
-                yield comm.compute(2.0**-11 * (comm.rank + 1))
-                if comm.rank == 0:
-                    yield comm.send(None, dest=peer, tag=1, nbytes=256)
-                    yield comm.recv(source=peer, tag=2)
-                    yield comm.send(None, dest=peer, tag=3, nbytes=2**20)
-                else:
-                    yield comm.recv(source=peer, tag=1)
-                    yield comm.send(None, dest=peer, tag=2, nbytes=512)
-                    yield comm.recv(source=peer, tag=3)
-                yield comm.allreduce(float(comm.rank), op="max")
+        assert_steady_matches(topology, mixed_protocols, iterations=14)
 
-        self.assert_steady_matches(topology, program)
-
-    def test_ring_with_collectives(self, topology):
-        def program(comm):
-            nxt = (comm.rank + 1) % comm.size
-            prv = (comm.rank - 1) % comm.size
-            for _ in range(15):
-                yield comm.compute(2.0**-11 * (comm.rank + 1))
-                yield comm.send(None, dest=nxt, tag=1, nbytes=64)   # eager
-                yield comm.recv(source=prv, tag=1)
-                yield comm.allreduce(float(comm.rank), op="max")
-
-        self.assert_steady_matches(topology, program, nranks=3)
+    @pytest.mark.parametrize("nbytes", [64, 2**20])
+    def test_ring_with_collectives(self, topology, nbytes):
+        assert_steady_matches(topology, ring(nbytes), nranks=4,
+                              iterations=15)
 
     def test_single_rank_compute_loop(self, topology):
-        def program(comm):
-            for _ in range(8):
-                yield comm.compute(2.0**-9)
-                yield comm.allreduce(1.0, op="sum")
+        assert_steady_matches(topology, compute_only, nranks=1, iterations=8)
 
-        self.assert_steady_matches(topology, program, nranks=1)
-
-    def test_warmup_and_drain_are_replayed(self, topology):
-        def program(comm):
-            peer = 1 - comm.rank
-            yield comm.compute(2.0**-8)            # warm-up, never repeats
-            for _ in range(10):
-                yield comm.compute(2.0**-10 * (comm.rank + 1))
-                if comm.rank == 0:
-                    yield comm.send(None, dest=peer, tag=1, nbytes=256)
-                    yield comm.recv(source=peer, tag=2)
-                else:
-                    yield comm.recv(source=peer, tag=1)
-                    yield comm.send(None, dest=peer, tag=2, nbytes=512)
-            # A partial repetition of the loop body: the detector is
-            # suffix-periodic, so the drain must look like the body's
-            # prefix (a unique epilogue would make the trace aperiodic).
-            yield comm.compute(2.0**-10 * (comm.rank + 1))
-
-        trace = record(topology, program)
-        info = detect_period(trace)
-        assert info.periodic
-        assert info.warmup > 0
-        assert info.drain > 0
-        self.assert_steady_matches(topology, program)
+    @pytest.mark.parametrize("iterations", [3, 4, 7, 40])
+    def test_iteration_counts(self, topology, iterations):
+        assert_steady_matches(topology, ping_pong(), iterations=iterations)
 
     @settings(max_examples=12, deadline=None)
-    @given(iterations=st.integers(min_value=15, max_value=24),
+    @given(iterations=st.integers(min_value=3, max_value=40),
            compute_exp=st.integers(min_value=-14, max_value=-8),
            log_nbytes=st.integers(min_value=6, max_value=21),
-           nranks=st.integers(min_value=1, max_value=3))
+           # An odd ring's eager exchanges end the two recorded iterations
+           # on different completing ranks: extend_recording refuses it,
+           # and the plan records such a run in full.
+           nranks=st.sampled_from([1, 2, 4]))
     def test_property_steady_equals_replay_and_engine(
             self, topology, iterations, compute_exp, log_nbytes, nranks):
-        if nranks == 3 and 2**log_nbytes > 1024:
-            # An odd-count ring of rendez-vous exchanges never settles
-            # into a periodic capture order: the tier refuses it (covered
-            # by the refusal tests), so the bit-identity property keeps
-            # to the accepted shapes.
-            log_nbytes = 9
+        def body(comm):
+            yield comm.compute(2.0**compute_exp * (comm.rank + 1))
+            if comm.size > 1:
+                yield from ring(2**log_nbytes)(comm)
 
-        def program(comm):
-            nxt = (comm.rank + 1) % comm.size
-            prv = (comm.rank - 1) % comm.size
-            for _ in range(iterations):
-                yield comm.compute(2.0**compute_exp * (comm.rank + 1))
-                if comm.size > 1:
-                    # Even/odd ordering: a ring of blocking rendez-vous
-                    # sends would deadlock.
-                    if comm.rank % 2 == 0:
-                        yield comm.send(None, dest=nxt, tag=1,
-                                        nbytes=2**log_nbytes)
-                        yield comm.recv(source=prv, tag=1)
-                    else:
-                        yield comm.recv(source=prv, tag=1)
-                        yield comm.send(None, dest=nxt, tag=1,
-                                        nbytes=2**log_nbytes)
-                yield comm.allreduce(float(comm.rank), op="sum")
-
-        trace = record(topology, program, nranks)
-        steady = steady_replay(trace)
-        assert result_key(steady) == result_key(trace.replay())
-        assert result_key(steady) == \
-            result_key(ClusterEngine(topology).run(program, nranks))
+        assert_steady_matches(topology, body, nranks, iterations)
 
 
 class TestRefusals:
-    def test_noise_refused(self, topology):
-        trace = record(topology, ping_pong_loop(12))
+    @pytest.fixture
+    def capture(self, topology):
+        return capture_of(topology, ping_pong(), 2, 12)
+
+    def test_noise_refused(self, capture):
         with pytest.raises(SteadyStateError, match="noise"):
-            steady_replay(trace, NoiseModel(seed=1))
+            steady_replay(capture, NoiseModel(seed=1))
 
-    def test_disabled_noise_accepted(self, topology):
-        trace = record(topology, ping_pong_loop(12))
-        steady = steady_replay(trace, NoiseModel.disabled())
-        assert result_key(steady) == result_key(trace.replay())
-
-    def test_aperiodic_trace_refused(self, topology):
-        def program(comm):
-            for index in range(12):
-                yield comm.compute(2.0**-10 * (index + 1))
-
-        with pytest.raises(SteadyStateError, match="not periodic"):
-            steady_replay(record(topology, program, nranks=1))
+    def test_disabled_noise_accepted(self, topology, capture):
+        assert result_key(steady_replay(capture, NoiseModel.disabled())) \
+            == result_key(full_recording(topology, ping_pong(), 2,
+                                         12).replay())
 
     def test_non_dyadic_durations_refused(self, topology):
-        # 1e-3 is not an integer multiple of the trace's dyadic quantum.
-        trace = record(topology, ping_pong_loop(12, compute=1e-3))
+        # 1e-3 is not an integer multiple of the run's dyadic quantum.
+        capture = capture_of(topology, ping_pong(compute=1e-3), 2, 12)
         with pytest.raises(SteadyStateError, match="dyadic"):
+            steady_replay(capture)
+        assert "steady refuses" in describe_steady(capture)
+
+    def test_a_run_recorded_in_full_refused(self, topology):
+        trace = full_recording(topology, ping_pong(), 2, 12)
+        with pytest.raises(SteadyStateError, match="recorded in full"):
             steady_replay(trace)
+        assert "recorded in full" in describe_steady(trace)
+
+    def test_a_negative_duration_refused(self, capture):
+        capture.probe._base[0] = -2.0**-10
+        with pytest.raises(SteadyStateError, match="negative"):
+            steady_replay(capture)
+
+    def test_halves_that_do_not_end_in_a_collective_refused(self, capture):
+        info = capture.info
+        shifted = replace(capture, info=replace(info, period=info.period - 1))
+        with pytest.raises(SteadyStateError, match="two recorded iterations"):
+            steady_replay(shifted)
+
+    def test_a_recording_without_collectives_refused(self, topology):
+        # A periodic recording, but its iterations end in no collective.
+        def program(comm):
+            for _ in range(2):
+                yield from ping_pong()(comm)
+
+        recording = TraceRecorder(topology).record(program, 2)
+        n = recording.n_events
+        period = n // 2
+        warmup = column_warmup(recording, period, 2)
+        repeats = (n - warmup) // period
+        info = PeriodInfo(warmup=warmup, period=period, repeats=repeats,
+                          drain=n - warmup - repeats * period,
+                          sends_per_period=2)
+        capture = periodic_capture(recording, info, 3, [0, 1], topology)
+        with pytest.raises(SteadyStateError, match="each ending in a"):
+            steady_replay(capture)
+
+    def test_non_uniform_clocks_refused(self, capture, monkeypatch):
+        replay = steady._replay_events
+
+        def skewed(events, nranks, clock, *state):
+            replay(events, nranks, clock, *state)
+            clock[-1] += 2.0**-20
+
+        monkeypatch.setattr(steady, "_replay_events", skewed)
+        with pytest.raises(SteadyStateError, match="clocks differ"):
+            steady_replay(capture)
+
+    def test_describe_an_eligible_capture(self, capture):
+        assert describe_steady(capture) \
+            == "dyadic-exact timebase (steady-eligible)"
+
+
+class TestProbeResolution:
+    """Resolving a run from its capture's two recorded iterations."""
+
+    def test_the_timebase_is_judged_on_the_whole_run(self, topology):
+        # Exact on the recording's own grid, but the run's total needs a
+        # grid coarser than the duration's 2**-40 bit.
+        body = ping_pong(compute=1.0 + 2.0**-40)
+        assert result_key(steady_replay(capture_of(topology, body, 2, 3))) \
+            == result_key(full_recording(topology, body, 2, 3).replay())
+        capture = capture_of(topology, body, 2, 2000)
+        with pytest.raises(SteadyStateError,
+                           match="not integer multiples of the dyadic "
+                                 "quantum 2\\*\\*-39"):
+            steady_replay(capture)
 
 
 class TestPlanIntegration:
@@ -313,12 +287,14 @@ class TestPlanIntegration:
         return quantized_machine.simulation_plan(deck, 2, 2)
 
     def test_steady_matches_replay_and_engine(self, plan):
-        steady = plan.run(mode="steady")
+        steady_run = plan.run(mode="steady")
         replay = plan.run(mode="replay")
         engine = plan.run(mode="engine")
-        assert result_key(steady.simulation) == result_key(replay.simulation)
-        assert result_key(steady.simulation) == result_key(engine.simulation)
-        assert steady.iterations == engine.iterations
+        assert result_key(steady_run.simulation) \
+            == result_key(replay.simulation)
+        assert result_key(steady_run.simulation) \
+            == result_key(engine.simulation)
+        assert steady_run.iterations == engine.iterations
 
     def test_counters_and_last_execution(self, plan):
         before = plan.steadies
@@ -369,88 +345,9 @@ class TestPlanIntegration:
                                                      rel=1e-4)
 
 
-# ---------------------------------------------------------------------------
-# Resolving a run from its periodic-capture probe
-# ---------------------------------------------------------------------------
-
-
-def late_receiver(iterations, lag):
-    """Rank 1 receives each of rank 0's messages ``lag`` iterations late."""
-    def program(comm):
-        for index in range(iterations):
-            yield comm.compute(2.0**-10 * (comm.rank + 1))
-            if comm.rank == 0:
-                yield comm.send(None, dest=1, tag=1, nbytes=64)
-            elif index >= lag:
-                yield comm.recv(source=0, tag=1)
-            yield comm.allreduce(1.0, op="sum")
-        return comm.rank
-    return program
-
-
-def verdict(source):
-    """The steady tier's outcome for ``source``, comparable by ``==``."""
-    try:
-        return result_key(steady_replay(source))
-    except SteadyNeedsTrace:
-        return "needs the tiled trace"
-    except SteadyStateError as exc:
-        return f"refused: {exc}"
-
-
-class TestProbeResolution:
-    @pytest.mark.parametrize("lag", [1, 2, 3, 4])
-    def test_unmatched_sends_bound_the_probe(self, topology, lag):
-        # The probe's last `lag` sends are unmatched but the run matches
-        # them: no boundary after the first of them is the probe's to
-        # read, so a lock-in that needs one defers to the tiled trace.
-        probe = record(topology, late_receiver(14, lag))
-        info = detect_period(probe)
-        tiles = 10
-        capture = periodic_capture(probe, info, tiles, [0, 1], topology)
-        # One allreduce per iteration.
-        period = probe.event_kind[info.warmup:info.warmup + info.period]
-        iterations = 14 + tiles * int(np.count_nonzero(
-            period == EV_COLLECTIVE))
-        want = verdict(record(topology, late_receiver(iterations, lag)))
-        assert verdict(tile_trace(capture)) == want
-        got = verdict(capture)
-        if lag >= 3:
-            assert got == "needs the tiled trace"
-        else:
-            assert got == want
-
-    def test_a_complete_trace_is_the_zero_tile_case(self, topology):
-        probe = record(topology, ping_pong_loop(20))
-        info = detect_period(probe)
-        capture = periodic_capture(probe, info, 3, probe._return_values,
-                                   topology)
-        assert verdict(capture) == verdict(record(topology,
-                                                  ping_pong_loop(23)))
-        assert probe.steady_replays == 1
-
-    def test_the_timebase_is_judged_on_the_whole_run(self, topology):
-        # Exact on the probe's own grid, but the run's total needs a grid
-        # coarser than the duration's 2**-40 bit.
-        probe = record(topology, ping_pong_loop(20, compute=1.0 + 2.0**-40))
-        assert verdict(probe) == result_key(probe.replay())
-        capture = periodic_capture(probe, detect_period(probe), 2000,
-                                   probe._return_values, topology)
-        want = verdict(tile_trace(capture))
-        assert want.startswith("refused: durations are not integer multiples")
-        assert verdict(capture) == want
-
-    def test_columns_that_do_not_repeat_defer(self, topology):
-        probe = record(topology, ping_pong_loop(20))
-        info = detect_period(probe)
-        capture = periodic_capture(probe, info, 3, probe._return_values,
-                                   topology)
-        probe._base[info.warmup] += 2.0**-20     # a warm-up change only
-        assert verdict(capture) == "needs the tiled trace"
-
-
 class TestPlanProbePath:
-    """``plan.run(mode="steady")`` on a periodic capture (> 6 iterations)."""
+    """``plan.run(mode="steady")`` resolves the plan's periodic capture,
+    whose ``probe`` is its two recorded iterations."""
 
     @pytest.fixture
     def calls(self, monkeypatch):
@@ -477,9 +374,8 @@ class TestPlanProbePath:
         assert plan.last_execution == "steady"
         assert isinstance(plan._capture, PeriodicCapture)
         assert calls == {"steady_replay": 1, "tile_trace": 0}
-        reference = steady_replay(
-            machine.simulation_plan(deck, 2, 2).compile_trace())
-        assert repr(run.simulation) == repr(reference)
+        reference = machine.simulation_plan(deck, 2, 2).compile_trace()
+        assert repr(run.simulation) == repr(reference.replay())
 
     def test_continuous_timebase_refuses_and_replays(self, calls):
         machine = get_machine("hypothetical-opteron-myrinet")
@@ -489,7 +385,7 @@ class TestPlanProbePath:
         assert plan.last_capture.mode == "periodic"
         assert plan.last_execution == "replay"
         assert "dyadic" in plan.last_steady_refusal
-        # The probe refused by itself; the table was tiled for the replay.
+        # The capture refused by itself; the table was tiled for the replay.
         assert calls == {"steady_replay": 1, "tile_trace": 1}
         engine = machine.simulation_plan(deck, 2, 2).run(mode="engine")
         assert repr(run.simulation) == repr(engine.simulation)
@@ -506,36 +402,59 @@ class TestPlanProbePath:
             mode="engine", noise=machine.noise_model(3))
         assert repr(run.simulation) == repr(engine.simulation)
 
-    def test_short_decks_resolve_from_the_probe(self, calls):
+    @pytest.mark.parametrize("iterations", [3, 5, 11])
+    def test_short_decks_resolve_from_the_probe(self, calls, iterations):
         machine = get_machine("steady")
-        deck = standard_deck("validation", px=2, py=2, max_iterations=11)
+        deck = standard_deck("validation", px=2, py=2,
+                             max_iterations=iterations)
         plan = machine.simulation_plan(deck, 2, 2)
         run = plan.run(mode="steady")
         assert plan.last_capture.mode == "periodic"
-        assert plan.last_capture.tiles == 5
+        assert plan.last_capture.tiles == iterations - 2
         assert isinstance(plan._capture, PeriodicCapture)
         assert plan.last_execution == "steady"
         assert calls == {"steady_replay": 1, "tile_trace": 0}
         engine = machine.simulation_plan(deck, 2, 2).run(mode="engine")
         assert repr(run.simulation) == repr(engine.simulation)
 
-    def test_lockin_beyond_the_probe_falls_back_to_tiling(self, calls,
-                                                          monkeypatch):
+    def test_steady_after_a_replay_resolves_from_the_capture(self, calls):
         machine = get_machine("steady")
         deck = standard_deck("validation", px=2, py=2, max_iterations=24)
-        reference = machine.simulation_plan(deck, 2, 2)
-        # The 6-iteration probe holds 5 boundaries; a lock-in run of 6
-        # transitions needs more.
-        monkeypatch.setattr(steady, "_LOCKIN_RUN", 6)
         plan = machine.simulation_plan(deck, 2, 2)
-        run = plan.run(mode="steady")
+        replayed = plan.run(mode="replay")
+        table = plan.compile_trace()
+        capture = plan._held_capture()
+        assert isinstance(capture, PeriodicCapture)
+        # The recording now reads the table's first rows.
+        for name in ("event_kind", "event_slot", "_base", "_send_rank_arr"):
+            assert np.shares_memory(getattr(capture.probe, name),
+                                    getattr(table, name))
+        steady_run = plan.run(mode="steady")
         assert plan.last_execution == "steady"
-        assert calls == {"steady_replay": 2, "tile_trace": 1}
+        assert calls == {"steady_replay": 1, "tile_trace": 1}
+        assert repr(steady_run.simulation) == repr(replayed.simulation)
+
+    def test_a_refused_tiling_leaves_a_full_recording(self, monkeypatch):
+        def refuse(capture):
+            raise TraceError("periodic capture refused: forced")
+
+        monkeypatch.setattr(driver, "tile_trace", refuse)
+        machine = get_machine("steady")
+        deck = standard_deck("validation", px=2, py=2, max_iterations=24)
+        plan = machine.simulation_plan(deck, 2, 2)
+        replayed = plan.run(mode="replay")
+        assert plan.last_capture.mode == "full"
         assert isinstance(plan._capture, CompiledTrace)
-        assert repr(run.simulation) == repr(
-            steady_replay(reference.compile_trace()))
-        assert repr(run.simulation) == repr(
-            reference.compile_trace().replay())
+        steady_run = plan.run(mode="steady")
+        assert plan.last_execution == "replay"
+        assert "recorded in full" in plan.last_steady_refusal
+        assert repr(steady_run.simulation) == repr(replayed.simulation)
+
+
+def rendezvous_deck(px, py, iterations):
+    """200x200x100 cells per rank: every face message is rendez-vous."""
+    return Sweep3DInput(it=200 * px, jt=200 * py, kt=100, mk=10, mmi=3,
+                        sn=6, max_iterations=iterations)
 
 
 def _matrix_deck(kind, px, py, iterations):
@@ -551,7 +470,7 @@ def _matrix():
     cases = []
     for preset in ("steady", "pentium3-myrinet"):
         for grid in ((1, 1), (2, 3), (4, 4), (8, 8)):
-            for iterations in (12, 30, 100):
+            for iterations in (3, 4, 5, 12, 30, 100):
                 for deck in ("validation", "rendezvous"):
                     pes = grid[0] * grid[1]
                     if pes == 64 and (preset, iterations, deck) \
@@ -566,26 +485,28 @@ def _matrix():
     return cases
 
 
+def expected_tier(preset, iterations):
+    """Noise-free, the steady tier takes every run of three or more
+    iterations on the dyadic preset; the continuous one replays."""
+    return "steady" if preset == "steady" and iterations >= 3 else "replay"
+
+
 @pytest.mark.parametrize(
     "preset, grid, iterations, deck_kind", _matrix(),
     ids=lambda value: (f"{value[0]}x{value[1]}" if isinstance(value, tuple)
                        else str(value)))
 def test_probe_resolution_matches_the_tiled_trace(preset, grid, iterations,
                                                   deck_kind):
-    """A fresh plan's steady run has the tier and bits of
-    ``steady_replay(compile_trace())`` on a second plan (and of the
-    engine, up to 4x4 ranks and 30 iterations)."""
+    """A fresh plan's steady run lands on the expected tier with the bits
+    of a second plan's ``compile_trace().replay()`` (and of the engine, up
+    to 4x4 ranks and 30 iterations)."""
     machine = get_machine(preset)
     px, py = grid
     deck = _matrix_deck(deck_kind, px, py, iterations)
     plan = machine.simulation_plan(deck, px, py)
     run = plan.run(mode="steady")
-    trace = machine.simulation_plan(deck, px, py).compile_trace()
-    try:
-        tier, reference = "steady", steady_replay(trace)
-    except SteadyStateError:
-        tier, reference = "replay", trace.replay()
-    assert plan.last_execution == tier
+    assert plan.last_execution == expected_tier(preset, iterations)
+    reference = machine.simulation_plan(deck, px, py).compile_trace().replay()
     assert repr(run.simulation) == repr(reference)
     if px * py <= 16 and iterations <= 30:
         engine = machine.simulation_plan(deck, px, py).run(mode="engine")
@@ -599,14 +520,15 @@ def test_probe_resolution_matches_the_tiled_trace(preset, grid, iterations,
 def test_tier_matrix_with_a_trace_cache(preset, grid, iterations, deck_kind,
                                         tmp_path):
     """With a trace cache attached, a cold and a warm plan resolve the run
-    on the uncached plan's tier with its bits, noise-free and noisy."""
+    on the expected tier with the bits of an uncached plan's replay,
+    noise-free and noisy."""
     machine = get_machine(preset)
     px, py = grid
     deck = _matrix_deck(deck_kind, px, py, iterations)
     noise = machine.noise_model(2)
     uncached = machine.simulation_plan(deck, px, py)
-    want = (repr(uncached.run(mode="steady").simulation),
-            uncached.last_execution,
+    want = (repr(uncached.run(mode="replay").simulation),
+            expected_tier(preset, iterations),
             repr(uncached.run(mode="replay", noise=noise).simulation))
     mode = uncached.last_capture.mode
     for cold in (True, False):

@@ -313,11 +313,15 @@ class TestFastPathsBuildNoMirror:
     noise-free replay read the numpy columns."""
 
     @pytest.fixture
-    def trace(self):
+    def plan(self):
         machine = get_machine("steady")
         deck = Sweep3DInput(it=10, jt=10, kt=8, mk=4, mmi=3, sn=6,
                             max_iterations=20)
-        return machine.simulation_plan(deck, 2, 2).compile_trace()
+        return machine.simulation_plan(deck, 2, 2)
+
+    @pytest.fixture
+    def trace(self, plan):
+        return plan.compile_trace()
 
     @staticmethod
     def assert_no_mirror(trace):
@@ -330,9 +334,11 @@ class TestFastPathsBuildNoMirror:
         trace.replay_batch([1, 2], NoiseModel(seed=1))
         self.assert_no_mirror(trace)
 
-    def test_steady_replay(self, trace):
-        steady_replay(trace)
-        assert trace.steady_replays == 1
+    def test_steady_replay(self, plan, trace):
+        capture = plan._held_capture()
+        steady_replay(capture)
+        assert capture.probe.steady_replays == 1
+        self.assert_no_mirror(capture.probe)
         self.assert_no_mirror(trace)
 
     def test_noisy_and_first_noise_free_replays(self, trace):

@@ -158,9 +158,9 @@ def format_2_payload(key, trace):
          trace._return_values, _layout(trace))), trace)
 
 
-def format_3_payload(key, capture):
-    """A format-3 entry joined in memory, as puts wrote it before they
-    streamed the columns."""
+def joined_payload(key, capture, version=4):
+    """An entry of format ``version`` (3 or 4, whose layouts agree) joined
+    in memory, as puts wrote it before they streamed the columns."""
     trace, periodic = capture, None
     if isinstance(capture, PeriodicCapture):
         trace = capture.probe
@@ -169,7 +169,7 @@ def format_3_payload(key, capture):
                     capture.bytes_received, capture.traffic,
                     capture.return_values)
     return _joined(pickle.dumps(
-        (3, key, trace.nranks, trace._messages_sent, trace._bytes_sent,
+        (version, key, trace.nranks, trace._messages_sent, trace._bytes_sent,
          trace._messages_received, trace._bytes_received, trace._traffic,
          trace._return_values, _layout(trace), periodic),
         protocol=pickle.HIGHEST_PROTOCOL), trace)
@@ -212,7 +212,8 @@ def test_periodic_capture_roundtrip(tmp_path, periodic_parts):
                               getattr(capture.probe, column))
     assert repr(tile_trace(loaded).replay()) \
         == repr(tile_trace(capture).replay())
-    # The entry is the probe, not the table.
+    # The entry is the two recorded iterations, not the table.
+    assert capture.probe.n_events == 2 * capture.info.period
     assert cache.total_bytes() < tile_trace(capture).nbytes
 
 
@@ -226,7 +227,7 @@ def _assert_same_table(got, want):
 
 
 def test_seven_iteration_periodic_entry_roundtrip(tmp_path, machine):
-    # The shortest run a probe stands for: six iterations and one tile.
+    # Two recorded iterations and five tiles.
     deck = Sweep3DInput(it=10, jt=10, kt=8, mk=4, mmi=3, sn=6,
                         max_iterations=7)
     plans = [SimulationPlan(deck, 2, 2, machine.topology,
@@ -235,7 +236,7 @@ def test_seven_iteration_periodic_entry_roundtrip(tmp_path, machine):
              for _ in range(2)]
     stored = plans[0]._held_capture()
     assert plans[0].last_capture.mode == "periodic"
-    assert isinstance(stored, PeriodicCapture) and stored.tiles == 1
+    assert isinstance(stored, PeriodicCapture) and stored.tiles == 5
     loaded = plans[1]._held_capture()
     assert plans[1].last_capture.mode == "cache"
     assert isinstance(loaded, PeriodicCapture)
@@ -245,31 +246,50 @@ def test_seven_iteration_periodic_entry_roundtrip(tmp_path, machine):
     _assert_same_table(plans[1].compile_trace(), plans[1]._record_trace())
 
 
-def test_a_full_table_entry_of_a_ten_iteration_run_is_a_hit(tmp_path,
-                                                            machine):
-    # Runs under 12 iterations used to be recorded in full, and their
-    # entries hold the table; they stay valid under the same key.
+@pytest.mark.parametrize("periodic", [True, False])
+def test_format_3_entry_is_a_miss(tmp_path, machine, periodic):
+    # An entry marked format 3 is a miss whatever it holds (that format
+    # stored a six-iteration probe or a full table); the plan captures
+    # the run anew and stores format 4.
     deck = Sweep3DInput(it=10, jt=10, kt=8, mk=4, mmi=3, sn=6,
                         max_iterations=10)
     plan = SimulationPlan(deck, 2, 2, machine.topology,
                           processor=machine.processor,
                           trace_cache=TraceDiskCache(tmp_path))
-    table = plan._record_trace()
+    old = SimulationPlan(deck, 2, 2, machine.topology,
+                         processor=machine.processor)
     key = plan.trace_fingerprint()
-    payload = format_3_payload(key, table)
+    payload = joined_payload(
+        key, old._held_capture() if periodic else old._record_trace(),
+        version=3)
     write_atomic(plan.trace_cache._entry_path(key), _checksum(payload),
                  payload)
     run = plan.run(mode="steady")
-    assert plan.last_capture.mode == "cache"
-    assert isinstance(plan._capture, CompiledTrace)
-    _assert_same_table(plan._capture, table)
-    fresh = SimulationPlan(deck, 2, 2, machine.topology,
-                           processor=machine.processor)
-    assert repr(run.simulation) == repr(fresh.run(mode="steady").simulation)
-    assert fresh.last_capture.mode == "periodic"
+    assert plan.last_capture.mode == "periodic"
+    assert plan.last_execution == "steady"
+    assert plan.trace_cache.stats_snapshot().misses == 1
+    assert isinstance(TraceDiskCache(tmp_path).get(key), PeriodicCapture)
+    assert repr(run.simulation) == repr(old.compile_trace().replay())
 
 
-def test_truncated_format_3_entry_is_a_miss(tmp_path, periodic_parts):
+def test_a_full_recording_entry_is_a_hit(tmp_path, machine):
+    # A run recorded in full is stored as its table and served from it;
+    # the steady tier refuses it and the plan replays.
+    deck = Sweep3DInput(it=10, jt=10, kt=8, mk=4, mmi=3, sn=6,
+                        max_iterations=2)
+    plans = [SimulationPlan(deck, 2, 2, machine.topology,
+                            processor=machine.processor,
+                            trace_cache=TraceDiskCache(tmp_path))
+             for _ in range(2)]
+    runs = [plan.run(mode="steady") for plan in plans]
+    assert [plan.last_capture.mode for plan in plans] == ["full", "cache"]
+    assert isinstance(plans[1]._capture, CompiledTrace)
+    _assert_same_table(plans[1]._capture, plans[0]._capture)
+    assert [plan.last_execution for plan in plans] == ["replay", "replay"]
+    assert repr(runs[0].simulation) == repr(runs[1].simulation)
+
+
+def test_truncated_entry_is_a_miss(tmp_path, periodic_parts):
     plan, capture = periodic_parts
     cache = TraceDiskCache(tmp_path)
     key = plan.trace_fingerprint()
@@ -287,8 +307,8 @@ def test_truncated_format_3_entry_is_a_miss(tmp_path, periodic_parts):
 
 def test_streamed_entries_equal_the_joined_encoding(tmp_path, plan_parts,
                                                     periodic_parts):
-    # A run's table and a periodic capture's probe, each put from its
-    # columns, write the bytes the joined payload framed.
+    # A run's table and a periodic capture's recording, each put from its
+    # columns, write the bytes the joined format-4 payload framed.
     full = SimulationPlan(
         Sweep3DInput(it=10, jt=10, kt=8, mk=4, mmi=3, sn=6,
                      max_iterations=3), 2, 3, plan_parts[0].topology,
@@ -297,6 +317,6 @@ def test_streamed_entries_equal_the_joined_encoding(tmp_path, plan_parts,
         cache = TraceDiskCache(tmp_path / str(plan.nranks))
         key = plan.trace_fingerprint()
         cache.put(key, capture)
-        payload = format_3_payload(key, capture)
+        payload = joined_payload(key, capture)
         assert cache._entry_path(key).read_bytes() \
             == _checksum(payload) + payload

@@ -199,8 +199,17 @@ class TestSteadySimulateCli:
                      "--py", "2", "--iterations", "12",
                      "--describe-trace"]) == 0
         out = capsys.readouterr().out
-        assert "2x2:" in out
+        assert "2x2: capture: periodic, recorded 2 of 12 iteration(s)" in out
+        assert "warm-up 3 + period 974 + drain 971 event(s)" in out
         assert "steady-eligible" in out
+
+    def test_describe_trace_reports_the_refusal(self, capsys):
+        assert main(["simulate", "--machine", "hypothetical-opteron-myrinet",
+                     "--px", "2", "--py", "2", "--iterations", "12",
+                     "--describe-trace"]) == 0
+        out = capsys.readouterr().out
+        assert "2x2: steady refuses: durations are not integer multiples" \
+            in out
 
     def test_describe_trace_needs_simulate_backend(self, capsys):
         assert main(["simulate", "--machine", "steady", "--px", "2",
