@@ -221,7 +221,8 @@ def _build_parser() -> argparse.ArgumentParser:
 
     cmd = sub.add_parser(
         "cache",
-        help="inspect or prune a sweep cache directory (incl. its trace cache)")
+        help="inspect or prune a sweep cache directory (incl. its trace and "
+             "hardware stores)")
     cache_sub = cmd.add_subparsers(dest="cache_command", required=True)
     for cache_name, cache_help in (("stats", "entry count and on-disk size"),
                                    ("prune", "evict stale/excess entries")):
@@ -686,19 +687,22 @@ def _cmd_studies(args: argparse.Namespace) -> int:
 
 
 def _cmd_cache(args: argparse.Namespace) -> int:
-    from repro.experiments.diskcache import SweepDiskCache
+    from repro.experiments.diskcache import HardwareStore, SweepDiskCache
     from repro.simmpi.tracecache import TraceDiskCache
     cache = SweepDiskCache(args.cache_dir)
     # The sweep layer keeps its compiled-trace cache in a `traces/`
-    # subdirectory of the sweep cache; both tiers are reported/pruned
-    # together so one command covers everything the directory holds.
-    trace_cache = TraceDiskCache(cache.path / "traces")
+    # subdirectory of the sweep cache and the machines' campaign results
+    # in `hardware/`; every tier is reported/pruned together so one
+    # command covers everything the directory holds.
+    stores = (("trace", "traces", TraceDiskCache(cache.path / "traces")),
+              ("hardware", "hardware", HardwareStore(cache.path / "hardware")))
     if args.cache_command == "stats":
         print(f"cache directory: {cache.path}")
         print(f"entries: {len(cache)}")
         print(f"total bytes: {cache.total_bytes()}")
-        print(f"trace entries: {len(trace_cache)}")
-        print(f"trace total bytes: {trace_cache.total_bytes()}")
+        for label, _, store in stores:
+            print(f"{label} entries: {len(store)}")
+            print(f"{label} total bytes: {store.total_bytes()}")
         return 0
     if args.max_entries is None and args.max_age_s is None:
         print("cache prune: give --max-entries and/or --max-age-s")
@@ -706,9 +710,10 @@ def _cmd_cache(args: argparse.Namespace) -> int:
     result = cache.prune(max_entries=args.max_entries,
                          max_age_s=args.max_age_s)
     print(result.describe())
-    trace_result = trace_cache.prune(max_entries=args.max_entries,
-                                     max_age_s=args.max_age_s)
-    print(f"traces: {trace_result.describe()}")
+    for _, name, store in stores:
+        pruned = store.prune(max_entries=args.max_entries,
+                             max_age_s=args.max_age_s)
+        print(f"{name}: {pruned.describe()}")
     return 0
 
 

@@ -183,7 +183,14 @@ def parse_hmcl(text: str) -> HardwareModel:
 
 
 def format_hmcl(model: HardwareModel) -> str:
-    """Serialise a :class:`HardwareModel` back into HMCL text (round-trips)."""
+    """Render a :class:`HardwareModel` as HMCL text for reading.
+
+    Costs are printed in microseconds and every value to six significant
+    digits (``.6g``), so parsing the text back gives the structure and
+    approximately the values, not the model bit for bit.
+    The exact, persisted form of a machine's campaign results is the
+    pickled :class:`~repro.experiments.diskcache.HardwareStore` entry.
+    """
     lines = [f"hardware {model.name} {{"]
     lines.append("    meta {")
     if model.description:

@@ -18,7 +18,8 @@ from typing import TYPE_CHECKING
 from repro import units
 from repro.core.workload import SweepWorkload
 from repro.experiments.paper_data import PAPER_TABLES
-from repro.experiments.runner import deck_for_row
+from repro.experiments.runner import (ValidationRowResult, deck_for_row,
+                                     measure_rows)
 from repro.experiments.sweep import Scenario
 from repro.machines.machine import Machine
 from repro.machines.presets import get_machine
@@ -84,18 +85,24 @@ def _run_opcode_ablation_impl(context: StudyContext,
     variables = workload.model_variables()
     coarse_outcome, legacy_outcome = context.prediction_runner().run([
         Scenario(label="coarse", variables=variables,
-                 hardware=machine.hardware_model(deck, row.px, row.py,
+                 hardware=context.hardware_model(machine, deck, row.px, row.py,
                                                  legacy_cpu=False)),
         Scenario(label="legacy", variables=variables,
-                 hardware=machine.hardware_model(deck, row.px, row.py,
+                 hardware=context.hardware_model(machine, deck, row.px, row.py,
                                                  legacy_cpu=True)),
     ])
     coarse = coarse_outcome.total_time
     legacy = legacy_outcome.total_time
 
     if simulate_measurement:
-        measured = machine.simulate(deck, row.px, row.py, numeric=False,
-                                    seed_offset=row.pes).elapsed_time
+        # The table studies' measurement grid, so a warm run (or a table
+        # run first) serves the row from the sweep cache.
+        [measured_row] = measure_rows(
+            machine, [ValidationRowResult(data_size=row.data_size,
+                                          pes=row.pes, px=row.px, py=row.py,
+                                          predicted=coarse, paper_row=row)],
+            context, max_iterations=max_iterations)
+        measured = measured_row.measured
     else:
         # Scale the paper's measurement to the requested iteration count.
         measured = row.measured * max_iterations / 12.0

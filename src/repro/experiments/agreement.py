@@ -76,7 +76,7 @@ def _run_model_agreement_impl(context: StudyContext,
                             mk=study.mk, mmi=study.mmi, sn=6, max_iterations=12,
                             label=study.name)
         workload = SweepWorkload(deck, cart.px, cart.py)
-        hardware = machine.hardware_model(deck, cart.px, cart.py,
+        hardware = context.hardware_model(machine, deck, cart.px, cart.py,
                                           flop_rate_override=rate)
         workloads.append((workload, hardware))
         sweep.add(Scenario(label=f"{nranks} processors",

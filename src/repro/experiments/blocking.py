@@ -149,7 +149,7 @@ def _run_blocking_impl(context: StudyContext,
     base_deck = Sweep3DInput(it=nx * px, jt=ny * py, kt=nz, mk=10, mmi=3,
                              sn=6, max_iterations=max_iterations,
                              label="blocking-study")
-    hardware = machine.hardware_model(base_deck, px, py)
+    hardware = context.hardware_model(machine, base_deck, px, py)
     sweep = blocking_sweep(px, py, cells_per_processor, mk_values, mmi_values,
                            max_iterations)
     if not len(sweep):

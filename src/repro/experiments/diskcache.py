@@ -20,7 +20,8 @@ The concurrency and accounting discipline (atomic temp-file +
 ``prune`` bounding) lives in the shared :class:`repro.diskio.DirectoryStore`
 base — the compiled-trace cache (:mod:`repro.simmpi.tracecache`) builds on
 the same machinery with a raw-column codec.  This module only binds the pickle
-codec and the sweep-result entry format.
+codec, the sweep-result entry format and the hardware campaign store
+(:class:`HardwareStore`).
 
 Long-lived stores are bounded with :meth:`SweepDiskCache.prune`
 (``max_entries`` / ``max_age_s`` eviction, oldest stores first), exposed
@@ -36,19 +37,38 @@ delta-based accounting.
 from __future__ import annotations
 
 import pickle
-from typing import Any
+from typing import Any, Callable
 
 from repro.diskio import (DirectoryStore, DiskCacheStats, PruneResult,
                           fingerprint_digest)
+from repro.experiments.backends import machine_fingerprint
 
-__all__ = ["SweepDiskCache", "DiskCacheStats", "PruneResult",
+__all__ = ["SweepDiskCache", "HardwareStore", "DiskCacheStats", "PruneResult",
            "fingerprint_digest"]
 
-#: Format marker stored with every entry; bump to invalidate old caches.
-_CACHE_VERSION = 2
+
+class _PickleStore(DirectoryStore):
+    """A directory store of pickled ``(version, key, value)`` entries."""
+
+    suffix = ".pkl"
+    _decode_errors = (pickle.PickleError, EOFError, AttributeError,
+                      ImportError)
+    #: Format marker stored with every entry; bump to invalidate old entries.
+    version: int
+
+    def _encode(self, key: tuple, value: Any) -> tuple[bytes]:
+        return (pickle.dumps((self.version, key, value),
+                             protocol=pickle.HIGHEST_PROTOCOL),)
+
+    def _decode(self, data: bytearray, key: tuple) -> Any:
+        version, stored_key, result = pickle.loads(data)
+        if version != self.version or stored_key != key:
+            # Format change or (astronomically unlikely) digest collision.
+            raise ValueError(f"stale or foreign {type(self).__name__} entry")
+        return result
 
 
-class SweepDiskCache(DirectoryStore):
+class SweepDiskCache(_PickleStore):
     """A directory of pickled scenario results keyed by fingerprint digest.
 
     Parameters
@@ -59,17 +79,34 @@ class SweepDiskCache(DirectoryStore):
         directory concurrently.
     """
 
-    suffix = ".pkl"
-    _decode_errors = (pickle.PickleError, EOFError, AttributeError,
-                      ImportError)
+    version = 2
 
-    def _encode(self, key: tuple, value: Any) -> tuple[bytes]:
-        return (pickle.dumps((_CACHE_VERSION, key, value),
-                             protocol=pickle.HIGHEST_PROTOCOL),)
 
-    def _decode(self, data: bytearray, key: tuple) -> Any:
-        version, stored_key, result = pickle.loads(data)
-        if version != _CACHE_VERSION or stored_key != key:
-            # Format change or (astronomically unlikely) digest collision.
-            raise ValueError("stale or foreign sweep-cache entry")
+class HardwareStore(_PickleStore):
+    """Each machine's benchmark-campaign results, kept across processes.
+
+    PACE builds a machine's HMCL object once from its benchmark campaigns
+    and every later evaluation reads it.  This store keeps the two
+    campaign results a :class:`~repro.machines.machine.Machine` memoises
+    in-process: the fitted :class:`~repro.core.hmcl.model.MpiCostModel`
+    and the profiled :class:`~repro.profiling.papi.FlopProfile`.  Values
+    are pickled, so every float reads back exactly.  An entry's key is the
+    machine's :func:`~repro.experiments.backends.machine_fingerprint` plus
+    the campaign's own key, which names everything the campaign reads
+    beyond the machine (``("mpi", inter_node)``, ``("flop-profile", nx,
+    ny, kt, sn)``).  The study layer keeps one beside each sweep cache
+    (``<cache_dir>/hardware``).  Bump :attr:`version` when a campaign's
+    code changes what it returns.
+    """
+
+    version = 1
+
+    def fetch(self, machine, campaign: tuple, run: Callable[[], Any]) -> Any:
+        """The stored result of ``machine``'s ``campaign``, else ``run()``'s
+        (then stored)."""
+        key = (machine_fingerprint(machine), campaign)
+        result = self.get(key)
+        if result is None:
+            result = run()
+            self.put(key, result)
         return result

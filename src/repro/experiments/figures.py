@@ -76,7 +76,8 @@ def _deck_for_processors(study: SpeculativeStudy, nranks: int) -> tuple[Sweep3DI
 
 def speculative_sweep(study: SpeculativeStudy, machine: Machine,
                       processor_counts: list[int],
-                      rate_factors: list[float]) -> ScenarioSweep:
+                      rate_factors: list[float],
+                      context: StudyContext) -> ScenarioSweep:
     """Declare the (rate factor x processor count) grid of one figure.
 
     One hardware model per rate factor (the communication parameters are
@@ -87,7 +88,7 @@ def speculative_sweep(study: SpeculativeStudy, machine: Machine,
     reference_deck, px0, py0 = _deck_for_processors(study, processor_counts[0])
     for factor in rate_factors:
         rate = study.flop_rate_mflops * units.MFLOPS * factor
-        hardware = machine.hardware_model(reference_deck, px0, py0,
+        hardware = context.hardware_model(machine, reference_deck, px0, py0,
                                           flop_rate_override=rate)
         for nranks in processor_counts:
             deck, px, py = _deck_for_processors(study, nranks)
@@ -123,7 +124,7 @@ def _run_speculative_figure_impl(study: SpeculativeStudy,
         raise ExperimentError("speculative figure needs processor counts and rate factors")
 
     outcomes = context.prediction_runner().run(
-        speculative_sweep(study, machine, counts, factors))
+        speculative_sweep(study, machine, counts, factors, context))
 
     result = FigureResult(study=study, machine_name=machine.name)
     series_by_factor: dict[float, FigureSeries] = {}

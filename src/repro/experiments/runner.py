@@ -144,7 +144,8 @@ def predict_rows(machine: Machine, rows: Sequence[PaperValidationRow],
     if not rows:
         return []
     first_deck = deck_for_row(rows[0], max_iterations=max_iterations)
-    hardware = machine.hardware_model(first_deck, rows[0].px, rows[0].py)
+    hardware = context.hardware_model(machine, first_deck, rows[0].px,
+                                      rows[0].py)
     sweep = ScenarioSweep([scenario_for_row(row, max_iterations=max_iterations)
                            for row in rows])
     outcomes = context.prediction_runner(hardware=hardware).run(sweep)

@@ -113,6 +113,6 @@ def _run_scaling_impl(context: StudyContext,
     if not counts:
         raise ExperimentError("scaling study needs at least one processor count")
     outcomes = context.prediction_runner().run(
-        speculative_sweep(study, machine, counts, [rate_factor]))
+        speculative_sweep(study, machine, counts, [rate_factor], context))
     return analyze_series(counts, [outcome.total_time for outcome in outcomes],
                           label=f"{study.name} x{rate_factor:g} on {machine.name}")

@@ -53,6 +53,7 @@ from repro.experiments.backends import (
 )
 from repro.experiments.diskcache import (
     DiskCacheStats,
+    HardwareStore,
     SweepDiskCache,
     fingerprint_digest,
 )
@@ -456,7 +457,10 @@ class StudyContext:
       (:meth:`model` / :meth:`compiled_model`);
     * machine presets are instantiated once (:meth:`machine`);
     * one :class:`~repro.experiments.diskcache.SweepDiskCache` per
-      directory serves every sweep (:meth:`cache_for`, :attr:`cache`).
+      directory serves every sweep (:meth:`cache_for`, :attr:`cache`);
+    * the machines' benchmark campaigns are read from the
+      :class:`~repro.experiments.diskcache.HardwareStore` beside that
+      cache before any of them runs (:meth:`hardware_model`).
 
     It holds no OS resource.  It is not safe under concurrent studies:
     :class:`StudyRunner` binds :attr:`cache` for the duration of each one.
@@ -499,6 +503,20 @@ class StudyContext:
         if key not in self._caches:
             self._caches[key] = SweepDiskCache(key)
         return self._caches[key]
+
+    def hardware_model(self, machine, deck, px: int, py: int,
+                       **options) -> HardwareModel:
+        """``machine.hardware_model(deck, px, py, **options)``, its
+        campaign results served from and kept in the hardware store
+        beside the current sweep cache (``<cache_dir>/hardware``).
+
+        Every study executor builds its hardware objects here, so a warm
+        run reads each machine's campaigns instead of refitting them.
+        Without a sweep cache the machine runs its campaigns as before.
+        """
+        store = (HardwareStore(self.cache.path / "hardware")
+                 if self.cache is not None else None)
+        return machine.hardware_model(deck, px, py, store=store, **options)
 
     # -- runner factories ----------------------------------------------------
 

@@ -12,8 +12,10 @@ every experiment module; this module centralises it.
 * :class:`ScenarioSweep` — a declarative collection of scenarios.
 * :class:`SweepRunner` — executes an iterable of scenarios through a
   scenario **backend** instance (:mod:`repro.experiments.backends`).  The
-  backend is compiled **once** per runner — for the prediction backend
-  that means one :class:`~repro.core.evaluation.compiler.CompiledModel`
+  backend is compiled **once** per runner, when the first scenario
+  misses the disk cache (a fully warm run compiles nothing) — for the
+  prediction backend that means one
+  :class:`~repro.core.evaluation.compiler.CompiledModel`
   shared by every point, with one executor per distinct hardware
   fingerprint; for the simulation backend one reusable simulation plan
   per (deck, px, py) plus a sweep-wide compute cost table.  Scenarios
@@ -101,23 +103,6 @@ class ScenarioSweep:
         self.scenarios.append(scenario)
 
 
-def _cached_evaluate(backend: Backend, executor, cache: SweepDiskCache | None,
-                     scenario: Scenario) -> tuple[Any, bool]:
-    """Evaluate one scenario, serving/warming the disk cache when present.
-
-    Returns ``(result, computed)``; ``computed`` is False for a disk hit.
-    """
-    if cache is None:
-        return executor.evaluate(scenario), True
-    key = backend.fingerprint(scenario)
-    cached = cache.get(key)
-    if cached is not None:
-        return cached, False
-    result = executor.evaluate(scenario)
-    cache.put(key, result)
-    return result, True
-
-
 class SweepRunner:
     """Evaluates scenario sweeps through a scenario backend.
 
@@ -140,14 +125,8 @@ class SweepRunner:
         if cache is not None and not isinstance(cache, SweepDiskCache):
             cache = SweepDiskCache(cache)
         self.cache: SweepDiskCache | None = cache
-        if (cache is not None and getattr(backend, "trace_cache", "") is None):
-            # A cached simulation sweep gets the persistent trace cache
-            # for free, under the sweep cache's own directory: compiled
-            # traces then survive across runs and processes just like
-            # scenario results do.
-            from repro.simmpi.tracecache import TraceDiskCache
-
-            backend.trace_cache = TraceDiskCache(cache.path / "traces")
+        #: The compiled backend, built by the first scenario the disk cache
+        #: cannot serve: a fully warm run compiles nothing.
         self._executor = None
         #: Cache accounting of the most recent :meth:`run` call.
         self.stats = CacheStats()
@@ -176,15 +155,13 @@ class SweepRunner:
             self.stats = CacheStats()
             self.disk_stats = DiskCacheStats()
             return []
-        if self._executor is None:
-            self._executor = self.backend.compile()
-        executor = self._executor
-        stats_before = executor.collect_stats()
+        stats_before = (self._executor.collect_stats()
+                        if self._executor is not None else CacheStats())
         disk_before = (self.cache.stats_snapshot() if self.cache is not None
                        else DiskCacheStats())
-        evaluated = [_cached_evaluate(self.backend, executor, self.cache, scenario)
-                     for scenario in points]
-        self.stats = executor.collect_stats().since(stats_before)
+        evaluated = [self._cached_evaluate(scenario) for scenario in points]
+        self.stats = (self._executor.collect_stats().since(stats_before)
+                      if self._executor is not None else CacheStats())
         if self.cache is not None:
             after = self.cache.stats_snapshot()
             self.disk_stats = DiskCacheStats(
@@ -196,6 +173,38 @@ class SweepRunner:
         self._tally_execution(evaluated)
         return [SweepOutcome(scenario=scenario, result=result)
                 for scenario, (result, _) in zip(points, evaluated)]
+
+    def _cached_evaluate(self, scenario: Scenario) -> tuple[Any, bool]:
+        """Evaluate one scenario, serving/warming the disk cache when present.
+
+        Returns ``(result, computed)``; ``computed`` is False for a disk hit.
+        """
+        cache = self.cache
+        if cache is None:
+            return self._compiled().evaluate(scenario), True
+        key = self.backend.fingerprint(scenario)
+        cached = cache.get(key)
+        if cached is not None:
+            return cached, False
+        result = self._compiled().evaluate(scenario)
+        cache.put(key, result)
+        return result, True
+
+    def _compiled(self):
+        """The backend's executor, compiled on first use."""
+        if self._executor is None:
+            backend = self.backend
+            if (self.cache is not None
+                    and getattr(backend, "trace_cache", "") is None):
+                # A cached simulation sweep gets the persistent trace
+                # cache for free, under the sweep cache's own directory:
+                # compiled traces then survive across runs and processes
+                # just like scenario results do.
+                from repro.simmpi.tracecache import TraceDiskCache
+
+                backend.trace_cache = TraceDiskCache(self.cache.path / "traces")
+            self._executor = backend.compile()
+        return self._executor
 
     def _tally_execution(self, evaluated: Iterable[tuple[Any, bool]]) -> None:
         for result, computed in evaluated:

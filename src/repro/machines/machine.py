@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 from dataclasses import dataclass, field, fields, replace
-from typing import TYPE_CHECKING
+from typing import TYPE_CHECKING, Any, Callable
 
 from repro import units
 from repro.core.hmcl.model import CpuCostModel, HardwareModel, MpiCostModel
@@ -13,6 +13,7 @@ from repro.simproc.processor import ProcessorModel, QuantizedProcessor
 from repro.sweep3d.input import Sweep3DInput
 
 if TYPE_CHECKING:
+    from repro.experiments.diskcache import HardwareStore
     from repro.profiling.papi import FlopProfile
     from repro.simnet.noise import NoiseModel
     from repro.sweep3d.driver import SimulationPlan, Sweep3DRunResult
@@ -61,9 +62,9 @@ class Machine:
     daemon_interval: float = 0.06
     daemon_duration: float = 1.2e-3
 
-    _benchmark_cache: dict[bool, MpiCostModel] = field(default_factory=dict, repr=False)
-    _profile_cache: dict[tuple[int, int, int], FlopProfile] = field(default_factory=dict,
-                                                                    repr=False)
+    #: Hardware-layer campaign results, keyed by campaign (see
+    #: :meth:`_campaign`).
+    _campaigns: dict[tuple, Any] = field(default_factory=dict, repr=False)
     #: Plans memoised by :meth:`simulate`, so repeated calls for one
     #: configuration reuse the plan (and, on the replay tiers, its
     #: compiled trace) instead of rebuilding it per call.
@@ -73,33 +74,56 @@ class Machine:
     # Hardware-layer measurement campaigns
     # ------------------------------------------------------------------
 
-    def profile_flop_rate(self, deck: Sweep3DInput, px: int, py: int) -> FlopProfile:
-        """Profile the achieved flop rate for the per-processor sub-domain."""
-        from repro.profiling.papi import FlopProfiler
+    def profile_flop_rate(self, deck: Sweep3DInput, px: int, py: int,
+                          store: HardwareStore | None = None) -> FlopProfile:
+        """Profile the achieved flop rate for the per-processor sub-domain.
 
+        The profile reads the sub-domain's ``nx x ny x kt`` cells and the
+        quadrature's angle count, so those (``sn`` for the angles) key it.
+        """
         nx, ny = -(-deck.it // px), -(-deck.jt // py)
-        key = (nx, ny, deck.kt)
-        if key not in self._profile_cache:
-            self._profile_cache[key] = FlopProfiler(self.processor).profile(
-                deck, nx=nx, ny=ny)
-        return self._profile_cache[key]
 
-    def mpi_cost_model(self, inter_node: bool = True) -> MpiCostModel:
+        def profile() -> FlopProfile:
+            from repro.profiling.papi import FlopProfiler
+
+            return FlopProfiler(self.processor).profile(deck, nx=nx, ny=ny)
+
+        return self._campaign(("flop-profile", nx, ny, deck.kt, deck.sn),
+                              profile, store)
+
+    def mpi_cost_model(self, inter_node: bool = True,
+                       store: HardwareStore | None = None) -> MpiCostModel:
         """Fit the A-E communication parameters from simulated micro-benchmarks."""
-        if inter_node not in self._benchmark_cache:
+
+        def fit() -> MpiCostModel:
             from repro.profiling.mpibench import MpiBenchmark
             from repro.simnet.noise import NoiseModel
 
             benchmark = MpiBenchmark(self.topology, noise=NoiseModel.disabled())
-            data = benchmark.run(inter_node=inter_node)
-            fits = data.fit()
-            self._benchmark_cache[inter_node] = MpiCostModel(
-                send=fits["send"], recv=fits["recv"], pingpong=fits["pingpong"])
-        return self._benchmark_cache[inter_node]
+            fits = benchmark.run(inter_node=inter_node).fit()
+            return MpiCostModel(send=fits["send"], recv=fits["recv"],
+                                pingpong=fits["pingpong"])
+
+        return self._campaign(("mpi", inter_node), fit, store)
+
+    def _campaign(self, campaign: tuple, run: Callable[[], Any],
+                  store: HardwareStore | None) -> Any:
+        """One campaign's result, memoised per machine.
+
+        ``campaign`` names everything the campaign reads beyond this
+        machine.  On a memo miss the result comes from ``store`` when it
+        holds one, else from ``run()`` (and is then stored).
+        """
+        result = self._campaigns.get(campaign)
+        if result is None:
+            result = run() if store is None else store.fetch(self, campaign, run)
+            self._campaigns[campaign] = result
+        return result
 
     def hardware_model(self, deck: Sweep3DInput, px: int, py: int,
                        legacy_cpu: bool = False,
-                       flop_rate_override: float | None = None) -> HardwareModel:
+                       flop_rate_override: float | None = None,
+                       store: HardwareStore | None = None) -> HardwareModel:
         """Build the HMCL hardware object for a given workload.
 
         Parameters
@@ -113,6 +137,9 @@ class Machine:
         flop_rate_override:
             Use an explicit achieved rate in flop/s (the speculative study's
             340 MFLOPS and its +25 %/+50 % variants).
+        store:
+            A :class:`~repro.experiments.diskcache.HardwareStore` that
+            serves (and keeps) the campaign results across processes.
         """
         if legacy_cpu:
             cpu = CpuCostModel.from_opcode_benchmark(self.processor.opcode_benchmark())
@@ -122,12 +149,12 @@ class Machine:
             cpu = CpuCostModel.from_achieved_rate(
                 self.fixed_flop_rate_mflops * units.MFLOPS)
         else:
-            profile = self.profile_flop_rate(deck, px, py)
+            profile = self.profile_flop_rate(deck, px, py, store=store)
             cpu = CpuCostModel.from_achieved_rate(profile.achieved_flop_rate)
         return HardwareModel(
             name=self.name,
             cpu=cpu,
-            mpi=self.mpi_cost_model(inter_node=True),
+            mpi=self.mpi_cost_model(inter_node=True, store=store),
             processors_per_node=self.topology.processors_per_node,
             description=self.description,
         )
@@ -246,7 +273,7 @@ class Machine:
                                         f"[tick-quantized, {time_quantum:g}s grid]"),
             processor=processor,
             topology=topology,
-            _benchmark_cache={}, _profile_cache={}, _plan_cache={})
+            _campaigns={}, _plan_cache={})
 
     def describe(self) -> str:
         return (f"{self.name}: {self.description}\n"

@@ -35,8 +35,10 @@ from __future__ import annotations
 
 import zlib
 from dataclasses import dataclass, replace
+from typing import TYPE_CHECKING
 
-import numpy as np
+if TYPE_CHECKING:
+    import numpy as np
 
 
 #: Names how noise is drawn from a seed.  Cache keys of noisy results
@@ -62,6 +64,8 @@ def derive_seed(*components: object) -> int:
 
 def _streams(seed: int) -> list[np.random.Generator]:
     """The jitter, daemon-hit and daemon-time generators of ``seed``."""
+    import numpy as np
+
     return [np.random.default_rng(child)
             for child in np.random.SeedSequence(seed).spawn(3)]
 
@@ -132,6 +136,8 @@ class NoiseModel:
         (:mod:`repro.simmpi.trace`) relies on to reproduce a
         :class:`~repro.simmpi.engine.ClusterEngine` run exactly.
         """
+        import numpy as np
+
         out = np.array(durations, dtype=float)
         kinds = np.asarray(kinds)
         if out.shape != kinds.shape:
@@ -149,6 +155,8 @@ class NoiseModel:
         a batched multi-sample replay reproduces ``S`` sequential
         single-seed replays sample for sample.
         """
+        import numpy as np
+
         base = np.asarray(durations, dtype=float).reshape(-1)
         kinds = np.asarray(kinds).reshape(-1)
         if base.shape != kinds.shape:
@@ -164,6 +172,8 @@ class NoiseModel:
     def _perturb(self, flat: np.ndarray, kinds: np.ndarray,
                  seed: int) -> None:
         """Perturb the 1-D ``flat`` in place with the streams of ``seed``."""
+        import numpy as np
+
         live = np.flatnonzero(flat > 0)
         if live.size == 0:
             return

@@ -21,8 +21,7 @@ Two views of the same kernel live here:
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-
-import numpy as np
+from typing import TYPE_CHECKING
 
 from repro import units
 from repro.errors import Sweep3DError
@@ -30,6 +29,9 @@ from repro.simproc.opcodes import OperationMix
 from repro.sweep3d.geometry import Octant
 from repro.sweep3d.input import Sweep3DInput
 from repro.sweep3d.quadrature import OctantAngles
+
+if TYPE_CHECKING:
+    import numpy as np
 
 #: Floating point (and bookkeeping) operations per cell per angle in the
 #: original kernel, as extracted by ``capp`` from the C source and verified
@@ -196,6 +198,8 @@ class SweepKernel:
             The outgoing face fluxes (to be sent downstream / carried to the
             next k block) and tallies.
         """
+        import numpy as np
+
         deck = self.deck
         nx, ny, kt = q_block.shape
         nk = len(k_planes)
@@ -277,6 +281,8 @@ class SweepKernel:
 
     def k_blocks(self) -> list[np.ndarray]:
         """Global k-plane indices of each k block, in ascending-k order."""
+        import numpy as np
+
         kt, mk = self.deck.kt, self.deck.mk
         return [np.arange(start, min(start + mk, kt)) for start in range(0, kt, mk)]
 

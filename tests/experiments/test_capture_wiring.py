@@ -58,10 +58,13 @@ class TestMeasurementPhases:
 class TestTraceCacheWiring:
     def test_sweep_cache_auto_attaches_trace_cache(self, tmp_path):
         runner = SweepRunner(backend=make_backend(), cache=str(tmp_path))
+        # Attached by the first sweep-cache miss, so a warm run never
+        # loads the trace cache.
+        assert runner.backend.trace_cache is None
+        simulation_points(runner)
         cache = runner.backend.trace_cache
         assert isinstance(cache, TraceDiskCache)
         assert cache.path == tmp_path / "traces"
-        simulation_points(runner)
         assert len(cache) > 0
 
     def test_recapture_served_from_cache_across_processes(self, tmp_path):

@@ -67,6 +67,21 @@ class TestMachineCampaigns:
         second = p3_machine.mpi_cost_model()
         assert first is second
 
+    @pytest.mark.parametrize("first_sn,second_sn", [(4, 8), (8, 4), (6, 2)])
+    def test_flop_profile_memo_keys_on_the_quadrature(self, first_sn,
+                                                      second_sn):
+        # The profile scales by the quadrature's angle count, so decks that
+        # differ only in ``sn`` must not share a memoised rate: the second
+        # profile equals a fresh machine's to the last bit.
+        machine = get_machine("pentium3-myrinet")
+        first = standard_deck("validation", px=2, py=2, sn=first_sn)
+        second = standard_deck("validation", px=2, py=2, sn=second_sn)
+        machine.profile_flop_rate(first, 2, 2)
+        memoised = machine.profile_flop_rate(second, 2, 2)
+        fresh = get_machine("pentium3-myrinet").profile_flop_rate(second, 2, 2)
+        assert memoised == fresh
+        assert memoised.achieved_flop_rate == fresh.achieved_flop_rate
+
     def test_gige_slower_than_myrinet(self, p3_machine, opteron_machine):
         myrinet = p3_machine.mpi_cost_model()
         gige = opteron_machine.mpi_cost_model()

@@ -382,6 +382,25 @@ class TestCacheCli:
         assert "pruned 3 entries" in out
         assert len(cache) == 1
 
+    def test_stats_and_prune_cover_the_hardware_store(self, capsys, tmp_path):
+        from repro.experiments.diskcache import HardwareStore
+        cache_dir = str(tmp_path / "store")
+        assert main(["run", "table2", "--smoke", "--cache-dir", cache_dir]) == 0
+        capsys.readouterr()
+        store = HardwareStore(tmp_path / "store" / "hardware")
+        assert len(store) == 2
+
+        assert main(["cache", "stats", "--cache-dir", cache_dir]) == 0
+        out = capsys.readouterr().out
+        assert "hardware entries: 2" in out
+        assert f"hardware total bytes: {store.total_bytes()}" in out
+
+        assert main(["cache", "prune", "--cache-dir", cache_dir,
+                     "--max-entries", "1"]) == 0
+        out = capsys.readouterr().out
+        assert "hardware: pruned 1 entry, kept 1" in out
+        assert len(store) == 1
+
     def test_prune_requires_a_limit(self, capsys, tmp_path):
         assert main(["cache", "prune", "--cache-dir", str(tmp_path)]) == 2
         assert "--max-entries" in capsys.readouterr().out
