@@ -21,11 +21,10 @@ from repro.experiments.paper_data import PAPER_TABLES
 from repro.experiments.runner import (ValidationRowResult, deck_for_row,
                                      measure_rows)
 from repro.experiments.sweep import Scenario
-from repro.machines.machine import Machine
-from repro.machines.presets import get_machine
 
 if TYPE_CHECKING:
     from repro.experiments.study import StudyContext
+    from repro.machines.machine import Machine
 
 
 @dataclass
@@ -64,7 +63,7 @@ class AblationResult:
 
 
 def _run_opcode_ablation_impl(context: StudyContext,
-                              machine: Machine | None = None,
+                              machine: Machine,
                               table_name: str = "table2",
                               row_index: int = 0,
                               max_iterations: int = 12,
@@ -75,7 +74,6 @@ def _run_opcode_ablation_impl(context: StudyContext,
     by the paper's 50 %-error remark.
     """
     spec = PAPER_TABLES[table_name]
-    machine = machine or get_machine(spec["machine"])
     row = spec["rows"][row_index]
     deck = deck_for_row(row, max_iterations=max_iterations)
     workload = SweepWorkload(deck, row.px, row.py)

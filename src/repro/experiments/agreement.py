@@ -22,13 +22,12 @@ from repro.analytic.comparison import ModelComparison, compare_models
 from repro.core.workload import SweepWorkload
 from repro.experiments.paper_data import FIGURE8_STUDY, SpeculativeStudy
 from repro.experiments.sweep import Scenario, ScenarioSweep
-from repro.machines.machine import Machine
-from repro.machines.presets import get_machine
 from repro.simmpi.cart import Cart2D
 from repro.sweep3d.input import Sweep3DInput
 
 if TYPE_CHECKING:
     from repro.experiments.study import StudyContext
+    from repro.machines.machine import Machine
 
 
 @dataclass
@@ -57,11 +56,10 @@ class AgreementResult:
 
 
 def _run_model_agreement_impl(context: StudyContext,
+                              machine: Machine,
                               study: SpeculativeStudy = FIGURE8_STUDY,
-                              machine: Machine | None = None,
                               processor_counts: list[int] | None = None) -> AgreementResult:
     """Compare the three predictors (the ``agreement`` study)."""
-    machine = machine or get_machine("hypothetical-opteron-myrinet")
     counts = processor_counts if processor_counts is not None else [16, 256, 1024, 8000]
 
     nx, ny, nz = study.cells_per_processor

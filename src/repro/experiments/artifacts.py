@@ -36,12 +36,7 @@ from repro._version import __version__
 from repro.core.evaluation.compiler import CacheStats
 from repro.errors import ExperimentError
 from repro.experiments.diskcache import DiskCacheStats
-from repro.experiments.sharding import (
-    group_by_parent,
-    merge_study_results,
-    study_order_key,
-)
-from repro.experiments.study import StudyResult, StudySpec
+from repro.experiments.study import StudyResult, StudySpec, is_shard_spec
 
 
 def _slug(name: str) -> str:
@@ -338,23 +333,24 @@ def merge_manifests(shard_dirs: Sequence[str | Path],
 
     Returns the merged ``manifest.json`` path.
     """
+    from repro.experiments.sharding import merge_result_families
     if not shard_dirs:
         raise ExperimentError("no artifact directories to merge")
     collected: list[StudyResult] = []
     for shard_dir in shard_dirs:
         collected.extend(load_study_results(shard_dir))
-    families, plain = group_by_parent(collected)
 
-    seen_plain: dict[str, str | Path] = {}
-    for result in plain:
+    seen_plain: set[str] = set()
+    for result in collected:
+        if is_shard_spec(result.spec):
+            continue
         if result.spec_hash in seen_plain:
             raise ExperimentError(
                 f"study {result.spec.study!r} [{result.spec_hash[:12]}] "
                 "appears unsharded in more than one input directory")
-        seen_plain[result.spec_hash] = result.spec.study
-    merged = [merge_study_results(family) for family in families.values()]
+        seen_plain.add(result.spec_hash)
 
-    combined = sorted(plain + merged, key=study_order_key)
+    combined = merge_result_families(collected)
     if not combined:
         raise ExperimentError(
             f"nothing to merge: no study entries found under "

@@ -25,12 +25,11 @@ from typing import TYPE_CHECKING, Sequence
 from repro.core.workload import SweepWorkload
 from repro.errors import ExperimentError
 from repro.experiments.sweep import Scenario, ScenarioSweep
-from repro.machines.machine import Machine
-from repro.machines.presets import get_machine
 from repro.sweep3d.input import Sweep3DInput
 
 if TYPE_CHECKING:
     from repro.experiments.study import StudyContext
+    from repro.machines.machine import Machine
 
 #: k-plane blocking factors explored by default (divisors of the speculative
 #: study's kt = 100, spanning both extremes).
@@ -127,7 +126,7 @@ def blocking_sweep(px: int, py: int, cells_per_processor: tuple[int, int, int],
 
 
 def _run_blocking_impl(context: StudyContext,
-                       machine: Machine | None = None,
+                       machine: Machine,
                        px: int = 20,
                        py: int = 20,
                        cells_per_processor: tuple[int, int, int] = (5, 5, 100),
@@ -144,7 +143,6 @@ def _run_blocking_impl(context: StudyContext,
     blocking keeps winning — which the study also demonstrates when run
     with ``cells_per_processor=(50, 50, 50)``.
     """
-    machine = machine or get_machine("hypothetical-opteron-myrinet")
     nx, ny, nz = cells_per_processor
     base_deck = Sweep3DInput(it=nx * px, jt=ny * py, kt=nz, mk=10, mmi=3,
                              sn=6, max_iterations=max_iterations,

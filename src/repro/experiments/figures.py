@@ -10,13 +10,12 @@ from repro.core.workload import SweepWorkload
 from repro.errors import ExperimentError
 from repro.experiments.paper_data import SpeculativeStudy
 from repro.experiments.sweep import Scenario, ScenarioSweep
-from repro.machines.machine import Machine
-from repro.machines.presets import get_machine
 from repro.simmpi.cart import Cart2D
 from repro.sweep3d.input import Sweep3DInput
 
 if TYPE_CHECKING:
     from repro.experiments.study import StudyContext
+    from repro.machines.machine import Machine
 
 
 @dataclass
@@ -105,7 +104,7 @@ def speculative_sweep(study: SpeculativeStudy, machine: Machine,
 
 def _run_speculative_figure_impl(study: SpeculativeStudy,
                                  context: StudyContext,
-                                 machine: Machine | None = None,
+                                 machine: Machine,
                                  processor_counts: list[int] | None = None,
                                  rate_factors: list[float] | None = None) -> FigureResult:
     """The implementation behind the ``figure8``/``figure9`` studies.
@@ -116,7 +115,6 @@ def _run_speculative_figure_impl(study: SpeculativeStudy,
     demonstrates in Section 6.  The whole figure is one declared scenario
     grid evaluated by the batch sweep runner.
     """
-    machine = machine or get_machine("hypothetical-opteron-myrinet")
     counts = list(processor_counts if processor_counts is not None
                   else study.processor_counts)
     factors = list(rate_factors if rate_factors is not None else study.rate_factors)

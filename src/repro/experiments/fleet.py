@@ -90,12 +90,7 @@ from repro.experiments.remotestore import (
     CacheSync,
     store_from_url,
 )
-from repro.experiments.sharding import (
-    group_by_parent,
-    merge_study_results,
-    plan_unit_shards,
-    study_order_key,
-)
+from repro.experiments.sharding import merge_result_families, plan_unit_shards
 from repro.experiments.study import (
     StudyContext,
     StudyResult,
@@ -388,10 +383,10 @@ class FleetCoordinator:
         ``poll_s`` between passes (less when :meth:`wake` is called, and
         never past ``timeout_s``).  Then reads each unit's result object
         from the store, merges each study family bit-identically
-        (:func:`merge_study_results`) and — when ``out_dir`` is given —
-        writes the standard artifact layout there.  Writes the
-        ``done.json`` terminal marker either way, so background workers
-        exit.
+        (:func:`~repro.experiments.sharding.merge_result_families`) and —
+        when ``out_dir`` is given — writes the standard artifact layout
+        there.  Writes the ``done.json`` terminal marker either way, so
+        background workers exit.
         """
         if not self._units:
             self._load_state()
@@ -574,11 +569,8 @@ class FleetCoordinator:
     def _merge(self) -> list[StudyResult]:
         """Read every unit's result object and merge each family
         bit-identically."""
-        collected = [self._unit_result(index) for index in sorted(self._units)]
-        families, plain = group_by_parent(collected)
-        merged = [merge_study_results(family) for family in families.values()]
-        merged.extend(plain)
-        merged.sort(key=study_order_key)
+        merged = merge_result_families(
+            self._unit_result(index) for index in sorted(self._units))
         for result in merged:
             self.log.append("merged", study=result.spec.study,
                             rows=len(result.rows))

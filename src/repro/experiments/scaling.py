@@ -19,6 +19,7 @@ from repro.experiments.paper_data import FIGURE8_STUDY, SpeculativeStudy
 
 if TYPE_CHECKING:
     from repro.experiments.study import StudyContext
+    from repro.machines.machine import Machine
 
 
 @dataclass(frozen=True)
@@ -97,7 +98,7 @@ def analyze_figure(result: FigureResult) -> dict[float, ScalingAnalysis]:
 
 
 def _run_scaling_impl(context: StudyContext,
-                      machine=None,
+                      machine: Machine,
                       study: SpeculativeStudy = FIGURE8_STUDY,
                       processor_counts: Sequence[int] = (1, 16, 256, 1024, 8000),
                       rate_factor: float = 1.0) -> ScalingAnalysis:
@@ -107,8 +108,6 @@ def _run_scaling_impl(context: StudyContext,
     through the batch :class:`~repro.experiments.sweep.SweepRunner`; the
     resulting times feed :func:`analyze_series`.
     """
-    from repro.machines.presets import get_machine
-    machine = machine or get_machine("hypothetical-opteron-myrinet")
     counts = list(processor_counts)
     if not counts:
         raise ExperimentError("scaling study needs at least one processor count")

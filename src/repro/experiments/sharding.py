@@ -51,6 +51,7 @@ from repro.experiments.study import (
     StudyResult,
     StudySpec,
     build_spec,
+    is_shard_spec,
     study_names,
 )
 
@@ -243,19 +244,15 @@ def _scaling_finalize(rows: list, params: Mapping[str, Any]) -> list:
 
     A shard's efficiency/overhead columns are relative to the shard's own
     first processor count; the merged series must be relative to the full
-    series' baseline, exactly as :func:`repro.experiments.scaling.
-    analyze_series` computes it (same arithmetic, bit-identical floats).
+    series' baseline, so :func:`repro.experiments.scaling.analyze_series`
+    recomputes them from the merged times.
     """
-    if not rows:
-        return rows
-    base = rows[0]["time_s"]
-    merged = []
-    for row in rows:
-        time = row["time_s"]
-        merged.append({**row,
-                       "efficiency": float(base / time),
-                       "overhead_fraction": float(max(0.0, 1.0 - base / time))})
-    return merged
+    from repro.experiments.scaling import analyze_series
+    analysis = analyze_series([row["processors"] for row in rows],
+                              [row["time_s"] for row in rows])
+    return [{**row, "efficiency": point.efficiency,
+             "overhead_fraction": point.overhead_fraction}
+            for row, point in zip(rows, analysis.points)]
 
 
 for _table in ("table1", "table2", "table3"):
@@ -273,12 +270,6 @@ register_shard_axis("steady-scaling", _count_axis("pes"))
 # ---------------------------------------------------------------------------
 # Shard specs: detection and parent recovery
 # ---------------------------------------------------------------------------
-
-
-def is_shard_spec(spec: StudySpec) -> bool:
-    """Whether a spec is one slice of a larger grid."""
-    params = spec.params_dict
-    return bool(params.get("shard_parent")) or params.get("shard_count", 1) > 1
 
 
 def parent_spec(spec: StudySpec) -> StudySpec:
@@ -696,3 +687,13 @@ def study_order_key(result: StudyResult) -> tuple:
     study = result.spec.study
     position = names.index(study) if study in names else len(names)
     return (position, result.spec_hash)
+
+
+def merge_result_families(results: Iterable[StudyResult]
+                          ) -> list[StudyResult]:
+    """Every shard family among ``results`` merged
+    (:func:`merge_study_results`) and every unsharded result passed
+    through, in manifest order (:func:`study_order_key`)."""
+    families, plain = group_by_parent(results)
+    merged = [merge_study_results(family) for family in families.values()]
+    return sorted(plain + merged, key=study_order_key)

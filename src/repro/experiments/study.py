@@ -87,6 +87,12 @@ SHARD_PARAM_DEFAULTS: dict[str, Any] = {
 }
 
 
+def is_shard_spec(spec: StudySpec) -> bool:
+    """Whether a spec is one slice of a larger grid."""
+    params = spec.params_dict
+    return bool(params.get("shard_parent")) or params.get("shard_count", 1) > 1
+
+
 # ---------------------------------------------------------------------------
 # The spec
 # ---------------------------------------------------------------------------
@@ -722,8 +728,8 @@ class StudyRunner:
         # executes only its assigned slice (same context, same caches).
         exec_spec = spec
         shard_meta = None
-        from repro.experiments.sharding import is_shard_spec, resolve_shard
         if is_shard_spec(spec):
+            from repro.experiments.sharding import resolve_shard
             resolution = resolve_shard(spec)
             exec_spec = resolution.sliced
             shard_meta = resolution.metadata()
@@ -980,13 +986,14 @@ def _table_executor(table_name: str, spec: StudySpec, context: StudyContext):
             f"{table_name} parameter 'rows' must be a list of row indices, "
             f"got {indices!r}")
     rows = rows_for_indices(table_name, indices) if indices is not None else None
+    machine_name = spec.machine or get_study(spec.study).default_machine
     return _run_table_impl(
         table_name,
+        machine=context.machine(machine_name),
         rows=rows,
         simulate_measurement=params["simulate_measurement"],
         max_iterations=params["max_iterations"],
         max_pes=max_pes,
-        machine=spec.machine,
         context=context,
         sim_execution=params["sim_execution"],
         samples=params["samples"],

@@ -16,20 +16,19 @@ from repro.experiments.runner import (
     measure_rows,
     predict_rows,
 )
-from repro.machines.machine import Machine
-from repro.machines.presets import get_machine
 
 if TYPE_CHECKING:
     from repro.experiments.study import StudyContext
+    from repro.machines.machine import Machine
 
 
 def _run_table_impl(table_name: str,
                     context: StudyContext,
+                    machine: Machine,
                     rows: Sequence[PaperValidationRow] | None = None,
                     simulate_measurement: bool = True,
                     max_iterations: int = 12,
                     max_pes: int | None = None,
-                    machine: Machine | str | None = None,
                     sim_execution: str = "auto",
                     samples: int = 0) -> ValidationTableResult:
     """The implementation behind the ``table1``-``table3`` studies."""
@@ -37,10 +36,6 @@ def _run_table_impl(table_name: str,
         raise ExperimentError(
             f"unknown table {table_name!r}; expected one of {sorted(PAPER_TABLES)}")
     spec = PAPER_TABLES[table_name]
-    if machine is None:
-        machine = get_machine(spec["machine"])
-    elif isinstance(machine, str):
-        machine = get_machine(machine)
     selected: Iterable[PaperValidationRow] = rows if rows is not None else spec["rows"]
     selected = [row for row in selected
                 if max_pes is None or row.pes <= max_pes]

@@ -1,8 +1,7 @@
 """Periodic trace capture: record two iterations, prove the rest, tile.
 
 Recording a modelled run's event stream (:class:`~repro.simmpi.trace.
-TraceRecorder`) is O(events) pure Python: at 64 ranks x 100 iterations a
-full recording takes ~0.7-1 s on a 2-vCPU VM, even from harvested op
+TraceRecorder`) is O(events) pure Python, even from harvested op
 bodies, while replay and the steady tier are fast.  But the recorder is
 *timing-free*: the event order is a pure function of the rank programs'
 op streams and the FIFO/matching discipline, so a run of ``m``
@@ -17,11 +16,10 @@ comes down to the rank that completed the last reduction
 (:func:`~repro.simmpi.engine.run_ranks`).  So two recorded iterations
 decide every later one: :func:`extend_recording` checks that they end in
 that state with no message in flight and returns a
-:class:`PeriodicCapture`: the two-iteration recording, its period
-structure (:class:`PeriodInfo`, one iteration per period), the ``T - 2``
-periods the run adds to it (its *tiles*) and the run's per-rank/traffic
-statistics, scaled from one period's deltas by exact integer arithmetic
-(:func:`periodic_capture`).
+:class:`PeriodicCapture`: the two-iteration recording, the ``T - 2``
+iterations the run adds to it (its *tiles*, each a copy of the
+recording's second half) and the run's per-rank/traffic statistics,
+scaled from the second iteration's deltas by exact integer arithmetic.
 
 The caller (:meth:`~repro.sweep3d.driver.SimulationPlan.compile_trace`)
 has one rule.  A run of one or two iterations is recorded in full; any
@@ -30,19 +28,19 @@ run: the steady tier resolves it directly
 (:func:`~repro.simmpi.steady.steady_replay`), a trace-cache entry
 (:mod:`repro.simmpi.tracecache`) stores it as it is, and
 :func:`tile_trace` builds the full :class:`~repro.simmpi.trace.
-CompiledTrace` from it — each column written once, with send-slot
-indices advanced by the per-period send count on each tile — only when a
+CompiledTrace` from it — the recording, then each tile with its send-slot
+indices advanced by the second iteration's send count — only when a
 replay needs the table.
 
 The contract is the steady tier's: **bit-identical to full capture or
 refuse loudly**.  Every structural precondition is checked: integer
 byte sizes within the float53 exact range and traffic tags the
-recording saw when the capture is made; slot sequentiality, matches
-referencing earlier sends and the period structure, re-verified column
-by column by :func:`verify_extension`, on the tiled table.  The caller
-cross-checks the synthesized return values against the two recorded
-iterations.  Any failure raises :class:`~repro.errors.TraceError`, and
-the caller records the whole run in full, keeping the reason.
+recording saw when the capture is made; on the tiled table, that send
+slots are sequential and that every match comes after its send.  The
+caller cross-checks the synthesized return values against the two
+recorded iterations.  Any failure raises
+:class:`~repro.errors.TraceError`, and the caller records the whole run
+in full, keeping the reason.
 """
 
 from __future__ import annotations
@@ -71,41 +69,22 @@ _TILED_COLUMNS = ("event_kind", "event_rank", "event_slot", "event_aux",
 _MAX_EXACT_BYTES = float(2 ** 53)
 
 
-@dataclass(frozen=True)
-class PeriodInfo:
-    """The period structure of a recording.
-
-    The recording splits as ``warmup + repeats × period + drain`` (event
-    counts); ``sends_per_period`` is the constant by which send slot
-    indices advance between consecutive periods.
-    """
-
-    warmup: int
-    period: int
-    repeats: int
-    drain: int
-    sends_per_period: int
-
-
 @dataclass
 class CaptureInfo:
     """How one :meth:`SimulationPlan.compile_trace` produced its trace.
 
     ``mode`` is ``"periodic"`` (two recorded iterations, extended by
-    ``tiles`` periods of one iteration each), ``"full"`` (the O(events)
-    recorder; ``reason`` says why periodic capture was not used), or
-    ``"cache"`` (served from a
-    :class:`~repro.simmpi.tracecache.TraceDiskCache`).  Event counts
-    describe the recording's structure; ``capture_s`` is the wall-clock
-    the capture cost.
+    ``tiles`` copies of the second), ``"full"`` (the O(events) recorder;
+    ``reason`` says why periodic capture was not used), or ``"cache"``
+    (served from a :class:`~repro.simmpi.tracecache.TraceDiskCache`).
+    ``period`` and ``sends_per_period`` count one iteration's events and
+    sends; ``capture_s`` is the wall-clock the capture cost.
     """
 
     mode: str
     total_iterations: int = 0
     tiles: int = 0
-    warmup: int = 0
     period: int = 0
-    drain: int = 0
     sends_per_period: int = 0
     reason: str = ""
     capture_s: float = 0.0
@@ -119,91 +98,16 @@ class CaptureInfo:
             return (f"capture: full recorder, "
                     f"{self.total_iterations} iteration(s){suffix}")
         return (f"capture: periodic, recorded 2 of {self.total_iterations} "
-                f"iteration(s) and proved {self.tiles} more (warm-up "
-                f"{self.warmup} + period {self.period} + drain {self.drain} "
-                f"event(s), {self.sends_per_period} send(s)/period)")
+                f"iteration(s) and proved {self.tiles} more ({self.period} "
+                f"event(s) and {self.sends_per_period} send(s) per iteration)")
 
 
-def _signature_columns(trace: CompiledTrace) -> tuple:
-    """The per-event columns that must repeat one period later, as
-    integers.
-
-    Float columns enter as their bit patterns.  The last column is the
-    eager flag: 0 off send/match events, else 1 plus the event's
-    send-slot eager bit (the other events' slot -1 reads the table's
-    trailing 0).
-    """
-    kind = trace.event_kind
-    flag_of_slot = np.zeros(len(trace._send_eager_arr) + 1, dtype=np.uint8)
-    np.add(trace._send_eager_arr, 1, out=flag_of_slot[:-1], casting="unsafe")
-    eager_flag = flag_of_slot.take(trace.event_slot)
-    return (kind, trace.event_rank, trace.event_peer, trace.event_tag,
-            np.ascontiguousarray(trace.event_nbytes).view(np.int64),
-            np.ascontiguousarray(trace._base).view(np.int64),
-            np.ascontiguousarray(trace.event_aux).view(np.int64),
-            trace._noise_kind, eager_flag)
-
-
-def _past_slot_failures(trace: CompiledTrace, warmup: int, period: int,
-                        sends: int) -> int:
-    """``warmup``, moved past the last send/match event from ``warmup`` on
-    whose slot does not advance by ``sends`` one period later.
-
-    Only send and match events carry a slot; every other event's is -1.
-    """
-    n = trace.n_events
-    slot = trace.event_slot[warmup:n - period]
-    fails = trace.event_slot[warmup + period:] - slot != sends
-    fails &= slot >= 0
-    failures = np.flatnonzero(fails)
-    return warmup + int(failures[-1]) + 1 if len(failures) else warmup
-
-
-def column_warmup(trace: CompiledTrace, period: int, sends: int) -> int:
-    """The first event from which ``trace`` repeats at ``period``.
-
-    From that event on, every column :func:`_signature_columns` covers
-    repeats one period later and every send/match slot advances by
-    ``sends``.  (With rendez-vous messages a few early receives match
-    sends numbered in another order than later periods', while their
-    other columns already repeat: those receives belong to the warm-up.)
-    Requires ``period < trace.n_events``.
-    """
-    n = trace.n_events
-    differs = np.zeros(n - period, dtype=bool)
-    column_differs = np.empty_like(differs)
-    for column in _signature_columns(trace):
-        np.not_equal(column[period:], column[:-period], out=column_differs)
-        differs |= column_differs
-    mismatch = np.flatnonzero(differs)
-    warmup = int(mismatch[-1]) + 1 if len(mismatch) else 0
-    return _past_slot_failures(trace, warmup, period, sends)
-
-
-def verify_extension(trace: CompiledTrace, info: PeriodInfo,
-                     expected_repeats: int) -> str:
-    """Check that ``trace`` repeats ``info``'s period ``expected_repeats`` times.
-
-    :func:`column_warmup` (every column repeats at ``info.period`` and
-    every send/match slot advances by the per-period send count) must
-    put the warm-up at exactly ``info.warmup``, leaving ``info.drain``
-    trailing events.  Returns ``""`` when the structure holds, else the
-    failure reason.
-    """
-    n = trace.n_events
-    period = info.period
-    if period < 1 or n <= period:
-        return "tiled trace holds less than one period"
-    warmup = column_warmup(trace, period, info.sends_per_period)
-    if warmup != info.warmup:
-        return f"warm-up moved ({info.warmup} -> {warmup} event(s))"
-    repeats = (n - warmup) // period
-    if repeats != expected_repeats:
-        return f"period repeats {repeats} time(s), expected {expected_repeats}"
-    if (n - warmup) - repeats * period != info.drain:
-        return (f"drain moved ({info.drain} -> "
-                f"{(n - warmup) - repeats * period} event(s))")
-    return ""
+def second_iteration(recording: CompiledTrace) -> tuple[int, int]:
+    """The events and sends of one iteration: the second half of a
+    two-iteration recording."""
+    period = recording.n_events // 2
+    return period, int(np.count_nonzero(
+        recording.event_kind[period:] == EV_SEND))
 
 
 def _check_exact_bytes(trace: CompiledTrace, tiles: int,
@@ -239,17 +143,17 @@ def _check_exact_bytes(trace: CompiledTrace, tiles: int,
 
 @dataclass
 class PeriodicCapture:
-    """A recording standing for a run ``tiles`` periods longer.
+    """Two recorded iterations standing for a run ``tiles`` iterations
+    longer.
 
-    Built by :func:`periodic_capture`.  The run's trace is the recording
-    (``probe``) with ``tiles`` copies of its last whole period inserted
-    before its drain (:func:`tile_trace`); the per-rank and traffic
+    Built by :func:`extend_recording`.  The run's trace is the recording
+    (``probe``) followed by ``tiles`` copies of its second half, the
+    second iteration (:func:`tile_trace`); the per-rank and traffic
     totals and the return values are those of the run, not of the
     recording.
     """
 
     probe: CompiledTrace
-    info: PeriodInfo
     tiles: int
     messages_sent: list[int]
     bytes_sent: list[float]
@@ -259,134 +163,44 @@ class PeriodicCapture:
     return_values: list[Any]
 
 
-def periodic_capture(short: CompiledTrace, info: PeriodInfo, tiles: int,
-                     return_values: list[Any],
-                     topology: ClusterTopology) -> PeriodicCapture:
-    """The run ``tiles`` periods longer than ``short``, as a capture.
-
-    ``short`` must repeat per ``info`` (:func:`extend_recording` makes
-    both).  Scales the recording's statistics by one period's deltas in
-    exact arithmetic and attaches ``return_values`` (the caller
-    synthesizes and cross-checks them).  Raises
-    :class:`~repro.errors.TraceError` when any precondition fails: no
-    tile, a period sending on a tag the recording never saw, byte totals
-    past the exact float range or slots past the int32 range.
-    """
-    if tiles < 1:
-        raise TraceError("periodic capture needs at least one tile")
-    nranks = short.nranks
-    boundary = info.warmup + info.repeats * info.period
-    seg = slice(boundary - info.period, boundary)
-    seg_kind = short.event_kind[seg]
-    seg_rank = short.event_rank[seg]
-    seg_nbytes = short.event_nbytes[seg]
-    send_mask = seg_kind == EV_SEND
-    match_mask = seg_kind == EV_MATCH
-
-    # Per-rank statistics deltas of one period (exact integer arithmetic).
-    d_msgs_sent = np.bincount(seg_rank[send_mask], minlength=nranks)
-    d_bytes_sent = np.bincount(seg_rank[send_mask],
-                               weights=seg_nbytes[send_mask],
-                               minlength=nranks)
-    d_msgs_recv = np.bincount(seg_rank[match_mask], minlength=nranks)
-    d_bytes_recv = np.bincount(seg_rank[match_mask],
-                               weights=seg_nbytes[match_mask],
-                               minlength=nranks)
-
-    # Traffic delta: re-record one period's sends through the same
-    # LinkUsageStats.record the recorder uses (O(period), cheap).
-    delta_traffic = LinkUsageStats()
-    for source, dest, nbytes, tag in zip(
-            seg_rank[send_mask].tolist(),
-            short.event_peer[seg][send_mask].tolist(),
-            seg_nbytes[send_mask].tolist(),
-            short.event_tag[seg][send_mask].tolist()):
-        delta_traffic.record(topology, source, dest, nbytes, tag)
-    if any(tag not in short._traffic.by_tag for tag in delta_traffic.by_tag):
-        raise TraceError(
-            "periodic capture refused: period traffic uses a tag the "
-            "recorded prefix never saw")
-    _check_exact_bytes(short, tiles, d_bytes_sent, d_bytes_recv,
-                       delta_traffic.bytes)
-    if short.n_messages + tiles * info.sends_per_period >= 2 ** 31:
-        raise TraceError(
-            "periodic capture refused: tiled trace exceeds the int32 "
-            "send-slot range")
-
-    traffic = short._traffic
-    return PeriodicCapture(
-        probe=short, info=info, tiles=tiles,
-        messages_sent=[int(count + tiles * d_msgs_sent[rank])
-                       for rank, count in enumerate(short._messages_sent)],
-        bytes_sent=[float(total + tiles * d_bytes_sent[rank])
-                    for rank, total in enumerate(short._bytes_sent)],
-        messages_received=[int(count + tiles * d_msgs_recv[rank])
-                           for rank, count in
-                           enumerate(short._messages_received)],
-        bytes_received=[float(total + tiles * d_bytes_recv[rank])
-                        for rank, total in enumerate(short._bytes_received)],
-        traffic=LinkUsageStats(
-            messages=traffic.messages + tiles * delta_traffic.messages,
-            bytes=traffic.bytes + tiles * delta_traffic.bytes,
-            intra_node_messages=(traffic.intra_node_messages
-                                 + tiles * delta_traffic.intra_node_messages),
-            inter_node_messages=(traffic.inter_node_messages
-                                 + tiles * delta_traffic.inter_node_messages),
-            by_tag={tag: count + tiles * delta_traffic.by_tag.get(tag, 0)
-                    for tag, count in traffic.by_tag.items()},
-        ),
-        return_values=return_values,
-    )
-
-
 def tile_trace(capture: PeriodicCapture) -> CompiledTrace:
     """Synthesize the run's full trace from a periodic capture.
 
-    The result has ``info.repeats + tiles`` whole periods between the
-    recording's warm-up and drain, with send-slot indices advanced by
-    ``info.sends_per_period`` per tile and the capture's statistics and
-    return values attached.  Raises :class:`~repro.errors.TraceError` —
-    never returns a wrong trace — when any structural check on the
-    synthesized table fails, including :func:`verify_extension`.
+    The result is the recording followed by ``tiles`` copies of its
+    second iteration, the ``k``-th with its send slots advanced by ``k``
+    times that iteration's send count, and carries the capture's
+    statistics and return values.  Raises
+    :class:`~repro.errors.TraceError` — never returns a wrong trace —
+    when the synthesized send slots are not sequential or a match
+    precedes its send.
     """
-    short, info, tiles = capture.probe, capture.info, capture.tiles
-    warmup, period, sends = info.warmup, info.period, info.sends_per_period
-    boundary = warmup + info.repeats * period
-    seg = slice(boundary - period, boundary)
-
-    kind = short.event_kind
-    seg_kind = kind[seg]
+    short, tiles = capture.probe, capture.tiles
+    n = short.n_events
+    period, sends = second_iteration(short)
+    seg_kind = short.event_kind[period:]
     n_messages = short.n_messages + tiles * sends
-    end = boundary + tiles * period             # the drain's new start
-    n_events = short.n_events + tiles * period
+    n_events = n + tiles * period
 
-    # Every column is written once: prefix, the period broadcast over
-    # the tiles, drain.
+    # Every column is written once: the recording, then its second
+    # iteration broadcast over the tiles.
     tiled = {}
     for name in _TILED_COLUMNS:
         column = getattr(short, name)
         out = tiled[name] = np.empty(n_events, dtype=column.dtype)
-        out[:boundary] = column[:boundary]
-        out[boundary:end].reshape(tiles, period)[:] = column[seg]
-        out[end:] = column[boundary:]
+        out[:n] = column
+        out[n:].reshape(tiles, period)[:] = column[period:]
     new_kind = tiled["event_kind"]
 
-    # Slot column: send/match rows advance by `sends` per tile; the drain
-    # (already checked by column_warmup's slot-advance rule to repeat
-    # the period's slot pattern) shifts by the full `tiles * sends`.  The
+    # Slot column: send/match rows of tile k advance by k * `sends`.  The
     # capture's range check keeps this int32 arithmetic exact.
-    slot = short.event_slot
     new_slot = tiled["event_slot"]
-    tile_slots = new_slot[boundary:end].reshape(tiles, period)
+    tile_slots = new_slot[n:].reshape(tiles, period)
     np.multiply(np.arange(1, tiles + 1, dtype=np.int32)[:, None] * sends,
                 (seg_kind == EV_SEND) | (seg_kind == EV_MATCH),
                 out=tile_slots)
-    tile_slots += slot[seg]
-    drain_kind = kind[boundary:]
-    new_slot[end:] += np.int32(tiles * sends) * ((drain_kind == EV_SEND)
-                                                 | (drain_kind == EV_MATCH))
+    tile_slots += short.event_slot[period:]
 
-    # Structural re-checks on the synthesized table: send slots must be
+    # Structural checks on the synthesized table: send slots must be
     # sequential in event order (the recorder's allocation invariant) and
     # every match must reference an earlier send.
     new_send_rows = np.flatnonzero(new_kind == EV_SEND)
@@ -401,19 +215,14 @@ def tile_trace(capture: PeriodicCapture) -> CompiledTrace:
         raise TraceError(
             "periodic capture refused: a tiled match precedes its send")
 
-    # Send tables in slot order.  Slots are sequential in event order (in
-    # the tiled trace, checked above, hence in the short one), so the
-    # tiled table repeats the period's slot range: the protocol and the
-    # sender depend only on the message's route, which repeats.
-    slots_before = short.n_messages - int(np.count_nonzero(drain_kind == EV_SEND))
-
+    # Send tables in slot order: the second iteration's sends hold the
+    # recording's last slots, and each tile repeats them (the protocol
+    # and the sender depend only on the message's route, which repeats).
     def tiled_sends(table: np.ndarray) -> np.ndarray:
-        return np.concatenate([table[:slots_before],
-                               np.tile(table[slots_before - sends:
-                                             slots_before], tiles),
-                               table[slots_before:]])
+        return np.concatenate([table, np.tile(table[len(table) - sends:],
+                                              tiles)])
 
-    full = CompiledTrace(
+    return CompiledTrace(
         nranks=short.nranks,
         event_kind=new_kind,
         event_rank=tiled["event_rank"],
@@ -433,12 +242,6 @@ def tile_trace(capture: PeriodicCapture) -> CompiledTrace:
         traffic=capture.traffic,
         return_values=capture.return_values,
     )
-    # Re-verify on the synthesized trace: the same structure must extend
-    # by exactly `tiles` repeats.
-    failure = verify_extension(full, info, info.repeats + tiles)
-    if failure:
-        raise TraceError(f"periodic capture refused: {failure}")
-    return full
 
 
 def share_columns(capture: PeriodicCapture, table: CompiledTrace) -> None:
@@ -447,9 +250,7 @@ def share_columns(capture: PeriodicCapture, table: CompiledTrace) -> None:
     keeps one copy of the recorded columns.
 
     Those rows are the recording, column for column: :func:`tile_trace`
-    copies it up to its last whole period, continues with the first tile,
-    and :func:`verify_extension` checked that every column repeats from
-    the warm-up with its slots advanced.
+    writes it first and appends the tiles after it.
     """
     recording = capture.probe
     n, messages = recording.n_events, recording.n_messages
@@ -471,7 +272,8 @@ def extend_recording(recording: CompiledTrace, collective_ranks: list[int],
     whatever the reductions return.  ``collective_ranks`` names the rank
     that completed each collective
     (:attr:`~repro.simmpi.trace.TraceRecorder.collective_ranks`) and
-    ``return_values`` are the longer run's.
+    ``return_values`` are the longer run's (the caller synthesizes and
+    cross-checks them).
 
     The argument:
 
@@ -493,14 +295,19 @@ def extend_recording(recording: CompiledTrace, collective_ranks: list[int],
     exactly four collectives; each iteration holds half the events and
     ends in its two collectives; every send is matched within its own
     iteration; the same rank completed both iterations' last reduction.
-    The capture's period is one iteration's events, its warm-up is
-    :func:`column_warmup`'s on the recording and its tiles are the
-    ``iterations - 2`` iterations the recording leaves out; every check
-    of :func:`periodic_capture` holds on it.  Raises
-    :class:`~repro.errors.TraceError` naming the first check that fails.
+    The capture's tiles are the ``iterations - 2`` iterations the
+    recording leaves out, and its statistics add ``tiles`` times the
+    second iteration's to the recording's, in exact arithmetic.  Raises
+    :class:`~repro.errors.TraceError` naming the first check that fails,
+    also when there is no tile, when the second iteration sends on a tag
+    the recording never saw, or when the run's byte totals or send slots
+    leave the exact float or int32 range.
     """
+    tiles = iterations - 2
+    if tiles < 1:
+        raise TraceError("periodic capture needs at least one tile")
     n = recording.n_events
-    period = n // 2
+    period, sends = second_iteration(recording)
     kind = recording.event_kind
     collectives = np.flatnonzero(kind == EV_COLLECTIVE).tolist()
     if len(collectives) != 4:
@@ -523,11 +330,68 @@ def extend_recording(recording: CompiledTrace, collective_ranks: list[int],
         raise TraceError(
             f"the last reductions of iterations 1 and 2 were completed by "
             f"ranks {collective_ranks[1]} and {collective_ranks[3]}")
-    sends = int(np.count_nonzero(kind[period:] == EV_SEND))
-    warmup = column_warmup(recording, period, sends)
-    repeats = (n - warmup) // period
-    info = PeriodInfo(warmup=warmup, period=period, repeats=repeats,
-                      drain=n - warmup - repeats * period,
-                      sends_per_period=sends)
-    return periodic_capture(recording, info, iterations - 2, return_values,
-                            topology)
+
+    # Per-rank statistics deltas of the second iteration (exact integer
+    # arithmetic).
+    nranks = recording.nranks
+    seg_kind = kind[period:]
+    seg_rank = recording.event_rank[period:]
+    seg_nbytes = recording.event_nbytes[period:]
+    send_mask = seg_kind == EV_SEND
+    match_mask = seg_kind == EV_MATCH
+    d_msgs_sent = np.bincount(seg_rank[send_mask], minlength=nranks)
+    d_bytes_sent = np.bincount(seg_rank[send_mask],
+                               weights=seg_nbytes[send_mask],
+                               minlength=nranks)
+    d_msgs_recv = np.bincount(seg_rank[match_mask], minlength=nranks)
+    d_bytes_recv = np.bincount(seg_rank[match_mask],
+                               weights=seg_nbytes[match_mask],
+                               minlength=nranks)
+
+    # Traffic delta: re-record the second iteration's sends through the
+    # same LinkUsageStats.record the recorder uses (O(period), cheap).
+    delta_traffic = LinkUsageStats()
+    for source, dest, nbytes, tag in zip(
+            seg_rank[send_mask].tolist(),
+            recording.event_peer[period:][send_mask].tolist(),
+            seg_nbytes[send_mask].tolist(),
+            recording.event_tag[period:][send_mask].tolist()):
+        delta_traffic.record(topology, source, dest, nbytes, tag)
+    if any(tag not in recording._traffic.by_tag
+           for tag in delta_traffic.by_tag):
+        raise TraceError(
+            "periodic capture refused: period traffic uses a tag the "
+            "recorded prefix never saw")
+    _check_exact_bytes(recording, tiles, d_bytes_sent, d_bytes_recv,
+                       delta_traffic.bytes)
+    if recording.n_messages + tiles * sends >= 2 ** 31:
+        raise TraceError(
+            "periodic capture refused: tiled trace exceeds the int32 "
+            "send-slot range")
+
+    traffic = recording._traffic
+    return PeriodicCapture(
+        probe=recording, tiles=tiles,
+        messages_sent=[int(count + tiles * d_msgs_sent[rank])
+                       for rank, count in
+                       enumerate(recording._messages_sent)],
+        bytes_sent=[float(total + tiles * d_bytes_sent[rank])
+                    for rank, total in enumerate(recording._bytes_sent)],
+        messages_received=[int(count + tiles * d_msgs_recv[rank])
+                           for rank, count in
+                           enumerate(recording._messages_received)],
+        bytes_received=[float(total + tiles * d_bytes_recv[rank])
+                        for rank, total in
+                        enumerate(recording._bytes_received)],
+        traffic=LinkUsageStats(
+            messages=traffic.messages + tiles * delta_traffic.messages,
+            bytes=traffic.bytes + tiles * delta_traffic.bytes,
+            intra_node_messages=(traffic.intra_node_messages
+                                 + tiles * delta_traffic.intra_node_messages),
+            inter_node_messages=(traffic.inter_node_messages
+                                 + tiles * delta_traffic.inter_node_messages),
+            by_tag={tag: count + tiles * delta_traffic.by_tag.get(tag, 0)
+                    for tag, count in traffic.by_tag.items()},
+        ),
+        return_values=return_values,
+    )

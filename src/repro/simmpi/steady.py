@@ -6,7 +6,8 @@ capture (:mod:`repro.simmpi.capture`) records two iterations and proves
 that every later one repeats the second with its send slots advanced
 (:func:`~repro.simmpi.capture.extend_recording`); the resulting
 :class:`~repro.simmpi.capture.PeriodicCapture` is that recording plus
-the ``T - 2`` one-iteration tiles the run adds to it.
+the ``T - 2`` tiles the run adds to it, each a copy of the second
+iteration.
 
 A reduction sets every rank's clock to its completion time, so every
 iteration after the first starts from uniform clocks with no message in
@@ -81,7 +82,8 @@ def _check_resolvable(source: "CompiledTrace | PeriodicCapture") -> None:
         raise SteadyStateError(
             "the run was recorded in full: the steady tier resolves a "
             "periodic capture of two recorded iterations")
-    recording, period = source.probe, source.info.period
+    recording = source.probe
+    period = recording.n_events // 2
     kind = recording.event_kind
     if (period < 1 or recording.n_events != 2 * period
             or kind[period - 1] != EV_COLLECTIVE
@@ -133,7 +135,8 @@ def steady_replay(source: "CompiledTrace | PeriodicCapture",
             "noise model is enabled: noise draws are per-event, so a noisy "
             "run has no repeating period (use the replay tier)")
     _check_resolvable(source)
-    recording, period, tiles = source.probe, source.info.period, source.tiles
+    recording, tiles = source.probe, source.tiles
+    period = recording.n_events // 2
     nranks = recording.nranks
     clock = [0.0] * nranks
     comm = [0.0] * nranks

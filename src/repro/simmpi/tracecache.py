@@ -19,15 +19,15 @@ build on :class:`repro.diskio.DirectoryStore`), so
 An entry holds what the capture produced: a full
 :class:`~repro.simmpi.trace.CompiledTrace` (a full recording), or a
 :class:`~repro.simmpi.capture.PeriodicCapture` (the two-iteration
-recording, its period, the tile count and the run's statistics),
-stored untiled.  A hit is that value again: the steady tier resolves a
-cached periodic run from the recording without building the run's
-table, and a replay tiles it as it would a fresh capture.  A periodic
-entry of a 100-iteration run is 2-3% of the tiled table's bytes.
+recording, the tile count and the run's statistics), stored untiled.
+A hit is that value again: the steady tier resolves a cached periodic
+run from the recording without building the run's table, and a replay
+tiles it as it would a fresh capture.  A periodic entry of a
+100-iteration run is 2-3% of the tiled table's bytes.
 
 Each entry is a small pickled header — the fingerprint key, the stored
 trace's per-rank statistics, traffic, captured return values and column
-layout, plus a capture's period, tile count and run totals — followed by
+layout, plus a capture's tile count and run totals — followed by
 the trace's compact event/send columns as raw bytes, each 8-byte
 aligned.  A put streams the columns to disk from the arrays themselves,
 without a joined copy of the entry.  The columns are byte-exact, so a
@@ -55,8 +55,9 @@ from repro.simmpi.capture import PeriodicCapture
 from repro.simmpi.trace import CompiledTrace
 
 #: Format marker stored with every entry; bump to invalidate old caches.
-#: Format 4 stores a periodic capture as its two-iteration recording.
-_TRACE_CACHE_VERSION = 4
+#: Format 5 stores a periodic capture as its two-iteration recording, its
+#: tile count and the run's totals.
+_TRACE_CACHE_VERSION = 5
 
 #: Event/send columns persisted as raw arrays, in constructor order.
 _COLUMNS = ("event_kind", "event_rank", "event_slot", "event_aux",
@@ -93,7 +94,7 @@ class TraceDiskCache(DirectoryStore):
         trace = capture
         if isinstance(capture, PeriodicCapture):
             trace = capture.probe
-            periodic = (capture.info, capture.tiles, capture.messages_sent,
+            periodic = (capture.tiles, capture.messages_sent,
                         capture.bytes_sent, capture.messages_received,
                         capture.bytes_received, capture.traffic,
                         capture.return_values)

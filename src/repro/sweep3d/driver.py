@@ -48,6 +48,7 @@ from repro.simmpi.capture import (
     CaptureInfo,
     PeriodicCapture,
     extend_recording,
+    second_iteration,
     share_columns,
     tile_trace,
 )
@@ -362,9 +363,12 @@ class SimulationPlan:
            alone, so if iterations 1 and 2 end with their last reduction
            completed by the same rank, iteration 3 repeats iteration 2
            with its send slots advanced, and so on by induction.  The
-           capture is the recording plus ``T - 2`` one-iteration tiles
+           capture is the recording plus ``T - 2`` tiles, each a copy of
+           its second iteration
            (:class:`~repro.simmpi.capture.PeriodicCapture`), tiled into
-           the table here (:func:`~repro.simmpi.capture.tile_trace`);
+           the table here (:func:`~repro.simmpi.capture.tile_trace`,
+           which checks that the table's send slots are sequential and
+           that every match comes after its send);
         3. the full :class:`~repro.simmpi.trace.TraceRecorder` pass, for
            runs of one or two iterations and whenever a check of path 2
            refuses, the tiling's included, with the reason kept in
@@ -519,11 +523,10 @@ class SimulationPlan:
             recording, recorder.collective_ranks, total,
             modelled_rank_summaries(self.deck, self.decomp, self.shared),
             self.topology)
-        info = capture.info
+        period, sends = second_iteration(recording)
         return capture, CaptureInfo(
             mode="periodic", total_iterations=total, tiles=capture.tiles,
-            warmup=info.warmup, period=info.period, drain=info.drain,
-            sends_per_period=info.sends_per_period)
+            period=period, sends_per_period=sends)
 
     def run(self, noise: NoiseModel | None = None,
             mode: str = "engine",

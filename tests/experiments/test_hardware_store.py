@@ -19,9 +19,11 @@ from repro.machines.presets import MACHINE_PRESETS, get_machine
 from repro.sweep3d.input import standard_deck
 
 #: What a warm run must not load: numpy, the MPI simulator's engine and
-#: trace tiers, the trace cache and the simulation driver.
+#: trace tiers, the trace cache, the simulation driver and the shard
+#: planner.
 WARM_RUN_FORBIDDEN = ["numpy", "repro.simmpi.engine", "repro.simmpi.trace",
-                      "repro.simmpi.tracecache", "repro.sweep3d.driver"]
+                      "repro.simmpi.tracecache", "repro.sweep3d.driver",
+                      "repro.experiments.sharding"]
 
 
 def campaign_deck():

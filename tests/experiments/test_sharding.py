@@ -16,7 +16,6 @@ from repro.experiments.artifacts import (
     write_study_artifacts,
 )
 from repro.experiments.sharding import (
-    is_shard_spec,
     make_shard_spec,
     merge_study_results,
     parent_spec,
@@ -28,6 +27,7 @@ from repro.experiments.study import (
     StudyRunner,
     StudySpec,
     build_spec,
+    is_shard_spec,
     study_names,
 )
 

@@ -28,6 +28,7 @@ from repro.experiments.study import (
 )
 from repro.experiments.tables import _run_table_impl
 from repro.machines.presets import get_machine
+from repro.profiling.mpibench import MpiBenchmark
 
 ALL_STUDIES = ("table1", "table2", "table3", "figure8", "figure9",
                "blocking", "scaling", "ablation", "agreement",
@@ -318,7 +319,8 @@ class TestSpecsMatchDirectExecutors:
     def test_table_spec_matches_impl(self):
         via_spec = run_study(build_spec("table2", max_pes=6,
                                         max_iterations=2)).payload
-        direct = _run_table_impl("table2", StudyContext(), max_pes=6,
+        direct = _run_table_impl("table2", StudyContext(),
+                                 get_machine("opteron-gige"), max_pes=6,
                                  max_iterations=2)
         assert [row.predicted for row in via_spec.rows] \
             == [row.predicted for row in direct.rows]
@@ -329,8 +331,9 @@ class TestSpecsMatchDirectExecutors:
         via_spec = run_study(build_spec("figure9", processor_counts=[1, 4],
                                         rate_factors=[1.0, 1.25])).payload
         direct = _run_speculative_figure_impl(
-            FIGURE9_STUDY, StudyContext(), processor_counts=[1, 4],
-            rate_factors=[1.0, 1.25])
+            FIGURE9_STUDY, StudyContext(),
+            get_machine("hypothetical-opteron-myrinet"),
+            processor_counts=[1, 4], rate_factors=[1.0, 1.25])
         assert [series.times for series in via_spec.series] \
             == [series.times for series in direct.series]
 
@@ -338,7 +341,9 @@ class TestSpecsMatchDirectExecutors:
         params = dict(px=4, py=4, mk_values=(1, 10), mmi_values=(1, 3),
                       max_iterations=2)
         via_spec = run_study(build_spec("blocking", **params)).payload
-        direct = _run_blocking_impl(StudyContext(), **params)
+        direct = _run_blocking_impl(
+            StudyContext(), get_machine("hypothetical-opteron-myrinet"),
+            **params)
         assert [p.predicted_time for p in via_spec.points] \
             == [p.predicted_time for p in direct.points]
 
@@ -358,13 +363,17 @@ class TestSpecsMatchDirectExecutors:
         via_spec = run_study(build_spec("scaling", figure="figure9",
                                         processor_counts=(1, 16),
                                         rate_factor=1.5)).payload
-        direct = _run_scaling_impl(StudyContext(), study=FIGURE9_STUDY,
+        direct = _run_scaling_impl(StudyContext(),
+                                   get_machine("hypothetical-opteron-myrinet"),
+                                   study=FIGURE9_STUDY,
                                    processor_counts=(1, 16), rate_factor=1.5)
         assert [p.time for p in via_spec.points] == [p.time for p in direct.points]
 
     def test_ablation_spec_matches_impl(self):
         via_spec = run_study(build_spec("ablation", max_iterations=2)).payload
-        direct = _run_opcode_ablation_impl(StudyContext(), max_iterations=2)
+        direct = _run_opcode_ablation_impl(StudyContext(),
+                                           get_machine("opteron-gige"),
+                                           max_iterations=2)
         assert via_spec.coarse_prediction == direct.coarse_prediction
         assert via_spec.legacy_prediction == direct.legacy_prediction
         assert via_spec.measured == direct.measured
@@ -372,8 +381,9 @@ class TestSpecsMatchDirectExecutors:
     def test_agreement_spec_matches_impl(self):
         via_spec = run_study(build_spec("agreement",
                                         processor_counts=[16, 64])).payload
-        direct = _run_model_agreement_impl(StudyContext(),
-                                           processor_counts=[16, 64])
+        direct = _run_model_agreement_impl(
+            StudyContext(), get_machine("hypothetical-opteron-myrinet"),
+            processor_counts=[16, 64])
         assert [c.pace for c in via_spec.comparisons] \
             == [c.pace for c in direct.comparisons]
         assert [c.loggp for c in via_spec.comparisons] \
@@ -404,6 +414,20 @@ class TestStudyRunner:
         assert first.machine_name == second.machine_name \
             == "hypothetical-opteron-myrinet"
         assert first.machine_fingerprint == second.machine_fingerprint
+
+    def test_studies_of_one_machine_run_one_mpi_campaign(self, monkeypatch):
+        # table2 and the ablation both run on opteron-gige: without a cache
+        # directory the context's one machine fits its MPI model once.
+        campaigns = []
+        run = MpiBenchmark.run
+
+        def counting_run(self, *args, **kwargs):
+            campaigns.append(self.topology.name)
+            return run(self, *args, **kwargs)
+
+        monkeypatch.setattr(MpiBenchmark, "run", counting_run)
+        StudyRunner().run_many(["table2", "ablation"], smoke=True)
+        assert len(campaigns) == 1
 
     def test_shared_cache_spans_studies(self, tmp_path):
         runner = StudyRunner(cache_dir=str(tmp_path / "store"))

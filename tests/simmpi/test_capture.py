@@ -28,16 +28,11 @@ from hypothesis import strategies as st
 import repro.sweep3d.driver as driver
 from repro.errors import TraceError
 from repro.machines.presets import get_machine
-from repro.simmpi import capture
 from repro.simmpi.capture import (
     CaptureInfo,
     PeriodicCapture,
-    PeriodInfo,
-    column_warmup,
     extend_recording,
-    periodic_capture,
     tile_trace,
-    verify_extension,
 )
 from repro.simmpi.trace import EV_SEND, TraceRecorder
 from repro.simmpi.tracecache import TraceDiskCache
@@ -242,7 +237,7 @@ def test_trace_cache_entry_holds_the_probe(machine, tmp_path):
         plan, replace(deck, max_iterations=2)))
     held = plan._capture
     assert_traces_identical(stored.probe, held.probe)
-    assert (stored.info, stored.tiles) == (held.info, held.tiles)
+    assert stored.tiles == held.tiles
     assert (stored.messages_sent, stored.bytes_sent, stored.messages_received,
             stored.bytes_received, stored.traffic, stored.return_values) \
         == (held.messages_sent, held.bytes_sent, held.messages_received,
@@ -369,56 +364,44 @@ def test_aperiodic_program_refuses_extension(machine):
                          machine.topology)
 
 
-def test_tile_trace_needs_at_least_one_tile(machine):
+def test_extension_needs_at_least_one_tile(machine):
     deck = Sweep3DInput(it=8, jt=8, kt=8, mk=4, mmi=3, sn=6,
                         max_iterations=20)
     capture = make_plan(machine, deck, 1, 1)._held_capture()
     with pytest.raises(TraceError, match="at least one tile"):
-        periodic_capture(capture.probe, capture.info, 0,
-                         return_values=list(capture.probe._return_values),
-                         topology=machine.topology)
+        extend_recording(capture.probe, [0] * 4, 2, capture.return_values,
+                         machine.topology)
 
 
-def period_info(trace, period):
-    """``trace``'s structure at ``period``, by the extension's rule."""
-    n = trace.n_events
-    sends = int(np.count_nonzero(trace.event_kind[n - period:] == EV_SEND))
-    warmup = column_warmup(trace, period, sends)
-    repeats = (n - warmup) // period
-    return PeriodInfo(warmup=warmup, period=period, repeats=repeats,
-                      drain=n - warmup - repeats * period,
-                      sends_per_period=sends)
-
-
-def test_verify_extension_names_what_moved(machine):
-    deck = Sweep3DInput(it=8, jt=8, kt=8, mk=4, mmi=3, sn=6,
-                        max_iterations=20)
-    plan = make_plan(machine, deck, 2, 1)
-    trace = plan._record_trace()
-    info = period_info(trace, trace.n_events // 20)   # one iteration
-    assert verify_extension(trace, info, info.repeats) == ""
-    assert verify_extension(trace, info, info.repeats + 1) == (
-        f"period repeats {info.repeats} time(s), expected {info.repeats + 1}")
-    trace._base[-1] += 1.0                  # the drain's last event differs
-    assert verify_extension(trace, info, info.repeats).startswith(
-        "warm-up moved")
-
-
-def test_the_warm_up_moves_past_slot_failures(machine):
-    # Rendez-vous sized messages: a few early receives break the slot
-    # advance while every other column already repeats, so the warm-up
-    # lies past them, in the two recorded iterations and the whole run.
+def test_tiles_are_slot_advanced_copies_of_the_second_iteration(machine):
+    # Rendez-vous sized messages: a few receives of the first iteration
+    # match sends numbered in another order than the second iteration's,
+    # so only the second iteration repeats.
     deck = Sweep3DInput(it=400, jt=400, kt=100, mk=10, mmi=3, sn=6,
                         max_iterations=12)
     plan = make_plan(machine, deck, 2, 2)
-    info = plan._held_capture().info
-    trace = plan._record_trace()
-    assert verify_extension(trace, info, info.repeats + 10) == ""
-    period = info.period
-    differs = np.zeros(trace.n_events - period, dtype=bool)
-    for column in capture._signature_columns(trace):
-        differs |= column[period:] != column[:-period]
-    assert np.flatnonzero(differs)[-1] + 1 < info.warmup
+    capture = plan._held_capture()
+    recording = capture.probe
+    period = recording.n_events // 2
+    sends = int(np.count_nonzero(recording.event_kind[period:] == EV_SEND))
+    first, second = np.split(recording.event_slot, 2)
+    assert not np.array_equal(np.where(first >= 0, first + sends, first),
+                              second)
+    table = tile_trace(capture)
+    assert_traces_identical(table, generator_recording(plan, deck))
+    # The recording, then ten copies of its second iteration, the k-th
+    # with its send and match slots advanced by k sends.
+    for name in ARRAY_COLUMNS:
+        column = getattr(recording, name)
+        if name == "event_slot":
+            copies = [np.where(second >= 0, second + k * sends, second)
+                      for k in range(1, 11)]
+        elif name in ("_send_eager_arr", "_send_rank_arr"):
+            copies = [column[-sends:]] * 10
+        else:
+            copies = [column[period:]] * 10
+        assert np.array_equal(getattr(table, name),
+                              np.concatenate([column] + copies)), name
 
 
 def test_capture_info_describe_modes():

@@ -12,8 +12,6 @@ captures are two recorded iterations extended by
 and hand-built variants check the loud refusals.
 """
 
-from dataclasses import replace
-
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -25,10 +23,7 @@ from repro.errors import TraceError
 from repro.machines.presets import get_machine
 from repro.simmpi.capture import (
     PeriodicCapture,
-    PeriodInfo,
-    column_warmup,
     extend_recording,
-    periodic_capture,
     tile_trace,
 )
 from repro.simmpi.engine import ClusterEngine
@@ -134,6 +129,16 @@ def full_recording(topology, body, nranks, iterations):
     return TraceRecorder(topology).record(iterated(body, iterations), nranks)
 
 
+def hand_made(recording, tiles):
+    """A capture of ``recording`` and ``tiles`` tiles that no extension
+    checked, with the recording's own totals."""
+    return PeriodicCapture(recording, tiles, recording._messages_sent,
+                           recording._bytes_sent,
+                           recording._messages_received,
+                           recording._bytes_received, recording._traffic,
+                           recording._return_values)
+
+
 def assert_steady_matches(topology, body, nranks=2, iterations=12):
     capture = capture_of(topology, body, nranks, iterations)
     result = steady_replay(capture)
@@ -220,11 +225,11 @@ class TestRefusals:
         with pytest.raises(SteadyStateError, match="negative"):
             steady_replay(capture)
 
-    def test_halves_that_do_not_end_in_a_collective_refused(self, capture):
-        info = capture.info
-        shifted = replace(capture, info=replace(info, period=info.period - 1))
+    def test_halves_that_do_not_end_in_a_collective_refused(self, topology):
+        # Three recorded iterations: the first half ends mid-iteration.
+        capture = hand_made(full_recording(topology, ping_pong(), 2, 3), 3)
         with pytest.raises(SteadyStateError, match="two recorded iterations"):
-            steady_replay(shifted)
+            steady_replay(capture)
 
     def test_a_recording_without_collectives_refused(self, topology):
         # A periodic recording, but its iterations end in no collective.
@@ -232,15 +237,7 @@ class TestRefusals:
             for _ in range(2):
                 yield from ping_pong()(comm)
 
-        recording = TraceRecorder(topology).record(program, 2)
-        n = recording.n_events
-        period = n // 2
-        warmup = column_warmup(recording, period, 2)
-        repeats = (n - warmup) // period
-        info = PeriodInfo(warmup=warmup, period=period, repeats=repeats,
-                          drain=n - warmup - repeats * period,
-                          sends_per_period=2)
-        capture = periodic_capture(recording, info, 3, [0, 1], topology)
+        capture = hand_made(TraceRecorder(topology).record(program, 2), 3)
         with pytest.raises(SteadyStateError, match="each ending in a"):
             steady_replay(capture)
 

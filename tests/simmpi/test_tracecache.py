@@ -158,13 +158,13 @@ def format_2_payload(key, trace):
          trace._return_values, _layout(trace))), trace)
 
 
-def joined_payload(key, capture, version=4):
-    """An entry of format ``version`` (3 or 4, whose layouts agree) joined
-    in memory, as puts wrote it before they streamed the columns."""
+def joined_payload(key, capture, version=5):
+    """An entry in format 5's layout, marked ``version`` and joined in
+    memory, as puts wrote it before they streamed the columns."""
     trace, periodic = capture, None
     if isinstance(capture, PeriodicCapture):
         trace = capture.probe
-        periodic = (capture.info, capture.tiles, capture.messages_sent,
+        periodic = (capture.tiles, capture.messages_sent,
                     capture.bytes_sent, capture.messages_received,
                     capture.bytes_received, capture.traffic,
                     capture.return_values)
@@ -203,7 +203,7 @@ def test_periodic_capture_roundtrip(tmp_path, periodic_parts):
     cache.put(key, capture)
     loaded = cache.get(key)
     assert isinstance(loaded, PeriodicCapture)
-    assert (loaded.info, loaded.tiles) == (capture.info, capture.tiles)
+    assert loaded.tiles == capture.tiles
     assert loaded.return_values == capture.return_values
     assert loaded.traffic == capture.traffic
     assert loaded.probe._return_values == capture.probe._return_values
@@ -213,7 +213,8 @@ def test_periodic_capture_roundtrip(tmp_path, periodic_parts):
     assert repr(tile_trace(loaded).replay()) \
         == repr(tile_trace(capture).replay())
     # The entry is the two recorded iterations, not the table.
-    assert capture.probe.n_events == 2 * capture.info.period
+    assert loaded.probe.n_events * (2 + capture.tiles) \
+        == 2 * tile_trace(capture).n_events
     assert cache.total_bytes() < tile_trace(capture).nbytes
 
 
@@ -240,17 +241,17 @@ def test_seven_iteration_periodic_entry_roundtrip(tmp_path, machine):
     loaded = plans[1]._held_capture()
     assert plans[1].last_capture.mode == "cache"
     assert isinstance(loaded, PeriodicCapture)
-    assert (loaded.info, loaded.tiles, loaded.return_values) \
-        == (stored.info, stored.tiles, stored.return_values)
+    assert (loaded.tiles, loaded.return_values) \
+        == (stored.tiles, stored.return_values)
     _assert_same_table(loaded.probe, stored.probe)
     _assert_same_table(plans[1].compile_trace(), plans[1]._record_trace())
 
 
 @pytest.mark.parametrize("periodic", [True, False])
-def test_format_3_entry_is_a_miss(tmp_path, machine, periodic):
-    # An entry marked format 3 is a miss whatever it holds (that format
-    # stored a six-iteration probe or a full table); the plan captures
-    # the run anew and stores format 4.
+def test_format_4_entry_is_a_miss(tmp_path, machine, periodic):
+    # An entry marked format 4 is a miss whatever it holds (that format
+    # stored a periodic capture's warm-up, period and drain beside its
+    # recording); the plan captures the run anew and stores format 5.
     deck = Sweep3DInput(it=10, jt=10, kt=8, mk=4, mmi=3, sn=6,
                         max_iterations=10)
     plan = SimulationPlan(deck, 2, 2, machine.topology,
@@ -261,7 +262,7 @@ def test_format_3_entry_is_a_miss(tmp_path, machine, periodic):
     key = plan.trace_fingerprint()
     payload = joined_payload(
         key, old._held_capture() if periodic else old._record_trace(),
-        version=3)
+        version=4)
     write_atomic(plan.trace_cache._entry_path(key), _checksum(payload),
                  payload)
     run = plan.run(mode="steady")
@@ -308,7 +309,7 @@ def test_truncated_entry_is_a_miss(tmp_path, periodic_parts):
 def test_streamed_entries_equal_the_joined_encoding(tmp_path, plan_parts,
                                                     periodic_parts):
     # A run's table and a periodic capture's recording, each put from its
-    # columns, write the bytes the joined format-4 payload framed.
+    # columns, write the bytes the joined format-5 payload framed.
     full = SimulationPlan(
         Sweep3DInput(it=10, jt=10, kt=8, mk=4, mmi=3, sn=6,
                      max_iterations=3), 2, 3, plan_parts[0].topology,

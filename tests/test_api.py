@@ -37,6 +37,7 @@ NOT_LOADED_BY_API_IMPORT = [
     "repro.experiments.figures",
     "repro.experiments.scaling",
     "repro.experiments.runner",
+    "repro.experiments.sharding",
     "repro.experiments.steadyscale",
     "repro.experiments.tables",
 ]

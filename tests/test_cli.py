@@ -200,7 +200,7 @@ class TestSteadySimulateCli:
                      "--describe-trace"]) == 0
         out = capsys.readouterr().out
         assert "2x2: capture: periodic, recorded 2 of 12 iteration(s)" in out
-        assert "warm-up 3 + period 974 + drain 971 event(s)" in out
+        assert "(974 event(s) and 320 send(s) per iteration)" in out
         assert "steady-eligible" in out
 
     def test_describe_trace_reports_the_refusal(self, capsys):
