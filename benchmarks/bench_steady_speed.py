@@ -12,10 +12,10 @@ per-rank finish/compute/comm times, message and traffic statistics.
 
 ``test_steady_vs_replay_cold_from_trace_cache`` times the same run on
 fresh plans served from a warm trace cache, so each side also pays for
-what it builds on a capture it has not seen before: the replay tiles the
-cached recording into the table and replays it from the numpy columns,
-the steady tier replays the two recorded iterations.  Steady must stay
-at least 3x faster.
+what it builds on a capture it has not seen before: the replay walks
+the cached recording and then its second iteration once per tile from
+the numpy columns, the steady tier replays the two recorded iterations.
+Steady must stay at least 3x faster.
 
 ``test_steady_refuses_loudly_and_falls_back`` locks the other half of
 the contract: on a machine whose cost table is not quantised (sums of

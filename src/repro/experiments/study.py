@@ -497,10 +497,12 @@ class StudyContext:
         return self._compiled
 
     def machine(self, name: str):
-        from repro.machines.presets import get_machine
-        key = name.lower()
+        """The context's one machine of the preset ``name`` names: an alias
+        and its preset share it, and with it one MPI model fit."""
+        from repro.machines.presets import get_machine, preset_name
+        key = preset_name(name)
         if key not in self._machines:
-            self._machines[key] = get_machine(name)
+            self._machines[key] = get_machine(key)
         return self._machines[key]
 
     def cache_for(self, cache_dir: str | os.PathLike) -> SweepDiskCache:

@@ -138,10 +138,15 @@ MACHINE_ALIASES: dict[str, str] = {
 }
 
 
+def preset_name(name: str) -> str:
+    """The preset a machine name or alias names (case-insensitive)."""
+    key = name.lower()
+    return MACHINE_ALIASES.get(key, key)
+
+
 def get_machine(name: str) -> Machine:
     """Instantiate a machine preset by name or alias."""
-    key = name.lower()
-    key = MACHINE_ALIASES.get(key, key)
+    key = preset_name(name)
     try:
         factory = MACHINE_PRESETS[key]
     except KeyError:

@@ -1,4 +1,4 @@
-"""Periodic trace capture: record two iterations, prove the rest, tile.
+"""Periodic trace capture: record two iterations, prove the rest.
 
 Recording a modelled run's event stream (:class:`~repro.simmpi.trace.
 TraceRecorder`) is O(events) pure Python, even from harvested op
@@ -15,22 +15,25 @@ by two reductions, and at each iteration boundary the scheduler's state
 comes down to the rank that completed the last reduction
 (:func:`~repro.simmpi.engine.run_ranks`).  So two recorded iterations
 decide every later one: :func:`extend_recording` checks that they end in
-that state with no message in flight and returns a
-:class:`PeriodicCapture`: the two-iteration recording, the ``T - 2``
-iterations the run adds to it (its *tiles*, each a copy of the
-recording's second half) and the run's per-rank/traffic statistics,
-scaled from the second iteration's deltas by exact integer arithmetic.
+that state with no message in flight and returns the *periodic
+capture*: a :class:`~repro.simmpi.trace.CompiledTrace` of the two
+recorded iterations whose :attr:`~repro.simmpi.trace.CompiledTrace.
+tiles` counts the ``T - 2`` iterations the run adds to them, each a copy
+of the recording's second half, and whose per-rank/traffic statistics
+are the run's, scaled from the second iteration's deltas by exact
+integer arithmetic.
 
-The caller (:meth:`~repro.sweep3d.driver.SimulationPlan.compile_trace`)
-has one rule.  A run of one or two iterations is recorded in full; any
+The caller (:class:`~repro.sweep3d.driver.SimulationPlan`) has one
+rule.  A run of one or two iterations is recorded in full; any
 longer run is captured periodically.  The capture stands for the whole
-run: the steady tier resolves it directly
-(:func:`~repro.simmpi.steady.steady_replay`), a trace-cache entry
-(:mod:`repro.simmpi.tracecache`) stores it as it is, and
-:func:`tile_trace` builds the full :class:`~repro.simmpi.trace.
-CompiledTrace` from it — the recording, then each tile with its send-slot
-indices advanced by the second iteration's send count — only when a
-replay needs the table.
+run: the scalar replay (:meth:`~repro.simmpi.trace.CompiledTrace.
+replay`) and the steady tier (:func:`~repro.simmpi.steady.steady_replay`)
+resolve it directly, and a trace-cache entry
+(:mod:`repro.simmpi.tracecache`) stores it as it is.
+:func:`tile_trace` builds the run's full table from it — the recording,
+then each tile with its send-slot indices advanced by the second
+iteration's send count — only for :meth:`~repro.sweep3d.driver.
+SimulationPlan.compile_trace`, whose table the batched replay reads.
 
 The contract is the steady tier's: **bit-identical to full capture or
 refuse loudly**.  Every structural precondition is checked: integer
@@ -71,7 +74,7 @@ _MAX_EXACT_BYTES = float(2 ** 53)
 
 @dataclass
 class CaptureInfo:
-    """How one :meth:`SimulationPlan.compile_trace` produced its trace.
+    """How a :class:`~repro.sweep3d.driver.SimulationPlan` captured its run.
 
     ``mode`` is ``"periodic"`` (two recorded iterations, extended by
     ``tiles`` copies of the second), ``"full"`` (the O(events) recorder;
@@ -141,51 +144,29 @@ def _check_exact_bytes(trace: CompiledTrace, tiles: int,
             "float64 integer range (2**53)")
 
 
-@dataclass
-class PeriodicCapture:
-    """Two recorded iterations standing for a run ``tiles`` iterations
-    longer.
-
-    Built by :func:`extend_recording`.  The run's trace is the recording
-    (``probe``) followed by ``tiles`` copies of its second half, the
-    second iteration (:func:`tile_trace`); the per-rank and traffic
-    totals and the return values are those of the run, not of the
-    recording.
-    """
-
-    probe: CompiledTrace
-    tiles: int
-    messages_sent: list[int]
-    bytes_sent: list[float]
-    messages_received: list[int]
-    bytes_received: list[float]
-    traffic: LinkUsageStats
-    return_values: list[Any]
-
-
-def tile_trace(capture: PeriodicCapture) -> CompiledTrace:
+def tile_trace(capture: CompiledTrace) -> CompiledTrace:
     """Synthesize the run's full trace from a periodic capture.
 
-    The result is the recording followed by ``tiles`` copies of its
-    second iteration, the ``k``-th with its send slots advanced by ``k``
-    times that iteration's send count, and carries the capture's
+    The result is the recording followed by ``capture.tiles`` copies of
+    its second iteration, the ``k``-th with its send slots advanced by
+    ``k`` times that iteration's send count, and carries the capture's
     statistics and return values.  Raises
     :class:`~repro.errors.TraceError` — never returns a wrong trace —
     when the synthesized send slots are not sequential or a match
     precedes its send.
     """
-    short, tiles = capture.probe, capture.tiles
-    n = short.n_events
-    period, sends = second_iteration(short)
-    seg_kind = short.event_kind[period:]
-    n_messages = short.n_messages + tiles * sends
+    tiles = capture.tiles
+    n = capture.n_events
+    period, sends = second_iteration(capture)
+    seg_kind = capture.event_kind[period:]
+    n_messages = capture.n_messages + tiles * sends
     n_events = n + tiles * period
 
     # Every column is written once: the recording, then its second
     # iteration broadcast over the tiles.
     tiled = {}
     for name in _TILED_COLUMNS:
-        column = getattr(short, name)
+        column = getattr(capture, name)
         out = tiled[name] = np.empty(n_events, dtype=column.dtype)
         out[:n] = column
         out[n:].reshape(tiles, period)[:] = column[period:]
@@ -198,7 +179,7 @@ def tile_trace(capture: PeriodicCapture) -> CompiledTrace:
     np.multiply(np.arange(1, tiles + 1, dtype=np.int32)[:, None] * sends,
                 (seg_kind == EV_SEND) | (seg_kind == EV_MATCH),
                 out=tile_slots)
-    tile_slots += short.event_slot[period:]
+    tile_slots += capture.event_slot[period:]
 
     # Structural checks on the synthesized table: send slots must be
     # sequential in event order (the recorder's allocation invariant) and
@@ -223,48 +204,48 @@ def tile_trace(capture: PeriodicCapture) -> CompiledTrace:
                                               tiles)])
 
     return CompiledTrace(
-        nranks=short.nranks,
+        nranks=capture.nranks,
         event_kind=new_kind,
         event_rank=tiled["event_rank"],
         event_slot=new_slot,
         event_aux=tiled["event_aux"],
         base=tiled["_base"],
         noise_kind=tiled["_noise_kind"],
-        send_eager=tiled_sends(short._send_eager_arr),
-        send_rank=tiled_sends(short._send_rank_arr),
+        send_eager=tiled_sends(capture._send_eager_arr),
+        send_rank=tiled_sends(capture._send_rank_arr),
         event_peer=tiled["event_peer"],
         event_tag=tiled["event_tag"],
         event_nbytes=tiled["event_nbytes"],
-        messages_sent=capture.messages_sent,
-        bytes_sent=capture.bytes_sent,
-        messages_received=capture.messages_received,
-        bytes_received=capture.bytes_received,
-        traffic=capture.traffic,
-        return_values=capture.return_values,
+        messages_sent=capture._messages_sent,
+        bytes_sent=capture._bytes_sent,
+        messages_received=capture._messages_received,
+        bytes_received=capture._bytes_received,
+        traffic=capture._traffic,
+        return_values=capture._return_values,
     )
 
 
-def share_columns(capture: PeriodicCapture, table: CompiledTrace) -> None:
-    """Point ``capture``'s recording at the first rows of ``table``, the
+def share_columns(capture: CompiledTrace, table: CompiledTrace) -> None:
+    """Point ``capture``'s columns at the first rows of ``table``, the
     trace :func:`tile_trace` built from it, so the plan holding both
     keeps one copy of the recorded columns.
 
     Those rows are the recording, column for column: :func:`tile_trace`
     writes it first and appends the tiles after it.
     """
-    recording = capture.probe
-    n, messages = recording.n_events, recording.n_messages
+    n, messages = capture.n_events, capture.n_messages
     for name in _TILED_COLUMNS:
-        setattr(recording, name, getattr(table, name)[:n])
+        setattr(capture, name, getattr(table, name)[:n])
     for name in ("_send_eager_arr", "_send_rank_arr"):
-        setattr(recording, name, getattr(table, name)[:messages])
+        setattr(capture, name, getattr(table, name)[:messages])
 
 
 def extend_recording(recording: CompiledTrace, collective_ranks: list[int],
                      iterations: int, return_values: list[Any],
-                     topology: ClusterTopology) -> PeriodicCapture:
+                     topology: ClusterTopology) -> CompiledTrace:
     """The ``iterations``-iteration run, proved from a two-iteration
-    recording, as a :class:`PeriodicCapture`.
+    recording, as a periodic capture: a trace of the recording's columns
+    with ``iterations - 2`` tiles and the run's totals.
 
     ``recording`` holds two iterations of rank programs that yield the
     same op sequence in every iteration and close it with two
@@ -297,7 +278,10 @@ def extend_recording(recording: CompiledTrace, collective_ranks: list[int],
     iteration; the same rank completed both iterations' last reduction.
     The capture's tiles are the ``iterations - 2`` iterations the
     recording leaves out, and its statistics add ``tiles`` times the
-    second iteration's to the recording's, in exact arithmetic.  Raises
+    second iteration's to the recording's, in exact arithmetic.  Since
+    every send is matched within its own iteration, a tile can reuse the
+    second iteration's send slots (:meth:`~repro.simmpi.trace.
+    CompiledTrace.replay`).  Raises
     :class:`~repro.errors.TraceError` naming the first check that fails,
     also when there is no tile, when the second iteration sends on a tag
     the recording never saw, or when the run's byte totals or send slots
@@ -348,30 +332,34 @@ def extend_recording(recording: CompiledTrace, collective_ranks: list[int],
                                weights=seg_nbytes[match_mask],
                                minlength=nranks)
 
-    # Traffic delta: re-record the second iteration's sends through the
-    # same LinkUsageStats.record the recorder uses (O(period), cheap).
-    delta_traffic = LinkUsageStats()
-    for source, dest, nbytes, tag in zip(
-            seg_rank[send_mask].tolist(),
-            recording.event_peer[period:][send_mask].tolist(),
-            seg_nbytes[send_mask].tolist(),
-            recording.event_tag[period:][send_mask].tolist()):
-        delta_traffic.record(topology, source, dest, nbytes, tag)
-    if any(tag not in recording._traffic.by_tag
-           for tag in delta_traffic.by_tag):
+    # Traffic delta of the second iteration's sends, as LinkUsageStats
+    # .record counts them.  The byte sum is exact: _check_exact_bytes
+    # refuses any size or total off the float64 integer grid.
+    dests = recording.event_peer[period:][send_mask]
+    tags, tag_counts = np.unique(recording.event_tag[period:][send_mask],
+                                 return_counts=True)
+    d_by_tag = dict(zip(tags.tolist(), tag_counts.tolist()))
+    d_messages = len(dests)
+    d_traffic_bytes = float(seg_nbytes[send_mask].sum())
+    d_intra = 0
+    if topology.intra_node is not None:
+        nodes = topology.processors_per_node
+        d_intra = int(np.count_nonzero(
+            seg_rank[send_mask] // nodes == dests // nodes))
+    if any(tag not in recording._traffic.by_tag for tag in d_by_tag):
         raise TraceError(
             "periodic capture refused: period traffic uses a tag the "
             "recorded prefix never saw")
     _check_exact_bytes(recording, tiles, d_bytes_sent, d_bytes_recv,
-                       delta_traffic.bytes)
+                       d_traffic_bytes)
     if recording.n_messages + tiles * sends >= 2 ** 31:
         raise TraceError(
             "periodic capture refused: tiled trace exceeds the int32 "
             "send-slot range")
 
     traffic = recording._traffic
-    return PeriodicCapture(
-        probe=recording, tiles=tiles,
+    return CompiledTrace(
+        nranks=nranks, **recording.columns(),
         messages_sent=[int(count + tiles * d_msgs_sent[rank])
                        for rank, count in
                        enumerate(recording._messages_sent)],
@@ -384,14 +372,15 @@ def extend_recording(recording: CompiledTrace, collective_ranks: list[int],
                         for rank, total in
                         enumerate(recording._bytes_received)],
         traffic=LinkUsageStats(
-            messages=traffic.messages + tiles * delta_traffic.messages,
-            bytes=traffic.bytes + tiles * delta_traffic.bytes,
+            messages=traffic.messages + tiles * d_messages,
+            bytes=traffic.bytes + tiles * d_traffic_bytes,
             intra_node_messages=(traffic.intra_node_messages
-                                 + tiles * delta_traffic.intra_node_messages),
+                                 + tiles * d_intra),
             inter_node_messages=(traffic.inter_node_messages
-                                 + tiles * delta_traffic.inter_node_messages),
-            by_tag={tag: count + tiles * delta_traffic.by_tag.get(tag, 0)
+                                 + tiles * (d_messages - d_intra)),
+            by_tag={tag: count + tiles * d_by_tag.get(tag, 0)
                     for tag, count in traffic.by_tag.items()},
         ),
         return_values=return_values,
+        tiles=tiles,
     )

@@ -5,9 +5,9 @@ closed by the ``globalmax`` and ``globalsum`` reductions.  Periodic
 capture (:mod:`repro.simmpi.capture`) records two iterations and proves
 that every later one repeats the second with its send slots advanced
 (:func:`~repro.simmpi.capture.extend_recording`); the resulting
-:class:`~repro.simmpi.capture.PeriodicCapture` is that recording plus
-the ``T - 2`` tiles the run adds to it, each a copy of the second
-iteration.
+periodic capture is a :class:`~repro.simmpi.trace.CompiledTrace` of
+that recording whose ``tiles`` count the ``T - 2`` iterations the run
+adds to it, each a copy of the second iteration.
 
 A reduction sets every rank's clock to its completion time, so every
 iteration after the first starts from uniform clocks with no message in
@@ -39,59 +39,49 @@ built with :meth:`~repro.machines.machine.Machine.quantized` satisfy it;
 continuous presets legitimately refuse.
 
 Each failed check raises :class:`SteadyStateError` with the reason, and
-callers fall back to the full replay: a noisy run, a run recorded in
-full (a :class:`~repro.simmpi.trace.CompiledTrace`), a capture that is
+callers fall back to the scalar replay: a noisy run, a run recorded in
+full (a trace without tiles), a capture that is
 not two halves each ending in a collective, a timebase that fails the
 exactness rule, and clocks that are not uniform at a recorded iteration
-end.  An accepted run is bit-identical to the full replay of its tiled
-trace: elapsed time, per-rank finish/compute/comm, message and traffic
-statistics.
+end.  An accepted run is bit-identical to the scalar replay of the
+capture and of its tiled trace: elapsed time, per-rank
+finish/compute/comm, message and traffic statistics.
 """
 
 from __future__ import annotations
 
 import math
 from itertools import islice
-from typing import TYPE_CHECKING
 
 import numpy as np
 
 from repro.errors import TraceError
-from repro.simmpi.engine import RankResult, SimulationResult
-from repro.simmpi.trace import (
-    EV_COLLECTIVE,
-    CompiledTrace,
-    _copy_traffic,
-    _replay_events,
-)
+from repro.simmpi.engine import SimulationResult
+from repro.simmpi.trace import EV_COLLECTIVE, CompiledTrace, _replay_events
 from repro.simnet.noise import NoiseModel
-
-if TYPE_CHECKING:
-    from repro.simmpi.capture import PeriodicCapture
 
 
 class SteadyStateError(TraceError):
     """The steady tier refused a run (callers fall back to full replay)."""
 
 
-def _check_resolvable(source: "CompiledTrace | PeriodicCapture") -> None:
+def _check_resolvable(source: CompiledTrace) -> None:
     """Raise :class:`SteadyStateError` unless ``source`` is a capture of
     two recorded iterations on a timebase that passes the exactness rule
     (see the module docstring)."""
-    if isinstance(source, CompiledTrace):
+    if not source.tiles:
         raise SteadyStateError(
             "the run was recorded in full: the steady tier resolves a "
             "periodic capture of two recorded iterations")
-    recording = source.probe
-    period = recording.n_events // 2
-    kind = recording.event_kind
-    if (period < 1 or recording.n_events != 2 * period
+    period = source.n_events // 2
+    kind = source.event_kind
+    if (period < 1 or source.n_events != 2 * period
             or kind[period - 1] != EV_COLLECTIVE
             or kind[-1] != EV_COLLECTIVE):
         raise SteadyStateError(
             "the capture is not two recorded iterations, each ending in a "
             "collective")
-    base, aux = recording._base, recording.event_aux
+    base, aux = source._base, source.event_aux
     total = float(base.sum()) + float(aux.sum()) + source.tiles * (
         float(base[period:].sum()) + float(aux[period:].sum()))
     if not (base.min() >= 0.0 and aux.min() >= 0.0
@@ -109,7 +99,7 @@ def _check_resolvable(source: "CompiledTrace | PeriodicCapture") -> None:
                 "machine)")
 
 
-def describe_steady(source: "CompiledTrace | PeriodicCapture") -> str:
+def describe_steady(source: CompiledTrace) -> str:
     """The steady tier's noise-free verdict on ``source``, from its shape
     and the exactness rule, without resolving the run."""
     try:
@@ -119,32 +109,32 @@ def describe_steady(source: "CompiledTrace | PeriodicCapture") -> str:
     return "dyadic-exact timebase (steady-eligible)"
 
 
-def steady_replay(source: "CompiledTrace | PeriodicCapture",
+def steady_replay(source: CompiledTrace,
                   noise: NoiseModel | None = None) -> SimulationResult:
     """Resolve a periodic capture's run — bit-identical or refuse.
 
     On success the returned :class:`~repro.simmpi.engine.SimulationResult`
-    is bit-identical to the full replay of the run's tiled trace (and
-    hence to the reference engine).  A complete trace, noise, or any
-    failed check (see the module docstring) raises
-    :class:`SteadyStateError` with the reason; callers fall back to the
-    full replay, so correctness is never traded for speed.
+    is bit-identical to the scalar replay of the run (and hence to the
+    reference engine).  A run recorded in full, noise, or any failed
+    check (see the module docstring) raises :class:`SteadyStateError`
+    with the reason; callers fall back to the scalar replay, so
+    correctness is never traded for speed.
     """
     if noise is not None and not noise.is_disabled():
         raise SteadyStateError(
             "noise model is enabled: noise draws are per-event, so a noisy "
             "run has no repeating period (use the replay tier)")
     _check_resolvable(source)
-    recording, tiles = source.probe, source.tiles
-    period = recording.n_events // 2
-    nranks = recording.nranks
+    tiles = source.tiles
+    period = source.n_events // 2
+    nranks = source.nranks
     clock = [0.0] * nranks
     comm = [0.0] * nranks
     comp = [0.0] * nranks
-    ready_t = [0.0] * recording.n_messages
-    arrive = [0.0] * recording.n_messages
-    rows = recording._column_rows(recording._base)
-    srank = memoryview(recording._send_rank_arr)
+    ready_t = [0.0] * source.n_messages
+    arrive = [0.0] * source.n_messages
+    rows = zip(*source._views(source._base))
+    srank = memoryview(source._send_rank_arr)
 
     def replay_iteration() -> None:
         _replay_events(islice(rows, period), nranks, clock, comm, comp,
@@ -165,19 +155,5 @@ def steady_replay(source: "CompiledTrace | PeriodicCapture",
         comm[rank] += tiles * (comm[rank] - comm1[rank])
         comp[rank] += tiles * (comp[rank] - comp1[rank])
 
-    ranks = [RankResult(
-        rank=rank,
-        finish_time=clock[rank],
-        return_value=source.return_values[rank],
-        compute_time=comp[rank],
-        comm_time=comm[rank],
-        messages_sent=source.messages_sent[rank],
-        bytes_sent=source.bytes_sent[rank],
-        messages_received=source.messages_received[rank],
-        bytes_received=source.bytes_received[rank],
-    ) for rank in range(nranks)]
-    elapsed = max((r.finish_time for r in ranks), default=0.0)
-    recording.steady_replays += 1
-    return SimulationResult(nranks=nranks, ranks=ranks,
-                            elapsed_time=elapsed,
-                            traffic=_copy_traffic(source.traffic))
+    source.steady_replays += 1
+    return source._result(clock, comm, comp)

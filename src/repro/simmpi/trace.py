@@ -56,6 +56,14 @@ noise-free replay, since a list is faster to iterate than a memoryview
 once the build is paid.  The batch schedule and the steady-state tier
 (:mod:`repro.simmpi.steady`) build no lists either.
 
+A trace may also be a *periodic capture*
+(:func:`~repro.simmpi.capture.extend_recording`): two recorded
+iterations whose run is :attr:`CompiledTrace.tiles` iterations longer,
+with the run's totals.  Its scalar replay walks the recording, then the
+second iteration's rows once per tile, reusing that iteration's send
+slots, and draws the run's noise in one call; only the batched replay
+needs the run's full table (:func:`~repro.simmpi.capture.tile_trace`).
+
 Only timing-independent patterns can be captured: numeric-payload runs
 and clock reads (``now``) raise :class:`~repro.errors.TraceError`
 (callers fall back to the engine).
@@ -63,6 +71,7 @@ and clock reads (``now``) raise :class:`~repro.errors.TraceError`
 
 from __future__ import annotations
 
+from itertools import chain, repeat
 from typing import Any, Callable, Iterable, Sequence
 
 import numpy as np
@@ -475,8 +484,14 @@ class CompiledTrace:
                  event_nbytes: np.ndarray,
                  messages_sent: list[int], bytes_sent: list[float],
                  messages_received: list[int], bytes_received: list[float],
-                 traffic: LinkUsageStats, return_values: list[Any]):
+                 traffic: LinkUsageStats, return_values: list[Any],
+                 tiles: int = 0):
         self.nranks = nranks
+        #: Copies of the recorded second iteration the run adds to the
+        #: recording: 0 for a run recorded in full.  A periodic capture's
+        #: columns hold two recorded iterations, and its per-rank and
+        #: traffic totals and return values are the whole run's.
+        self.tiles = tiles
         #: Flat per-event pattern table (compact numpy columns, engine
         #: order): int8 kind, int32 rank/slot/peer/tag, float64 aux
         #: (CPU overhead) / base duration / nbytes, int8 noise kind,
@@ -543,6 +558,16 @@ class CompiledTrace:
     def n_messages(self) -> int:
         return len(self._send_rank_arr)
 
+    def columns(self) -> dict[str, np.ndarray]:
+        """The recorded numpy columns, by constructor argument name."""
+        return {"event_kind": self.event_kind, "event_rank": self.event_rank,
+                "event_slot": self.event_slot, "event_aux": self.event_aux,
+                "base": self._base, "noise_kind": self._noise_kind,
+                "send_eager": self._send_eager_arr,
+                "send_rank": self._send_rank_arr,
+                "event_peer": self.event_peer, "event_tag": self.event_tag,
+                "event_nbytes": self.event_nbytes}
+
     @property
     def nbytes(self) -> int:
         """On-heap size of the recorded pattern columns (bytes).
@@ -552,11 +577,7 @@ class CompiledTrace:
         trace replayed noise-free more than once and the per-rank
         statistics lists (O(nranks), not O(events)) are excluded.
         """
-        return int(sum(column.nbytes for column in (
-            self.event_kind, self.event_rank, self.event_slot,
-            self.event_aux, self.event_peer, self.event_tag,
-            self.event_nbytes, self._base, self._noise_kind,
-            self._send_eager_arr, self._send_rank_arr)))
+        return int(sum(column.nbytes for column in self.columns().values()))
 
     def describe(self) -> str:
         """One-line summary of the recorded table."""
@@ -577,25 +598,72 @@ class CompiledTrace:
         list is faster to iterate, but it costs several times the
         columns' memory, which a trace replayed once never needs.
         """
-        if noise is None or noise.is_disabled():
-            if self._replay_lists is None:
-                if not self._replayed_noise_free:
-                    self._replayed_noise_free = True
-                    return self._column_rows(self._base)
-                self._replay_lists = tuple(column.tolist() for column in (
-                    self._wave_key, self.event_rank, self.event_slot,
-                    self.event_aux, self._base))
-            return zip(*self._replay_lists)
-        durations = self._base.copy()
-        index, kinds, bases = self._draws
-        if len(index):
-            durations[index] = noise.perturb_batch(bases, kinds)
-        return self._column_rows(durations)
+        if noise is not None and not noise.is_disabled():
+            return self._rows(self._views(self._noisy_durations(noise)))
+        if self._replay_lists is None:
+            if not self._replayed_noise_free:
+                self._replayed_noise_free = True
+                return self._rows(self._views(self._base))
+            self._replay_lists = tuple(column.tolist() for column in (
+                self._wave_key, self.event_rank, self.event_slot,
+                self.event_aux, self._base))
+        return self._rows(self._replay_lists)
 
-    def _column_rows(self, durations: np.ndarray) -> Iterable:
-        return zip(*map(memoryview, (self._wave_key, self.event_rank,
-                                     self.event_slot, self.event_aux,
-                                     durations)))
+    def _views(self, durations: np.ndarray) -> tuple:
+        """Memoryviews of the scalar replay's columns: wave kind, rank,
+        slot, aux and ``durations``."""
+        return tuple(map(memoryview, (self._wave_key, self.event_rank,
+                                      self.event_slot, self.event_aux,
+                                      durations)))
+
+    def _rows(self, columns: Sequence) -> Iterable:
+        """The run's rows from the five scalar-replay ``columns``.
+
+        They are the recorded rows, then for a periodic capture the second
+        iteration's rows once per tile.  A tile reuses that iteration's
+        send slots, since every send is matched within its own iteration.
+        The duration column holds either the recording's durations, which
+        every tile repeats, or the whole run's.
+        """
+        rows = zip(*columns)
+        if not self.tiles:
+            return rows
+        period = self.n_events // 2
+        *second, durations = (column[period:] for column in columns)
+        if len(durations) == period:        # the recording's durations
+            spans = repeat(durations, self.tiles)
+        else:                               # the run's, tile by tile
+            spans = (durations[start:start + period]
+                     for start in range(period, len(durations), period))
+        return chain(rows, chain.from_iterable(
+            zip(*second, span) for span in spans))
+
+    def _noisy_durations(self, noise: NoiseModel) -> np.ndarray:
+        """The run's durations under ``noise``, drawn by one
+        :meth:`~repro.simnet.noise.NoiseModel.perturb_batch` call over the
+        run's draw sites in engine order: the recording's, then for a
+        periodic capture the second iteration's once per tile."""
+        index, kinds, bases = self._draws
+        if not self.tiles:
+            durations = self._base.copy()
+            if len(index):
+                durations[index] = noise.perturb_batch(bases, kinds)
+            return durations
+        n, tiles = self.n_events, self.tiles
+        period = n // 2
+        second = index >= period
+        sites = index[second] - period
+        drawn = noise.perturb_batch(
+            np.concatenate((bases, np.tile(bases[second], tiles))),
+            np.concatenate((kinds, np.tile(kinds[second], tiles))))
+        # Allocated after the draw, whose temporaries peak higher.
+        durations = np.empty(n + tiles * period)
+        durations[:n] = self._base
+        tiled = durations[n:].reshape(tiles, period)
+        tiled[:] = self._base[period:]
+        durations[index] = drawn[:len(index)]
+        tiled[:, sites] = drawn[len(index):].reshape(tiles, len(sites))
+        return durations
 
     def replay(self, noise: NoiseModel | None = None) -> SimulationResult:
         """Resolve all completion times under ``noise`` (max-plus pass).
@@ -620,7 +688,13 @@ class CompiledTrace:
         _replay_events(self._replay_rows(noise), nranks,
                        clock, comm, comp, ready_t, arrive,
                        memoryview(self._send_rank_arr))
+        self.replays += 1
+        return self._result(clock, comm, comp)
 
+    def _result(self, clock: list[float], comm: list[float],
+                comp: list[float]) -> SimulationResult:
+        """The run's result from a scalar replay's final per-rank clocks
+        and communication and compute times."""
         ranks = [RankResult(
             rank=rank,
             finish_time=clock[rank],
@@ -631,17 +705,23 @@ class CompiledTrace:
             bytes_sent=self._bytes_sent[rank],
             messages_received=self._messages_received[rank],
             bytes_received=self._bytes_received[rank],
-        ) for rank in range(nranks)]
+        ) for rank in range(self.nranks)]
         elapsed = max((r.finish_time for r in ranks), default=0.0)
-        self.replays += 1
-        return SimulationResult(nranks=nranks, ranks=ranks,
+        return SimulationResult(nranks=self.nranks, ranks=ranks,
                                 elapsed_time=elapsed,
                                 traffic=_copy_traffic(self._traffic))
 
     # ------------------------------------------------------------------
 
     def batch_schedule(self) -> _BatchSchedule:
-        """The wave-compiled schedule, built on first use and cached."""
+        """The wave-compiled schedule, built on first use and cached.
+
+        A periodic capture has none: the batched replay reads the run's
+        full table (:func:`~repro.simmpi.capture.tile_trace`).
+        """
+        if self.tiles:
+            raise TraceError("a periodic capture has no wave schedule; "
+                             "batched replay needs its tiled table")
         if self._schedule is None:
             self._schedule = _BatchSchedule(self)
         return self._schedule

@@ -16,18 +16,18 @@ build on :class:`repro.diskio.DirectoryStore`), so
   only their sweep-cache entries), and
 * the prediction service's warm tiers extend down into capture.
 
-An entry holds what the capture produced: a full
-:class:`~repro.simmpi.trace.CompiledTrace` (a full recording), or a
-:class:`~repro.simmpi.capture.PeriodicCapture` (the two-iteration
-recording, the tile count and the run's statistics), stored untiled.
-A hit is that value again: the steady tier resolves a cached periodic
-run from the recording without building the run's table, and a replay
-tiles it as it would a fresh capture.  A periodic entry of a
-100-iteration run is 2-3% of the tiled table's bytes.
+An entry holds the :class:`~repro.simmpi.trace.CompiledTrace` the
+capture produced: a full recording, or a periodic capture (the
+two-iteration recording, its tile count and the run's statistics),
+stored untiled.  A hit is that trace again: the scalar replay and the
+steady tier resolve a cached periodic run from the recording without
+building the run's table, which only ``compile_trace()`` tiles.  A
+periodic entry of a 100-iteration run is 2-3% of the tiled table's
+bytes.
 
 Each entry is a small pickled header — the fingerprint key, the stored
-trace's per-rank statistics, traffic, captured return values and column
-layout, plus a capture's tile count and run totals — followed by
+trace's per-rank statistics, traffic, captured return values, column
+layout and tile count — followed by
 the trace's compact event/send columns as raw bytes, each 8-byte
 aligned.  A put streams the columns to disk from the arrays themselves,
 without a joined copy of the entry.  The columns are byte-exact, so a
@@ -51,18 +51,12 @@ from typing import Any
 import numpy as np
 
 from repro.diskio import DirectoryStore
-from repro.simmpi.capture import PeriodicCapture
 from repro.simmpi.trace import CompiledTrace
 
 #: Format marker stored with every entry; bump to invalidate old caches.
-#: Format 5 stores a periodic capture as its two-iteration recording, its
-#: tile count and the run's totals.
-_TRACE_CACHE_VERSION = 5
-
-#: Event/send columns persisted as raw arrays, in constructor order.
-_COLUMNS = ("event_kind", "event_rank", "event_slot", "event_aux",
-            "base", "noise_kind", "send_eager", "send_rank",
-            "event_peer", "event_tag", "event_nbytes")
+#: Format 6 stores every entry as one trace and its tile count (format 5
+#: kept a periodic capture's recording totals beside the run's).
+_TRACE_CACHE_VERSION = 6
 
 #: Every column starts at a multiple of this many bytes of the payload.
 _ALIGN = 8
@@ -88,40 +82,27 @@ class TraceDiskCache(DirectoryStore):
     _decode_errors = (pickle.PickleError, EOFError, AttributeError,
                       ImportError, TypeError)
 
-    def _encode(self, key: tuple,
-                capture: CompiledTrace | PeriodicCapture) -> list:
-        periodic = None
-        trace = capture
-        if isinstance(capture, PeriodicCapture):
-            trace = capture.probe
-            periodic = (capture.tiles, capture.messages_sent,
-                        capture.bytes_sent, capture.messages_received,
-                        capture.bytes_received, capture.traffic,
-                        capture.return_values)
-        columns = (trace.event_kind, trace.event_rank, trace.event_slot,
-                   trace.event_aux, trace._base, trace._noise_kind,
-                   trace._send_eager_arr, trace._send_rank_arr,
-                   trace.event_peer, trace.event_tag, trace.event_nbytes)
+    def _encode(self, key: tuple, trace: CompiledTrace) -> list:
+        columns = trace.columns()
         layout = tuple((name, column.dtype.str, len(column))
-                       for name, column in zip(_COLUMNS, columns))
+                       for name, column in columns.items())
         header = pickle.dumps(
             (_TRACE_CACHE_VERSION, key, trace.nranks,
              trace._messages_sent, trace._bytes_sent,
              trace._messages_received, trace._bytes_received,
-             trace._traffic, trace._return_values, layout, periodic),
+             trace._traffic, trace._return_values, layout, trace.tiles),
             protocol=pickle.HIGHEST_PROTOCOL)
         # The columns go out as they are, each after its padding: the
         # store writes the chunks in turn, copying none.
         chunks = [len(header).to_bytes(_HEADER_LENGTH_BYTES, "little"), header]
         size = _HEADER_LENGTH_BYTES + len(header)
-        for column in columns:
+        for column in columns.values():
             chunks.append(bytes(_aligned(size) - size))
             chunks.append(np.ascontiguousarray(column))
             size = _aligned(size) + column.nbytes
         return chunks
 
-    def _decode(self, data: bytearray,
-                key: tuple) -> CompiledTrace | PeriodicCapture:
+    def _decode(self, data: bytearray, key: tuple) -> CompiledTrace:
         end = _HEADER_LENGTH_BYTES + int.from_bytes(
             data[:_HEADER_LENGTH_BYTES], "little")
         header = pickle.loads(data[_HEADER_LENGTH_BYTES:end])
@@ -129,15 +110,14 @@ class TraceDiskCache(DirectoryStore):
             # Format change or (astronomically unlikely) digest collision.
             raise ValueError("stale or foreign trace-cache entry")
         (nranks, messages_sent, bytes_sent, messages_received,
-         bytes_received, traffic, return_values, layout,
-         periodic) = header[2:]
+         bytes_received, traffic, return_values, layout, tiles) = header[2:]
         columns = {}
         for name, dtype, length in layout:
             # Views of ``data``: no copy, writable like a fresh capture.
             columns[name] = np.frombuffer(data, dtype=dtype, count=length,
                                           offset=_aligned(end))
             end = _aligned(end) + columns[name].nbytes
-        trace = CompiledTrace(
+        return CompiledTrace(
             nranks=nranks,
             messages_sent=messages_sent,
             bytes_sent=bytes_sent,
@@ -145,11 +125,9 @@ class TraceDiskCache(DirectoryStore):
             bytes_received=bytes_received,
             traffic=traffic,
             return_values=return_values,
+            tiles=tiles,
             **columns,
         )
-        if periodic is None:
-            return trace
-        return PeriodicCapture(trace, *periodic)
 
 
 def trace_cache_for(path: "str | Any") -> TraceDiskCache:

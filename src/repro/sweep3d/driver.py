@@ -11,27 +11,27 @@ through plans, and :meth:`Machine.simulate
 configuration.
 
 A plan additionally supports **trace replay** for modelled (timing-only)
-runs: :meth:`SimulationPlan.compile_trace` records the plan's event
-stream once (:mod:`repro.simmpi.trace`), from one harvested iteration
-per rank (and for a periodic capture, two recorded iterations; see
-:mod:`repro.simmpi.capture`), and ``run(mode="replay")``
-resolves each run as a vectorised max-plus recurrence over that trace —
-bit-identical to the engine at matched noise seeds, an order of
-magnitude faster per run.  ``mode="steady"`` goes one tier further for
-periodic noise-free runs on a dyadic timebase: the steady-state tier
-(:mod:`repro.simmpi.steady`) replays the two recorded iterations and
-extrapolates the rest, bit-identical or loudly falling back to the full
-replay.  ``mode="auto"`` picks the fastest applicable tier: steady for
-noise-free modelled runs (when it accepts), replay for other modelled
-runs, the engine for numeric ones.
+runs: the plan records its event stream once (:mod:`repro.simmpi.trace`),
+from one harvested iteration per rank (and for a periodic capture, two
+recorded iterations; see :mod:`repro.simmpi.capture`), and
+``run(mode="replay")`` resolves each run as a max-plus recurrence over
+that capture — bit-identical to the engine at matched noise seeds, an
+order of magnitude faster per run.  ``mode="steady"`` goes one tier
+further for periodic noise-free runs on a dyadic timebase: the
+steady-state tier (:mod:`repro.simmpi.steady`) replays the two recorded
+iterations and extrapolates the rest, bit-identical or loudly falling
+back to the replay.  ``mode="auto"`` picks the fastest applicable tier:
+steady for noise-free modelled runs (when it accepts), replay for other
+modelled runs, the engine for numeric ones.
 
-A plan holds its capture for its lifetime.  A periodic capture
-(:class:`~repro.simmpi.capture.PeriodicCapture`: two recorded
-iterations standing for the whole run) is what the steady tier resolves
-and what a trace-cache entry stores.  The full table is tiled from it,
-never recorded again, the first time a scalar or batched replay or
-:meth:`compile_trace` needs it; the plan keeps the table too, and the
-capture's recording then reads the table's first rows.
+A plan holds its capture for its lifetime.  A periodic capture (two
+recorded iterations standing for the whole run,
+:func:`~repro.simmpi.capture.extend_recording`) is what the scalar
+replay and the steady tier resolve and what a trace-cache entry stores.
+The run's full table is tiled from it, never recorded again, only when
+:meth:`SimulationPlan.compile_trace` is called, which the batched
+replay of more than :data:`PER_SEED_SAMPLES` samples does; the plan
+keeps the table too, and the capture then reads the table's first rows.
 """
 
 from __future__ import annotations
@@ -46,7 +46,6 @@ from repro.errors import DecompositionError, TraceError
 from repro.profiling.phases import PhaseTimer
 from repro.simmpi.capture import (
     CaptureInfo,
-    PeriodicCapture,
     extend_recording,
     second_iteration,
     share_columns,
@@ -76,13 +75,13 @@ from repro.sweep3d.parallel import (
 from repro.sweep3d.serial import SerialSolveResult, SerialSweepSolver
 
 #: Largest sample count :meth:`SimulationPlan.run` resolves by one scalar
-#: replay per seed; more samples share one batched replay, whose wave
-#: schedule costs more than a few scalar replays.  On fresh traces with
-#: daemon noise (2-vCPU VM), per-seed replays won at S=4 on every trace
-#: measured, from 974 to 278,808 events (402 against 505 ms on the
-#: 64-rank 12-iteration trace), and the batch won on that trace from S=8
-#: (562 against 770 ms).  ``benchmarks/bench_multiseed.py`` pins both
-#: sides.
+#: replay of the capture per seed; more samples share one batched replay
+#: of the tiled table, whose tiling and wave schedule cost more than a few
+#: scalar replays.  On fresh 64-rank 12-iteration plans served from a
+#: warm trace cache, with daemon noise (2-vCPU VM, medians of 5),
+#: per-seed replays won at S=4 (251 against 327 ms) and the batch won at
+#: S=8 (436 against 519 ms) and S=16 (486 against 1,029 ms).
+#: ``benchmarks/bench_multiseed.py`` pins both sides.
 PER_SEED_SAMPLES = 4
 
 
@@ -291,14 +290,13 @@ class SimulationPlan:
         #: Why the steady tier refused the most recent run, if it did.
         self.last_steady_refusal: str | None = None
         self.trace_cache = trace_cache
-        #: How the most recent :meth:`compile_trace` produced its trace
-        #: (None until a trace has been compiled).
+        #: How the plan captured its run (None until it has).
         self.last_capture: CaptureInfo | None = None
         #: Host wall-clock accounting per execution phase ("capture",
         #: "replay", "steady", "engine"), accumulated across runs.
         self.phases = PhaseTimer()
         #: The capture: a periodic capture or a full recording.
-        self._capture: CompiledTrace | PeriodicCapture | None = None
+        self._capture: CompiledTrace | None = None
         #: The run's table (:meth:`compile_trace`), once built.
         self._trace: CompiledTrace | None = None
 
@@ -338,10 +336,13 @@ class SimulationPlan:
         )
 
     def compile_trace(self) -> CompiledTrace:
-        """Obtain this plan's event stream once for max-plus replay.
+        """This plan's full event table, for the batched replay.
 
         The trace is captured lazily and cached for the plan's lifetime
         (the pattern is a pure function of the plan's deck/decomposition).
+        The scalar replay and the steady tier resolve a run from the
+        capture itself (:meth:`run`); this method also tiles a periodic
+        capture into the run's table and keeps it.
         Capture is one rule with one fallback, each path bit-identical to
         the O(events) recorder:
 
@@ -364,11 +365,10 @@ class SimulationPlan:
            completed by the same rank, iteration 3 repeats iteration 2
            with its send slots advanced, and so on by induction.  The
            capture is the recording plus ``T - 2`` tiles, each a copy of
-           its second iteration
-           (:class:`~repro.simmpi.capture.PeriodicCapture`), tiled into
-           the table here (:func:`~repro.simmpi.capture.tile_trace`,
-           which checks that the table's send slots are sequential and
-           that every match comes after its send);
+           its second iteration, tiled into the table here
+           (:func:`~repro.simmpi.capture.tile_trace`, which checks that
+           the table's send slots are sequential and that every match
+           comes after its send);
         3. the full :class:`~repro.simmpi.trace.TraceRecorder` pass, for
            runs of one or two iterations and whenever a check of path 2
            refuses, the tiling's included, with the reason kept in
@@ -390,7 +390,7 @@ class SimulationPlan:
         """
         if self._trace is None:
             capture = self._held_capture()
-            if isinstance(capture, PeriodicCapture):
+            if capture.tiles:
                 with self.phases.phase("capture"):
                     capture = self._table(capture)
             self._trace = capture
@@ -402,7 +402,7 @@ class SimulationPlan:
         capture = self._held_capture()
         return [self.last_capture.describe(), describe_steady(capture)]
 
-    def _held_capture(self) -> CompiledTrace | PeriodicCapture:
+    def _held_capture(self) -> CompiledTrace:
         """The plan's capture, made on first use; a periodic one untiled."""
         if self.numeric:
             raise TraceError(
@@ -413,9 +413,9 @@ class SimulationPlan:
                 self._capture = self._capture_trace()
         return self._capture
 
-    def _table(self, capture: PeriodicCapture) -> CompiledTrace:
+    def _table(self, capture: CompiledTrace) -> CompiledTrace:
         """Tile ``capture`` into the full trace, whose first rows the
-        capture's recording then reads.
+        capture then reads.
 
         If the tiled table fails its checks the run is recorded in full,
         and that recording replaces the capture.
@@ -448,7 +448,7 @@ class SimulationPlan:
             body_rank_program, nranks=self.decomp.nranks,
             program_args=(self.deck, self.decomp, self.shared, bodies))
 
-    def _capture_trace(self) -> CompiledTrace | PeriodicCapture:
+    def _capture_trace(self) -> CompiledTrace:
         """The capture behind :meth:`compile_trace`: the trace cache, then
         periodic capture, then the full recorder.
 
@@ -484,7 +484,7 @@ class SimulationPlan:
         return capture
 
     def _periodic_capture(self, bodies: list[list]
-                          ) -> tuple[PeriodicCapture, CaptureInfo]:
+                          ) -> tuple[CompiledTrace, CaptureInfo]:
         """Record two iterations and prove the rest of the run.
 
         Every iteration of the modelled sweep yields the same ops per
@@ -494,8 +494,7 @@ class SimulationPlan:
         completed it.  Two iterations ending in the same state, with no
         message in flight, repeat forever
         (:func:`~repro.simmpi.capture.extend_recording`): the capture is
-        the recording plus ``T - 2`` tiles of one iteration, a
-        :class:`~repro.simmpi.capture.PeriodicCapture`.
+        the recording plus ``T - 2`` tiles of one iteration.
 
         Raises :class:`~repro.errors.TraceError`, and the caller records
         the run in full, for a run of one or two iterations, when the two
@@ -542,22 +541,23 @@ class SimulationPlan:
 
         ``mode`` selects the execution tier: ``"engine"`` (default) runs
         the reference :class:`~repro.simmpi.engine.ClusterEngine`;
-        ``"replay"`` resolves the run from the compiled trace
-        (:meth:`compile_trace`), bit-identically; ``"steady"`` asks the
-        steady-state tier (:mod:`repro.simmpi.steady`) to resolve the
-        run from its two recorded iterations — bit-identical when it accepts,
-        falling back to the full replay (with the reason recorded in
-        :attr:`last_steady_refusal`) when it refuses; ``"auto"`` picks
-        the fastest applicable tier — steady for noise-free modelled
-        runs, replay for noisy modelled runs, the engine for numeric
-        ones.  :attr:`last_execution` records which tier produced the
+        ``"replay"`` resolves the run from the plan's capture by the
+        scalar replay (:meth:`~repro.simmpi.trace.CompiledTrace.replay`),
+        bit-identically, without tiling a periodic capture; ``"steady"``
+        asks the steady-state tier (:mod:`repro.simmpi.steady`) to
+        resolve the run from its two recorded iterations — bit-identical
+        when it accepts, falling back to the replay (with the reason
+        recorded in :attr:`last_steady_refusal`) when it refuses;
+        ``"auto"`` picks the fastest applicable tier — steady for
+        noise-free modelled runs, replay for noisy modelled runs, the
+        engine for numeric ones.  :attr:`last_execution` records which tier produced the
         most recent result.
 
         With ``samples=S`` the plan resolves ``S`` independently seeded
         noisy runs and returns a :class:`Sweep3DSampleSet`: one scalar
-        replay per seed up to :data:`PER_SEED_SAMPLES`
+        replay of the capture per seed up to :data:`PER_SEED_SAMPLES`
         (:meth:`~repro.simmpi.trace.CompiledTrace.replay_seeds`), above it
-        **one** batched max-plus pass
+        **one** batched max-plus pass over the table
         (:meth:`~repro.simmpi.trace.CompiledTrace.replay_batch`), whose
         wave schedule costs more than a few scalar replays.  Sample ``s``
         uses seed ``noise.seed + s`` and is bit-identical to the single
@@ -580,12 +580,12 @@ class SimulationPlan:
                     "multi-sample runs are resolved by batched trace "
                     "replay; use mode='replay' or 'auto'")
             seeds = [noise.seed + offset for offset in range(samples)]
-            trace = self.compile_trace()
+            if samples <= PER_SEED_SAMPLES:
+                replay = self._held_capture().replay_seeds
+            else:
+                replay = self.compile_trace().replay_batch
             with self.phases.phase("replay"):
-                if samples <= PER_SEED_SAMPLES:
-                    batch = trace.replay_seeds(seeds, noise)
-                else:
-                    batch = trace.replay_batch(seeds, noise)
+                batch = replay(seeds, noise)
             self.replays += samples
             self.runs += samples
             self.last_execution = "replay"
@@ -600,7 +600,7 @@ class SimulationPlan:
             if mode == "steady" or (mode == "auto" and noise.is_disabled()):
                 simulation = self._steady(noise)
             if simulation is None:
-                trace = self.compile_trace()
+                trace = self._held_capture()
                 with self.phases.phase("replay"):
                     simulation = trace.replay(noise)
                 self.replays += 1

@@ -415,9 +415,9 @@ class TestStudyRunner:
             == "hypothetical-opteron-myrinet"
         assert first.machine_fingerprint == second.machine_fingerprint
 
-    def test_studies_of_one_machine_run_one_mpi_campaign(self, monkeypatch):
-        # table2 and the ablation both run on opteron-gige: without a cache
-        # directory the context's one machine fits its MPI model once.
+    @pytest.fixture
+    def mpi_campaigns(self, monkeypatch):
+        """The topology of every MPI campaign run while the test runs."""
         campaigns = []
         run = MpiBenchmark.run
 
@@ -426,8 +426,21 @@ class TestStudyRunner:
             return run(self, *args, **kwargs)
 
         monkeypatch.setattr(MpiBenchmark, "run", counting_run)
+        return campaigns
+
+    def test_studies_of_one_machine_run_one_mpi_campaign(self, mpi_campaigns):
+        # table2 and the ablation both run on opteron-gige: without a cache
+        # directory the context's one machine fits its MPI model once.
         StudyRunner().run_many(["table2", "ablation"], smoke=True)
-        assert len(campaigns) == 1
+        assert len(mpi_campaigns) == 1
+
+    def test_an_alias_and_its_preset_run_one_mpi_campaign(self,
+                                                           mpi_campaigns):
+        # "opteron" is an alias of opteron-gige, the ablation's machine:
+        # the context resolves both names to one machine.
+        StudyRunner().run_many([build_spec("table2", machine="opteron"),
+                                "ablation"], smoke=True)
+        assert len(mpi_campaigns) == 1
 
     def test_shared_cache_spans_studies(self, tmp_path):
         runner = StudyRunner(cache_dir=str(tmp_path / "store"))

@@ -16,6 +16,7 @@ recorder driving the generator itself over the whole run
 """
 
 import gc
+import tracemalloc
 import weakref
 from dataclasses import replace
 
@@ -28,12 +29,7 @@ from hypothesis import strategies as st
 import repro.sweep3d.driver as driver
 from repro.errors import TraceError
 from repro.machines.presets import get_machine
-from repro.simmpi.capture import (
-    CaptureInfo,
-    PeriodicCapture,
-    extend_recording,
-    tile_trace,
-)
+from repro.simmpi.capture import CaptureInfo, extend_recording, tile_trace
 from repro.simmpi.trace import EV_SEND, TraceRecorder
 from repro.simmpi.tracecache import TraceDiskCache
 from repro.simnet.noise import NoiseModel
@@ -59,13 +55,19 @@ ARRAY_COLUMNS = ("event_kind", "event_rank", "event_slot", "event_aux",
                  "_base", "_noise_kind", "_send_eager_arr", "_send_rank_arr")
 
 
-def assert_traces_identical(got, want):
-    """Bitwise equality of every observable of two compiled traces."""
+def assert_columns_identical(got, want):
+    """Bitwise equality of the recorded columns of two compiled traces."""
     assert got.nranks == want.nranks
     for column in ARRAY_COLUMNS:
         a, b = getattr(got, column), getattr(want, column)
         assert a.dtype == b.dtype, column
         assert np.array_equal(a, b), column
+
+
+def assert_traces_identical(got, want):
+    """Bitwise equality of every observable of two compiled traces."""
+    assert_columns_identical(got, want)
+    assert got.tiles == want.tiles
     assert got._messages_sent == want._messages_sent
     assert got._bytes_sent == want._bytes_sent
     assert got._messages_received == want._messages_received
@@ -135,11 +137,13 @@ def test_periodic_capture_bit_identity(machine, it, jt, kt, mk, px, py,
         # Only a genuinely non-amortisable structure may fall back.
         assert plan.last_capture.mode == "full"
         assert plan.last_capture.reason
-    # Replay observables, noise-free and noisy, at a shared seed.
-    assert result_key(tiled.replay(NoiseModel.disabled())) \
-        == result_key(full.replay(NoiseModel.disabled()))
-    assert result_key(tiled.replay(NoiseModel(seed=seed))) \
-        == result_key(full.replay(NoiseModel(seed=seed)))
+    # Replay observables, noise-free and noisy, at a shared seed, from the
+    # table and from the capture the replay tier resolves.
+    capture = plan._held_capture()
+    for noise in (NoiseModel.disabled(), NoiseModel(seed=seed)):
+        want = result_key(full.replay(noise))
+        assert result_key(tiled.replay(noise)) == want
+        assert result_key(capture.replay(noise)) == want
 
 
 def test_periodic_capture_is_the_default_at_scale(machine):
@@ -193,9 +197,9 @@ def test_steady_replay_steady_records_once(machine, monkeypatch):
                         max_iterations=24)
     plan = make_plan(machine, deck, 2, 2)
     first = plan.run(mode="steady")
-    assert isinstance(plan._capture, PeriodicCapture)
+    assert plan._capture.tiles == 22
     replayed = plan.run(mode="replay")
-    assert isinstance(plan._capture, PeriodicCapture)  # kept beside the table
+    assert plan._trace is None              # replayed from the capture
     second = plan.run(mode="steady")
     assert plan.last_execution == "steady"
     assert len(recorded) == 1
@@ -230,24 +234,17 @@ def test_trace_cache_entry_holds_the_probe(machine, tmp_path):
     assert plan.last_capture.mode == "periodic"
     assert plan.last_execution == "steady"
     stored = TraceDiskCache(tmp_path).get(plan.trace_fingerprint())
-    assert isinstance(stored, PeriodicCapture)
     # The entry is the two recorded iterations and their tiles.
     assert stored.tiles == 22
-    assert_traces_identical(stored.probe, generator_recording(
+    assert_columns_identical(stored, generator_recording(
         plan, replace(deck, max_iterations=2)))
-    held = plan._capture
-    assert_traces_identical(stored.probe, held.probe)
-    assert stored.tiles == held.tiles
-    assert (stored.messages_sent, stored.bytes_sent, stored.messages_received,
-            stored.bytes_received, stored.traffic, stored.return_values) \
-        == (held.messages_sent, held.bytes_sent, held.messages_received,
-            held.bytes_received, held.traffic, held.return_values)
+    assert_traces_identical(stored, plan._capture)
     assert_traces_identical(tile_trace(stored),
                             generator_recording(plan, deck))
 
 
 def refuse_tiling(capture):
-    raise AssertionError("the steady tier tiled the trace")
+    raise AssertionError("the run tiled its capture")
 
 
 def test_cached_periodic_steady_run_never_tiles(machine, tmp_path,
@@ -262,10 +259,100 @@ def test_cached_periodic_steady_run_never_tiles(machine, tmp_path,
                          trace_cache=TraceDiskCache(tmp_path))
         runs.append(plan.run(mode="steady"))
         assert plan.last_execution == "steady"
-        assert isinstance(plan._capture, PeriodicCapture)
+        assert plan._capture.tiles == 22
     assert plan.last_capture.mode == "cache"
     assert [repr(run.simulation) for run in runs] \
         == [repr(reference.simulation)] * 2
+
+
+# ---------------------------------------------------------------------------
+# Replaying the capture without its table
+# ---------------------------------------------------------------------------
+
+REPLAY_DECKS = {
+    "eager": lambda iterations: standard_deck(
+        "validation", px=2, py=2, max_iterations=iterations),
+    # 200x200x100 cells per rank: every face message is rendez-vous sized.
+    "rendezvous": lambda iterations: Sweep3DInput(
+        it=400, jt=400, kt=100, mk=10, mmi=3, sn=6,
+        max_iterations=iterations),
+}
+
+
+@pytest.mark.parametrize("iterations", [3, 7, 12])
+@pytest.mark.parametrize("deck_name", sorted(REPLAY_DECKS))
+def test_scalar_replays_resolve_the_capture_untiled(deck_name, iterations):
+    # A continuous machine: the steady tier refuses and the plan replays.
+    machine = get_machine("pentium3-myrinet")
+    deck = REPLAY_DECKS[deck_name](iterations)
+    noise = machine.noise_model(5)
+    plan = machine.simulation_plan(deck, 2, 2)
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(driver, "tile_trace", refuse_tiling)
+        got = {"replay": plan.run(mode="replay"),
+               "noisy replay": plan.run(noise=noise, mode="replay"),
+               "noisy auto": plan.run(noise=noise, mode="auto"),
+               "steady refusal": plan.run(mode="steady")}
+        assert "dyadic" in plan.last_steady_refusal
+        got["auto"] = plan.run(mode="auto")
+        sample_set = plan.run(noise=noise, mode="auto", samples=2)
+    assert plan._capture.tiles == iterations - 2
+    with pytest.raises(TraceError, match="no wave schedule"):
+        plan._capture.replay_batch(sample_set.seeds, noise)
+    if deck_name == "rendezvous":
+        assert not plan._capture._send_eager_arr.any()
+    table = machine.simulation_plan(deck, 2, 2).compile_trace()
+    engine = machine.simulation_plan(deck, 2, 2)
+    for label, run in got.items():
+        run_noise = noise if label.startswith("noisy") else None
+        assert repr(run.simulation) == repr(table.replay(run_noise)) \
+            == repr(engine.run(noise=run_noise, mode="engine").simulation), \
+            label
+    reference = table.replay_seeds(sample_set.seeds, noise)
+    for index, seed in enumerate(sample_set.seeds):
+        assert repr(sample_set.sample(index).simulation) \
+            == repr(reference.sample(index)) \
+            == repr(engine.run(noise=noise.reseeded(seed),
+                               mode="engine").simulation)
+
+
+@pytest.mark.parametrize("iterations", [1, 2])
+def test_short_runs_replay_their_full_recording(iterations):
+    machine = get_machine("pentium3-myrinet")
+    deck = REPLAY_DECKS["eager"](iterations)
+    noise = machine.noise_model(5)
+    plan = machine.simulation_plan(deck, 2, 2)
+    runs = [plan.run(mode="replay"), plan.run(noise=noise, mode="replay")]
+    assert plan.last_capture.mode == "full"
+    assert plan._capture.tiles == 0
+    assert plan.compile_trace() is plan._capture    # the table itself
+    engine = machine.simulation_plan(deck, 2, 2)
+    assert [repr(run.simulation) for run in runs] \
+        == [repr(engine.run(noise=run_noise, mode="engine").simulation)
+            for run_noise in (None, noise)]
+
+
+def test_a_replay_from_the_capture_holds_no_table(machine):
+    # The capture gate's 64-rank x 100-iteration deck; both captures are
+    # made before tracing starts, so each peak is the replay's own.
+    deck = Sweep3DInput(it=16, jt=16, kt=10, mk=10, mmi=3, sn=6,
+                        max_iterations=100)
+
+    def peak_mib(resolve):
+        tracemalloc.start()
+        try:
+            return resolve(), tracemalloc.get_traced_memory()[1] / 2 ** 20
+        finally:
+            tracemalloc.stop()
+
+    plans = [make_plan(machine, deck, 8, 8) for _ in range(2)]
+    for plan in plans:
+        plan._held_capture()
+    run, capture_peak = peak_mib(lambda: plans[0].run(mode="replay"))
+    assert plans[0]._trace is None
+    tiled, table_peak = peak_mib(lambda: plans[1].compile_trace().replay())
+    assert repr(run.simulation) == repr(tiled)
+    assert table_peak >= 10 * capture_peak, (capture_peak, table_peak)
 
 
 # ---------------------------------------------------------------------------
@@ -369,7 +456,7 @@ def test_extension_needs_at_least_one_tile(machine):
                         max_iterations=20)
     capture = make_plan(machine, deck, 1, 1)._held_capture()
     with pytest.raises(TraceError, match="at least one tile"):
-        extend_recording(capture.probe, [0] * 4, 2, capture.return_values,
+        extend_recording(capture, [0] * 4, 2, capture._return_values,
                          machine.topology)
 
 
@@ -380,14 +467,13 @@ def test_tiles_are_slot_advanced_copies_of_the_second_iteration(machine):
     deck = Sweep3DInput(it=400, jt=400, kt=100, mk=10, mmi=3, sn=6,
                         max_iterations=12)
     plan = make_plan(machine, deck, 2, 2)
-    capture = plan._held_capture()
-    recording = capture.probe
+    recording = plan._held_capture()
     period = recording.n_events // 2
     sends = int(np.count_nonzero(recording.event_kind[period:] == EV_SEND))
     first, second = np.split(recording.event_slot, 2)
     assert not np.array_equal(np.where(first >= 0, first + sends, first),
                               second)
-    table = tile_trace(capture)
+    table = tile_trace(recording)
     assert_traces_identical(table, generator_recording(plan, deck))
     # The recording, then ten copies of its second iteration, the k-th
     # with its send and match slots advanced by k sends.

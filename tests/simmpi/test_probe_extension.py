@@ -5,7 +5,8 @@ the rest of the run from the scheduler's state at the iteration
 boundary: the rank that completed the last reduction.  The capture is
 those two iterations and the ``T - 2`` tiles the run adds, and its
 tiled table must be **bit-identical** to recording the run in full, or a
-check refuses and the run is recorded in full.
+check refuses and the run is recorded in full.  The scalar replay
+resolves the capture without the table, with the table's bits.
 
 The identity matrix below runs in tier 1 on a subset; run the module as a
 script for the full matrix (every preset x four decks x seven geometries,
@@ -27,12 +28,7 @@ import pytest
 import repro.sweep3d.driver as driver
 from repro.errors import TraceError
 from repro.machines.presets import MACHINE_PRESETS, get_machine
-from repro.simmpi.capture import (
-    CaptureInfo,
-    PeriodicCapture,
-    extend_recording,
-    tile_trace,
-)
+from repro.simmpi.capture import CaptureInfo, extend_recording, tile_trace
 from repro.simmpi.communicator import SimComm
 from repro.simmpi.engine import MAX_OPERATIONS, _TimingSink, run_ranks
 from repro.simmpi.trace import TraceRecorder
@@ -76,13 +72,22 @@ STATISTICS = ("nranks", "_messages_sent", "_bytes_sent", "_messages_received",
               "_bytes_received", "_traffic", "_return_values")
 
 
+def column_differences(got, want) -> list[str]:
+    """The recorded columns in which two compiled traces differ."""
+    return [name for name in ARRAY_COLUMNS
+            if getattr(got, name).dtype != getattr(want, name).dtype
+            or not np.array_equal(getattr(got, name), getattr(want, name))]
+
+
+def statistic_differences(got, want) -> list[str]:
+    """The run statistics in which two compiled traces differ."""
+    return [name for name in STATISTICS
+            if getattr(got, name) != getattr(want, name)]
+
+
 def differences(got, want) -> list[str]:
     """The observables in which two compiled traces differ."""
-    differ = [name for name in ARRAY_COLUMNS
-              if getattr(got, name).dtype != getattr(want, name).dtype
-              or not np.array_equal(getattr(got, name), getattr(want, name))]
-    return differ + [name for name in STATISTICS
-                     if getattr(got, name) != getattr(want, name)]
+    return column_differences(got, want) + statistic_differences(got, want)
 
 
 def make_plan(machine, deck, px, py, **kwargs):
@@ -93,29 +98,47 @@ def make_plan(machine, deck, px, py, **kwargs):
 def check_configuration(preset: str, deck_name: str, px: int,
                         py: int) -> list[str]:
     """Every failure of the whole capture on one configuration, at each of
-    :data:`ITERATIONS`: from three iterations up it must be periodic and
-    hold the two recorded iterations (also once its table is tiled, when
-    the recording reads the table's first rows) plus ``T - 2`` tiles, and
-    the trace must equal the full recording."""
+    :data:`ITERATIONS`: the table must equal the full recording, and from
+    three iterations up the capture must be periodic and hold the two
+    recorded iterations (also once its table is tiled, when the recording
+    reads the table's first rows) plus ``T - 2`` tiles and the run's
+    totals.  There a fresh plan's ``run(mode="replay")``, noise-free and
+    at one noisy seed, must also resolve the run without tiling it, with
+    the bits of the table's replays."""
     machine = get_machine(preset)
     costs = SweepCostTable(machine.processor)
+    noise = machine.noise_model(1)
     failures = []
     for iterations in ITERATIONS:
         where = f"{preset} {deck_name} {px}x{py} x{iterations}"
         deck = replace(DECKS[deck_name](px, py), max_iterations=iterations)
         plan = make_plan(machine, deck, px, py, cost_table=costs)
+        replays = []
+        if iterations >= 3:
+            replays = [(label, run_noise, plan.run(noise=run_noise,
+                                                   mode="replay").simulation)
+                       for label, run_noise in (("noise-free", None),
+                                                ("noisy", noise))]
+            if plan._trace is not None:
+                failures.append(f"{where}: the replay tiled the capture")
         held = plan._held_capture()
         info = plan.last_capture
         if iterations >= 3 and info.mode != "periodic":
             failures.append(f"{where}: periodic capture refused "
                             f"({info.reason})")
-        differ = differences(plan.compile_trace(), plan._record_trace())
+        table, full = plan.compile_trace(), plan._record_trace()
+        differ = differences(table, full)
         if differ:
             failures.append(f"{where}: differs in {', '.join(differ)}")
-        if isinstance(held, PeriodicCapture):
+        for label, run_noise, simulation in replays:
+            if repr(simulation) != repr(table.replay(run_noise)):
+                failures.append(f"{where}: the {label} replay of the "
+                                "capture differs from the table's")
+        if held.tiles:
             two = make_plan(machine, replace(deck, max_iterations=2), px, py,
                             cost_table=costs)._record_trace()
-            differ = differences(held.probe, two)
+            differ = (column_differences(held, two)
+                      + statistic_differences(held, full))
             if differ or held.tiles != iterations - 2:
                 failures.append(f"{where}: the capture is not the two "
                                 f"recorded iterations and {iterations - 2} "
@@ -232,7 +255,8 @@ def test_different_completing_ranks_refuse(machine):
     trace, ranks, summaries = _validation_recording(machine)
     assert ranks == [3, 2, 3, 2]
     capture = extend_recording(trace, ranks, 6, summaries, machine.topology)
-    assert (capture.probe, capture.tiles) == (trace, 4)
+    assert capture.tiles == 4
+    assert column_differences(capture, trace) == []
     assert tile_trace(capture).n_events == 3 * trace.n_events
     with pytest.raises(TraceError, match="completed by ranks 2 and 1"):
         extend_recording(trace, [3, 2, 3, 1], 6, summaries,

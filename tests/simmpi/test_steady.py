@@ -21,11 +21,7 @@ import repro.simmpi.steady as steady
 import repro.sweep3d.driver as driver
 from repro.errors import TraceError
 from repro.machines.presets import get_machine
-from repro.simmpi.capture import (
-    PeriodicCapture,
-    extend_recording,
-    tile_trace,
-)
+from repro.simmpi.capture import extend_recording, tile_trace
 from repro.simmpi.engine import ClusterEngine
 from repro.simmpi.steady import SteadyStateError, describe_steady, steady_replay
 from repro.simmpi.trace import CompiledTrace, TraceRecorder
@@ -132,17 +128,20 @@ def full_recording(topology, body, nranks, iterations):
 def hand_made(recording, tiles):
     """A capture of ``recording`` and ``tiles`` tiles that no extension
     checked, with the recording's own totals."""
-    return PeriodicCapture(recording, tiles, recording._messages_sent,
-                           recording._bytes_sent,
-                           recording._messages_received,
-                           recording._bytes_received, recording._traffic,
-                           recording._return_values)
+    return CompiledTrace(
+        nranks=recording.nranks, **recording.columns(),
+        messages_sent=recording._messages_sent,
+        bytes_sent=recording._bytes_sent,
+        messages_received=recording._messages_received,
+        bytes_received=recording._bytes_received,
+        traffic=recording._traffic, return_values=recording._return_values,
+        tiles=tiles)
 
 
 def assert_steady_matches(topology, body, nranks=2, iterations=12):
     capture = capture_of(topology, body, nranks, iterations)
     result = steady_replay(capture)
-    assert capture.probe.steady_replays == 1
+    assert capture.steady_replays == 1
     want = result_key(full_recording(topology, body, nranks,
                                      iterations).replay())
     assert result_key(result) == want
@@ -221,7 +220,7 @@ class TestRefusals:
         assert "recorded in full" in describe_steady(trace)
 
     def test_a_negative_duration_refused(self, capture):
-        capture.probe._base[0] = -2.0**-10
+        capture._base[0] = -2.0**-10
         with pytest.raises(SteadyStateError, match="negative"):
             steady_replay(capture)
 
@@ -344,7 +343,7 @@ class TestPlanIntegration:
 
 class TestPlanProbePath:
     """``plan.run(mode="steady")`` resolves the plan's periodic capture,
-    whose ``probe`` is its two recorded iterations."""
+    its two recorded iterations, and a refusal replays that capture."""
 
     @pytest.fixture
     def calls(self, monkeypatch):
@@ -369,7 +368,7 @@ class TestPlanProbePath:
         run = plan.run(mode="steady")
         assert plan.last_capture.mode == "periodic"
         assert plan.last_execution == "steady"
-        assert isinstance(plan._capture, PeriodicCapture)
+        assert plan._capture.tiles == 22
         assert calls == {"steady_replay": 1, "tile_trace": 0}
         reference = machine.simulation_plan(deck, 2, 2).compile_trace()
         assert repr(run.simulation) == repr(reference.replay())
@@ -382,8 +381,8 @@ class TestPlanProbePath:
         assert plan.last_capture.mode == "periodic"
         assert plan.last_execution == "replay"
         assert "dyadic" in plan.last_steady_refusal
-        # The capture refused by itself; the table was tiled for the replay.
-        assert calls == {"steady_replay": 1, "tile_trace": 1}
+        # The capture refused by itself and was replayed untiled.
+        assert calls == {"steady_replay": 1, "tile_trace": 0}
         engine = machine.simulation_plan(deck, 2, 2).run(mode="engine")
         assert repr(run.simulation) == repr(engine.simulation)
 
@@ -394,7 +393,7 @@ class TestPlanProbePath:
         run = plan.run(mode="steady", noise=machine.noise_model(3))
         assert plan.last_execution == "replay"
         assert "noise" in plan.last_steady_refusal
-        assert calls == {"steady_replay": 1, "tile_trace": 1}
+        assert calls == {"steady_replay": 1, "tile_trace": 0}
         engine = machine.simulation_plan(deck, 2, 2).run(
             mode="engine", noise=machine.noise_model(3))
         assert repr(run.simulation) == repr(engine.simulation)
@@ -408,7 +407,7 @@ class TestPlanProbePath:
         run = plan.run(mode="steady")
         assert plan.last_capture.mode == "periodic"
         assert plan.last_capture.tiles == iterations - 2
-        assert isinstance(plan._capture, PeriodicCapture)
+        assert plan._capture.tiles == iterations - 2
         assert plan.last_execution == "steady"
         assert calls == {"steady_replay": 1, "tile_trace": 0}
         engine = machine.simulation_plan(deck, 2, 2).run(mode="engine")
@@ -421,10 +420,10 @@ class TestPlanProbePath:
         replayed = plan.run(mode="replay")
         table = plan.compile_trace()
         capture = plan._held_capture()
-        assert isinstance(capture, PeriodicCapture)
+        assert capture.tiles == 22
         # The recording now reads the table's first rows.
         for name in ("event_kind", "event_slot", "_base", "_send_rank_arr"):
-            assert np.shares_memory(getattr(capture.probe, name),
+            assert np.shares_memory(getattr(capture, name),
                                     getattr(table, name))
         steady_run = plan.run(mode="steady")
         assert plan.last_execution == "steady"
@@ -439,9 +438,11 @@ class TestPlanProbePath:
         machine = get_machine("steady")
         deck = standard_deck("validation", px=2, py=2, max_iterations=24)
         plan = machine.simulation_plan(deck, 2, 2)
-        replayed = plan.run(mode="replay")
+        replayed = plan.run(mode="replay")      # from the capture, untiled
+        assert plan.last_capture.mode == "periodic"
+        plan.compile_trace()
         assert plan.last_capture.mode == "full"
-        assert isinstance(plan._capture, CompiledTrace)
+        assert plan._capture.tiles == 0
         steady_run = plan.run(mode="steady")
         assert plan.last_execution == "replay"
         assert "recorded in full" in plan.last_steady_refusal

@@ -337,8 +337,8 @@ class TestFastPathsBuildNoMirror:
     def test_steady_replay(self, plan, trace):
         capture = plan._held_capture()
         steady_replay(capture)
-        assert capture.probe.steady_replays == 1
-        self.assert_no_mirror(capture.probe)
+        assert capture.steady_replays == 1
+        self.assert_no_mirror(capture)
         self.assert_no_mirror(trace)
 
     def test_noisy_and_first_noise_free_replays(self, trace):

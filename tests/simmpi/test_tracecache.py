@@ -14,7 +14,7 @@ import pytest
 from repro.diskio import _checksum, write_atomic
 from repro.machines.presets import get_machine
 from repro.simmpi import tracecache
-from repro.simmpi.capture import PeriodicCapture, tile_trace
+from repro.simmpi.capture import tile_trace
 from repro.simmpi.trace import CompiledTrace
 from repro.simmpi.tracecache import TraceDiskCache, trace_cache_for
 from repro.simnet.noise import NoiseModel
@@ -128,15 +128,12 @@ def test_fingerprint_ignores_machine_name_and_noise(machine):
 
 
 def _columns(trace):
-    return (trace.event_kind, trace.event_rank, trace.event_slot,
-            trace.event_aux, trace._base, trace._noise_kind,
-            trace._send_eager_arr, trace._send_rank_arr,
-            trace.event_peer, trace.event_tag, trace.event_nbytes)
+    return tuple(trace.columns().values())
 
 
 def _layout(trace):
     return tuple((name, column.dtype.str, len(column))
-                 for name, column in zip(tracecache._COLUMNS, _columns(trace)))
+                 for name, column in trace.columns().items())
 
 
 def _joined(header, trace):
@@ -158,20 +155,13 @@ def format_2_payload(key, trace):
          trace._return_values, _layout(trace))), trace)
 
 
-def joined_payload(key, capture, version=5):
-    """An entry in format 5's layout, marked ``version`` and joined in
+def joined_payload(key, trace, version=6):
+    """An entry in format 6's layout, marked ``version`` and joined in
     memory, as puts wrote it before they streamed the columns."""
-    trace, periodic = capture, None
-    if isinstance(capture, PeriodicCapture):
-        trace = capture.probe
-        periodic = (capture.tiles, capture.messages_sent,
-                    capture.bytes_sent, capture.messages_received,
-                    capture.bytes_received, capture.traffic,
-                    capture.return_values)
     return _joined(pickle.dumps(
         (version, key, trace.nranks, trace._messages_sent, trace._bytes_sent,
          trace._messages_received, trace._bytes_received, trace._traffic,
-         trace._return_values, _layout(trace), periodic),
+         trace._return_values, _layout(trace), trace.tiles),
         protocol=pickle.HIGHEST_PROTOCOL), trace)
 
 
@@ -192,8 +182,18 @@ def periodic_parts(machine):
     plan = SimulationPlan(deck, 2, 2, machine.topology,
                           processor=machine.processor)
     capture = plan._held_capture()
-    assert isinstance(capture, PeriodicCapture)
+    assert capture.tiles == 18
     return plan, capture
+
+
+def _assert_same_table(got, want):
+    for a, b in zip(_columns(got), _columns(want)):
+        assert a.dtype == b.dtype and np.array_equal(a, b)
+    assert got.tiles == want.tiles
+    assert (got._messages_sent, got._bytes_sent, got._messages_received,
+            got._bytes_received, got._traffic, got._return_values) \
+        == (want._messages_sent, want._bytes_sent, want._messages_received,
+            want._bytes_received, want._traffic, want._return_values)
 
 
 def test_periodic_capture_roundtrip(tmp_path, periodic_parts):
@@ -202,29 +202,14 @@ def test_periodic_capture_roundtrip(tmp_path, periodic_parts):
     key = plan.trace_fingerprint()
     cache.put(key, capture)
     loaded = cache.get(key)
-    assert isinstance(loaded, PeriodicCapture)
-    assert loaded.tiles == capture.tiles
-    assert loaded.return_values == capture.return_values
-    assert loaded.traffic == capture.traffic
-    assert loaded.probe._return_values == capture.probe._return_values
-    for column in ("event_kind", "event_slot", "_base", "_send_eager_arr"):
-        assert np.array_equal(getattr(loaded.probe, column),
-                              getattr(capture.probe, column))
+    _assert_same_table(loaded, capture)
+    assert repr(loaded.replay()) == repr(capture.replay())
     assert repr(tile_trace(loaded).replay()) \
         == repr(tile_trace(capture).replay())
     # The entry is the two recorded iterations, not the table.
-    assert loaded.probe.n_events * (2 + capture.tiles) \
+    assert loaded.n_events * (2 + capture.tiles) \
         == 2 * tile_trace(capture).n_events
     assert cache.total_bytes() < tile_trace(capture).nbytes
-
-
-def _assert_same_table(got, want):
-    for a, b in zip(_columns(got), _columns(want)):
-        assert a.dtype == b.dtype and np.array_equal(a, b)
-    assert (got._messages_sent, got._bytes_sent, got._messages_received,
-            got._bytes_received, got._traffic, got._return_values) \
-        == (want._messages_sent, want._bytes_sent, want._messages_received,
-            want._bytes_received, want._traffic, want._return_values)
 
 
 def test_seven_iteration_periodic_entry_roundtrip(tmp_path, machine):
@@ -237,21 +222,19 @@ def test_seven_iteration_periodic_entry_roundtrip(tmp_path, machine):
              for _ in range(2)]
     stored = plans[0]._held_capture()
     assert plans[0].last_capture.mode == "periodic"
-    assert isinstance(stored, PeriodicCapture) and stored.tiles == 5
+    assert stored.tiles == 5
     loaded = plans[1]._held_capture()
     assert plans[1].last_capture.mode == "cache"
-    assert isinstance(loaded, PeriodicCapture)
-    assert (loaded.tiles, loaded.return_values) \
-        == (stored.tiles, stored.return_values)
-    _assert_same_table(loaded.probe, stored.probe)
+    assert loaded.tiles == 5
+    _assert_same_table(loaded, stored)
     _assert_same_table(plans[1].compile_trace(), plans[1]._record_trace())
 
 
 @pytest.mark.parametrize("periodic", [True, False])
-def test_format_4_entry_is_a_miss(tmp_path, machine, periodic):
-    # An entry marked format 4 is a miss whatever it holds (that format
-    # stored a periodic capture's warm-up, period and drain beside its
-    # recording); the plan captures the run anew and stores format 5.
+def test_format_5_entry_is_a_miss(tmp_path, machine, periodic):
+    # An entry marked format 5 is a miss whatever it holds (that format
+    # stored a periodic capture's recording totals beside the run's); the
+    # plan captures the run anew and stores format 6.
     deck = Sweep3DInput(it=10, jt=10, kt=8, mk=4, mmi=3, sn=6,
                         max_iterations=10)
     plan = SimulationPlan(deck, 2, 2, machine.topology,
@@ -262,14 +245,14 @@ def test_format_4_entry_is_a_miss(tmp_path, machine, periodic):
     key = plan.trace_fingerprint()
     payload = joined_payload(
         key, old._held_capture() if periodic else old._record_trace(),
-        version=4)
+        version=5)
     write_atomic(plan.trace_cache._entry_path(key), _checksum(payload),
                  payload)
     run = plan.run(mode="steady")
     assert plan.last_capture.mode == "periodic"
     assert plan.last_execution == "steady"
     assert plan.trace_cache.stats_snapshot().misses == 1
-    assert isinstance(TraceDiskCache(tmp_path).get(key), PeriodicCapture)
+    assert TraceDiskCache(tmp_path).get(key).tiles == 8
     assert repr(run.simulation) == repr(old.compile_trace().replay())
 
 
@@ -309,7 +292,7 @@ def test_truncated_entry_is_a_miss(tmp_path, periodic_parts):
 def test_streamed_entries_equal_the_joined_encoding(tmp_path, plan_parts,
                                                     periodic_parts):
     # A run's table and a periodic capture's recording, each put from its
-    # columns, write the bytes the joined format-5 payload framed.
+    # columns, write the bytes the joined format-6 payload framed.
     full = SimulationPlan(
         Sweep3DInput(it=10, jt=10, kt=8, mk=4, mmi=3, sn=6,
                      max_iterations=3), 2, 3, plan_parts[0].topology,
